@@ -198,31 +198,6 @@ func BenchmarkAblation2CATACMemo(b *testing.B) {
 	}
 }
 
-// BenchmarkHeRADWavefront measures the wavefront-parallel DP fill across
-// worker counts on a pool-sized problem (the diagonals clear the parGrain
-// serial cut-off). The schedule is identical for every row; the speedup —
-// bounded by the machine's core count, so expect none under GOMAXPROCS=1 —
-// is the whole point. workers=0 is the GOMAXPROCS default.
-func BenchmarkHeRADWavefront(b *testing.B) {
-	chains := benchChains(48, 0.5, 4)
-	r := core.Res(16, 16)
-	ref := herad.ScheduleOpts(chains[0], r, herad.Options{Workers: 1})
-	for _, workers := range []int{1, 2, 4, 0} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s := herad.ScheduleOpts(chains[i%len(chains)], r, herad.Options{Workers: workers})
-				if s.IsEmpty() {
-					b.Fatal("no schedule")
-				}
-				if i%len(chains) == 0 && s.String() != ref.String() {
-					b.Fatalf("workers=%d changed the schedule: %v vs %v", workers, s, ref)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationMergePostPass measures the cost of HeRAD's
 // replicable-stage merge post-pass (raw extraction vs merged).
 func BenchmarkAblationMergePostPass(b *testing.B) {

@@ -32,12 +32,9 @@
 //	-interframe N frames per pipeline slot for throughput reporting
 //	-json         print the schedule as JSON
 //	-colocate     fuse adjacent light single-core stages (§VII extension)
-//	-workers N    wavefront workers for HeRAD's DP fill (0 = one per CPU,
-//	              1 = serial); the schedule is bit-identical for every
-//	              value, only the wall clock changes
 //	-epsilon E    ε-optimal beam pruning for HeRAD's DP fill: the period
 //	              is guaranteed within (1+E)·optimal, large chains fill
-//	              several times faster (DESIGN.md §4g). 0 (the default)
+//	              several times faster (DESIGN.md §4e). 0 (the default)
 //	              is the exact fill; other strategies ignore the flag
 //	-replan N     demo of the incremental re-planner: N deterministic
 //	              tail reweighs of the chain resolved through
@@ -135,7 +132,6 @@ type config struct {
 	json       bool
 	colocate   bool
 	power      bool
-	workers    int           // wavefront workers for HeRAD's DP fill (0 = GOMAXPROCS)
 	epsilon    float64       // ε-beam slack for HeRAD (0 = exact fill)
 	replan     int           // tail reweighs for the incremental re-plan demo (0 = off)
 	trace      string        // Chrome trace output path (requires run)
@@ -175,7 +171,6 @@ func main() {
 	flag.BoolVar(&cfg.json, "json", false, "print the schedule as JSON")
 	flag.BoolVar(&cfg.colocate, "colocate", false, "fuse adjacent light single-core stages (saves cores at equal period)")
 	flag.BoolVar(&cfg.power, "power", false, "report power/energy under the default power model")
-	flag.IntVar(&cfg.workers, "workers", 0, "wavefront workers for HeRAD's DP fill (0 = one per CPU, 1 = serial; schedules are identical)")
 	flag.Float64Var(&cfg.epsilon, "epsilon", 0, "ε-beam slack for HeRAD: period within (1+ε)·optimal, faster fill (0 = exact)")
 	flag.IntVar(&cfg.replan, "replan", 0, "run N deterministic tail reweighs through the incremental re-planner and report the saved row work")
 	flag.StringVar(&cfg.trace, "trace", "", "with -run: write a Chrome trace (chrome://tracing) to this file")
@@ -341,7 +336,7 @@ func mainErr(cfg config) error {
 	}
 	t := report.NewTable(header...)
 	pm := core.DefaultPowerModel()
-	opts := strategy.Options{Colocate: cfg.colocate, Metrics: reg, Trace: runSpan, Workers: cfg.workers, Epsilon: cfg.epsilon, Flight: rec}
+	opts := strategy.Options{Colocate: cfg.colocate, Metrics: reg, Trace: runSpan, Epsilon: cfg.epsilon, Flight: rec}
 	for _, sc := range scheds {
 		name := sc.Name()
 		if err := strategy.CheckTypes(sc, chain, r); err != nil {

@@ -88,7 +88,7 @@ func TestMainErrBadOutputPath(t *testing.T) {
 
 func TestMainErrMatchFilters(t *testing.T) {
 	var buf bytes.Buffer
-	if err := mainErr("", 0, "herad/wavefront", gateOptions{}, true, statuszOptions{}, &buf); err != nil {
+	if err := mainErr("", 0, "herad/fill", gateOptions{}, true, statuszOptions{}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Fields(buf.String())
@@ -96,7 +96,7 @@ func TestMainErrMatchFilters(t *testing.T) {
 		t.Fatalf("-match kept %d of %d benchmarks:\n%s", len(lines), len(benchmarks()), buf.String())
 	}
 	for _, l := range lines {
-		if !strings.Contains(l, "herad/wavefront") && l != calibrateName {
+		if !strings.Contains(l, "herad/fill") && l != calibrateName {
 			t.Errorf("-match leaked %q", l)
 		}
 	}

@@ -23,8 +23,11 @@ func quietly(t *testing.T, fn func() error) {
 	}
 }
 
+// testApp pins the PlanBatch pool at one worker: the reports the goldens
+// byte-compare include the planbatch.workers gauge, which would otherwise
+// read the host's GOMAXPROCS.
 func testApp() *app {
-	return &app{chains: 20, runs: 2, quick: true, scale: 10}
+	return &app{chains: 20, runs: 2, quick: true, scale: 10, workers: 1}
 }
 
 func TestDriversRun(t *testing.T) {

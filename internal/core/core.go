@@ -280,14 +280,19 @@ func NewChain(tasks []Task) (*Chain, error) {
 		c.prefix[v] = make([]float64, len(tasks)+1)
 	}
 	c.seqPrefix = make([]int, len(tasks)+1)
+	// Deep-copy the weight vectors so the chain stays immutable even if the
+	// caller mutates its task slice afterwards. The copies are carved from
+	// one backing array (one allocation per chain, not per task); the
+	// three-index slices cap each vector at its own k words, so an append
+	// to one task's weights can never reach its neighbor's.
+	weights := make([]float64, len(tasks)*k)
 	for i, t := range c.tasks {
 		if len(t.Weight) != k {
 			return nil, fmt.Errorf("core: task %d (%q) declares %d weights, chain has %d core types",
 				i, t.Name, len(t.Weight), k)
 		}
-		// Deep-copy the weight vector so the chain stays immutable even if
-		// the caller mutates its task slice afterwards.
-		c.tasks[i].Weight = append([]float64(nil), t.Weight...)
+		c.tasks[i].Weight = weights[i*k : (i+1)*k : (i+1)*k]
+		copy(c.tasks[i].Weight, t.Weight)
 		for v := 0; v < k; v++ {
 			if t.Weight[v] < 0 || math.IsNaN(t.Weight[v]) {
 				return nil, fmt.Errorf("core: task %d (%q) has invalid weight %v on %v",
@@ -332,6 +337,13 @@ func (c *Chain) Tasks() []Task { return append([]Task(nil), c.tasks...) }
 func (c *Chain) SumW(s, e int, v CoreType) float64 {
 	return c.prefix[v][e+1] - c.prefix[v][s]
 }
+
+// PrefixW returns the prefix sums of the task weights on core type v:
+// PrefixW(v)[i] is the weight of tasks[0:i], so SumW(s, e, v) is
+// PrefixW(v)[e+1] - PrefixW(v)[s]. It lets a hot loop hoist the per-type
+// lookup SumW repeats on every call. The slice is the chain's own and must
+// not be modified.
+func (c *Chain) PrefixW(v CoreType) []float64 { return c.prefix[v] }
 
 // TotalW returns the sum of all task weights on core type v.
 func (c *Chain) TotalW(v CoreType) float64 { return c.prefix[v][len(c.tasks)] }

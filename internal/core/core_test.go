@@ -45,6 +45,34 @@ func TestNewChainErrors(t *testing.T) {
 	}
 }
 
+// TestNewChainAllocsIndependentOfLength pins the chain's allocation shape:
+// a fixed handful of slices however long the chain, not one weight copy per
+// task — while the chain still owns its weights (mutating or appending to
+// the caller's or a neighbor's vector never reaches it).
+func TestNewChainAllocsIndependentOfLength(t *testing.T) {
+	build := func(n int) []Task {
+		tasks := make([]Task, n)
+		for i := range tasks {
+			tasks[i] = task(float64(i+1), float64(2*i+2), i%2 == 0)
+		}
+		return tasks
+	}
+	short, long := build(8), build(2048)
+	allocs := func(tasks []Task) float64 {
+		return testing.AllocsPerRun(10, func() { MustChain(tasks) })
+	}
+	if a, b := allocs(short), allocs(long); a != b {
+		t.Errorf("NewChain allocates %v times for 8 tasks, %v for 2048", a, b)
+	}
+	c := MustChain(short)
+	short[3].Weight[0] = -1
+	grown := append(c.Task(2).Weight, 99)
+	grown[0] = -1
+	if c.Task(3).W(Big) != 4 || c.Task(2).W(Big) != 3 {
+		t.Errorf("chain weights aliased: task 2 %v, task 3 %v", c.Task(2).Weight, c.Task(3).Weight)
+	}
+}
+
 func TestMustChainPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -95,6 +123,9 @@ func TestSumWAndPrefix(t *testing.T) {
 	}
 	if got := c.SumW(3, 3, Big); got != 30 {
 		t.Errorf("SumW single = %v, want 30", got)
+	}
+	if p := c.PrefixW(Little); len(p) != c.Len()+1 || p[3]-p[1] != c.SumW(1, 2, Little) {
+		t.Errorf("PrefixW(L) = %v disagrees with SumW", p)
 	}
 }
 

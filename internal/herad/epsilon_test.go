@@ -17,27 +17,23 @@ import (
 // assertions allow one part in 10⁹ on top of (1+ε).
 const epsTol = 1 + 1e-9
 
-// TestEpsilonZeroBitIdentical pins the ε=0 contract: Options.Epsilon = 0
-// must leave the fill untouched — not merely period-equal but the same
-// solution, stage for stage, on both the 2D fast path and the general
-// k-type fill. The ε constants all collapse to exact values at ε=0, so
-// any divergence here means the beam machinery leaks into the exact path.
+// TestEpsilonZeroBitIdentical pins the ε ≤ 0 contract: a zero or negative
+// Options.Epsilon is the exact fill — not merely period-equal but the same
+// solution, stage for stage, as the paper-literal reference. The ε
+// constants all collapse to exact values at ε=0, so any divergence here
+// means the beam machinery leaks into the exact path.
 func TestEpsilonZeroBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for iter := 0; iter < 80; iter++ {
 		n := 1 + rng.Intn(24)
 		c := chaingen.Generate(chaingen.Default(n, []float64{0, 0.3, 0.5, 0.8, 1}[rng.Intn(5)]), rng)
-		r := core.Res(1+rng.Intn(5), rng.Intn(5))
-		want := ScheduleOpts(c, r, Options{Workers: 1})
-		for _, o := range []Options{
-			{Workers: 1, Epsilon: 0},
-			{Workers: 1, Epsilon: -0.5}, // negative normalizes to exact
-			{Workers: 1, Epsilon: 0, ForceGeneral: true},
-		} {
-			got := ScheduleOpts(c, r, o)
+		b, l := 1+rng.Intn(5), rng.Intn(5)
+		want, _ := refSchedule(c, b, l)
+		for _, eps := range []float64{0, -0.5} {
+			got := ScheduleOpts(c, core.Res(b, l), Options{Raw: true, Epsilon: eps})
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("iter %d: opts %+v diverged from exact\n got %v\nwant %v\nchain=%+v R=%v",
-					iter, o, got, want, c.Tasks(), r)
+				t.Fatalf("iter %d: eps %v diverged from exact\n got %v\nwant %v\nchain=%+v R=(%d,%d)",
+					iter, eps, got, want, c.Tasks(), b, l)
 			}
 		}
 	}
@@ -54,9 +50,9 @@ func TestEpsilonBoundVsExact(t *testing.T) {
 		n := 2 + rng.Intn(40)
 		c := chaingen.Generate(chaingen.Default(n, []float64{0, 0.3, 0.5, 0.8, 1}[rng.Intn(5)]), rng)
 		r := core.Res(1+rng.Intn(6), rng.Intn(6))
-		exact := ScheduleOpts(c, r, Options{Workers: 1}).Period(c)
-		for _, eps := range []float64{0.01, 0.05, 0.2, 1.0} {
-			s := ScheduleOpts(c, r, Options{Workers: 1, Epsilon: eps})
+		exact := Period(c, r)
+		for _, eps := range []float64{0.01, 0.05, 0.25, 1.0} {
+			s := ScheduleOpts(c, r, Options{Epsilon: eps})
 			if err := s.Validate(c, r); err != nil {
 				t.Fatalf("iter %d eps %v: invalid: %v", iter, eps, err)
 			}
@@ -73,20 +69,27 @@ func TestEpsilonBoundVsExact(t *testing.T) {
 }
 
 // TestEpsilonBoundVsBrute re-anchors the bound against the independent
-// brute-force oracle on small chains, so a bug shared by the exact and the
-// ε fill cannot vouch for itself.
+// brute-force oracle on small two- and three-type chains, so a bug shared
+// by the exact and the ε fill cannot vouch for itself.
 func TestEpsilonBoundVsBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
-	for iter := 0; iter < 80; iter++ {
-		n := 1 + rng.Intn(7)
-		c := chaingen.Generate(chaingen.Default(n, []float64{0, 0.2, 0.5, 0.8, 1}[rng.Intn(5)]), rng)
-		r := core.Res(rng.Intn(4), rng.Intn(4))
+	for iter := 0; iter < 120; iter++ {
+		sr := []float64{0, 0.2, 0.5, 0.8, 1}[rng.Intn(5)]
+		var c *core.Chain
+		var r core.Resources
+		if iter%3 == 2 {
+			c = chaingen.Generate(chaingen.Default3(1+rng.Intn(5), sr), rng)
+			r = core.Res(rng.Intn(3), rng.Intn(3), rng.Intn(3))
+		} else {
+			c = chaingen.Generate(chaingen.Default(1+rng.Intn(7), sr), rng)
+			r = core.Res(rng.Intn(4), rng.Intn(4))
+		}
 		if r.Total() == 0 {
 			r = r.With(core.Big, 1)
 		}
 		want := brute.MinPeriod(c, r)
-		for _, eps := range []float64{0.01, 0.05, 0.5} {
-			p := ScheduleOpts(c, r, Options{Workers: 1, Epsilon: eps}).Period(c)
+		for _, eps := range []float64{0.01, 0.05, 0.25, 0.5} {
+			p := ScheduleOpts(c, r, Options{Epsilon: eps}).Period(c)
 			if p > want*(1+eps)*epsTol {
 				t.Fatalf("iter %d eps %v: period %v exceeds (1+ε)·brute %v\nchain=%+v R=%v",
 					iter, eps, p, want, c.Tasks(), r)
@@ -95,50 +98,21 @@ func TestEpsilonBoundVsBrute(t *testing.T) {
 	}
 }
 
-// TestEpsilonBoundGeneralFill runs the bound against the k-type general
-// fill: the two-type instance through ForceGeneral (differential with the
-// fast path's exact optimum) and a genuine three-type instance against its
-// own exact general fill.
+// TestEpsilonBoundGeneralFill runs the bound on a three-type platform,
+// differentially against the exact fill on chains too long to enumerate.
 func TestEpsilonBoundGeneralFill(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	for iter := 0; iter < 30; iter++ {
-		n := 2 + rng.Intn(20)
-		c2 := chaingen.Generate(chaingen.Default(n, 0.5), rng)
-		r2 := core.Res(1+rng.Intn(4), 1+rng.Intn(4))
-		exact2 := ScheduleOpts(c2, r2, Options{Workers: 1}).Period(c2)
-		c3 := chaingen.Generate(chaingen.Default3(n, 0.5), rng)
-		r3 := core.Res(1+rng.Intn(3), 1+rng.Intn(3), 1+rng.Intn(3))
-		exact3 := ScheduleOpts(c3, r3, Options{}).Period(c3)
-		for _, eps := range []float64{0.01, 0.05, 0.3} {
-			p2 := ScheduleOpts(c2, r2, Options{Workers: 1, Epsilon: eps, ForceGeneral: true}).Period(c2)
-			if p2 > exact2*(1+eps)*epsTol {
-				t.Fatalf("iter %d eps %v: general 2-type period %v exceeds (1+ε)·%v", iter, eps, p2, exact2)
+		c := chaingen.Generate(chaingen.Default3(2+rng.Intn(20), 0.5), rng)
+		r := core.Res(1+rng.Intn(3), 1+rng.Intn(3), 1+rng.Intn(3))
+		exact := Period(c, r)
+		for _, eps := range []float64{0.01, 0.05, 0.25} {
+			s := ScheduleOpts(c, r, Options{Epsilon: eps})
+			if err := s.Validate(c, r); err != nil {
+				t.Fatalf("iter %d eps %v: invalid: %v", iter, eps, err)
 			}
-			s3 := ScheduleOpts(c3, r3, Options{Epsilon: eps})
-			if err := s3.Validate(c3, r3); err != nil {
-				t.Fatalf("iter %d eps %v: invalid 3-type: %v", iter, eps, err)
-			}
-			if p3 := s3.Period(c3); p3 > exact3*(1+eps)*epsTol {
-				t.Fatalf("iter %d eps %v: 3-type period %v exceeds (1+ε)·%v", iter, eps, p3, exact3)
-			}
-		}
-	}
-}
-
-// TestEpsilonParallelMatchesSerial pins that the ε fill composes with the
-// wavefront pool: workers only partition the anti-diagonal sweep, so the
-// ε-pruned schedule must be bit-identical at any worker count.
-func TestEpsilonParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(89))
-	for iter := 0; iter < 20; iter++ {
-		n := 8 + rng.Intn(40)
-		c := chaingen.Generate(chaingen.Default(n, 0.5), rng)
-		r := core.Res(2+rng.Intn(6), 2+rng.Intn(6))
-		for _, eps := range []float64{0.01, 0.1} {
-			serial := ScheduleOpts(c, r, Options{Workers: 1, Epsilon: eps})
-			par := ScheduleOpts(c, r, Options{Workers: 4, Epsilon: eps})
-			if !reflect.DeepEqual(serial, par) {
-				t.Fatalf("iter %d eps %v: parallel fill diverged\nserial %v\npar    %v", iter, eps, serial, par)
+			if p := s.Period(c); p > exact*(1+eps)*epsTol {
+				t.Fatalf("iter %d eps %v: period %v exceeds (1+ε)·%v", iter, eps, p, exact)
 			}
 		}
 	}
@@ -153,7 +127,7 @@ func TestEpsilonPrunesWork(t *testing.T) {
 	r := core.Res(4, 4)
 	count := func(eps float64) int64 {
 		reg := obs.NewRegistry()
-		ScheduleOpts(c, r, Options{Workers: 1, Epsilon: eps, Metrics: MetricsFrom(reg)})
+		ScheduleOpts(c, r, Options{Epsilon: eps, Metrics: MetricsFrom(reg)})
 		return MetricsFrom(reg).DPCandidates.Value()
 	}
 	exact := count(0)
@@ -171,8 +145,8 @@ func TestEpsilonPrunesWork(t *testing.T) {
 func TestEpsilonNaN(t *testing.T) {
 	c := core.MustChain([]core.Task{task(10, 20, false), task(8, 16, true), task(4, 9, true)})
 	r := core.Res(2, 2)
-	want := ScheduleOpts(c, r, Options{Workers: 1})
-	got := ScheduleOpts(c, r, Options{Workers: 1, Epsilon: math.NaN()})
+	want := Schedule(c, r)
+	got := ScheduleOpts(c, r, Options{Epsilon: math.NaN()})
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("NaN epsilon diverged: %v vs %v", got, want)
 	}

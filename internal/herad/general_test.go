@@ -1,36 +1,18 @@
 package herad
 
 import (
+	"bytes"
 	"math/rand"
-	"slices"
+	"strings"
 	"testing"
 
 	"ampsched/internal/brute"
 	"ampsched/internal/chaingen"
 	"ampsched/internal/core"
+	"ampsched/internal/trace"
 )
 
-// TestGeneralMatchesFastPathK2 is the license for keeping the specialized
-// 2D fill: on two-type platforms the general k-type fill must emit
-// byte-identical schedules — same stages, same tie-breaks — not merely
-// equal periods.
-func TestGeneralMatchesFastPathK2(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	for iter := 0; iter < 200; iter++ {
-		n := 1 + rng.Intn(8)
-		sr := []float64{0, 0.2, 0.5, 0.8, 1}[rng.Intn(5)]
-		c := chaingen.Generate(chaingen.Default(n, sr), rng)
-		r := core.Res(rng.Intn(5), rng.Intn(5))
-		fast := ScheduleOpts(c, r, Options{})
-		gen := ScheduleOpts(c, r, Options{ForceGeneral: true})
-		if !slices.Equal(fast.Stages, gen.Stages) {
-			t.Fatalf("iter %d (n=%d sr=%g R=%v):\nfast    %v\ngeneral %v",
-				iter, n, sr, r, fast, gen)
-		}
-	}
-}
-
-// TestGeneralK3VsBrute cross-validates the general fill against exhaustive
+// TestGeneralK3VsBrute cross-validates the fill against exhaustive
 // enumeration on three-type platforms: the DP must reach the optimal
 // period on every instance small enough to enumerate.
 func TestGeneralK3VsBrute(t *testing.T) {
@@ -82,5 +64,41 @@ func TestGeneralTypeMismatch(t *testing.T) {
 	c := core.MustChain([]core.Task{task(5, 10, true)})
 	if s := Schedule(c, core.Res(1, 1, 1)); !s.IsEmpty() {
 		t.Errorf("2-type chain scheduled on 3-type platform: %v", s)
+	}
+}
+
+// TestJournalStateSchema pins how the fill's journal events name a DP
+// state: integer big/little counts for types 0 and 1 on every platform,
+// plus — only past two types — the whole remaining-count vector as one
+// resources string, and the cut split on every dp_prune.
+func TestJournalStateSchema(t *testing.T) {
+	journal := func(c *core.Chain, r core.Resources) string {
+		j := trace.New()
+		ScheduleOpts(c, r, Options{Metrics: Metrics{Trace: trace.NewScope(j.Root())}})
+		var buf bytes.Buffer
+		if err := j.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	rng := rand.New(rand.NewSource(64))
+	k2 := journal(chaingen.Generate(chaingen.Default(6, 0.5), rng), core.Res(2, 2))
+	k3 := journal(chaingen.Generate(chaingen.Default3(6, 0.5), rng), core.Res(2, 1, 2))
+	for _, line := range strings.Split(strings.TrimSpace(k2+k3), "\n") {
+		if !strings.Contains(line, `"name":"dp_`) {
+			continue
+		}
+		if !strings.Contains(line, `"big":`) || !strings.Contains(line, `"little":`) || strings.Contains(line, `"state":`) {
+			t.Errorf("DP event without big/little counts: %s", line)
+		}
+		if strings.Contains(line, `"name":"dp_prune"`) && !strings.Contains(line, `"cut_at_start":`) {
+			t.Errorf("dp_prune without its cut: %s", line)
+		}
+	}
+	if strings.Contains(k2, `"resources":`) {
+		t.Error("two-type journal carries a resources vector")
+	}
+	if !strings.Contains(k3, `"resources":"(2B,1L,2T2)"`) || !strings.Contains(k3, `"resources":"(0B,0L,1T2)"`) {
+		t.Errorf("three-type journal lacks the dp_pass platform or a remaining-count vector:\n%s", k3)
 	}
 }

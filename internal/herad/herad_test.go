@@ -90,25 +90,41 @@ func TestPeriodHelper(t *testing.T) {
 	}
 }
 
+// TestMatchesBruteForcePeriod cross-checks the fill against exhaustive
+// enumeration for every type count the brute-force oracle can afford: the
+// DP must reach the optimal period with a valid schedule on each.
 func TestMatchesBruteForcePeriod(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for iter := 0; iter < 120; iter++ {
-		n := 1 + rng.Intn(7)
-		cfg := chaingen.Default(n, []float64{0, 0.2, 0.5, 0.8, 1}[rng.Intn(5)])
-		c := chaingen.Generate(cfg, rng)
-		r := core.Res(rng.Intn(4), rng.Intn(4))
-		if r.Total() == 0 {
-			r = r.With(core.Big, 1)
-		}
-		want := brute.MinPeriod(c, r)
-		s := Schedule(c, r)
-		if err := s.Validate(c, r); err != nil {
-			t.Fatalf("iter %d: invalid solution: %v (chain %v, R=%v)", iter, err, c.Tasks(), r)
-		}
-		got := s.Period(c)
-		if math.Abs(got-want) > 1e-9 {
-			t.Fatalf("iter %d: HeRAD period %v, brute force %v\nchain=%+v R=%v sol=%v",
-				iter, got, want, c.Tasks(), r, s)
+	for _, tc := range []struct {
+		k, iters, maxN, maxCores int
+	}{
+		{k: 1, iters: 60, maxN: 7, maxCores: 5},
+		{k: 2, iters: 120, maxN: 7, maxCores: 3},
+		{k: 3, iters: 60, maxN: 5, maxCores: 2},
+	} {
+		rng := rand.New(rand.NewSource(41))
+		for iter := 0; iter < tc.iters; iter++ {
+			tasks := make([]core.Task, 1+rng.Intn(tc.maxN))
+			for i := range tasks {
+				tasks[i] = randTask(rng, tc.k)
+			}
+			c := core.MustChain(tasks)
+			counts := make([]int, tc.k)
+			for v := range counts {
+				counts[v] = rng.Intn(tc.maxCores + 1)
+			}
+			r := core.Res(counts...)
+			if r.Total() == 0 {
+				r = r.With(core.Big, 1)
+			}
+			want := brute.MinPeriod(c, r)
+			s := Schedule(c, r)
+			if err := s.Validate(c, r); err != nil {
+				t.Fatalf("k=%d iter %d: invalid solution: %v (chain %v, R=%v)", tc.k, iter, err, c.Tasks(), r)
+			}
+			if got := s.Period(c); math.Abs(got-want) > 1e-9 {
+				t.Fatalf("k=%d iter %d: HeRAD period %v, brute force %v\nchain=%+v R=%v sol=%v",
+					tc.k, iter, got, want, c.Tasks(), r, s)
+			}
 		}
 	}
 }

@@ -11,24 +11,20 @@ import (
 // an edit can affect. Row j of the matrix covers the first j tasks, so it
 // depends exclusively on tasks 0..j-1 and on rows < j — an edit at task
 // index i (0-based) therefore invalidates rows ≥ i+1 and provably leaves
-// every prefix row untouched (DESIGN.md §4g). Refilled rows are first
-// reset to their pre-fill +Inf state and then recomputed by the same
-// fillRows/kFillRows the from-scratch fill uses, so an edited Planner's
-// schedule is bit-identical to scheduling the edited chain from scratch
-// (planner_test.go drives random edit sequences against that oracle).
+// every prefix row untouched. Invalidated rows are recomputed by the same
+// fillRows the from-scratch fill uses, which overwrites every cell of a
+// row it fills, so an edited Planner's schedule is bit-identical to
+// scheduling the edited chain from scratch (planner_test.go drives random
+// edit sequences against that oracle).
 //
 // A Planner carries one chain, one resource vector and one Options value
-// for its whole life; edits change only the chain. It composes with every
-// fill mode — wavefront workers, ForceGeneral, ε-beam pruning — because
-// it reuses the underlying row fillers verbatim. Like those fillers, a
-// Planner is not safe for concurrent use.
+// for its whole life; edits change only the chain. It is not safe for
+// concurrent use.
 type Planner struct {
 	c *core.Chain
 	r core.Resources
 	o Options
-
-	m2 *matrix  // two-type fast path (nil when the general fill is in use)
-	mk *kmatrix // general k-type fill (nil when the 2D fast path is in use)
+	m *matrix
 
 	lastRefilled int // rows recomputed by the most recent fill or edit
 }
@@ -48,25 +44,9 @@ func NewPlanner(c *core.Chain, r core.Resources, o Options) (*Planner, error) {
 		return nil, fmt.Errorf("herad: chain declares %d core types, resources %d",
 			c.NumTypes(), r.NumTypes())
 	}
-	p := &Planner{c: c, r: r, o: o}
-	n := c.Len()
-	if r.NumTypes() != 2 || o.ForceGeneral {
-		p.mk = newKMatrix(n, r, o.epsilon())
-	} else {
-		p.m2 = newMatrix(n, r.Count(core.Big), r.Count(core.Little), o.epsilon())
-	}
-	om := o.Metrics
-	dp, exit := om.Trace.Enter("dp_pass")
-	if p.m2 != nil {
-		dp.Int("tasks", n).Int("big", p.m2.b).Int("little", p.m2.l)
-		fillRows(p.m2, c, 1, n, o)
-	} else {
-		dp.Int("tasks", n).Str("resources", r.String())
-		kFillRows(p.mk, c, 1, n, om)
-	}
-	exit()
-	p.lastRefilled = n
-	return p, nil
+	m := newMatrix(c.Len(), r, o.epsilon())
+	m.fill(c, o.Metrics)
+	return &Planner{c: c, r: r, o: o, m: m, lastRefilled: c.Len()}, nil
 }
 
 // Chain returns the planner's current chain.
@@ -100,10 +80,7 @@ func (p *Planner) Period() float64 {
 }
 
 func (p *Planner) raw() core.Solution {
-	if p.m2 != nil {
-		return extractSolution(p.m2, p.c, p.c.Len(), p.m2.b, p.m2.l)
-	}
-	return kExtractSolution(p.mk, p.c, p.c.Len())
+	return p.m.extract(p.c.Len())
 }
 
 // Append adds t to the end of the chain. Only the single new row is
@@ -181,10 +158,9 @@ func (p *Planner) apply(tasks []core.Task, from int) error {
 	return nil
 }
 
-// refill resizes the matrix to the current chain length, resets rows
-// from..n to their pre-fill +Inf state and recomputes them with the same
-// row fillers the from-scratch fill uses. Rows < from are read, never
-// written.
+// refill resizes the matrix to the current chain length and recomputes
+// rows from..n with the same row filler the from-scratch fill uses. Rows
+// < from are read, never written.
 func (p *Planner) refill(from int) {
 	n := p.c.Len()
 	if from < 1 {
@@ -198,19 +174,8 @@ func (p *Planner) refill(from int) {
 	om := p.o.Metrics
 	rf, exit := om.Trace.Enter("dp_refill")
 	rf.Int("tasks", n).Int("from_row", from).Int("rows", refilled)
-	if p.m2 != nil {
-		p.m2.resize(n)
-		for j := from; j <= n; j++ {
-			p.m2.resetRow(j)
-		}
-		fillRows(p.m2, p.c, from, n, p.o)
-	} else {
-		p.mk.resize(n)
-		for j := from; j <= n; j++ {
-			p.mk.resetRow(j)
-		}
-		kFillRows(p.mk, p.c, from, n, om)
-	}
+	p.m.resize(n)
+	p.m.fillRows(p.c, from, n, om)
 	exit()
 }
 

@@ -40,9 +40,9 @@ func randTask(rng *rand.Rand, k int) core.Task {
 
 // TestPlannerEditSequence drives random Append/Remove/Reweigh sequences
 // and checks after every edit that the planner's solution is bit-identical
-// to scheduling the edited chain from scratch — on the 2D fast path, the
-// forced general fill, a three-type platform, and an ε-beam fill. This is
-// the row-reuse invariant of DESIGN.md §4g under fire.
+// to scheduling the edited chain from scratch — on a two-type and a
+// three-type platform, under an ε-beam fill, and without the merge pass.
+// This is the row-reuse invariant of the Planner under fire.
 func TestPlannerEditSequence(t *testing.T) {
 	cases := []struct {
 		name string
@@ -50,11 +50,10 @@ func TestPlannerEditSequence(t *testing.T) {
 		r    core.Resources
 		o    Options
 	}{
-		{"fast2d", 2, core.Res(3, 4), Options{Workers: 1}},
-		{"general2d", 2, core.Res(3, 4), Options{Workers: 1, ForceGeneral: true}},
+		{"general2d", 2, core.Res(3, 4), Options{}},
 		{"ktype3", 3, core.Res(2, 2, 3), Options{}},
-		{"epsilon", 2, core.Res(4, 4), Options{Workers: 1, Epsilon: 0.05}},
-		{"raw", 2, core.Res(3, 3), Options{Workers: 1, Raw: true}},
+		{"epsilon", 2, core.Res(4, 4), Options{Epsilon: 0.05}},
+		{"raw", 2, core.Res(3, 3), Options{Raw: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -114,7 +113,7 @@ func TestPlannerRebase(t *testing.T) {
 	for iter := 0; iter < 30; iter++ {
 		c := chaingen.Generate(chaingen.Default(10+rng.Intn(10), 0.5), rng)
 		r := core.Res(3, 3)
-		p, err := NewPlanner(c, r, Options{Workers: 1})
+		p, err := NewPlanner(c, r, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +170,7 @@ func TestPlannerRejectsBadInputs(t *testing.T) {
 	if _, err := NewPlanner(c, core.Res(-1, 2), Options{}); err == nil {
 		t.Error("negative resources accepted")
 	}
-	p, err := NewPlanner(c, core.Res(2, 2), Options{Workers: 1})
+	p, err := NewPlanner(c, core.Res(2, 2), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,11 +202,23 @@ func TestPlannerRejectsBadInputs(t *testing.T) {
 // TestPlannerPeriod pins the Period accessor against the solution.
 func TestPlannerPeriod(t *testing.T) {
 	c := chaingen.GenerateMany(chaingen.Default(12, 0.5), 5, 1)[0]
-	p, err := NewPlanner(c, core.Res(3, 2), Options{Workers: 1})
+	p, err := NewPlanner(c, core.Res(3, 2), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := p.Period(), p.Solution().Period(c); got != want {
 		t.Errorf("Period() = %v, Solution().Period = %v", got, want)
+	}
+}
+
+// TestRefillAllocatesNothing pins the cost model of an edit: refilling rows
+// of a retained matrix runs entirely on the stack and in the matrix — the
+// exact fill allocates nothing per refill, per row or per cell.
+func TestRefillAllocatesNothing(t *testing.T) {
+	c := chaingen.GenerateMany(chaingen.Default(32, 0.5), 5, 1)[0]
+	m := newMatrix(c.Len(), core.Res(3, 3), 0)
+	m.fill(c, Metrics{})
+	if a := testing.AllocsPerRun(20, func() { m.fillRows(c, c.Len()-4, c.Len(), Metrics{}) }); a != 0 {
+		t.Errorf("refilling 5 rows allocates %v times, want 0", a)
 	}
 }

@@ -128,9 +128,9 @@ func TestCacheKeySeparatesVariants(t *testing.T) {
 	}
 }
 
-// TestCacheIgnoresWorkers pins the key design decision: Workers never
-// changes a schedule, so requests differing only in Workers share one
-// entry.
+// TestCacheIgnoresWorkers pins that Options.Workers, accepted and ignored
+// for as long as the field exists, stays out of the cache key: requests
+// differing only in it share one entry.
 func TestCacheIgnoresWorkers(t *testing.T) {
 	c := testChain(t)
 	r := core.Res(2, 2)

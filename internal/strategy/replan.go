@@ -35,7 +35,7 @@ type ReplanStats struct {
 // one place the mapping lives (heradScheduler.Schedule and the replan path
 // both use it).
 func heradOptions(o Options) herad.Options {
-	return herad.Options{Workers: o.Workers, Raw: o.Raw, Epsilon: o.Epsilon}
+	return herad.Options{Raw: o.Raw, Epsilon: o.Epsilon}
 }
 
 // NewHeradPlanner builds an incumbent herad.Planner from strategy-level
@@ -47,9 +47,9 @@ func NewHeradPlanner(c *core.Chain, r core.Resources, o Options) (*herad.Planner
 
 // replanCompatible reports whether req may be served by rebasing p: a
 // HeRAD request on the planner's platform whose schedule-shaping options
-// (Raw, ε) match the ones baked into the planner's matrix. Workers and
-// the observability sinks never change the schedule, so they don't gate
-// the warm start; Colocate is a post-pass applied per request.
+// (Raw, ε) match the ones baked into the planner's matrix. The
+// observability sinks never change the schedule, so they don't gate the
+// warm start; Colocate is a post-pass applied per request.
 func replanCompatible(p *herad.Planner, req Request) bool {
 	po := p.Opts()
 	return req.Resources == p.Resources() &&
@@ -106,28 +106,29 @@ func ReplanBatch(incumbent *herad.Planner, reqs []Request) ([]Result, *herad.Pla
 			}
 		}
 		if !heradRequest(req) {
-			out[i] = plan(req, sp, false)
+			out[i] = plan(req, sp)
 			st.Cold++
 			continue
 		}
+		start := time.Now() // the fill or refill is the request's cost
 		if p == nil {
 			np, err := NewHeradPlanner(req.Chain, req.Resources, req.Options)
 			if err != nil {
-				out[i] = plan(req, sp, false)
+				out[i] = plan(req, sp)
 				st.Cold++
 				continue
 			}
 			p = np
 		} else if !replanCompatible(p, req) {
-			out[i] = plan(req, sp, false)
+			out[i] = plan(req, sp)
 			st.Cold++
 			continue
 		} else if err := p.Rebase(req.Chain); err != nil {
-			out[i] = plan(req, sp, false)
+			out[i] = plan(req, sp)
 			st.Cold++
 			continue
 		}
-		out[i] = replanResult(p, req, sp)
+		out[i] = replanResult(p, req, sp, start)
 		st.WarmStarts++
 		st.RowsRefilled += p.RowsRefilled()
 		st.RowsTotal += req.Chain.Len()
@@ -138,10 +139,11 @@ func ReplanBatch(incumbent *herad.Planner, reqs []Request) ([]Result, *herad.Pla
 // replanResult builds the Result of a warm-started request from the
 // planner's retained matrix, applying the request's own post-passes
 // (merge via the planner's Raw, Colocate via Options.finish) and keeping
-// plan's error contract and journal/metrics shape.
-func replanResult(p *herad.Planner, req Request, sp *trace.Span) Result {
+// plan's error contract and journal/metrics shape. start is when the
+// planner work for this request began, so Elapsed covers the (re)fill as
+// well as the extraction.
+func replanResult(p *herad.Planner, req Request, sp *trace.Span, start time.Time) Result {
 	res := Result{Request: req}
-	start := time.Now()
 	s := req.Options.finish(req.Chain, p.Solution())
 	res.Elapsed = time.Since(start)
 	res.Solution = s

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+	"time"
 
 	"ampsched/internal/chaingen"
 	"ampsched/internal/core"
@@ -49,6 +50,30 @@ func TestReplanBatchMatchesPlanBatch(t *testing.T) {
 	}
 	if st.RowsTotal <= 0 || st.RowsRefilled >= st.RowsTotal {
 		t.Fatalf("stats = %+v: warm starts saved no row work", st)
+	}
+}
+
+// TestReplanBatchElapsedCoversFill pins what Result.Elapsed measures on the
+// warm path: the planner work, not just the extraction. A session's first
+// request pays a full fill of a long chain; the same chain again is a
+// no-op rebase. The fill is all but the whole call, so the two Elapsed
+// must account for most of the batch's wall clock (they summed to
+// microseconds of a multi-millisecond call while the clock started after
+// the fill), and the first cannot be the smaller one.
+func TestReplanBatchElapsedCoversFill(t *testing.T) {
+	c := chaingen.Generate(chaingen.Default(400, 0.5), rand.New(rand.NewSource(3)))
+	req := Request{Chain: c, Resources: core.Res(4, 4), Scheduler: MustParse("herad")}
+	start := time.Now()
+	res, p, st := ReplanBatch(nil, []Request{req, req})
+	total := time.Since(start)
+	if st.WarmStarts != 2 || p.RowsRefilled() != 0 {
+		t.Fatalf("stats = %+v, last refill %d rows: want a full fill then a no-op rebase", st, p.RowsRefilled())
+	}
+	if res[0].Elapsed < res[1].Elapsed {
+		t.Errorf("full fill reported %v, no-op rebase %v", res[0].Elapsed, res[1].Elapsed)
+	}
+	if sum := res[0].Elapsed + res[1].Elapsed; sum < total/2 {
+		t.Errorf("requests report %v of a %v batch: the fill is not on the clock", sum, total)
 	}
 }
 
