@@ -4,7 +4,8 @@ import "fmt"
 
 // BCH is a systematic narrow-sense binary BCH codec over GF(2^m),
 // shortened to the requested information length. Encoding is LFSR
-// division by the generator polynomial; decoding is the classic
+// division by the generator polynomial, the register packed 64 taps to
+// a word; decoding is the classic
 // hard-input hard-output (HIHO) pipeline: syndrome computation,
 // Berlekamp–Massey, and Chien search — the same kernel as the paper's
 // "Decoder BCH – decode HIHO" task.
@@ -15,7 +16,20 @@ type BCH struct {
 	nCW   int    // codeword bits = k + parity
 	gen   []byte // generator polynomial bits, index = degree
 	deg   int    // parity bits = degree of gen
+	// genw packs gen below its leading term, bit d of the register in bit
+	// d%64 of word d/64: what a feedback of 1 adds to the register.
+	genw []uint64
 }
+
+// Scratch of the codec's two kernels lives on the caller's stack up to
+// these sizes — correction capability t for Decode, parity bits for
+// Encode; DVB-S2's codes have t ≤ 12 and at most 192 parity bits — and is
+// allocated beyond them. It cannot live in the BCH value: the replicas of
+// a pipeline stage share one.
+const (
+	bchStackT      = 16
+	bchStackParity = 256
+)
 
 // NewBCH builds a BCH codec over GF(2^m) correcting t errors with k
 // information bits. The shortened codeword is k + deg(g) bits and must
@@ -38,6 +52,10 @@ func NewBCH(m, t, k int) (*BCH, error) {
 	}
 	b := &BCH{field: field, m: m, t: t, k: k, gen: gen, deg: len(gen) - 1}
 	b.nCW = k + b.deg
+	b.genw = make([]uint64, (b.deg+63)/64)
+	for d := 0; d < b.deg; d++ {
+		b.genw[d/64] |= uint64(gen[d]&1) << (d % 64)
+	}
 	if b.nCW > field.n {
 		return nil, fmt.Errorf("dvbs2: BCH codeword %d exceeds 2^%d−1=%d", b.nCW, m, field.n)
 	}
@@ -65,28 +83,41 @@ func (b *BCH) T() int { return b.t }
 // Encode appends the BCH parity to info (length K) and returns the
 // systematic codeword of length N: info followed by parity.
 func (b *BCH) Encode(info []byte) []byte {
-	if len(info) != b.k {
-		panic(fmt.Sprintf("dvbs2: BCH encode: %d info bits, want %d", len(info), b.k))
-	}
 	cw := make([]byte, b.nCW)
+	b.encodeInto(cw, info)
+	return cw
+}
+
+// encodeInto is Encode into the caller's buffer of N bits.
+func (b *BCH) encodeInto(cw, info []byte) {
+	if len(info) != b.k || len(cw) != b.nCW {
+		panic(fmt.Sprintf("dvbs2: BCH encode: %d info bits into %d, want %d into %d",
+			len(info), len(cw), b.k, b.nCW))
+	}
 	copy(cw, info)
-	// LFSR division: remainder of info(x)·x^deg by gen(x).
-	reg := make([]byte, b.deg)
+	// LFSR division: remainder of info(x)·x^deg by gen(x), one info bit
+	// per step: shift the register up by one and, when the bit leaving it
+	// differs from the info bit, add gen. Bits shifted past deg−1 in the
+	// top word are never read.
+	var stack [bchStackParity / 64]uint64
+	reg := stack[:]
+	if len(b.genw) > len(reg) {
+		reg = make([]uint64, len(b.genw))
+	}
+	reg = reg[:len(b.genw)]
+	top, topBit := (b.deg-1)/64, uint((b.deg-1)%64)
 	for _, bit := range info {
-		fb := (bit & 1) ^ reg[b.deg-1]
-		copy(reg[1:], reg[:b.deg-1])
-		reg[0] = 0
-		if fb != 0 {
-			for d := 0; d < b.deg; d++ {
-				reg[d] ^= b.gen[d]
-			}
+		fb := -(uint64(bit&1) ^ reg[top]>>topBit&1) // all ones or all zeros
+		for w := top; w > 0; w-- {
+			reg[w] = (reg[w]<<1 | reg[w-1]>>63) ^ b.genw[w]&fb
 		}
+		reg[0] = reg[0]<<1 ^ b.genw[0]&fb
 	}
 	// Parity bits, highest-degree first to mirror the systematic layout.
 	for d := 0; d < b.deg; d++ {
-		cw[b.k+d] = reg[b.deg-1-d]
+		e := b.deg - 1 - d
+		cw[b.k+d] = byte(reg[e/64] >> (e % 64) & 1)
 	}
-	return cw
 }
 
 // Decode corrects up to t bit errors in the codeword cw (length N) in
@@ -98,9 +129,15 @@ func (b *BCH) Decode(cw []byte) (info []byte, corrected int, ok bool) {
 		panic(fmt.Sprintf("dvbs2: BCH decode: %d bits, want %d", len(cw), b.nCW))
 	}
 	f := b.field
+	// synd, lambda, prev and tmp: 2t+2 words each.
+	var stack [4 * (2*bchStackT + 2)]uint32
+	scratch, w := stack[:], 2*b.t+2
+	if 4*w > len(scratch) {
+		scratch = make([]uint32, 4*w)
+	}
+	synd, lambda, prev, tmp := scratch[:w], scratch[w:2*w], scratch[2*w:3*w], scratch[3*w:4*w]
 	// Syndromes S_j = r(α^j), j = 1..2t, with bit i ↦ coefficient of
 	// x^(nCW−1−i) (Horner evaluation high-degree first).
-	synd := make([]uint32, 2*b.t+1)
 	anyErr := false
 	for j := 1; j <= 2*b.t; j++ {
 		aj := f.pow(j)
@@ -118,8 +155,6 @@ func (b *BCH) Decode(cw []byte) (info []byte, corrected int, ok bool) {
 	}
 
 	// Berlekamp–Massey: find the error-locator polynomial Λ.
-	lambda := make([]uint32, 2*b.t+2)
-	prev := make([]uint32, 2*b.t+2)
 	lambda[0], prev[0] = 1, 1
 	L := 0
 	mShift := 1
@@ -135,13 +170,13 @@ func (b *BCH) Decode(cw []byte) (info []byte, corrected int, ok bool) {
 			continue
 		}
 		if 2*L <= n-1 {
-			tmp := append([]uint32(nil), lambda...)
+			copy(tmp, lambda)
 			coef := f.mul(d, f.inv(bDisc))
 			for i := 0; i+mShift < len(lambda); i++ {
 				lambda[i+mShift] ^= f.mul(coef, prev[i])
 			}
 			L = n - L
-			prev = tmp
+			prev, tmp = tmp, prev
 			bDisc = d
 			mShift = 1
 		} else {

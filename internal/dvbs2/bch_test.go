@@ -69,6 +69,53 @@ func TestMinimalPolyDividesFieldPoly(t *testing.T) {
 	}
 }
 
+// referenceBCHParity is the encoder's LFSR one tap to a byte, as it ran
+// before the register was packed into words.
+func referenceBCHParity(b *BCH, info []byte) []byte {
+	reg := make([]byte, b.deg)
+	for _, bit := range info {
+		fb := (bit & 1) ^ reg[b.deg-1]
+		copy(reg[1:], reg[:b.deg-1])
+		reg[0] = 0
+		if fb != 0 {
+			for d := 0; d < b.deg; d++ {
+				reg[d] ^= b.gen[d]
+			}
+		}
+	}
+	parity := make([]byte, b.deg)
+	for d := range parity {
+		parity[d] = reg[b.deg-1-d]
+	}
+	return parity
+}
+
+func TestBCHEncodeMatchesBytewiseLFSR(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	// Registers of less than a word, of three words, and past the stack
+	// bound (m·t = 16, 44, 168, 320 bits).
+	for _, c := range [][3]int{{8, 2, 100}, {11, 4, 1396}, {14, 12, 2000}, {16, 20, 700}} {
+		b, err := NewBCH(c[0], c[1], c[2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 5; trial++ {
+			info := make([]byte, b.K())
+			for i := range info {
+				info[i] = byte(rng.Intn(2))
+			}
+			cw := b.Encode(info)
+			if string(cw[:b.K()]) != string(info) {
+				t.Fatalf("BCH(m=%d,t=%d): codeword is not systematic", c[0], c[1])
+			}
+			if got, want := cw[b.K():], referenceBCHParity(b, info); string(got) != string(want) {
+				t.Fatalf("BCH(m=%d,t=%d), %d parity bits: packed register gives %v, byte-wise LFSR %v",
+					c[0], c[1], b.ParityBits(), got, want)
+			}
+		}
+	}
+}
+
 func TestBCHEncodeDecodeNoErrors(t *testing.T) {
 	b, err := NewBCH(11, 4, 500)
 	if err != nil {

@@ -32,14 +32,19 @@ func prbsSeed(counter uint32) uint32 {
 // has length kBch bits.
 func GenerateBBFrame(counter uint32, kBch int) []byte {
 	bits := make([]byte, kBch)
+	fillBBFrame(bits, counter)
+	return bits
+}
+
+// fillBBFrame is GenerateBBFrame into the caller's buffer of K_bch bits.
+func fillBBFrame(bits []byte, counter uint32) {
 	for i := 0; i < CounterBits; i++ {
 		bits[i] = byte((counter >> (CounterBits - 1 - i)) & 1)
 	}
 	state := prbsSeed(counter)
-	for i := CounterBits; i < kBch; i++ {
+	for i := CounterBits; i < len(bits); i++ {
 		bits[i] = prbsStep(&state)
 	}
-	return bits
 }
 
 // DecodeCounter recovers the frame counter from the first CounterBits of

@@ -48,77 +48,140 @@ func RRCTaps(rolloff float64, span, sps int) []float64 {
 	return taps
 }
 
-// FIR is a streaming complex FIR filter that preserves its delay-line
-// state across calls, so a frame-partitioned pipeline can filter a
-// continuous sample stream.
+// FIR is a streaming complex FIR filter with real taps that preserves its
+// delay-line state across calls, so a frame-partitioned pipeline can
+// filter a continuous sample stream.
+//
+// Zero taps at either end of the tap set are trimmed at construction:
+// trailing ones contribute nothing, leading ones are a pure delay that
+// only shifts the window the remaining taps read. Output i is
+//
+//	y[i] = Σ_j taps[j]·x[i−j],  summed in ascending j,
+//
+// exactly as if every tap, zeros included, had been multiplied out: the
+// accumulator starts at +0, can never become −0, and so adding a ±0
+// product never changes it (finite inputs).
 type FIR struct {
-	taps []float64
-	hist []complex128 // delay line, hist[0] = most recent past sample
+	// rtaps holds the taps from the first to the last non-zero one in
+	// reverse order: rtaps[k] meets the k-th oldest sample of a window, so
+	// tap and sample share one index and the inner loop needs no bounds
+	// check (worth 15 % of it).
+	rtaps []float64
+	// d is the delay-line length: the trimmed leading zeros plus
+	// len(rtaps)−1. The window of output i is x[i−d : i−d+len(rtaps)].
+	d int
+	// line[:d] is the delay line, oldest sample first; line[d:] is room
+	// for the first d samples of a chunk, so the outputs whose window
+	// reaches behind the chunk read one contiguous span too.
+	line []complex128
 }
 
 // NewFIR creates a streaming filter with the given taps.
 func NewFIR(taps []float64) *FIR {
-	return &FIR{taps: append([]float64(nil), taps...), hist: make([]complex128, len(taps)-1)}
+	lo, hi := 0, len(taps)
+	for hi > 0 && taps[hi-1] == 0 {
+		hi--
+	}
+	for lo < hi && taps[lo] == 0 {
+		lo++
+	}
+	f := &FIR{rtaps: make([]float64, hi-lo), d: max(hi-1, 0)}
+	for k := range f.rtaps {
+		f.rtaps[k] = taps[hi-1-k]
+	}
+	f.line = make([]complex128, 2*f.d)
+	return f
 }
 
 // Clone returns an independent copy of the filter including its state.
 func (f *FIR) Clone() *FIR {
-	return &FIR{taps: append([]float64(nil), f.taps...), hist: append([]complex128(nil), f.hist...)}
+	return &FIR{rtaps: f.rtaps, d: f.d, line: append([]complex128(nil), f.line...)}
 }
 
 // Reset clears the delay line.
 func (f *FIR) Reset() {
-	for i := range f.hist {
-		f.hist[i] = 0
-	}
+	clear(f.line)
 }
 
 // Process filters in into dst (allocated if nil) and returns dst. Output
 // sample i corresponds to input sample i (the filter's group delay is
-// not compensated here; the caller accounts for it).
+// not compensated here; the caller accounts for it). dst must not
+// overlap in.
 func (f *FIR) Process(in []complex128, dst []complex128) []complex128 {
 	if dst == nil {
 		dst = make([]complex128, len(in))
 	}
-	nh := len(f.hist)
-	for i := range in {
-		var acc complex128
-		for j, tap := range f.taps {
-			var x complex128
-			if idx := i - j; idx >= 0 {
-				x = in[idx]
-			} else {
-				x = f.hist[-idx-1]
-			}
-			acc += complex(tap, 0) * x
+	f.process(in, dst, 0, 1)
+	return dst
+}
+
+// Interpolator is the polyphase form of "zero-stuff by sps, then filter":
+// phase p keeps taps p, p+sps, p+2·sps, … and produces output samples p,
+// p+sps, … straight from the symbol stream. What it leaves out are the
+// products with the stuffed zeros, which add ±0 and change nothing, so
+// its output equals the zero-stuffed filter's bit for bit.
+type Interpolator struct {
+	phases []*FIR
+}
+
+// NewInterpolator creates the sps-phase interpolating filter for taps.
+func NewInterpolator(taps []float64, sps int) *Interpolator {
+	ip := &Interpolator{phases: make([]*FIR, sps)}
+	for p := range ip.phases {
+		var sub []float64
+		for j := p; j < len(taps); j += sps {
+			sub = append(sub, taps[j])
 		}
-		dst[i] = acc
+		ip.phases[p] = NewFIR(sub)
 	}
-	// Update the delay line with the most recent nh input samples.
-	if len(in) >= nh {
-		for j := 0; j < nh; j++ {
-			f.hist[j] = in[len(in)-1-j]
-		}
-	} else {
-		copy(f.hist[len(in):], f.hist[:nh-len(in)])
-		for j := 0; j < len(in); j++ {
-			f.hist[j] = in[len(in)-1-j]
-		}
+	return ip
+}
+
+// Process shapes one chunk of symbols into dst (allocated if nil), which
+// receives sps samples per symbol, and returns dst.
+func (ip *Interpolator) Process(syms []complex128, dst []complex128) []complex128 {
+	sps := len(ip.phases)
+	if dst == nil {
+		dst = make([]complex128, len(syms)*sps)
+	}
+	for p, f := range ip.phases {
+		f.process(syms, dst, p, sps)
 	}
 	return dst
 }
 
-// Upsample inserts sps−1 zeros after every symbol (zero-stuffing) for
-// pulse shaping.
-func Upsample(syms []complex128, sps int, dst []complex128) []complex128 {
-	if dst == nil {
-		dst = make([]complex128, len(syms)*sps)
+// process writes the output for in[i] to dst[at+i·step] and advances the
+// delay line by the chunk.
+func (f *FIR) process(in, dst []complex128, at, step int) {
+	n, d := len(in), f.d
+	// Head: the first d outputs reach behind the chunk; lay its first
+	// samples behind the delay line and filter from there.
+	head := min(n, d)
+	copy(f.line[d:], in[:head])
+	f.filter(f.line, d, d+head, dst, at, step)
+	// Body: every later window lies inside the chunk.
+	if n > d {
+		f.filter(in, d, n, dst, at+d*step, step)
+		copy(f.line, in[n-d:])
+	} else {
+		copy(f.line[:d], f.line[n:n+d])
 	}
-	for i := range dst {
-		dst[i] = 0
+}
+
+// filter computes outputs lo..hi−1 of the stream x (x[lo−d:] must exist)
+// into dst[at], dst[at+step], …. The products are rounded before they are
+// added — float64(…) forbids a fused multiply-add — so the result is the
+// same on every platform.
+func (f *FIR) filter(x []complex128, lo, hi int, dst []complex128, at, step int) {
+	rt, d := f.rtaps, f.d
+	for i := lo; i < hi; i++ {
+		w := x[i-d:][:len(rt)]
+		var re, im float64
+		for k := len(rt) - 1; k >= 0; k-- { // newest sample first: ascending j
+			re += float64(rt[k] * real(w[k]))
+			im += float64(rt[k] * imag(w[k]))
+		}
+		dst[at] = complex(re, im)
+		at += step
 	}
-	for i, s := range syms {
-		dst[i*sps] = s
-	}
-	return dst
 }

@@ -139,6 +139,165 @@ func TestFIRCloneIndependence(t *testing.T) {
 	}
 }
 
+// Upsample inserts sps−1 zeros after every symbol (zero-stuffing): the
+// textbook front half of pulse shaping, which Interpolator never
+// materializes. Tests shape the stuffed stream with the reference filter
+// to check it.
+func Upsample(syms []complex128, sps int, dst []complex128) []complex128 {
+	if dst == nil {
+		dst = make([]complex128, len(syms)*sps)
+	}
+	for i := range dst {
+		dst[i] = 0
+	}
+	for i, s := range syms {
+		dst[i*sps] = s
+	}
+	return dst
+}
+
+// referenceFIR is the filter loop this package ran before FIR trimmed
+// zero taps and read contiguous windows: every tap multiplied out, zeros
+// included, one branch per tap to pick chunk or delay line. FIR must
+// equal it exactly — not to a tolerance — on every finite input. As in
+// FIR.filter, float64(…) keeps a platform from fusing product and sum.
+type referenceFIR struct {
+	taps []float64
+	hist []complex128 // delay line, hist[0] = most recent past sample
+}
+
+func newReferenceFIR(taps []float64) *referenceFIR {
+	return &referenceFIR{taps: taps, hist: make([]complex128, max(len(taps)-1, 0))}
+}
+
+func (f *referenceFIR) process(in []complex128) []complex128 {
+	dst := make([]complex128, len(in))
+	nh := len(f.hist)
+	for i := range in {
+		var re, im float64
+		for j, tap := range f.taps {
+			var x complex128
+			if idx := i - j; idx >= 0 {
+				x = in[idx]
+			} else {
+				x = f.hist[-idx-1]
+			}
+			re += float64(tap * real(x))
+			im += float64(tap * imag(x))
+		}
+		dst[i] = complex(re, im)
+	}
+	// Update the delay line with the most recent nh input samples.
+	if len(in) >= nh {
+		for j := 0; j < nh; j++ {
+			f.hist[j] = in[len(in)-1-j]
+		}
+	} else {
+		copy(f.hist[len(in):], f.hist[:nh-len(in)])
+		for j := 0; j < len(in); j++ {
+			f.hist[j] = in[len(in)-1-j]
+		}
+	}
+	return dst
+}
+
+// checkFIRAgainstReference streams one random signal, cut into random
+// chunks (empty ones and ones shorter than the delay line included),
+// through FIR and through the reference, and through Interpolator and
+// "Upsample, then reference". Outputs must be equal component by
+// component. Half-way the filters are swapped for their clones.
+func checkFIRAgainstReference(t *testing.T, taps []float64, sps int, rng *rand.Rand) {
+	t.Helper()
+	fir, ref := NewFIR(taps), newReferenceFIR(taps)
+	ip, ipRef := NewInterpolator(taps, sps), newReferenceFIR(taps)
+	total := 1 + rng.Intn(400)
+	for done := 0; done < total; {
+		n := rng.Intn(2*len(taps) + 4)
+		if rng.Intn(8) == 0 {
+			n = rng.Intn(total)
+		}
+		n = min(n, total-done)
+		in := make([]complex128, n)
+		for i := range in {
+			if rng.Intn(16) != 0 { // leave some exact zeros in
+				in[i] = complex(rng.NormFloat64(), 100*rng.NormFloat64())
+			}
+		}
+		if done <= total/2 && done+n > total/2 {
+			fir = fir.Clone()
+		}
+		// A dirty destination: Process must overwrite all of it.
+		dst := make([]complex128, n)
+		for i := range dst {
+			dst[i] = complex(math.NaN(), math.NaN())
+		}
+		got, want := fir.Process(in, dst), ref.process(in)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("taps %v: FIR output %d of the chunk at %d is %v, reference %v", taps, i, done, got[i], want[i])
+			}
+		}
+		dst = make([]complex128, n*sps)
+		for i := range dst {
+			dst[i] = complex(math.NaN(), math.NaN())
+		}
+		got, want = ip.Process(in, dst), ipRef.process(Upsample(in, sps, nil))
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("taps %v sps %d: Interpolator output %d of the chunk at %d is %v, reference %v", taps, sps, i, done, got[i], want[i])
+			}
+		}
+		done += n
+	}
+}
+
+// zeroRunTaps builds a tap set with zero runs at the front, in the middle
+// and at the back around nz random taps (nz = 0: all zeros).
+func zeroRunTaps(rng *rand.Rand, lead, nz, mid, trail int) []float64 {
+	taps := make([]float64, lead+nz+mid+trail)
+	for i := 0; i < nz; i++ {
+		at := lead + i
+		if i >= nz/2 {
+			at += mid
+		}
+		for taps[at] == 0 {
+			taps[at] = rng.NormFloat64()
+		}
+	}
+	return taps
+}
+
+func TestFIRMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	// The tap sets the transceiver runs: the two matched-filter halves
+	// (the second one leads with 20 zeros), the fractional-delay filter
+	// and the shaper.
+	rrc := RRCTaps(0.2, 10, 2)
+	half := make([]float64, len(rrc))
+	copy(half[20:], rrc[20:])
+	for _, taps := range [][]float64{rrc, rrc[:20], half, fracDelayTaps(0.35)} {
+		for sps := 1; sps <= 4; sps++ {
+			checkFIRAgainstReference(t, taps, sps, rng)
+		}
+	}
+	for i := 0; i < 300; i++ {
+		taps := zeroRunTaps(rng, rng.Intn(4), rng.Intn(12), rng.Intn(4), rng.Intn(4))
+		checkFIRAgainstReference(t, taps, 1+rng.Intn(4), rng)
+	}
+}
+
+func FuzzFIRMatchesReference(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(5), uint8(0), uint8(0), uint8(2))
+	f.Add(int64(2), uint8(20), uint8(21), uint8(0), uint8(0), uint8(1))
+	f.Add(int64(3), uint8(2), uint8(7), uint8(3), uint8(2), uint8(3))
+	f.Add(int64(4), uint8(3), uint8(0), uint8(1), uint8(0), uint8(4))
+	f.Fuzz(func(t *testing.T, seed int64, lead, nz, mid, trail, sps uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		taps := zeroRunTaps(rng, int(lead%32), int(nz%32), int(mid%8), int(trail%8))
+		checkFIRAgainstReference(t, taps, 1+int(sps%4), rng)
+	})
+}
+
 func TestUpsample(t *testing.T) {
 	out := Upsample([]complex128{1, 2i}, 3, nil)
 	want := []complex128{1, 0, 0, 2i, 0, 0}

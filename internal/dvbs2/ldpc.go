@@ -94,12 +94,20 @@ func (l *LDPC) K() int { return l.k }
 // Encode appends parity to info (length K) and returns the systematic
 // codeword (length N): information bits followed by accumulated parity.
 func (l *LDPC) Encode(info []byte) []byte {
-	if len(info) != l.k {
-		panic(fmt.Sprintf("dvbs2: LDPC encode: %d info bits, want %d", len(info), l.k))
-	}
 	cw := make([]byte, l.n)
+	l.encodeInto(cw, info)
+	return cw
+}
+
+// encodeInto is Encode into the caller's buffer of N bits.
+func (l *LDPC) encodeInto(cw, info []byte) {
+	if len(info) != l.k || len(cw) != l.n {
+		panic(fmt.Sprintf("dvbs2: LDPC encode: %d info bits into %d, want %d into %d",
+			len(info), len(cw), l.k, l.n))
+	}
 	copy(cw, info)
 	parity := cw[l.k:]
+	clear(parity)
 	// p[c] = p[c-1] ⊕ (⊕ info bits of check c): dual-diagonal accumulator.
 	for v, checks := range l.varChecks {
 		if info[v]&1 == 0 {
@@ -112,7 +120,6 @@ func (l *LDPC) Encode(info []byte) []byte {
 	for c := 1; c < l.m; c++ {
 		parity[c] ^= parity[c-1]
 	}
-	return cw
 }
 
 // CheckSyndrome reports whether the hard decisions in cw satisfy every

@@ -18,18 +18,18 @@ func QPSKModulate(bits []byte) []complex128 {
 		panic(fmt.Sprintf("dvbs2: QPSK modulate: odd bit count %d", len(bits)))
 	}
 	out := make([]complex128, len(bits)/2)
-	for i := range out {
-		re := invSqrt2
-		if bits[2*i]&1 == 1 {
-			re = -invSqrt2
-		}
-		im := invSqrt2
-		if bits[2*i+1]&1 == 1 {
-			im = -invSqrt2
-		}
-		out[i] = complex(re, im)
-	}
+	qpskModulateInto(out, bits)
 	return out
+}
+
+// qpskModulateInto is QPSKModulate into the caller's buffer of one symbol
+// per bit pair.
+func qpskModulateInto(out []complex128, bits []byte) {
+	// Indexed, not branched on: coded bits are coin flips.
+	axis := [2]float64{invSqrt2, -invSqrt2}
+	for i := range out {
+		out[i] = complex(axis[bits[2*i]&1], axis[bits[2*i+1]&1])
+	}
 }
 
 // QPSKDemodulate computes per-bit LLRs (positive ⇒ bit 0) for the given

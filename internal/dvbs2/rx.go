@@ -10,18 +10,26 @@ import (
 )
 
 // FramePayload is the data a frame carries through the receiver chain.
+//
+// Payloads are recycled with their frames (streampu.FramePool keeps
+// Frame.Data), and every buffer below is reused: the one task that owns a
+// buffer sizes it and overwrites all of it on every frame, later tasks
+// only work on it in place, so nothing of the previous frame shows and a
+// steady-state frame allocates nothing. On a Skipped frame the buffers
+// from Aligned down are stale and must not be read.
 type FramePayload struct {
-	Samples   []complex128 // oversampled front-end chunk (FrameSamples)
-	Filtered  []complex128 // matched-filter output (partial sums in part 1)
-	partial   []complex128 // part-1 partial convolution
-	Symbols   []complex128 // timing-recovered symbols (FrameSymbols)
-	Aligned   []complex128 // frame-aligned PLFRAME symbols
-	Payload   []complex128 // payload symbols after header removal
-	LLRs      []float64
-	LLRsDeint []float64
-	LDPCBits  []byte
-	Bits      []byte // decoded information bits (K_bch)
-	RefBits   []byte
+	Samples   []complex128 // τ1: oversampled front-end chunk (FrameSamples); τ2, τ3 in place
+	partial   []complex128 // τ4: part-1 partial convolution
+	Filtered  []complex128 // τ5: matched-filter output
+	timed     []complex128 // τ6: timing-recovered symbols, a variable number per chunk
+	Symbols   []complex128 // τ7: exactly FrameSymbols of them; τ8 in place
+	Aligned   []complex128 // τ10: frame-aligned PLFRAME symbols; τ11–τ13 in place
+	Payload   []complex128 // τ14: the payload symbols of Aligned (a view, not a copy)
+	LLRs      []float64    // τ16
+	LLRsDeint []float64    // τ17
+	LDPCBits  []byte       // τ18: hard decisions (K_ldpc); τ19 corrects them in place
+	Bits      []byte       // τ19: decoded information bits (K_bch); τ20 in place
+	RefBits   []byte       // τ22
 
 	NoiseVar      float64
 	SyncMetric    float64
@@ -97,7 +105,8 @@ func NewReceiver(tx *Transmitter, stream *TxStream) *Receiver {
 	// the tap set: part 1 convolves the first half of the taps, part 2
 	// the (delayed) second half, and their outputs sum. Each part owns an
 	// independent delay line over the same input stream, so the split is
-	// safe under pipelining.
+	// safe under pipelining. The zeros that delay part 2 cost nothing: FIR
+	// turns leading zero taps into an offset of its window.
 	taps1 := taps[:half]
 	taps2 := make([]float64, len(taps))
 	copy(taps2[half:], taps[half:])
@@ -128,6 +137,15 @@ func payloadOf(f *streampu.Frame) *FramePayload {
 	return f.Data.(*FramePayload)
 }
 
+// sized returns s with length n, on its old backing array when that is
+// large enough. The contents are unspecified: the caller overwrites them.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // seqTask builds a non-replicable task.
 func seqTask(name string, fn func(pl *FramePayload) error) streampu.Task {
 	return &streampu.FuncTask{TaskName: name, Rep: false, Fn: func(w *streampu.Worker, f *streampu.Frame) error {
@@ -149,10 +167,7 @@ func (r *Receiver) Tasks() []streampu.Task {
 	H := p.HeaderSymbols()
 	tasks := []streampu.Task{
 		seqTask("Radio – receive", func(pl *FramePayload) error { // τ1
-			// Recycled payloads keep their buffer; Read overwrites it all.
-			if len(pl.Samples) != p.FrameSamples() {
-				pl.Samples = make([]complex128, p.FrameSamples())
-			}
+			pl.Samples = sized(pl.Samples, p.FrameSamples())
 			r.mu.Lock()
 			r.stream.Read(pl.Samples)
 			r.mu.Unlock()
@@ -167,34 +182,35 @@ func (r *Receiver) Tasks() []streampu.Task {
 			return nil
 		}),
 		seqTask("Filter Matched – filter (part 1)", func(pl *FramePayload) error { // τ4
-			pl.partial = r.mf1.Process(pl.Samples, nil)
+			pl.partial = r.mf1.Process(pl.Samples, sized(pl.partial, len(pl.Samples)))
 			return nil
 		}),
 		seqTask("Filter Matched – filter (part 2)", func(pl *FramePayload) error { // τ5
-			pl.Filtered = r.mf2.Process(pl.Samples, nil)
+			pl.Filtered = r.mf2.Process(pl.Samples, sized(pl.Filtered, len(pl.Samples)))
 			for i := range pl.Filtered {
 				pl.Filtered[i] += pl.partial[i]
 			}
 			return nil
 		}),
 		seqTask("Sync. Timing – synchronize", func(pl *FramePayload) error { // τ6
-			pl.Symbols = r.tim.Process(pl.Filtered, nil)
+			pl.timed = r.tim.Process(pl.Filtered, pl.timed[:0])
 			return nil
 		}),
 		seqTask("Sync. Timing – extract", func(pl *FramePayload) error { // τ7
 			// Regularize the variable-size timing output to exactly one
 			// frame of symbols per chunk (zero-padded during startup).
-			r.extractFIFO = append(r.extractFIFO, pl.Symbols...)
+			r.extractFIFO = append(r.extractFIFO, pl.timed...)
 			n := p.FrameSymbols()
-			out := make([]complex128, n)
+			pl.Symbols = sized(pl.Symbols, n)
 			// Only consume whole frames: while the timing loop warms up
 			// the chunk stays all-zero and the buffered symbols surface a
 			// chunk later, keeping the symbol stream contiguous.
 			if len(r.extractFIFO) >= n {
-				copy(out, r.extractFIFO[:n])
+				copy(pl.Symbols, r.extractFIFO[:n])
 				r.extractFIFO = append(r.extractFIFO[:0], r.extractFIFO[n:]...)
+			} else {
+				clear(pl.Symbols)
 			}
-			pl.Symbols = out
 			return nil
 		}),
 		seqTask("Multiplier AGC – imultiply (2)", func(pl *FramePayload) error { // τ8
@@ -208,11 +224,11 @@ func (r *Receiver) Tasks() []streampu.Task {
 			return nil
 		}),
 		seqTask("Sync. Frame – synchronize (part 2)", func(pl *FramePayload) error { // τ10
-			pl.Aligned = r.fextract.Extract(pl.Symbols, pl.SyncOffset, pl.Locked)
+			pl.Aligned = sized(pl.Aligned, p.FrameSymbols())
 			// Assigned, not accumulated: frames recycle their payloads
 			// (see streampu.FramePool), so a sticky flag would mark every
 			// frame that reuses this allocation as skipped.
-			pl.Skipped = pl.Aligned == nil
+			pl.Skipped = !r.fextract.ExtractInto(pl.Aligned, pl.Symbols, pl.SyncOffset, pl.Locked)
 			return nil
 		}),
 		repTask("Scrambler Symbol – descramble", func(pl *FramePayload) error { // τ11
@@ -260,14 +276,14 @@ func (r *Receiver) Tasks() []streampu.Task {
 			if pl.Skipped {
 				return nil
 			}
-			pl.LLRs = QPSKDemodulate(pl.Payload, pl.NoiseVar, make([]float64, 0, 2*len(pl.Payload)))
+			pl.LLRs = QPSKDemodulate(pl.Payload, pl.NoiseVar, sized(pl.LLRs, 2*len(pl.Payload)))
 			return nil
 		}),
 		repTask("Interleaver – deinterleave", func(pl *FramePayload) error { // τ17
 			if pl.Skipped {
 				return nil
 			}
-			pl.LLRsDeint = r.il.DeinterleaveLLR(pl.LLRs, nil)
+			pl.LLRsDeint = r.il.DeinterleaveLLR(pl.LLRs, sized(pl.LLRsDeint, len(pl.LLRs)))
 			return nil
 		}),
 		r.newLDPCTask(), // τ18, clonable per replica
@@ -275,9 +291,8 @@ func (r *Receiver) Tasks() []streampu.Task {
 			if pl.Skipped {
 				return nil
 			}
-			cw := append([]byte(nil), pl.LDPCBits[:r.bch.N()]...)
-			info, corrected, ok := r.bch.Decode(cw)
-			pl.Bits = append([]byte(nil), info...)
+			info, corrected, ok := r.bch.Decode(pl.LDPCBits[:r.bch.N()])
+			pl.Bits = append(pl.Bits[:0], info...)
 			pl.BCHCorrected = corrected
 			pl.BCHOK = ok
 			return nil
@@ -302,7 +317,8 @@ func (r *Receiver) Tasks() []streampu.Task {
 				return nil
 			}
 			pl.Counter = DecodeCounter(pl.Bits)
-			pl.RefBits = GenerateBBFrame(pl.Counter, p.KBch())
+			pl.RefBits = sized(pl.RefBits, p.KBch())
+			fillBBFrame(pl.RefBits, pl.Counter)
 			return nil
 		}),
 		repTask("Monitor – check errors", func(pl *FramePayload) error { // τ23
@@ -354,7 +370,7 @@ func (t *ldpcTask) Process(w *streampu.Worker, f *streampu.Frame) error {
 		return nil
 	}
 	hard, res := t.dec.Decode(pl.LLRsDeint)
-	pl.LDPCBits = append([]byte(nil), hard[:t.r.ldpc.K()]...)
+	pl.LDPCBits = append(pl.LDPCBits[:0], hard[:t.r.ldpc.K()]...)
 	pl.LDPCIters = res.Iterations
 	pl.LDPCConverged = res.Converged
 	return nil

@@ -173,3 +173,33 @@ func TestReceiverDiagnosticsPropagate(t *testing.T) {
 	fmt.Println("diag: counter", lastPayload.Counter, "iters", lastPayload.LDPCIters,
 		"bch corrected", lastPayload.BCHCorrected, "noiseVar", lastPayload.NoiseVar)
 }
+
+func TestReceiverSteadyStateAllocs(t *testing.T) {
+	rx := buildRx(t, DefaultChannel())
+	tasks := rx.Tasks()
+	// Past frame lock, with the stream buffers of the sequential tasks
+	// grown to their working size.
+	if _, err := streampu.RunChain(tasks, 30, nil); err != nil {
+		t.Fatal(err)
+	}
+	locked := rx.Monitor.Frames.Load()
+	// Every RunChain builds a pipeline and the one payload its frame
+	// recycles; what it allocates beyond that would grow with the frames.
+	perRun := func(frames int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := streampu.RunChain(tasks, frames, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// One allocation per frame would put 50 between the two; the runtime's
+	// own odd allocation (a goroutine, a stream buffer growing once more)
+	// puts one or two.
+	short, long := perRun(50), perRun(100)
+	if perFrame := (long - short) / 50; perFrame > 0.1 || perFrame < -0.1 {
+		t.Errorf("%.0f allocations for 50 frames, %.0f for 100: %.2f per steady-state frame, want 0", short, long, perFrame)
+	}
+	if got := rx.Monitor.Frames.Load() - locked; got != 6*(50+100) {
+		t.Fatalf("measured %d decoded frames of %d: the receiver was not in steady state", got, 6*(50+100))
+	}
+}

@@ -106,7 +106,7 @@ func (c *CoarseFreqSync) Process(x []complex128) {
 		}
 	}
 	for i := range x {
-		x[i] *= cmplx.Exp(complex(0, -c.phase))
+		x[i] *= phasor(-c.phase)
 		c.phase += 2 * math.Pi * c.fHat
 	}
 	// Keep the phase bounded.
@@ -116,6 +116,13 @@ func (c *CoarseFreqSync) Process(x []complex128) {
 func pow4(v complex128) complex128 {
 	v2 := v * v
 	return v2 * v2
+}
+
+// phasor returns e^{jφ}. It is what cmplx.Exp(complex(0, φ)) evaluates to
+// — exp(0) = 1 times (cos φ, sin φ) — without computing the exp.
+func phasor(phi float64) complex128 {
+	s, c := math.Sincos(phi)
+	return complex(c, s)
 }
 
 // GardnerSync performs symbol-timing recovery on a 2-samples-per-symbol
@@ -151,12 +158,19 @@ func interp(buf []complex128, i int, mu float64) complex128 {
 	// Taps at i-1, i, i+1, i+2.
 	xm1, x0, x1, x2 := buf[i-1], buf[i], buf[i+1], buf[i+2]
 	m := complex(mu, 0)
-	// Farrow form of cubic Lagrange.
+	// Farrow form of cubic Lagrange. Dividing a complex number by a real
+	// constant is dividing each component by it; spelled out, it does not
+	// go through the general complex division.
 	c0 := x0
-	c1 := x1 - xm1/3 - x0/2 - x2/6
-	c2 := (xm1+x1)/2 - x0
-	c3 := (x2-xm1)/6 + (x0-x1)/2
+	c1 := x1 - div(xm1, 3) - div(x0, 2) - div(x2, 6)
+	c2 := div(xm1+x1, 2) - x0
+	c3 := div(x2-xm1, 6) + div(x0-x1, 2)
 	return ((c3*m+c2)*m+c1)*m + c0
+}
+
+// div divides v by the real constant k, component by component.
+func div(v complex128, k float64) complex128 {
+	return complex(real(v)/k, imag(v)/k)
 }
 
 // Process consumes samples (2 sps) and appends recovered symbols to dst,
@@ -331,6 +345,17 @@ func NewFrameExtractor(frameLen int) *FrameExtractor {
 // and returns one aligned frame of frameLen symbols — or nil while the
 // stream is not yet locked or not enough symbols are buffered.
 func (fe *FrameExtractor) Extract(syms []complex128, offset int, locked bool) []complex128 {
+	out := make([]complex128, fe.frameLen)
+	if !fe.ExtractInto(out, syms, offset, locked) {
+		return nil
+	}
+	return out
+}
+
+// ExtractInto is Extract into the caller's buffer of frameLen symbols: it
+// reports whether it wrote an aligned frame to dst, and leaves dst alone
+// when it did not.
+func (fe *FrameExtractor) ExtractInto(dst, syms []complex128, offset int, locked bool) bool {
 	fe.buf = append(fe.buf, syms...)
 	if !locked {
 		// Bound the pre-lock buffer: only the most recent frame of
@@ -338,24 +363,24 @@ func (fe *FrameExtractor) Extract(syms []complex128, offset int, locked bool) []
 		if keep := 2 * fe.frameLen; len(fe.buf) > keep {
 			fe.buf = append(fe.buf[:0], fe.buf[len(fe.buf)-keep:]...)
 		}
-		return nil
+		return false
 	}
 	if !fe.applied {
 		// Align once: the searcher's offset is relative to its (bounded)
 		// buffer, which tails ours; drop modulo a frame.
 		drop := offset % fe.frameLen
 		if len(fe.buf) < drop {
-			return nil
+			return false
 		}
 		fe.buf = append(fe.buf[:0], fe.buf[drop:]...)
 		fe.applied = true
 	}
 	if len(fe.buf) < fe.frameLen {
-		return nil
+		return false
 	}
-	out := append([]complex128(nil), fe.buf[:fe.frameLen]...)
+	copy(dst, fe.buf[:fe.frameLen])
 	fe.buf = append(fe.buf[:0], fe.buf[fe.frameLen:]...)
-	return out
+	return true
 }
 
 // FineFreqSync is a Luise&Reggiannini-style fine carrier-frequency
@@ -364,7 +389,8 @@ func (fe *FrameExtractor) Extract(syms []complex128, offset int, locked bool) []
 type FineFreqSync struct {
 	header []complex128
 	Alpha  float64
-	fHat   float64 // cycles per symbol
+	fHat   float64      // cycles per symbol
+	z      []complex128 // header with the known data removed, per-frame scratch
 }
 
 // NewFineFreqSync creates the estimator for the known header sequence.
@@ -375,7 +401,8 @@ type FineFreqSync struct {
 // remaining per-frame error is trimmed by the blind estimator in the
 // P/F task (Pow4FreqEstimate).
 func NewFineFreqSync(header []complex128) *FineFreqSync {
-	return &FineFreqSync{header: append([]complex128(nil), header...), Alpha: 0.25}
+	return &FineFreqSync{header: append([]complex128(nil), header...), Alpha: 0.25,
+		z: make([]complex128, len(header))}
 }
 
 // Estimate returns the smoothed residual CFO estimate (cycles/symbol).
@@ -397,7 +424,7 @@ func (f *FineFreqSync) Process(frame []complex128) {
 		return
 	}
 	// Remove the known data: z_i = r_i · conj(h_i).
-	z := make([]complex128, h)
+	z := f.z
 	for i := 0; i < h; i++ {
 		z[i] = frame[i] * cmplx.Conj(f.header[i])
 	}
@@ -415,7 +442,7 @@ func (f *FineFreqSync) Process(frame []complex128) {
 		f.fHat = (1-f.Alpha)*f.fHat + f.Alpha*est
 	}
 	for i := range frame {
-		frame[i] *= cmplx.Exp(complex(0, -2*math.Pi*f.fHat*float64(i)))
+		frame[i] *= phasor(-2 * math.Pi * f.fHat * float64(i))
 	}
 }
 
@@ -429,17 +456,16 @@ func Pow4FreqEstimate(frame []complex128, wins int) float64 {
 		return 0
 	}
 	w := len(frame) / wins
-	agg := make([]complex128, wins)
+	var sum, prev complex128
 	for k := 0; k < wins; k++ {
 		var acc complex128
 		for _, v := range frame[k*w : (k+1)*w] {
 			acc += pow4(v)
 		}
-		agg[k] = acc
-	}
-	var sum complex128
-	for k := 0; k+1 < wins; k++ {
-		sum += agg[k+1] * cmplx.Conj(agg[k])
+		if k > 0 {
+			sum += acc * cmplx.Conj(prev)
+		}
+		prev = acc
 	}
 	if cmplx.Abs(sum) < 1e-12 {
 		return 0
@@ -454,7 +480,7 @@ func DerotateRamp(frame []complex128, f float64) {
 		return
 	}
 	for i := range frame {
-		frame[i] *= cmplx.Exp(complex(0, -2*math.Pi*f*float64(i)))
+		frame[i] *= phasor(-2 * math.Pi * f * float64(i))
 	}
 }
 
@@ -475,7 +501,7 @@ func PhaseEstimate(frame, header []complex128) float64 {
 
 // Derotate multiplies the frame by e^{−jφ} in place.
 func Derotate(frame []complex128, phi float64) {
-	r := cmplx.Exp(complex(0, -phi))
+	r := phasor(-phi)
 	for i := range frame {
 		frame[i] *= r
 	}

@@ -1,9 +1,6 @@
 package dvbs2
 
 import (
-	"fmt"
-	"sync"
-
 	"ampsched/internal/streampu"
 )
 
@@ -15,7 +12,10 @@ import (
 // profiled, scheduled and executed on the streampu runtime exactly like
 // the receiver.
 
-// TxPayload is the per-frame data of the transmit chain.
+// TxPayload is the per-frame data of the transmit chain. Each step sizes
+// the buffer it writes and overwrites all of it, so a payload recycled by
+// streampu.FramePool (or reused frame after frame by the monolithic
+// Transmitter) allocates on its first frame only.
 type TxPayload struct {
 	Counter uint32
 	Bits    []byte       // information bits (K_bch), then scrambled
@@ -27,18 +27,56 @@ type TxPayload struct {
 	Samples []complex128 // pulse-shaped output samples
 }
 
+// txSteps is the encode path, one body per step: Transmitter.encodeNext
+// runs the steps back to back on its own payload, TxChain.Tasks wraps
+// each as a pipeline task. Every replicable step is a pure function of
+// the payload and the (read-only) codecs; the source is sequential by
+// contract and the shaping filter carries its delay line across frames.
+var txSteps = []struct {
+	name string
+	rep  bool
+	fn   func(t *Transmitter, pl *TxPayload)
+}{
+	{"Source – generate", false, func(t *Transmitter, pl *TxPayload) {
+		pl.Bits = sized(pl.Bits, t.p.KBch())
+		fillBBFrame(pl.Bits, pl.Counter)
+	}},
+	{"Scrambler Binary – scramble", true, func(t *Transmitter, pl *TxPayload) {
+		BBScramble(pl.Bits)
+	}},
+	{"Encoder BCH – encode", true, func(t *Transmitter, pl *TxPayload) {
+		pl.BCHCW = sized(pl.BCHCW, t.bch.N())
+		t.bch.encodeInto(pl.BCHCW, pl.Bits)
+	}},
+	{"Encoder LDPC – encode", true, func(t *Transmitter, pl *TxPayload) {
+		pl.LDPCCW = sized(pl.LDPCCW, t.ldpc.N())
+		t.ldpc.encodeInto(pl.LDPCCW, pl.BCHCW)
+	}},
+	{"Interleaver – interleave", true, func(t *Transmitter, pl *TxPayload) {
+		pl.Inter = t.il.Interleave(pl.LDPCCW, sized(pl.Inter, len(pl.LDPCCW)))
+	}},
+	{"Modem QPSK – modulate", true, func(t *Transmitter, pl *TxPayload) {
+		pl.Payload = sized(pl.Payload, t.p.PayloadSymbols())
+		qpskModulateInto(pl.Payload, pl.Inter)
+	}},
+	{"Framer PLH – insert", true, func(t *Transmitter, pl *TxPayload) {
+		pl.Frame = append(append(pl.Frame[:0], t.header...), pl.Payload...)
+	}},
+	{"Scrambler Symbol – scramble", true, func(t *Transmitter, pl *TxPayload) {
+		t.pls.Scramble(pl.Frame[t.p.HeaderSymbols():])
+	}},
+	{"Filter Shaping – filter", false, func(t *Transmitter, pl *TxPayload) {
+		pl.Samples = t.shaper.Process(pl.Frame, sized(pl.Samples, t.p.FrameSamples()))
+	}},
+}
+
 // TxChain is the transmitter decomposed into pipeline tasks.
 type TxChain struct {
-	p      Params
-	bch    *BCH
-	ldpc   *LDPC
-	il     *Interleaver
-	pls    *PLScrambler
-	header []complex128
-	shaper *FIR
-	mu     sync.Mutex // guards shaper (single sequential filter task)
+	tx *Transmitter
 
-	// Emit receives each frame's samples in order; nil discards them.
+	// Emit receives each frame's samples in order; nil discards them. The
+	// slice belongs to the frame and is overwritten when the frame is
+	// recycled: a consumer that keeps samples copies them.
 	Emit func(samples []complex128)
 
 	SentFrames int64
@@ -47,31 +85,11 @@ type TxChain struct {
 
 // NewTxChain builds the transmit chain for the given parameters.
 func NewTxChain(p Params, emit func([]complex128)) (*TxChain, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	bch, err := NewBCH(p.BCHM, p.BCHT, p.KBch())
+	tx, err := NewTransmitter(p)
 	if err != nil {
 		return nil, err
 	}
-	if bch.N() != p.KLdpc {
-		return nil, fmt.Errorf("dvbs2: BCH codeword %d != K_ldpc %d", bch.N(), p.KLdpc)
-	}
-	ldpc, err := NewLDPC(p)
-	if err != nil {
-		return nil, err
-	}
-	il, err := NewInterleaver(p.NLdpc, interleaverColumns(p))
-	if err != nil {
-		return nil, err
-	}
-	return &TxChain{
-		p: p, bch: bch, ldpc: ldpc, il: il,
-		pls:    NewPLScrambler(p.PayloadSymbols()),
-		header: PLHeader(p.SOFLen, p.PLSCLen),
-		shaper: NewFIR(RRCTaps(p.RollOff, p.FilterSpan, p.SPS)),
-		Emit:   emit,
-	}, nil
+	return &TxChain{tx: tx, Emit: emit}, nil
 }
 
 func txPayloadOf(f *streampu.Frame) *TxPayload {
@@ -81,83 +99,32 @@ func txPayloadOf(f *streampu.Frame) *TxPayload {
 	return f.Data.(*TxPayload)
 }
 
-func txSeq(name string, fn func(pl *TxPayload) error) streampu.Task {
-	return &streampu.FuncTask{TaskName: name, Rep: false, Fn: func(w *streampu.Worker, f *streampu.Frame) error {
-		return fn(txPayloadOf(f))
-	}}
-}
-
-func txRep(name string, fn func(pl *TxPayload) error) streampu.Task {
-	return &streampu.FuncTask{TaskName: name, Rep: true, Fn: func(w *streampu.Worker, f *streampu.Frame) error {
-		return fn(txPayloadOf(f))
-	}}
-}
-
 // Tasks returns the 10-task transmit chain. The source derives each
 // frame's content from the pipeline sequence number, so the chain's
 // replicable tasks really are stateless; only the source counter
 // assignment, the shaping filter (FIR state) and the radio sink are
 // sequential.
 func (t *TxChain) Tasks() []streampu.Task {
-	p := t.p
-	tasks := []streampu.Task{
-		txSeq("Source – generate", func(pl *TxPayload) error { // stateful by contract
-			pl.Bits = GenerateBBFrame(pl.Counter, p.KBch())
-			return nil
-		}),
-		txRep("Scrambler Binary – scramble", func(pl *TxPayload) error {
-			BBScramble(pl.Bits)
-			return nil
-		}),
-		txRep("Encoder BCH – encode", func(pl *TxPayload) error {
-			pl.BCHCW = t.bch.Encode(pl.Bits)
-			return nil
-		}),
-		txRep("Encoder LDPC – encode", func(pl *TxPayload) error {
-			pl.LDPCCW = t.ldpc.Encode(pl.BCHCW)
-			return nil
-		}),
-		txRep("Interleaver – interleave", func(pl *TxPayload) error {
-			pl.Inter = t.il.Interleave(pl.LDPCCW, nil)
-			return nil
-		}),
-		txRep("Modem QPSK – modulate", func(pl *TxPayload) error {
-			pl.Payload = QPSKModulate(pl.Inter)
-			return nil
-		}),
-		txRep("Framer PLH – insert", func(pl *TxPayload) error {
-			pl.Frame = make([]complex128, 0, p.FrameSymbols())
-			pl.Frame = append(pl.Frame, t.header...)
-			pl.Frame = append(pl.Frame, pl.Payload...)
-			return nil
-		}),
-		txRep("Scrambler Symbol – scramble", func(pl *TxPayload) error {
-			t.pls.Scramble(pl.Frame[p.HeaderSymbols():])
-			return nil
-		}),
-		txSeq("Filter Shaping – filter", func(pl *TxPayload) error {
-			up := Upsample(pl.Frame, p.SPS, nil)
-			t.mu.Lock()
-			pl.Samples = t.shaper.Process(up, nil)
-			t.mu.Unlock()
-			return nil
-		}),
-		txSeq("Radio – send", func(pl *TxPayload) error {
+	tasks := make([]streampu.Task, 0, len(txSteps)+1)
+	for _, step := range txSteps {
+		fn := step.fn
+		tasks = append(tasks, &streampu.FuncTask{TaskName: step.name, Rep: step.rep,
+			Fn: func(w *streampu.Worker, f *streampu.Frame) error {
+				pl := txPayloadOf(f)
+				// A frame's number is its pipeline sequence number; the
+				// source is the step that reads it.
+				pl.Counter = uint32(f.Seq)
+				fn(t.tx, pl)
+				return nil
+			}})
+	}
+	return append(tasks, &streampu.FuncTask{TaskName: "Radio – send", Rep: false,
+		Fn: func(w *streampu.Worker, f *streampu.Frame) error {
 			t.SentFrames++
-			t.SentBits += int64(p.KBch())
+			t.SentBits += int64(t.tx.p.KBch())
 			if t.Emit != nil {
-				t.Emit(pl.Samples)
+				t.Emit(txPayloadOf(f).Samples)
 			}
 			return nil
-		}),
-	}
-	// Wire the counter from the frame sequence at the source.
-	src := tasks[0].(*streampu.FuncTask)
-	inner := src.Fn
-	src.Fn = func(w *streampu.Worker, f *streampu.Frame) error {
-		pl := txPayloadOf(f)
-		pl.Counter = uint32(f.Seq)
-		return inner(w, f)
-	}
-	return tasks
+		}})
 }

@@ -213,3 +213,23 @@ func TestCleanAndDefaultChannels(t *testing.T) {
 		t.Errorf("default channel too tame: %+v", d)
 	}
 }
+
+func TestTransmitterEncodeAllocs(t *testing.T) {
+	p := Test()
+	tx, err := NewTransmitter(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewTxStream(tx, DefaultChannel())
+	buf := make([]complex128, p.FrameSamples())
+	s.Read(buf) // the first frames size the transmitter's buffers and the FIFO
+	s.Read(buf)
+	if n := testing.AllocsPerRun(20, func() { s.Read(buf) }); n != 0 {
+		t.Errorf("TxStream.Read allocates %.0f times per frame, want 0", n)
+	}
+	// The exported form hands the caller a slice of its own: that copy,
+	// nothing else.
+	if n := testing.AllocsPerRun(20, func() { tx.EncodeFrame() }); n != 1 {
+		t.Errorf("EncodeFrame allocates %.0f times per frame, want 1", n)
+	}
+}

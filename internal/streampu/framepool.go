@@ -1,14 +1,11 @@
 package streampu
 
 import (
-	"sync"
-
 	"ampsched/internal/streampu/ring"
 )
 
-// FramePool recycles Frame objects through a lock-free MPMC free list
-// with a sync.Pool behind it, so the pipeline's steady-state frame loop
-// performs zero heap allocations.
+// FramePool recycles Frame objects through a lock-free MPMC free list, so
+// the pipeline's steady-state frame loop performs zero heap allocations.
 //
 // The free list is MPMC because recycling is the pipeline's one true
 // fan-in/fan-out point: every last-stage replica releases frames and
@@ -16,10 +13,16 @@ import (
 // pipeline's in-flight bound (workers plus aggregate boundary
 // capacity), the ring can never overflow in steady state, and after the
 // first lap it never underflows either — Get pops a recycled frame and
-// Put pushes it back, no allocator in sight. The sync.Pool is the
-// graceful fallback for both edges (a cold ring during warmup, an
-// oversized release burst), not the steady-state path: unlike the ring
-// it may allocate on Get and is drained by GC cycles.
+// Put pushes it back, no allocator in sight. The two edges need nothing
+// clever: a Get on an empty ring (the first lap) allocates a frame, a Put
+// on a full ring (more frames released than the pool was sized for)
+// leaves the frame to the collector.
+//
+// There is deliberately no sync.Pool behind the ring. A sync.Pool used
+// once is registered with the runtime until the collection after next,
+// and one embedded here kept the whole FramePool reachable with it — the
+// ring, every frame in it and every payload buffer those frames recycle —
+// for a full GC cycle after the pipeline that owned it was gone.
 //
 // Ownership contract: a frame obtained from Get is owned exclusively by
 // the caller until handed downstream; the last owner returns it with
@@ -32,29 +35,25 @@ import (
 // a pristine frame must reset Data themselves.
 type FramePool struct {
 	free *ring.MPMC[*Frame]
-	pool sync.Pool
 }
 
 // NewFramePool returns a pool whose lock-free free list holds up to
 // capacity frames (rounded up to a power of two; sized by callers to
 // the maximum number of frames simultaneously in flight).
 func NewFramePool(capacity int) *FramePool {
-	p := &FramePool{free: ring.NewMPMC[*Frame](capacity)}
-	p.pool.New = func() any { return new(Frame) }
-	return p
+	return &FramePool{free: ring.NewMPMC[*Frame](capacity)}
 }
 
 // Get returns a frame with Err == nil and undefined Seq/Data (see the
 // recycling contract on FramePool). Allocation-free whenever the free
 // list is non-empty. A nil pool allocates a fresh frame.
 func (p *FramePool) Get() *Frame {
-	if p == nil {
-		return new(Frame)
+	if p != nil {
+		if f, ok := p.free.TryPop(); ok {
+			return f
+		}
 	}
-	if f, ok := p.free.TryPop(); ok {
-		return f
-	}
-	return p.pool.Get().(*Frame)
+	return new(Frame)
 }
 
 // Put recycles f. Safe from any goroutine; a nil pool or nil frame is a
@@ -64,7 +63,5 @@ func (p *FramePool) Put(f *Frame) {
 		return
 	}
 	f.Err = nil
-	if !p.free.TryPush(f) {
-		p.pool.Put(f)
-	}
+	p.free.TryPush(f) // a full ring drops the frame
 }
