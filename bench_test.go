@@ -2,7 +2,8 @@
 // paper's evaluation artifacts: one benchmark per table and figure (run
 // with `go test -bench=. -benchmem`), plus ablation benchmarks for the
 // design choices called out in DESIGN.md (2CATAC memoization, desim queue
-// capacities, HeRAD scaling in tasks vs resources).
+// capacities, HeRAD scaling in tasks vs resources; static vs dynamic
+// dispatch is in dynamic_test.go, beside its dynamic executor).
 //
 // The benchmarks exercise reduced campaign sizes so a full -bench=. pass
 // stays in the minutes range on a laptop; cmd/experiments runs the
@@ -17,13 +18,9 @@ import (
 	"ampsched/internal/core"
 	"ampsched/internal/desim"
 	"ampsched/internal/experiments"
-	"ampsched/internal/fertac"
 	"ampsched/internal/herad"
-	"ampsched/internal/obs"
-	"ampsched/internal/otac"
 	"ampsched/internal/platform"
 	"ampsched/internal/strategy"
-	"ampsched/internal/streampu"
 	"ampsched/internal/twocatac"
 )
 
@@ -237,43 +234,6 @@ func BenchmarkAblationDesimQueueCap(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationStaticVsDynamic compares the static interval-mapped
-// pipeline against the dynamic central-queue executor on a chain of
-// zero-latency tasks: with no modeled work, the measured time is pure
-// per-frame scheduling overhead — the §II argument for static schedules
-// at tens-of-µs task granularity.
-func BenchmarkAblationStaticVsDynamic(b *testing.B) {
-	mkTasks := func(n int) []streampu.Task {
-		var out []streampu.Task
-		for i := 0; i < n; i++ {
-			out = append(out, &streampu.TimedTask{TaskName: fmt.Sprintf("t%d", i), Rep: true})
-		}
-		return out
-	}
-	for _, n := range []int{8, 16} {
-		tasks := mkTasks(n)
-		sol := core.Solution{Stages: []core.Stage{{Start: 0, End: n - 1, Cores: 4, Type: core.Big}}}
-		b.Run(fmt.Sprintf("static/tasks=%d", n), func(b *testing.B) {
-			p, err := streampu.New(tasks, sol, streampu.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			st, err := p.Run(b.N, nil)
-			if err != nil || st.Frames != b.N {
-				b.Fatal(err)
-			}
-		})
-		b.Run(fmt.Sprintf("dynamic/tasks=%d", n), func(b *testing.B) {
-			st, err := streampu.Dynamic(tasks, b.N,
-				streampu.DynamicOptions{Workers: streampu.PlatformWorkers(4, 0)}, nil)
-			if err != nil || st.Frames != b.N {
-				b.Fatal(err)
-			}
-		})
-	}
-}
-
 // BenchmarkRegistry drives every registered strategy through the unified
 // interface on the paper's two real platform chains (Table II
 // configurations). Brute is skipped: exhaustive enumeration of the 23-task
@@ -330,80 +290,4 @@ func BenchmarkPlanBatch(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkObsOverhead pins the cost of the metrics layer around a full
-// HeRAD schedule through the registry:
-//
-//   - baseline: metrics compiled in, no registry supplied (the default).
-//     Must show 0 extra allocs/op vs the pre-instrumentation code — the
-//     nil-sink path is a handful of nil checks.
-//   - enabled: a shared registry collecting every series.
-//   - ops/disabled: the raw nil-sink metric operations alone; must report
-//     exactly 0 allocs/op.
-func BenchmarkObsOverhead(b *testing.B) {
-	chains := benchChains(20, 0.5, 8)
-	r := core.Res(10, 10)
-	s := strategy.MustParse("herad")
-	b.Run("schedule/disabled", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if sol := s.Schedule(chains[i%len(chains)], r, strategy.Options{}); sol.IsEmpty() {
-				b.Fatal("no schedule")
-			}
-		}
-	})
-	b.Run("schedule/enabled", func(b *testing.B) {
-		b.ReportAllocs()
-		reg := obs.NewRegistry()
-		for i := 0; i < b.N; i++ {
-			if sol := s.Schedule(chains[i%len(chains)], r, strategy.Options{Metrics: reg}); sol.IsEmpty() {
-				b.Fatal("no schedule")
-			}
-		}
-	})
-	b.Run("ops/disabled", func(b *testing.B) {
-		b.ReportAllocs()
-		var reg *obs.Registry // nil sink: every lookup and update below is a nil check
-		for i := 0; i < b.N; i++ {
-			m := reg.Sub("herad")
-			m.Counter("schedule.calls").Inc()
-			m.Counter("dp.cells").Add(64)
-			m.Gauge("workers").Set(8)
-			m.Timer("schedule.ns").Start()()
-			m.Histogram("request_us", obs.DurationBucketsUs).Observe(12)
-		}
-		if n := testing.AllocsPerRun(100, func() {
-			reg.Sub("x").Counter("c").Inc()
-		}); n != 0 {
-			b.Fatalf("disabled metric ops allocate %v/op", n)
-		}
-	})
-}
-
-// BenchmarkSchedulers gives per-strategy single-instance timings at the
-// paper's synthetic scale (20 tasks, R=(16,4)) for quick comparisons.
-func BenchmarkSchedulers(b *testing.B) {
-	chains := benchChains(20, 0.5, 8)
-	r := core.Res(16, 4)
-	b.Run("HeRAD", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			herad.Schedule(chains[i%len(chains)], r)
-		}
-	})
-	b.Run("2CATAC", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			twocatac.Schedule(chains[i%len(chains)], r)
-		}
-	})
-	b.Run("FERTAC", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			fertac.Schedule(chains[i%len(chains)], r)
-		}
-	})
-	b.Run("OTAC", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			otac.Schedule(chains[i%len(chains)], 20, core.Big)
-		}
-	})
 }

@@ -146,7 +146,7 @@ func ParseResources(spec string) (Resources, error) {
 				p = p[:n-1]
 			}
 		}
-		count, err := strconv.Atoi(p)
+		count, err := strconv.ParseInt(p, 10, 32) // counts are stored as int32
 		if err != nil || count < 0 {
 			return Resources{}, fmt.Errorf("core: invalid resource spec component %q (want e.g. \"4B\")",
 				strings.TrimSpace(parts[i]))

@@ -130,6 +130,37 @@ func TestSamplingIsBitDeterministic(t *testing.T) {
 	}
 }
 
+// TestSampleLandsUnderRegistryScope runs the weight-step scenario the way
+// a per-strategy caller does — registry scoped by the strategy's slug, the
+// detector on its default configuration — and checks that the snapshot
+// /statusz serves lists the sampled series and the drift counter under
+// that scope.
+func TestSampleLandsUnderRegistryScope(t *testing.T) {
+	c, sol, planned := driftScenario(t)
+	reg := obs.NewRegistry()
+	sreg := reg.Sub("herad")
+	d := obs.NewDriftDetector(planned, obs.DriftConfig{}, sreg, nil)
+	if _, err := Simulate(c, sol, Config{
+		Frames: 1000,
+		Steps:  []WeightStep{{AfterFrame: 500, Stage: 1, Factor: 2}},
+		Sample: &SampleConfig{Metrics: sreg, Drift: d},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	for _, s := range reg.Snapshot() {
+		names[s.Name] = true
+	}
+	for _, want := range []string{"herad.desim.latency_us", "herad.desim.weight.stage0", "herad.drift.detected"} {
+		if !names[want] {
+			t.Errorf("snapshot has no %q: %v", want, names)
+		}
+	}
+	if d.Detected() != 1 {
+		t.Errorf("drift events = %d, want exactly 1 for one persistent step", d.Detected())
+	}
+}
+
 func TestSampleWithoutStepStaysQuiet(t *testing.T) {
 	c, sol, planned := driftScenario(t)
 	d := obs.NewDriftDetector(planned, obs.DriftConfig{Threshold: 0.25, Alpha: 0.5, MinSamples: 2}, nil, nil)

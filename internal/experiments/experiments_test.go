@@ -214,8 +214,17 @@ func TestTable2RealSingleConfig(t *testing.T) {
 	}
 	cfg := DefaultTable2Config()
 	cfg.Platforms = []*platform.Platform{platform.X7Ti()}
-	cfg.TargetWallSec = 0.4
-	cfg.MinFrames = 25
+	// What breaks the 25 % bound on a busy host is one stall of 70–190 ms
+	// (a neighbour's burst, hypervisor steal) inside a row's measured
+	// window, so the window is what is sized: every row measures ~0.6 s of
+	// steady state — twice what the fastest rows had at 25 frames each —
+	// and the slowest rows give up frames they did not need (12 frames
+	// read the steady-state period within 3.5 % on every row; desim, same
+	// warm-up rule). Periods are 13–75 ms of wall time at the default
+	// scale; a larger scale buys nothing here, because a row's pipeline
+	// fill (5–12 periods) grows with it and takes the frames away.
+	cfg.TargetWallSec = 0.85
+	cfg.MinFrames = 12
 	rows, err := Table2(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -120,8 +120,8 @@ func TestEpsilonBoundGeneralFill(t *testing.T) {
 
 // TestEpsilonPrunesWork asserts the beam actually beams: on a chain large
 // enough for the grids to engage, the ε fill must visit strictly fewer DP
-// candidates than the exact fill (the wall-clock claim of BENCH_PR7.json,
-// in its deterministic form).
+// candidates than the exact fill (the wall-clock claim of
+// BenchmarkFillScale, in its deterministic form).
 func TestEpsilonPrunesWork(t *testing.T) {
 	c := chaingen.GenerateMany(chaingen.Default(192, 0.5), 11, 1)[0]
 	r := core.Res(4, 4)

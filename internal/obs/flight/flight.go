@@ -13,8 +13,8 @@
 //   - Record is lock-free from any goroutine: one atomic ticket
 //     fetch-add plus a per-slot seqlock (two atomic stores bracketing
 //     plain field writes). No locks, no channels, no allocations —
-//     benchreport pins 0 allocs/op on both the enabled and the disabled
-//     (nil receiver) path.
+//     TestRecordIsAllocationFree pins 0 on both the enabled and the
+//     disabled (nil receiver) path.
 //
 //   - Memory is fixed at creation: a power-of-two slot array that new
 //     events overwrite oldest-first. A recorder never grows, so it can

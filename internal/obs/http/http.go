@@ -238,8 +238,7 @@ type Statusz struct {
 type StatuszOptions struct {
 	// ZeroTimers blanks the wall-clock TotalNs field of timer samples —
 	// the one nondeterministic family — making the document byte-
-	// deterministic for deterministic workloads (benchreport's
-	// -statusz-zero-timers snapshot mode).
+	// deterministic for deterministic workloads (a simulated run).
 	ZeroTimers bool
 	// SLOs are evaluated against the registry and embedded.
 	SLOs []obs.SLO

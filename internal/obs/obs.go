@@ -15,8 +15,8 @@
 //
 //   - Allocation-free when disabled. The nil path allocates nothing:
 //     Sub returns nil, handle lookups return nil, and updates are a
-//     single nil check. BenchmarkObsOverhead (bench_test.go) pins this
-//     at 0 allocs/op.
+//     single nil check. TestDisabledPathAllocatesNothing pins this at 0
+//     allocations.
 //
 // Handle updates are atomic, so concurrent writers (strategy.PlanBatch
 // workers, streampu pipeline stages) can share one registry; counter

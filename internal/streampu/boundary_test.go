@@ -10,6 +10,7 @@ import (
 	"ampsched/internal/core"
 	"ampsched/internal/desim"
 	"ampsched/internal/obs/flight"
+	"ampsched/internal/streampu/ring"
 )
 
 // TestOptionsValidation covers the up-front rejection of option values
@@ -27,7 +28,6 @@ func TestOptionsValidation(t *testing.T) {
 		{WarmupFraction: 1},
 		{WarmupFraction: 1.5},
 		{WarmupFraction: math.NaN()},
-		{Boundary: BoundaryKind(99)},
 	}
 	for i, opt := range bad {
 		if _, err := New(tasks, sol, opt); err == nil {
@@ -38,7 +38,6 @@ func TestOptionsValidation(t *testing.T) {
 	good := []Options{
 		{},
 		{QueueCap: 1, TimeScale: 2, WarmupFraction: 0.5},
-		{Boundary: BoundaryChannel},
 	}
 	for i, opt := range good {
 		if _, err := New(tasks, sol, opt); err != nil {
@@ -47,10 +46,52 @@ func TestOptionsValidation(t *testing.T) {
 	}
 }
 
+// chanBoundary is the reference implementation: the buffered-channel
+// matrix the ring boundary replaced, kept for differential testing.
+type chanBoundary struct {
+	ch [][]chan *Frame // [upstream replica][downstream replica]
+}
+
+func newChanBoundary(r1, r2, cap int) boundary {
+	b := &chanBoundary{ch: make([][]chan *Frame, r1)}
+	for u := range b.ch {
+		b.ch[u] = make([]chan *Frame, r2)
+		for w := range b.ch[u] {
+			b.ch[u][w] = make(chan *Frame, cap)
+		}
+	}
+	return b
+}
+
+func (b *chanBoundary) trySend(u, w int, f *Frame) bool {
+	select {
+	case b.ch[u][w] <- f:
+		return true
+	default:
+		return false
+	}
+}
+
+func (b *chanBoundary) sendBlocking(u, w int, f *Frame) {
+	b.ch[u][w] <- f
+}
+
+func (b *chanBoundary) recv(u, w int) (*Frame, bool) {
+	f, ok := <-b.ch[u][w]
+	return f, ok
+}
+
+func (b *chanBoundary) closeUp(u int) {
+	for _, ch := range b.ch[u] {
+		close(ch)
+	}
+}
+
 // runShape executes a 3-stage pipeline (r1 → r2 → 1 sink) over frames
-// frames with the given boundary kind, a deterministic failure pattern,
-// and returns the stats plus the sink's observed delivery order.
-func runShape(t *testing.T, kind BoundaryKind, r1, r2, queueCap, frames int) (Stats, []uint64) {
+// frames with the given boundary constructor (nil: the ring boundary), a
+// deterministic failure pattern, and returns the stats plus the sink's
+// observed delivery order.
+func runShape(t *testing.T, newBoundary func(r1, r2, cap int) boundary, r1, r2, queueCap, frames int) (Stats, []uint64) {
 	t.Helper()
 	oc := &orderCheck{}
 	failing := &FuncTask{TaskName: "maybe", Rep: true, Fn: func(w *Worker, f *Frame) error {
@@ -69,10 +110,11 @@ func runShape(t *testing.T, kind BoundaryKind, r1, r2, queueCap, frames int) (St
 		{Start: 1, End: 1, Cores: r2, Type: core.Big},
 		{Start: 2, End: 2, Cores: 1, Type: core.Big},
 	}}
-	p, err := New(tasks, sol, Options{Boundary: kind, QueueCap: queueCap})
+	p, err := New(tasks, sol, Options{QueueCap: queueCap})
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.newBoundary = newBoundary
 	st, err := p.Run(frames, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -91,8 +133,8 @@ func TestBoundaryDifferential(t *testing.T) {
 		for _, cap := range []int{1, 2, 8} {
 			t.Run(fmt.Sprintf("%dto%d_cap%d", sh.r1, sh.r2, cap), func(t *testing.T) {
 				const frames = 200
-				ringSt, ringOrder := runShape(t, BoundaryRing, sh.r1, sh.r2, cap, frames)
-				chanSt, chanOrder := runShape(t, BoundaryChannel, sh.r1, sh.r2, cap, frames)
+				ringSt, ringOrder := runShape(t, nil, sh.r1, sh.r2, cap, frames)
+				chanSt, chanOrder := runShape(t, newChanBoundary, sh.r1, sh.r2, cap, frames)
 				if ringSt.Frames != chanSt.Frames || ringSt.Errored != chanSt.Errored {
 					t.Fatalf("stats diverge: ring (%d frames, %d errored) vs channel (%d, %d)",
 						ringSt.Frames, ringSt.Errored, chanSt.Frames, chanSt.Errored)
@@ -270,4 +312,35 @@ func TestRingPeriodMatchesDesim(t *testing.T) {
 		t.Fatalf("measured period %.1fµs vs simulated %.1fµs (ratio %.2f), want within 2x",
 			st.PeriodMicros, sim.Period, ratio)
 	}
+}
+
+// BenchmarkFrameHop is the steady-state cost of moving one frame across
+// one boundary slot on one goroutine — acquire, stamp, enqueue, dequeue,
+// release — in the shape the pipeline runs (pooled frame, SPSC ring) and
+// in the shape it replaced (a fresh &Frame{} through a buffered channel).
+// README's hot-path table and DESIGN.md §4j quote these two rows.
+func BenchmarkFrameHop(b *testing.B) {
+	b.Run("ring", func(b *testing.B) {
+		pool := NewFramePool(8)
+		q := ring.NewSPSC[*Frame](8)
+		pool.Put(pool.Get()) // the first lap allocates; start past it
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			f := pool.Get()
+			f.Seq = uint64(i)
+			q.TryPush(f)
+			if g, ok := q.TryPop(); ok {
+				pool.Put(g)
+			}
+		}
+	})
+	b.Run("channel", func(b *testing.B) {
+		ch := make(chan *Frame, 8)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ch <- &Frame{Seq: uint64(i)}
+			<-ch
+		}
+	})
 }

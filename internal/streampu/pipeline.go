@@ -13,27 +13,11 @@ import (
 	"ampsched/internal/streampu/ring"
 )
 
-// BoundaryKind selects the inter-stage adaptor implementation.
-type BoundaryKind int
-
-const (
-	// BoundaryRing (the default) hands frames between stages through
-	// lock-free bounded SPSC rings — the allocation-free hot path.
-	BoundaryRing BoundaryKind = iota
-	// BoundaryChannel is the original buffered-Go-channel matrix, kept as
-	// the reference implementation the differential tests compare the
-	// ring boundary against (and as an escape hatch for debugging).
-	BoundaryChannel
-)
-
 // Options configures a pipeline run.
 type Options struct {
 	// QueueCap is the buffered capacity of each adaptor queue (frames).
 	// Defaults to 2; negative values are rejected by New.
 	QueueCap int
-	// Boundary selects the inter-stage adaptor implementation; the
-	// zero value is the lock-free ring boundary.
-	Boundary BoundaryKind
 	// TimeScale multiplies modeled latencies before realization; use > 1
 	// on machines with coarse sleep granularity or fewer physical cores
 	// than modeled. Reported periods and FPS are de-scaled back to the
@@ -79,9 +63,6 @@ func (o Options) validate() error {
 		if o.WarmupFraction != 0 {
 			return fmt.Errorf("streampu: WarmupFraction = %v, want 0 <= f < 1 (0 selects 0.25)", o.WarmupFraction)
 		}
-	}
-	if o.Boundary != BoundaryRing && o.Boundary != BoundaryChannel {
-		return fmt.Errorf("streampu: unknown boundary kind %d", o.Boundary)
 	}
 	return nil
 }
@@ -132,6 +113,9 @@ type Pipeline struct {
 	sol    core.Solution
 	opt    Options
 	stages []pipeStage
+	// newBoundary builds the adaptor between two stages; nil selects the
+	// ring boundary. Tests set it after New to run a reference boundary.
+	newBoundary func(r1, r2, cap int) boundary
 }
 
 type pipeStage struct {
@@ -194,8 +178,10 @@ func New(tasks []Task, sol core.Solution, opt Options) (*Pipeline, error) {
 //
 // Because the matrix routes every (u, w) pair through its own queue,
 // each queue has exactly one producer and one consumer no matter how the
-// stages fan in or out — which is what lets the default implementation
-// use SPSC rings with no locking anywhere on the frame path.
+// stages fan in or out — which is what lets the implementation use SPSC
+// rings with no locking anywhere on the frame path. The interface exists
+// so boundary_test.go can run the buffered-channel matrix the rings
+// replaced as a reference.
 type boundary interface {
 	// trySend hands f from upstream replica u to downstream replica w
 	// without blocking; false means the queue was full (a stall).
@@ -210,14 +196,7 @@ type boundary interface {
 	closeUp(u int)
 }
 
-func newBoundary(kind BoundaryKind, r1, r2, cap int) boundary {
-	if kind == BoundaryChannel {
-		return newChanBoundary(r1, r2, cap)
-	}
-	return newRingBoundary(r1, r2, cap)
-}
-
-// ringBoundary is the lock-free default: one bounded SPSC ring per
+// ringBoundary is the lock-free boundary: one bounded SPSC ring per
 // (upstream, downstream) replica pair, flattened row-major. Blocking is
 // the caller's spin→yield→sleep backoff over the non-blocking ring ops.
 type ringBoundary struct {
@@ -288,47 +267,6 @@ func backoff(i int) {
 	}
 }
 
-// chanBoundary is the reference implementation: the buffered-channel
-// matrix the ring boundary replaced, preserved for differential testing.
-type chanBoundary struct {
-	ch [][]chan *Frame // [upstream replica][downstream replica]
-}
-
-func newChanBoundary(r1, r2, cap int) *chanBoundary {
-	b := &chanBoundary{ch: make([][]chan *Frame, r1)}
-	for u := range b.ch {
-		b.ch[u] = make([]chan *Frame, r2)
-		for w := range b.ch[u] {
-			b.ch[u][w] = make(chan *Frame, cap)
-		}
-	}
-	return b
-}
-
-func (b *chanBoundary) trySend(u, w int, f *Frame) bool {
-	select {
-	case b.ch[u][w] <- f:
-		return true
-	default:
-		return false
-	}
-}
-
-func (b *chanBoundary) sendBlocking(u, w int, f *Frame) {
-	b.ch[u][w] <- f
-}
-
-func (b *chanBoundary) recv(u, w int) (*Frame, bool) {
-	f, ok := <-b.ch[u][w]
-	return f, ok
-}
-
-func (b *chanBoundary) closeUp(u int) {
-	for _, ch := range b.ch[u] {
-		close(ch)
-	}
-}
-
 // Run pushes frames frames through the pipeline and blocks until they all
 // left the last stage. src may be nil; when set, it is called to populate
 // each new frame's Data before the first task runs.
@@ -344,7 +282,11 @@ func (p *Pipeline) Run(frames int, src func(f *Frame)) (Stats, error) {
 	}
 	for i := 0; i < m-1; i++ {
 		r1, r2 := p.stages[i].Cores, p.stages[i+1].Cores
-		bounds[i] = newBoundary(p.opt.Boundary, r1, r2, p.opt.QueueCap)
+		if p.newBoundary != nil {
+			bounds[i] = p.newBoundary(r1, r2, p.opt.QueueCap)
+		} else {
+			bounds[i] = newRingBoundary(r1, r2, p.opt.QueueCap)
+		}
 		inflight += r1 * r2 * p.opt.QueueCap // ...plus every boundary slot
 	}
 	// Recycle frames through a free list sized to the in-flight bound: the

@@ -222,3 +222,30 @@ func TestWraparoundNearUint64Max(t *testing.T) {
 		}
 	}
 }
+
+// TestRingOpsAllocateNothing pins the hand-off primitives under the
+// pipeline's frame loop: a push+pop round trip of a pointer payload — the
+// shape of streampu's *Frame — through the SPSC boundary queue and the
+// MPMC free list never touches the allocator.
+func TestRingOpsAllocateNothing(t *testing.T) {
+	type frame struct {
+		seq  uint64
+		data any
+		err  error
+	}
+	f := &frame{}
+	s := NewSPSC[*frame](8)
+	if n := testing.AllocsPerRun(1000, func() {
+		s.TryPush(f)
+		s.TryPop()
+	}); n != 0 {
+		t.Errorf("SPSC push+pop allocates %v per round trip, want 0", n)
+	}
+	m := NewMPMC[*frame](8)
+	if n := testing.AllocsPerRun(1000, func() {
+		m.TryPush(f)
+		m.TryPop()
+	}); n != 0 {
+		t.Errorf("MPMC push+pop allocates %v per round trip, want 0", n)
+	}
+}

@@ -23,7 +23,7 @@ type TraceEvent struct {
 	Stage    int
 	Worker   int
 	Core     string
-	Start    time.Duration // since trace start
+	Start    time.Duration // since the earliest pick-up of the trace
 	Duration time.Duration
 }
 
@@ -48,12 +48,21 @@ func (tr *Tracer) record(frame uint64, stage, worker int, core string, start tim
 	tr.mu.Unlock()
 }
 
-// Events returns a copy of the recorded events sorted by start time.
+// Events returns a copy of the recorded events sorted by start time, with
+// the earliest start at 0. record stamps events against the first one
+// recorded, but a replica that picked its frame up earlier can record
+// later, so the stored starts may be negative: the origin is fixed here.
 func (tr *Tracer) Events() []TraceEvent {
 	tr.mu.Lock()
 	out := append([]TraceEvent(nil), tr.events...)
 	tr.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
+	if len(out) > 0 {
+		origin := out[0].Start
+		for i := range out {
+			out[i].Start -= origin
+		}
+	}
 	return out
 }
 

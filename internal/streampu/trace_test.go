@@ -3,6 +3,7 @@ package streampu
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -52,6 +53,9 @@ func TestTracerRecordsEveryStageExecution(t *testing.T) {
 			t.Fatal("events not sorted by start")
 		}
 	}
+	if events[0].Start != 0 {
+		t.Errorf("timeline starts at %v, want 0", events[0].Start)
+	}
 	if perStage[0] != 40 || perStage[1] != 40 {
 		t.Errorf("per-stage counts %v", perStage)
 	}
@@ -89,8 +93,21 @@ func TestTracerChromeExport(t *testing.T) {
 	}
 }
 
+// TestTracerStageOccupancy checks the analysis on a hand-built timeline:
+// StageOccupancy is a pure function of the events, and a pipeline run
+// short enough for a unit test measures the host's sleep overshoot, not
+// the modeled weights. Ten frames at a 20 µs period; stage 0 spends 10 µs
+// per frame alternating between two replicas, stage 1 spends 20 µs per
+// frame on one worker and is the bottleneck.
 func TestTracerStageOccupancy(t *testing.T) {
-	tr := tracedRun(t)
+	const us = time.Microsecond
+	tr := &Tracer{}
+	t0 := time.Now()
+	for f := 0; f < 10; f++ {
+		at := t0.Add(time.Duration(20*f) * us)
+		tr.record(uint64(f), 0, f%2, "B", at, 10*us)
+		tr.record(uint64(f), 1, 0, "L", at.Add(10*us), 20*us)
+	}
 	occ := tr.StageOccupancy()
 	if len(occ) != 2 {
 		t.Fatalf("occupancy for %d stages", len(occ))
@@ -100,14 +117,53 @@ func TestTracerStageOccupancy(t *testing.T) {
 			t.Errorf("stage %d occupancy %v", stage, v)
 		}
 	}
-	// Stage 1 (weight 20 on 1 worker) is the bottleneck: its occupancy
-	// must exceed stage 0's (weight 10 across 2 workers ⇒ ~25%).
+	// The trace spans 9 periods + 10 + 20 = 210 µs: stage 0 is busy
+	// 100 µs over two workers, stage 1 200 µs on one.
+	if want := 100.0 / (210 * 2); math.Abs(occ[0]-want) > 1e-9 {
+		t.Errorf("stage 0 occupancy %v, want %v", occ[0], want)
+	}
+	if want := 200.0 / 210; math.Abs(occ[1]-want) > 1e-9 {
+		t.Errorf("stage 1 occupancy %v, want %v", occ[1], want)
+	}
 	if occ[1] <= occ[0] {
 		t.Errorf("bottleneck occupancy %v not above %v", occ[1], occ[0])
 	}
 	empty := &Tracer{}
 	if empty.StageOccupancy() != nil {
 		t.Error("empty tracer occupancy should be nil")
+	}
+}
+
+// TestTracerOriginIsEarliestStart records two 1 µs executions picked up
+// 5 µs apart in reverse order — a replica that picked its frame up first
+// but finished recording second. The timeline must still start at 0 (no
+// negative Start, no negative Chrome ts) and span 6 µs, so two workers
+// busy 1 µs each read 2/(6·2) occupancy, not 2/(1·2).
+func TestTracerOriginIsEarliestStart(t *testing.T) {
+	const us = time.Microsecond
+	tr := &Tracer{}
+	t0 := time.Now()
+	tr.record(1, 0, 1, "B", t0.Add(5*us), us)
+	tr.record(0, 0, 0, "B", t0, us)
+	events := tr.Events()
+	if len(events) != 2 || events[0].Frame != 0 || events[0].Start != 0 || events[1].Start != 5*us {
+		t.Fatalf("events %+v, want frame 0 at 0 then frame 1 at 5µs", events)
+	}
+	if occ, want := tr.StageOccupancy()[0], 2.0/(6*2); math.Abs(occ-want) > 1e-9 {
+		t.Errorf("occupancy %v, want %v", occ, want)
+	}
+	var sb strings.Builder
+	if err := tr.WriteChromeTrace(&sb); err != nil {
+		t.Fatal(err)
+	}
+	var out []struct {
+		Ts float64 `json:"ts"`
+	}
+	if err := json.Unmarshal([]byte(sb.String()), &out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 2 || out[0].Ts != 0 || out[1].Ts != 5 {
+		t.Errorf("chrome ts %+v, want 0 and 5", out)
 	}
 }
 

@@ -41,9 +41,10 @@ func BenchmarkJournalEnabled(b *testing.B) {
 	}
 }
 
-// BenchmarkJSONLExport measures the canonical JSONL encoder on a journal
-// of ~3k events.
-func BenchmarkJSONLExport(b *testing.B) {
+// BenchmarkExport measures the three exporters — the canonical JSONL
+// encoder, the -explain narrative and the Chrome trace-event view — on one
+// journal of ~3k events.
+func BenchmarkExport(b *testing.B) {
 	j := New()
 	for s := 0; s < 5; s++ {
 		sp := j.Begin("strategy").Str("name", "FERTAC")
@@ -54,11 +55,21 @@ func BenchmarkJSONLExport(b *testing.B) {
 			}
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := j.WriteJSONL(io.Discard); err != nil {
-			b.Fatal(err)
-		}
+	for _, ex := range []struct {
+		name  string
+		write func(io.Writer) error
+	}{
+		{"jsonl", j.WriteJSONL},
+		{"explain", j.WriteExplain},
+		{"chrome", j.WriteChromeTrace},
+	} {
+		b.Run(ex.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := ex.write(io.Discard); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
