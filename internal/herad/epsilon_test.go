@@ -151,3 +151,35 @@ func TestEpsilonNaN(t *testing.T) {
 		t.Fatalf("NaN epsilon diverged: %v vs %v", got, want)
 	}
 }
+
+// TestEpsilonZeroIncumbent covers the beam threshold of zero: tasks that
+// weigh 0 on one type reach an incumbent period of 0 while the other type's
+// stage weight is positive, so no count of that type is within the beam
+// (the retired uFloor evaluated int(w/0) there, which Go leaves
+// implementation-defined). The ε fill must skip the type and keep its
+// bound, which at P* = 0 means finding 0.
+func TestEpsilonZeroIncumbent(t *testing.T) {
+	rng := rand.New(rand.NewSource(89))
+	for iter := 0; iter < 60; iter++ {
+		tasks := make([]core.Task, 1+rng.Intn(12))
+		for i := range tasks {
+			w := [2]float64{float64(rng.Intn(3)), float64(rng.Intn(3))}
+			if iter%2 == 0 {
+				w[rng.Intn(2)] = 0
+			}
+			tasks[i] = task(w[0], w[1], rng.Intn(2) == 0)
+		}
+		c := core.MustChain(tasks)
+		r := core.Res(1+rng.Intn(4), 1+rng.Intn(4))
+		exact := Period(c, r)
+		for _, eps := range []float64{0.05, 0.5} {
+			s := ScheduleOpts(c, r, Options{Epsilon: eps})
+			if err := s.Validate(c, r); err != nil {
+				t.Fatalf("iter %d eps %v: invalid: %v", iter, eps, err)
+			}
+			if p := s.Period(c); p > exact*(1+eps)*epsTol || p < exact {
+				t.Fatalf("iter %d eps %v: period %v, exact %v\nchain=%+v R=%v", iter, eps, p, exact, c.Tasks(), r)
+			}
+		}
+	}
+}

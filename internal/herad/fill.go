@@ -137,6 +137,7 @@ type typeFill struct {
 	total  int32     // cores of this type on the platform
 	left   int32     // cores of this type the current state has left
 	w      float64   // weight of the current candidate stage on this type
+	floor  int       // smallest count not yet ruled out for the current cell (recompute)
 }
 
 // rowFill is what the cells of one row share: the per-type state, where the
@@ -248,6 +249,33 @@ func (m *matrix) seed(f *rowFill, idx int) {
 // ε=0, by more than the conceded (1+ε) factor otherwise) — and sequential
 // intervals only try a single core.
 //
+// A candidate's period is max(P*(i-1, r⃗-u·e_v), w/u): the stage term only
+// shrinks as u grows, the predecessor term only grows, with u and with i.
+// Three cuts leave out the part of the (i, v, u) box where one of the two
+// is strictly above the incumbent at the moment the candidate would have
+// been compared. Such a candidate can neither win nor tie, so the
+// survivors meet the same incumbents in the same order — splits
+// descending, types ascending, counts ascending — and every cell is the
+// one the full walk writes:
+//
+//   - Count floor. u starts at the smallest count whose stage term
+//     w/float64(u) — the quotient the candidate itself is compared on — is
+//     within the incumbent. Along a cell's walk w only grows and the
+//     incumbent only shrinks, so the floor only rises: it is kept per type
+//     (typeFill.floor) and stepped up, never recomputed. It survives the
+//     walk turning sequential: a floor above 1 says w alone is above the
+//     incumbent, which is all a sequential stage (period w, one core) asks.
+//     Under ε the floor is taken against cur.pbest/√(1+ε): a count below
+//     it, at the probed split or at any split the probe covers (at most a
+//     √(1+ε) grid step lighter), has a true period above cur.pbest/(1+ε),
+//     which the ε bound concedes; the replica grid runs upward from the
+//     floor, so the floor consumes no grid budget.
+//   - Predecessor break. The u loop ends at the first predecessor above the
+//     incumbent: P*(i-1, ·) is non-decreasing in u in the table itself,
+//     because every cell is min-ed against its one-core-less neighbors
+//     before it is read.
+//   - Top split (ε=0). The walk starts at topSplit, not at j.
+//
 // Candidates are compared as Algo 10 prescribes — period first, then the
 // usage vector — but without materializing the candidate cell: its usage
 // vector is the predecessor's plus the stage's own cores, read only when
@@ -275,9 +303,16 @@ func (m *matrix) recompute(f *rowFill, s int, om Metrics) {
 			copyUsage(use, m.usage(nb))
 		}
 	}
+	for v := range t {
+		t[v].floor = 1 // rises along this cell's walk
+	}
 	candidates := 0 // accumulated locally to keep the hot loops cheap
 	cut := 0        // the split the dominance test stopped at (0: it never fired)
-	for n, i := 0, j; i > 0; n++ {
+	i := j
+	if eps == 0 {
+		i = topSplit(cells, t, states, s, j, cur.pbest)
+	}
+	for n := 0; i > 0; n++ {
 		// The candidate stage holds tasks [i-1, j-1] (0-based); its
 		// predecessor subproblem is row i-1. i == 1 reproduces the
 		// single-stage candidates with intermediate core counts.
@@ -302,18 +337,23 @@ func (m *matrix) recompute(f *rowFill, s int, om Metrics) {
 			if !rep && maxU > 1 {
 				maxU = 1 // sequential stages cannot benefit from extra cores
 			}
-			u := 1
-			if eps > 0 {
-				u = uFloor(w, cur.pbest*sqInv)
+			u, beam := tv.floor, cur.pbest*sqInv
+			for u <= maxU && w/float64(u) > beam {
+				u++
 			}
+			tv.floor = u
 			for u <= maxU {
-				candidates++
 				pi := row - u*stride
+				pp := cells[pi].pbest
+				if pp > cur.pbest {
+					break
+				}
+				candidates++
 				p, cores := w, 1
 				if rep {
 					p, cores = w/float64(u), u
 				}
-				if pp := cells[pi].pbest; pp > p {
+				if pp > p {
 					p = pp
 				}
 				if p < cur.pbest || p == cur.pbest && usageLE(m.usage(pi), v, int32(cores), use) {
@@ -410,31 +450,40 @@ func gridNext(u int, eps float64) int {
 	return next
 }
 
-// uFloor returns the smallest replica count whose stage period w/u does
-// not exceed thr (⌈w/thr⌉, clamped below at 1) — the ε fill's
-// per-candidate beam cut. The fill passes thr = cur.pbest/√(1+ε): a
-// count under the floor, evaluated at the probed split OR at any split
-// the probe covers (whose weight is at most a √(1+ε) grid step smaller),
-// has true candidate period above cur.pbest/(1+ε) — it cannot beat the
-// incumbent by more than the factor the ε bound already concedes. The u
-// loop therefore starts at the floor and the geometric grid runs upward
-// from it; every count skipped below the floor is ruled out against its
-// true period, never against another rounded candidate, so the floor
-// consumes no grid budget. For a sequential stage (weight w regardless
-// of u) a floor > 1 exceeds maxU = 1 and skips the stage outright — the
-// per-type form of the dominance cut.
-func uFloor(w, thr float64) int {
-	if !(w > thr) {
-		return 1
+// topSplit returns the largest split i ≤ j at which some type the state
+// still has cores of finds its one-core predecessor P*(i-1, r⃗-e_v) within
+// the incumbent period p. Above it every candidate's predecessor —
+// P*(i-1, r⃗-u·e_v) ≥ P*(i-1, r⃗-e_v) — is strictly above p, so the exact
+// fill starts its walk there. The predicate is monotone, which is what
+// lets a binary search find its edge: P*(i-1, ·) is non-decreasing in i in
+// the table itself, because weights are ≥ 0 (core.NewChain), prefix sums
+// and floating-point subtraction and division are monotone, and every cell
+// is the minimum over all its candidates. Row 0 is the zero cell, so
+// split 1 always qualifies. The answer is j unless the seed beats every
+// same-row neighbor, which takes a state with cores of one type only:
+// above all the k single-core states of a row, whose predecessors past
+// row 0 have no core at all and whose walk no stage weight ever cuts.
+func topSplit(cells []cell, t []typeFill, states, s, j int, p float64) int {
+	within := func(i int) bool {
+		for v := range t {
+			if t[v].left > 0 && cells[(i-1)*states+s-t[v].stride].pbest <= p {
+				return true
+			}
+		}
+		return false
 	}
-	u := int(w / thr)
-	if float64(u)*thr < w {
-		u++
+	if within(j) {
+		return j
 	}
-	if u < 1 {
-		u = 1
+	lo, hi := 1, j-1 // within(lo) holds; the largest within is in [lo, hi]
+	for lo < hi {
+		if mid := int(uint(lo+hi+1) >> 1); within(mid) {
+			lo = mid
+		} else {
+			hi = mid - 1
+		}
 	}
-	return u
+	return lo
 }
 
 // shortWalk bounds the linear probe skipSplit tries before resorting to a

@@ -13,7 +13,8 @@
 // O(n²·Π(C_v+1)·ΣC_v) time and O(n·Π(C_v+1)) space; two published
 // optimizations are implemented (single-core inner loop for sequential
 // intervals, plus the stage-merge post-pass), along with a period-dominance
-// pruning of the reverse stage loop that cannot alter either objective.
+// pruning of the reverse stage loop and three cuts inside it that skip only
+// candidates strictly above the incumbent, so neither objective can move.
 package herad
 
 import (
@@ -29,7 +30,8 @@ type Metrics struct {
 	// evaluates (Algo 9).
 	DPCells *obs.Counter
 	// DPCandidates counts candidate (split point, core count, type)
-	// solutions compared inside those cells.
+	// solutions evaluated inside those cells: the ones the cuts of the
+	// split loop cannot rule out unseen.
 	DPCandidates *obs.Counter
 	// DPPruned counts the reverse stage loops cut short by the
 	// period-dominance pruning.

@@ -7,6 +7,7 @@ import (
 
 	"ampsched/internal/chaingen"
 	"ampsched/internal/core"
+	"ampsched/internal/obs"
 )
 
 // scratchOracle is the planner's correctness oracle: the from-scratch fill
@@ -220,5 +221,42 @@ func TestRefillAllocatesNothing(t *testing.T) {
 	m.fill(c, Metrics{})
 	if a := testing.AllocsPerRun(20, func() { m.fillRows(c, c.Len()-4, c.Len(), Metrics{}) }); a != 0 {
 		t.Errorf("refilling 5 rows allocates %v times, want 0", a)
+	}
+}
+
+// TestEditVisitsNoMoreThanCold pins what an edit costs in the planner's own
+// deterministic currency, not by wall clock: a Reweigh at task i recomputes
+// no more DP cells and evaluates no more candidates than a cold NewPlanner
+// on the edited chain — exactly as many at i = 0, where every row is
+// refilled through the same fillRows.
+func TestEditVisitsNoMoreThanCold(t *testing.T) {
+	const n = 256
+	c := chaingen.GenerateMany(chaingen.Default(n, 0.5), 23, 1)[0]
+	r := core.Res(4, 4)
+	for _, i := range []int{0, n / 4, n / 2, n - 1} {
+		warm := MetricsFrom(obs.NewRegistry())
+		p, err := NewPlanner(c, r, Options{Metrics: warm})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells, candidates := warm.DPCells.Value(), warm.DPCandidates.Value()
+		old := c.Task(i)
+		if err := p.Reweigh(i, task(old.Weight[0]*1.5, old.Weight[1]*0.75, old.Replicable)); err != nil {
+			t.Fatal(err)
+		}
+		cells, candidates = warm.DPCells.Value()-cells, warm.DPCandidates.Value()-candidates
+
+		cold := MetricsFrom(obs.NewRegistry())
+		if _, err := NewPlanner(p.Chain(), r, Options{Metrics: cold}); err != nil {
+			t.Fatal(err)
+		}
+		coldCells, coldCandidates := cold.DPCells.Value(), cold.DPCandidates.Value()
+		if cells > coldCells || candidates > coldCandidates || i == 0 && (cells != coldCells || candidates != coldCandidates) {
+			t.Errorf("reweigh at %d: %d cells, %d candidates; cold plan of the edited chain: %d cells, %d candidates",
+				i, cells, candidates, coldCells, coldCandidates)
+		}
+		if i > 0 && cells >= coldCells {
+			t.Errorf("reweigh at %d recomputed %d cells, all %d of a cold plan", i, cells, coldCells)
+		}
 	}
 }

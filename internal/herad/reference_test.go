@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"ampsched/internal/brute"
 	"ampsched/internal/chaingen"
 	"ampsched/internal/core"
 )
@@ -180,18 +181,188 @@ func TestMatchesPaperReferenceK2(t *testing.T) {
 			}
 			c = core.MustChain(tasks)
 		}
-		b, l := rng.Intn(5), rng.Intn(5)
-		want, tied := refSchedule(c, b, l)
-		got := ScheduleRaw(c, core.Res(b, l))
-		if !slices.Equal(got.Stages, want.Stages) {
-			t.Fatalf("iter %d (R=(%d,%d)):\nfill      %v\nreference %v\nchain=%+v",
-				iter, b, l, got, want, c.Tasks())
-		}
-		if iter%2 == 1 {
+		if tied := checkAgainstReference(t, c, rng.Intn(5), rng.Intn(5)); iter%2 == 1 {
 			ties += tied
 		}
 	}
 	if ties < 1000 {
 		t.Fatalf("integer-weight instances met only %d equal-period comparisons: tie-breaks not exercised", ties)
 	}
+}
+
+// cutFamily is one kind of chain the split-loop cuts (count floor,
+// predecessor break, top split) are most likely to get wrong: equal
+// periods everywhere, thresholds of zero, bounds of zero, rows that are
+// all one kind.
+type cutFamily struct {
+	name   string
+	maxN   int                          // chain lengths are drawn from 1..maxN
+	weight func(rng *rand.Rand) float64 // a task's weight on one type
+	// allRep and noRep fix every task's replicability; otherwise a fair coin.
+	allRep, noRep bool
+	// zeroCount empties one core type of the platform.
+	zeroCount bool
+}
+
+// smallInt draws a weight from 1..4, so that equal periods are common.
+func smallInt(rng *rand.Rand) float64 { return float64(1 + rng.Intn(4)) }
+
+// cutFamilies keeps chains to 8 tasks, which brute force still enumerates
+// on three core types.
+func cutFamilies() []cutFamily {
+	return []cutFamily{
+		{name: "equal-integer-weights", maxN: 8, weight: func(*rand.Rand) float64 { return 3 }},
+		// A task that weighs 0 on a type makes incumbents of 0: no count of
+		// the other type is within them, however many cores are left.
+		{name: "zero-weights", maxN: 8, weight: func(rng *rand.Rand) float64 { return float64(rng.Intn(3)) }},
+		{name: "all-replicable", maxN: 8, weight: smallInt, allRep: true},
+		{name: "none-replicable", maxN: 8, weight: smallInt, noRep: true},
+		{name: "zero-core-count", maxN: 8, weight: smallInt, zeroCount: true},
+		{name: "nine-decades", maxN: 8, weight: func(rng *rand.Rand) float64 { return math.Pow(10, -3+9*rng.Float64()) }},
+		{name: "tiny-chains", maxN: 3, weight: smallInt},
+	}
+}
+
+// draw generates one chain of the family on k core types.
+func (fam cutFamily) draw(rng *rand.Rand, k int) *core.Chain {
+	tasks := make([]core.Task, 1+rng.Intn(fam.maxN))
+	for i := range tasks {
+		w := make([]float64, k)
+		for v := range w {
+			w[v] = fam.weight(rng)
+		}
+		tasks[i] = core.Task{Weight: w, Replicable: fam.allRep || !fam.noRep && rng.Intn(2) == 0}
+	}
+	return core.MustChain(tasks)
+}
+
+// TestCutsMatchPaperReferenceK2 is TestMatchesPaperReferenceK2 on the
+// inputs that break cuts: full schedules, stage for stage, against the
+// paper's text, which has no cut at all.
+func TestCutsMatchPaperReferenceK2(t *testing.T) {
+	// A +Inf weight makes +Inf incumbents and, through the prefix sums, NaN
+	// weights for the intervals behind it (Inf − Inf), so these chains have
+	// no meaningful optimum to hold against brute force — but the cuts must
+	// still drop nothing the paper's text keeps.
+	infinite := cutFamily{name: "infinite-weights", maxN: 8, weight: func(rng *rand.Rand) float64 {
+		if rng.Intn(4) == 0 {
+			return math.Inf(1)
+		}
+		return smallInt(rng)
+	}}
+	for _, fam := range append(cutFamilies(), infinite) {
+		t.Run(fam.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(67))
+			for iter := 0; iter < 120; iter++ {
+				c := fam.draw(rng, 2)
+				b, l := rng.Intn(5), rng.Intn(5)
+				if fam.zeroCount {
+					if iter%2 == 0 {
+						b = 0
+					} else {
+						l = 0
+					}
+				}
+				checkAgainstReference(t, c, b, l)
+			}
+		})
+	}
+	// The edge cases of the cuts by name, one hand-written row each.
+	rows := []struct {
+		name  string
+		tasks []core.Task
+		b, l  int
+	}{
+		{"j=1: one task, no recompute", []core.Task{task(4, 9, true)}, 2, 2},
+		// With one core, every predecessor above row 0 has none left (+Inf).
+		{"top split 1: single-core states", []core.Task{task(4, 9, true), task(3, 3, false), task(5, 1, true), task(2, 2, true)}, 1, 0},
+		// The seed (one stage, both cores) ties with split 2 and with split 1;
+		// the top split is 2 = j-1, and the paper lets the last tie win.
+		{"top split j-1, reached only by ties", []core.Task{task(2, 2, true), task(1, 1, true), task(1, 1, true)}, 2, 0},
+		{"incumbent 0, positive weight on the other type", []core.Task{task(0, 5, true), task(0, 7, false), task(0, 5, true)}, 2, 3},
+		{"incumbent 0 on both types", []core.Task{task(0, 0, true), task(0, 0, false), task(0, 0, true)}, 2, 2},
+		{"incumbent +Inf: no type runs the first task", []core.Task{task(math.Inf(1), math.Inf(1), true), task(2, 3, true), task(1, 1, false)}, 2, 2},
+		// Splits 5 and 4 are replicable stages, 3 and below hold the
+		// sequential task: the floor a type reached on the replicated
+		// stages carries into the sequential ones.
+		{"replicability flips inside the walk", []core.Task{task(6, 6, true), task(6, 6, true), task(1, 1, false), task(6, 6, true), task(6, 6, true)}, 3, 3},
+		{"no cores of one type left in most states", []core.Task{task(4, 4, true), task(4, 4, true), task(4, 4, true)}, 4, 0},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			checkAgainstReference(t, core.MustChain(row.tasks), row.b, row.l)
+		})
+	}
+}
+
+// checkAgainstReference fails the test unless the fill schedules c on
+// (b, l) stage for stage as the paper's text does; it returns the number of
+// equal-period comparisons the reference met.
+func checkAgainstReference(t *testing.T, c *core.Chain, b, l int) int {
+	t.Helper()
+	want, tied := refSchedule(c, b, l)
+	got := ScheduleRaw(c, core.Res(b, l))
+	if !slices.Equal(got.Stages, want.Stages) {
+		t.Fatalf("R=(%d,%d):\nfill      %v\nreference %v\nchain=%+v", b, l, got, want, c.Tasks())
+	}
+	return tied
+}
+
+// TestCutsMatchBruteK3 runs the same families on three core types, where
+// the paper has no text to compare with: the period must be the one
+// exhaustive enumeration finds.
+func TestCutsMatchBruteK3(t *testing.T) {
+	for _, fam := range cutFamilies() {
+		t.Run(fam.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(69))
+			for iter := 0; iter < 40; iter++ {
+				c := fam.draw(rng, 3)
+				r := core.Res(rng.Intn(3), rng.Intn(3), rng.Intn(3))
+				if fam.zeroCount {
+					r = r.With(core.CoreType(iter%3), 0)
+				}
+				want := brute.MinPeriod(c, r)
+				s := Schedule(c, r)
+				if got := s.Period(c); got != want {
+					t.Fatalf("iter %d R=%v: period %v, brute force %v\n%v\nchain=%+v", iter, r, got, want, s, c.Tasks())
+				}
+				if !s.IsEmpty() {
+					if err := s.Validate(c, r); err != nil {
+						t.Fatalf("iter %d R=%v: invalid schedule: %v", iter, r, err)
+					}
+				}
+			}
+		})
+	}
+}
+
+// fuzzWeights is the alphabet FuzzFillMatchesReference draws weights
+// from: few values, so that equal periods are common, and 0 among them.
+var fuzzWeights = [8]float64{0, 1, 2, 3, 4, 6, 12, 100}
+
+// FuzzFillMatchesReference holds the fill to the paper's text on chains
+// the fuzzer writes: byte 0 and 1 are the core counts (≤ 4 each), every
+// further byte is one task (≤ 12) — three bits of big weight, three of
+// little weight, one of replicability.
+func FuzzFillMatchesReference(f *testing.F) {
+	f.Add([]byte{2, 2, 0x49, 0x52, 0x1b})
+	f.Add([]byte{2, 3, 0x08, 0x50, 0x08})       // weighs 0 on big cores, not on little ones
+	f.Add([]byte{4, 4, 0x00, 0x40, 0x00, 0x7f}) // weighs 0 on both
+	f.Add([]byte{0, 4, 0x4a, 0x4a, 0x0a, 0x4a, 0x4a})
+	f.Add([]byte{3, 3, 0x76, 0x76, 0x09, 0x76, 0x76, 0x24, 0x1b, 0x52, 0x49, 0x7f, 0x36, 0x2d})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		b, l := int(data[0]%5), int(data[1]%5)
+		data = data[2:]
+		if len(data) > 12 {
+			data = data[:12]
+		}
+		tasks := make([]core.Task, len(data))
+		for i, x := range data {
+			tasks[i] = task(fuzzWeights[x&7], fuzzWeights[x>>3&7], x>>6&1 == 1)
+		}
+		checkAgainstReference(t, core.MustChain(tasks), b, l)
+	})
 }
