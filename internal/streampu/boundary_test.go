@@ -6,9 +6,11 @@ import (
 	"math"
 	"runtime"
 	"testing"
+	"time"
 
 	"ampsched/internal/core"
 	"ampsched/internal/desim"
+	"ampsched/internal/obs"
 	"ampsched/internal/obs/flight"
 	"ampsched/internal/streampu/ring"
 )
@@ -343,4 +345,70 @@ func BenchmarkFrameHop(b *testing.B) {
 			<-ch
 		}
 	})
+}
+
+// BenchmarkFrameLoop is what one frame through Pipeline.Run costs when the
+// tasks do nothing — pick-up, the clock reads, the hand-off and its
+// waiting, the departure — on one stage (no boundary) and on two, with no
+// sink and with every sink attached. It is the repository benchmark's
+// stream_handoff workload beside the code; allocs/op is per run of 65 536
+// frames. DESIGN.md §4j "What a frame costs" quotes these rows.
+func BenchmarkFrameLoop(b *testing.B) {
+	const frames = 1 << 16
+	for _, stages := range []int{1, 2} {
+		var tasks []Task
+		var sol core.Solution
+		for i := 0; i < stages; i++ {
+			tasks = append(tasks, &FuncTask{TaskName: fmt.Sprintf("t%d", i), Fn: func(*Worker, *Frame) error { return nil }})
+			sol.Stages = append(sol.Stages, core.Stage{Start: i, End: i, Cores: 1, Type: core.Big})
+		}
+		for _, sinks := range []string{"off", "on"} {
+			b.Run(fmt.Sprintf("s%d/%s", stages, sinks), func(b *testing.B) {
+				b.ReportAllocs()
+				var elapsed time.Duration
+				for i := 0; i < b.N; i++ {
+					opt, stop := Options{QueueCap: 2}, func() {}
+					if sinks == "on" {
+						opt, stop = attachAllSinks(opt)
+					}
+					p, err := New(tasks, sol, opt)
+					if err != nil {
+						b.Fatal(err)
+					}
+					st, err := p.Run(frames, nil)
+					stop()
+					if err != nil || st.Frames != frames {
+						b.Fatalf("run: %v, %d frames", err, st.Frames)
+					}
+					elapsed += st.Elapsed
+				}
+				b.ReportMetric(float64(b.N)*frames/elapsed.Seconds(), "frames/s")
+			})
+		}
+	}
+}
+
+// attachAllSinks adds what bench/frames.go:attachSinks adds to a run — a
+// Sampler, the flight recorder, a fresh Tracer and a goroutine that takes
+// a Sampler snapshot every 100 ms; stop ends the goroutine and waits.
+func attachAllSinks(opt Options) (_ Options, stop func()) {
+	rec := flight.New(0)
+	sampler := NewSampler(obs.NewRegistry())
+	sampler.Flight = rec
+	opt.Sampler, opt.Flight, opt.Tracer = sampler, rec, &Tracer{}
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(100 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-quit:
+				return
+			case now := <-tick.C:
+				sampler.Sample(now)
+			}
+		}
+	}()
+	return opt, func() { close(quit); <-done }
 }

@@ -198,7 +198,7 @@ type boundary interface {
 
 // ringBoundary is the lock-free boundary: one bounded SPSC ring per
 // (upstream, downstream) replica pair, flattened row-major. Blocking is
-// the caller's spin→yield→sleep backoff over the non-blocking ring ops.
+// the caller's probe→yield→sleep backoff over the non-blocking ring ops.
 type ringBoundary struct {
 	r2 int
 	q  []*ring.SPSC[*Frame] // [u*r2 + w]
@@ -245,21 +245,25 @@ func (b *ringBoundary) closeUp(u int) {
 	}
 }
 
-// backoff is the boundary waiting policy: spin briefly (the peer is
-// usually mid-frame on another core), then yield the processor (the
-// pipeline is documented oversubscription-safe, so the peer may need
-// this core), then sleep with escalating, capped pauses (a stalled peer
-// may legitimately be tens of milliseconds away — modeled latencies —
-// and a sleeping waiter must not burn the core it vacated). None of the
-// three branches allocates, so waiting preserves the 0 allocs/op pin.
+// backoff is the boundary waiting policy: probe a few times (the peer is
+// usually mid-frame on another core), then yield the processor, then sleep
+// with escalating, capped pauses (a stalled peer may legitimately be tens
+// of milliseconds away — modeled latencies — and a sleeping waiter must
+// not burn the core it vacated). The hot phase is four probes, not
+// dozens: Go has no PAUSE, so a loop on an atomic competes with the very
+// sibling it waits for, and with one P nothing else runs until the first
+// Gosched — 1024 probes measured slower than 64, 64 slower than 4, 4 and
+// 16 alike (DESIGN.md §4j). None of the three branches allocates, so
+// waiting preserves the 0 allocs/op pin.
 func backoff(i int) {
+	const spins, yields = 4, 128
 	switch {
-	case i < 64:
+	case i < spins:
 		// hot spin
-	case i < 192:
+	case i < spins+yields:
 		runtime.Gosched()
 	default:
-		step := (i - 192) / 32
+		step := (i - spins - yields) / 32
 		if step > 6 {
 			step = 6
 		}
@@ -294,7 +298,8 @@ func (p *Pipeline) Run(frames int, src func(f *Frame)) (Stats, error) {
 	// state frame loop never touches the allocator.
 	pool := NewFramePool(inflight)
 
-	p.opt.Sampler.bind(p.stages, p.opt.TimeScale, time.Now())
+	startAll := time.Now() // before the first worker: Elapsed covers all they do
+	p.opt.Sampler.bind(p.stages, p.opt.TimeScale, startAll)
 
 	warmup := int(float64(frames) * p.opt.WarmupFraction)
 	if warmup >= frames {
@@ -351,6 +356,14 @@ func (p *Pipeline) Run(frames int, src func(f *Frame)) (Stats, error) {
 				if si > 0 {
 					upR = p.stages[si-1].Cores
 				}
+				// The clock is read at pick-up only when something consumes
+				// it: a sink or — sticky from the first frame that leaves
+				// debt behind — Settle (the profiler settles per task from
+				// its own reads).
+				tb := p.opt.Tracer.newBuf(si, w, st.Type, frames/r+1)
+				observed := tb != nil || p.opt.Sampler != nil
+				timed := observed
+				var pickup time.Time
 				for seq := uint64(w); ; seq += uint64(r) {
 					var f *Frame
 					if si == 0 {
@@ -371,7 +384,9 @@ func (p *Pipeline) Run(frames int, src func(f *Frame)) (Stats, error) {
 						}
 						f = ff
 					}
-					pickup := time.Now()
+					if timed {
+						pickup = time.Now()
+					}
 					erredBefore := f.Err != nil
 					for ti, t := range insts {
 						var t0 time.Time
@@ -390,13 +405,20 @@ func (p *Pipeline) Run(frames int, src func(f *Frame)) (Stats, error) {
 						}
 					}
 					// Realize the frame's accumulated modeled latency in
-					// one absolute-deadline wait (no-op when profiling or
-					// for purely computational tasks).
-					wctx.Settle(pickup)
-					if p.opt.Tracer != nil || p.opt.Sampler != nil {
+					// one absolute-deadline wait (nothing to do when profiling
+					// or for purely computational tasks). The first frame to
+					// carry debt on an untimed worker is settled from the end
+					// of its compute; every later one from its pick-up.
+					if wctx.debt > 0 {
+						if !timed {
+							timed, pickup = true, time.Now()
+						}
+						wctx.Settle(pickup)
+					}
+					if observed {
 						d := time.Since(pickup)
-						if p.opt.Tracer != nil {
-							p.opt.Tracer.record(f.Seq, si, w, st.Type.String(), pickup, d)
+						if tb != nil {
+							tb.add(f.Seq, pickup, d)
 						}
 						p.opt.Sampler.Record(si, d)
 					}
@@ -413,13 +435,17 @@ func (p *Pipeline) Run(frames int, src func(f *Frame)) (Stats, error) {
 						}
 					}
 					if si == m-1 {
-						now := time.Now()
-						if f.Seq == uint64(warmup) {
-							res.warmAt = now
-							res.warmSeen = true
-						}
-						if now.After(res.lastAt) {
-							res.lastAt = now
+						// Two departures define the period: frame #warmup and
+						// this replica's final frame. No other reads the clock.
+						isWarm, isLast := f.Seq == uint64(warmup), f.Seq+uint64(r) >= uint64(frames)
+						if isWarm || isLast {
+							now := time.Now()
+							if isWarm {
+								res.warmAt, res.warmSeen = now, true
+							}
+							if isLast {
+								res.lastAt = now
+							}
 						}
 						// The frame is done: hand it back for the source to
 						// reuse. Every field the next lap cares about is reset
@@ -450,7 +476,6 @@ func (p *Pipeline) Run(frames int, src func(f *Frame)) (Stats, error) {
 		}
 	}
 
-	startAll := time.Now()
 	wg.Wait()
 	elapsed := time.Since(startAll)
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -434,6 +435,41 @@ func TestWaitAccumulatesDebtAndSettles(t *testing.T) {
 	ws.Settle(s3)
 	if got := time.Since(s3); got < 50*time.Microsecond {
 		t.Errorf("spin settle took %v, want ≥ 50µs", got)
+	}
+}
+
+// TestSettleCountsFromPickup pins what Settle means when no sink asks for
+// the pick-up time: a frame that computes for ~2 ms and then waits a
+// modeled 3 ms occupies its stage for 3 ms, not 5 — the deadline counts
+// from pick-up, so compute overlaps the modeled latency. The worker starts
+// reading the clock only once a frame leaves debt behind; the second case
+// has the first Wait arrive on frame 10, and every frame after the one
+// that flipped the switch must settle from its pick-up too. Medians over
+// 19 frames and generous bounds: one host stall must not fail it.
+func TestSettleCountsFromPickup(t *testing.T) {
+	for _, firstWait := range []uint64{0, 10} {
+		frames := int(firstWait) + 22
+		entered := make([]time.Time, frames)
+		task := &FuncTask{TaskName: "work+wait", Fn: func(w *Worker, f *Frame) error {
+			entered[f.Seq] = time.Now()
+			for time.Since(entered[f.Seq]) < 2*time.Millisecond {
+			}
+			if f.Seq >= firstWait {
+				w.Wait(3000)
+			}
+			return nil
+		}}
+		if _, err := RunChain([]Task{task}, frames, nil); err != nil {
+			t.Fatal(err)
+		}
+		var spent []time.Duration
+		for k := int(firstWait) + 2; k <= int(firstWait)+20; k++ {
+			spent = append(spent, entered[k+1].Sub(entered[k]))
+		}
+		sort.Slice(spent, func(i, j int) bool { return spent[i] < spent[j] })
+		if med := spent[len(spent)/2]; med < 3*time.Millisecond || med >= 4500*time.Microsecond {
+			t.Errorf("first Wait on frame %d: median stage time %v, want in [3ms, 4.5ms) (5ms is a settle counted from the end of compute)", firstWait, med)
+		}
 	}
 }
 

@@ -71,7 +71,10 @@ const spinGuard = 1500 * time.Microsecond
 // worker. The latency is not realized immediately: it accumulates as debt
 // that the runtime settles once per frame (or per task when profiling)
 // with a single absolute-deadline sleep, so coarse OS sleep granularity
-// does not accumulate per task.
+// does not accumulate per task. The deadline counts from the frame's
+// pick-up, so a task's compute overlaps the latency it models; a worker
+// whose tasks never Wait never reads the clock for it, and the first frame
+// that does is the one exception — it counts from the end of its compute.
 func (w *Worker) Wait(micros float64) {
 	if micros > 0 {
 		w.debt += micros
@@ -79,9 +82,10 @@ func (w *Worker) Wait(micros float64) {
 }
 
 // Settle realizes the accumulated latency debt relative to the given
-// start time: it blocks until start + scaled debt. Sleeping targets an
-// absolute deadline and hands the final spinGuard stretch to a busy-wait,
-// keeping per-frame overshoot far below the OS sleep quantum.
+// start time: it blocks until start + scaled debt, and returns at once,
+// start unread, when there is none. Sleeping targets an absolute deadline
+// and hands the final spinGuard stretch to a busy-wait, keeping per-frame
+// overshoot far below the OS sleep quantum.
 func (w *Worker) Settle(start time.Time) {
 	if w.debt <= 0 {
 		return

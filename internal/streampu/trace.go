@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"ampsched/internal/core"
 	"ampsched/internal/obs"
 	"ampsched/internal/trace"
 )
@@ -27,35 +28,70 @@ type TraceEvent struct {
 	Duration time.Duration
 }
 
-// Tracer collects trace events from a pipeline run. It is safe for
-// concurrent use; create one, set Options.Tracer, run, then inspect or
-// export. The zero value is ready to use.
+// Tracer collects trace events from pipeline runs: create one, set
+// Options.Tracer, run, then inspect or export. It is written by the run's
+// workers and read after Run returns — each worker fills a buffer of its
+// own, so the frame path takes no lock; the live view of a run in flight is
+// the Sampler. A Tracer reused across runs accumulates their events on one
+// timeline. The zero value is ready to use.
 type Tracer struct {
-	mu     sync.Mutex
-	events []TraceEvent
-	t0     time.Time
-	once   sync.Once
+	mu   sync.Mutex // guards bufs and t0, taken once per worker, never per frame
+	bufs []*traceBuf
+	t0   time.Time
 }
 
-// record appends one event (called by pipeline workers).
-func (tr *Tracer) record(frame uint64, stage, worker int, core string, start time.Time, d time.Duration) {
-	tr.once.Do(func() { tr.t0 = start })
+// traceBuf is one worker's share of a trace: what every event of the
+// worker has in common, and a pointer-free record per frame the collector
+// never scans.
+type traceBuf struct {
+	stage, worker int
+	core          core.CoreType
+	t0            time.Time // the Tracer's; record starts count from it
+	recs          []traceRec
+}
+
+type traceRec struct {
+	seq        uint64
+	start, dur int64 // ns
+}
+
+// newBuf registers the buffer of one worker, with room for the n frames it
+// will see. A nil Tracer hands out a nil buffer.
+func (tr *Tracer) newBuf(stage, worker int, typ core.CoreType, n int) *traceBuf {
+	if tr == nil {
+		return nil
+	}
 	tr.mu.Lock()
-	tr.events = append(tr.events, TraceEvent{
-		Frame: frame, Stage: stage, Worker: worker, Core: core,
-		Start: start.Sub(tr.t0), Duration: d,
-	})
-	tr.mu.Unlock()
+	defer tr.mu.Unlock()
+	if tr.t0.IsZero() {
+		tr.t0 = time.Now()
+	}
+	b := &traceBuf{stage: stage, worker: worker, core: typ, t0: tr.t0, recs: make([]traceRec, 0, n)}
+	tr.bufs = append(tr.bufs, b)
+	return b
 }
 
-// Events returns a copy of the recorded events sorted by start time, with
-// the earliest start at 0. record stamps events against the first one
-// recorded, but a replica that picked its frame up earlier can record
-// later, so the stored starts may be negative: the origin is fixed here.
+// add records one stage execution (called by the buffer's worker only).
+func (b *traceBuf) add(seq uint64, start time.Time, d time.Duration) {
+	b.recs = append(b.recs, traceRec{seq, int64(start.Sub(b.t0)), int64(d)})
+}
+
+// Events returns the recorded events sorted by start time, with the
+// earliest start at 0: a worker can pick a frame up before the Tracer's
+// own origin was taken, so the origin is fixed here.
 func (tr *Tracer) Events() []TraceEvent {
+	out := make([]TraceEvent, 0, tr.Len())
 	tr.mu.Lock()
-	out := append([]TraceEvent(nil), tr.events...)
-	tr.mu.Unlock()
+	defer tr.mu.Unlock()
+	for _, b := range tr.bufs {
+		label := b.core.String()
+		for _, r := range b.recs {
+			out = append(out, TraceEvent{
+				Frame: r.seq, Stage: b.stage, Worker: b.worker, Core: label,
+				Start: time.Duration(r.start), Duration: time.Duration(r.dur),
+			})
+		}
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
 	if len(out) > 0 {
 		origin := out[0].Start
@@ -70,7 +106,11 @@ func (tr *Tracer) Events() []TraceEvent {
 func (tr *Tracer) Len() int {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	return len(tr.events)
+	n := 0
+	for _, b := range tr.bufs {
+		n += len(b.recs)
+	}
+	return n
 }
 
 // WriteChromeTrace exports the timeline as a Chrome trace-event JSON

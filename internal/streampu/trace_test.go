@@ -34,6 +34,26 @@ func tracedRun(t *testing.T) *Tracer {
 	return tr
 }
 
+// handTrace fills a Tracer the way a run's workers do — one buffer per
+// (stage, worker), records appended by their owner — for tests that need
+// a hand-built timeline.
+type handTrace struct {
+	tr   Tracer
+	bufs map[[2]int]*traceBuf
+}
+
+func (h *handTrace) record(frame uint64, stage, worker int, typ core.CoreType, start time.Time, d time.Duration) {
+	b := h.bufs[[2]int{stage, worker}]
+	if b == nil {
+		if h.bufs == nil {
+			h.bufs = map[[2]int]*traceBuf{}
+		}
+		b = h.tr.newBuf(stage, worker, typ, 0)
+		h.bufs[[2]int{stage, worker}] = b
+	}
+	b.add(frame, start, d)
+}
+
 func TestTracerRecordsEveryStageExecution(t *testing.T) {
 	tr := tracedRun(t)
 	// 40 frames × 2 stages.
@@ -101,12 +121,13 @@ func TestTracerChromeExport(t *testing.T) {
 // frame on one worker and is the bottleneck.
 func TestTracerStageOccupancy(t *testing.T) {
 	const us = time.Microsecond
-	tr := &Tracer{}
+	var h handTrace
+	tr := &h.tr
 	t0 := time.Now()
 	for f := 0; f < 10; f++ {
 		at := t0.Add(time.Duration(20*f) * us)
-		tr.record(uint64(f), 0, f%2, "B", at, 10*us)
-		tr.record(uint64(f), 1, 0, "L", at.Add(10*us), 20*us)
+		h.record(uint64(f), 0, f%2, core.Big, at, 10*us)
+		h.record(uint64(f), 1, 0, core.Little, at.Add(10*us), 20*us)
 	}
 	occ := tr.StageOccupancy()
 	if len(occ) != 2 {
@@ -135,16 +156,18 @@ func TestTracerStageOccupancy(t *testing.T) {
 }
 
 // TestTracerOriginIsEarliestStart records two 1 µs executions picked up
-// 5 µs apart in reverse order — a replica that picked its frame up first
-// but finished recording second. The timeline must still start at 0 (no
-// negative Start, no negative Chrome ts) and span 6 µs, so two workers
-// busy 1 µs each read 2/(6·2) occupancy, not 2/(1·2).
+// 5 µs apart in reverse order, both before the Tracer took its own origin
+// (a first buffer is registered after t0) — a replica that picked its
+// frame up first but registered second. The timeline must still start at
+// 0 (no negative Start, no negative Chrome ts) and span 6 µs, so two
+// workers busy 1 µs each read 2/(6·2) occupancy, not 2/(1·2).
 func TestTracerOriginIsEarliestStart(t *testing.T) {
 	const us = time.Microsecond
-	tr := &Tracer{}
+	var h handTrace
+	tr := &h.tr
 	t0 := time.Now()
-	tr.record(1, 0, 1, "B", t0.Add(5*us), us)
-	tr.record(0, 0, 0, "B", t0, us)
+	h.record(1, 0, 1, core.Big, t0.Add(5*us), us)
+	h.record(0, 0, 0, core.Big, t0, us)
 	events := tr.Events()
 	if len(events) != 2 || events[0].Frame != 0 || events[0].Start != 0 || events[1].Start != 5*us {
 		t.Fatalf("events %+v, want frame 0 at 0 then frame 1 at 5µs", events)
@@ -167,9 +190,10 @@ func TestTracerOriginIsEarliestStart(t *testing.T) {
 	}
 }
 
-// TestTracerConcurrentRecord hammers record from many goroutines — the
-// -race companion for the pipeline workers' concurrent appends — while
-// readers snapshot the tracer and export its metrics.
+// TestTracerConcurrentRecord is the -race companion for the pipeline
+// workers: many goroutines register a buffer each against one Tracer and
+// fill it at once, as a run's workers do; the readers come after, which
+// is the Tracer's contract.
 func TestTracerConcurrentRecord(t *testing.T) {
 	const writers, perWriter = 8, 500
 	tr := &Tracer{}
@@ -181,25 +205,16 @@ func TestTracerConcurrentRecord(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			b := tr.newBuf(w%3, w, core.Big, perWriter/2) // undersized: the buffer must grow
 			for i := 0; i < perWriter; i++ {
-				tr.record(uint64(i), w%3, w, "B",
-					t0.Add(time.Duration(i)*time.Microsecond), time.Microsecond)
+				b.add(uint64(i), t0.Add(time.Duration(i)*time.Microsecond), time.Microsecond)
 			}
 		}()
 	}
-	// Concurrent readers exercise Events/Len/RecordMetrics against the
-	// in-flight appends.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 50; i++ {
-			tr.Events()
-			tr.Len()
-			tr.RecordMetrics(obs.NewRegistry())
-		}
-	}()
 	wg.Wait()
-	<-done
+	if got := len(tr.Events()); got != writers*perWriter {
+		t.Fatalf("%d events materialised, want %d", got, writers*perWriter)
+	}
 	if got := tr.Len(); got != writers*perWriter {
 		t.Fatalf("%d events recorded, want %d", got, writers*perWriter)
 	}
@@ -234,5 +249,103 @@ func TestTracerRecordMetricsNil(t *testing.T) {
 	tr.RecordMetrics(reg)
 	if len(reg.Snapshot()) < 3 {
 		t.Errorf("traced run exported %d series, want >= 3", len(reg.Snapshot()))
+	}
+}
+
+// TestTracerReplicatedRun holds the per-worker buffers to the trace they
+// replaced on a 3→2→1 pipeline: exactly one event per (frame, stage),
+// attributed to the replica that owns the frame and to its core type,
+// sorted from an origin of 0 — and inside Stats.Elapsed, which starts
+// before the first worker does. A second run on the same Tracer appends.
+func TestTracerReplicatedRun(t *testing.T) {
+	const frames = 300
+	cores := []int{3, 2, 1}
+	types := []core.CoreType{core.Big, core.Little, core.Big}
+	var tasks []Task
+	var sol core.Solution
+	for i := range cores {
+		tasks = append(tasks, timedTask(fmt.Sprintf("t%d", i), 0, 0, true))
+		sol.Stages = append(sol.Stages, core.Stage{Start: i, End: i, Cores: cores[i], Type: types[i]})
+	}
+	tr := &Tracer{}
+	p, err := New(tasks, sol, Options{Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 1; run <= 2; run++ {
+		st, err := p.Run(frames, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		events := tr.Events()
+		if len(events) != run*frames*len(cores) || tr.Len() != len(events) {
+			t.Fatalf("run %d: %d events (Len %d), want %d", run, len(events), tr.Len(), run*frames*len(cores))
+		}
+		seen := map[[2]uint64]int{}
+		var end time.Duration
+		for i, e := range events {
+			seen[[2]uint64{e.Frame, uint64(e.Stage)}]++
+			if want := int(e.Frame) % cores[e.Stage]; e.Worker != want {
+				t.Fatalf("frame %d stage %d traced on worker %d, want %d", e.Frame, e.Stage, e.Worker, want)
+			}
+			if want := types[e.Stage].String(); e.Core != want {
+				t.Fatalf("frame %d stage %d traced on core %q, want %q", e.Frame, e.Stage, e.Core, want)
+			}
+			if i > 0 && e.Start < events[i-1].Start {
+				t.Fatal("events not sorted by start")
+			}
+			if e.Duration < 0 {
+				t.Fatalf("event %d has a negative duration", i)
+			}
+			if e.Start+e.Duration > end {
+				end = e.Start + e.Duration
+			}
+		}
+		if events[0].Start != 0 {
+			t.Errorf("timeline starts at %v, want 0", events[0].Start)
+		}
+		for f := uint64(0); f < frames; f++ {
+			for s := range cores {
+				if n := seen[[2]uint64{f, uint64(s)}]; n != run {
+					t.Fatalf("run %d: frame %d stage %d has %d events, want %d", run, f, s, n, run)
+				}
+			}
+		}
+		if run == 1 && st.Elapsed < end {
+			t.Errorf("Elapsed %v ends before the last traced execution (%v)", st.Elapsed, end)
+		}
+	}
+}
+
+// TestTracerChromeGolden pins the export byte for byte on a fixed
+// timeline, recorded stage by stage rather than in time order; the golden
+// is what the shared []TraceEvent store wrote for the same executions.
+func TestTracerChromeGolden(t *testing.T) {
+	const us = time.Microsecond
+	var h handTrace
+	t0 := time.Now()
+	for f := 0; f < 4; f++ {
+		h.record(uint64(f), 1, 0, core.Little, t0.Add(time.Duration(20*f+10)*us), 20*us)
+	}
+	for f := 0; f < 4; f++ {
+		h.record(uint64(f), 0, f%2, core.Big, t0.Add(time.Duration(20*f)*us), 10*us+time.Duration(f)*500)
+	}
+	var sb strings.Builder
+	if err := h.tr.WriteChromeTrace(&sb); err != nil {
+		t.Fatal(err)
+	}
+	const want = `[
+{"name":"frame 0","ph":"X","ts":0,"dur":10,"pid":0,"tid":"stage0/B0","args":{"frame":0}},
+{"name":"frame 0","ph":"X","ts":10,"dur":20,"pid":1,"tid":"stage1/L0","args":{"frame":0}},
+{"name":"frame 1","ph":"X","ts":20,"dur":10.5,"pid":0,"tid":"stage0/B1","args":{"frame":1}},
+{"name":"frame 1","ph":"X","ts":30,"dur":20,"pid":1,"tid":"stage1/L0","args":{"frame":1}},
+{"name":"frame 2","ph":"X","ts":40,"dur":11,"pid":0,"tid":"stage0/B0","args":{"frame":2}},
+{"name":"frame 2","ph":"X","ts":50,"dur":20,"pid":1,"tid":"stage1/L0","args":{"frame":2}},
+{"name":"frame 3","ph":"X","ts":60,"dur":11.5,"pid":0,"tid":"stage0/B1","args":{"frame":3}},
+{"name":"frame 3","ph":"X","ts":70,"dur":20,"pid":1,"tid":"stage1/L0","args":{"frame":3}}
+]
+`
+	if sb.String() != want {
+		t.Errorf("chrome export changed:\n%s\nwant:\n%s", sb.String(), want)
 	}
 }
