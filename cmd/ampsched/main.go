@@ -52,17 +52,13 @@
 //	              write the decision journal as canonical JSONL to FILE
 //	              plus a Chrome-trace view (chrome://tracing) to
 //	              FILE.chrome.json; written even when a later step fails
-//	-listen ADDR  serve /metrics, /metrics.json, /healthz, /readyz,
-//	              /debug/flightz, /debug/vars and /debug/pprof on ADDR
-//	              for the duration of the run
-//	-slo SPECS    comma-separated SLOs ("[name=]metric:pQQ<=threshold",
-//	              e.g. "plan=strategy.plan_us:p95<=5000") evaluated on
-//	              /metrics and /readyz; requires -listen
-//	-log-json F   write the structured run log as JSONL to F; every
-//	              record is also folded into the flight recorder
+//	-listen ADDR  serve /metrics, /statusz, /debug/flightz and
+//	              /debug/pprof on ADDR for the duration of the run
 //	-flight-dump F
-//	              write the flight recorder's deterministic dump to F at
-//	              exit (plan/replan/drift/stall/drop/log events)
+//	              write the flight recorder's dump to F at exit: one plan
+//	              event per schedule, plus desim window events under
+//	              -simulate (byte-identical across identical runs) and
+//	              drift/stall/drop events under -run
 //	-cpuprofile F write a pprof CPU profile of the whole invocation
 //	-memprofile F write a pprof heap profile taken at exit
 package main
@@ -72,7 +68,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"math"
 	"os"
 	"runtime"
@@ -140,15 +135,9 @@ type config struct {
 	explain    bool          // print the decision-trace narrative
 	traceSched string        // decision-journal JSONL output path
 	listen     string        // live exposition address (metrics + pprof)
-	slo        string        // SLO specs for /metrics and /readyz (requires listen)
-	logJSON    string        // structured run-log JSONL output path
 	flightDump string        // flight-recorder dump output path
 	cpuProfile string        // pprof CPU profile output path
 	memProfile string        // pprof heap profile output path
-
-	// logNoTime drops the "time" attribute from -log-json lines so tests
-	// can assert byte-deterministic logs. Not exposed as a flag.
-	logNoTime bool
 
 	// out receives everything the command prints to stdout. Tests inject
 	// a buffer; nil means os.Stdout.
@@ -179,8 +168,6 @@ func main() {
 	flag.BoolVar(&cfg.explain, "explain", false, "print the decision-trace narrative after the schedules")
 	flag.StringVar(&cfg.traceSched, "trace-sched", "", "write the decision journal (JSONL + .chrome.json view) to this file")
 	flag.StringVar(&cfg.listen, "listen", "", `serve /metrics and /debug/pprof on this address (e.g. "127.0.0.1:8080")`)
-	flag.StringVar(&cfg.slo, "slo", "", `comma-separated SLOs ("[name=]metric:pQQ<=threshold") for /metrics and /readyz; requires -listen`)
-	flag.StringVar(&cfg.logJSON, "log-json", "", "write the structured run log as JSONL to this file")
 	flag.StringVar(&cfg.flightDump, "flight-dump", "", "write the flight recorder's dump to this file at exit")
 	flag.StringVar(&cfg.cpuProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
 	flag.StringVar(&cfg.memProfile, "memprofile", "", "write a pprof heap profile to this file at exit")
@@ -212,42 +199,21 @@ func mainErr(cfg config) error {
 	if cfg.replan < 0 {
 		return fmt.Errorf("-replan must be a non-negative edit count, got %d", cfg.replan)
 	}
-	if cfg.slo != "" && cfg.listen == "" {
-		return fmt.Errorf("-slo requires -listen: SLOs are evaluated on the live /metrics and /readyz endpoints (pass -listen, or drop -slo)")
-	}
-	slos, err := obs.ParseSLOs(cfg.slo)
-	if err != nil {
-		return err
-	}
 	r, err := resolveResources(cfg)
 	if err != nil {
 		return err
 	}
 
-	// The flight recorder and the structured run log are pure sinks,
-	// created only when some observability surface asked for them so the
-	// default run keeps its exact fast paths (in particular streampu's
-	// plain channel handoff). A zero-value logger setup discards records.
+	// The flight recorder is a pure sink, created only when some
+	// observability surface asked for it so the default run keeps its
+	// exact fast paths.
 	var rec *flight.Recorder
-	if cfg.logJSON != "" || cfg.flightDump != "" || cfg.listen != "" {
+	if cfg.flightDump != "" || cfg.listen != "" {
 		rec = flight.New(0)
 	}
-	var logSink io.Writer
-	if cfg.logJSON != "" {
-		f, err := os.Create(cfg.logJSON)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		logSink = f
-	}
-	logger := slog.New(flight.NewHandler(rec, flight.HandlerOptions{Sink: logSink, DropTime: cfg.logNoTime}))
-	// warn reports a non-fatal artifact failure on stderr and, structured,
-	// through the run log — the one place the CLI writes ad-hoc errors.
-	warn := func(msg string, err error) {
-		logger.Error(msg, "err", err)
-		fmt.Fprintln(os.Stderr, "ampsched:", err)
-	}
+	// warn reports a non-fatal artifact failure on stderr — the one place
+	// the CLI writes ad-hoc errors.
+	warn := func(err error) { fmt.Fprintln(os.Stderr, "ampsched:", err) }
 	// Exit artifacts — profiles and the decision journal — are registered
 	// as defers here, before any work that can fail, so a failing strategy
 	// or runtime step still flushes everything gathered up to the error.
@@ -266,14 +232,14 @@ func mainErr(cfg config) error {
 	if cfg.memProfile != "" {
 		defer func() {
 			if err := writeHeapProfile(cfg.memProfile); err != nil {
-				warn("heap profile", err)
+				warn(err)
 			}
 		}()
 	}
 	if cfg.flightDump != "" {
 		defer func() {
 			if err := writeFlightDump(rec, cfg.flightDump); err != nil {
-				warn("flight dump", err)
+				warn(err)
 			}
 		}()
 	}
@@ -292,7 +258,7 @@ func mainErr(cfg config) error {
 	if cfg.traceSched != "" {
 		defer func() {
 			if err := writeJournal(journal, cfg.traceSched); err != nil {
-				warn("decision journal", err)
+				warn(err)
 			}
 		}()
 	}
@@ -318,14 +284,12 @@ func mainErr(cfg config) error {
 		reg = obs.NewRegistry()
 	}
 	if cfg.listen != "" {
-		srv, err := obshttp.ServeOpts(cfg.listen, "ampsched", reg,
-			obshttp.HandlerOptions{Flight: rec, SLOs: slos})
+		srv, err := obshttp.Serve(cfg.listen, "ampsched", reg, rec)
 		if err != nil {
 			return err
 		}
 		defer srv.Close()
 		fmt.Fprintf(out, "# serving metrics and pprof on http://%s\n", srv.Addr())
-		logger.Info("serving", "addr", srv.Addr(), "slos", len(slos))
 	}
 	header := []string{"Strategy", "Period", "FPS", "Pipeline decomposition"}
 	for v := 0; v < r.NumTypes(); v++ {
@@ -351,7 +315,9 @@ func mainErr(cfg config) error {
 		}
 		p := sol.Period(chain)
 		usage := sol.Usage(r.NumTypes())
-		logger.Info("schedule", "strategy", name, "period", p, "stages", len(sol.Stages))
+		// The payload strategy.PlanBatch records for a resolved request.
+		rec.Record(flight.Event{Code: flight.CodePlan, Stage: -1, Aux: rec.Intern(name),
+			A: p, B: float64(len(sol.Stages))})
 		if cfg.json {
 			js := jsonSolution{Strategy: name, Period: p, BigUsed: usage[0]}
 			if len(usage) > 1 {
@@ -395,7 +361,6 @@ func mainErr(cfg config) error {
 			}
 			fmt.Fprintf(out, "# %s desim: period %.1f, FPS %.0f, latency %.1f\n",
 				name, res.Period, res.Throughput(interframe), res.Latency)
-			logger.Info("simulate", "strategy", name, "period", res.Period, "latency", res.Latency)
 		}
 		if cfg.run {
 			popt := streampu.Options{TimeScale: cfg.scale, QueueCap: 2, Flight: rec}
@@ -434,8 +399,6 @@ func mainErr(cfg config) error {
 			}
 			fmt.Fprintf(out, "# %s runtime: measured period %.1f, FPS %.0f (%d frames, %.2fs wall)\n",
 				name, st.PeriodMicros, st.Throughput(interframe), st.Frames, st.Elapsed.Seconds())
-			logger.Info("run", "strategy", name, "period", st.PeriodMicros,
-				"frames", st.Frames, "errored", st.Errored)
 			if n := drift.Detected(); n > 0 {
 				fmt.Fprintf(out, "# %s drift: %d drift_detected event(s) — live stage weights departed the plan\n", name, n)
 			}
@@ -664,8 +627,6 @@ func emitStats(out io.Writer, reg *obs.Registry, asJSON bool) error {
 			value = fmt.Sprintf("%g", s.Value)
 		case obs.KindTimer:
 			value = fmt.Sprintf("%.3fms total", float64(s.TotalNs)/1e6)
-		case obs.KindHistogram:
-			value = fmt.Sprintf("%d above top bucket", s.Overflow)
 		case obs.KindLogHistogram:
 			if q := s.Quantiles; q != nil {
 				value = fmt.Sprintf("p50 %.1f p95 %.1f p99 %.1f", q.P50, q.P95, q.P99)

@@ -1,9 +1,9 @@
 // Package flight is the repository's black-box flight recorder: a
 // lock-free, fixed-memory ring of the last N significant events — plan
 // and replan requests, drift detections, frame drops, replica stalls,
-// window samples, faults, routed log records — kept always on so a
-// long-running scheduling process is diagnosable *after* something went
-// wrong, without having had tracing enabled *before*.
+// window samples, faults — kept always on so a long-running scheduling
+// process is diagnosable *after* something went wrong, without having
+// had tracing enabled *before*.
 //
 // Where internal/trace records everything a run decided (unbounded, for
 // offline analysis) and internal/obs records aggregates (counters,
@@ -75,9 +75,6 @@ const (
 	// CodeFault is an injected or observed fault (desim weight steps,
 	// soak-harness chaos): A/B are fault-specific.
 	CodeFault
-	// CodeLog is a structured log record routed in by the slog Handler:
-	// A = level, Aux holds the interned message.
-	CodeLog
 
 	numCodes
 )
@@ -92,7 +89,6 @@ var codeNames = [numCodes]string{
 	CodeStall:     "stall",
 	CodeWindow:    "window",
 	CodeFault:     "fault",
-	CodeLog:       "log",
 }
 
 // String returns the code's dump name.
@@ -149,8 +145,8 @@ type Recorder struct {
 	ticket atomic.Uint64
 
 	// intern is the string table behind Event.Aux. Interning happens at
-	// setup time (strategy names, log messages on first sight), never on
-	// the hot Record path, which only carries the index.
+	// setup time (strategy names), never on the hot Record path, which
+	// only carries the index.
 	internMu sync.RWMutex
 	interned []string
 	internIx map[string]uint32

@@ -1,14 +1,12 @@
 package obshttp
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"ampsched/internal/obs"
 	"ampsched/internal/obs/flight"
@@ -28,88 +26,11 @@ func getBody(t *testing.T, base, path string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
-func TestHealthzAndReadyz(t *testing.T) {
-	ready := false
-	srv, err := ServeOpts("127.0.0.1:0", "t", nil, HandlerOptions{Ready: func() bool { return ready }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	base := "http://" + srv.Addr()
-
-	if code, body := getBody(t, base, "/healthz"); code != http.StatusOK || body != "ok\n" {
-		t.Errorf("/healthz: code=%d body=%q", code, body)
-	}
-	if code, body := getBody(t, base, "/readyz"); code != http.StatusServiceUnavailable ||
-		!strings.Contains(body, "not ready") {
-		t.Errorf("not-ready /readyz: code=%d body=%q", code, body)
-	}
-	ready = true
-	if code, body := getBody(t, base, "/readyz"); code != http.StatusOK || body != "ok\n" {
-		t.Errorf("ready /readyz: code=%d body=%q", code, body)
-	}
-}
-
-func TestReadyzReportsBurningSLO(t *testing.T) {
-	reg := obs.NewRegistry()
-	h := reg.LogHistogram("plan.latency_us")
-	for i := 0; i < 50; i++ {
-		h.Observe(10)
-	}
-	for i := 0; i < 50; i++ {
-		h.Observe(1e6) // half the observations breach: p75<=100 burns at 2
-	}
-	// Quantile 0.75 keeps the budget (0.25) exact in float64, so the
-	// rendered burn rate is exactly 2 and string-comparable.
-	slo := obs.SLO{Name: "plan_p75", Metric: "plan.latency_us", Quantile: 0.75, Threshold: 100}
-	srv, err := ServeOpts("127.0.0.1:0", "t", reg, HandlerOptions{SLOs: []obs.SLO{slo}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	base := "http://" + srv.Addr()
-
-	code, body := getBody(t, base, "/readyz")
-	if code != http.StatusServiceUnavailable || !strings.Contains(body, "plan_p75") {
-		t.Errorf("/readyz under burn: code=%d body=%q", code, body)
-	}
-
-	// The /metrics scrape carries the SLO families and stays lint-clean.
-	code, body = getBody(t, base, "/metrics")
-	if code != http.StatusOK {
-		t.Fatalf("/metrics code=%d", code)
-	}
-	for _, want := range []string{
-		"slo_plan_p75_observations_total 100\n",
-		"slo_plan_p75_breaches_total 50\n",
-		"slo_plan_p75_burn_rate 2\n",
-		"slo_plan_p75_threshold 100\n",
-		"slo_plan_p75_met 0\n",
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("/metrics missing %q:\n%s", want, body)
-		}
-	}
-	if errs := Lint(body); len(errs) != 0 {
-		t.Errorf("/metrics with SLO families fails lint: %v", errs)
-	}
-
-	// /statusz embeds the evaluated objectives.
-	_, body = getBody(t, base, "/statusz")
-	var doc Statusz
-	if err := json.Unmarshal([]byte(body), &doc); err != nil {
-		t.Fatal(err)
-	}
-	if len(doc.SLOs) != 1 || doc.SLOs[0].BurnRate != 2 || doc.SLOs[0].Met {
-		t.Errorf("statusz slos = %+v", doc.SLOs)
-	}
-}
-
 func TestDebugFlightz(t *testing.T) {
 	rec := flight.New(16)
 	rec.Record(flight.Event{Code: flight.CodeDrift, Tick: 3, Stage: 1, A: 240, B: 120})
 	rec.Record(flight.Event{Code: flight.CodePlan, Tick: 5, Stage: -1, A: 412.5, B: 3})
-	srv, err := ServeOpts("127.0.0.1:0", "t", nil, HandlerOptions{Flight: rec})
+	srv, err := Serve("127.0.0.1:0", "t", nil, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +56,7 @@ func TestDebugFlightz(t *testing.T) {
 	}
 
 	// Without a recorder the endpoint stays mounted and serves empty.
-	srv2, err := Serve("127.0.0.1:0", "t", nil)
+	srv2, err := Serve("127.0.0.1:0", "t", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,63 +67,15 @@ func TestDebugFlightz(t *testing.T) {
 	}
 }
 
-func TestWriteSLOTextEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	WriteSLOText(&buf, obs.NewRegistry(), nil)
-	if buf.Len() != 0 {
-		t.Fatalf("no SLOs rendered %q", buf.String())
-	}
-}
-
-func TestWriteStatuszZeroTimers(t *testing.T) {
-	reg := obs.NewRegistry()
-	reg.Timer("sched.elapsed").Observe(1500 * time.Microsecond)
-	reg.Counter("plans").Add(3)
-
-	render := func(zero bool) Statusz {
-		var buf bytes.Buffer
-		if err := WriteStatuszOpts(&buf, "t", reg, StatuszOptions{ZeroTimers: zero}); err != nil {
-			t.Fatal(err)
-		}
-		var doc Statusz
-		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-			t.Fatal(err)
-		}
-		return doc
-	}
-	find := func(doc Statusz, name string) obs.Sample {
-		for _, s := range doc.Metrics {
-			if s.Name == name {
-				return s
-			}
-		}
-		t.Fatalf("metric %q missing", name)
-		return obs.Sample{}
-	}
-
-	kept := find(render(false), "sched.elapsed")
-	if kept.TotalNs == 0 {
-		t.Fatal("unzeroed statusz lost the timer total")
-	}
-	zeroed := render(true)
-	if s := find(zeroed, "sched.elapsed"); s.TotalNs != 0 || s.Count != 1 {
-		t.Errorf("zeroed timer sample = %+v", s)
-	}
-	if s := find(zeroed, "plans"); s.Count != 3 {
-		t.Errorf("ZeroTimers touched a counter: %+v", s)
-	}
-}
-
-// TestConcurrentScrapesStayLintClean hammers /metrics and /statusz while
-// a sampler goroutine keeps appending to series, histograms and SLO
-// inputs. Run under -race this exercises the whole read path against
-// live writers; every response must still parse (statusz as JSON,
-// metrics through the promlint Lint).
+// TestConcurrentScrapesStayLintClean hammers /metrics, /statusz and
+// /debug/flightz while a sampler goroutine keeps appending to series,
+// histograms and the flight recorder. Run under -race this exercises the
+// whole read path against live writers; every response must still parse
+// (statusz as JSON, metrics through the promlint Lint).
 func TestConcurrentScrapesStayLintClean(t *testing.T) {
 	reg := obs.NewRegistry()
-	slo := obs.SLO{Name: "lat_p95", Metric: "pipe.latency_us", Quantile: 0.95, Threshold: 500}
 	rec := flight.New(64)
-	srv, err := ServeOpts("127.0.0.1:0", "t", reg, HandlerOptions{SLOs: []obs.SLO{slo}, Flight: rec})
+	srv, err := Serve("127.0.0.1:0", "t", reg, rec)
 	if err != nil {
 		t.Fatal(err)
 	}

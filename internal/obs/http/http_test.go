@@ -2,7 +2,6 @@ package obshttp
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
@@ -17,10 +16,10 @@ func sampleRegistry() *obs.Registry {
 	r.Counter("herad.dp.cells").Add(42)
 	r.Gauge("planbatch.workers").Set(4)
 	r.Timer("sched.search.ns").Observe(1500 * time.Nanosecond)
-	h := r.Histogram("planbatch.request_us", []float64{10, 100, 1000})
+	h := r.LogHistogram("planbatch.request_us")
 	h.Observe(5)
 	h.Observe(50)
-	h.Observe(5000) // overflow bucket
+	h.Observe(5000)
 	return r
 }
 
@@ -38,10 +37,10 @@ func TestWriteTextDeterministic(t *testing.T) {
 		"planbatch_workers 4\n",
 		"sched_search_ns_count 1\n",
 		"sched_search_ns_total_ns 1500\n",
-		`planbatch_request_us_bucket{le="10"} 1` + "\n",
-		`planbatch_request_us_bucket{le="100"} 2` + "\n",
-		`planbatch_request_us_bucket{le="1000"} 2` + "\n",
-		`planbatch_request_us_bucket{le="+Inf"} 3` + "\n",
+		"# TYPE planbatch_request_us summary\n",
+		`planbatch_request_us{quantile="0.5"} `,
+		`planbatch_request_us{quantile="0.99"} `,
+		"planbatch_request_us_sum 5055\n",
 		"planbatch_request_us_count 3\n",
 	} {
 		if !strings.Contains(out, want) {
@@ -59,7 +58,7 @@ func TestWriteTextNilRegistry(t *testing.T) {
 }
 
 func TestServeEndpoints(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", "obshttp_test", sampleRegistry())
+	srv, err := Serve("127.0.0.1:0", "obshttp_test", sampleRegistry(), nil)
 	if err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
@@ -85,24 +84,6 @@ func TestServeEndpoints(t *testing.T) {
 		t.Errorf("/metrics: code=%d ct=%q body=%q", code, ct, body)
 	}
 
-	code, body, ct := get("/metrics.json")
-	if code != http.StatusOK || ct != "application/json" {
-		t.Errorf("/metrics.json: code=%d ct=%q", code, ct)
-	}
-	var rep obs.Report
-	if err := json.Unmarshal([]byte(body), &rep); err != nil {
-		t.Fatalf("/metrics.json unmarshal: %v\n%s", err, body)
-	}
-	if rep.Schema != obs.ReportSchema || rep.Tool != "obshttp_test" || len(rep.Series) == 0 {
-		t.Errorf("/metrics.json report: schema=%d tool=%q series=%d",
-			rep.Schema, rep.Tool, len(rep.Series))
-	}
-
-	if code, body, _ := get("/debug/vars"); code != http.StatusOK ||
-		!strings.Contains(body, "memstats") {
-		t.Errorf("/debug/vars: code=%d body=%.80q", code, body)
-	}
-
 	if code, body, _ := get("/debug/pprof/"); code != http.StatusOK ||
 		!strings.Contains(body, "goroutine") {
 		t.Errorf("/debug/pprof/: code=%d body=%.80q", code, body)
@@ -112,18 +93,35 @@ func TestServeEndpoints(t *testing.T) {
 		t.Errorf("/debug/pprof/cmdline: code=%d body=%q", code, body)
 	}
 
-	if code, _, _ := get("/nope"); code != http.StatusNotFound {
-		t.Errorf("/nope: code=%d, want 404", code)
+	// The index lists exactly the mounted endpoints, and each answers.
+	code, body, _ := get("/")
+	if code != http.StatusOK {
+		t.Fatalf("/: code=%d", code)
 	}
-
-	if code, body, _ := get("/"); code != http.StatusOK ||
-		!strings.Contains(body, "/metrics.json") {
-		t.Errorf("/: code=%d body=%q", code, body)
+	var listed []string
+	for _, line := range strings.Split(body, "\n") {
+		if f := strings.Fields(line); len(f) > 0 && strings.HasPrefix(f[0], "/") {
+			listed = append(listed, f[0])
+		}
+	}
+	want := []string{"/metrics", "/statusz", "/debug/flightz", "/debug/pprof/"}
+	if strings.Join(listed, " ") != strings.Join(want, " ") {
+		t.Errorf("index lists %v, want %v", listed, want)
+	}
+	for _, path := range want {
+		if code, _, _ := get(path); code != http.StatusOK {
+			t.Errorf("%s: code=%d, want 200", path, code)
+		}
+	}
+	for _, path := range []string{"/nope", "/metrics.json", "/debug/vars", "/healthz", "/readyz"} {
+		if code, _, _ := get(path); code != http.StatusNotFound {
+			t.Errorf("%s: code=%d, want 404", path, code)
+		}
 	}
 }
 
 func TestServeNilRegistry(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", "obshttp_test", nil)
+	srv, err := Serve("127.0.0.1:0", "obshttp_test", nil, nil)
 	if err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
@@ -140,7 +138,7 @@ func TestServeNilRegistry(t *testing.T) {
 }
 
 func TestServeBadAddr(t *testing.T) {
-	if _, err := Serve("256.0.0.1:bad", "t", nil); err == nil {
+	if _, err := Serve("256.0.0.1:bad", "t", nil, nil); err == nil {
 		t.Fatal("expected error for a bad listen address")
 	}
 }

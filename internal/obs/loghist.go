@@ -6,8 +6,7 @@ import (
 )
 
 // Streaming latency histograms: log-bucketed counters with mergeable
-// quantile snapshots. Unlike the fixed-bucket Histogram (whose layout is
-// chosen at registration), a LogHistogram always uses the one shared
+// quantile snapshots. A LogHistogram always uses the one shared
 // geometric bucket grid — logSubBuckets buckets per power of two — so
 // two instances are always structurally mergeable (Merge is a plain
 // per-bucket add) and quantile estimates carry a bounded relative error
@@ -164,27 +163,6 @@ func (h *LogHistogram) Quantile(q float64) float64 {
 	}
 	// Writers raced past the loaded total; report the top bucket.
 	return logBucketMid(logBuckets - 1)
-}
-
-// CountAbove returns the number of observations recorded in buckets
-// strictly above the bucket containing v — the SLO layer's "breach
-// count" for a threshold of v. Like the quantiles, the answer is exact
-// at bucket granularity: observations inside v's own bucket (within one
-// bucket width, ≤ 4.4% of v) count as within threshold. Non-positive
-// thresholds count every positive observation; 0 on a nil receiver.
-func (h *LogHistogram) CountAbove(v float64) int64 {
-	if h == nil {
-		return 0
-	}
-	from := 0
-	if v > 0 {
-		from = logBucketIndex(v) + 1
-	}
-	var n int64
-	for i := from; i < logBuckets; i++ {
-		n += h.counts[i].Load()
-	}
-	return n
 }
 
 // QuantileSnapshot is a deterministic percentile summary of a

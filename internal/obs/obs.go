@@ -1,5 +1,5 @@
 // Package obs is the repository's telemetry spine: a zero-dependency
-// metrics layer (counters, gauges, wall-clock timers, fixed-bucket
+// metrics layer (counters, gauges, wall-clock timers, log-bucketed
 // histograms) behind a Registry with deterministic snapshot and JSON
 // export. The scheduling stack reports algorithm-level cost series
 // through it (binary-search probes, DP cells, recursion nodes, memo
@@ -42,10 +42,9 @@ type Kind string
 // therefore host-dependent; deterministic comparisons (the metrics.json
 // determinism test) exclude them by this kind.
 const (
-	KindCounter   Kind = "counter"
-	KindGauge     Kind = "gauge"
-	KindTimer     Kind = "timer"
-	KindHistogram Kind = "histogram"
+	KindCounter Kind = "counter"
+	KindGauge   Kind = "gauge"
+	KindTimer   Kind = "timer"
 	// KindLogHistogram marks streaming log-bucketed histograms with
 	// mergeable quantile snapshots (loghist.go).
 	KindLogHistogram Kind = "loghistogram"
@@ -136,62 +135,12 @@ func (t *Timer) Total() time.Duration {
 	return time.Duration(t.ns.Load())
 }
 
-// DurationBucketsUs is the shared fixed bucket layout for microsecond
-// latency histograms: decades from 1 µs to 10 s.
-var DurationBucketsUs = []float64{1, 10, 100, 1e3, 1e4, 1e5, 1e6, 1e7}
-
-// Histogram counts observations in fixed buckets (upper bounds set at
-// registration, plus an implicit overflow bucket). It never rebuckets.
-type Histogram struct {
-	bounds []float64
-	counts []atomic.Int64 // len(bounds)+1; last is overflow
-	sum    atomic.Uint64  // float64 bits, for Prometheus _sum lines
-}
-
-func newHistogram(bounds []float64) *Histogram {
-	b := append([]float64(nil), bounds...)
-	sort.Float64s(b)
-	return &Histogram{bounds: b, counts: make([]atomic.Int64, len(b)+1)}
-}
-
-// Observe records v into the first bucket whose bound is ≥ v (or the
-// overflow bucket). No-op on a nil receiver.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(1)
-	addFloat(&h.sum, v)
-}
-
-// Sum returns the sum of all observed values (0 on a nil receiver).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.sum.Load())
-}
-
-// Count returns the total number of observations (0 on a nil receiver).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	var n int64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
-
 // metric is one registered named series.
 type metric struct {
 	kind Kind
 	c    *Counter
 	g    *Gauge
 	t    *Timer
-	h    *Histogram
 	lh   *LogHistogram
 	s    *Series
 	e    *EWMA
@@ -277,18 +226,6 @@ func (r *Registry) Timer(name string) *Timer {
 	}).t
 }
 
-// Histogram returns the histogram registered under name, creating it
-// with the given bucket upper bounds on first use (later calls keep the
-// original buckets). Nil registry → nil histogram.
-func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	return r.lookup(name, KindHistogram, func() *metric {
-		return &metric{kind: KindHistogram, h: newHistogram(bounds)}
-	}).h
-}
-
 // LogHistogram returns the streaming log-bucketed histogram registered
 // under name, creating it on first use. Nil registry → nil histogram.
 // All LogHistograms share one geometric bucket grid, so any two are
@@ -349,10 +286,9 @@ type Bucket struct {
 
 // Sample is one named series in a snapshot. The populated fields depend
 // on Kind: counters use Count; gauges/EWMAs/rates use Value; timers use
-// Count and TotalNs; histograms use Count, Sum, Buckets and Overflow;
-// log histograms use Count, Sum, Buckets and Quantiles; ring series use
-// Count (points ever appended), Value (last point) and Points (the live
-// window, oldest first).
+// Count and TotalNs; log histograms use Count, Sum, Buckets and
+// Quantiles; ring series use Count (points ever appended), Value (last
+// point) and Points (the live window, oldest first).
 type Sample struct {
 	Name      string            `json:"name"`
 	Kind      Kind              `json:"kind"`
@@ -361,7 +297,6 @@ type Sample struct {
 	TotalNs   int64             `json:"total_ns,omitempty"`
 	Sum       float64           `json:"sum,omitempty"`
 	Buckets   []Bucket          `json:"buckets,omitempty"`
-	Overflow  int64             `json:"overflow,omitempty"`
 	Quantiles *QuantileSnapshot `json:"quantiles,omitempty"`
 	Points    []Point           `json:"points,omitempty"`
 }
@@ -396,13 +331,6 @@ func (r *Registry) Snapshot() []Sample {
 		case KindTimer:
 			s.Count = m.t.Count()
 			s.TotalNs = int64(m.t.Total())
-		case KindHistogram:
-			s.Count = m.h.Count()
-			s.Sum = m.h.Sum()
-			for j, b := range m.h.bounds {
-				s.Buckets = append(s.Buckets, Bucket{LE: b, Count: m.h.counts[j].Load()})
-			}
-			s.Overflow = m.h.counts[len(m.h.bounds)].Load()
 		case KindLogHistogram:
 			q := m.lh.Quantiles()
 			s.Count = q.Count

@@ -28,7 +28,7 @@ func TestCounterGaugeTimerHistogram(t *testing.T) {
 	if tm.Count() != 2 || tm.Total() != 5*time.Millisecond {
 		t.Errorf("timer = %d obs / %v", tm.Count(), tm.Total())
 	}
-	h := r.Histogram("h", []float64{10, 100})
+	h := r.LogHistogram("h")
 	for _, v := range []float64{1, 10, 11, 1e6} {
 		h.Observe(v)
 	}
@@ -72,12 +72,12 @@ func TestNilRegistryAndHandlesAreNoops(t *testing.T) {
 	m.Gauge("g").Set(1)
 	m.Timer("t").Observe(time.Second)
 	m.Timer("t").Start()()
-	m.Histogram("h", DurationBucketsUs).Observe(7)
+	m.LogHistogram("h").Observe(7)
 	if got := m.Snapshot(); got != nil {
 		t.Errorf("nil snapshot = %v", got)
 	}
 	if m.Counter("c").Value() != 0 || m.Gauge("g").Value() != 0 ||
-		m.Timer("t").Count() != 0 || m.Histogram("h", nil).Count() != 0 {
+		m.Timer("t").Count() != 0 || m.LogHistogram("h").Count() != 0 {
 		t.Error("nil handles returned non-zero values")
 	}
 }
@@ -93,7 +93,7 @@ func TestDisabledPathAllocatesNothing(t *testing.T) {
 		m.Counter("sched.search.iterations").Add(17)
 		m.Gauge("planbatch.workers").Set(8)
 		m.Timer("schedule.ns").Start()()
-		m.Histogram("planbatch.request_us", DurationBucketsUs).Observe(12)
+		m.LogHistogram("planbatch.request_us").Observe(12)
 	})
 	if allocs != 0 {
 		t.Errorf("disabled path allocates %.1f per run, want 0", allocs)
@@ -105,7 +105,7 @@ func TestSnapshotSortedAndTyped(t *testing.T) {
 	r.Counter("z.count").Add(2)
 	r.Gauge("a.gauge").Set(0.25)
 	r.Timer("m.timer").Observe(time.Microsecond)
-	r.Histogram("h.hist", []float64{1, 2}).Observe(5)
+	r.LogHistogram("h.hist").Observe(5)
 	snap := r.Snapshot()
 	var names []string
 	for _, s := range snap {
@@ -120,7 +120,7 @@ func TestSnapshotSortedAndTyped(t *testing.T) {
 	if snap[0].Kind != KindGauge || snap[0].Value != 0.25 {
 		t.Errorf("gauge sample %+v", snap[0])
 	}
-	if snap[1].Kind != KindHistogram || snap[1].Overflow != 1 || len(snap[1].Buckets) != 2 {
+	if snap[1].Kind != KindLogHistogram || snap[1].Count != 1 || snap[1].Quantiles == nil || len(snap[1].Buckets) != 1 {
 		t.Errorf("histogram sample %+v", snap[1])
 	}
 	if snap[2].Kind != KindTimer || snap[2].Count != 1 || snap[2].TotalNs != 1000 {
@@ -147,7 +147,7 @@ func TestConcurrentUpdates(t *testing.T) {
 				r.Sub("s").Counter("c").Add(2)
 				r.Gauge("g").Set(float64(i))
 				r.Timer("t").Observe(time.Nanosecond)
-				r.Histogram("h", []float64{500}).Observe(float64(i))
+				r.LogHistogram("h").Observe(float64(i))
 			}
 		}()
 	}
@@ -161,7 +161,7 @@ func TestConcurrentUpdates(t *testing.T) {
 	if got := r.Timer("t").Count(); got != workers*each {
 		t.Errorf("timer count = %d, want %d", got, workers*each)
 	}
-	if got := r.Histogram("h", nil).Count(); got != workers*each {
+	if got := r.LogHistogram("h").Count(); got != workers*each {
 		t.Errorf("histogram count = %d, want %d", got, workers*each)
 	}
 }

@@ -261,8 +261,7 @@ func plan(req Request, sp *trace.Span) Result {
 		if res.Err != nil {
 			errs.Inc()
 		}
-		m.Histogram("request_us", obs.DurationBucketsUs).
-			Observe(float64(res.Elapsed.Nanoseconds()) / 1e3)
+		m.LogHistogram("request_us").Observe(float64(res.Elapsed.Nanoseconds()) / 1e3)
 	}
 	recordPlanFlight(req, res)
 	return res
@@ -323,8 +322,7 @@ func resolveCached(req Request, sp *trace.Span, sol core.Solution, leader int) R
 		if res.Err != nil {
 			m.Counter("errors").Inc()
 		}
-		m.Histogram("request_us", obs.DurationBucketsUs).
-			Observe(float64(res.Elapsed.Nanoseconds()) / 1e3)
+		m.LogHistogram("request_us").Observe(float64(res.Elapsed.Nanoseconds()) / 1e3)
 	}
 	recordPlanFlight(req, res)
 	return res
