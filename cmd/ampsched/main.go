@@ -27,22 +27,19 @@
 //	              (exhaustive reference — chains of ~12 tasks at most)
 //	-simulate     validate with the discrete-event simulator
 //	-run          execute on the streampu runtime (wall clock)
-//	-frames N     frames for -run (default 100)
-//	-scale S      time scale for -run (default 10)
-//	-interframe N frames per pipeline slot for throughput reporting
+//	-frames N     frames for -run (default 100, at least 1)
+//	-scale S      time scale for -run (default 10; finite, ≥ 0, 0 means 1)
+//	-interframe N frames per pipeline slot for throughput reporting (≥ 1)
 //	-json         print the schedule as JSON
 //	-colocate     fuse adjacent light single-core stages (§VII extension)
 //	-epsilon E    ε-optimal beam pruning for HeRAD's DP fill: the period
 //	              is guaranteed within (1+E)·optimal, large chains fill
 //	              several times faster (DESIGN.md §4e). 0 (the default)
 //	              is the exact fill; other strategies ignore the flag
-//	-replan N     demo of the incremental re-planner: N deterministic
-//	              tail reweighs of the chain resolved through
-//	              strategy.ReplanBatch, each warm-started schedule
-//	              cross-checked against a from-scratch run (hard error
-//	              on any divergence), with the saved DP row work reported
 //	-power        report watts and mJ/frame under the default power model
 //	-trace FILE   with -run: dump a Chrome trace of the pipeline execution
+//	-watch D      with -run: print one line of live per-stage occupancy,
+//	              weight estimate and p95 latency every interval D
 //	-stats        report scheduler metrics (binary-search probes, DP
 //	              cells, recursion nodes, …) after the schedules: a table
 //	              in text mode, an internal/obs report in -json mode
@@ -58,7 +55,7 @@
 //	              write the flight recorder's dump to F at exit: one plan
 //	              event per schedule, plus desim window events under
 //	              -simulate (byte-identical across identical runs) and
-//	              drift/stall/drop events under -run
+//	              window/stall/drop events under -run
 //	-cpuprofile F write a pprof CPU profile of the whole invocation
 //	-memprofile F write a pprof heap profile taken at exit
 package main
@@ -128,7 +125,6 @@ type config struct {
 	colocate   bool
 	power      bool
 	epsilon    float64       // ε-beam slack for HeRAD (0 = exact fill)
-	replan     int           // tail reweighs for the incremental re-plan demo (0 = off)
 	trace      string        // Chrome trace output path (requires run)
 	watch      time.Duration // live telemetry interval for -run (0 = off)
 	stats      bool          // report scheduler metrics after the schedules
@@ -161,9 +157,8 @@ func main() {
 	flag.BoolVar(&cfg.colocate, "colocate", false, "fuse adjacent light single-core stages (saves cores at equal period)")
 	flag.BoolVar(&cfg.power, "power", false, "report power/energy under the default power model")
 	flag.Float64Var(&cfg.epsilon, "epsilon", 0, "ε-beam slack for HeRAD: period within (1+ε)·optimal, faster fill (0 = exact)")
-	flag.IntVar(&cfg.replan, "replan", 0, "run N deterministic tail reweighs through the incremental re-planner and report the saved row work")
 	flag.StringVar(&cfg.trace, "trace", "", "with -run: write a Chrome trace (chrome://tracing) to this file")
-	flag.DurationVar(&cfg.watch, "watch", 0, `with -run: print live per-stage occupancy/latency every interval (e.g. "500ms") and watch for weight drift`)
+	flag.DurationVar(&cfg.watch, "watch", 0, `with -run: print live per-stage occupancy, weight estimate and p95 latency every interval (e.g. "500ms")`)
 	flag.BoolVar(&cfg.stats, "stats", false, "report scheduler metrics (table, or obs report in -json mode)")
 	flag.BoolVar(&cfg.explain, "explain", false, "print the decision-trace narrative after the schedules")
 	flag.StringVar(&cfg.traceSched, "trace-sched", "", "write the decision journal (JSONL + .chrome.json view) to this file")
@@ -196,8 +191,14 @@ func mainErr(cfg config) error {
 	if cfg.epsilon < 0 || math.IsNaN(cfg.epsilon) {
 		return fmt.Errorf("-epsilon must be a non-negative period slack, got %v", cfg.epsilon)
 	}
-	if cfg.replan < 0 {
-		return fmt.Errorf("-replan must be a non-negative edit count, got %d", cfg.replan)
+	if cfg.interframe < 1 {
+		return fmt.Errorf("-interframe must be at least 1 frame per pipeline slot, got %d", cfg.interframe)
+	}
+	if cfg.run && cfg.frames < 1 {
+		return fmt.Errorf("-frames must be at least 1 under -run, got %d", cfg.frames)
+	}
+	if cfg.run && (cfg.scale < 0 || math.IsNaN(cfg.scale) || math.IsInf(cfg.scale, 0)) {
+		return fmt.Errorf("-scale must be a finite time scale >= 0 under -run (0 means 1), got %v", cfg.scale)
 	}
 	r, err := resolveResources(cfg)
 	if err != nil {
@@ -370,20 +371,10 @@ func mainErr(cfg config) error {
 				popt.Tracer = tracer
 			}
 			var sampler *streampu.Sampler
-			var drift *obs.DriftDetector
 			if cfg.watch > 0 || cfg.stats {
 				// The live telemetry lands under the strategy's slug, next to
-				// its planning series; the drift detector watches the
-				// schedule's own per-stage weights.
-				sreg := strategy.MetricsScope(sc, reg)
-				planned := make([]float64, len(sol.Stages))
-				for i, st := range sol.Stages {
-					planned[i] = chain.SumW(st.Start, st.End, st.Type)
-				}
-				drift = obs.NewDriftDetector(planned, obs.DriftConfig{}, sreg, runSpan)
-				drift.Flight = rec
-				sampler = streampu.NewSampler(sreg)
-				sampler.Drift = drift
+				// its planning series.
+				sampler = streampu.NewSampler(strategy.MetricsScope(sc, reg))
 				sampler.Flight = rec
 				popt.Sampler = sampler
 			}
@@ -391,7 +382,7 @@ func mainErr(cfg config) error {
 			if err != nil {
 				return err
 			}
-			stopWatch := startWatch(out, name, cfg.watch, sampler, drift)
+			stopWatch := startWatch(out, name, cfg.watch, sampler)
 			st, err := pipe.Run(cfg.frames, nil)
 			stopWatch()
 			if err != nil {
@@ -399,9 +390,6 @@ func mainErr(cfg config) error {
 			}
 			fmt.Fprintf(out, "# %s runtime: measured period %.1f, FPS %.0f (%d frames, %.2fs wall)\n",
 				name, st.PeriodMicros, st.Throughput(interframe), st.Frames, st.Elapsed.Seconds())
-			if n := drift.Detected(); n > 0 {
-				fmt.Fprintf(out, "# %s drift: %d drift_detected event(s) — live stage weights departed the plan\n", name, n)
-			}
 			tracer.RecordMetrics(reg.Sub(obs.Slug(name)))
 			if cfg.trace != "" {
 				f, err := os.Create(cfg.trace)
@@ -422,11 +410,6 @@ func mainErr(cfg config) error {
 	if !cfg.json {
 		t.Render(out)
 	}
-	if cfg.replan > 0 {
-		if err := replanDemo(out, chain, r, opts, cfg.replan); err != nil {
-			return err
-		}
-	}
 	if cfg.explain {
 		fmt.Fprintln(out, "# decision trace")
 		if err := journal.WriteExplain(out); err != nil {
@@ -445,7 +428,7 @@ func mainErr(cfg config) error {
 // sampling window and prints one live telemetry line. The returned stop
 // function halts the loop, prints the final window and blocks until the
 // goroutine exits; it is a no-op func when watching is disabled.
-func startWatch(out io.Writer, name string, every time.Duration, s *streampu.Sampler, d *obs.DriftDetector) func() {
+func startWatch(out io.Writer, name string, every time.Duration, s *streampu.Sampler) func() {
 	if every <= 0 || s == nil {
 		return func() {}
 	}
@@ -462,7 +445,7 @@ func startWatch(out io.Writer, name string, every time.Duration, s *streampu.Sam
 			case <-done:
 				return
 			case now := <-tick.C:
-				printWatch(out, name, now.Sub(start), s.Sample(now), d)
+				printWatch(out, name, now.Sub(start), s.Sample(now))
 			}
 		}
 	}()
@@ -470,15 +453,14 @@ func startWatch(out io.Writer, name string, every time.Duration, s *streampu.Sam
 		close(done)
 		wg.Wait()
 		now := time.Now()
-		printWatch(out, name, now.Sub(start), s.Sample(now), d)
+		printWatch(out, name, now.Sub(start), s.Sample(now))
 	}
 }
 
 // printWatch renders one live telemetry line: per-stage windowed
 // occupancy and weight estimate plus the cumulative p95 latency, all in
-// the modeled time base, with a trailing drift marker once any
-// drift_detected event fired.
-func printWatch(out io.Writer, name string, elapsed time.Duration, snap []streampu.StageSample, d *obs.DriftDetector) {
+// the modeled time base.
+func printWatch(out io.Writer, name string, elapsed time.Duration, snap []streampu.StageSample) {
 	if len(snap) == 0 {
 		return
 	}
@@ -488,79 +470,7 @@ func printWatch(out io.Writer, name string, elapsed time.Duration, snap []stream
 		fmt.Fprintf(&b, " | s%d×%d occ %3.0f%% w %.0fµs p95 %.0fµs",
 			ss.Stage, ss.Workers, 100*ss.Occupancy, ss.WeightEstimate, ss.P95)
 	}
-	if n := d.Detected(); n > 0 {
-		fmt.Fprintf(&b, " | drift ×%d", n)
-	}
 	fmt.Fprintln(out, b.String())
-}
-
-// replanDemo drives -replan: a deterministic stream of n tail reweighs
-// (the last task's weights alternately scaled by 1.25 and 0.8) resolved
-// through strategy.ReplanBatch, so the incremental planner's row reuse is
-// observable from the CLI. Every warm-started schedule is cross-checked
-// against a from-scratch run of the same request — the planner's
-// bit-identity contract, enforced at runtime — and the demo hard-fails on
-// any divergence. The demo always uses the HeRAD scheduler: it is the only
-// strategy with an incremental mode.
-func replanDemo(out io.Writer, chain *core.Chain, r core.Resources, opts strategy.Options, n int) error {
-	sc, err := strategy.Parse("herad")
-	if err != nil {
-		return err
-	}
-	// The reference runs strip the sinks: re-tracing every from-scratch
-	// cross-check would double the journal without adding information.
-	ref := opts
-	ref.Trace = nil
-	ref.Metrics = nil
-	cur := chain
-	reqs := []strategy.Request{{Chain: cur, Resources: r, Scheduler: sc, Options: opts, Label: "base"}}
-	scales := [2]float64{1.25, 0.8}
-	edit := chain.Len() - 1
-	for i := 0; i < n; i++ {
-		ts := cur.Tasks()
-		t := ts[edit]
-		w := append([]float64(nil), t.Weight...)
-		for v := range w {
-			w[v] *= scales[i%2]
-		}
-		ts[edit] = core.Task{Name: t.Name, Weight: w, Replicable: t.Replicable}
-		c2, err := core.NewChain(ts)
-		if err != nil {
-			return err
-		}
-		cur = c2
-		reqs = append(reqs, strategy.Request{Chain: cur, Resources: r, Scheduler: sc, Options: opts,
-			Label: fmt.Sprintf("edit%d", i+1)})
-	}
-	results, _, st := strategy.ReplanBatch(nil, reqs)
-	for i, res := range results {
-		if res.Err != nil {
-			return fmt.Errorf("replan %s: %w", reqs[i].Label, res.Err)
-		}
-		check := sc.Schedule(reqs[i].Chain, r, ref)
-		if !sameSolution(res.Solution, check) {
-			return fmt.Errorf("replan %s: incremental schedule diverged from from-scratch (period %.3f vs %.3f)",
-				reqs[i].Label, res.Period, check.Period(reqs[i].Chain))
-		}
-	}
-	last := results[len(results)-1]
-	fmt.Fprintf(out, "# replan: %d tail reweighs, %d warm starts, %d cold; rows refilled %d of %d (%.1f%% saved); final period %.1f; all schedules match from-scratch\n",
-		n, st.WarmStarts, st.Cold, st.RowsRefilled, st.RowsTotal,
-		100*(1-float64(st.RowsRefilled)/float64(st.RowsTotal)), last.Period)
-	return nil
-}
-
-// sameSolution reports stage-for-stage equality of two schedules.
-func sameSolution(a, b core.Solution) bool {
-	if len(a.Stages) != len(b.Stages) {
-		return false
-	}
-	for i := range a.Stages {
-		if a.Stages[i] != b.Stages[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // writeJournal writes the decision journal as canonical JSONL to path plus
@@ -623,7 +533,7 @@ func emitStats(out io.Writer, reg *obs.Registry, asJSON bool) error {
 	for _, s := range reg.Snapshot() {
 		value := "-"
 		switch s.Kind {
-		case obs.KindGauge, obs.KindEWMA, obs.KindRate:
+		case obs.KindGauge:
 			value = fmt.Sprintf("%g", s.Value)
 		case obs.KindTimer:
 			value = fmt.Sprintf("%.3fms total", float64(s.TotalNs)/1e6)

@@ -38,12 +38,12 @@ type Config struct {
 	// Seed seeds the jitter generator (0 uses a fixed default).
 	Seed int64
 	// Steps optionally perturb stage service times mid-stream (see
-	// WeightStep) — the simulator's way to model drift the planner did not
-	// anticipate.
+	// WeightStep) — the simulator's way to model a weight change the
+	// planner did not anticipate.
 	Steps []WeightStep
 	// Sample, when set, enables deterministic sim-clock sampling: windowed
-	// occupancy/weight series, an end-to-end latency histogram and drift
-	// detection driven purely by the simulated clock (see SampleConfig).
+	// occupancy/weight series, an end-to-end latency histogram and flight
+	// events driven purely by the simulated clock (see SampleConfig).
 	Sample *SampleConfig
 }
 

@@ -7,24 +7,21 @@ import (
 	"strings"
 	"testing"
 
-	"ampsched/internal/obs"
 	"ampsched/internal/obs/flight"
 )
 
-// flightRun replays the canonical drift scenario with a flight recorder
-// attached to both the sample pass and the drift detector, returning the
-// recorder's dump. Everything is driven by the simulated clock, so the
-// dump must be bit-identical across runs — the golden contract.
+// flightRun replays the canonical weight-step scenario with a flight
+// recorder attached to the sample pass, returning the recorder's dump.
+// Everything is driven by the simulated clock, so the dump must be
+// bit-identical across runs — the golden contract.
 func flightRun(t *testing.T) (string, *flight.Recorder) {
 	t.Helper()
-	c, sol, planned := driftScenario(t)
+	c, sol, _ := stepScenario(t)
 	rec := flight.New(4096)
-	d := obs.NewDriftDetector(planned, obs.DriftConfig{Threshold: 0.25, Alpha: 0.5, MinSamples: 2}, nil, nil)
-	d.Flight = rec
 	_, err := Simulate(c, sol, Config{
 		Frames: 1000,
 		Steps:  []WeightStep{{AfterFrame: 500, Stage: 1, Factor: 2}},
-		Sample: &SampleConfig{Every: 6000, Drift: d, Flight: rec},
+		Sample: &SampleConfig{Every: 6000, Flight: rec},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -40,11 +37,10 @@ func TestFlightDumpMatchesGolden(t *testing.T) {
 	dump, rec := flightRun(t)
 
 	// The dump tells the fault story in causal order: the injected step,
-	// then the windows, with the drift firing right after the window that
-	// tripped it.
+	// then the windows whose weight estimate shows it.
 	counts := rec.CountByCode()
-	if counts[flight.CodeFault] != 1 || counts[flight.CodeDrift] != 1 {
-		t.Fatalf("counts = %v, want one fault and one drift", counts)
+	if counts[flight.CodeFault] != 1 {
+		t.Fatalf("counts = %v, want one fault", counts)
 	}
 	if counts[flight.CodeWindow] == 0 {
 		t.Fatal("no window events recorded")

@@ -12,10 +12,9 @@ import (
 // sampling is a pure post-pass over the recorded start/depart/service
 // arrays — windows are cut on the *simulated* clock, never the wall
 // clock, so every run of the same config produces bit-identical series,
-// histograms and drift events. This is the testbed for the drift
-// detector: a WeightStep injects the mid-stream weight change, the
-// sample pass replays it into obs, and the golden journal pins the
-// resulting drift_detected emission byte for byte.
+// histograms and flight events. A WeightStep injects a mid-stream weight
+// change, and the sample pass replays it into obs and the flight
+// recorder, where the golden dump pins it byte for byte.
 
 // WeightStep perturbs one stage's service time mid-stream: from frame
 // AfterFrame on, stage Stage's per-frame service time is multiplied by
@@ -36,10 +35,6 @@ type SampleConfig struct {
 	// series (one point per window, tick = window index) and the
 	// "desim.latency_us" end-to-end latency histogram. May be nil.
 	Metrics *obs.Registry
-	// Drift receives one windowed weight estimate per (window, stage) with
-	// frames in that window, in deterministic window-major order. May be
-	// nil.
-	Drift *obs.DriftDetector
 	// SeriesCap is the ring capacity of the emitted series (0 = default).
 	SeriesCap int
 	// Flight, when non-nil, receives the run's flight events on the sim
@@ -47,10 +42,8 @@ type SampleConfig struct {
 	// stage = the perturbed stage, A = factor), then one CodeWindow per
 	// (window, stage) with frames in the window (tick = window index,
 	// A = occupancy, B = windowed weight estimate) in window-major order.
-	// Set Drift.Flight to the same recorder to interleave each CodeDrift
-	// firing directly after the window that tripped it. Everything is
-	// driven by the simulated clock, so dumps of identical configs are
-	// bit-identical — the golden-test contract.
+	// Everything is driven by the simulated clock, so dumps of identical
+	// configs are bit-identical — the golden-test contract.
 	Flight *flight.Recorder
 }
 
@@ -101,7 +94,7 @@ func samplePass(cfg Config, replicas []int, svc, start, depart [][]float64, make
 	}
 
 	// Faults first: the injected weight steps are the run's ground truth,
-	// so a flight dump reads cause (fault) before effect (window, drift).
+	// so a flight dump reads cause (fault) before effect (window).
 	for _, stp := range cfg.Steps {
 		s.Flight.Record(flight.Event{
 			Code:  flight.CodeFault,
@@ -139,7 +132,6 @@ func samplePass(cfg Config, replicas []int, svc, start, depart [][]float64, make
 					A:     occ,
 					B:     est,
 				})
-				s.Drift.Observe(i, int64(w), est)
 			}
 		}
 	}

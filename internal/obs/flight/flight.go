@@ -1,7 +1,7 @@
 // Package flight is the repository's black-box flight recorder: a
 // lock-free, fixed-memory ring of the last N significant events — plan
-// and replan requests, drift detections, frame drops, replica stalls,
-// window samples, faults — kept always on so a long-running scheduling
+// and replan requests, frame drops, replica stalls, window samples,
+// faults — kept always on so a long-running scheduling
 // process is diagnosable *after* something went wrong, without having
 // had tracing enabled *before*.
 //
@@ -44,8 +44,9 @@ import (
 )
 
 // Code discriminates the event kinds a Recorder captures. The set is
-// closed and ordered: dumps render the code name, and the golden tests
-// pin the rendering, so new codes append — they never renumber.
+// closed and ordered. Dumps and /debug/flightz render the code name, never
+// the number, so deleting a code renumbers the ones after it without
+// changing any dump; TestCodeString pins every name in order.
 type Code uint8
 
 // The event codes.
@@ -60,9 +61,6 @@ const (
 	// CodeReplan is one warm-started incremental re-plan
 	// (strategy.ReplanBatch): A = period, B = rows refilled.
 	CodeReplan
-	// CodeDrift is a drift_detected firing (obs.DriftDetector):
-	// A = smoothed estimate, B = planned value.
-	CodeDrift
 	// CodeFrameDrop is a frame that finished in error and left the
 	// pipeline without a usable payload: A = frame sequence.
 	CodeFrameDrop
@@ -84,7 +82,6 @@ var codeNames = [numCodes]string{
 	CodeMark:      "mark",
 	CodePlan:      "plan",
 	CodeReplan:    "replan",
-	CodeDrift:     "drift",
 	CodeFrameDrop: "frame_drop",
 	CodeStall:     "stall",
 	CodeWindow:    "window",

@@ -9,7 +9,7 @@ import (
 
 func TestNilRecorderIsDisabledSink(t *testing.T) {
 	var r *Recorder
-	r.Record(Event{Code: CodeDrift, A: 1})
+	r.Record(Event{Code: CodeWindow, A: 1})
 	if r.Total() != 0 || r.Cap() != 0 {
 		t.Fatalf("nil recorder total=%d cap=%d", r.Total(), r.Cap())
 	}
@@ -102,7 +102,7 @@ func TestWriteDumpIsDeterministic(t *testing.T) {
 	r := New(16)
 	aux := r.Intern("herad")
 	r.Record(Event{Code: CodePlan, Tick: 1, Stage: -1, Aux: aux, A: 412.5, B: 3})
-	r.Record(Event{Code: CodeDrift, Tick: 7, Stage: 1, A: 240.25, B: 120})
+	r.Record(Event{Code: CodeWindow, Tick: 7, Stage: 1, A: 0.75, B: 240.25})
 	r.Record(Event{Code: CodeStall, Tick: 9, Stage: 0, A: 42, B: 1})
 	dump := func() string {
 		var buf bytes.Buffer
@@ -118,7 +118,7 @@ func TestWriteDumpIsDeterministic(t *testing.T) {
 	for _, want := range []string{
 		"# flight dump: 3 event(s), 3 recorded, cap 16",
 		`#1 tick=1 plan stage=-1 a=412.5 b=3 aux="herad"`,
-		"#2 tick=7 drift stage=1 a=240.25 b=120",
+		"#2 tick=7 window stage=1 a=0.75 b=240.25",
 		"#3 tick=9 stall stage=0 a=42 b=1",
 	} {
 		if !strings.Contains(a, want) {
@@ -174,11 +174,11 @@ func TestConcurrentRecordersNeverEmitTornEvents(t *testing.T) {
 
 func TestCountByCode(t *testing.T) {
 	r := New(16)
-	r.Record(Event{Code: CodeDrift})
-	r.Record(Event{Code: CodeDrift})
+	r.Record(Event{Code: CodeWindow})
+	r.Record(Event{Code: CodeWindow})
 	r.Record(Event{Code: CodeStall})
 	counts := r.CountByCode()
-	if counts[CodeDrift] != 2 || counts[CodeStall] != 1 {
+	if counts[CodeWindow] != 2 || counts[CodeStall] != 1 {
 		t.Fatalf("counts = %v", counts)
 	}
 	var nilRec *Recorder
@@ -204,9 +204,18 @@ func TestRecordIsAllocationFree(t *testing.T) {
 	}
 }
 
+// TestCodeString pins every code's dump name in numeric order. Dumps render
+// names, not numbers, so a deleted code may renumber the ones after it; this
+// list is what must not change by accident.
 func TestCodeString(t *testing.T) {
-	if CodeDrift.String() != "drift" || CodeFrameDrop.String() != "frame_drop" {
-		t.Fatalf("code names: %s, %s", CodeDrift, CodeFrameDrop)
+	want := []string{"none", "mark", "plan", "replan", "frame_drop", "stall", "window", "fault"}
+	if len(want) != NumCodes {
+		t.Fatalf("NumCodes = %d, want %d", NumCodes, len(want))
+	}
+	for c := 0; c < NumCodes; c++ {
+		if got := Code(c).String(); got != want[c] {
+			t.Errorf("Code(%d) = %q, want %q", c, got, want[c])
+		}
 	}
 	if Code(200).String() != "code200" {
 		t.Fatalf("out-of-range code = %s", Code(200))

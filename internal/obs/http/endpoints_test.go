@@ -28,7 +28,7 @@ func getBody(t *testing.T, base, path string) (int, string) {
 
 func TestDebugFlightz(t *testing.T) {
 	rec := flight.New(16)
-	rec.Record(flight.Event{Code: flight.CodeDrift, Tick: 3, Stage: 1, A: 240, B: 120})
+	rec.Record(flight.Event{Code: flight.CodeStall, Tick: 3, Stage: 1, A: 240, B: 120})
 	rec.Record(flight.Event{Code: flight.CodePlan, Tick: 5, Stage: -1, A: 412.5, B: 3})
 	srv, err := Serve("127.0.0.1:0", "t", nil, rec)
 	if err != nil {
@@ -42,9 +42,9 @@ func TestDebugFlightz(t *testing.T) {
 		t.Fatalf("/debug/flightz code=%d", code)
 	}
 	for _, want := range []string{
-		"# drift: 1\n", "# plan: 1\n",
+		"# plan: 1\n", "# stall: 1\n",
 		"# flight dump: 2 event(s), 2 recorded, cap 16\n",
-		"#1 tick=3 drift stage=1 a=240 b=120\n",
+		"#1 tick=3 stall stage=1 a=240 b=120\n",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/debug/flightz missing %q:\n%s", want, body)
@@ -89,7 +89,6 @@ func TestConcurrentScrapesStayLintClean(t *testing.T) {
 		defer writers.Done()
 		series := reg.Series("pipe.occupancy", 32)
 		lat := reg.LogHistogram("pipe.latency_us")
-		fps := reg.Rate("pipe.fps", 0.3)
 		for tick := int64(0); ; tick++ {
 			select {
 			case <-stop:
@@ -98,8 +97,6 @@ func TestConcurrentScrapesStayLintClean(t *testing.T) {
 			}
 			series.Append(tick, float64(tick%7))
 			lat.Observe(float64(10 + tick%1000))
-			fps.Mark(1)
-			fps.Tick(1)
 			rec.Record(flight.Event{Code: flight.CodeWindow, Tick: tick, A: float64(tick)})
 		}
 	}()

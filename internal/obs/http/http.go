@@ -87,10 +87,10 @@ func index(w http.ResponseWriter, req *http.Request) {
 // WriteText renders r's snapshot in the Prometheus text exposition
 // format: every family gets a "# TYPE" line; counters and gauges render
 // as single samples, timers as a pair of counters, log-bucketed histograms
-// as summaries with p50/p95/p99 quantile samples, series as a gauge (last
-// point) plus a "_samples_total" counter, and EWMA/rate estimators as
-// gauges. Output is sorted by series name and deterministic for identical
-// registry states. A nil registry writes nothing.
+// as summaries with p50/p95/p99 quantile samples, and series as a gauge
+// (last point) plus a "_samples_total" counter. Output is sorted by series
+// name and deterministic for identical registry states. A nil registry
+// writes nothing.
 func WriteText(w interface{ Write([]byte) (int, error) }, r *obs.Registry) {
 	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 	for _, s := range r.Snapshot() {
@@ -99,7 +99,7 @@ func WriteText(w interface{ Write([]byte) (int, error) }, r *obs.Registry) {
 		case obs.KindCounter:
 			fmt.Fprintf(w, "# TYPE %s counter\n", name)
 			fmt.Fprintf(w, "%s %d\n", name, s.Count)
-		case obs.KindGauge, obs.KindEWMA, obs.KindRate:
+		case obs.KindGauge:
 			fmt.Fprintf(w, "# TYPE %s gauge\n", name)
 			fmt.Fprintf(w, "%s %s\n", name, f(s.Value))
 		case obs.KindTimer:

@@ -32,10 +32,6 @@ func fullRegistry() *obs.Registry {
 	sr := r.Series("desim.weight.stage0", 8)
 	sr.Append(0, 120)
 	sr.Append(1, 240)
-	r.EWMA("streampu.occupancy_ewma.stage0", 0.2).Update(0.9)
-	rate := r.Rate("streampu.fps", 0.2)
-	rate.Mark(30)
-	rate.Tick(1)
 	return r
 }
 
@@ -58,10 +54,6 @@ func TestWriteTextIsValidPrometheusExposition(t *testing.T) {
 		"# TYPE desim_weight_stage0 gauge\n",
 		"desim_weight_stage0 240\n",
 		"desim_weight_stage0_samples_total 2\n",
-		"# TYPE streampu_occupancy_ewma_stage0 gauge\n",
-		"streampu_occupancy_ewma_stage0 0.9\n",
-		"# TYPE streampu_fps gauge\n",
-		"streampu_fps 30\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q in:\n%s", want, out)

@@ -50,9 +50,6 @@ const (
 	KindLogHistogram Kind = "loghistogram"
 	// KindSeries marks fixed-capacity ring-buffer time series (series.go).
 	KindSeries Kind = "series"
-	// KindEWMA and KindRate mark the windowed EWMA gauges (ewma.go).
-	KindEWMA Kind = "ewma"
-	KindRate Kind = "rate"
 )
 
 // Counter is a monotonically increasing event count.
@@ -143,8 +140,6 @@ type metric struct {
 	t    *Timer
 	lh   *LogHistogram
 	s    *Series
-	e    *EWMA
-	r    *Rate
 }
 
 // store is the shared state behind a Registry and all its Sub views.
@@ -252,31 +247,6 @@ func (r *Registry) Series(name string, capacity int) *Series {
 	}).s
 }
 
-// EWMA returns the exponentially weighted moving average registered
-// under name, creating it with the given smoothing factor on first use
-// (later calls keep the original factor; out-of-range means
-// DefaultEWMAAlpha). Nil registry → nil EWMA.
-func (r *Registry) EWMA(name string, alpha float64) *EWMA {
-	if r == nil {
-		return nil
-	}
-	return r.lookup(name, KindEWMA, func() *metric {
-		return &metric{kind: KindEWMA, e: NewEWMA(alpha)}
-	}).e
-}
-
-// Rate returns the windowed EWMA rate gauge registered under name,
-// creating it with the given smoothing factor on first use. Nil registry
-// → nil rate.
-func (r *Registry) Rate(name string, alpha float64) *Rate {
-	if r == nil {
-		return nil
-	}
-	return r.lookup(name, KindRate, func() *metric {
-		return &metric{kind: KindRate, r: NewRate(alpha)}
-	}).r
-}
-
 // Bucket is one histogram bucket of a Sample: the count of observations
 // at most LE (non-cumulative per bucket).
 type Bucket struct {
@@ -285,7 +255,7 @@ type Bucket struct {
 }
 
 // Sample is one named series in a snapshot. The populated fields depend
-// on Kind: counters use Count; gauges/EWMAs/rates use Value; timers use
+// on Kind: counters use Count; gauges use Value; timers use
 // Count and TotalNs; log histograms use Count, Sum, Buckets and
 // Quantiles; ring series use Count (points ever appended), Value (last
 // point) and Points (the live window, oldest first).
@@ -343,12 +313,6 @@ func (r *Registry) Snapshot() []Sample {
 				s.Value = p.Value
 			}
 			s.Points = m.s.Tail(0)
-		case KindEWMA:
-			s.Count = m.e.Count()
-			s.Value = m.e.Value()
-		case KindRate:
-			s.Count = m.r.Total()
-			s.Value = m.r.Value()
 		}
 		out[i] = s
 	}

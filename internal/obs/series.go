@@ -5,11 +5,10 @@ import "sync"
 // Windowed time series: a fixed-capacity ring buffer of (tick, value)
 // points. Where a Gauge only remembers the last write, a Series keeps the
 // recent history — the substrate for live occupancy and weight-estimate
-// views (/statusz tails, ampsched -watch) and for the drift detector's
-// windowed inputs. The ring never grows after creation, so the append
-// path stays allocation-free, and snapshots replay points oldest-first
-// in append order, keeping exports of deterministic workloads
-// byte-identical.
+// views (the streampu sampler's and desim's per-window series, /statusz
+// tails). The ring never grows after creation, so the append path stays
+// allocation-free, and snapshots replay points oldest-first in append
+// order, keeping exports of deterministic workloads byte-identical.
 
 // Point is one sample of a Series: a caller-defined tick (sample index,
 // sim time, wall ns — the producer chooses the clock) and the value.

@@ -130,8 +130,9 @@ type Options struct {
 	// disabled and adds zero allocations per schedule.
 	Trace *trace.Span
 	// Flight is the black-box flight recorder. When non-nil, PlanBatch
-	// records one CodePlan event per resolved request and ReplanBatch one
-	// CodeReplan event per warm start. Like Metrics and Trace it is a pure
+	// records one CodePlan event per resolved request and ReplanBatch (whose
+	// one caller is the benchmark's plan_edit workload) one CodeReplan event
+	// per warm start. Like Metrics and Trace it is a pure
 	// observability sink — it never changes the emitted schedule — and is
 	// therefore excluded from the solution cache key. Nil (the default)
 	// records nothing at zero cost.
@@ -140,8 +141,8 @@ type Options struct {
 
 // MetricsScope returns the per-scheduler view of reg — the same slugged
 // scoping every strategy applies to its own planning series ("herad.",
-// "otac-b.", …) — so runtime telemetry recorded next to a strategy
-// (drift counters, live samplers) lands under the strategy's prefix.
+// "otac-b.", …) — so runtime telemetry recorded next to a strategy (the
+// live streampu sampler) lands under the strategy's prefix.
 // Returns nil when reg or s is nil.
 func MetricsScope(s Scheduler, reg *obs.Registry) *obs.Registry {
 	if s == nil || reg == nil {

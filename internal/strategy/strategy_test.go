@@ -281,8 +281,8 @@ func TestMetricsScope(t *testing.T) {
 	if scoped == nil {
 		t.Fatal("MetricsScope returned nil for a live registry")
 	}
-	scoped.Counter("drift.detected").Add(1)
-	if got := reg.Counter("herad.drift.detected").Value(); got != 1 {
+	scoped.Counter("runtime.frames").Add(1)
+	if got := reg.Counter("herad.runtime.frames").Value(); got != 1 {
 		t.Errorf("scoped counter did not land under the strategy slug: %d", got)
 	}
 	if MetricsScope(sc, nil) != nil {

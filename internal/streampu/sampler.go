@@ -15,20 +15,17 @@ import (
 // enough to update on every frame and to snapshot while the pipeline
 // runs. Periodic Sample calls turn the aggregates into *windowed*
 // occupancy and per-frame weight estimates (the live analogue of the
-// planner's task weights), publish them as obs series/EWMA gauges under
-// interned names, and feed an attached obs.DriftDetector — the trigger
-// signal for online re-planning. The record path is lock-free and
-// allocation-free; Sample is serialized and must be driven by a single
-// goroutine (ampsched's -watch loop) for deterministic drift folds.
+// planner's task weights) and publish the occupancy as one obs series
+// per stage under interned names. Frames per second is not published
+// separately: it is the rate of the sink stage's latency-summary count.
+// The record path is lock-free and allocation-free; Sample is serialized
+// and is meant to be driven by a single goroutine (ampsched's -watch
+// loop).
 
-// occupancyWindowNames / occupancyEwmaNames intern the sampler's series
-// and EWMA names. They deliberately differ from the occupancy *gauge*
-// names RecordMetrics registers, so a run using both never collides on a
-// metric kind.
-var (
-	occupancyWindowNames = obs.NewNameTable("streampu.occupancy_window.stage")
-	occupancyEwmaNames   = obs.NewNameTable("streampu.occupancy_ewma.stage")
-)
+// occupancyWindowNames interns the sampler's series names. They
+// deliberately differ from the occupancy *gauge* names RecordMetrics
+// registers, so a run using both never collides on a metric kind.
+var occupancyWindowNames = obs.NewNameTable("streampu.occupancy_window.stage")
 
 // StageSample is one stage's view in a Sample snapshot. Latency fields
 // are in modeled µs (wall time de-scaled by Options.TimeScale), matching
@@ -71,16 +68,11 @@ type samplerState struct {
 }
 
 // Sampler aggregates per-frame telemetry during a pipeline run. Create
-// with NewSampler, optionally set Drift, pass via Options.Sampler; a nil
-// *Sampler is the disabled sink. A Sampler serves one Run at a time —
-// binding a new run resets the windows.
+// with NewSampler and pass via Options.Sampler; a nil *Sampler is the
+// disabled sink. A Sampler serves one Run at a time — binding a new run
+// resets the windows.
 type Sampler struct {
 	reg *obs.Registry
-
-	// Drift, when set before the run starts, receives one windowed
-	// per-stage weight estimate per Sample call (only for stages that
-	// processed frames in the window).
-	Drift *obs.DriftDetector
 
 	// Flight, when set before the run starts, receives one CodeWindow
 	// flight event per (Sample call, stage with frames): tick = window
@@ -98,8 +90,6 @@ type Sampler struct {
 	prevFrames []int64
 	prevStalls []int64
 	occSeries  []*obs.Series
-	occEwma    []*obs.EWMA
-	fps        *obs.Rate
 }
 
 // NewSampler returns a sampler publishing into reg (which may be nil:
@@ -135,13 +125,10 @@ func (s *Sampler) bind(stages []pipeStage, scale float64, t0 time.Time) {
 		}
 	}
 	s.occSeries = make([]*obs.Series, len(stages))
-	s.occEwma = make([]*obs.EWMA, len(stages))
 	if s.reg != nil {
 		for i := range stages {
 			s.occSeries[i] = s.reg.Series(occupancyWindowNames.Name(i), 0)
-			s.occEwma[i] = s.reg.EWMA(occupancyEwmaNames.Name(i), 0)
 		}
-		s.fps = s.reg.Rate("streampu.fps", 0)
 	}
 	s.tick = 0
 	s.lastNs = 0
@@ -201,9 +188,9 @@ func (s *Sampler) RecordStall(stage int) {
 }
 
 // Sample closes the current window at now: it computes each stage's
-// windowed occupancy and weight estimate, publishes occupancy series /
-// EWMA gauges and the sink frame rate into the registry, feeds the Drift
-// detector, and returns the per-stage snapshot (nil before binding or
+// windowed occupancy and weight estimate, appends the occupancy to the
+// stage's registry series, records one CodeWindow flight event per stage
+// with frames, and returns the per-stage snapshot (nil before binding or
 // when no wall time elapsed). Call it from one goroutine.
 func (s *Sampler) Sample(now time.Time) []StageSample {
 	if s == nil {
@@ -244,7 +231,6 @@ func (s *Sampler) Sample(now time.Time) []StageSample {
 		}
 		out[i] = ss
 		s.occSeries[i].Append(tick, occ)
-		s.occEwma[i].Update(occ)
 		if dFrames > 0 {
 			s.Flight.Record(flight.Event{
 				Code:  flight.CodeWindow,
@@ -253,15 +239,10 @@ func (s *Sampler) Sample(now time.Time) []StageSample {
 				A:     occ,
 				B:     ss.WeightEstimate,
 			})
-			s.Drift.Observe(i, tick, ss.WeightEstimate)
 		}
 		s.prevBusy[i] = busy
 		s.prevFrames[i] = frames
 		s.prevStalls[i] = stalls
-	}
-	if last := len(st.workers) - 1; last >= 0 && s.fps != nil {
-		s.fps.Mark(out[last].FrameDelta)
-		s.fps.Tick(float64(windowNs) / 1e9) // frames per wall second
 	}
 	s.lastNs = nowNs
 	return out

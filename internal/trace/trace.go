@@ -162,32 +162,6 @@ func (j *Journal) Begin(name string) *Span {
 	return j.Root().Begin(name)
 }
 
-// EventCount returns the number of events named name anywhere in the
-// journal — the cheap way for tests and CLIs to ask "did drift_detected
-// fire, and how often?" without exporting the whole journal. 0 on a nil
-// journal.
-func (j *Journal) EventCount(name string) int {
-	if j == nil {
-		return 0
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return countEvents(j.root, name)
-}
-
-func countEvents(s *Span, name string) int {
-	n := 0
-	for _, it := range s.items {
-		switch {
-		case it.ev != nil && it.ev.name == name:
-			n++
-		case it.sp != nil:
-			n += countEvents(it.sp, name)
-		}
-	}
-	return n
-}
-
 // item is one entry of a span's ordered body: either an event or a child
 // span, in append order.
 type item struct {

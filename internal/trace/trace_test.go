@@ -256,27 +256,3 @@ func TestExplainCapsNoisyEvents(t *testing.T) {
 		t.Errorf("solution line missing:\n%s", out)
 	}
 }
-
-func TestEventCount(t *testing.T) {
-	j := sample()
-	if n := j.EventCount("compute_stage"); n != 1 {
-		t.Errorf("compute_stage count = %d, want 1", n)
-	}
-	if n := j.EventCount("max_packing"); n != 1 {
-		t.Errorf("max_packing count = %d, want 1", n)
-	}
-	if n := j.EventCount("absent"); n != 0 {
-		t.Errorf("absent count = %d, want 0", n)
-	}
-	// Nested repeats are all counted.
-	deep := j.Begin("outer").Begin("inner")
-	deep.Event("max_packing")
-	deep.Event("max_packing")
-	if n := j.EventCount("max_packing"); n != 3 {
-		t.Errorf("after nested events count = %d, want 3", n)
-	}
-	var nilJ *Journal
-	if n := nilJ.EventCount("x"); n != 0 {
-		t.Errorf("nil journal count = %d", n)
-	}
-}
