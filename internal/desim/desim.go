@@ -19,10 +19,12 @@ import (
 
 // Config parameterizes a simulation run.
 type Config struct {
-	// Frames is the number of frames pushed through the pipeline.
+	// Frames is the number of frames pushed through the pipeline; 0
+	// selects 2000, and 1 is rejected (a period needs two departures).
 	Frames int
 	// Warmup is the number of initial frame departures excluded from the
-	// steady-state period measurement. Defaults to Frames/4 when 0.
+	// steady-state period measurement. Defaults to Frames/4, at least 1,
+	// when 0 or not below Frames.
 	Warmup int
 	// QueueCap is the capacity (in frames) of each stage's input buffer;
 	// 0 means unbounded. Finite buffers exert backpressure on upstream
@@ -95,8 +97,11 @@ func Simulate(c *core.Chain, sol core.Solution, cfg Config) (Result, error) {
 	if cfg.Frames <= 0 {
 		cfg.Frames = DefaultConfig().Frames
 	}
+	if cfg.Frames < 2 {
+		return Result{}, fmt.Errorf("desim: Frames = %d, want >= 2 (a period needs two departures)", cfg.Frames)
+	}
 	if cfg.Warmup <= 0 || cfg.Warmup >= cfg.Frames {
-		cfg.Warmup = cfg.Frames / 4
+		cfg.Warmup = max(1, cfg.Frames/4)
 	}
 	if cfg.QueueCap < 0 {
 		return Result{}, fmt.Errorf("desim: negative queue capacity %d", cfg.QueueCap)

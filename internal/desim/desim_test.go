@@ -185,6 +185,31 @@ func TestWarmupDefaults(t *testing.T) {
 	}
 }
 
+// TestShortRuns covers the runs whose default warmup, Frames/4, is 0: one
+// frame has no period, and from two frames on the period is the
+// bottleneck's from the first departure.
+func TestShortRuns(t *testing.T) {
+	c := core.MustChain([]core.Task{task(10, 10, false), task(20, 20, false)})
+	sol := core.Solution{Stages: []core.Stage{
+		{Start: 0, End: 0, Cores: 1, Type: core.Big},
+		{Start: 1, End: 1, Cores: 1, Type: core.Big},
+	}}
+	for frames := 1; frames <= 5; frames++ {
+		res, err := Simulate(c, sol, Config{Frames: frames})
+		if frames == 1 {
+			if err == nil {
+				t.Errorf("1 frame accepted: %+v", res)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%d frames: %v", frames, err)
+		} else if res.Period != 20 || res.Makespan != 30+20*float64(frames-1) {
+			t.Errorf("%d frames: period %v, makespan %v; want 20, %v", frames, res.Period, res.Makespan, 30+20*(frames-1))
+		}
+	}
+}
+
 func TestJitterValidationAndEffect(t *testing.T) {
 	c := core.MustChain([]core.Task{
 		task(10, 10, false), task(10, 10, false),

@@ -249,7 +249,10 @@ func (b *ringBoundary) closeUp(u int) {
 // usually mid-frame on another core), then yield the processor, then sleep
 // with escalating, capped pauses (a stalled peer may legitimately be tens
 // of milliseconds away — modeled latencies — and a sleeping waiter must
-// not burn the core it vacated). The hot phase is four probes, not
+// not burn the core it vacated). The ladder asks for 20 µs … 1.28 ms, but
+// on Linux the runtime rounds a sleep up to the next whole millisecond
+// (its netpoll wait has a millisecond timeout): every rung below the last
+// sleeps ~1.1 ms and the last ~2.1 ms. The hot phase is four probes, not
 // dozens: Go has no PAUSE, so a loop on an atomic competes with the very
 // sibling it waits for, and with one P nothing else runs until the first
 // Gosched — 1024 probes measured slower than 64, 64 slower than 4, 4 and
@@ -267,7 +270,7 @@ func backoff(i int) {
 		if step > 6 {
 			step = 6
 		}
-		time.Sleep(time.Duration(20<<uint(step)) * time.Microsecond) // 20µs … 1.28ms
+		time.Sleep(time.Duration(20<<uint(step)) * time.Microsecond) // 20µs … 1.28ms requested
 	}
 }
 
@@ -306,7 +309,12 @@ func (p *Pipeline) Run(frames int, src func(f *Frame)) (Stats, error) {
 		warmup = frames - 1
 	}
 
-	var wg sync.WaitGroup
+	// The workers share the wait group and the clock that settles their
+	// modeled waits, in one allocation; the clock starts on the first park.
+	var shared struct {
+		wg  sync.WaitGroup
+		clk clock
+	}
 	type workerResult struct {
 		processed  int
 		errored    int
@@ -339,10 +347,10 @@ func (p *Pipeline) Run(frames int, src func(f *Frame)) (Stats, error) {
 				}
 			}
 
-			wg.Add(1)
+			shared.wg.Add(1)
 			go func(si, w int, st pipeStage, insts []Task, res *workerResult) {
-				defer wg.Done()
-				wctx := &Worker{Core: st.Type, Scale: p.opt.TimeScale, Spin: p.opt.Spin, ID: w}
+				defer shared.wg.Done()
+				wctx := &Worker{Core: st.Type, Scale: p.opt.TimeScale, Spin: p.opt.Spin, ID: w, clk: &shared.clk}
 				r := st.Cores
 				var out boundary
 				if si < m-1 {
@@ -476,8 +484,9 @@ func (p *Pipeline) Run(frames int, src func(f *Frame)) (Stats, error) {
 		}
 	}
 
-	wg.Wait()
+	shared.wg.Wait()
 	elapsed := time.Since(startAll)
+	shared.clk.stop()
 
 	stats := Stats{Elapsed: elapsed}
 	var warmAt, lastAt time.Time

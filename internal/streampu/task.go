@@ -60,11 +60,16 @@ type Worker struct {
 	// debt is the modeled latency (µs) accumulated by Wait and not yet
 	// realized in wall time; the runtime settles it per frame.
 	debt float64
+	// clk is the run's clock (nil on a Worker built outside Run); wake is
+	// this worker's channel on it, made on its first park.
+	clk  *clock
+	wake chan struct{}
 }
 
-// spinGuard is the wall-clock window realized by busy-waiting at the end
-// of each settle: time.Sleep on stock Linux overshoots by up to ~1 ms
-// (timer slack), so the final stretch is trimmed by spinning instead.
+// spinGuard is the wall-clock window a Worker without a run's clock
+// realizes by busy-waiting at the end of each settle: the runtime's
+// timers wake up to ~1 ms late on Linux, because the scheduler's netpoll
+// wait has a millisecond timeout, so the final stretch is spun instead.
 const spinGuard = 1500 * time.Microsecond
 
 // Wait schedules a modeled latency (in the task-weight unit, µs) on this
@@ -83,9 +88,11 @@ func (w *Worker) Wait(micros float64) {
 
 // Settle realizes the accumulated latency debt relative to the given
 // start time: it blocks until start + scaled debt, and returns at once,
-// start unread, when there is none. Sleeping targets an absolute deadline
-// and hands the final spinGuard stretch to a busy-wait, keeping per-frame
-// overshoot far below the OS sleep quantum.
+// start unread, when there is none. Inside Run the worker parks the
+// absolute deadline on the run's clock and spins only the few tens of µs
+// the clock wakes it early; a Worker built outside Run sleeps on its own
+// and spins the final spinGuard. Either way the deadline is met to within
+// a clock read or two, far below the OS sleep quantum.
 func (w *Worker) Settle(start time.Time) {
 	if w.debt <= 0 {
 		return
@@ -93,7 +100,11 @@ func (w *Worker) Settle(start time.Time) {
 	d := time.Duration(w.debt * w.Scale * float64(time.Microsecond))
 	w.debt = 0
 	deadline := start.Add(d)
-	if !w.Spin {
+	switch {
+	case w.Spin:
+	case w.clk != nil:
+		w.clk.wait(deadline, &w.wake)
+	default:
 		if rest := time.Until(deadline) - spinGuard; rest > 0 {
 			time.Sleep(rest)
 		}
