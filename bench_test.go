@@ -1,9 +1,10 @@
 // Package ampsched_test holds the benchmark harness that regenerates the
 // paper's evaluation artifacts: one benchmark per table and figure (run
 // with `go test -bench=. -benchmem`), plus ablation benchmarks for the
-// design choices called out in DESIGN.md (2CATAC memoization, desim queue
-// capacities, HeRAD scaling in tasks vs resources; static vs dynamic
-// dispatch is in dynamic_test.go, beside its dynamic executor).
+// design choices called out in DESIGN.md (desim queue capacities, HeRAD
+// scaling in tasks vs resources; 2CATAC memoization is in
+// internal/twocatac/memo_test.go, beside its memoized oracle, and static vs
+// dynamic dispatch in dynamic_test.go, beside its dynamic executor).
 //
 // The benchmarks exercise reduced campaign sizes so a full -bench=. pass
 // stays in the minutes range on a laptop; cmd/experiments runs the
@@ -21,7 +22,6 @@ import (
 	"ampsched/internal/herad"
 	"ampsched/internal/platform"
 	"ampsched/internal/strategy"
-	"ampsched/internal/twocatac"
 )
 
 // BenchmarkTable1 regenerates one Table I scenario (R=(10,10), SR=0.5):
@@ -174,26 +174,6 @@ func BenchmarkFig6(b *testing.B) {
 }
 
 // --- Ablation benchmarks -------------------------------------------------
-
-// BenchmarkAblation2CATACMemo compares the paper-verbatim exponential
-// 2CATAC recursion against the memoized variant on chains near the
-// paper's 60-task practicality limit.
-func BenchmarkAblation2CATACMemo(b *testing.B) {
-	r := core.Res(10, 10)
-	for _, n := range []int{20, 40, 60} {
-		chains := benchChains(n, 0.5, 4)
-		b.Run(fmt.Sprintf("plain/tasks=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				twocatac.Schedule(chains[i%len(chains)], r)
-			}
-		})
-		b.Run(fmt.Sprintf("memo/tasks=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				twocatac.ScheduleMemo(chains[i%len(chains)], r)
-			}
-		})
-	}
-}
 
 // BenchmarkAblationMergePostPass measures the cost of HeRAD's
 // replicable-stage merge post-pass (raw extraction vs merged).

@@ -23,8 +23,8 @@
 //	              with -big/-little). Strategies that only support the
 //	              paper's two-type model reject other type counts.
 //	-strategy S   herad|2catac|fertac|otac-b|otac-l|all (default herad);
-//	              also the hidden registry entries 2catac-memo and brute
-//	              (exhaustive reference — chains of ~12 tasks at most)
+//	              also the hidden registry entry brute (exhaustive
+//	              reference — chains of ~12 tasks at most)
 //	-simulate     validate with the discrete-event simulator
 //	-run          execute on the streampu runtime (wall clock)
 //	-frames N     frames for -run (default 100, at least 1)
@@ -37,6 +37,7 @@
 //	              several times faster (DESIGN.md §4e). 0 (the default)
 //	              is the exact fill; other strategies ignore the flag
 //	-power        report watts and mJ/frame under the default power model
+//	              (two-type platforms only: it has big and little watts)
 //	-trace FILE   with -run: dump a Chrome trace of the pipeline execution
 //	-watch D      with -run: print one line of live per-stage occupancy,
 //	              weight estimate and p95 latency every interval D
@@ -147,7 +148,7 @@ func main() {
 	flag.IntVar(&cfg.big, "big", 0, "number of big cores")
 	flag.IntVar(&cfg.little, "little", 0, "number of little cores")
 	flag.StringVar(&cfg.resources, "resources", "", `per-type core counts, e.g. "4B,2M,8L" (exclusive with -big/-little)`)
-	flag.StringVar(&cfg.strategy, "strategy", "herad", "herad|2catac|fertac|otac-b|otac-l|all (or 2catac-memo, brute)")
+	flag.StringVar(&cfg.strategy, "strategy", "herad", "herad|2catac|fertac|otac-b|otac-l|all (or brute)")
 	flag.BoolVar(&cfg.simulate, "simulate", false, "validate with the discrete-event simulator")
 	flag.BoolVar(&cfg.run, "run", false, "execute on the streampu runtime")
 	flag.IntVar(&cfg.frames, "frames", 100, "frames for -run")
@@ -203,6 +204,11 @@ func mainErr(cfg config) error {
 	r, err := resolveResources(cfg)
 	if err != nil {
 		return err
+	}
+	pm := core.DefaultPowerModel()
+	if cfg.power && r.NumTypes() != len(pm.Watts) {
+		return fmt.Errorf("-power needs exactly %d core types (the default power model's big and little), resources %v declare %d",
+			len(pm.Watts), r, r.NumTypes())
 	}
 
 	// The flight recorder is a pure sink, created only when some
@@ -300,7 +306,6 @@ func mainErr(cfg config) error {
 		header = append(header, "W", "mJ/frame")
 	}
 	t := report.NewTable(header...)
-	pm := core.DefaultPowerModel()
 	opts := strategy.Options{Colocate: cfg.colocate, Metrics: reg, Trace: runSpan, Epsilon: cfg.epsilon, Flight: rec}
 	for _, sc := range scheds {
 		name := sc.Name()
@@ -329,7 +334,7 @@ func mainErr(cfg config) error {
 			}
 			for _, st := range sol.Stages {
 				js.Stages = append(js.Stages, jsonStage{
-					Start: st.Start, End: st.End, Cores: st.Cores, Type: st.Type.String(),
+					Start: st.Start, End: st.End, Cores: st.Cores, Type: r.TypeName(st.Type),
 				})
 			}
 			enc := json.NewEncoder(out)
@@ -339,7 +344,7 @@ func mainErr(cfg config) error {
 			}
 		} else {
 			row := []any{name, p, fmt.Sprintf("%.0f", core.Throughput(p, interframe)),
-				sol.String()}
+				sol.Named(r)}
 			for _, u := range usage {
 				row = append(row, u)
 			}
@@ -366,7 +371,7 @@ func mainErr(cfg config) error {
 		if cfg.run {
 			popt := streampu.Options{TimeScale: cfg.scale, QueueCap: 2, Flight: rec}
 			var tracer *streampu.Tracer
-			if cfg.trace != "" || cfg.stats {
+			if cfg.trace != "" {
 				tracer = &streampu.Tracer{}
 				popt.Tracer = tracer
 			}
@@ -390,7 +395,6 @@ func mainErr(cfg config) error {
 			}
 			fmt.Fprintf(out, "# %s runtime: measured period %.1f, FPS %.0f (%d frames, %.2fs wall)\n",
 				name, st.PeriodMicros, st.Throughput(interframe), st.Frames, st.Elapsed.Seconds())
-			tracer.RecordMetrics(reg.Sub(obs.Slug(name)))
 			if cfg.trace != "" {
 				f, err := os.Create(cfg.trace)
 				if err != nil {
@@ -427,10 +431,11 @@ func mainErr(cfg config) error {
 // startWatch launches the -watch loop: every interval it closes a
 // sampling window and prints one live telemetry line. The returned stop
 // function halts the loop, prints the final window and blocks until the
-// goroutine exits; it is a no-op func when watching is disabled.
+// goroutine exits. Without watching, the run is one window, which stop
+// closes silently so -stats reads each stage's occupancy over the run.
 func startWatch(out io.Writer, name string, every time.Duration, s *streampu.Sampler) func() {
 	if every <= 0 || s == nil {
-		return func() {}
+		return func() { s.Sample(time.Now()) }
 	}
 	start := time.Now()
 	done := make(chan struct{})

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
@@ -70,15 +71,14 @@ func TestStrategyList(t *testing.T) {
 		}
 	}
 	for in, want := range map[string]string{
-		"herad":       experiments.StratHeRAD,
-		"2catac":      experiments.StratTwoCAT,
-		"twocatac":    experiments.StratTwoCAT,
-		"FERTAC":      experiments.StratFERTAC,
-		"otac-b":      experiments.StratOTACB,
-		"OTACL":       experiments.StratOTACL,
-		"ALL":         "", // expands, checked above; here: no error
-		"2catac-memo": "2CATAC (memo)",
-		"brute":       "Brute",
+		"herad":    experiments.StratHeRAD,
+		"2catac":   experiments.StratTwoCAT,
+		"twocatac": experiments.StratTwoCAT,
+		"FERTAC":   experiments.StratFERTAC,
+		"otac-b":   experiments.StratOTACB,
+		"OTACL":    experiments.StratOTACL,
+		"ALL":      "", // expands, checked above; here: no error
+		"brute":    "Brute",
 	} {
 		got, err := strategyList(in)
 		if err != nil {
@@ -89,8 +89,10 @@ func TestStrategyList(t *testing.T) {
 			t.Errorf("strategyList(%q) = %v", in, got)
 		}
 	}
-	if _, err := strategyList("banana"); err == nil {
-		t.Error("unknown strategy accepted")
+	for _, name := range []string{"banana", "2catac-memo"} {
+		if _, err := strategyList(name); err == nil {
+			t.Errorf("unknown strategy %q accepted", name)
+		}
 	}
 }
 
@@ -234,6 +236,65 @@ func TestMainErrEpsilon(t *testing.T) {
 		}
 		if out.Len() != 0 {
 			t.Errorf("config %+v printed before rejecting:\n%s", cfg, out.String())
+		}
+	}
+}
+
+// TestMainErrPowerNeedsTwoTypes: the default power model has big and
+// little watts only, so on a three-type platform it would charge the M
+// core the little rate and the L cores nothing. -power is refused there
+// before anything is planned or printed.
+func TestMainErrPowerNeedsTwoTypes(t *testing.T) {
+	var out strings.Builder
+	err := mainErr(config{input: "testdata/chain3.json", resources: "1B,1M,8L",
+		strategy: "herad", frames: 10, scale: 1, interframe: 1, power: true, out: &out})
+	if err == nil || !strings.HasPrefix(err.Error(), "-power ") {
+		t.Fatalf("error %v, want one naming -power", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("printed before rejecting:\n%s", out.String())
+	}
+}
+
+// TestMainErrStagesUseTypeNames: the decomposition column and the JSON
+// stage types name core types the way the usage columns do, through the
+// platform's type table, not by their positional letters (B, L, T2).
+func TestMainErrStagesUseTypeNames(t *testing.T) {
+	for _, tc := range []struct {
+		cfg   config
+		stage string // in the text decomposition
+		types []string
+	}{
+		{config{input: "testdata/chain3.json", resources: "1B,1M,8L"},
+			"(1,1B),(1,8L),(1,1M)", []string{"B", "L", "M"}},
+		{config{platform: "mac", resources: "4P,2E"},
+			"(4,1E),(9,1P),(6,3P),(4,1E)", []string{"E", "P", "P", "E"}},
+	} {
+		cfg := tc.cfg
+		cfg.strategy, cfg.frames, cfg.scale, cfg.interframe = "herad", 10, 1, 1
+		var text bytes.Buffer
+		cfg.out = &text
+		if err := mainErr(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(text.String(), tc.stage) {
+			t.Errorf("%s: decomposition is not %s:\n%s", cfg.resources, tc.stage, text.String())
+		}
+		var js bytes.Buffer
+		cfg.json, cfg.out = true, &js
+		if err := mainErr(cfg); err != nil {
+			t.Fatal(err)
+		}
+		var sol jsonSolution
+		if err := json.Unmarshal(js.Bytes(), &sol); err != nil {
+			t.Fatal(err)
+		}
+		var types []string
+		for _, st := range sol.Stages {
+			types = append(types, st.Type)
+		}
+		if strings.Join(types, ",") != strings.Join(tc.types, ",") {
+			t.Errorf("%s: JSON stage types %v, want %v", cfg.resources, types, tc.types)
 		}
 	}
 }

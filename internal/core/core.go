@@ -429,8 +429,11 @@ type Stage struct {
 func (s Stage) Tasks() int { return s.End - s.Start + 1 }
 
 // String formats the stage in the paper's (n_tasks, r_v) notation.
-func (s Stage) String() string {
-	return fmt.Sprintf("(%d,%d%s)", s.Tasks(), s.Cores, s.Type)
+func (s Stage) String() string { return s.named(Resources{}) }
+
+// named is String with the core type named by r's type table.
+func (s Stage) named(r Resources) string {
+	return fmt.Sprintf("(%d,%d%s)", s.Tasks(), s.Cores, r.TypeName(s.Type))
 }
 
 // Solution is a pipelined-and-replicated schedule: an ordered list of
@@ -594,13 +597,18 @@ func Throughput(periodMicros float64, interframe int) float64 {
 
 // String formats the solution as the paper's pipeline decompositions,
 // e.g. "(5,1B),(1,1B),(9,1B),(1,2B),(2,1L)".
-func (s Solution) String() string {
+func (s Solution) String() string { return s.Named(Resources{}) }
+
+// Named is String with the stage types named by r's type table
+// (Resources.TypeName): "(1,1B),(1,8L),(1,1M)" on a "1B,1M,8L" platform,
+// where String prints "(1,1B),(1,8T2),(1,1L)".
+func (s Solution) Named(r Resources) string {
 	if s.IsEmpty() {
 		return "(∅)"
 	}
 	parts := make([]string, len(s.Stages))
 	for i, st := range s.Stages {
-		parts[i] = st.String()
+		parts[i] = st.named(r)
 	}
 	return strings.Join(parts, ",")
 }

@@ -11,7 +11,6 @@ package desim
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 
 	"ampsched/internal/core"
@@ -66,9 +65,6 @@ type Result struct {
 	Makespan float64
 	// StageService holds each stage's per-frame service time.
 	StageService []float64
-	// StageUtilization is the busy fraction of each stage's worker pool
-	// over the steady-state window.
-	StageUtilization []float64
 	// Frames is the number of simulated frames.
 	Frames int
 	// SamplesTaken is the number of sampling windows emitted (0 unless
@@ -224,18 +220,6 @@ func Simulate(c *core.Chain, sol core.Solution, cfg Config) (Result, error) {
 	}
 	res.Latency = lat / float64(cfg.Frames-cfg.Warmup)
 
-	// Utilization is busy time over the pipeline's steady-state window
-	// (measured at the sink), so upstream stages that race ahead into
-	// unbounded buffers still report their steady-state share.
-	res.StageUtilization = make([]float64, m)
-	for i := 0; i < m; i++ {
-		busy := float64(cfg.Frames-cfg.Warmup) * service[i]
-		if span <= 0 {
-			res.StageUtilization[i] = 1
-			continue
-		}
-		res.StageUtilization[i] = math.Min(1, busy/(span*float64(replicas[i])))
-	}
 	if cfg.Sample != nil {
 		res.SamplesTaken = samplePass(cfg, replicas, svcArr, start, depart, res.Makespan)
 	}

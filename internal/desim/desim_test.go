@@ -67,8 +67,8 @@ func TestReplicatedStageSpeedup(t *testing.T) {
 }
 
 func TestBottleneckDominates(t *testing.T) {
-	// Three stages with weights 5, 20, 10: period == 20 and the slow
-	// stage is fully utilized while others idle.
+	// Three stages with weights 5, 20, 10: the slow stage sets the
+	// period.
 	c := core.MustChain([]core.Task{
 		task(5, 5, false), task(20, 20, false), task(10, 10, false),
 	})
@@ -83,12 +83,6 @@ func TestBottleneckDominates(t *testing.T) {
 	}
 	if math.Abs(res.Period-20) > 1e-9 {
 		t.Errorf("period = %v, want 20", res.Period)
-	}
-	if res.StageUtilization[1] < 0.99 {
-		t.Errorf("bottleneck utilization = %v, want ≈1", res.StageUtilization[1])
-	}
-	if res.StageUtilization[0] > 0.3 {
-		t.Errorf("stage 0 utilization = %v, want ≈5/20", res.StageUtilization[0])
 	}
 }
 

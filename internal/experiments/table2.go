@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"ampsched/internal/core"
 	"ampsched/internal/desim"
@@ -31,8 +32,9 @@ type Table2Config struct {
 	// serial (the runtime measures wall-clock time).
 	Workers int
 	// Metrics, when non-nil, collects the scheduling series and — for
-	// RunReal rows — per-run streampu stage-occupancy gauges under
-	// "<row id>.streampu.*". The table itself does not depend on it.
+	// RunReal rows — each run's streampu sampler series (stage occupancy
+	// over the run, per-stage latency) under "<row id>.streampu.*". The
+	// table itself does not depend on it.
 	Metrics *obs.Registry
 	// Cache, when non-nil, reuses schedules across identical requests —
 	// the Fig. 5/6 roll-ups recompute Table II (strategy.Options.Cache).
@@ -147,10 +149,8 @@ func table2Row(cfg Table2Config, p *platform.Platform, c *core.Chain, r core.Res
 			TimeScale: cfg.TimeScale,
 			QueueCap:  2,
 		}
-		var tracer *streampu.Tracer
 		if cfg.Metrics != nil {
-			tracer = &streampu.Tracer{}
-			popt.Tracer = tracer
+			popt.Sampler = streampu.NewSampler(cfg.Metrics.Sub(obs.Slug(id)))
 		}
 		pipe, err := streampu.New(streampu.TimedChain(c), sol, popt)
 		if err != nil {
@@ -160,7 +160,7 @@ func table2Row(cfg Table2Config, p *platform.Platform, c *core.Chain, r core.Res
 		if err != nil {
 			return Table2Row{}, fmt.Errorf("experiments: run %s/%s: %w", p.Name, strat, err)
 		}
-		tracer.RecordMetrics(cfg.Metrics.Sub(obs.Slug(id)))
+		popt.Sampler.Sample(time.Now()) // the run is one window
 		row.RealFPS = st.Throughput(p.Interframe)
 		row.RealMbps = platform.MbPerSecond(row.RealFPS)
 		row.DiffMbps = row.SimMbps - row.RealMbps

@@ -40,7 +40,7 @@ func Schedule(c *core.Chain, r core.Resources) core.Solution {
 }
 
 // ComputeObs returns ComputeSolution reporting into m, for use with
-// sched.ScheduleM/ScheduleBoundsM.
+// sched.ScheduleM.
 func ComputeObs(m Metrics) sched.ComputeSolutionFunc {
 	return func(c *core.Chain, s int, r core.Resources, target float64) core.Solution {
 		return computeSolution(c, s, r, target, m)

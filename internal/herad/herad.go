@@ -102,11 +102,6 @@ func ScheduleRaw(c *core.Chain, r core.Resources) core.Solution {
 	return ScheduleOpts(c, r, Options{Raw: true})
 }
 
-// ScheduleRawObs is ScheduleRaw reporting into om.
-func ScheduleRawObs(c *core.Chain, r core.Resources, om Metrics) core.Solution {
-	return ScheduleOpts(c, r, Options{Raw: true, Metrics: om})
-}
-
 // ScheduleOpts computes the optimal schedule of c on r under o.
 func ScheduleOpts(c *core.Chain, r core.Resources, o Options) core.Solution {
 	return finishSolution(c, scheduleRaw(c, r, o), o)

@@ -93,7 +93,7 @@ func TestEveryStrategyExpositionIsLintClean(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"# TYPE _2catac_sched_compute_stage_calls counter\n",
-		"# TYPE _2catac_memo_schedule_calls counter\n",
+		"# TYPE brute_schedule_calls counter\n",
 		"# TYPE planbatch_request_us summary\n",
 	} {
 		if !strings.Contains(out, want) {

@@ -47,16 +47,14 @@ func Schedule(c *core.Chain, cores int, v core.CoreType) core.Solution {
 }
 
 // Compute returns OTAC's ComputeSolution restricted to core type v, for use
-// with sched.Schedule/ScheduleBounds. Only the v component of the resources
-// is consumed.
+// with sched.Schedule. Only the v component of the resources is consumed.
 func Compute(v core.CoreType) sched.ComputeSolutionFunc {
 	return func(ch *core.Chain, s int, res core.Resources, target float64) core.Solution {
 		return computeSolution(ch, s, res.Count(v), v, target, Metrics{})
 	}
 }
 
-// ComputeObs is Compute reporting into m, for use with
-// sched.ScheduleM/ScheduleBoundsM.
+// ComputeObs is Compute reporting into m, for use with sched.ScheduleM.
 func ComputeObs(v core.CoreType, m Metrics) sched.ComputeSolutionFunc {
 	return func(ch *core.Chain, s int, res core.Resources, target float64) core.Solution {
 		return computeSolution(ch, s, res.Count(v), v, target, m)

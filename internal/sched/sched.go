@@ -19,8 +19,7 @@ import (
 // allocation — so the instrumented code paths are unconditional.
 type Metrics struct {
 	// SearchIterations counts binary-search probes (compute invocations
-	// by Schedule/ScheduleBounds, Algo 1's loop plus the final
-	// upper-bound retry).
+	// by Schedule, Algo 1's loop plus the final upper-bound retry).
 	SearchIterations *obs.Counter
 	// SearchValid counts the probes that produced a valid schedule.
 	SearchValid *obs.Counter
@@ -139,7 +138,7 @@ func ScheduleM(c *core.Chain, r core.Resources, compute ComputeSolutionFunc, m M
 	if c == nil || c.Len() == 0 || r.Total() <= 0 || !r.NonNegative() {
 		return core.Solution{}
 	}
-	best := ScheduleBoundsM(c, r, DefaultBounds(c, r), compute, m)
+	best := scheduleBounds(c, r, DefaultBounds(c, r), compute, m)
 	if !best.IsEmpty() {
 		return best
 	}
@@ -159,16 +158,11 @@ func ScheduleM(c *core.Chain, r core.Resources, compute ComputeSolutionFunc, m M
 	if m.Trace.Enabled() {
 		m.Trace.Event("fallback").F64("max", b.Max)
 	}
-	return ScheduleBoundsM(c, r, b, compute, m)
+	return scheduleBounds(c, r, b, compute, m)
 }
 
-// ScheduleBounds is Schedule with caller-provided period bounds.
-func ScheduleBounds(c *core.Chain, r core.Resources, b Bounds, compute ComputeSolutionFunc) core.Solution {
-	return ScheduleBoundsM(c, r, b, compute, Metrics{})
-}
-
-// ScheduleBoundsM is ScheduleBounds reporting into m.
-func ScheduleBoundsM(c *core.Chain, r core.Resources, b Bounds, compute ComputeSolutionFunc, m Metrics) core.Solution {
+// scheduleBounds is Algo 1's binary search over the period interval b.
+func scheduleBounds(c *core.Chain, r core.Resources, b Bounds, compute ComputeSolutionFunc, m Metrics) core.Solution {
 	if m.Trace.Enabled() {
 		m.Trace.Event("bounds").F64("min", b.Min).F64("max", b.Max).F64("eps", b.Eps)
 	}

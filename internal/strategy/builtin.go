@@ -7,21 +7,21 @@ import (
 	"ampsched/internal/herad"
 	"ampsched/internal/obs"
 	"ampsched/internal/otac"
+	"ampsched/internal/sched"
 	"ampsched/internal/trace"
 	"ampsched/internal/twocatac"
 )
 
 // The built-in strategies, registered in the paper's presentation order so
 // All() drives "-strategy all" sweeps and the experiment tables unchanged.
-// The memoized 2CATAC ablation and the brute-force reference are hidden:
-// resolvable by name, excluded from sweeps.
+// The brute-force reference is hidden: resolvable by name, excluded from
+// sweeps.
 func init() {
 	Register(heradScheduler{})
 	Register(twocatacScheduler{}, "twocatac")
 	Register(fertacScheduler{})
 	Register(otacScheduler{v: core.Big}, "otac-b", "otacb")
 	Register(otacScheduler{v: core.Little}, "otac-l", "otacl")
-	RegisterHidden(twocatacScheduler{memo: true}, "2catac-memo", "twocatac-memo")
 	RegisterHidden(bruteScheduler{}, "brute-force", "exhaustive")
 }
 
@@ -72,16 +72,10 @@ func (h heradScheduler) Schedule(c *core.Chain, r core.Resources, o Options) cor
 	return s
 }
 
-// twocatacScheduler adapts 2CATAC (Algos 5–6); memo selects the memoized
-// ablation variant (also reachable on the plain entry via Options.Memoize).
-type twocatacScheduler struct{ memo bool }
+// twocatacScheduler adapts 2CATAC (Algos 5–6).
+type twocatacScheduler struct{}
 
-func (t twocatacScheduler) Name() string {
-	if t.memo {
-		return "2CATAC (memo)"
-	}
-	return "2CATAC"
-}
+func (twocatacScheduler) Name() string { return "2CATAC" }
 
 // SupportedTypes declares the two-choice recursion's fixed platform shape.
 func (twocatacScheduler) SupportedTypes() int { return 2 }
@@ -90,16 +84,15 @@ func (t twocatacScheduler) Schedule(c *core.Chain, r core.Resources, o Options) 
 	if !twoTypes(c, r) {
 		return core.Solution{}
 	}
-	memo := t.memo || o.Memoize
 	m := o.scope(t.Name())
 	sp := o.span(t.Name())
 	if m == nil && sp == nil {
-		return o.finish(c, binarySearch(c, r, o, twocatac.Compute(memo)))
+		return o.finish(c, sched.Schedule(c, r, twocatac.ComputeSolution))
 	}
 	s := observe(m, func() core.Solution {
 		tm := twocatac.MetricsFrom(m)
 		tm.Sched.Trace = trace.NewScope(sp)
-		return o.finish(c, binarySearchM(c, r, o, twocatac.ComputeObs(memo, tm), tm.Sched))
+		return o.finish(c, sched.ScheduleM(c, r, twocatac.ComputeObs(false, tm), tm.Sched))
 	})
 	traceSolution(sp, c, s)
 	return s
@@ -120,12 +113,12 @@ func (f fertacScheduler) Schedule(c *core.Chain, r core.Resources, o Options) co
 	m := o.scope(f.Name())
 	sp := o.span(f.Name())
 	if m == nil && sp == nil {
-		return o.finish(c, binarySearch(c, r, o, fertac.ComputeSolution))
+		return o.finish(c, sched.Schedule(c, r, fertac.ComputeSolution))
 	}
 	s := observe(m, func() core.Solution {
 		fm := fertac.MetricsFrom(m)
 		fm.Sched.Trace = trace.NewScope(sp)
-		return o.finish(c, binarySearchM(c, r, o, fertac.ComputeObs(fm), fm.Sched))
+		return o.finish(c, sched.ScheduleM(c, r, fertac.ComputeObs(fm), fm.Sched))
 	})
 	traceSolution(sp, c, s)
 	return s
@@ -149,12 +142,12 @@ func (s otacScheduler) Schedule(c *core.Chain, r core.Resources, o Options) core
 	m := o.scope(s.Name())
 	sp := o.span(s.Name())
 	if m == nil && sp == nil {
-		return o.finish(c, binarySearch(c, rr, o, otac.Compute(s.v)))
+		return o.finish(c, sched.Schedule(c, rr, otac.Compute(s.v)))
 	}
 	sol := observe(m, func() core.Solution {
 		om := otac.MetricsFrom(m)
 		om.Sched.Trace = trace.NewScope(sp)
-		return o.finish(c, binarySearchM(c, rr, o, otac.ComputeObs(s.v, om), om.Sched))
+		return o.finish(c, sched.ScheduleM(c, rr, otac.ComputeObs(s.v, om), om.Sched))
 	})
 	traceSolution(sp, c, sol)
 	return sol

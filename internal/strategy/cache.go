@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"ampsched/internal/core"
-	"ampsched/internal/sched"
 )
 
 // cacheKey identifies one solved scheduling problem: the chain's content
@@ -17,15 +16,11 @@ type cacheKey struct {
 	r        core.Resources
 	strategy string
 	colocate bool
-	raw      bool
-	memoize  bool
 	// epsilon is the normalized Options.Epsilon (normEpsilon): an ε-beam
 	// solution is only (1+ε)-optimal, so it must never be served to an
 	// exact request (or to a request with a different ε). The fuzz test
 	// FuzzCacheKey pins the no-aliasing property.
-	epsilon   float64
-	hasBounds bool
-	bounds    sched.Bounds
+	epsilon float64
 }
 
 // normEpsilon normalizes an Options.Epsilon for keying and comparison:
@@ -48,20 +43,13 @@ func requestKey(req Request) (cacheKey, bool) {
 		CheckTypes(req.Scheduler, req.Chain, req.Resources) != nil {
 		return cacheKey{}, false
 	}
-	k := cacheKey{
+	return cacheKey{
 		fp:       req.Chain.Fingerprint(),
 		r:        req.Resources,
 		strategy: req.Scheduler.Name(),
 		colocate: req.Options.Colocate,
-		raw:      req.Options.Raw,
-		memoize:  req.Options.Memoize,
 		epsilon:  normEpsilon(req.Options.Epsilon),
-	}
-	if req.Options.Bounds != nil {
-		k.hasBounds = true
-		k.bounds = *req.Options.Bounds
-	}
-	return k, true
+	}, true
 }
 
 // Cache is a concurrency-safe solution cache consulted by PlanBatch:

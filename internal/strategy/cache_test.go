@@ -103,14 +103,14 @@ func TestCacheKeySeparatesVariants(t *testing.T) {
 	h := MustParse("herad")
 	cache := NewCache()
 	base := Options{Cache: cache}
-	raw := base
-	raw.Raw = true
+	fused := base
+	fused.Colocate = true
 	reqs := []Request{
 		{Chain: c1, Resources: core.Res(2, 2), Scheduler: h, Options: base},
 		{Chain: c2, Resources: core.Res(2, 2), Scheduler: h, Options: base},
 		{Chain: c1, Resources: core.Res(3, 2), Scheduler: h, Options: base},
 		{Chain: c1, Resources: core.Res(2, 2), Scheduler: MustParse("fertac"), Options: base},
-		{Chain: c1, Resources: core.Res(2, 2), Scheduler: h, Options: raw},
+		{Chain: c1, Resources: core.Res(2, 2), Scheduler: h, Options: fused},
 	}
 	res := PlanBatch(reqs, 1)
 	for i, re := range res {
@@ -122,7 +122,7 @@ func TestCacheKeySeparatesVariants(t *testing.T) {
 		t.Errorf("hits=%d misses=%d, want 0 hits and %d misses", hits, misses, len(reqs))
 	}
 	for i, re := range res {
-		if want := reqs[i].Scheduler.Schedule(reqs[i].Chain, reqs[i].Resources, Options{Raw: reqs[i].Options.Raw}); re.Solution.String() != want.String() {
+		if want := reqs[i].Scheduler.Schedule(reqs[i].Chain, reqs[i].Resources, Options{Colocate: reqs[i].Options.Colocate}); re.Solution.String() != want.String() {
 			t.Errorf("request %d: cached path %v, direct %v", i, re.Solution, want)
 		}
 	}

@@ -35,7 +35,7 @@ type ReplanStats struct {
 // one place the mapping lives (heradScheduler.Schedule and the replan path
 // both use it).
 func heradOptions(o Options) herad.Options {
-	return herad.Options{Raw: o.Raw, Epsilon: o.Epsilon}
+	return herad.Options{Epsilon: o.Epsilon}
 }
 
 // NewHeradPlanner builds an incumbent herad.Planner from strategy-level
@@ -46,15 +46,13 @@ func NewHeradPlanner(c *core.Chain, r core.Resources, o Options) (*herad.Planner
 }
 
 // replanCompatible reports whether req may be served by rebasing p: a
-// HeRAD request on the planner's platform whose schedule-shaping options
-// (Raw, ε) match the ones baked into the planner's matrix. The
-// observability sinks never change the schedule, so they don't gate the
-// warm start; Colocate is a post-pass applied per request.
+// HeRAD request on the planner's platform whose ε matches the one baked
+// into the planner's matrix. The observability sinks never change the
+// schedule, so they don't gate the warm start; Colocate is a post-pass
+// applied per request.
 func replanCompatible(p *herad.Planner, req Request) bool {
-	po := p.Opts()
 	return req.Resources == p.Resources() &&
-		req.Options.Raw == po.Raw &&
-		normEpsilon(req.Options.Epsilon) == normEpsilon(po.Epsilon)
+		normEpsilon(req.Options.Epsilon) == normEpsilon(p.Opts().Epsilon)
 }
 
 // heradRequest reports whether req is a well-formed request for the
@@ -138,8 +136,8 @@ func ReplanBatch(incumbent *herad.Planner, reqs []Request) ([]Result, *herad.Pla
 
 // replanResult builds the Result of a warm-started request from the
 // planner's retained matrix, applying the request's own post-passes
-// (merge via the planner's Raw, Colocate via Options.finish) and keeping
-// plan's error contract and journal/metrics shape. start is when the
+// (HeRAD's merge inside the planner, Colocate via Options.finish) and
+// keeping plan's error contract and journal/metrics shape. start is when the
 // planner work for this request began, so Elapsed covers the (re)fill as
 // well as the extraction.
 func replanResult(p *herad.Planner, req Request, sp *trace.Span, start time.Time) Result {

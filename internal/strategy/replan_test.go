@@ -116,14 +116,13 @@ func TestReplanBatchColdFallbacks(t *testing.T) {
 		{Chain: nil, Resources: r, Scheduler: herad, Label: "nil-chain"},
 		{Chain: c, Resources: core.Res(4, 1), Scheduler: herad, Label: "other-resources"},
 		{Chain: c, Resources: r, Scheduler: herad, Options: Options{Epsilon: 0.1}, Label: "other-epsilon"},
-		{Chain: c, Resources: r, Scheduler: herad, Options: Options{Raw: true}, Label: "raw"},
 		{Chain: c, Resources: r, Scheduler: herad, Label: "warm-again"},
 	}
 	got, _, st := ReplanBatch(nil, reqs)
 	want := PlanBatch(reqs, 1)
 	assertSameResults(t, "fallbacks", got, want)
-	if st.WarmStarts != 2 || st.Cold != 5 {
-		t.Fatalf("stats = %+v, want 2 warm starts and 5 cold", st)
+	if st.WarmStarts != 2 || st.Cold != 4 {
+		t.Fatalf("stats = %+v, want 2 warm starts and 4 cold", st)
 	}
 }
 

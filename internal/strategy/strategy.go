@@ -1,14 +1,14 @@
 // Package strategy unifies every scheduling strategy of the repository —
 // the paper's five evaluated strategies (HeRAD, 2CATAC, FERTAC, OTAC (B),
-// OTAC (L)), the memoized 2CATAC ablation, and the brute-force reference —
-// behind a single Scheduler interface and a name registry.
+// OTAC (L)) and the brute-force reference — behind a single Scheduler
+// interface and a name registry.
 //
 // The registry is the one place that maps strategy names (and their
 // documented aliases) to implementations: cmd/ampsched, cmd/experiments,
 // internal/experiments and the examples all dispatch through Parse/Get
 // instead of maintaining their own string switches. Options carries the
-// cross-cutting knobs (stage co-location, raw extraction, 2CATAC
-// memoization, custom period bounds) that used to be threaded by hand.
+// cross-cutting knobs (stage co-location, HeRAD's ε, the solution cache and
+// the observability sinks) that used to be threaded by hand.
 //
 // PlanBatch (batch.go) adds a concurrent planning layer on top: a bounded
 // worker pool that fans (chain, resources, scheduler) requests out across
@@ -24,7 +24,6 @@ import (
 	"ampsched/internal/core"
 	"ampsched/internal/obs"
 	"ampsched/internal/obs/flight"
-	"ampsched/internal/sched"
 	"ampsched/internal/trace"
 )
 
@@ -78,18 +77,6 @@ type Options struct {
 	// light stages are fused (Solution.Fuse) at the schedule's own period
 	// when that shortens the pipeline. The period never changes.
 	Colocate bool
-	// Raw skips a strategy's embellishing post-pass — currently HeRAD's
-	// replicable-stage merge — exposing schedules exactly as computed.
-	Raw bool
-	// Memoize collapses 2CATAC's exponential recursion tree per
-	// binary-search probe (twocatac.ScheduleMemo); the schedules are
-	// identical. Strategies without a memoized variant ignore it.
-	Memoize bool
-	// Bounds overrides the period interval searched by the binary-search
-	// strategies (2CATAC, FERTAC, OTAC). Nil uses the paper's
-	// sched.DefaultBounds plus the robustness fallback; a non-nil value
-	// disables the fallback. HeRAD and Brute ignore it.
-	Bounds *sched.Bounds
 	// Epsilon > 0 selects a strategy's bounded-suboptimality mode when it
 	// has one — currently HeRAD's ε-optimal beam-pruned DP fill, whose
 	// emitted period P satisfies P ≤ (1+ε)·P* (herad.Options.Epsilon;
@@ -106,14 +93,13 @@ type Options struct {
 	// Cache, when non-nil, lets PlanBatch reuse solutions across identical
 	// requests — duplicates within a batch and repeats across batches
 	// sharing the cache — instead of re-solving them. The key is (chain
-	// fingerprint, resources, strategy name, Colocate, Raw, Memoize,
-	// Epsilon, Bounds); the observability sinks are excluded because they
-	// never change the emitted schedule. Every strategy is
-	// deterministic, so cached batches return byte-identical Results; only
-	// the strategy-internal metric and journal volume shrinks (a hit emits
-	// a "cache_hit" journal event instead of the solver's decision trail).
-	// Direct Scheduler.Schedule calls ignore it. Nil disables caching with
-	// zero behavior change.
+	// fingerprint, resources, strategy name, Colocate, Epsilon); the
+	// observability sinks are excluded because they never change the
+	// emitted schedule. Every strategy is deterministic, so cached batches
+	// return byte-identical Results; only the strategy-internal metric and
+	// journal volume shrinks (a hit emits a "cache_hit" journal event
+	// instead of the solver's decision trail). Direct Scheduler.Schedule
+	// calls ignore it. Nil disables caching with zero behavior change.
 	Cache *Cache
 	// Metrics is the observability sink. When non-nil, every strategy
 	// reports its named series into it, scoped by the strategy's slug
@@ -208,29 +194,6 @@ func (o Options) finish(c *core.Chain, s core.Solution) core.Solution {
 	return s
 }
 
-// schedulable rejects the degenerate inputs that sched.Schedule guards
-// against, so Bounds-overridden runs share the same contract.
-func schedulable(c *core.Chain, r core.Resources) bool {
-	return c != nil && c.Len() > 0 && r.Total() > 0 && r.NonNegative()
-}
-
-// binarySearch runs compute through the shared binary search, honoring a
-// caller-supplied bounds override.
-func binarySearch(c *core.Chain, r core.Resources, o Options, compute sched.ComputeSolutionFunc) core.Solution {
-	return binarySearchM(c, r, o, compute, sched.Metrics{})
-}
-
-// binarySearchM is binarySearch reporting the search's series into m.
-func binarySearchM(c *core.Chain, r core.Resources, o Options, compute sched.ComputeSolutionFunc, m sched.Metrics) core.Solution {
-	if o.Bounds != nil {
-		if !schedulable(c, r) {
-			return core.Solution{}
-		}
-		return sched.ScheduleBoundsM(c, r, *o.Bounds, compute, m)
-	}
-	return sched.ScheduleM(c, r, compute, m)
-}
-
 // entry is one registered strategy.
 type entry struct {
 	s       Scheduler
@@ -257,8 +220,8 @@ func Register(s Scheduler, aliases ...string) {
 }
 
 // RegisterHidden is Register for strategies that Parse/Get should resolve
-// but All should not list: ablation variants and test references that
-// "-strategy all" style sweeps must not pick up.
+// but All should not list: references that "-strategy all" style sweeps
+// must not pick up.
 func RegisterHidden(s Scheduler, aliases ...string) {
 	register(s, true, aliases...)
 }

@@ -8,7 +8,6 @@ import (
 	"ampsched/internal/chaingen"
 	"ampsched/internal/core"
 	"ampsched/internal/obs"
-	"ampsched/internal/sched"
 )
 
 func testChain(t testing.TB) *core.Chain {
@@ -33,13 +32,13 @@ func TestAllOrder(t *testing.T) {
 			t.Errorf("All()[%d] = %q, want %q", i, got[i], want[i])
 		}
 	}
-	// Hidden strategies appear in AllRegistered but not in All.
+	// The hidden reference appears in AllRegistered but not in All.
 	reg := AllRegistered()
-	if len(reg) != len(want)+2 {
-		t.Errorf("AllRegistered() has %d entries, want %d", len(reg), len(want)+2)
+	if len(reg) != len(want)+1 {
+		t.Errorf("AllRegistered() has %d entries, want %d", len(reg), len(want)+1)
 	}
 	for _, s := range All() {
-		if s.Name() == "Brute" || s.Name() == "2CATAC (memo)" {
+		if s.Name() == "Brute" {
 			t.Errorf("hidden strategy %q leaked into All()", s.Name())
 		}
 	}
@@ -47,23 +46,21 @@ func TestAllOrder(t *testing.T) {
 
 func TestParseAliases(t *testing.T) {
 	for in, want := range map[string]string{
-		"herad":         "HeRAD",
-		"HeRAD":         "HeRAD",
-		"  HERAD  ":     "HeRAD",
-		"2catac":        "2CATAC",
-		"twocatac":      "2CATAC",
-		"2CATAC":        "2CATAC",
-		"fertac":        "FERTAC",
-		"otac (b)":      "OTAC (B)",
-		"otac-b":        "OTAC (B)",
-		"OTACB":         "OTAC (B)",
-		"otac-l":        "OTAC (L)",
-		"otacl":         "OTAC (L)",
-		"2catac-memo":   "2CATAC (memo)",
-		"twocatac-memo": "2CATAC (memo)",
-		"brute":         "Brute",
-		"brute-force":   "Brute",
-		"exhaustive":    "Brute",
+		"herad":       "HeRAD",
+		"HeRAD":       "HeRAD",
+		"  HERAD  ":   "HeRAD",
+		"2catac":      "2CATAC",
+		"twocatac":    "2CATAC",
+		"2CATAC":      "2CATAC",
+		"fertac":      "FERTAC",
+		"otac (b)":    "OTAC (B)",
+		"otac-b":      "OTAC (B)",
+		"OTACB":       "OTAC (B)",
+		"otac-l":      "OTAC (L)",
+		"otacl":       "OTAC (L)",
+		"brute":       "Brute",
+		"brute-force": "Brute",
+		"exhaustive":  "Brute",
 	} {
 		s, err := Parse(in)
 		if err != nil {
@@ -149,65 +146,6 @@ func TestOptionsColocate(t *testing.T) {
 		}
 		if err := fused.Validate(c, r); err != nil {
 			t.Errorf("%s colocated schedule invalid: %v", s.Name(), err)
-		}
-	}
-}
-
-func TestOptionsMemoizeIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	r := core.Res(3, 3)
-	plain := MustParse("2catac")
-	memoHidden := MustParse("2catac-memo")
-	for i := 0; i < 20; i++ {
-		c := chaingen.Generate(chaingen.Default(10, 0.5), rng)
-		a := plain.Schedule(c, r, Options{})
-		b := plain.Schedule(c, r, Options{Memoize: true})
-		d := memoHidden.Schedule(c, r, Options{})
-		if a.String() != b.String() || a.String() != d.String() {
-			t.Fatalf("chain %d: memoized 2CATAC diverged:\n plain %v\n opt   %v\n memo  %v",
-				i, a, b, d)
-		}
-	}
-}
-
-func TestOptionsBounds(t *testing.T) {
-	c := testChain(t)
-	r := core.Res(2, 4)
-	s := MustParse("2catac")
-	ref := s.Schedule(c, r, Options{})
-	b := sched.DefaultBounds(c, r)
-	got := s.Schedule(c, r, Options{Bounds: &b})
-	if got.String() != ref.String() {
-		t.Errorf("default bounds diverged: %v vs %v", got, ref)
-	}
-	// An infeasible interval (everything below the true period) finds nothing.
-	p := ref.Period(c)
-	bad := sched.Bounds{Min: p / 100, Max: p / 2, Eps: b.Eps}
-	if got := s.Schedule(c, r, Options{Bounds: &bad}); !got.IsEmpty() {
-		t.Errorf("infeasible bounds produced %v", got)
-	}
-	// Bounds-overridden runs keep the degenerate-input guard.
-	if got := s.Schedule(c, core.Resources{}, Options{Bounds: &b}); !got.IsEmpty() {
-		t.Errorf("bounds run scheduled on zero resources: %v", got)
-	}
-}
-
-func TestOptionsRaw(t *testing.T) {
-	// Raw skips HeRAD's replicable-stage merge: the raw pipeline is never
-	// shorter and has the same period.
-	rng := rand.New(rand.NewSource(11))
-	h := MustParse("herad")
-	r := core.Res(4, 4)
-	for i := 0; i < 10; i++ {
-		c := chaingen.Generate(chaingen.Default(12, 0.7), rng)
-		merged := h.Schedule(c, r, Options{})
-		raw := h.Schedule(c, r, Options{Raw: true})
-		if raw.Period(c) != merged.Period(c) {
-			t.Errorf("chain %d: raw period %v != merged %v", i, raw.Period(c), merged.Period(c))
-		}
-		if len(raw.Stages) < len(merged.Stages) {
-			t.Errorf("chain %d: raw pipeline shorter than merged (%d < %d)",
-				i, len(raw.Stages), len(merged.Stages))
 		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 
 // TestOptionsValidation covers the up-front rejection of option values
 // that previously slipped into the run (negative capacities used to make
-// unbuffered channels; a NaN warmup fraction corrupted the period math).
+// unbuffered channels).
 func TestOptionsValidation(t *testing.T) {
 	tasks := []Task{timedTask("a", 1, 1, true)}
 	sol := core.Solution{Stages: []core.Stage{{Start: 0, End: 0, Cores: 1, Type: core.Big}}}
@@ -26,10 +26,6 @@ func TestOptionsValidation(t *testing.T) {
 		{TimeScale: -2},
 		{TimeScale: math.NaN()},
 		{TimeScale: math.Inf(1)},
-		{WarmupFraction: -0.1},
-		{WarmupFraction: 1},
-		{WarmupFraction: 1.5},
-		{WarmupFraction: math.NaN()},
 	}
 	for i, opt := range bad {
 		if _, err := New(tasks, sol, opt); err == nil {
@@ -39,7 +35,7 @@ func TestOptionsValidation(t *testing.T) {
 	// Zero values select the documented defaults; explicit valid values pass.
 	good := []Options{
 		{},
-		{QueueCap: 1, TimeScale: 2, WarmupFraction: 0.5},
+		{QueueCap: 1, TimeScale: 2},
 	}
 	for i, opt := range good {
 		if _, err := New(tasks, sol, opt); err != nil {

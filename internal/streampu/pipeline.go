@@ -23,12 +23,6 @@ type Options struct {
 	// than modeled. Reported periods and FPS are de-scaled back to the
 	// modeled time base. Defaults to 1.
 	TimeScale float64
-	// Spin makes latency-modeled tasks busy-wait instead of sleeping.
-	// Requires at least as many physical cores as pipeline workers.
-	Spin bool
-	// WarmupFraction is the fraction of frames excluded from throughput
-	// measurement at the start of the run. Defaults to 0.25.
-	WarmupFraction float64
 	// Profile enables per-task latency measurement (see Stats.TaskMicros).
 	Profile bool
 	// Tracer, when set, records one timeline event per (frame, stage)
@@ -50,19 +44,14 @@ type Options struct {
 
 // validate rejects option values that would previously have been
 // silently coerced (or worse, panicked deep inside the run): negative
-// queue capacities, negative or NaN scales and warmup fractions. Zero
-// values still select the documented defaults.
+// queue capacities and negative or non-finite scales. Zero values still
+// select the documented defaults.
 func (o Options) validate() error {
 	if o.QueueCap < 0 {
 		return fmt.Errorf("streampu: QueueCap = %d, want >= 0 (0 selects the default of 2)", o.QueueCap)
 	}
 	if o.TimeScale < 0 || math.IsNaN(o.TimeScale) || math.IsInf(o.TimeScale, 0) {
 		return fmt.Errorf("streampu: TimeScale = %v, want a finite value >= 0 (0 selects 1)", o.TimeScale)
-	}
-	if o.WarmupFraction < 0 || o.WarmupFraction >= 1 || math.IsNaN(o.WarmupFraction) {
-		if o.WarmupFraction != 0 {
-			return fmt.Errorf("streampu: WarmupFraction = %v, want 0 <= f < 1 (0 selects 0.25)", o.WarmupFraction)
-		}
 	}
 	return nil
 }
@@ -73,9 +62,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.TimeScale <= 0 {
 		o.TimeScale = 1
-	}
-	if o.WarmupFraction <= 0 || o.WarmupFraction >= 1 {
-		o.WarmupFraction = 0.25
 	}
 	return o
 }
@@ -304,10 +290,9 @@ func (p *Pipeline) Run(frames int, src func(f *Frame)) (Stats, error) {
 	startAll := time.Now() // before the first worker: Elapsed covers all they do
 	p.opt.Sampler.bind(p.stages, p.opt.TimeScale, startAll)
 
-	warmup := int(float64(frames) * p.opt.WarmupFraction)
-	if warmup >= frames {
-		warmup = frames - 1
-	}
+	// The first quarter of the frames warms the pipeline up and is left out
+	// of the measured period.
+	warmup := frames / 4
 
 	// The workers share the wait group and the clock that settles their
 	// modeled waits, in one allocation; the clock starts on the first park.
@@ -350,7 +335,7 @@ func (p *Pipeline) Run(frames int, src func(f *Frame)) (Stats, error) {
 			shared.wg.Add(1)
 			go func(si, w int, st pipeStage, insts []Task, res *workerResult) {
 				defer shared.wg.Done()
-				wctx := &Worker{Core: st.Type, Scale: p.opt.TimeScale, Spin: p.opt.Spin, ID: w, clk: &shared.clk}
+				wctx := &Worker{Core: st.Type, Scale: p.opt.TimeScale, ID: w, clk: &shared.clk}
 				r := st.Cores
 				var out boundary
 				if si < m-1 {

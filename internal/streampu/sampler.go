@@ -22,10 +22,12 @@ import (
 // and is meant to be driven by a single goroutine (ampsched's -watch
 // loop).
 
-// occupancyWindowNames interns the sampler's series names. They
-// deliberately differ from the occupancy *gauge* names RecordMetrics
-// registers, so a run using both never collides on a metric kind.
-var occupancyWindowNames = obs.NewNameTable("streampu.occupancy_window.stage")
+// The sampler's per-stage series names, interned so repeated sampling does
+// not rebuild "streampu.occupancy_window.stageN" strings on every call.
+var (
+	occupancyWindowNames = obs.NewNameTable("streampu.occupancy_window.stage")
+	latencyNames         = obs.NewNameTable("streampu.latency_us.stage")
+)
 
 // StageSample is one stage's view in a Sample snapshot. Latency fields
 // are in modeled µs (wall time de-scaled by Options.TimeScale), matching

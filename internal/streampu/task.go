@@ -7,10 +7,10 @@
 //
 // Heterogeneous big/little cores are virtualized: every pipeline worker is
 // bound to a virtual core of a given type, and latency-modeled tasks
-// realize their type-dependent latency by sleeping (oversubscription-safe
-// on machines with fewer physical cores than the modeled platform) or
-// spinning. Real computational tasks (e.g. internal/dvbs2) simply run
-// their code.
+// realize their type-dependent latency by parking on the run's clock
+// (oversubscription-safe on machines with fewer physical cores than the
+// modeled platform). Real computational tasks (e.g. internal/dvbs2) simply
+// run their code.
 package streampu
 
 import (
@@ -50,10 +50,6 @@ type Worker struct {
 	// Scale multiplies modeled latencies before they are realized in wall
 	// time (a scale of 10 turns a 100 µs modeled latency into 1 ms).
 	Scale float64
-	// Spin selects pure busy-waiting instead of sleeping for modeled
-	// latency; it needs as many physical cores as workers but has
-	// sub-microsecond precision.
-	Spin bool
 	// ID is the worker's replica index within its stage.
 	ID int
 
@@ -65,12 +61,6 @@ type Worker struct {
 	clk  *clock
 	wake chan struct{}
 }
-
-// spinGuard is the wall-clock window a Worker without a run's clock
-// realizes by busy-waiting at the end of each settle: the runtime's
-// timers wake up to ~1 ms late on Linux, because the scheduler's netpoll
-// wait has a millisecond timeout, so the final stretch is spun instead.
-const spinGuard = 1500 * time.Microsecond
 
 // Wait schedules a modeled latency (in the task-weight unit, µs) on this
 // worker. The latency is not realized immediately: it accumulates as debt
@@ -90,9 +80,9 @@ func (w *Worker) Wait(micros float64) {
 // start time: it blocks until start + scaled debt, and returns at once,
 // start unread, when there is none. Inside Run the worker parks the
 // absolute deadline on the run's clock and spins only the few tens of µs
-// the clock wakes it early; a Worker built outside Run sleeps on its own
-// and spins the final spinGuard. Either way the deadline is met to within
-// a clock read or two, far below the OS sleep quantum.
+// the clock wakes it early, so the deadline is met to within a clock read
+// or two, far below the OS sleep quantum. A Worker built outside Run has
+// no clock and spins the whole wait.
 func (w *Worker) Settle(start time.Time) {
 	if w.debt <= 0 {
 		return
@@ -100,14 +90,8 @@ func (w *Worker) Settle(start time.Time) {
 	d := time.Duration(w.debt * w.Scale * float64(time.Microsecond))
 	w.debt = 0
 	deadline := start.Add(d)
-	switch {
-	case w.Spin:
-	case w.clk != nil:
+	if w.clk != nil {
 		w.clk.wait(deadline, &w.wake)
-	default:
-		if rest := time.Until(deadline) - spinGuard; rest > 0 {
-			time.Sleep(rest)
-		}
 	}
 	for time.Now().Before(deadline) {
 	}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"ampsched/internal/core"
-	"ampsched/internal/obs"
 	"ampsched/internal/trace"
 )
 
@@ -132,66 +131,4 @@ func (tr *Tracer) WriteChromeTrace(w io.Writer) error {
 		}
 	}
 	return trace.WriteChromeEvents(w, out)
-}
-
-// occupancyNames interns the per-stage occupancy gauge names shared by
-// RecordMetrics and the windowed Sampler: repeated sampling must not
-// rebuild "streampu.occupancy.stageN" strings on every call.
-var occupancyNames = obs.NewNameTable("streampu.occupancy.stage")
-
-// latencyNames interns the per-stage latency histogram names used by the
-// Sampler ("streampu.latency_us.stageN").
-var latencyNames = obs.NewNameTable("streampu.latency_us.stage")
-
-// RecordMetrics feeds the trace's aggregates into m so run-time
-// observability shares the scheduling stack's export format: one
-// "streampu.occupancy.stage<N>" gauge per stage (StageOccupancy) plus
-// the "streampu.trace.events" counter. Gauge names are interned in a
-// package-level obs.NameTable, so repeated windowed sampling does not
-// allocate name strings per call. No-op when m or tr is nil.
-func (tr *Tracer) RecordMetrics(m *obs.Registry) {
-	if tr == nil || m == nil {
-		return
-	}
-	occ := tr.StageOccupancy()
-	stages := make([]int, 0, len(occ))
-	for stage := range occ {
-		stages = append(stages, stage)
-	}
-	sort.Ints(stages)
-	for _, stage := range stages {
-		m.Gauge(occupancyNames.Name(stage)).Set(occ[stage])
-	}
-	m.Counter("streampu.trace.events").Add(int64(tr.Len()))
-}
-
-// StageOccupancy returns, per stage, the fraction of the traced wall
-// time its workers spent busy (aggregate busy time ÷ (span × workers)).
-func (tr *Tracer) StageOccupancy() map[int]float64 {
-	events := tr.Events()
-	if len(events) == 0 {
-		return nil
-	}
-	var span time.Duration
-	busy := map[int]time.Duration{}
-	workers := map[int]map[int]bool{}
-	for _, e := range events {
-		if end := e.Start + e.Duration; end > span {
-			span = end
-		}
-		busy[e.Stage] += e.Duration
-		if workers[e.Stage] == nil {
-			workers[e.Stage] = map[int]bool{}
-		}
-		workers[e.Stage][e.Worker] = true
-	}
-	out := map[int]float64{}
-	for stage, b := range busy {
-		if span <= 0 {
-			out[stage] = 0
-			continue
-		}
-		out[stage] = b.Seconds() / (span.Seconds() * float64(len(workers[stage])))
-	}
-	return out
 }

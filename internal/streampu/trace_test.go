@@ -3,14 +3,12 @@ package streampu
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"ampsched/internal/core"
-	"ampsched/internal/obs"
 )
 
 func tracedRun(t *testing.T) *Tracer {
@@ -113,54 +111,11 @@ func TestTracerChromeExport(t *testing.T) {
 	}
 }
 
-// TestTracerStageOccupancy checks the analysis on a hand-built timeline:
-// StageOccupancy is a pure function of the events, and a pipeline run
-// short enough for a unit test measures the host's sleep overshoot, not
-// the modeled weights. Ten frames at a 20 µs period; stage 0 spends 10 µs
-// per frame alternating between two replicas, stage 1 spends 20 µs per
-// frame on one worker and is the bottleneck.
-func TestTracerStageOccupancy(t *testing.T) {
-	const us = time.Microsecond
-	var h handTrace
-	tr := &h.tr
-	t0 := time.Now()
-	for f := 0; f < 10; f++ {
-		at := t0.Add(time.Duration(20*f) * us)
-		h.record(uint64(f), 0, f%2, core.Big, at, 10*us)
-		h.record(uint64(f), 1, 0, core.Little, at.Add(10*us), 20*us)
-	}
-	occ := tr.StageOccupancy()
-	if len(occ) != 2 {
-		t.Fatalf("occupancy for %d stages", len(occ))
-	}
-	for stage, v := range occ {
-		if v <= 0 || v > 1.01 {
-			t.Errorf("stage %d occupancy %v", stage, v)
-		}
-	}
-	// The trace spans 9 periods + 10 + 20 = 210 µs: stage 0 is busy
-	// 100 µs over two workers, stage 1 200 µs on one.
-	if want := 100.0 / (210 * 2); math.Abs(occ[0]-want) > 1e-9 {
-		t.Errorf("stage 0 occupancy %v, want %v", occ[0], want)
-	}
-	if want := 200.0 / 210; math.Abs(occ[1]-want) > 1e-9 {
-		t.Errorf("stage 1 occupancy %v, want %v", occ[1], want)
-	}
-	if occ[1] <= occ[0] {
-		t.Errorf("bottleneck occupancy %v not above %v", occ[1], occ[0])
-	}
-	empty := &Tracer{}
-	if empty.StageOccupancy() != nil {
-		t.Error("empty tracer occupancy should be nil")
-	}
-}
-
 // TestTracerOriginIsEarliestStart records two 1 µs executions picked up
 // 5 µs apart in reverse order, both before the Tracer took its own origin
 // (a first buffer is registered after t0) — a replica that picked its
 // frame up first but registered second. The timeline must still start at
-// 0 (no negative Start, no negative Chrome ts) and span 6 µs, so two
-// workers busy 1 µs each read 2/(6·2) occupancy, not 2/(1·2).
+// 0: no negative Start and no negative Chrome ts.
 func TestTracerOriginIsEarliestStart(t *testing.T) {
 	const us = time.Microsecond
 	var h handTrace
@@ -171,9 +126,6 @@ func TestTracerOriginIsEarliestStart(t *testing.T) {
 	events := tr.Events()
 	if len(events) != 2 || events[0].Frame != 0 || events[0].Start != 0 || events[1].Start != 5*us {
 		t.Fatalf("events %+v, want frame 0 at 0 then frame 1 at 5µs", events)
-	}
-	if occ, want := tr.StageOccupancy()[0], 2.0/(6*2); math.Abs(occ-want) > 1e-9 {
-		t.Errorf("occupancy %v, want %v", occ, want)
 	}
 	var sb strings.Builder
 	if err := tr.WriteChromeTrace(&sb); err != nil {
@@ -197,7 +149,6 @@ func TestTracerOriginIsEarliestStart(t *testing.T) {
 func TestTracerConcurrentRecord(t *testing.T) {
 	const writers, perWriter = 8, 500
 	tr := &Tracer{}
-	reg := obs.NewRegistry()
 	t0 := time.Now()
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -217,38 +168,6 @@ func TestTracerConcurrentRecord(t *testing.T) {
 	}
 	if got := tr.Len(); got != writers*perWriter {
 		t.Fatalf("%d events recorded, want %d", got, writers*perWriter)
-	}
-	tr.RecordMetrics(reg)
-	byName := map[string]obs.Sample{}
-	for _, s := range reg.Snapshot() {
-		byName[s.Name] = s
-	}
-	if got := byName["streampu.trace.events"].Count; got != writers*perWriter {
-		t.Errorf("streampu.trace.events = %d, want %d", got, writers*perWriter)
-	}
-	for stage := 0; stage < 3; stage++ {
-		name := fmt.Sprintf("streampu.occupancy.stage%d", stage)
-		s, ok := byName[name]
-		if !ok {
-			t.Errorf("%s not recorded", name)
-			continue
-		}
-		if s.Value <= 0 || s.Value > 1.01 {
-			t.Errorf("%s = %v, want a fraction in (0, 1]", name, s.Value)
-		}
-	}
-}
-
-// TestTracerRecordMetricsNil pins the nil-safety contract on both sides.
-func TestTracerRecordMetricsNil(t *testing.T) {
-	var nilTracer *Tracer
-	nilTracer.RecordMetrics(obs.NewRegistry()) // must not panic
-	tr := tracedRun(t)
-	tr.RecordMetrics(nil) // must not panic
-	reg := obs.NewRegistry()
-	tr.RecordMetrics(reg)
-	if len(reg.Snapshot()) < 3 {
-		t.Errorf("traced run exported %d series, want >= 3", len(reg.Snapshot()))
 	}
 }
 

@@ -2,22 +2,17 @@ package trace
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"strconv"
-	"strings"
 	"unicode/utf8"
 )
 
 // JSONL export: one record per line, canonical encoding (fixed field
 // order, insertion-ordered attributes, one shared string escaper), so
-// that encode → decode → re-encode is byte-identical and deterministic
-// workloads export byte-identical journals. The first line is a header
-// record carrying the schema version; span identifiers are assigned in
-// depth-first creation order at export time.
+// deterministic workloads export byte-identical journals. The first line is
+// a header record carrying the schema version; span identifiers are
+// assigned in depth-first creation order at export time.
 //
 // Record kinds:
 //
@@ -26,102 +21,61 @@ import (
 //	{"kind":"event","span":I,"name":N,"attrs":{...}}               event
 //	{"kind":"end","id":I}                                          span close
 //
-// Non-finite floats have no JSON representation and are encoded as null
-// (decoded back as NaN).
+// Non-finite floats have no JSON representation and are encoded as null.
 
-// Record is one decoded JSONL line. Re-encoding a decoded record stream
-// with WriteRecords reproduces the original bytes.
-type Record struct {
-	Schema int    // header records only
-	Kind   string // "journal", "begin", "event", "end"
-	ID     int    // begin/end: span id
-	Parent int    // begin: parent span id (0 is the root)
-	Span   int    // event: owning span id
-	Name   string // begin/event
-	Attrs  []Attr // begin/event; insertion order preserved
-}
-
-// WriteJSONL writes the journal as canonical JSONL. A nil journal writes
-// nothing and returns nil.
+// WriteJSONL writes the journal as canonical JSONL: the header, then a
+// depth-first walk of the span tree. A nil journal writes nothing and
+// returns nil.
 func (j *Journal) WriteJSONL(w io.Writer) error {
 	if j == nil {
 		return nil
 	}
-	return WriteRecords(w, j.Records())
-}
-
-// Records flattens the journal into its canonical record stream: header,
-// then a depth-first walk of the span tree. Nil journal → nil.
-func (j *Journal) Records() []Record {
-	if j == nil {
-		return nil
+	bw := bufio.NewWriter(w)
+	var buf []byte
+	line := func() {
+		buf = append(buf, '}', '\n')
+		// A failed write sticks in bw: later writes are dropped and Flush
+		// returns the error.
+		_, _ = bw.Write(buf)
+		buf = buf[:0]
 	}
-	recs := []Record{{Schema: Schema, Kind: "journal"}}
-	nextID := 0
-	var walk func(s *Span, parent int)
-	walk = func(s *Span, parent int) {
+	buf = append(buf, `{"schema":`...)
+	buf = strconv.AppendInt(buf, Schema, 10)
+	buf = append(buf, `,"kind":"journal"`...)
+	line()
+	var nextID int64
+	var walk func(s *Span, parent int64)
+	walk = func(s *Span, parent int64) {
 		nextID++
 		id := nextID
-		recs = append(recs, Record{Kind: "begin", ID: id, Parent: parent, Name: s.name, Attrs: s.attrs})
+		buf = append(buf, `{"kind":"begin","id":`...)
+		buf = strconv.AppendInt(buf, id, 10)
+		buf = append(buf, `,"parent":`...)
+		buf = strconv.AppendInt(buf, parent, 10)
+		buf = append(buf, `,"name":`...)
+		buf = appendJSONString(buf, s.name)
+		buf = appendAttrs(buf, s.attrs)
+		line()
 		for _, it := range s.items {
 			if it.sp != nil {
 				walk(it.sp, id)
-			} else {
-				recs = append(recs, Record{Kind: "event", Span: id, Name: it.ev.name, Attrs: it.ev.attrs})
+				continue
 			}
+			buf = append(buf, `{"kind":"event","span":`...)
+			buf = strconv.AppendInt(buf, id, 10)
+			buf = append(buf, `,"name":`...)
+			buf = appendJSONString(buf, it.ev.name)
+			buf = appendAttrs(buf, it.ev.attrs)
+			line()
 		}
-		recs = append(recs, Record{Kind: "end", ID: id})
+		buf = append(buf, `{"kind":"end","id":`...)
+		buf = strconv.AppendInt(buf, id, 10)
+		line()
 	}
 	j.mu.Lock()
-	defer j.mu.Unlock()
 	walk(j.root, 0)
-	return recs
-}
-
-// WriteRecords writes a record stream as canonical JSONL.
-func WriteRecords(w io.Writer, recs []Record) error {
-	bw := bufio.NewWriter(w)
-	var buf []byte
-	for _, rec := range recs {
-		buf = appendRecord(buf[:0], rec)
-		buf = append(buf, '\n')
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-	}
+	j.mu.Unlock()
 	return bw.Flush()
-}
-
-// appendRecord appends rec's canonical JSON encoding (no newline).
-func appendRecord(b []byte, rec Record) []byte {
-	b = append(b, '{')
-	switch rec.Kind {
-	case "journal":
-		b = append(b, `"schema":`...)
-		b = strconv.AppendInt(b, int64(rec.Schema), 10)
-		b = append(b, `,"kind":"journal"`...)
-	case "begin":
-		b = append(b, `"kind":"begin","id":`...)
-		b = strconv.AppendInt(b, int64(rec.ID), 10)
-		b = append(b, `,"parent":`...)
-		b = strconv.AppendInt(b, int64(rec.Parent), 10)
-		b = append(b, `,"name":`...)
-		b = appendJSONString(b, rec.Name)
-		b = appendAttrs(b, rec.Attrs)
-	case "event":
-		b = append(b, `"kind":"event","span":`...)
-		b = strconv.AppendInt(b, int64(rec.Span), 10)
-		b = append(b, `,"name":`...)
-		b = appendJSONString(b, rec.Name)
-		b = appendAttrs(b, rec.Attrs)
-	case "end":
-		b = append(b, `"kind":"end","id":`...)
-		b = strconv.AppendInt(b, int64(rec.ID), 10)
-	default:
-		b = append(b, `"kind":`...)
-		b = appendJSONString(b, rec.Kind)
-	}
-	return append(b, '}')
 }
 
 // appendAttrs appends `,"attrs":{...}` unless attrs is empty.
@@ -158,12 +112,10 @@ func appendAttrValue(b []byte, a Attr) []byte {
 	return append(b, `null`...)
 }
 
-// appendFloat writes the canonical float form: shortest 'g'
-// representation, with a trailing ".0"-free integer form kept distinct
-// from Int attrs by the decoder re-typing rule (see parseAttrValue).
+// appendFloat writes the canonical float form: the shortest 'g'
+// representation, so an integral float prints like an integer.
 func appendFloat(b []byte, f float64) []byte {
-	s := strconv.AppendFloat(b, f, 'g', -1, 64)
-	return s
+	return strconv.AppendFloat(b, f, 'g', -1, 64)
 }
 
 const hexDigits = "0123456789abcdef"
@@ -171,8 +123,7 @@ const hexDigits = "0123456789abcdef"
 // appendJSONString is the shared canonical JSON string escaper used by
 // the JSONL and Chrome exporters: quote and backslash are escaped, \n \r
 // \t use their short forms, other control characters use \u00XX, and
-// invalid UTF-8 is replaced by U+FFFD (matching encoding/json, so decode
-// → re-encode is stable).
+// invalid UTF-8 is replaced by U+FFFD (matching encoding/json).
 func appendJSONString(b []byte, s string) []byte {
 	b = append(b, '"')
 	for i := 0; i < len(s); {
@@ -207,183 +158,4 @@ func appendJSONString(b []byte, s string) []byte {
 		i += size
 	}
 	return append(b, '"')
-}
-
-// ReadJSONL decodes a canonical JSONL journal stream into its records,
-// preserving attribute order and value types so WriteRecords reproduces
-// the input byte-for-byte. It validates the header's schema version.
-func ReadJSONL(r io.Reader) ([]Record, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var recs []Record
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		rec, err := decodeLine(line)
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
-		}
-		if lineNo == 1 {
-			if rec.Kind != "journal" {
-				return nil, fmt.Errorf("trace: line 1: missing journal header")
-			}
-			if rec.Schema != Schema {
-				return nil, fmt.Errorf("trace: unsupported schema %d (want %d)", rec.Schema, Schema)
-			}
-		}
-		recs = append(recs, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return recs, nil
-}
-
-// decodeLine parses one record, walking the top-level object with a
-// token decoder so attribute order survives the round trip.
-func decodeLine(line []byte) (Record, error) {
-	var rec Record
-	dec := json.NewDecoder(bytes.NewReader(line))
-	dec.UseNumber()
-	tok, err := dec.Token()
-	if err != nil {
-		return rec, err
-	}
-	if d, ok := tok.(json.Delim); !ok || d != '{' {
-		return rec, fmt.Errorf("record is not an object")
-	}
-	for dec.More() {
-		keyTok, err := dec.Token()
-		if err != nil {
-			return rec, err
-		}
-		key, _ := keyTok.(string)
-		switch key {
-		case "schema":
-			n, err := decodeInt(dec)
-			if err != nil {
-				return rec, err
-			}
-			rec.Schema = n
-		case "kind":
-			tok, err := dec.Token()
-			if err != nil {
-				return rec, err
-			}
-			rec.Kind, _ = tok.(string)
-		case "id":
-			n, err := decodeInt(dec)
-			if err != nil {
-				return rec, err
-			}
-			rec.ID = n
-		case "parent":
-			n, err := decodeInt(dec)
-			if err != nil {
-				return rec, err
-			}
-			rec.Parent = n
-		case "span":
-			n, err := decodeInt(dec)
-			if err != nil {
-				return rec, err
-			}
-			rec.Span = n
-		case "name":
-			tok, err := dec.Token()
-			if err != nil {
-				return rec, err
-			}
-			rec.Name, _ = tok.(string)
-		case "attrs":
-			attrs, err := decodeAttrs(dec)
-			if err != nil {
-				return rec, err
-			}
-			rec.Attrs = attrs
-		default:
-			return rec, fmt.Errorf("unknown field %q", key)
-		}
-	}
-	return rec, nil
-}
-
-func decodeInt(dec *json.Decoder) (int, error) {
-	tok, err := dec.Token()
-	if err != nil {
-		return 0, err
-	}
-	num, ok := tok.(json.Number)
-	if !ok {
-		return 0, fmt.Errorf("expected number, got %v", tok)
-	}
-	n, err := strconv.Atoi(num.String())
-	if err != nil {
-		return 0, err
-	}
-	return n, nil
-}
-
-func decodeAttrs(dec *json.Decoder) ([]Attr, error) {
-	tok, err := dec.Token()
-	if err != nil {
-		return nil, err
-	}
-	if d, ok := tok.(json.Delim); !ok || d != '{' {
-		return nil, fmt.Errorf("attrs is not an object")
-	}
-	var attrs []Attr
-	for dec.More() {
-		keyTok, err := dec.Token()
-		if err != nil {
-			return nil, err
-		}
-		key, _ := keyTok.(string)
-		valTok, err := dec.Token()
-		if err != nil {
-			return nil, err
-		}
-		a, err := parseAttrValue(key, valTok)
-		if err != nil {
-			return nil, err
-		}
-		attrs = append(attrs, a)
-	}
-	if _, err := dec.Token(); err != nil { // closing '}'
-		return nil, err
-	}
-	return attrs, nil
-}
-
-// parseAttrValue re-types a decoded JSON value into an Attr. Numbers
-// whose literal contains '.', 'e' or 'E' are floats, the rest are ints —
-// the inverse of the canonical encoder, so the round trip is exact.
-func parseAttrValue(key string, tok json.Token) (Attr, error) {
-	switch v := tok.(type) {
-	case string:
-		return String(key, v), nil
-	case bool:
-		return Bool(key, v), nil
-	case nil:
-		return Float64(key, math.NaN()), nil
-	case json.Number:
-		lit := v.String()
-		if strings.ContainsAny(lit, ".eE") {
-			f, err := strconv.ParseFloat(lit, 64)
-			if err != nil {
-				return Attr{}, err
-			}
-			return Float64(key, f), nil
-		}
-		i, err := strconv.ParseInt(lit, 10, 64)
-		if err != nil {
-			return Attr{}, err
-		}
-		return Int(key, i), nil
-	}
-	return Attr{}, fmt.Errorf("attr %q has unsupported value %v", key, tok)
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -21,63 +22,90 @@ func sample() *Journal {
 	return j
 }
 
-func TestJSONLRoundTrip(t *testing.T) {
-	j := sample()
-	var first bytes.Buffer
-	if err := j.WriteJSONL(&first); err != nil {
+// record is one JSONL line as generic tooling sees it.
+type record struct {
+	Schema int            `json:"schema"`
+	Kind   string         `json:"kind"`
+	ID     int            `json:"id"`
+	Parent int            `json:"parent"`
+	Span   int            `json:"span"`
+	Name   string         `json:"name"`
+	Attrs  map[string]any `json:"attrs"`
+}
+
+// decodeJSONL exports j and decodes every line with encoding/json.
+func decodeJSONL(t *testing.T, j *Journal) []record {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := j.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReadJSONL(bytes.NewReader(first.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var second bytes.Buffer
-	if err := WriteRecords(&second, recs); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(first.Bytes(), second.Bytes()) {
-		t.Fatalf("re-encode differs:\n--- first ---\n%s\n--- second ---\n%s", first.String(), second.String())
-	}
-	// Every line must also be valid JSON for generic tooling.
-	for _, line := range strings.Split(strings.TrimSpace(first.String()), "\n") {
-		var v map[string]any
-		if err := json.Unmarshal([]byte(line), &v); err != nil {
+	var recs []record
+	for _, line := range strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n") {
+		var r record
+		if err := json.Unmarshal([]byte(line), &r); err != nil {
 			t.Fatalf("line %q is not valid JSON: %v", line, err)
 		}
+		recs = append(recs, r)
+	}
+	return recs
+}
+
+// TestJSONLRoundTrip decodes the sample journal with encoding/json and
+// gets back the tree it was built from: the header, then each span's
+// begin, its items in order and its end, with depth-first ids and every
+// attribute type intact.
+func TestJSONLRoundTrip(t *testing.T) {
+	var got []string
+	for _, r := range decodeJSONL(t, sample()) {
+		got = append(got, fmt.Sprintf("%d %s %d %d %d %s %v", r.Schema, r.Kind, r.ID, r.Parent, r.Span, r.Name, r.Attrs))
+	}
+	want := []string{
+		"1 journal 0 0 0  map[]",
+		"0 begin 1 0 0 run map[resources:4 tool:test]",
+		"0 begin 2 1 0 strategy map[name:HeRAD]",
+		"0 begin 3 2 0 probe map[target:412.5]",
+		"0 event 0 0 3 compute_stage map[end:2 first_task:0 replicable:true]",
+		"0 event 0 0 3 max_packing map[cores:1 end:1 first_task:0 target:412.5]",
+		"0 end 3 0 0  map[]",
+		"0 event 0 0 2 solution map[period:400 stages:3]",
+		"0 event 0 0 2 stage map[cores:2 index:0 type:B]",
+		"0 end 2 0 0  map[]",
+		"0 end 1 0 0  map[]",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("decoded journal:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 
+// TestJSONLRoundTripHostileStrings decodes quotes, backslashes, control
+// characters, non-ASCII text and empty strings back to the originals;
+// invalid UTF-8 comes back as U+FFFD, as encoding/json would write it.
 func TestJSONLRoundTripHostileStrings(t *testing.T) {
+	attrs := map[string]string{
+		"task":  "日本語 \"quoted\" back\\slash",
+		"ctrl":  "a\x01b\nc\td\r\x1f",
+		"eq":    "a=b",
+		"empty": "",
+	}
 	j := New()
-	sp := j.Begin("strategy").Str("name", "2CATAC (memo)")
-	sp.Event("stage").Str("task", "日本語 \"quoted\" back\\slash").Str("ctrl", "a\x01b\nc\td\r")
-	sp.Event("weird").Str("eq", "a=b").Str("empty", "")
-	var first bytes.Buffer
-	if err := j.WriteJSONL(&first); err != nil {
-		t.Fatal(err)
+	ev := j.Begin("strategy \"x\"\n").Event("stage\t\x02")
+	for _, k := range []string{"task", "ctrl", "eq", "empty"} {
+		ev.Str(k, attrs[k])
 	}
-	recs, err := ReadJSONL(bytes.NewReader(first.Bytes()))
-	if err != nil {
-		t.Fatal(err)
+	ev.Str("bad", "a\xffb")
+	recs := decodeJSONL(t, j)
+	if len(recs) != 6 || recs[2].Name != "strategy \"x\"\n" || recs[3].Name != "stage\t\x02" {
+		t.Fatalf("decoded records %+v", recs)
 	}
-	var second bytes.Buffer
-	if err := WriteRecords(&second, recs); err != nil {
-		t.Fatal(err)
+	got := recs[3].Attrs
+	for k, v := range attrs {
+		if got[k] != v {
+			t.Errorf("attr %s decoded as %q, want %q", k, got[k], v)
+		}
 	}
-	if !bytes.Equal(first.Bytes(), second.Bytes()) {
-		t.Fatalf("hostile-string re-encode differs:\n%s\nvs\n%s", first.String(), second.String())
-	}
-}
-
-func TestReadJSONLRejectsBadInput(t *testing.T) {
-	if _, err := ReadJSONL(strings.NewReader(`{"kind":"begin","id":1,"parent":0,"name":"x"}`)); err == nil {
-		t.Error("missing header accepted")
-	}
-	if _, err := ReadJSONL(strings.NewReader(`{"schema":99,"kind":"journal"}`)); err == nil {
-		t.Error("future schema accepted")
-	}
-	if _, err := ReadJSONL(strings.NewReader("not json")); err == nil {
-		t.Error("garbage accepted")
+	if got["bad"] != "a\uFFFDb" {
+		t.Errorf("invalid UTF-8 decoded as %q, want %q", got["bad"], "a\uFFFDb")
 	}
 }
 
@@ -185,10 +213,9 @@ func TestScopeEnterGroupsEvents(t *testing.T) {
 	sc.Event("inner")
 	done()
 	sc.Event("outer")
-	recs := j.Records()
 	// header, run, strategy, probe(begin, event, end), outer event, ends.
 	var names []string
-	for _, r := range recs {
+	for _, r := range decodeJSONL(t, j) {
 		if r.Kind == "begin" || r.Kind == "event" {
 			names = append(names, r.Kind+":"+r.Name)
 		}

@@ -3,11 +3,9 @@
 // stage, tries both core types and keeps the solution that best exchanges
 // big cores for little ones (or, failing that, uses fewer cores). Its
 // worst-case complexity is O(2^n · log(w_max·(b+l))); the paper limits it
-// to chains of about 60 tasks.
-//
-// ScheduleMemo is an ablation variant that memoizes ComputeSolution on
-// (start, resources) per binary-search probe, collapsing the exponential
-// recursion tree; it returns the same schedules.
+// to chains of about 60 tasks. The recursion is kept paper-verbatim, with
+// no memoization, because Figs. 3–4 time exactly that recursion; a memoized
+// oracle that returns the same schedules lives in memo_test.go.
 package twocatac
 
 import (
@@ -20,26 +18,20 @@ import (
 // disabled sink.
 type Metrics struct {
 	// Nodes counts recursion-tree nodes (ComputeSolution invocations,
-	// Algo 5) — the quantity the memoized ablation collapses.
+	// Algo 5): the exponential quantity Figs. 3–4 time.
 	Nodes *obs.Counter
-	// MemoHits and MemoMisses count memo-table lookups of the memoized
-	// variant (always 0 on the paper-verbatim recursion).
-	MemoHits   *obs.Counter
-	MemoMisses *obs.Counter
 	// Sched carries the shared binary-search/stage-packing series and the
 	// decision-journal scope (Sched.Trace): the recursion emits one
-	// "node" event per branch point and "memo_hit" events for collapsed
-	// subtrees, nested under the current binary-search probe span.
+	// "node" event per branch point, nested under the current
+	// binary-search probe span.
 	Sched sched.Metrics
 }
 
 // MetricsFrom resolves 2CATAC's series in r (nil r disables).
 func MetricsFrom(r *obs.Registry) Metrics {
 	return Metrics{
-		Nodes:      r.Counter("twocatac.recursion.nodes"),
-		MemoHits:   r.Counter("twocatac.memo.hits"),
-		MemoMisses: r.Counter("twocatac.memo.misses"),
-		Sched:      sched.MetricsFrom(r),
+		Nodes: r.Counter("twocatac.recursion.nodes"),
+		Sched: sched.MetricsFrom(r),
 	}
 }
 
@@ -49,68 +41,24 @@ func Schedule(c *core.Chain, r core.Resources) core.Solution {
 	return sched.Schedule(c, r, ComputeSolution)
 }
 
-// ScheduleMemo computes the same schedules as Schedule but memoizes the
-// recursion on (start task, remaining resources) within each
-// binary-search probe. This is an implementation ablation, not a paper
-// algorithm.
-func ScheduleMemo(c *core.Chain, r core.Resources) core.Solution {
-	return sched.Schedule(c, r, Compute(true))
-}
-
-// Compute returns 2CATAC's ComputeSolution for use with
-// sched.Schedule/ScheduleBounds: the paper-verbatim exponential recursion,
-// or the memoized ablation when memo is true (a fresh memo table per
-// binary-search probe, exactly as ScheduleMemo).
-func Compute(memo bool) sched.ComputeSolutionFunc {
-	if !memo {
-		return ComputeSolution
-	}
-	return func(ch *core.Chain, s int, res core.Resources, target float64) core.Solution {
-		return computeSolutionMemo(ch, s, res, target, make(map[memoKey]core.Solution), Metrics{})
-	}
-}
-
-// ComputeObs is Compute reporting into m, for use with
-// sched.ScheduleM/ScheduleBoundsM.
+// ComputeObs returns ComputeSolution reporting into m, for use with
+// sched.ScheduleM. memo is accepted and ignored (the recursion is never
+// memoized); the parameter stays only because bench/ still passes it (see
+// ROADMAP.md).
 func ComputeObs(memo bool, m Metrics) sched.ComputeSolutionFunc {
-	if !memo {
-		return func(ch *core.Chain, s int, res core.Resources, target float64) core.Solution {
-			return computeSolution(ch, s, res, target, nil, m)
-		}
-	}
 	return func(ch *core.Chain, s int, res core.Resources, target float64) core.Solution {
-		return computeSolutionMemo(ch, s, res, target, make(map[memoKey]core.Solution), m)
+		return computeSolution(ch, s, res, target, m)
 	}
-}
-
-type memoKey struct {
-	s int
-	r core.Resources
 }
 
 // ComputeSolution implements Algo 5: it builds the stage starting at task
 // s with both core types, recurses on the remainder for each, and picks
 // the better of the two complete solutions with ChooseBestSolution.
 func ComputeSolution(c *core.Chain, s int, r core.Resources, target float64) core.Solution {
-	return computeSolution(c, s, r, target, nil, Metrics{})
+	return computeSolution(c, s, r, target, Metrics{})
 }
 
-func computeSolutionMemo(c *core.Chain, s int, r core.Resources, target float64, memo map[memoKey]core.Solution, m Metrics) core.Solution {
-	if got, ok := memo[memoKey{s, r}]; ok {
-		m.MemoHits.Inc()
-		if m.Sched.Trace.Enabled() {
-			m.Sched.Trace.Event("memo_hit").Int("first_task", s).
-				Int("big", r.Count(core.Big)).Int("little", r.Count(core.Little))
-		}
-		return got
-	}
-	m.MemoMisses.Inc()
-	sol := computeSolution(c, s, r, target, memo, m)
-	memo[memoKey{s, r}] = sol
-	return sol
-}
-
-func computeSolution(c *core.Chain, s int, r core.Resources, target float64, memo map[memoKey]core.Solution, m Metrics) core.Solution {
+func computeSolution(c *core.Chain, s int, r core.Resources, target float64, m Metrics) core.Solution {
 	m.Nodes.Inc()
 	var sols [2]core.Solution
 	for _, v := range []core.CoreType{core.Big, core.Little} {
@@ -121,12 +69,7 @@ func computeSolution(c *core.Chain, s int, r core.Resources, target float64, mem
 		case e == c.Len()-1:
 			sols[v] = core.Solution{Stages: []core.Stage{{Start: s, End: e, Cores: u, Type: v}}}
 		default:
-			rest := core.Solution{}
-			if memo != nil {
-				rest = computeSolutionMemo(c, e+1, r.Consume(v, u), target, memo, m)
-			} else {
-				rest = computeSolution(c, e+1, r.Consume(v, u), target, nil, m)
-			}
+			rest := computeSolution(c, e+1, r.Consume(v, u), target, m)
 			if rest.IsValid(c, r.Consume(v, u), target) {
 				sols[v] = rest.Prepend(core.Stage{Start: s, End: e, Cores: u, Type: v})
 			}

@@ -71,19 +71,6 @@ func TestNeverBeatsOptimalAndUsuallyBeatsFertac(t *testing.T) {
 	}
 }
 
-func TestMemoVariantIdenticalSchedules(t *testing.T) {
-	rng := rand.New(rand.NewSource(97))
-	for iter := 0; iter < 60; iter++ {
-		c := chaingen.Generate(chaingen.Default(1+rng.Intn(14), 0.5), rng)
-		r := core.Res(1+rng.Intn(5), 1+rng.Intn(5))
-		a := Schedule(c, r)
-		b := ScheduleMemo(c, r)
-		if a.String() != b.String() {
-			t.Fatalf("iter %d: memoized variant diverged:\n  plain %v\n  memo  %v", iter, a, b)
-		}
-	}
-}
-
 func TestChooseBestSolutionRules(t *testing.T) {
 	c := core.MustChain([]core.Task{
 		task(10, 10, true), task(10, 10, true),
