@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"ampsched/internal/obs"
-	"ampsched/internal/strategy"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -76,7 +75,6 @@ func TestTable1Golden(t *testing.T) {
 	}
 	a := testApp()
 	a.reg = obs.NewRegistry()
-	a.cache = strategy.NewCache()
 	a.metricsPath = filepath.Join(t.TempDir(), "metrics.json")
 	out := captureStdout(t, func() error {
 		if err := a.run("table1"); err != nil {

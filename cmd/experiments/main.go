@@ -17,12 +17,13 @@
 //	-real        execute Table II schedules on the streampu runtime
 //	-scale S     time scale for -real runs (default 10)
 //	-workers N   concurrent planning workers (default 0 = one per CPU)
-//	-cache       reuse schedules across identical planning requests
-//	             (default true; results are identical either way, only
-//	             repeated scenarios get cheaper — e.g. fig1/fig6 re-use
-//	             table1's campaign). -cache=false re-solves everything.
 //	-metrics F   write a machine-readable metrics report (default
 //	             metrics.json; "" disables collection entirely)
+//
+// Every campaign of a run plans through one shared strategy.Cache, so a
+// request an earlier campaign solved is served, not re-solved (fig6 re-runs
+// table1's scenarios, for one). Results are identical either way: every
+// strategy is deterministic.
 //
 // The metrics report aggregates every scheduler-side series the run
 // produced (per-strategy counters/timers, PlanBatch batch series
@@ -53,7 +54,6 @@ func main() {
 	real := flag.Bool("real", false, "run Table II schedules on the streampu runtime (wall clock)")
 	scale := flag.Float64("scale", 10, "time scale for -real runs")
 	workers := flag.Int("workers", 0, "concurrent planning workers (0 = one per CPU, 1 = serial)")
-	cache := flag.Bool("cache", true, "reuse schedules across identical planning requests")
 	metrics := flag.String("metrics", "metrics.json", `metrics report path ("" disables collection)`)
 	flag.Parse()
 
@@ -69,13 +69,10 @@ func main() {
 	app := &app{
 		chains: *chains, runs: *runs, quick: *quick,
 		csv: *csv, real: *real, scale: *scale, workers: *workers,
-		metricsPath: *metrics,
+		metricsPath: *metrics, cache: strategy.NewCache(),
 	}
 	if app.metricsPath != "" {
 		app.reg = obs.NewRegistry()
-	}
-	if *cache {
-		app.cache = strategy.NewCache()
 	}
 	if err := app.run(cmd); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
@@ -100,8 +97,7 @@ type app struct {
 	metricsPath string
 
 	// cache is the app-wide schedule cache shared by every campaign of
-	// the run, so e.g. fig6's Table I re-run hits table1's entries; nil
-	// (-cache=false) re-solves every request.
+	// the run, so e.g. fig6's Table I re-run hits table1's entries.
 	cache *strategy.Cache
 
 	t1cache []experiments.Table1Cell
@@ -328,14 +324,20 @@ func (a *app) renderTiming(title string, pts []experiments.TimingPoint, xAxis st
 	}
 }
 
-func (a *app) table2() ([]experiments.Table2Row, error) {
+// table2Config is the one Table II configuration of the run: table2, fig5
+// and fig6 all honour -real and -scale through it.
+func (a *app) table2Config() experiments.Table2Config {
 	cfg := experiments.DefaultTable2Config()
 	cfg.RunReal = a.real
 	cfg.TimeScale = a.scale
 	cfg.Workers = a.workers
 	cfg.Metrics = a.reg
 	cfg.Cache = a.cache
-	rows, err := experiments.Table2(cfg)
+	return cfg
+}
+
+func (a *app) table2() ([]experiments.Table2Row, error) {
+	rows, err := experiments.Table2(a.table2Config())
 	if err != nil {
 		return nil, err
 	}
@@ -411,12 +413,7 @@ func (a *app) fig6() error {
 	cfg.Metrics = a.reg
 	cfg.Cache = a.cache
 	t1 := experiments.Table1(cfg)
-	t2cfg := experiments.DefaultTable2Config()
-	t2cfg.RunReal = a.real
-	t2cfg.Workers = a.workers
-	t2cfg.Metrics = a.reg
-	t2cfg.Cache = a.cache
-	t2, err := experiments.Table2(t2cfg)
+	t2, err := experiments.Table2(a.table2Config())
 	if err != nil {
 		return err
 	}

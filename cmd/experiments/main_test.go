@@ -3,6 +3,8 @@ package main
 import (
 	"os"
 	"testing"
+
+	"ampsched/internal/strategy"
 )
 
 // quietly redirects stdout around fn (the drivers print to stdout).
@@ -25,9 +27,9 @@ func quietly(t *testing.T, fn func() error) {
 
 // testApp pins the PlanBatch pool at one worker: the reports the goldens
 // byte-compare include the planbatch.workers gauge, which would otherwise
-// read the host's GOMAXPROCS.
+// read the host's GOMAXPROCS. Like the binary, it plans through one cache.
 func testApp() *app {
-	return &app{chains: 20, runs: 2, quick: true, scale: 10, workers: 1}
+	return &app{chains: 20, runs: 2, quick: true, scale: 10, workers: 1, cache: strategy.NewCache()}
 }
 
 func TestDriversRun(t *testing.T) {
@@ -63,5 +65,14 @@ func TestTable1CellsCached(t *testing.T) {
 	quietly(t, func() error { return a.fig1() })
 	if &a.t1cache[0] != &first[0] {
 		t.Error("table1 cells recomputed instead of cached")
+	}
+}
+
+// TestTable2ConfigHonoursRealAndScale pins that every Table II campaign,
+// fig6's included, runs at the -real and -scale the command line asked for.
+func TestTable2ConfigHonoursRealAndScale(t *testing.T) {
+	cfg := (&app{real: true, scale: 20}).table2Config()
+	if !cfg.RunReal || cfg.TimeScale != 20 {
+		t.Errorf("RunReal=%v TimeScale=%v, want true and 20", cfg.RunReal, cfg.TimeScale)
 	}
 }

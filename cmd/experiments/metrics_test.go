@@ -9,18 +9,16 @@ import (
 	"testing"
 
 	"ampsched/internal/obs"
-	"ampsched/internal/strategy"
 )
 
 // runWithMetrics executes one campaign with metrics collection enabled
-// and returns the raw metrics.json bytes. The app gets its own solution
-// cache, as the binary does by default, so the report carries the
+// and returns the raw metrics.json bytes. The app plans through its own
+// solution cache, as the binary does, so the report carries the
 // planbatch.cache.* series.
 func runWithMetrics(t *testing.T, cmd, path string) []byte {
 	t.Helper()
 	a := testApp()
 	a.reg = obs.NewRegistry()
-	a.cache = strategy.NewCache()
 	a.metricsPath = path
 	quietly(t, func() error { return a.run(cmd) })
 	if err := a.writeMetrics(); err != nil {

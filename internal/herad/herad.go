@@ -91,11 +91,6 @@ func Schedule(c *core.Chain, r core.Resources) core.Solution {
 	return ScheduleOpts(c, r, Options{})
 }
 
-// ScheduleObs is Schedule reporting into om.
-func ScheduleObs(c *core.Chain, r core.Resources, om Metrics) core.Solution {
-	return ScheduleOpts(c, r, Options{Metrics: om})
-}
-
 // ScheduleRaw is Schedule without the stage-merge post-pass, exposing the
 // schedules exactly as extracted from the DP matrix.
 func ScheduleRaw(c *core.Chain, r core.Resources) core.Solution {

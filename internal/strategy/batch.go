@@ -35,19 +35,6 @@ type Result struct {
 	Err      error
 }
 
-// planMode classifies how PlanBatch resolves one request: by running the
-// strategy (solve), by reading a solution cached by a previous batch
-// (hit), by solving once on behalf of later in-batch duplicates (leader),
-// or by copying an in-batch leader's result (follower).
-type planMode uint8
-
-const (
-	modeSolve planMode = iota
-	modeHit
-	modeLeader
-	modeFollower
-)
-
 // PlanBatch schedules every request concurrently on a bounded worker pool
 // and returns one Result per request, in request order. Each strategy is
 // deterministic, so a batch result is byte-for-byte the result of running
@@ -61,16 +48,15 @@ const (
 // result ordering — nor, for deterministic workloads, the exported
 // counter values.
 //
-// Requests whose Options carry a Cache are first classified serially, in
-// request order: a key already in the cache is a hit, the first in-batch
-// occurrence of a new key is its leader, and later occurrences are
-// followers. Only leaders (and uncached requests) reach the worker pool;
-// hits and followers are resolved from the stored solution afterwards,
-// again in request order, so cache resolution — like the journal — is
-// independent of pool interleaving.
+// A request resolves in one of two modes. Its key already in its Options'
+// Cache — stored by a previous batch — makes it a hit, served in a serial
+// pre-pass in request order, so the hit/miss counters are deterministic.
+// Every other request is solved on the pool, and stored when it has a
+// cache. Duplicates inside one batch are therefore each solved.
 //
 // workers bounds the pool; workers ≤ 0 uses GOMAXPROCS. The pool never
-// exceeds the number of requests it has to solve.
+// exceeds the number of requests it has to solve, and runs no goroutine
+// when every request hits.
 func PlanBatch(reqs []Request, workers int) []Result {
 	out := make([]Result, len(reqs))
 	if len(reqs) == 0 {
@@ -91,85 +77,21 @@ func PlanBatch(reqs []Request, workers int) []Result {
 			break
 		}
 	}
-	// Journal spans are opened here, serially and in request order, before
-	// any worker runs. Each worker then appends only under its own request
-	// span, so the exported journal is byte-for-byte identical no matter
-	// how the pool interleaves the requests.
+	// Journal spans are opened and hits served here, serially and in
+	// request order, before any worker runs. Each worker then appends only
+	// under its own request span, so the exported journal is byte-for-byte
+	// identical no matter how the pool interleaves the requests.
 	spans := make([]*trace.Span, len(reqs))
-	for i := range reqs {
-		if t := reqs[i].Options.Trace; t != nil {
-			sp := t.Begin("request").Int("index", i)
-			if reqs[i].Label != "" {
-				sp.Str("label", reqs[i].Label)
-			}
-			if reqs[i].Scheduler != nil {
-				sp.Str("scheduler", reqs[i].Scheduler.Name())
-			}
-			spans[i] = sp
-		}
-	}
-	// Cache pre-pass: serial and in request order, so hit/miss counters
-	// and leader election are deterministic for a given request sequence.
-	mode := make([]planMode, len(reqs))
-	keys := make([]cacheKey, len(reqs))
-	leaderOf := make([]int, len(reqs))
-	cached := make([]core.Solution, len(reqs))
-	leaders := map[cacheKey]int{}
-	for i := range reqs {
-		k, ok := requestKey(reqs[i])
-		if !ok {
-			continue
-		}
-		keys[i] = k
-		cache := reqs[i].Options.Cache
-		m := reqs[i].Options.Metrics.Sub("planbatch")
-		var hits, misses *obs.Counter
-		if m != nil {
-			hits = m.Counter("cache.hits") // registered even while zero
-			misses = m.Counter("cache.misses")
-		}
-		if s, hit := cache.get(k); hit {
-			mode[i] = modeHit
-			cached[i] = s
-			cache.hits.Add(1)
-			hits.Inc()
-		} else if j, dup := leaders[k]; dup {
-			mode[i] = modeFollower
-			leaderOf[i] = j
-			cache.hits.Add(1) // in-batch duplicate: solved once, reused
-			hits.Inc()
-		} else {
-			mode[i] = modeLeader
-			leaders[k] = i
-			cache.misses.Add(1)
-			misses.Inc()
-		}
-	}
 	solve := make([]int, 0, len(reqs))
 	for i := range reqs {
-		if mode[i] == modeSolve || mode[i] == modeLeader {
-			solve = append(solve, i)
+		spans[i] = requestSpan(reqs[i], i)
+		if res, hit := lookup(reqs[i], spans[i]); hit {
+			out[i] = res
+			continue
 		}
+		solve = append(solve, i)
 	}
-	if workers > len(solve) && len(solve) > 0 {
-		workers = len(solve)
-	}
-	if workers == 1 || len(solve) == 0 {
-		for i := range reqs {
-			switch mode[i] {
-			case modeHit:
-				out[i] = resolveCached(reqs[i], spans[i], cached[i], -1)
-			case modeFollower:
-				out[i] = resolveCached(reqs[i], spans[i], out[leaderOf[i]].Solution, leaderOf[i])
-			default:
-				out[i] = plan(reqs[i], spans[i])
-				if mode[i] == modeLeader {
-					reqs[i].Options.Cache.put(keys[i], out[i].Solution)
-				}
-			}
-		}
-		return out
-	}
+	workers = min(workers, len(solve))
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -178,6 +100,9 @@ func PlanBatch(reqs []Request, workers int) []Result {
 			defer wg.Done()
 			for i := range idx {
 				out[i] = plan(reqs[i], spans[i])
+				if k, ok := requestKey(reqs[i]); ok {
+					reqs[i].Options.Cache.put(k, out[i].Solution)
+				}
 			}
 		}()
 	}
@@ -186,21 +111,6 @@ func PlanBatch(reqs []Request, workers int) []Result {
 	}
 	close(idx)
 	wg.Wait()
-	// Publish leader solutions, then resolve hits and followers — serial
-	// and in request order, like the pre-pass.
-	for _, i := range solve {
-		if mode[i] == modeLeader {
-			reqs[i].Options.Cache.put(keys[i], out[i].Solution)
-		}
-	}
-	for i := range reqs {
-		switch mode[i] {
-		case modeHit:
-			out[i] = resolveCached(reqs[i], spans[i], cached[i], -1)
-		case modeFollower:
-			out[i] = resolveCached(reqs[i], spans[i], out[leaderOf[i]].Solution, leaderOf[i])
-		}
-	}
 	return out
 }
 
@@ -215,38 +125,90 @@ func PlanAll(c *core.Chain, r core.Resources, opts Options, workers int) []Resul
 	return PlanBatch(reqs, workers)
 }
 
-// plan runs one request. sp, when non-nil, is the request's pre-opened
-// journal span: the strategy journals under it (via the Options value copy)
-// and plan appends one deterministic "result" event — period on success,
-// the error string on failure, never the wall-clock Elapsed. plan operates
-// on its own Request copy, so the caller's slice is never mutated.
+// requestSpan opens request i's journal span under req.Options.Trace — the
+// one opener PlanBatch and ReplanBatch share — or returns nil when
+// journaling is off.
+func requestSpan(req Request, i int) *trace.Span {
+	sp := req.Options.Trace.Begin("request").Int("index", i)
+	if sp == nil {
+		return nil
+	}
+	if req.Label != "" {
+		sp.Str("label", req.Label)
+	}
+	if req.Scheduler != nil {
+		sp.Str("scheduler", req.Scheduler.Name())
+	}
+	return sp
+}
+
+// lookup is PlanBatch's hit mode: when req has a cache holding its key, it
+// returns the stored solution as req's Result without invoking the
+// strategy, journaling a "cache_hit" event in place of the solver's
+// decision trail. It counts the hit or miss in the cache's Stats and the
+// planbatch.cache.* series; requests without a key count in neither.
+func lookup(req Request, sp *trace.Span) (Result, bool) {
+	k, ok := requestKey(req)
+	if !ok {
+		return Result{}, false
+	}
+	var hits, misses *obs.Counter
+	if m := req.Options.Metrics.Sub("planbatch"); m != nil {
+		hits = m.Counter("cache.hits") // registered even while zero
+		misses = m.Counter("cache.misses")
+	}
+	start := time.Now()
+	s, hit := req.Options.Cache.get(k)
+	if !hit {
+		req.Options.Cache.misses.Add(1)
+		misses.Inc()
+		return Result{}, false
+	}
+	res := Result{Request: req, Solution: s, Elapsed: time.Since(start)}
+	req.Options.Cache.hits.Add(1)
+	hits.Inc()
+	if sp != nil {
+		sp.Event("cache_hit")
+	}
+	return settle(res, sp), true
+}
+
+// plan is PlanBatch's solve mode, and ReplanBatch's cold path: it runs the
+// strategy on its own Request copy, so the caller's slice is never mutated.
+// sp, when non-nil, is the request's pre-opened journal span; the strategy
+// journals under it via the Options value copy. Elapsed times the strategy
+// call alone.
 func plan(req Request, sp *trace.Span) Result {
 	req.Options.Trace = sp
 	res := Result{Request: req}
 	switch {
 	case req.Scheduler == nil:
 		res.Err = errors.New("strategy: request has no scheduler")
-		res.Period = res.Solution.Period(nil)
 	case req.Chain == nil:
 		res.Err = fmt.Errorf("strategy: %s request has no chain", req.Scheduler.Name())
-		res.Period = res.Solution.Period(nil)
 	default:
-		if err := CheckTypes(req.Scheduler, req.Chain, req.Resources); err != nil {
-			// A type-table mismatch (k≠2 resources on a two-type strategy, or
-			// chain/platform disagreement) fails loudly instead of letting the
-			// strategy silently misplan.
-			res.Err = err
-			res.Period = res.Solution.Period(nil)
-			break
+		// A type-table mismatch (k≠2 resources on a two-type strategy, or
+		// chain/platform disagreement) fails loudly instead of letting the
+		// strategy silently misplan.
+		if res.Err = CheckTypes(req.Scheduler, req.Chain, req.Resources); res.Err == nil {
+			start := time.Now()
+			res.Solution = req.Scheduler.Schedule(req.Chain, req.Resources, req.Options)
+			res.Elapsed = time.Since(start)
 		}
-		start := time.Now()
-		res.Solution = req.Scheduler.Schedule(req.Chain, req.Resources, req.Options)
-		res.Elapsed = time.Since(start)
-		res.Period = res.Solution.Period(req.Chain)
-		if res.Solution.IsEmpty() {
-			res.Err = fmt.Errorf("strategy: %s found no schedule for R=%v",
-				req.Scheduler.Name(), req.Resources)
-		}
+	}
+	return settle(res, sp)
+}
+
+// conclude is the result tail every resolved request shares — solved, hit
+// or warm-started: it derives Period (+Inf for an empty solution) and the
+// no-schedule error, and journals one deterministic "result" event — the
+// period on success, the error string on failure, never the wall-clock
+// Elapsed.
+func conclude(res Result, sp *trace.Span) Result {
+	res.Period = res.Solution.Period(res.Request.Chain)
+	if res.Err == nil && res.Solution.IsEmpty() {
+		res.Err = fmt.Errorf("strategy: %s found no schedule for R=%v",
+			res.Request.Scheduler.Name(), res.Request.Resources)
 	}
 	if sp != nil {
 		if res.Err != nil {
@@ -255,6 +217,15 @@ func plan(req Request, sp *trace.Span) Result {
 			sp.Event("result").F64("period", res.Period).Int("stages", len(res.Solution.Stages))
 		}
 	}
+	return res
+}
+
+// settle completes a PlanBatch request, solved or hit: conclude, then the
+// planbatch request series and one CodePlan flight event (A the period,
+// +Inf on failure; B the stage count; Aux the strategy name).
+func settle(res Result, sp *trace.Span) Result {
+	res = conclude(res, sp)
+	req := res.Request
 	if m := req.Options.Metrics.Sub("planbatch"); m != nil {
 		m.Counter("requests").Inc()
 		errs := m.Counter("errors") // registered even while zero
@@ -263,67 +234,13 @@ func plan(req Request, sp *trace.Span) Result {
 		}
 		m.LogHistogram("request_us").Observe(float64(res.Elapsed.Nanoseconds()) / 1e3)
 	}
-	recordPlanFlight(req, res)
-	return res
-}
-
-// recordPlanFlight appends one CodePlan flight event for a resolved
-// request: A is the emitted period (+Inf on failure), B the stage count,
-// Aux the strategy name. No-op without a recorder.
-func recordPlanFlight(req Request, res Result) {
-	fr := req.Options.Flight
-	if fr == nil {
-		return
-	}
-	var aux uint32
-	if req.Scheduler != nil {
-		aux = fr.Intern(req.Scheduler.Name())
-	}
-	fr.Record(flight.Event{
-		Code:  flight.CodePlan,
-		Stage: -1,
-		Aux:   aux,
-		A:     res.Period,
-		B:     float64(len(res.Solution.Stages)),
-	})
-}
-
-// resolveCached builds the Result of a cache-served request from the
-// stored solution without invoking the strategy. leader is the in-batch
-// index that solved this key, or -1 when the solution came from a
-// previous batch. The journal gains a "cache_hit" event in place of the
-// solver's decision trail, followed by the same deterministic "result"
-// event plan would have appended; the batch-level request counters are
-// maintained identically, so requests == hits + misses-side solves holds
-// for every registry.
-func resolveCached(req Request, sp *trace.Span, sol core.Solution, leader int) Result {
-	start := time.Now()
-	res := Result{Request: req, Solution: cloneSolution(sol)}
-	res.Period = res.Solution.Period(req.Chain)
-	if res.Solution.IsEmpty() {
-		res.Err = fmt.Errorf("strategy: %s found no schedule for R=%v",
-			req.Scheduler.Name(), req.Resources)
-	}
-	res.Elapsed = time.Since(start)
-	if sp != nil {
-		ev := sp.Event("cache_hit")
-		if leader >= 0 {
-			ev.Int("leader_index", leader)
+	if fr := req.Options.Flight; fr != nil {
+		var aux uint32
+		if req.Scheduler != nil {
+			aux = fr.Intern(req.Scheduler.Name())
 		}
-		if res.Err != nil {
-			sp.Event("result").Str("error", res.Err.Error())
-		} else {
-			sp.Event("result").F64("period", res.Period).Int("stages", len(res.Solution.Stages))
-		}
+		fr.Record(flight.Event{Code: flight.CodePlan, Stage: -1, Aux: aux,
+			A: res.Period, B: float64(len(res.Solution.Stages))})
 	}
-	if m := req.Options.Metrics.Sub("planbatch"); m != nil {
-		m.Counter("requests").Inc()
-		m.Counter("errors") // registered even while zero
-		if res.Err != nil {
-			m.Counter("errors").Inc()
-		}
-		m.LogHistogram("request_us").Observe(float64(res.Elapsed.Nanoseconds()) / 1e3)
-	}
-	recordPlanFlight(req, res)
 	return res
 }

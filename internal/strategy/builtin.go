@@ -12,19 +12,6 @@ import (
 	"ampsched/internal/twocatac"
 )
 
-// The built-in strategies, registered in the paper's presentation order so
-// All() drives "-strategy all" sweeps and the experiment tables unchanged.
-// The brute-force reference is hidden: resolvable by name, excluded from
-// sweeps.
-func init() {
-	Register(heradScheduler{})
-	Register(twocatacScheduler{}, "twocatac")
-	Register(fertacScheduler{})
-	Register(otacScheduler{v: core.Big}, "otac-b", "otacb")
-	Register(otacScheduler{v: core.Little}, "otac-l", "otacl")
-	RegisterHidden(bruteScheduler{}, "brute-force", "exhaustive")
-}
-
 // twoTypes reports whether chain and resources both declare exactly two
 // core types — the defensive guard of the TypeConstrained strategies for
 // direct Scheduler.Schedule calls (PlanBatch rejects mismatches with a
@@ -33,20 +20,22 @@ func twoTypes(c *core.Chain, r core.Resources) bool {
 	return r.NumTypes() == 2 && (c == nil || c.NumTypes() == 2)
 }
 
-// observe wraps a strategy's instrumented scheduling path with the
-// common per-strategy series: schedule.ns (wall clock), schedule.calls
-// and schedule.empty. It is nil-safe on m (journal-only runs pass a nil
-// registry) — the fully disabled path never leaves the plain branch of
-// each Schedule method.
-func observe(m *obs.Registry, run func() core.Solution) core.Solution {
+// observe runs one strategy's scheduling pass with the tail every adapter
+// shares: the schedule.ns timer and the schedule.calls/schedule.empty
+// counters into m, the finish post-passes, and the solution summary into
+// sp. Nil sinks are the off switch: with m and sp nil each of those steps is
+// one nil check, so an adapter has a single path whether or not anything
+// observes it.
+func (o Options) observe(c *core.Chain, m *obs.Registry, sp *trace.Span, run func() core.Solution) core.Solution {
 	stop := m.Timer("schedule.ns").Start()
-	s := run()
+	s := o.finish(c, run())
 	stop()
 	m.Counter("schedule.calls").Inc()
 	empty := m.Counter("schedule.empty") // registered even while zero
 	if s.IsEmpty() {
 		empty.Inc()
 	}
+	traceSolution(sp, c, s)
 	return s
 }
 
@@ -56,20 +45,13 @@ type heradScheduler struct{}
 func (heradScheduler) Name() string { return "HeRAD" }
 
 func (h heradScheduler) Schedule(c *core.Chain, r core.Resources, o Options) core.Solution {
-	m := o.scope(h.Name())
-	sp := o.span(h.Name())
-	ho := heradOptions(o)
-	if m == nil && sp == nil {
-		return o.finish(c, herad.ScheduleOpts(c, r, ho))
-	}
-	s := observe(m, func() core.Solution {
-		hm := herad.MetricsFrom(m)
-		hm.Trace = trace.NewScope(sp)
-		ho.Metrics = hm
-		return o.finish(c, herad.ScheduleOpts(c, r, ho))
+	m, sp := o.scope(h.Name()), o.span(h.Name())
+	return o.observe(c, m, sp, func() core.Solution {
+		ho := heradOptions(o)
+		ho.Metrics = herad.MetricsFrom(m)
+		ho.Metrics.Trace = trace.NewScope(sp)
+		return herad.ScheduleOpts(c, r, ho)
 	})
-	traceSolution(sp, c, s)
-	return s
 }
 
 // twocatacScheduler adapts 2CATAC (Algos 5–6).
@@ -84,18 +66,12 @@ func (t twocatacScheduler) Schedule(c *core.Chain, r core.Resources, o Options) 
 	if !twoTypes(c, r) {
 		return core.Solution{}
 	}
-	m := o.scope(t.Name())
-	sp := o.span(t.Name())
-	if m == nil && sp == nil {
-		return o.finish(c, sched.Schedule(c, r, twocatac.ComputeSolution))
-	}
-	s := observe(m, func() core.Solution {
+	m, sp := o.scope(t.Name()), o.span(t.Name())
+	return o.observe(c, m, sp, func() core.Solution {
 		tm := twocatac.MetricsFrom(m)
 		tm.Sched.Trace = trace.NewScope(sp)
-		return o.finish(c, sched.ScheduleM(c, r, twocatac.ComputeObs(false, tm), tm.Sched))
+		return sched.ScheduleM(c, r, twocatac.ComputeObs(false, tm), tm.Sched)
 	})
-	traceSolution(sp, c, s)
-	return s
 }
 
 // fertacScheduler adapts FERTAC (Algo 4).
@@ -110,25 +86,26 @@ func (f fertacScheduler) Schedule(c *core.Chain, r core.Resources, o Options) co
 	if !twoTypes(c, r) {
 		return core.Solution{}
 	}
-	m := o.scope(f.Name())
-	sp := o.span(f.Name())
-	if m == nil && sp == nil {
-		return o.finish(c, sched.Schedule(c, r, fertac.ComputeSolution))
-	}
-	s := observe(m, func() core.Solution {
+	m, sp := o.scope(f.Name()), o.span(f.Name())
+	return o.observe(c, m, sp, func() core.Solution {
 		fm := fertac.MetricsFrom(m)
 		fm.Sched.Trace = trace.NewScope(sp)
-		return o.finish(c, sched.ScheduleM(c, r, fertac.ComputeObs(fm), fm.Sched))
+		return sched.ScheduleM(c, r, fertac.ComputeObs(fm), fm.Sched)
 	})
-	traceSolution(sp, c, s)
-	return s
 }
 
 // otacScheduler adapts the homogeneous OTAC baseline: it schedules on the
 // v component of the resources only, ignoring the other type.
 type otacScheduler struct{ v core.CoreType }
 
-func (s otacScheduler) Name() string { return "OTAC (" + s.v.String() + ")" }
+// Name is a constant per variant: a concatenated name would allocate on
+// every Schedule call, sinks or not.
+func (s otacScheduler) Name() string {
+	if s.v == core.Big {
+		return "OTAC (B)"
+	}
+	return "OTAC (L)"
+}
 
 // SupportedTypes declares the single-type baseline's fixed platform shape
 // (it reads one component of a two-type platform).
@@ -138,38 +115,25 @@ func (s otacScheduler) Schedule(c *core.Chain, r core.Resources, o Options) core
 	if !twoTypes(c, r) {
 		return core.Solution{}
 	}
-	rr := r.Only(s.v)
-	m := o.scope(s.Name())
-	sp := o.span(s.Name())
-	if m == nil && sp == nil {
-		return o.finish(c, sched.Schedule(c, rr, otac.Compute(s.v)))
-	}
-	sol := observe(m, func() core.Solution {
+	m, sp := o.scope(s.Name()), o.span(s.Name())
+	return o.observe(c, m, sp, func() core.Solution {
 		om := otac.MetricsFrom(m)
 		om.Sched.Trace = trace.NewScope(sp)
-		return o.finish(c, sched.ScheduleM(c, rr, otac.ComputeObs(s.v, om), om.Sched))
+		return sched.ScheduleM(c, r.Only(s.v), otac.ComputeObs(s.v, om), om.Sched)
 	})
-	traceSolution(sp, c, sol)
-	return sol
 }
 
 // bruteScheduler adapts the exhaustive reference solver. Exponential — the
-// registry exposes it for tests and tiny chains, not for sweeps.
+// table exposes it for tests and tiny chains, not for sweeps.
 type bruteScheduler struct{}
 
 func (bruteScheduler) Name() string { return "Brute" }
 
 func (b bruteScheduler) Schedule(c *core.Chain, r core.Resources, o Options) core.Solution {
-	m := o.scope(b.Name())
-	sp := o.span(b.Name())
-	if m == nil && sp == nil {
-		return o.finish(c, brute.Schedule(c, r))
-	}
-	s := observe(m, func() core.Solution {
+	m, sp := o.scope(b.Name()), o.span(b.Name())
+	return o.observe(c, m, sp, func() core.Solution {
 		bm := brute.MetricsFrom(m)
 		bm.Trace = trace.NewScope(sp)
-		return o.finish(c, brute.ScheduleObs(c, r, bm))
+		return brute.ScheduleObs(c, r, bm)
 	})
-	traceSolution(sp, c, s)
-	return s
 }

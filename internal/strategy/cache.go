@@ -53,9 +53,9 @@ func requestKey(req Request) (cacheKey, bool) {
 }
 
 // Cache is a concurrency-safe solution cache consulted by PlanBatch:
-// requests whose (chain fingerprint, resources, strategy, options) key was
-// already solved — earlier in the same batch or by a previous batch
-// sharing the cache — reuse the stored schedule instead of re-solving it.
+// requests whose (chain fingerprint, resources, strategy, options) key a
+// previous batch sharing the cache solved reuse the stored schedule instead
+// of re-solving it; every other request is solved and stored.
 // Experiment sweeps that revisit identical (SR, platform) points are the
 // intended workload.
 //
@@ -108,7 +108,8 @@ func (c *Cache) Len() int {
 }
 
 // Stats returns the cumulative hit and miss counts across every batch
-// that consulted the cache (in-batch duplicate requests count as hits).
+// that consulted the cache. A hit is a request an earlier batch solved;
+// every other keyed request is a miss, in-batch duplicates included.
 func (c *Cache) Stats() (hits, misses int64) {
 	return c.hits.Load(), c.misses.Load()
 }

@@ -9,20 +9,14 @@ import (
 	"ampsched/internal/trace"
 )
 
-// cacheBatch builds a batch that revisits the same few (chain, resources,
-// strategy) points repeatedly — the experiment-sweep shape the cache is
-// for. With 3 repeats of a 2-chain × all-strategies cross, two thirds of
-// the batch are in-batch duplicates.
+// cacheBatch builds one request per (chain, strategy) point — the shape of
+// an experiment campaign that a later campaign revisits.
 func cacheBatch(t *testing.T, opts Options) []Request {
 	t.Helper()
-	chains := []*core.Chain{testChain(t), traceChain(t)}
-	r := core.Res(2, 3)
 	var reqs []Request
-	for rep := 0; rep < 3; rep++ {
-		for _, c := range chains {
-			for _, s := range All() {
-				reqs = append(reqs, Request{Chain: c, Resources: r, Scheduler: s, Options: opts, Label: s.Name()})
-			}
+	for _, c := range []*core.Chain{testChain(t), traceChain(t)} {
+		for _, s := range All() {
+			reqs = append(reqs, Request{Chain: c, Resources: core.Res(2, 3), Scheduler: s, Options: opts, Label: s.Name()})
 		}
 	}
 	return reqs
@@ -51,47 +45,23 @@ func assertSameResults(t *testing.T, label string, got, want []Result) {
 	}
 }
 
-// TestCacheRepeatedBatch pins the headline contract: on a batch full of
-// repeated requests the cache serves the duplicates (nonzero hits, one
-// miss per distinct key) and the Results are byte-identical to an uncached
-// run — serial and pooled alike.
-func TestCacheRepeatedBatch(t *testing.T) {
+// TestCacheAcrossBatches pins the reuse contract, serial and pooled: the
+// first batch against a fresh cache is all misses, and the same batch again
+// is all hits, both with Results identical to an uncached run.
+func TestCacheAcrossBatches(t *testing.T) {
 	plain := PlanBatch(cacheBatch(t, Options{}), 1)
-	distinct := 2 * len(All()) // 2 chains × strategies, repeated 3×
 	for _, workers := range []int{1, 4} {
 		cache := NewCache()
 		reqs := cacheBatch(t, Options{Cache: cache})
-		res := PlanBatch(reqs, workers)
-		assertSameResults(t, "cached", res, plain)
-		hits, misses := cache.Stats()
-		if misses != int64(distinct) {
-			t.Errorf("workers=%d: %d misses, want %d", workers, misses, distinct)
+		assertSameResults(t, "first batch", PlanBatch(reqs, workers), plain)
+		if hits, misses := cache.Stats(); hits != 0 || misses != int64(len(reqs)) || cache.Len() != len(reqs) {
+			t.Errorf("workers=%d first batch: hits=%d misses=%d entries=%d, want 0/%d/%d",
+				workers, hits, misses, cache.Len(), len(reqs), len(reqs))
 		}
-		if want := int64(len(reqs) - distinct); hits != want {
-			t.Errorf("workers=%d: %d hits, want %d", workers, hits, want)
+		assertSameResults(t, "second batch", PlanBatch(reqs, workers), plain)
+		if hits, _ := cache.Stats(); hits != int64(len(reqs)) {
+			t.Errorf("workers=%d second batch: %d hits, want %d (all requests)", workers, hits, len(reqs))
 		}
-		if cache.Len() != distinct {
-			t.Errorf("workers=%d: cache holds %d entries, want %d", workers, cache.Len(), distinct)
-		}
-	}
-}
-
-// TestCacheAcrossBatches runs the same batch twice against one shared
-// cache: the second batch must be all hits and still return identical
-// Results — the repeated-campaign reuse path.
-func TestCacheAcrossBatches(t *testing.T) {
-	cache := NewCache()
-	reqs := cacheBatch(t, Options{Cache: cache})
-	first := PlanBatch(reqs, 4)
-	h0, _ := cache.Stats()
-	second := PlanBatch(cacheBatch(t, Options{Cache: cache}), 4)
-	assertSameResults(t, "second batch", second, first)
-	hits, misses := cache.Stats()
-	if hits-h0 != int64(len(reqs)) {
-		t.Errorf("second batch: %d hits, want %d (all requests)", hits-h0, len(reqs))
-	}
-	if misses != int64(cache.Len()) {
-		t.Errorf("misses %d != distinct entries %d after identical re-run", misses, cache.Len())
 	}
 }
 
@@ -129,22 +99,19 @@ func TestCacheKeySeparatesVariants(t *testing.T) {
 }
 
 // TestCacheIgnoresWorkers pins that Options.Workers, accepted and ignored
-// for as long as the field exists, stays out of the cache key: requests
+// for as long as the field exists, stays out of the cache key: batches
 // differing only in it share one entry.
 func TestCacheIgnoresWorkers(t *testing.T) {
 	c := testChain(t)
-	r := core.Res(2, 2)
 	cache := NewCache()
-	var reqs []Request
-	for _, w := range []int{1, 2, 8} {
+	var first core.Solution
+	for i, w := range []int{1, 2, 8} {
 		o := Options{Cache: cache, Workers: w}
-		reqs = append(reqs, Request{Chain: c, Resources: r, Scheduler: MustParse("herad"), Options: o})
-	}
-	res := PlanBatch(reqs, 1)
-	for i := 1; i < len(res); i++ {
-		if res[i].Solution.String() != res[0].Solution.String() {
-			t.Errorf("workers=%d solution differs: %v vs %v",
-				reqs[i].Options.Workers, res[i].Solution, res[0].Solution)
+		res := PlanBatch([]Request{{Chain: c, Resources: core.Res(2, 2), Scheduler: MustParse("herad"), Options: o}}, 1)
+		if i == 0 {
+			first = res[0].Solution
+		} else if res[0].Solution.String() != first.String() {
+			t.Errorf("workers=%d solution differs: %v vs %v", w, res[0].Solution, first)
 		}
 	}
 	if hits, misses := cache.Stats(); hits != 2 || misses != 1 {
@@ -154,13 +121,13 @@ func TestCacheIgnoresWorkers(t *testing.T) {
 
 // TestCacheFailures verifies that "no schedule exists" outcomes are cached
 // too and reconstructed with the identical error, so a cached failing
-// sweep point behaves exactly like a fresh one.
+// sweep point behaves exactly like a fresh one. Its first batch holds the
+// request twice: a duplicate inside one batch is solved, not served.
 func TestCacheFailures(t *testing.T) {
 	c := testChain(t) // has non-replicable tasks; zero resources cannot host them
 	cache := NewCache()
-	o := Options{Cache: cache}
-	req := Request{Chain: c, Resources: core.Res(0, 0), Scheduler: MustParse("fertac"), Options: o}
-	res := PlanBatch([]Request{req, req, req}, 1)
+	req := Request{Chain: c, Resources: core.Res(0, 0), Scheduler: MustParse("fertac"), Options: Options{Cache: cache}}
+	res := append(PlanBatch([]Request{req, req}, 1), PlanBatch([]Request{req}, 1)...)
 	if res[0].Err == nil {
 		t.Fatal("expected a scheduling failure on zero resources")
 	}
@@ -172,28 +139,27 @@ func TestCacheFailures(t *testing.T) {
 			t.Errorf("request %d: non-empty solution %v from cached failure", i, res[i].Solution)
 		}
 	}
-	if hits, misses := cache.Stats(); hits != 2 || misses != 1 {
-		t.Errorf("hits=%d misses=%d, want 2/1 — failures must be cached", hits, misses)
+	if hits, misses := cache.Stats(); hits != 1 || misses != 2 {
+		t.Errorf("hits=%d misses=%d, want 1/2 — failures must be cached", hits, misses)
 	}
 }
 
-// TestCacheMetricsAndJournal checks the observability contract: the
-// batch-level registry carries planbatch.cache.hits/misses matching
-// Cache.Stats, planbatch.requests still counts every request, and the
-// journal records one cache_hit event per served request (with a
-// leader_index for in-batch followers) while staying deterministic across
-// pool widths.
+// TestCacheMetricsAndJournal checks the observability contract over two
+// batches sharing a cache: the batch-level registry carries
+// planbatch.cache.hits/misses matching Cache.Stats, planbatch.requests
+// still counts every request, and the journal records one cache_hit event
+// per served request while staying deterministic across pool widths.
 func TestCacheMetricsAndJournal(t *testing.T) {
 	run := func(workers int) ([]byte, *obs.Registry, *Cache) {
 		reg := obs.NewRegistry()
 		j := trace.New()
 		cache := NewCache()
 		o := Options{Cache: cache, Metrics: reg, Trace: j.Root().Begin("run")}
-		reqs := cacheBatch(t, o)
-		res := PlanBatch(reqs, workers)
-		for i, re := range res {
-			if re.Err != nil {
-				t.Fatalf("workers=%d request %d: %v", workers, i, re.Err)
+		for batch := 0; batch < 2; batch++ {
+			for i, re := range PlanBatch(cacheBatch(t, o), workers) {
+				if re.Err != nil {
+					t.Fatalf("workers=%d batch %d request %d: %v", workers, batch, i, re.Err)
+				}
 			}
 		}
 		var buf bytes.Buffer
@@ -215,17 +181,13 @@ func TestCacheMetricsAndJournal(t *testing.T) {
 		t.Errorf("planbatch.cache.misses = %d, want %d", got, misses)
 	}
 	if hits == 0 || misses == 0 {
-		t.Fatalf("degenerate batch: hits=%d misses=%d", hits, misses)
+		t.Fatalf("degenerate batches: hits=%d misses=%d", hits, misses)
 	}
-	want := int64(len(cacheBatch(t, Options{})))
-	if got := series["planbatch.requests"]; got != want {
+	if got, want := series["planbatch.requests"], hits+misses; got != want {
 		t.Errorf("planbatch.requests = %d, want %d (cache hits still count)", got, want)
 	}
 	if n := int64(bytes.Count(serialJ, []byte(`"cache_hit"`))); n != hits {
 		t.Errorf("journal has %d cache_hit events, want %d", n, hits)
-	}
-	if !bytes.Contains(serialJ, []byte(`"leader_index"`)) {
-		t.Error("journal has no leader_index attribute despite in-batch followers")
 	}
 	pooledJ, _, _ := run(4)
 	if !bytes.Equal(serialJ, pooledJ) {

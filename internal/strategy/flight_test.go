@@ -17,7 +17,7 @@ func TestPlanBatchRecordsFlightEvents(t *testing.T) {
 	opts := Options{Flight: rec, Cache: NewCache()}
 	reqs := []Request{
 		{Chain: c, Resources: core.Res(3, 3), Scheduler: MustParse("herad"), Options: opts},
-		{Chain: c, Resources: core.Res(3, 3), Scheduler: MustParse("herad"), Options: opts}, // in-batch duplicate
+		{Chain: c, Resources: core.Res(3, 3), Scheduler: MustParse("herad"), Options: opts}, // in-batch duplicate: solved again
 		{Chain: nil, Resources: core.Res(3, 3), Scheduler: MustParse("herad"), Options: opts},
 	}
 	out := PlanBatch(reqs, 1)
@@ -37,7 +37,7 @@ func TestPlanBatchRecordsFlightEvents(t *testing.T) {
 			t.Fatalf("event %d strategy = %q", i, rec.Lookup(e.Aux))
 		}
 	}
-	// Solved and cache-followed requests carry identical payloads.
+	// Both solves of the duplicate carry identical payloads.
 	if evs[0].A != out[0].Period || evs[1].A != out[1].Period || evs[0].A != evs[1].A {
 		t.Fatalf("plan periods: %v, %v vs results %v, %v", evs[0].A, evs[1].A, out[0].Period, out[1].Period)
 	}

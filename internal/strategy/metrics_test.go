@@ -1,11 +1,18 @@
 package strategy
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
+	"ampsched/internal/brute"
+	"ampsched/internal/chaingen"
 	"ampsched/internal/core"
+	"ampsched/internal/fertac"
+	"ampsched/internal/herad"
 	"ampsched/internal/obs"
+	"ampsched/internal/otac"
+	"ampsched/internal/twocatac"
 )
 
 // TestEveryStrategyEmitsSeries pins the observability contract: every
@@ -108,6 +115,39 @@ func TestPlanBatchMetricsConcurrent(t *testing.T) {
 	}
 	if serial["planbatch.batches"] != 1 {
 		t.Errorf("planbatch.batches = %d, want 1", serial["planbatch.batches"])
+	}
+}
+
+// TestAdapterAllocsMatchDirectCall pins that nil sinks really are the off
+// switch: with Options{}, every adapter allocates exactly what its
+// algorithm package's own entry point allocates, so the observed path an
+// adapter always runs costs nothing when nothing observes it.
+func TestAdapterAllocsMatchDirectCall(t *testing.T) {
+	c := chaingen.Generate(chaingen.Default(20, 0.5), rand.New(rand.NewSource(1)))
+	r := core.Res(10, 10)
+	small, rs := testChain(t), core.Res(2, 2) // brute force stays tractable
+	direct := map[string]func(){
+		"HeRAD":    func() { herad.Schedule(c, r) },
+		"2CATAC":   func() { twocatac.Schedule(c, r) },
+		"FERTAC":   func() { fertac.Schedule(c, r) },
+		"OTAC (B)": func() { otac.Schedule(c, r.Count(core.Big), core.Big) },
+		"OTAC (L)": func() { otac.Schedule(c, r.Count(core.Little), core.Little) },
+		"Brute":    func() { brute.Schedule(small, rs) },
+	}
+	for _, s := range AllRegistered() {
+		call, ok := direct[s.Name()]
+		if !ok {
+			t.Errorf("%s has no direct entry point in this test", s.Name())
+			continue
+		}
+		cc, rr := c, r
+		if s.Name() == "Brute" {
+			cc, rr = small, rs
+		}
+		want := testing.AllocsPerRun(5, call)
+		if got := testing.AllocsPerRun(5, func() { s.Schedule(cc, rr, Options{}) }); got != want {
+			t.Errorf("%s: adapter allocates %v per schedule, entry point %v", s.Name(), got, want)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package strategy
 
 import (
-	"fmt"
 	"time"
 
 	"ampsched/internal/core"
@@ -91,37 +90,11 @@ func ReplanBatch(incumbent *herad.Planner, reqs []Request) ([]Result, *herad.Pla
 	out := make([]Result, len(reqs))
 	p := incumbent
 	var st ReplanStats
-	for i := range reqs {
-		req := reqs[i]
-		var sp *trace.Span
-		if t := req.Options.Trace; t != nil {
-			sp = t.Begin("request").Int("index", i)
-			if req.Label != "" {
-				sp.Str("label", req.Label)
-			}
-			if req.Scheduler != nil {
-				sp.Str("scheduler", req.Scheduler.Name())
-			}
-		}
-		if !heradRequest(req) {
-			out[i] = plan(req, sp)
-			st.Cold++
-			continue
-		}
+	for i, req := range reqs {
+		sp := requestSpan(req, i)
 		start := time.Now() // the fill or refill is the request's cost
-		if p == nil {
-			np, err := NewHeradPlanner(req.Chain, req.Resources, req.Options)
-			if err != nil {
-				out[i] = plan(req, sp)
-				st.Cold++
-				continue
-			}
-			p = np
-		} else if !replanCompatible(p, req) {
-			out[i] = plan(req, sp)
-			st.Cold++
-			continue
-		} else if err := p.Rebase(req.Chain); err != nil {
+		var warm bool
+		if p, warm = warmStart(p, req); !warm {
 			out[i] = plan(req, sp)
 			st.Cold++
 			continue
@@ -134,31 +107,41 @@ func ReplanBatch(incumbent *herad.Planner, reqs []Request) ([]Result, *herad.Pla
 	return out, p, st
 }
 
+// warmStart returns the incumbent planner after trying to serve req with
+// it: p rebased onto req's chain, or a new planner when p is nil. warm is
+// false when req must take the cold plan path instead — a non-HeRAD or
+// malformed request, a resources/options mismatch with p, or a planner
+// that cannot be built or rebased — and p then stays the incumbent.
+func warmStart(p *herad.Planner, req Request) (_ *herad.Planner, warm bool) {
+	switch {
+	case !heradRequest(req):
+		return p, false
+	case p == nil:
+		np, err := NewHeradPlanner(req.Chain, req.Resources, req.Options)
+		return np, err == nil
+	case !replanCompatible(p, req):
+		return p, false
+	default:
+		return p, p.Rebase(req.Chain) == nil
+	}
+}
+
 // replanResult builds the Result of a warm-started request from the
 // planner's retained matrix, applying the request's own post-passes
-// (HeRAD's merge inside the planner, Colocate via Options.finish) and
-// keeping plan's error contract and journal/metrics shape. start is when the
-// planner work for this request began, so Elapsed covers the (re)fill as
-// well as the extraction.
+// (HeRAD's merge inside the planner, Colocate via Options.finish). The
+// journal gains a "replan" event with the row counts before the shared
+// result tail (conclude); the replan counters and one CodeReplan flight
+// event take the place of PlanBatch's planbatch series and CodePlan. start
+// is when the planner work for this request began, so Elapsed covers the
+// (re)fill as well as the extraction.
 func replanResult(p *herad.Planner, req Request, sp *trace.Span, start time.Time) Result {
-	res := Result{Request: req}
-	s := req.Options.finish(req.Chain, p.Solution())
+	res := Result{Request: req, Solution: req.Options.finish(req.Chain, p.Solution())}
 	res.Elapsed = time.Since(start)
-	res.Solution = s
-	res.Period = s.Period(req.Chain)
-	if s.IsEmpty() {
-		res.Err = fmt.Errorf("strategy: %s found no schedule for R=%v",
-			req.Scheduler.Name(), req.Resources)
-	}
 	if sp != nil {
 		sp.Event("replan").Int("rows_refilled", p.RowsRefilled()).
 			Int("rows_total", req.Chain.Len())
-		if res.Err != nil {
-			sp.Event("result").Str("error", res.Err.Error())
-		} else {
-			sp.Event("result").F64("period", res.Period).Int("stages", len(res.Solution.Stages))
-		}
 	}
+	res = conclude(res, sp)
 	if m := req.Options.Metrics.Sub("replan"); m != nil {
 		m.Counter("warm_starts").Inc()
 		m.Counter("rows_refilled").Add(int64(p.RowsRefilled()))

@@ -1,25 +1,28 @@
 // Package strategy unifies every scheduling strategy of the repository —
 // the paper's five evaluated strategies (HeRAD, 2CATAC, FERTAC, OTAC (B),
 // OTAC (L)) and the brute-force reference — behind a single Scheduler
-// interface and a name registry.
+// interface and a fixed table of strategies.
 //
-// The registry is the one place that maps strategy names (and their
+// The table is the one place that maps strategy names (and their
 // documented aliases) to implementations: cmd/ampsched, cmd/experiments,
 // internal/experiments and the examples all dispatch through Parse/Get
 // instead of maintaining their own string switches. Options carries the
 // cross-cutting knobs (stage co-location, HeRAD's ε, the solution cache and
-// the observability sinks) that used to be threaded by hand.
+// the observability sinks). Each adapter has one code path: nil sinks are
+// the off switch, as in internal/obs and internal/trace.
 //
 // PlanBatch (batch.go) adds a concurrent planning layer on top: a bounded
 // worker pool that fans (chain, resources, scheduler) requests out across
-// CPUs and returns per-request solutions with timing.
+// CPUs and returns per-request solutions with timing. A request is either
+// a cache hit or solved; ReplanBatch (replan.go) warm-starts HeRAD edit
+// streams through the same request span and result tail.
 package strategy
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"ampsched/internal/core"
 	"ampsched/internal/obs"
@@ -90,9 +93,9 @@ type Options struct {
 	// field outlives HeRAD's wavefront fill only because bench/ still sets
 	// it (see ROADMAP.md); it never enters the solution cache key.
 	Workers int
-	// Cache, when non-nil, lets PlanBatch reuse solutions across identical
-	// requests — duplicates within a batch and repeats across batches
-	// sharing the cache — instead of re-solving them. The key is (chain
+	// Cache, when non-nil, lets PlanBatch serve a request that a previous
+	// batch sharing the cache solved instead of re-solving it (duplicates
+	// inside one batch are each solved). The key is (chain
 	// fingerprint, resources, strategy name, Colocate, Epsilon); the
 	// observability sinks are excluded because they never change the
 	// emitted schedule. Every strategy is deterministic, so cached batches
@@ -194,68 +197,41 @@ func (o Options) finish(c *core.Chain, s core.Solution) core.Solution {
 	return s
 }
 
-// entry is one registered strategy.
+// entry is one row of the strategy table.
 type entry struct {
 	s       Scheduler
-	aliases []string
+	aliases []string // already normalized: Get compares them to normalize(name)
 	hidden  bool
 }
 
-var registry = struct {
-	sync.RWMutex
-	byName map[string]*entry // normalized canonical name or alias → entry
-	order  []*entry          // registration order
-}{byName: map[string]*entry{}}
+// registry is the strategy table, in the paper's presentation order so All
+// drives "-strategy all" sweeps and the experiment tables unchanged. The
+// brute-force reference is hidden: resolvable by name, excluded from
+// sweeps. Adding a strategy is one row; TestRegistryNamesUnique keeps the
+// names and aliases unambiguous.
+var registry = []entry{
+	{s: heradScheduler{}},
+	{s: twocatacScheduler{}, aliases: []string{"twocatac"}},
+	{s: fertacScheduler{}},
+	{s: otacScheduler{v: core.Big}, aliases: []string{"otac-b", "otacb"}},
+	{s: otacScheduler{v: core.Little}, aliases: []string{"otac-l", "otacl"}},
+	{s: bruteScheduler{}, aliases: []string{"brute-force", "exhaustive"}, hidden: true},
+}
 
 func normalize(name string) string {
 	return strings.ToLower(strings.TrimSpace(name))
 }
 
-// Register adds s to the registry under its canonical name plus the given
-// aliases (all matched case-insensitively by Get/Parse) and includes it in
-// All. It panics on an empty or already-taken name — registering is a
-// package-initialization affair and a clash is a programming error.
-func Register(s Scheduler, aliases ...string) {
-	register(s, false, aliases...)
-}
-
-// RegisterHidden is Register for strategies that Parse/Get should resolve
-// but All should not list: references that "-strategy all" style sweeps
-// must not pick up.
-func RegisterHidden(s Scheduler, aliases ...string) {
-	register(s, true, aliases...)
-}
-
-func register(s Scheduler, hidden bool, aliases ...string) {
-	if s == nil || normalize(s.Name()) == "" {
-		panic("strategy: Register with no name")
-	}
-	e := &entry{s: s, aliases: aliases, hidden: hidden}
-	registry.Lock()
-	defer registry.Unlock()
-	for _, key := range append([]string{s.Name()}, aliases...) {
-		k := normalize(key)
-		if k == "" || k == "all" {
-			panic(fmt.Sprintf("strategy: reserved or empty name %q", key))
-		}
-		if _, dup := registry.byName[k]; dup {
-			panic(fmt.Sprintf("strategy: duplicate registration of %q", key))
-		}
-		registry.byName[k] = e
-	}
-	registry.order = append(registry.order, e)
-}
-
-// Get returns the strategy registered under name (canonical or alias,
-// case-insensitive) and whether it exists.
+// Get returns the strategy whose canonical name or alias matches name
+// (case-insensitive) and whether it exists.
 func Get(name string) (Scheduler, bool) {
-	registry.RLock()
-	defer registry.RUnlock()
-	e, ok := registry.byName[normalize(name)]
-	if !ok {
-		return nil, false
+	k := normalize(name)
+	for _, e := range registry {
+		if normalize(e.s.Name()) == k || slices.Contains(e.aliases, k) {
+			return e.s, true
+		}
 	}
-	return e.s, true
+	return nil, false
 }
 
 // Parse resolves name like Get but returns a descriptive error listing
@@ -264,13 +240,10 @@ func Parse(name string) (Scheduler, error) {
 	if s, ok := Get(name); ok {
 		return s, nil
 	}
-	registry.RLock()
-	valid := make([]string, 0, len(registry.byName))
-	for _, e := range registry.order {
-		names := append([]string{e.s.Name()}, e.aliases...)
-		valid = append(valid, strings.Join(names, "|"))
+	valid := make([]string, len(registry))
+	for i, e := range registry {
+		valid[i] = strings.Join(append([]string{e.s.Name()}, e.aliases...), "|")
 	}
-	registry.RUnlock()
 	sort.Strings(valid)
 	return nil, fmt.Errorf("strategy: unknown strategy %q (valid: %s)",
 		name, strings.Join(valid, ", "))
@@ -285,14 +258,12 @@ func MustParse(name string) Scheduler {
 	return s
 }
 
-// All returns the non-hidden strategies in registration order — the
-// paper's presentation order for the built-ins (HeRAD, 2CATAC, FERTAC,
-// OTAC (B), OTAC (L)). This is what "-strategy all" sweeps run.
+// All returns the non-hidden strategies in table order — the paper's
+// presentation order (HeRAD, 2CATAC, FERTAC, OTAC (B), OTAC (L)). This is
+// what "-strategy all" sweeps run.
 func All() []Scheduler {
-	registry.RLock()
-	defer registry.RUnlock()
 	var out []Scheduler
-	for _, e := range registry.order {
+	for _, e := range registry {
 		if !e.hidden {
 			out = append(out, e.s)
 		}
@@ -300,13 +271,11 @@ func All() []Scheduler {
 	return out
 }
 
-// AllRegistered returns every registered strategy, hidden ones included,
-// in registration order.
+// AllRegistered returns every strategy of the table, hidden ones included,
+// in table order.
 func AllRegistered() []Scheduler {
-	registry.RLock()
-	defer registry.RUnlock()
-	out := make([]Scheduler, len(registry.order))
-	for i, e := range registry.order {
+	out := make([]Scheduler, len(registry))
+	for i, e := range registry {
 		out[i] = e.s
 	}
 	return out

@@ -102,17 +102,28 @@ func TestMustParsePanics(t *testing.T) {
 	MustParse("banana")
 }
 
-func TestRegisterRejectsDuplicates(t *testing.T) {
-	for _, name := range []string{"HeRAD", "otacb", ""} {
-		name := name
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Register(%q) did not panic", name)
-				}
-			}()
-			Register(fakeScheduler{name: name})
-		}()
+// TestRegistryNamesUnique keeps the strategy table unambiguous: Get
+// compares aliases to the normalized input, so each alias must already be
+// normalized, and no canonical name or alias may appear twice or shadow the
+// reserved sweep name "all".
+func TestRegistryNamesUnique(t *testing.T) {
+	seen := map[string]string{}
+	for _, e := range registry {
+		for _, a := range e.aliases {
+			if a != normalize(a) {
+				t.Errorf("%s: alias %q is not normalized", e.s.Name(), a)
+			}
+		}
+		for _, name := range append([]string{e.s.Name()}, e.aliases...) {
+			k := normalize(name)
+			if k == "" || k == "all" {
+				t.Errorf("%s: reserved or empty name %q", e.s.Name(), name)
+			}
+			if prev, dup := seen[k]; dup {
+				t.Errorf("%q names both %s and %s", name, prev, e.s.Name())
+			}
+			seen[k] = e.s.Name()
+		}
 	}
 }
 
