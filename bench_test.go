@@ -27,7 +27,7 @@ import (
 // BenchmarkTable1 regenerates one Table I scenario (R=(10,10), SR=0.5):
 // all five strategies over a batch of random 20-task chains.
 func BenchmarkTable1(b *testing.B) {
-	cfg := experiments.Table1Config{Chains: 20, Tasks: 20, Seed: 20250704}
+	cfg := experiments.Table1Config{Chains: 20, Seed: 20250704}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		cells := experiments.Table1Scenario(cfg, core.Res(10, 10), 0.5)
@@ -39,7 +39,7 @@ func BenchmarkTable1(b *testing.B) {
 
 // BenchmarkFig1 regenerates the slowdown CDFs from a Table I scenario.
 func BenchmarkFig1(b *testing.B) {
-	cfg := experiments.Table1Config{Chains: 40, Tasks: 20, Seed: 1}
+	cfg := experiments.Table1Config{Chains: 40, Seed: 1}
 	cells := experiments.Table1Scenario(cfg, core.Res(4, 16), 0.5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -51,7 +51,7 @@ func BenchmarkFig1(b *testing.B) {
 
 // BenchmarkFig2 regenerates the FERTAC-vs-HeRAD core-usage heatmaps.
 func BenchmarkFig2(b *testing.B) {
-	cfg := experiments.Table1Config{Chains: 20, Tasks: 20, Seed: 2}
+	cfg := experiments.Table1Config{Chains: 20, Seed: 2}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res := experiments.Fig2(cfg)
@@ -159,7 +159,7 @@ func BenchmarkFig5(b *testing.B) {
 
 // BenchmarkFig6 regenerates the summary roll-up.
 func BenchmarkFig6(b *testing.B) {
-	cfg := experiments.Table1Config{Chains: 20, Tasks: 20, Seed: 3}
+	cfg := experiments.Table1Config{Chains: 20, Seed: 3}
 	t1 := experiments.Table1Scenario(cfg, core.Res(10, 10), 0.5)
 	t2, err := experiments.Table2(experiments.Table2Config{RunReal: false})
 	if err != nil {

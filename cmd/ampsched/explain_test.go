@@ -18,7 +18,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // the 4-task example chain on 2 big + 2 little cores, all strategies.
 func explainConfig(out *bytes.Buffer) config {
 	return config{input: "testdata/chain.json", big: 2, little: 2,
-		strategy: "all", frames: 10, scale: 1, interframe: 1,
+		strategy: "all", frames: 10, scale: 1, interframe: 0,
 		explain: true, out: out}
 }
 
@@ -130,7 +130,7 @@ func TestMainErrFlushesArtifactsOnFailure(t *testing.T) {
 	mem := filepath.Join(dir, "mem.pprof")
 	var out bytes.Buffer
 	err := mainErr(config{input: "testdata/chain.json", big: 2, little: 0,
-		strategy: "all", frames: 10, scale: 1, interframe: 1,
+		strategy: "all", frames: 10, scale: 1, interframe: 0,
 		traceSched: journal, memProfile: mem, out: &out})
 	if err == nil {
 		t.Fatal("expected OTAC (L) to fail with little=0")
@@ -163,7 +163,7 @@ func TestMainErrFlushesArtifactsOnFailure(t *testing.T) {
 func TestMainErrListen(t *testing.T) {
 	var out bytes.Buffer
 	if err := mainErr(config{input: "testdata/chain.json", big: 2, little: 2,
-		strategy: "herad", frames: 10, scale: 1, interframe: 1,
+		strategy: "herad", frames: 10, scale: 1, interframe: 0,
 		listen: "127.0.0.1:0", out: &out}); err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestMainErrListen(t *testing.T) {
 	}
 	// A bad address must fail up front.
 	if err := mainErr(config{input: "testdata/chain.json", big: 2, little: 2,
-		strategy: "herad", frames: 10, scale: 1, interframe: 1,
+		strategy: "herad", frames: 10, scale: 1, interframe: 0,
 		listen: "256.0.0.1:bad", out: &out}); err == nil {
 		t.Error("bad -listen address accepted")
 	}

@@ -38,7 +38,7 @@ func TestScheduleGolden(t *testing.T) {
 	jpath := filepath.Join(t.TempDir(), "sched.jsonl")
 	var out bytes.Buffer
 	cfg := config{platform: "mac", big: 8, little: 2, strategy: "all",
-		frames: 10, scale: 1, interframe: 1, traceSched: jpath, out: &out}
+		frames: 10, scale: 1, interframe: 0, traceSched: jpath, out: &out}
 	if err := mainErr(cfg); err != nil {
 		t.Fatal(err)
 	}

@@ -29,8 +29,11 @@
 //	-run          execute on the streampu runtime (wall clock)
 //	-frames N     frames for -run (default 100, at least 1)
 //	-scale S      time scale for -run (default 10; finite, ≥ 0, 0 means 1)
-//	-interframe N frames per pipeline slot for throughput reporting (≥ 1)
-//	-json         print the schedule as JSON
+//	-interframe N frames per pipeline slot for FPS reporting (default 0:
+//	              the chain's own, the platform's or 1 for -input)
+//	-json         print JSON only on stdout: one object per strategy (with
+//	              desim and runtime results under -simulate and -run), then
+//	              the -stats report; every "# …" notice goes to stderr
 //	-colocate     fuse adjacent light single-core stages (§VII extension)
 //	-epsilon E    ε-optimal beam pruning for HeRAD's DP fill: the period
 //	              is guaranteed within (1+E)·optimal, large chains fill
@@ -38,7 +41,8 @@
 //	              is the exact fill; other strategies ignore the flag
 //	-power        report watts and mJ/frame under the default power model
 //	              (two-type platforms only: it has big and little watts)
-//	-trace FILE   with -run: dump a Chrome trace of the pipeline execution
+//	-trace FILE   with -run and one strategy: dump a Chrome trace of the
+//	              pipeline execution
 //	-watch D      with -run: print one line of live per-stage occupancy,
 //	              weight estimate and p95 latency every interval D
 //	-stats        report scheduler metrics (binary-search probes, DP
@@ -46,6 +50,7 @@
 //	              in text mode, an internal/obs report in -json mode
 //	-explain      print the decision-trace narrative after the schedules:
 //	              why each strategy probed, pruned and placed what it did
+//	              (text mode only)
 //	-trace-sched FILE
 //	              write the decision journal as canonical JSONL to FILE
 //	              plus a Chrome-trace view (chrome://tracing) to
@@ -63,6 +68,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -105,7 +111,18 @@ type jsonSolution struct {
 	LitUsed  int         `json:"little_used"`
 	// Usage lists the per-type core usage when the platform declares a
 	// type table other than the paper's two-type one.
-	Usage []int `json:"usage,omitempty"`
+	Usage   []int    `json:"usage,omitempty"`
+	Desim   *jsonRun `json:"desim,omitempty"`
+	Runtime *jsonRun `json:"runtime,omitempty"`
+}
+
+// jsonRun is one validation of a schedule: the desim prediction carries
+// its latency, the runtime measurement its frame count.
+type jsonRun struct {
+	Period  float64 `json:"period"`
+	FPS     float64 `json:"fps"`
+	Latency float64 `json:"latency,omitempty"`
+	Frames  int     `json:"frames,omitempty"`
 }
 
 // config carries every CLI flag; mainErr consumes it so tests can drive
@@ -121,7 +138,7 @@ type config struct {
 	run        bool
 	frames     int
 	scale      float64
-	interframe int
+	interframe int // 0 = the chain's own
 	json       bool
 	colocate   bool
 	power      bool
@@ -141,6 +158,33 @@ type config struct {
 	out io.Writer
 }
 
+// check applies every rule that reads only flags, for a -strategy that
+// names nStrategies strategies. Each error starts with the flag it names.
+func (c config) check(nStrategies int) error {
+	for _, r := range []struct {
+		bad bool
+		err string
+	}{
+		{c.input != "" && c.platform != "", "-input and -platform are exclusive: pass one chain source"},
+		{c.input == "" && c.platform == "", "-input FILE or -platform mac|x7 is required"},
+		{c.resources != "" && (c.big != 0 || c.little != 0), "-resources is exclusive with -big/-little"},
+		{c.trace != "" && !c.run, "-trace requires -run: the Chrome trace records the streampu pipeline execution (pass -run, or drop -trace)"},
+		{c.trace != "" && nStrategies > 1, fmt.Sprintf("-trace takes one strategy, -strategy %s names %d (each run would overwrite the file)", c.strategy, nStrategies)},
+		{c.watch != 0 && !c.run, "-watch requires -run: the live view samples the streampu pipeline while it executes (pass -run, or drop -watch)"},
+		{c.watch < 0, fmt.Sprintf("-watch must be a positive interval, got %v", c.watch)},
+		{c.epsilon < 0 || math.IsNaN(c.epsilon), fmt.Sprintf("-epsilon must be a non-negative period slack, got %v", c.epsilon)},
+		{c.interframe < 0, fmt.Sprintf("-interframe must be >= 0 frames per pipeline slot (0 means the chain's own), got %d", c.interframe)},
+		{c.run && c.frames < 1, fmt.Sprintf("-frames must be at least 1 under -run, got %d", c.frames)},
+		{c.run && (c.scale < 0 || math.IsNaN(c.scale) || math.IsInf(c.scale, 0)), fmt.Sprintf("-scale must be a finite time scale >= 0 under -run (0 means 1), got %v", c.scale)},
+		{c.explain && c.json, "-explain prints a text narrative, which -json output cannot carry (use -trace-sched for a machine-readable journal)"},
+	} {
+		if r.bad {
+			return errors.New(r.err)
+		}
+	}
+	return nil
+}
+
 func main() {
 	var cfg config
 	flag.StringVar(&cfg.input, "input", "", "JSON task-chain file")
@@ -153,15 +197,15 @@ func main() {
 	flag.BoolVar(&cfg.run, "run", false, "execute on the streampu runtime")
 	flag.IntVar(&cfg.frames, "frames", 100, "frames for -run")
 	flag.Float64Var(&cfg.scale, "scale", 10, "time scale for -run")
-	flag.IntVar(&cfg.interframe, "interframe", 1, "frames per pipeline slot for FPS reporting")
-	flag.BoolVar(&cfg.json, "json", false, "print the schedule as JSON")
+	flag.IntVar(&cfg.interframe, "interframe", 0, "frames per pipeline slot for FPS reporting (0 = the chain's own: the platform's, 1 for -input)")
+	flag.BoolVar(&cfg.json, "json", false, "print JSON only on stdout (notices go to stderr)")
 	flag.BoolVar(&cfg.colocate, "colocate", false, "fuse adjacent light single-core stages (saves cores at equal period)")
 	flag.BoolVar(&cfg.power, "power", false, "report power/energy under the default power model")
 	flag.Float64Var(&cfg.epsilon, "epsilon", 0, "ε-beam slack for HeRAD: period within (1+ε)·optimal, faster fill (0 = exact)")
-	flag.StringVar(&cfg.trace, "trace", "", "with -run: write a Chrome trace (chrome://tracing) to this file")
+	flag.StringVar(&cfg.trace, "trace", "", "with -run and one strategy: write a Chrome trace (chrome://tracing) to this file")
 	flag.DurationVar(&cfg.watch, "watch", 0, `with -run: print live per-stage occupancy, weight estimate and p95 latency every interval (e.g. "500ms")`)
 	flag.BoolVar(&cfg.stats, "stats", false, "report scheduler metrics (table, or obs report in -json mode)")
-	flag.BoolVar(&cfg.explain, "explain", false, "print the decision-trace narrative after the schedules")
+	flag.BoolVar(&cfg.explain, "explain", false, "print the decision-trace narrative after the schedules (text mode only)")
 	flag.StringVar(&cfg.traceSched, "trace-sched", "", "write the decision journal (JSONL + .chrome.json view) to this file")
 	flag.StringVar(&cfg.listen, "listen", "", `serve /metrics and /debug/pprof on this address (e.g. "127.0.0.1:8080")`)
 	flag.StringVar(&cfg.flightDump, "flight-dump", "", "write the flight recorder's dump to this file at exit")
@@ -180,35 +224,39 @@ func mainErr(cfg config) error {
 	if out == nil {
 		out = os.Stdout
 	}
-	if cfg.trace != "" && !cfg.run {
-		return fmt.Errorf("-trace requires -run: the Chrome trace records the streampu pipeline execution (pass -run, or drop -trace)")
+	// notes receives every "# …" notice: stdout in text mode, stderr under
+	// -json, so that stdout stays one stream of JSON values.
+	notes := out
+	if cfg.json {
+		notes = os.Stderr
 	}
-	if cfg.watch != 0 && !cfg.run {
-		return fmt.Errorf("-watch requires -run: the live view samples the streampu pipeline while it executes (pass -run, or drop -watch)")
-	}
-	if cfg.watch < 0 {
-		return fmt.Errorf("-watch must be a positive interval, got %v", cfg.watch)
-	}
-	if cfg.epsilon < 0 || math.IsNaN(cfg.epsilon) {
-		return fmt.Errorf("-epsilon must be a non-negative period slack, got %v", cfg.epsilon)
-	}
-	if cfg.interframe < 1 {
-		return fmt.Errorf("-interframe must be at least 1 frame per pipeline slot, got %d", cfg.interframe)
-	}
-	if cfg.run && cfg.frames < 1 {
-		return fmt.Errorf("-frames must be at least 1 under -run, got %d", cfg.frames)
-	}
-	if cfg.run && (cfg.scale < 0 || math.IsNaN(cfg.scale) || math.IsInf(cfg.scale, 0)) {
-		return fmt.Errorf("-scale must be a finite time scale >= 0 under -run (0 means 1), got %v", cfg.scale)
-	}
-	r, err := resolveResources(cfg)
+	scheds, err := strategyList(cfg.strategy)
 	if err != nil {
 		return err
+	}
+	if err := cfg.check(len(scheds)); err != nil {
+		return err
+	}
+	r := core.Res(cfg.big, cfg.little)
+	if cfg.resources != "" {
+		if r, err = core.ParseResources(cfg.resources); err != nil {
+			return err
+		}
+	}
+	if r.Total() <= 0 {
+		return fmt.Errorf("no resources: pass -resources, or -big and/or -little")
 	}
 	pm := core.DefaultPowerModel()
 	if cfg.power && r.NumTypes() != len(pm.Watts) {
 		return fmt.Errorf("-power needs exactly %d core types (the default power model's big and little), resources %v declare %d",
 			len(pm.Watts), r, r.NumTypes())
+	}
+	chain, interframe, err := loadChain(cfg.input, cfg.platform)
+	if err != nil {
+		return err
+	}
+	if cfg.interframe > 0 {
+		interframe = cfg.interframe
 	}
 
 	// The flight recorder is a pure sink, created only when some
@@ -218,13 +266,9 @@ func mainErr(cfg config) error {
 	if cfg.flightDump != "" || cfg.listen != "" {
 		rec = flight.New(0)
 	}
-	// warn reports a non-fatal artifact failure on stderr — the one place
-	// the CLI writes ad-hoc errors.
-	warn := func(err error) { fmt.Fprintln(os.Stderr, "ampsched:", err) }
-	// Exit artifacts — profiles and the decision journal — are registered
-	// as defers here, before any work that can fail, so a failing strategy
-	// or runtime step still flushes everything gathered up to the error.
-	// LIFO order: the CPU profile is stopped before its file is closed.
+	// Exit artifacts are deferred before any work that can fail, so a
+	// failing step still flushes everything gathered up to the error. LIFO
+	// order: the CPU profile stops after every other artifact is written.
 	if cfg.cpuProfile != "" {
 		f, err := os.Create(cfg.cpuProfile)
 		if err != nil {
@@ -237,18 +281,16 @@ func mainErr(cfg config) error {
 		defer pprof.StopCPUProfile()
 	}
 	if cfg.memProfile != "" {
-		defer func() {
-			if err := writeHeapProfile(cfg.memProfile); err != nil {
-				warn(err)
-			}
-		}()
+		// After a final GC, so the profile shows live allocations only.
+		defer warnOnError(func() error {
+			return writeFile(cfg.memProfile, func(w io.Writer) error {
+				runtime.GC()
+				return pprof.WriteHeapProfile(w)
+			})
+		})
 	}
 	if cfg.flightDump != "" {
-		defer func() {
-			if err := writeFlightDump(rec, cfg.flightDump); err != nil {
-				warn(err)
-			}
-		}()
+		defer warnOnError(func() error { return writeFile(cfg.flightDump, rec.WriteDump) })
 	}
 	var journal *trace.Journal
 	var runSpan *trace.Span
@@ -263,29 +305,14 @@ func mainErr(cfg config) error {
 		runSpan.Bool("colocate", cfg.colocate)
 	}
 	if cfg.traceSched != "" {
-		defer func() {
-			if err := writeJournal(journal, cfg.traceSched); err != nil {
-				warn(err)
+		defer warnOnError(func() error {
+			if err := writeFile(cfg.traceSched, journal.WriteJSONL); err != nil {
+				return err
 			}
-		}()
+			return writeFile(chromeSiblingPath(cfg.traceSched), journal.WriteChromeTrace)
+		})
 	}
 
-	chain, defIF, err := loadChain(cfg.input, cfg.platform)
-	if err != nil {
-		return err
-	}
-	interframe := cfg.interframe
-	if interframe == 1 && defIF > 1 {
-		interframe = defIF
-	}
-	if r.Total() <= 0 {
-		return fmt.Errorf("no resources: pass -resources, or -big and/or -little")
-	}
-
-	scheds, err := strategyList(cfg.strategy)
-	if err != nil {
-		return err
-	}
 	var reg *obs.Registry
 	if cfg.stats || cfg.listen != "" {
 		reg = obs.NewRegistry()
@@ -296,7 +323,7 @@ func mainErr(cfg config) error {
 			return err
 		}
 		defer srv.Close()
-		fmt.Fprintf(out, "# serving metrics and pprof on http://%s\n", srv.Addr())
+		fmt.Fprintf(notes, "# serving metrics and pprof on http://%s\n", srv.Addr())
 	}
 	header := []string{"Strategy", "Period", "FPS", "Pipeline decomposition"}
 	for v := 0; v < r.NumTypes(); v++ {
@@ -306,26 +333,38 @@ func mainErr(cfg config) error {
 		header = append(header, "W", "mJ/frame")
 	}
 	t := report.NewTable(header...)
+	enc := json.NewEncoder(out)
+	enc.SetIndent("", "  ")
 	opts := strategy.Options{Colocate: cfg.colocate, Metrics: reg, Trace: runSpan, Epsilon: cfg.epsilon, Flight: rec}
 	for _, sc := range scheds {
 		name := sc.Name()
-		if err := strategy.CheckTypes(sc, chain, r); err != nil {
+		sol, err := plan(sc, chain, r, opts)
+		if err != nil {
 			return err
 		}
-		sol := sc.Schedule(chain, r, opts)
-		if sol.IsEmpty() {
-			return fmt.Errorf("%s found no schedule for R=%v", name, r)
+		var sim, run *jsonRun
+		if cfg.simulate {
+			res, err := simulate(chain, sol, rec)
+			if err != nil {
+				return err
+			}
+			sim = &jsonRun{Period: res.Period, FPS: res.Throughput(interframe), Latency: res.Latency}
+			fmt.Fprintf(notes, "# %s desim: period %.1f, FPS %.0f, latency %.1f\n",
+				name, sim.Period, sim.FPS, sim.Latency)
 		}
-		if err := sol.Validate(chain, r); err != nil {
-			return fmt.Errorf("%s produced an invalid schedule: %v", name, err)
+		if cfg.run {
+			st, err := execute(cfg, notes, sc, chain, sol, reg, rec)
+			if err != nil {
+				return err
+			}
+			run = &jsonRun{Period: st.PeriodMicros, FPS: st.Throughput(interframe), Frames: st.Frames}
+			fmt.Fprintf(notes, "# %s runtime: measured period %.1f, FPS %.0f (%d frames, %.2fs wall)\n",
+				name, run.Period, run.FPS, run.Frames, st.Elapsed.Seconds())
 		}
 		p := sol.Period(chain)
 		usage := sol.Usage(r.NumTypes())
-		// The payload strategy.PlanBatch records for a resolved request.
-		rec.Record(flight.Event{Code: flight.CodePlan, Stage: -1, Aux: rec.Intern(name),
-			A: p, B: float64(len(sol.Stages))})
 		if cfg.json {
-			js := jsonSolution{Strategy: name, Period: p, BigUsed: usage[0]}
+			js := jsonSolution{Strategy: name, Period: p, BigUsed: usage[0], Desim: sim, Runtime: run}
 			if len(usage) > 1 {
 				js.LitUsed = usage[1]
 			}
@@ -337,79 +376,19 @@ func mainErr(cfg config) error {
 					Start: st.Start, End: st.End, Cores: st.Cores, Type: r.TypeName(st.Type),
 				})
 			}
-			enc := json.NewEncoder(out)
-			enc.SetIndent("", "  ")
 			if err := enc.Encode(js); err != nil {
 				return err
 			}
-		} else {
-			row := []any{name, p, fmt.Sprintf("%.0f", core.Throughput(p, interframe)),
-				sol.Named(r)}
-			for _, u := range usage {
-				row = append(row, u)
-			}
-			if cfg.power {
-				row = append(row, pm.Power(sol), 1000*pm.EnergyPerFrame(sol, p))
-			}
-			t.AddRow(row...)
+			continue
 		}
-		if cfg.simulate {
-			scfg := desim.Config{Frames: 2000, QueueCap: 2}
-			if rec != nil {
-				// The sim-clock sample pass feeds the flight recorder
-				// deterministic per-window occupancy events — the black box
-				// for a run that never touched the wall clock.
-				scfg.Sample = &desim.SampleConfig{Flight: rec}
-			}
-			res, err := desim.Simulate(chain, sol, scfg)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "# %s desim: period %.1f, FPS %.0f, latency %.1f\n",
-				name, res.Period, res.Throughput(interframe), res.Latency)
+		row := []any{name, p, fmt.Sprintf("%.0f", core.Throughput(p, interframe)), sol.Named(r)}
+		for _, u := range usage {
+			row = append(row, u)
 		}
-		if cfg.run {
-			popt := streampu.Options{TimeScale: cfg.scale, QueueCap: 2, Flight: rec}
-			var tracer *streampu.Tracer
-			if cfg.trace != "" {
-				tracer = &streampu.Tracer{}
-				popt.Tracer = tracer
-			}
-			var sampler *streampu.Sampler
-			if cfg.watch > 0 || cfg.stats {
-				// The live telemetry lands under the strategy's slug, next to
-				// its planning series.
-				sampler = streampu.NewSampler(strategy.MetricsScope(sc, reg))
-				sampler.Flight = rec
-				popt.Sampler = sampler
-			}
-			pipe, err := streampu.New(streampu.TimedChain(chain), sol, popt)
-			if err != nil {
-				return err
-			}
-			stopWatch := startWatch(out, name, cfg.watch, sampler)
-			st, err := pipe.Run(cfg.frames, nil)
-			stopWatch()
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "# %s runtime: measured period %.1f, FPS %.0f (%d frames, %.2fs wall)\n",
-				name, st.PeriodMicros, st.Throughput(interframe), st.Frames, st.Elapsed.Seconds())
-			if cfg.trace != "" {
-				f, err := os.Create(cfg.trace)
-				if err != nil {
-					return err
-				}
-				if err := tracer.WriteChromeTrace(f); err != nil {
-					f.Close()
-					return err
-				}
-				if err := f.Close(); err != nil {
-					return err
-				}
-				fmt.Fprintf(out, "# %s trace: %d events written to %s\n", name, tracer.Len(), cfg.trace)
-			}
+		if cfg.power {
+			row = append(row, pm.Power(sol), 1000*pm.EnergyPerFrame(sol, p))
 		}
+		t.AddRow(row...)
 	}
 	if !cfg.json {
 		t.Render(out)
@@ -421,11 +400,72 @@ func mainErr(cfg config) error {
 		}
 	}
 	if cfg.stats {
-		if err := emitStats(out, reg, cfg.json); err != nil {
-			return err
-		}
+		return emitStats(out, reg, cfg.json)
 	}
 	return nil
+}
+
+// plan schedules chain on r with one strategy, refuses an empty or
+// invalid schedule, and records the plan in the flight recorder.
+func plan(sc strategy.Scheduler, chain *core.Chain, r core.Resources, opts strategy.Options) (core.Solution, error) {
+	name := sc.Name()
+	if err := strategy.CheckTypes(sc, chain, r); err != nil {
+		return core.Solution{}, err
+	}
+	sol := sc.Schedule(chain, r, opts)
+	if sol.IsEmpty() {
+		return sol, fmt.Errorf("%s found no schedule for R=%v", name, r)
+	}
+	if err := sol.Validate(chain, r); err != nil {
+		return sol, fmt.Errorf("%s produced an invalid schedule: %v", name, err)
+	}
+	// The payload strategy.PlanBatch records for a resolved request.
+	opts.Flight.Record(flight.Event{Code: flight.CodePlan, Stage: -1, Aux: opts.Flight.Intern(name),
+		A: sol.Period(chain), B: float64(len(sol.Stages))})
+	return sol, nil
+}
+
+// simulate runs the schedule through the discrete-event simulator. With a
+// flight recorder, the sim-clock sample pass feeds it deterministic
+// per-window occupancy events — the black box for a run that never
+// touched the wall clock.
+func simulate(chain *core.Chain, sol core.Solution, rec *flight.Recorder) (desim.Result, error) {
+	scfg := desim.Config{Frames: 2000, QueueCap: 2}
+	if rec != nil {
+		scfg.Sample = &desim.SampleConfig{Flight: rec}
+	}
+	return desim.Simulate(chain, sol, scfg)
+}
+
+// execute runs the schedule on the streampu runtime with the tracer,
+// sampler and -watch loop the flags ask for, and writes the -trace file.
+func execute(cfg config, notes io.Writer, sc strategy.Scheduler, chain *core.Chain, sol core.Solution,
+	reg *obs.Registry, rec *flight.Recorder) (streampu.Stats, error) {
+	popt := streampu.Options{TimeScale: cfg.scale, QueueCap: 2, Flight: rec}
+	if cfg.trace != "" {
+		popt.Tracer = &streampu.Tracer{}
+	}
+	if cfg.watch > 0 || cfg.stats {
+		// The live telemetry lands under the strategy's slug, next to its
+		// planning series.
+		popt.Sampler = streampu.NewSampler(strategy.MetricsScope(sc, reg))
+		popt.Sampler.Flight = rec
+	}
+	pipe, err := streampu.New(streampu.TimedChain(chain), sol, popt)
+	if err != nil {
+		return streampu.Stats{}, err
+	}
+	stopWatch := startWatch(notes, sc.Name(), cfg.watch, popt.Sampler)
+	st, err := pipe.Run(cfg.frames, nil)
+	stopWatch()
+	if err != nil || cfg.trace == "" {
+		return st, err
+	}
+	if err := writeFile(cfg.trace, popt.Tracer.WriteChromeTrace); err != nil {
+		return st, err
+	}
+	fmt.Fprintf(notes, "# %s trace: %d events written to %s\n", sc.Name(), popt.Tracer.Len(), cfg.trace)
+	return st, nil
 }
 
 // startWatch launches the -watch loop: every interval it closes a
@@ -478,46 +518,25 @@ func printWatch(out io.Writer, name string, elapsed time.Duration, snap []stream
 	fmt.Fprintln(out, b.String())
 }
 
-// writeJournal writes the decision journal as canonical JSONL to path plus
-// the Chrome-trace view (virtual tick timeline for chrome://tracing) to the
-// sibling path.chrome.json. It runs deferred so the journal survives a
-// failing strategy or runtime step.
-func writeJournal(j *trace.Journal, path string) error {
+// writeFile creates path, lets write fill it and closes it.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := j.WriteJSONL(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
-		return fmt.Errorf("writing decision journal: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	cf, err := os.Create(chromeSiblingPath(path))
-	if err != nil {
-		return err
-	}
-	if err := j.WriteChromeTrace(cf); err != nil {
-		cf.Close()
-		return fmt.Errorf("writing decision-journal Chrome view: %w", err)
-	}
-	return cf.Close()
-}
-
-// writeFlightDump writes the recorder's deterministic text dump to path.
-// Runs deferred, after every other artifact recorded its events, so the
-// dump is the complete black box of the invocation.
-func writeFlightDump(rec *flight.Recorder, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rec.WriteDump(f); err != nil {
-		f.Close()
-		return fmt.Errorf("writing flight dump: %w", err)
+		return fmt.Errorf("writing %s: %w", path, err)
 	}
 	return f.Close()
+}
+
+// warnOnError reports a failed exit artifact on stderr without failing
+// the command, whose own error (if any) is the one that matters.
+func warnOnError(write func() error) {
+	if err := write(); err != nil {
+		fmt.Fprintln(os.Stderr, "ampsched:", err)
+	}
 }
 
 // chromeSiblingPath maps the JSONL journal path to its Chrome-view sibling:
@@ -555,63 +574,32 @@ func emitStats(out io.Writer, reg *obs.Registry, asJSON bool) error {
 	return nil
 }
 
-// writeHeapProfile snapshots the heap after a final GC (the profile
-// should show live allocations, not garbage awaiting collection).
-func writeHeapProfile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	runtime.GC()
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		f.Close()
-		return fmt.Errorf("writing heap profile: %w", err)
-	}
-	return f.Close()
-}
-
+// loadChain reads the chain from the embedded platform profile or the
+// JSON file, with its interframe level (1 for a file). check has already
+// made sure exactly one of the two is set.
 func loadChain(input, plat string) (*core.Chain, int, error) {
-	switch {
-	case input != "" && plat != "":
-		return nil, 0, fmt.Errorf("pass either -input or -platform, not both")
-	case plat != "":
+	if plat != "" {
+		var p *platform.Platform
 		switch strings.ToLower(plat) {
 		case "mac", "macstudio", "mac-studio":
-			p := platform.MacStudio()
-			return p.Chain(), p.Interframe, nil
+			p = platform.MacStudio()
 		case "x7", "x7ti", "x7-ti":
-			p := platform.X7Ti()
-			return p.Chain(), p.Interframe, nil
+			p = platform.X7Ti()
 		default:
 			return nil, 0, fmt.Errorf("unknown platform %q (want mac or x7)", plat)
 		}
-	case input != "":
-		data, err := os.ReadFile(input)
-		if err != nil {
-			return nil, 0, err
-		}
-		var jc jsonChain
-		if err := json.Unmarshal(data, &jc); err != nil {
-			return nil, 0, fmt.Errorf("parsing %s: %w", input, err)
-		}
-		c, err := core.NewChain(jc.Tasks)
-		return c, 1, err
-	default:
-		return nil, 0, fmt.Errorf("pass -input FILE or -platform mac|x7")
+		return p.Chain(), p.Interframe, nil
 	}
-}
-
-// resolveResources builds the platform's type table from the flags: the
-// -resources spec when given (exclusive with the two-type shorthands),
-// the paper's big/little pair otherwise.
-func resolveResources(cfg config) (core.Resources, error) {
-	if cfg.resources == "" {
-		return core.Res(cfg.big, cfg.little), nil
+	data, err := os.ReadFile(input)
+	if err != nil {
+		return nil, 0, err
 	}
-	if cfg.big != 0 || cfg.little != 0 {
-		return core.Resources{}, fmt.Errorf("pass either -resources or -big/-little, not both")
+	var jc jsonChain
+	if err := json.Unmarshal(data, &jc); err != nil {
+		return nil, 0, fmt.Errorf("parsing %s: %w", input, err)
 	}
-	return core.ParseResources(cfg.resources)
+	c, err := core.NewChain(jc.Tasks)
+	return c, 1, err
 }
 
 // strategyList resolves the -strategy flag through the registry: "all"

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -43,12 +44,6 @@ func TestLoadChainPlatforms(t *testing.T) {
 }
 
 func TestLoadChainErrors(t *testing.T) {
-	if _, _, err := loadChain("", ""); err == nil {
-		t.Error("no source accepted")
-	}
-	if _, _, err := loadChain("testdata/chain.json", "mac"); err == nil {
-		t.Error("both sources accepted")
-	}
 	if _, _, err := loadChain("", "commodore64"); err == nil {
 		t.Error("unknown platform accepted")
 	}
@@ -99,26 +94,26 @@ func TestStrategyList(t *testing.T) {
 func TestMainErrEndToEnd(t *testing.T) {
 	// Whole-pipeline smoke test through the CLI entry point (no -run).
 	if err := mainErr(config{input: "testdata/chain.json", big: 2, little: 2,
-		strategy: "all", simulate: true, frames: 10, scale: 1, interframe: 1,
+		strategy: "all", simulate: true, frames: 10, scale: 1, interframe: 0,
 		colocate: true, power: true}); err != nil {
 		t.Fatal(err)
 	}
 	// JSON output path.
 	if err := mainErr(config{platform: "mac", big: 8, little: 2,
-		strategy: "herad", frames: 10, scale: 1, interframe: 1,
+		strategy: "herad", frames: 10, scale: 1, interframe: 0,
 		json: true}); err != nil {
 		t.Fatal(err)
 	}
 	// No resources.
 	if err := mainErr(config{input: "testdata/chain.json",
-		strategy: "herad", frames: 10, scale: 1, interframe: 1}); err == nil {
+		strategy: "herad", frames: 10, scale: 1, interframe: 0}); err == nil {
 		t.Error("zero resources accepted")
 	}
 }
 
 func TestMainErrTraceRequiresRun(t *testing.T) {
 	err := mainErr(config{input: "testdata/chain.json", big: 2, little: 2,
-		strategy: "herad", frames: 10, scale: 1, interframe: 1,
+		strategy: "herad", frames: 10, scale: 1, interframe: 0,
 		trace: filepath.Join(t.TempDir(), "trace.json")})
 	if err == nil {
 		t.Fatal("-trace without -run accepted")
@@ -131,7 +126,7 @@ func TestMainErrTraceRequiresRun(t *testing.T) {
 func TestMainErrWatch(t *testing.T) {
 	// -watch without -run is rejected, like -trace.
 	err := mainErr(config{input: "testdata/chain.json", big: 2, little: 2,
-		strategy: "herad", frames: 10, scale: 1, interframe: 1,
+		strategy: "herad", frames: 10, scale: 1, interframe: 0,
 		watch: 50 * time.Millisecond})
 	if err == nil {
 		t.Fatal("-watch without -run accepted")
@@ -143,7 +138,7 @@ func TestMainErrWatch(t *testing.T) {
 	// with per-stage occupancy and weight estimates.
 	var buf bytes.Buffer
 	if err := mainErr(config{input: "testdata/chain.json", big: 2, little: 2,
-		strategy: "herad", run: true, frames: 60, scale: 1, interframe: 1,
+		strategy: "herad", run: true, frames: 60, scale: 1, interframe: 0,
 		watch: 20 * time.Millisecond, out: &buf}); err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +150,7 @@ func TestMainErrWatch(t *testing.T) {
 	// strategy slug and the stats table includes them.
 	buf.Reset()
 	if err := mainErr(config{input: "testdata/chain.json", big: 2, little: 2,
-		strategy: "herad", run: true, frames: 40, scale: 1, interframe: 1,
+		strategy: "herad", run: true, frames: 40, scale: 1, interframe: 0,
 		watch: 20 * time.Millisecond, stats: true, out: &buf}); err != nil {
 		t.Fatal(err)
 	}
@@ -168,13 +163,13 @@ func TestMainErrStats(t *testing.T) {
 	// -stats with every strategy: the metric table renders after the
 	// schedules and collection does not disturb the results.
 	if err := mainErr(config{input: "testdata/chain.json", big: 2, little: 2,
-		strategy: "all", frames: 10, scale: 1, interframe: 1,
+		strategy: "all", frames: 10, scale: 1, interframe: 0,
 		stats: true}); err != nil {
 		t.Fatal(err)
 	}
 	// -stats -json emits the obs report after the schedule objects.
 	if err := mainErr(config{input: "testdata/chain.json", big: 2, little: 2,
-		strategy: "fertac", frames: 10, scale: 1, interframe: 1,
+		strategy: "fertac", frames: 10, scale: 1, interframe: 0,
 		json: true, stats: true}); err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +180,7 @@ func TestMainErrProfiles(t *testing.T) {
 	cpu := filepath.Join(dir, "cpu.pprof")
 	mem := filepath.Join(dir, "mem.pprof")
 	if err := mainErr(config{input: "testdata/chain.json", big: 2, little: 2,
-		strategy: "herad", frames: 10, scale: 1, interframe: 1,
+		strategy: "herad", frames: 10, scale: 1, interframe: 0,
 		cpuProfile: cpu, memProfile: mem}); err != nil {
 		t.Fatal(err)
 	}
@@ -204,38 +199,119 @@ func TestMainErrEpsilon(t *testing.T) {
 	// A positive slack plans through HeRAD's ε-beam fill.
 	var out strings.Builder
 	if err := mainErr(config{input: "testdata/chain.json", big: 2, little: 2,
-		strategy: "herad", frames: 10, scale: 1, interframe: 1,
+		strategy: "herad", frames: 10, scale: 1, interframe: 0,
 		epsilon: 0.05, out: &out}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "HeRAD") {
 		t.Errorf("no schedule row in output:\n%s", out.String())
 	}
-	// Invalid numeric flags are rejected before any planning, naming the
-	// flag: nothing is printed.
-	base := config{input: "testdata/chain.json", big: 2, little: 2, strategy: "all",
-		frames: 10, scale: 1, interframe: 1}
+}
+
+// TestConfigCheck drives every rule of config.check through mainErr: each
+// is refused before anything is printed or created, with an error that
+// starts with the flag it names.
+func TestConfigCheck(t *testing.T) {
 	for _, tc := range []struct {
 		flag string
 		edit func(*config)
 	}{
+		{"-input", func(c *config) { c.platform = "mac" }},
+		{"-input", func(c *config) { c.input = "" }},
+		{"-resources", func(c *config) { c.resources = "2B,2L" }},
+		{"-trace", func(c *config) { c.trace = "t.json" }},
+		{"-trace", func(c *config) { c.run, c.trace, c.strategy = true, "t.json", "all" }},
+		{"-watch", func(c *config) { c.watch = time.Millisecond }},
+		{"-watch", func(c *config) { c.run, c.watch = true, -time.Millisecond }},
 		{"-epsilon", func(c *config) { c.epsilon = -0.1 }},
 		{"-epsilon", func(c *config) { c.epsilon = math.NaN() }},
 		{"-interframe", func(c *config) { c.interframe = -2 }},
 		{"-frames", func(c *config) { c.run, c.frames = true, 0 }},
 		{"-scale", func(c *config) { c.run, c.scale = true, -1 }},
 		{"-scale", func(c *config) { c.run, c.scale = true, math.Inf(1) }},
+		{"-explain", func(c *config) { c.explain, c.json = true, true }},
 	} {
-		cfg := base
+		dir := t.TempDir()
+		cfg := config{input: "testdata/chain.json", big: 2, little: 2, strategy: "herad",
+			frames: 10, scale: 1, cpuProfile: filepath.Join(dir, "cpu.pprof")}
 		tc.edit(&cfg)
+		if cfg.trace != "" {
+			cfg.trace = filepath.Join(dir, cfg.trace)
+		}
 		var out strings.Builder
 		cfg.out = &out
 		err := mainErr(cfg)
 		if err == nil || !strings.HasPrefix(err.Error(), tc.flag+" ") {
-			t.Errorf("config %+v: error %v, want one naming %s", cfg, err, tc.flag)
+			t.Errorf("config %+v: error %v, want one starting with %s", cfg, err, tc.flag)
 		}
 		if out.Len() != 0 {
 			t.Errorf("config %+v printed before rejecting:\n%s", cfg, out.String())
+		}
+		if _, err := os.Stat(cfg.cpuProfile); !os.IsNotExist(err) {
+			t.Errorf("config %+v created %s before rejecting", cfg, cfg.cpuProfile)
+		}
+	}
+}
+
+// TestMainErrInterframe: an explicit -interframe wins over the platform's
+// level, and 0 selects it. Mac Studio's level is 4, so HeRAD's 950.6 µs
+// period on (16B,4L) reads 4208 FPS by default and 1e6/950.6 at 1.
+func TestMainErrInterframe(t *testing.T) {
+	for interframe, fps := range map[int]string{0: " 4208 ", 1: " 1052 ", 2: " 2104 "} {
+		var out strings.Builder
+		if err := mainErr(config{platform: "mac", big: 16, little: 4, strategy: "herad",
+			frames: 10, scale: 1, interframe: interframe, out: &out}); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out.String(), fps) {
+			t.Errorf("-interframe %d: FPS is not%s:\n%s", interframe, fps, out.String())
+		}
+	}
+}
+
+// TestMainErrTraceTakesOneStrategy: every strategy's run would overwrite
+// the one -trace file, so -strategy all with -trace is refused and no
+// file is written.
+func TestMainErrTraceTakesOneStrategy(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.json")
+	err := mainErr(config{input: "testdata/chain.json", big: 2, little: 2, strategy: "all",
+		run: true, frames: 10, scale: 1, interframe: 1, trace: path, out: &bytes.Buffer{}})
+	if err == nil || !strings.HasPrefix(err.Error(), "-trace ") {
+		t.Errorf("error %v, want one naming -trace", err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("trace file written: %v", err)
+	}
+}
+
+// TestMainErrJSONStdoutIsJSON: under -json, stdout is JSON values only —
+// one object per strategy carrying its desim and runtime results, then
+// the -stats report — and every "# …" notice goes to stderr.
+func TestMainErrJSONStdoutIsJSON(t *testing.T) {
+	var out bytes.Buffer
+	if err := mainErr(config{input: "testdata/chain.json", big: 2, little: 2, strategy: "all",
+		simulate: true, run: true, frames: 20, scale: 1, interframe: 1, json: true, stats: true,
+		out: &out}); err != nil {
+		t.Fatal(err)
+	}
+	var values []map[string]any
+	for dec := json.NewDecoder(&out); ; {
+		var v map[string]any
+		if err := dec.Decode(&v); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatalf("stdout is not JSON after %d values: %v", len(values), err)
+		}
+		values = append(values, v)
+	}
+	if len(values) != 6 {
+		t.Fatalf("%d JSON values, want 5 schedules and the stats report", len(values))
+	}
+	for _, v := range values[:5] {
+		for _, key := range []string{"desim", "runtime"} {
+			if run, _ := v[key].(map[string]any); run["period"] == nil || run["fps"] == nil {
+				t.Errorf("%v: %s object %v has no period and fps", v["strategy"], key, v[key])
+			}
 		}
 	}
 }
@@ -247,7 +323,7 @@ func TestMainErrEpsilon(t *testing.T) {
 func TestMainErrPowerNeedsTwoTypes(t *testing.T) {
 	var out strings.Builder
 	err := mainErr(config{input: "testdata/chain3.json", resources: "1B,1M,8L",
-		strategy: "herad", frames: 10, scale: 1, interframe: 1, power: true, out: &out})
+		strategy: "herad", frames: 10, scale: 1, interframe: 0, power: true, out: &out})
 	if err == nil || !strings.HasPrefix(err.Error(), "-power ") {
 		t.Fatalf("error %v, want one naming -power", err)
 	}
@@ -271,7 +347,7 @@ func TestMainErrStagesUseTypeNames(t *testing.T) {
 			"(4,1E),(9,1P),(6,3P),(4,1E)", []string{"E", "P", "P", "E"}},
 	} {
 		cfg := tc.cfg
-		cfg.strategy, cfg.frames, cfg.scale, cfg.interframe = "herad", 10, 1, 1
+		cfg.strategy, cfg.frames, cfg.scale, cfg.interframe = "herad", 10, 1, 0
 		var text bytes.Buffer
 		cfg.out = &text
 		if err := mainErr(cfg); err != nil {

@@ -16,7 +16,7 @@ func TestMainErrFlightDump(t *testing.T) {
 		t.Helper()
 		path := filepath.Join(t.TempDir(), "flight.txt")
 		if err := mainErr(config{input: "testdata/chain.json", big: 2, little: 2,
-			strategy: "all", simulate: true, frames: 10, scale: 1, interframe: 1,
+			strategy: "all", simulate: true, frames: 10, scale: 1, interframe: 0,
 			flightDump: path, out: &bytes.Buffer{}}); err != nil {
 			t.Fatal(err)
 		}

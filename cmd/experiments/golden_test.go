@@ -74,7 +74,7 @@ func TestTable1Golden(t *testing.T) {
 		t.Skip("runs a miniature campaign")
 	}
 	a := testApp()
-	a.reg = obs.NewRegistry()
+	a.campaign.Metrics = obs.NewRegistry()
 	a.metricsPath = filepath.Join(t.TempDir(), "metrics.json")
 	out := captureStdout(t, func() error {
 		if err := a.run("table1"); err != nil {

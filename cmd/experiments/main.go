@@ -68,11 +68,11 @@ func main() {
 	}
 	app := &app{
 		chains: *chains, runs: *runs, quick: *quick,
-		csv: *csv, real: *real, scale: *scale, workers: *workers,
-		metricsPath: *metrics, cache: strategy.NewCache(),
+		csv: *csv, real: *real, scale: *scale, metricsPath: *metrics,
+		campaign: experiments.Campaign{Workers: *workers, Cache: strategy.NewCache()},
 	}
 	if app.metricsPath != "" {
-		app.reg = obs.NewRegistry()
+		app.campaign.Metrics = obs.NewRegistry()
 	}
 	if err := app.run(cmd); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
@@ -89,16 +89,12 @@ type app struct {
 	quick        bool
 	csv, real    bool
 	scale        float64
-	workers      int
+	metricsPath  string
 
-	// reg collects every campaign's scheduler metrics; nil disables
-	// collection (then the strategies run their uninstrumented paths).
-	reg         *obs.Registry
-	metricsPath string
-
-	// cache is the app-wide schedule cache shared by every campaign of
-	// the run, so e.g. fig6's Table I re-run hits table1's entries.
-	cache *strategy.Cache
+	// campaign plans every campaign of the run: one pool size, one metrics
+	// registry (nil disables collection) and one solution cache, so e.g.
+	// fig6's Table I re-run hits table1's entries.
+	campaign experiments.Campaign
 
 	t1cache []experiments.Table1Cell
 }
@@ -108,10 +104,10 @@ type app struct {
 // identical runs differ only in the timestamp, runtime statistics, and
 // wall-clock-valued series.
 func (a *app) writeMetrics() error {
-	if a.reg == nil || a.metricsPath == "" {
+	if a.campaign.Metrics == nil || a.metricsPath == "" {
 		return nil
 	}
-	if err := obs.WriteFile(a.metricsPath, "experiments", a.reg); err != nil {
+	if err := obs.WriteFile(a.metricsPath, "experiments", a.campaign.Metrics); err != nil {
 		return fmt.Errorf("writing metrics report: %w", err)
 	}
 	fmt.Fprintf(os.Stderr, "experiments: metrics report written to %s\n", a.metricsPath)
@@ -171,17 +167,14 @@ func (a *app) emit(t *report.Table) {
 func (a *app) table1Cells() []experiments.Table1Cell {
 	if a.t1cache == nil {
 		cfg := experiments.DefaultTable1Config()
-		cfg.Chains = a.chains
-		cfg.Workers = a.workers
-		cfg.Metrics = a.reg
-		cfg.Cache = a.cache
+		cfg.Campaign, cfg.Chains = a.campaign, a.chains
 		a.t1cache = experiments.Table1(cfg)
 	}
 	return a.t1cache
 }
 
 func (a *app) table1() error {
-	fmt.Printf("Table I — simulation statistics (%d chains × 20 tasks per scenario)\n\n", a.chains)
+	fmt.Printf("Table I — simulation statistics (%d chains × %d tasks per scenario)\n\n", a.chains, experiments.Table1Tasks)
 	t := report.NewTable("R", "SR", "Strategy", "%opt", "avg", "med", "max", "b_used", "l_used")
 	for _, c := range a.table1Cells() {
 		t.AddRow(c.R.String(), fmt.Sprintf("%.1f", c.SR), c.Strategy,
@@ -223,10 +216,7 @@ func (a *app) fig1() error {
 
 func (a *app) fig2() error {
 	cfg := experiments.DefaultTable1Config()
-	cfg.Chains = a.chains
-	cfg.Workers = a.workers
-	cfg.Metrics = a.reg
-	cfg.Cache = a.cache
+	cfg.Campaign, cfg.Chains = a.campaign, a.chains
 	res := experiments.Fig2(cfg)
 	fmt.Printf("Fig. 2 — FERTAC−HeRAD core-usage deltas, R=%v SR=%.1f (%d chains)\n\n",
 		res.R, res.SR, res.All.Total())
@@ -268,7 +258,7 @@ func (a *app) fig3() error {
 		if a.quick && r.Count(core.Big) == 100 {
 			cfg.SkipHeRADAbove = 60 // HeRAD at (100,100)×160 tasks takes minutes
 		}
-		pts := experiments.Fig3(cfg, r, taskCounts, srs)
+		pts := experiments.Timing(cfg, taskCounts, []core.Resources{r}, srs)
 		a.renderTiming(fmt.Sprintf("R=%v", r), pts, "tasks")
 	}
 	return nil
@@ -287,7 +277,7 @@ func (a *app) fig4() error {
 	srs := []float64{0.2, 0.5, 0.8}
 	fmt.Printf("Fig. 4 — strategy execution times (µs) vs resources (%d runs/point)\n\n", a.runs)
 	for _, n := range []int{20, 60} {
-		pts := experiments.Fig4(cfg, n, resources, srs)
+		pts := experiments.Timing(cfg, []int{n}, resources, srs)
 		a.renderTiming(fmt.Sprintf("%d tasks", n), pts, "cores")
 	}
 	return nil
@@ -330,9 +320,7 @@ func (a *app) table2Config() experiments.Table2Config {
 	cfg := experiments.DefaultTable2Config()
 	cfg.RunReal = a.real
 	cfg.TimeScale = a.scale
-	cfg.Workers = a.workers
-	cfg.Metrics = a.reg
-	cfg.Cache = a.cache
+	cfg.Campaign = a.campaign
 	return cfg
 }
 
@@ -408,10 +396,7 @@ func (a *app) fig5() error {
 
 func (a *app) fig6() error {
 	cfg := experiments.DefaultTable1Config()
-	cfg.Chains = min(a.chains, 200)
-	cfg.Workers = a.workers
-	cfg.Metrics = a.reg
-	cfg.Cache = a.cache
+	cfg.Campaign, cfg.Chains = a.campaign, min(a.chains, 200)
 	t1 := experiments.Table1(cfg)
 	t2, err := experiments.Table2(a.table2Config())
 	if err != nil {
@@ -437,10 +422,7 @@ func (a *app) fig6() error {
 // resources (§VI-B, "additional experiments").
 func (a *app) sensitivity() error {
 	cfg := experiments.DefaultSensitivityConfig()
-	cfg.Chains = min(a.chains, 200)
-	cfg.Workers = a.workers
-	cfg.Metrics = a.reg
-	cfg.Cache = a.cache
+	cfg.Campaign, cfg.Chains = a.campaign, min(a.chains, 200)
 	fmt.Printf("Sensitivity extension (%d chains per point, SR=%.1f)\n\n", cfg.Chains, cfg.SR)
 
 	fmt.Println("-- heuristic quality vs number of tasks, R=(10B,10L)")
@@ -464,7 +446,7 @@ func (a *app) sensitivity() error {
 
 // latency runs the pipeline-depth / end-to-end-latency extension.
 func (a *app) latency() error {
-	rows, err := experiments.Latency(a.reg, a.cache)
+	rows, err := experiments.Latency(a.campaign)
 	if err != nil {
 		return err
 	}
@@ -497,11 +479,4 @@ func (a *app) live() error {
 	}
 	a.emit(t)
 	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -4,6 +4,7 @@ import (
 	"os"
 	"testing"
 
+	"ampsched/internal/experiments"
 	"ampsched/internal/strategy"
 )
 
@@ -29,7 +30,8 @@ func quietly(t *testing.T, fn func() error) {
 // byte-compare include the planbatch.workers gauge, which would otherwise
 // read the host's GOMAXPROCS. Like the binary, it plans through one cache.
 func testApp() *app {
-	return &app{chains: 20, runs: 2, quick: true, scale: 10, workers: 1, cache: strategy.NewCache()}
+	return &app{chains: 20, runs: 2, quick: true, scale: 10,
+		campaign: experiments.Campaign{Workers: 1, Cache: strategy.NewCache()}}
 }
 
 func TestDriversRun(t *testing.T) {

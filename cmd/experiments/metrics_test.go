@@ -18,7 +18,7 @@ import (
 func runWithMetrics(t *testing.T, cmd, path string) []byte {
 	t.Helper()
 	a := testApp()
-	a.reg = obs.NewRegistry()
+	a.campaign.Metrics = obs.NewRegistry()
 	a.metricsPath = path
 	quietly(t, func() error { return a.run(cmd) })
 	if err := a.writeMetrics(); err != nil {

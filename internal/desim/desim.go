@@ -20,11 +20,9 @@ import (
 type Config struct {
 	// Frames is the number of frames pushed through the pipeline; 0
 	// selects 2000, and 1 is rejected (a period needs two departures).
+	// The first max(1, Frames/4) departures are warm-up, excluded from
+	// the steady-state period and latency.
 	Frames int
-	// Warmup is the number of initial frame departures excluded from the
-	// steady-state period measurement. Defaults to Frames/4, at least 1,
-	// when 0 or not below Frames.
-	Warmup int
 	// QueueCap is the capacity (in frames) of each stage's input buffer;
 	// 0 means unbounded. Finite buffers exert backpressure on upstream
 	// stages (blocking after service).
@@ -48,18 +46,12 @@ type Config struct {
 	Sample *SampleConfig
 }
 
-// DefaultConfig simulates 2000 frames with a 500-frame warmup and
-// StreamPU-like buffers of 2 frames per replica.
-func DefaultConfig() Config {
-	return Config{Frames: 2000, Warmup: 500, QueueCap: 0}
-}
-
 // Result summarizes one simulation.
 type Result struct {
 	// Period is the steady-state mean inter-departure time of frames at
 	// the pipeline sink (same unit as the task weights).
 	Period float64
-	// Latency is the mean end-to-end frame latency after warmup.
+	// Latency is the mean end-to-end frame latency after warm-up.
 	Latency float64
 	// Makespan is the departure time of the last frame.
 	Makespan float64
@@ -91,13 +83,10 @@ func Simulate(c *core.Chain, sol core.Solution, cfg Config) (Result, error) {
 		return Result{}, fmt.Errorf("desim: invalid solution: %w", err)
 	}
 	if cfg.Frames <= 0 {
-		cfg.Frames = DefaultConfig().Frames
+		cfg.Frames = 2000
 	}
 	if cfg.Frames < 2 {
 		return Result{}, fmt.Errorf("desim: Frames = %d, want >= 2 (a period needs two departures)", cfg.Frames)
-	}
-	if cfg.Warmup <= 0 || cfg.Warmup >= cfg.Frames {
-		cfg.Warmup = max(1, cfg.Frames/4)
 	}
 	if cfg.QueueCap < 0 {
 		return Result{}, fmt.Errorf("desim: negative queue capacity %d", cfg.QueueCap)
@@ -210,15 +199,16 @@ func Simulate(c *core.Chain, sol core.Solution, cfg Config) (Result, error) {
 		StageService: service,
 		Frames:       cfg.Frames,
 	}
-	span := last[cfg.Frames-1] - last[cfg.Warmup-1]
-	res.Period = span / float64(cfg.Frames-cfg.Warmup)
+	warmup := max(1, cfg.Frames/4)
+	span := last[cfg.Frames-1] - last[warmup-1]
+	res.Period = span / float64(cfg.Frames-warmup)
 
 	lat := 0.0
-	for k := cfg.Warmup; k < cfg.Frames; k++ {
+	for k := warmup; k < cfg.Frames; k++ {
 		release := start[0][k] // frame k is created when stage 0 takes it
 		lat += last[k] - release
 	}
-	res.Latency = lat / float64(cfg.Frames-cfg.Warmup)
+	res.Latency = lat / float64(cfg.Frames-warmup)
 
 	if cfg.Sample != nil {
 		res.SamplesTaken = samplePass(cfg, replicas, svcArr, start, depart, res.Makespan)

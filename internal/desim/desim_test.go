@@ -166,16 +166,12 @@ func TestTableIIPredictions(t *testing.T) {
 func TestWarmupDefaults(t *testing.T) {
 	c := core.MustChain([]core.Task{task(10, 10, false)})
 	sol := core.Solution{Stages: []core.Stage{{Start: 0, End: 0, Cores: 1, Type: core.Big}}}
-	res, err := Simulate(c, sol, Config{Frames: 100, Warmup: 0})
+	res, err := Simulate(c, sol, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Frames != 100 || res.Period <= 0 {
+	if res.Frames != 2000 || res.Period != 10 {
 		t.Errorf("defaults broken: %+v", res)
-	}
-	// Warmup ≥ Frames is coerced, not an infinite loop / panic.
-	if _, err := Simulate(c, sol, Config{Frames: 100, Warmup: 100}); err != nil {
-		t.Errorf("warmup coercion failed: %v", err)
 	}
 }
 

@@ -35,8 +35,6 @@ type SampleConfig struct {
 	// series (one point per window, tick = window index) and the
 	// "desim.latency_us" end-to-end latency histogram. May be nil.
 	Metrics *obs.Registry
-	// SeriesCap is the ring capacity of the emitted series (0 = default).
-	SeriesCap int
 	// Flight, when non-nil, receives the run's flight events on the sim
 	// clock: one CodeFault per configured WeightStep (tick = AfterFrame,
 	// stage = the perturbed stage, A = factor), then one CodeWindow per
@@ -119,9 +117,9 @@ func samplePass(cfg Config, replicas []int, svc, start, depart [][]float64, make
 				occ = math.Min(1, busy[i][w]/(width*float64(replicas[i])))
 			}
 			if s.Metrics != nil {
-				s.Metrics.Series(desimOccNames.Name(i), s.SeriesCap).Append(int64(w), occ)
+				s.Metrics.Series(desimOccNames.Name(i), 0).Append(int64(w), occ)
 				if count[i][w] > 0 {
-					s.Metrics.Series(desimWeightNames.Name(i), s.SeriesCap).Append(int64(w), est)
+					s.Metrics.Series(desimWeightNames.Name(i), 0).Append(int64(w), est)
 				}
 			}
 			if count[i][w] > 0 {

@@ -12,7 +12,7 @@ import (
 // quickCfg keeps experiment tests fast while preserving the statistics'
 // shape (the full campaign runs from cmd/experiments).
 func quickCfg() Table1Config {
-	return Table1Config{Chains: 60, Tasks: 20, Seed: 20250704}
+	return Table1Config{Chains: 60, Seed: 20250704}
 }
 
 func TestRunDispatch(t *testing.T) {
@@ -109,9 +109,9 @@ func TestFig2Heatmaps(t *testing.T) {
 }
 
 func TestTimingFigs(t *testing.T) {
-	cfg := TimingConfig{Chains: 3, Seed: 1, MaxTasks2CATAC: 25}
-	pts := Fig3(cfg, core.Res(8, 8), []int{10, 30}, []float64{0.5})
-	// 2CATAC must be skipped at 30 tasks: 2 task counts × 5 strategies − 1.
+	cfg := TimingConfig{Chains: 3, Seed: 1}
+	pts := Timing(cfg, []int{10, TwoCATACMaxTasks + 1}, []core.Resources{core.Res(8, 8)}, []float64{0.5})
+	// 2CATAC must be skipped above its cap: 2 task counts × 5 strategies − 1.
 	if len(pts) != 9 {
 		t.Fatalf("%d timing points", len(pts))
 	}
@@ -119,11 +119,11 @@ func TestTimingFigs(t *testing.T) {
 		if p.Micros < 0 || p.Runs != 3 {
 			t.Errorf("bad point %+v", p)
 		}
-		if p.Strategy == StratTwoCAT && p.Tasks > 25 {
+		if p.Strategy == StratTwoCAT && p.Tasks > TwoCATACMaxTasks {
 			t.Errorf("2CATAC ran at %d tasks", p.Tasks)
 		}
 	}
-	pts4 := Fig4(cfg, 10, []core.Resources{core.Res(4, 4), core.Res(12, 12)}, []float64{0.5})
+	pts4 := Timing(cfg, []int{10}, []core.Resources{core.Res(4, 4), core.Res(12, 12)}, []float64{0.5})
 	if len(pts4) != 10 {
 		t.Fatalf("%d fig4 points", len(pts4))
 	}
@@ -144,8 +144,8 @@ func TestTimingFigs(t *testing.T) {
 }
 
 func TestTimingSkipHeRAD(t *testing.T) {
-	cfg := TimingConfig{Chains: 2, Seed: 1, MaxTasks2CATAC: 60, SkipHeRADAbove: 10}
-	pts := Fig4(cfg, 8, []core.Resources{core.Res(20, 20)}, []float64{0.5})
+	cfg := TimingConfig{Chains: 2, Seed: 1, SkipHeRADAbove: 10}
+	pts := Timing(cfg, []int{8}, []core.Resources{core.Res(20, 20)}, []float64{0.5})
 	for _, p := range pts {
 		if p.Strategy == StratHeRAD {
 			t.Error("HeRAD not skipped above the cap")

@@ -5,7 +5,6 @@ import (
 
 	"ampsched/internal/chaingen"
 	"ampsched/internal/core"
-	"ampsched/internal/obs"
 	"ampsched/internal/stats"
 	"ampsched/internal/strategy"
 )
@@ -50,10 +49,8 @@ func Fig2(cfg Table1Config) Fig2Result {
 	r := core.Res(10, 10)
 	sr := 0.5
 	res := Fig2Result{R: r, SR: sr, All: stats.NewHist2D(), Opt: stats.NewHist2D()}
-	chains := chaingen.GenerateMany(chaingen.Default(cfg.Tasks, sr), cfg.Seed+int64(sr*1000), cfg.Chains)
-	pair := []string{StratHeRAD, StratFERTAC}
-	results := strategy.PlanBatch(crossRequests(chains, r, pair,
-		strategy.Options{Metrics: cfg.Metrics, Cache: cfg.Cache}), cfg.Workers)
+	chains := chaingen.GenerateMany(chaingen.Default(Table1Tasks, sr), cfg.Seed+int64(sr*1000), cfg.Chains)
+	results := cfg.plan(crossRequests(chains, r, []string{StratHeRAD, StratFERTAC}))
 	for i := range chains {
 		h, f := results[2*i], results[2*i+1]
 		hb, hl := h.Solution.CoresUsed()
@@ -99,57 +96,34 @@ type TimingPoint struct {
 type TimingConfig struct {
 	Chains int
 	Seed   int64
-	// MaxTasks2CATAC caps 2CATAC's chain length (the paper stops it at 60
-	// tasks because of its exponential growth).
-	MaxTasks2CATAC int
 	// SkipHeRADAbove skips HeRAD for resource totals above this bound
 	// (only used to keep test runs fast; 0 means no cap).
 	SkipHeRADAbove int
-	// Metrics, when non-nil, collects per-strategy series for the timed
-	// runs. The reported timings include the (small) metric overhead, so
-	// leave it nil when measuring for a figure.
-	Metrics *obs.Registry
 }
 
 // DefaultTimingConfig returns the paper's profiling configuration.
 func DefaultTimingConfig() TimingConfig {
-	return TimingConfig{Chains: 50, Seed: 20250704, MaxTasks2CATAC: 60}
+	return TimingConfig{Chains: 50, Seed: 20250704}
 }
 
-// Fig3 measures strategy execution times for varying numbers of tasks
-// (the paper's 20·i, i ∈ [1,8]) at fixed resources.
-func Fig3(cfg TimingConfig, r core.Resources, taskCounts []int, srs []float64) []TimingPoint {
+// Timing measures strategy execution times over every (SR, tasks,
+// resources) point: Fig. 3 sweeps the paper's 20·i tasks at fixed
+// resources, Fig. 4 the (20·i, 20·i) resource pairs at fixed task counts.
+// 2CATAC stops at TwoCATACMaxTasks.
+func Timing(cfg TimingConfig, taskCounts []int, resources []core.Resources, srs []float64) []TimingPoint {
 	var out []TimingPoint
 	for _, sr := range srs {
 		for _, n := range taskCounts {
-			for _, name := range Strategies {
-				if name == StratTwoCAT && cfg.MaxTasks2CATAC > 0 && n > cfg.MaxTasks2CATAC {
-					continue
+			for _, r := range resources {
+				for _, name := range Strategies {
+					if name == StratTwoCAT && n > TwoCATACMaxTasks {
+						continue
+					}
+					if name == StratHeRAD && cfg.SkipHeRADAbove > 0 && r.Total() > cfg.SkipHeRADAbove {
+						continue
+					}
+					out = append(out, timeStrategy(cfg, name, n, r, sr))
 				}
-				if name == StratHeRAD && cfg.SkipHeRADAbove > 0 && r.Total() > cfg.SkipHeRADAbove {
-					continue
-				}
-				out = append(out, timeStrategy(cfg, name, n, r, sr))
-			}
-		}
-	}
-	return out
-}
-
-// Fig4 measures strategy execution times for varying resource pairs
-// (the paper's (20·i, 20·i), i ∈ [1,8]) at fixed task counts.
-func Fig4(cfg TimingConfig, n int, resources []core.Resources, srs []float64) []TimingPoint {
-	var out []TimingPoint
-	for _, sr := range srs {
-		for _, r := range resources {
-			for _, name := range Strategies {
-				if name == StratTwoCAT && cfg.MaxTasks2CATAC > 0 && n > cfg.MaxTasks2CATAC {
-					continue
-				}
-				if name == StratHeRAD && cfg.SkipHeRADAbove > 0 && r.Total() > cfg.SkipHeRADAbove {
-					continue
-				}
-				out = append(out, timeStrategy(cfg, name, n, r, sr))
 			}
 		}
 	}
@@ -164,7 +138,7 @@ func timeStrategy(cfg TimingConfig, name string, n int, r core.Resources, sr flo
 	sched := mustScheduler(name)
 	start := time.Now()
 	for _, c := range chains {
-		sched.Schedule(c, r, strategy.Options{Metrics: cfg.Metrics})
+		sched.Schedule(c, r, strategy.Options{})
 	}
 	elapsed := time.Since(start)
 	return TimingPoint{

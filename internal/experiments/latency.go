@@ -5,7 +5,6 @@ import (
 
 	"ampsched/internal/core"
 	"ampsched/internal/desim"
-	"ampsched/internal/obs"
 	"ampsched/internal/platform"
 	"ampsched/internal/strategy"
 )
@@ -32,13 +31,10 @@ type LatencyRow struct {
 	LatencyPeriods float64
 }
 
-// Latency runs the study over the paper's four platform configurations.
-// Scheduling fans out through strategy.PlanBatch; the discrete-event
-// simulations stay serial (they are the dominant cost but deterministic
-// either way). A non-nil m collects the scheduling metrics; a non-nil
-// cache reuses schedules across identical requests (the rows do not
-// depend on either).
-func Latency(m *obs.Registry, cache *strategy.Cache) ([]LatencyRow, error) {
+// Latency runs the study over the paper's four platform configurations,
+// planning through the campaign's pool; the discrete-event simulations
+// stay serial (they are the dominant cost but deterministic either way).
+func Latency(cmp Campaign) ([]LatencyRow, error) {
 	type job struct {
 		plat *platform.Platform
 		r    core.Resources
@@ -52,13 +48,12 @@ func Latency(m *obs.Registry, cache *strategy.Cache) ([]LatencyRow, error) {
 			for _, name := range Strategies {
 				jobs = append(jobs, job{plat: p, r: r, name: name})
 				reqs = append(reqs, strategy.Request{
-					Chain: c, Resources: r, Scheduler: mustScheduler(name),
-					Options: strategy.Options{Metrics: m, Cache: cache}, Label: name,
+					Chain: c, Resources: r, Scheduler: mustScheduler(name), Label: name,
 				})
 			}
 		}
 	}
-	results := strategy.PlanBatch(reqs, 0)
+	results := cmp.plan(reqs)
 	var rows []LatencyRow
 	for i, j := range jobs {
 		sol := results[i].Solution

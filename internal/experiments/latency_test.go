@@ -1,9 +1,14 @@
 package experiments
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+
+	"ampsched/internal/obs"
+)
 
 func TestLatencyExtension(t *testing.T) {
-	rows, err := Latency(nil, nil)
+	rows, err := Latency(Campaign{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,5 +35,21 @@ func TestLatencyExtension(t *testing.T) {
 	c := byKey["Mac Studio(8B,2L)"+StratTwoCAT]
 	if c.Stages >= h.Stages {
 		t.Errorf("2CATAC stages %d not below HeRAD %d", c.Stages, h.Stages)
+	}
+}
+
+// TestLatencyHonoursWorkers: the latency campaign plans on the pool its
+// Campaign asks for, which the planbatch.workers gauge reports (the pool
+// never exceeds the campaign's 20 requests).
+func TestLatencyHonoursWorkers(t *testing.T) {
+	reg := obs.NewRegistry()
+	want := min(runtime.GOMAXPROCS(0)+1, 20)
+	if _, err := Latency(Campaign{Workers: want, Metrics: reg}); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range reg.Snapshot() {
+		if s.Name == "planbatch.workers" && s.Value != float64(want) {
+			t.Errorf("planbatch.workers = %v, want %d", s.Value, want)
+		}
 	}
 }

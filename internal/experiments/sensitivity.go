@@ -3,9 +3,7 @@ package experiments
 import (
 	"ampsched/internal/chaingen"
 	"ampsched/internal/core"
-	"ampsched/internal/obs"
 	"ampsched/internal/stats"
-	"ampsched/internal/strategy"
 )
 
 // Sensitivity study — the paper reports (without data, "for the sake of
@@ -25,16 +23,10 @@ type SensitivityPoint struct {
 
 // SensitivityConfig sizes the study.
 type SensitivityConfig struct {
+	Campaign
 	Chains int
 	SR     float64
 	Seed   int64
-	// Workers bounds the strategy.PlanBatch pool; ≤ 0 uses GOMAXPROCS.
-	Workers int
-	// Metrics, when non-nil, collects the sweep's strategy series.
-	Metrics *obs.Registry
-	// Cache, when non-nil, reuses solutions across identical requests
-	// (strategy.Options.Cache). The points do not depend on it.
-	Cache *strategy.Cache
 }
 
 // DefaultSensitivityConfig returns a laptop-sized configuration.
@@ -64,13 +56,12 @@ func sensitivityScenario(cfg SensitivityConfig, n int, r core.Resources, x int) 
 	chains := chaingen.GenerateMany(chaingen.Default(n, cfg.SR), cfg.Seed+int64(n)*13+int64(r.Total()), cfg.Chains)
 	names := []string{StratHeRAD}
 	for _, name := range HeuristicStrategies {
-		if name == StratTwoCAT && n > 60 {
-			continue // the paper's exponential-blow-up cutoff
+		if name == StratTwoCAT && n > TwoCATACMaxTasks {
+			continue
 		}
 		names = append(names, name)
 	}
-	results := strategy.PlanBatch(crossRequests(chains, r, names,
-		strategy.Options{Metrics: cfg.Metrics, Cache: cfg.Cache}), cfg.Workers)
+	results := cfg.plan(crossRequests(chains, r, names))
 	slow := map[string][]float64{}
 	stride := len(names)
 	for i := range chains {

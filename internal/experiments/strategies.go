@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"ampsched/internal/core"
+	"ampsched/internal/obs"
 	"ampsched/internal/strategy"
 )
 
@@ -35,6 +36,32 @@ var Strategies = []string{StratHeRAD, StratTwoCAT, StratFERTAC, StratOTACB, Stra
 // HeuristicStrategies lists the strategies compared against HeRAD.
 var HeuristicStrategies = []string{StratTwoCAT, StratFERTAC, StratOTACB, StratOTACL}
 
+// TwoCATACMaxTasks is the longest chain 2CATAC is run on: the paper stops
+// it at 60 tasks because of its exponential growth.
+const TwoCATACMaxTasks = 60
+
+// Campaign is the planning context every campaign shares. None of its
+// fields changes a result: every strategy is deterministic.
+type Campaign struct {
+	// Workers bounds the strategy.PlanBatch pool; ≤ 0 uses GOMAXPROCS.
+	Workers int
+	// Metrics, when non-nil, collects the per-strategy and PlanBatch
+	// series (strategy.Options.Metrics).
+	Metrics *obs.Registry
+	// Cache, when non-nil, serves a request an earlier batch solved —
+	// e.g. when Fig. 1/2 or the Fig. 5/6 roll-ups revisit Tables I and II
+	// (strategy.Options.Cache).
+	Cache *strategy.Cache
+}
+
+// plan stamps the campaign's options on every request and plans the batch.
+func (c Campaign) plan(reqs []strategy.Request) []strategy.Result {
+	for i := range reqs {
+		reqs[i].Options = strategy.Options{Metrics: c.Metrics, Cache: c.Cache}
+	}
+	return strategy.PlanBatch(reqs, c.Workers)
+}
+
 // Run dispatches to the named scheduling strategy through the registry.
 // It panics on unknown names: the experiment drivers only pass the Strat*
 // constants, so a miss is a programming error.
@@ -52,9 +79,8 @@ func mustScheduler(name string) strategy.Scheduler {
 
 // crossRequests builds the (chain × strategy) request matrix used by the
 // batched campaigns: requests are ordered chain-major, matching the
-// serial loops they replace. Every request carries opts (the campaign's
-// metrics sink rides along here).
-func crossRequests(chains []*core.Chain, r core.Resources, names []string, opts strategy.Options) []strategy.Request {
+// serial loops they replace.
+func crossRequests(chains []*core.Chain, r core.Resources, names []string) []strategy.Request {
 	scheds := make([]strategy.Scheduler, len(names))
 	for i, name := range names {
 		scheds[i] = mustScheduler(name)
@@ -63,7 +89,7 @@ func crossRequests(chains []*core.Chain, r core.Resources, names []string, opts 
 	for _, c := range chains {
 		for i, s := range scheds {
 			reqs = append(reqs, strategy.Request{
-				Chain: c, Resources: r, Scheduler: s, Options: opts, Label: names[i],
+				Chain: c, Resources: r, Scheduler: s, Label: names[i],
 			})
 		}
 	}

@@ -5,9 +5,7 @@ import (
 
 	"ampsched/internal/chaingen"
 	"ampsched/internal/core"
-	"ampsched/internal/obs"
 	"ampsched/internal/stats"
-	"ampsched/internal/strategy"
 )
 
 // Table1Resources are the three resource pairs of the simulation study.
@@ -20,30 +18,20 @@ var Table1Resources = []core.Resources{
 // Table1SRs are the evaluated stateless ratios.
 var Table1SRs = []float64{0.2, 0.5, 0.8}
 
+// Table1Tasks is the chain length of the simulation study.
+const Table1Tasks = 20
+
 // Table1Config parameterizes the simulation campaign. The paper uses
-// Chains=1000, Tasks=20.
+// Chains=1000.
 type Table1Config struct {
+	Campaign
 	Chains int
-	Tasks  int
 	Seed   int64
-	// Workers bounds the strategy.PlanBatch pool used to schedule the
-	// campaign's (chain, strategy) requests; ≤ 0 uses GOMAXPROCS. The
-	// results do not depend on it.
-	Workers int
-	// Metrics, when non-nil, collects the campaign's per-strategy and
-	// PlanBatch series (strategy.Options.Metrics). The table cells do
-	// not depend on it.
-	Metrics *obs.Registry
-	// Cache, when non-nil, reuses solutions across identical (chain,
-	// resources, strategy) requests — e.g. when Fig. 1/2 or the Fig. 6
-	// roll-up revisit Table I scenarios. Results are identical with or
-	// without it (strategy.Options.Cache).
-	Cache *strategy.Cache
 }
 
 // DefaultTable1Config returns the paper's configuration.
 func DefaultTable1Config() Table1Config {
-	return Table1Config{Chains: 1000, Tasks: 20, Seed: 20250704}
+	return Table1Config{Chains: 1000, Seed: 20250704}
 }
 
 // Table1Cell aggregates one (R, SR, strategy) cell of Table I: the
@@ -71,7 +59,7 @@ func Table1(cfg Table1Config) []Table1Cell {
 	var out []Table1Cell
 	for _, r := range Table1Resources {
 		for _, sr := range Table1SRs {
-			out = append(out, table1Scenario(cfg, r, sr)...)
+			out = append(out, Table1Scenario(cfg, r, sr)...)
 		}
 	}
 	return out
@@ -79,18 +67,13 @@ func Table1(cfg Table1Config) []Table1Cell {
 
 // Table1Scenario runs a single (R, SR) scenario.
 func Table1Scenario(cfg Table1Config, r core.Resources, sr float64) []Table1Cell {
-	return table1Scenario(cfg, r, sr)
-}
-
-func table1Scenario(cfg Table1Config, r core.Resources, sr float64) []Table1Cell {
 	// Chains are deterministic per (seed, SR, tasks) so that every
 	// resource pair sees the same workloads for a given SR, like the
 	// paper's pre-generated chains.
 	seed := cfg.Seed + int64(sr*1000)
-	chains := chaingen.GenerateMany(chaingen.Default(cfg.Tasks, sr), seed, cfg.Chains)
+	chains := chaingen.GenerateMany(chaingen.Default(Table1Tasks, sr), seed, cfg.Chains)
 
-	results := strategy.PlanBatch(crossRequests(chains, r, Strategies,
-		strategy.Options{Metrics: cfg.Metrics, Cache: cfg.Cache}), cfg.Workers)
+	results := cfg.plan(crossRequests(chains, r, Strategies))
 	periods := map[string][]float64{}
 	usedB := map[string][]float64{}
 	usedL := map[string][]float64{}

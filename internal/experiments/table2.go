@@ -2,19 +2,25 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"ampsched/internal/core"
 	"ampsched/internal/desim"
 	"ampsched/internal/obs"
 	"ampsched/internal/platform"
+	"ampsched/internal/stats"
 	"ampsched/internal/strategy"
 	"ampsched/internal/streampu"
 )
 
 // Table2Config parameterizes the real-world DVB-S2 experiment.
 type Table2Config struct {
+	// Campaign plans the schedules; simulation and runtime rows stay
+	// serial (the runtime measures wall-clock time). Its Metrics also
+	// collect, for RunReal rows, each run's streampu sampler series (stage
+	// occupancy over the run, per-stage latency) under
+	// "<row id>.streampu.*".
+	Campaign
 	// RunReal executes each schedule on the streampu runtime (wall-clock
 	// time!); when false only the discrete-event prediction is produced.
 	RunReal bool
@@ -27,19 +33,6 @@ type Table2Config struct {
 	TargetWallSec float64
 	// Platforms restricts the experiment (defaults to both).
 	Platforms []*platform.Platform
-	// Workers bounds the strategy.PlanBatch pool that computes the
-	// schedules; ≤ 0 uses GOMAXPROCS. Simulation and runtime rows stay
-	// serial (the runtime measures wall-clock time).
-	Workers int
-	// Metrics, when non-nil, collects the scheduling series and — for
-	// RunReal rows — each run's streampu sampler series (stage occupancy
-	// over the run, per-stage latency) under "<row id>.streampu.*". The
-	// table itself does not depend on it.
-	Metrics *obs.Registry
-	// Cache, when non-nil, reuses schedules across identical requests —
-	// the Fig. 5/6 roll-ups recompute Table II (strategy.Options.Cache).
-	// The rows do not depend on it.
-	Cache *strategy.Cache
 }
 
 // DefaultTable2Config mirrors the paper's campaign at a laptop-friendly
@@ -103,13 +96,12 @@ func Table2(cfg Table2Config) ([]Table2Row, error) {
 				id++
 				jobs = append(jobs, job{p: p, c: c, r: r, st: name, id: fmt.Sprintf("S%d", id)})
 				reqs = append(reqs, strategy.Request{
-					Chain: c, Resources: r, Scheduler: mustScheduler(name),
-					Options: strategy.Options{Metrics: cfg.Metrics, Cache: cfg.Cache}, Label: name,
+					Chain: c, Resources: r, Scheduler: mustScheduler(name), Label: name,
 				})
 			}
 		}
 	}
-	scheds := strategy.PlanBatch(reqs, cfg.Workers)
+	scheds := cfg.plan(reqs)
 	var rows []Table2Row
 	for i, j := range jobs {
 		row, err := table2Row(cfg, j.p, j.c, j.r, j.st, j.id, scheds[i].Solution)
@@ -255,21 +247,10 @@ func Fig6(t1 []Table1Cell, t2 []Table2Row) []Fig6Summary {
 				ratios = append(ratios, 100*r.RealMbps/b)
 			}
 		}
-		s.AvgSlowdown = mean(slows)
-		s.AvgExtraCores = mean(extras)
-		s.RealVsBestPct = mean(ratios)
+		s.AvgSlowdown = stats.Mean(slows)
+		s.AvgExtraCores = stats.Mean(extras)
+		s.RealVsBestPct = stats.Mean(ratios)
 		out = append(out, s)
 	}
 	return out
-}
-
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }

@@ -185,10 +185,3 @@ func LogPlot(w io.Writer, title string, series []Series, width, height int) {
 		fmt.Fprintf(w, "%10s %c = %s\n", "", marks[si%len(marks)], s.Name)
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
