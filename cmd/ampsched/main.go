@@ -35,17 +35,13 @@
 //	              desim and runtime results under -simulate and -run), then
 //	              the -stats report; every "# …" notice goes to stderr
 //	-colocate     fuse adjacent light single-core stages (§VII extension)
-//	-epsilon E    ε-optimal beam pruning for HeRAD's DP fill: the period
-//	              is guaranteed within (1+E)·optimal, large chains fill
-//	              several times faster (DESIGN.md §4e). 0 (the default)
-//	              is the exact fill; other strategies ignore the flag
 //	-power        report watts and mJ/frame under the default power model
 //	              (two-type platforms only: it has big and little watts)
 //	-trace FILE   with -run and one strategy: dump a Chrome trace of the
 //	              pipeline execution
 //	-watch D      with -run: print one line of live per-stage occupancy,
 //	              weight estimate and p95 latency every interval D
-//	-stats        report scheduler metrics (binary-search probes, DP
+//	-stats        report scheduler metrics (binary-search steps, DP
 //	              cells, recursion nodes, …) after the schedules: a table
 //	              in text mode, an internal/obs report in -json mode
 //	-explain      print the decision-trace narrative after the schedules:
@@ -142,7 +138,6 @@ type config struct {
 	json       bool
 	colocate   bool
 	power      bool
-	epsilon    float64       // ε-beam slack for HeRAD (0 = exact fill)
 	trace      string        // Chrome trace output path (requires run)
 	watch      time.Duration // live telemetry interval for -run (0 = off)
 	stats      bool          // report scheduler metrics after the schedules
@@ -172,7 +167,6 @@ func (c config) check(nStrategies int) error {
 		{c.trace != "" && nStrategies > 1, fmt.Sprintf("-trace takes one strategy, -strategy %s names %d (each run would overwrite the file)", c.strategy, nStrategies)},
 		{c.watch != 0 && !c.run, "-watch requires -run: the live view samples the streampu pipeline while it executes (pass -run, or drop -watch)"},
 		{c.watch < 0, fmt.Sprintf("-watch must be a positive interval, got %v", c.watch)},
-		{c.epsilon < 0 || math.IsNaN(c.epsilon), fmt.Sprintf("-epsilon must be a non-negative period slack, got %v", c.epsilon)},
 		{c.interframe < 0, fmt.Sprintf("-interframe must be >= 0 frames per pipeline slot (0 means the chain's own), got %d", c.interframe)},
 		{c.run && c.frames < 1, fmt.Sprintf("-frames must be at least 1 under -run, got %d", c.frames)},
 		{c.run && (c.scale < 0 || math.IsNaN(c.scale) || math.IsInf(c.scale, 0)), fmt.Sprintf("-scale must be a finite time scale >= 0 under -run (0 means 1), got %v", c.scale)},
@@ -201,7 +195,6 @@ func main() {
 	flag.BoolVar(&cfg.json, "json", false, "print JSON only on stdout (notices go to stderr)")
 	flag.BoolVar(&cfg.colocate, "colocate", false, "fuse adjacent light single-core stages (saves cores at equal period)")
 	flag.BoolVar(&cfg.power, "power", false, "report power/energy under the default power model")
-	flag.Float64Var(&cfg.epsilon, "epsilon", 0, "ε-beam slack for HeRAD: period within (1+ε)·optimal, faster fill (0 = exact)")
 	flag.StringVar(&cfg.trace, "trace", "", "with -run and one strategy: write a Chrome trace (chrome://tracing) to this file")
 	flag.DurationVar(&cfg.watch, "watch", 0, `with -run: print live per-stage occupancy, weight estimate and p95 latency every interval (e.g. "500ms")`)
 	flag.BoolVar(&cfg.stats, "stats", false, "report scheduler metrics (table, or obs report in -json mode)")
@@ -335,7 +328,7 @@ func mainErr(cfg config) error {
 	t := report.NewTable(header...)
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
-	opts := strategy.Options{Colocate: cfg.colocate, Metrics: reg, Trace: runSpan, Epsilon: cfg.epsilon, Flight: rec}
+	opts := strategy.Options{Colocate: cfg.colocate, Metrics: reg, Trace: runSpan, Flight: rec}
 	for _, sc := range scheds {
 		name := sc.Name()
 		sol, err := plan(sc, chain, r, opts)

@@ -195,19 +195,6 @@ func TestMainErrProfiles(t *testing.T) {
 	}
 }
 
-func TestMainErrEpsilon(t *testing.T) {
-	// A positive slack plans through HeRAD's ε-beam fill.
-	var out strings.Builder
-	if err := mainErr(config{input: "testdata/chain.json", big: 2, little: 2,
-		strategy: "herad", frames: 10, scale: 1, interframe: 0,
-		epsilon: 0.05, out: &out}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "HeRAD") {
-		t.Errorf("no schedule row in output:\n%s", out.String())
-	}
-}
-
 // TestConfigCheck drives every rule of config.check through mainErr: each
 // is refused before anything is printed or created, with an error that
 // starts with the flag it names.
@@ -223,8 +210,6 @@ func TestConfigCheck(t *testing.T) {
 		{"-trace", func(c *config) { c.run, c.trace, c.strategy = true, "t.json", "all" }},
 		{"-watch", func(c *config) { c.watch = time.Millisecond }},
 		{"-watch", func(c *config) { c.run, c.watch = true, -time.Millisecond }},
-		{"-epsilon", func(c *config) { c.epsilon = -0.1 }},
-		{"-epsilon", func(c *config) { c.epsilon = math.NaN() }},
 		{"-interframe", func(c *config) { c.interframe = -2 }},
 		{"-frames", func(c *config) { c.run, c.frames = true, 0 }},
 		{"-scale", func(c *config) { c.run, c.scale = true, -1 }},

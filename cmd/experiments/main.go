@@ -12,10 +12,11 @@
 //
 //	-chains N    chains per scenario for table1/fig1/fig2 (default 1000)
 //	-runs N      chains per timing point for fig3/fig4 (default 50)
-//	-quick       shrink every campaign (CI-friendly)
+//	-quick       shrink every campaign (CI-friendly): -chains and -runs
+//	             default to 100 and 10 unless passed
 //	-csv         emit CSV instead of text tables
 //	-real        execute Table II schedules on the streampu runtime
-//	-scale S     time scale for -real runs (default 10)
+//	-scale S     time scale for -real runs (default 10; finite, > 0)
 //	-workers N   concurrent planning workers (default 0 = one per CPU)
 //	-metrics F   write a machine-readable metrics report (default
 //	             metrics.json; "" disables collection entirely)
@@ -33,8 +34,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"ampsched/internal/core"
@@ -47,41 +50,66 @@ import (
 )
 
 func main() {
-	chains := flag.Int("chains", 1000, "chains per scenario (Table I, Figs. 1-2)")
-	runs := flag.Int("runs", 50, "chains per timing point (Figs. 3-4)")
-	quick := flag.Bool("quick", false, "shrink all campaigns for quick runs")
-	csv := flag.Bool("csv", false, "emit CSV instead of aligned text")
-	real := flag.Bool("real", false, "run Table II schedules on the streampu runtime (wall clock)")
-	scale := flag.Float64("scale", 10, "time scale for -real runs")
-	workers := flag.Int("workers", 0, "concurrent planning workers (0 = one per CPU, 1 = serial)")
-	metrics := flag.String("metrics", "metrics.json", `metrics report path ("" disables collection)`)
-	flag.Parse()
-
-	if *quick {
-		*chains = 100
-		*runs = 10
-	}
-	cmd := flag.Arg(0)
-	if cmd == "" {
-		flag.Usage()
+	a, cmd, err := newApp(os.Args[1:])
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		os.Exit(0)
+	case err != nil:
+		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(2)
 	}
-	app := &app{
+	if err := a.run(cmd); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
+	}
+	if err := a.writeMetrics(); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
+	}
+}
+
+// newApp parses the command line into the run's app and the experiment
+// to run. -quick changes only the defaults of the flags args leaves unset.
+func newApp(args []string) (*app, string, error) {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	chains := fs.Int("chains", 1000, "chains per scenario (Table I, Figs. 1-2)")
+	runs := fs.Int("runs", 50, "chains per timing point (Figs. 3-4)")
+	quick := fs.Bool("quick", false, "shrink all campaigns for quick runs")
+	csv := fs.Bool("csv", false, "emit CSV instead of aligned text")
+	real := fs.Bool("real", false, "run Table II schedules on the streampu runtime (wall clock)")
+	scale := fs.Float64("scale", 10, "time scale for -real runs")
+	workers := fs.Int("workers", 0, "concurrent planning workers (0 = one per CPU, 1 = serial)")
+	metrics := fs.String("metrics", "metrics.json", `metrics report path ("" disables collection)`)
+	if err := fs.Parse(args); err != nil {
+		return nil, "", err
+	}
+	if *quick {
+		set := map[string]bool{}
+		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+		if !set["chains"] {
+			*chains = 100
+		}
+		if !set["runs"] {
+			*runs = 10
+		}
+	}
+	if !(*scale > 0) || math.IsInf(*scale, 1) {
+		return nil, "", fmt.Errorf("-scale must be a finite time scale > 0, got %v", *scale)
+	}
+	cmd := fs.Arg(0)
+	if cmd == "" {
+		fs.Usage()
+		return nil, "", errors.New("missing experiment name")
+	}
+	a := &app{
 		chains: *chains, runs: *runs, quick: *quick,
 		csv: *csv, real: *real, scale: *scale, metricsPath: *metrics,
 		campaign: experiments.Campaign{Workers: *workers, Cache: strategy.NewCache()},
 	}
-	if app.metricsPath != "" {
-		app.campaign.Metrics = obs.NewRegistry()
+	if a.metricsPath != "" {
+		a.campaign.Metrics = obs.NewRegistry()
 	}
-	if err := app.run(cmd); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
-	if err := app.writeMetrics(); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
+	return a, cmd, nil
 }
 
 type app struct {

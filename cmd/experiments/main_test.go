@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"strings"
 	"testing"
 
 	"ampsched/internal/experiments"
@@ -76,5 +77,46 @@ func TestTable2ConfigHonoursRealAndScale(t *testing.T) {
 	cfg := (&app{real: true, scale: 20}).table2Config()
 	if !cfg.RunReal || cfg.TimeScale != 20 {
 		t.Errorf("RunReal=%v TimeScale=%v, want true and 20", cfg.RunReal, cfg.TimeScale)
+	}
+}
+
+// TestNewAppQuickKeepsExplicitFlags pins that -quick shrinks only the
+// flags the command line leaves at their defaults.
+func TestNewAppQuickKeepsExplicitFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args         []string
+		chains, runs int
+	}{
+		{[]string{"table1"}, 1000, 50},
+		{[]string{"-quick", "table1"}, 100, 10},
+		{[]string{"-quick", "-chains", "7", "-metrics", "", "table1"}, 7, 10},
+		{[]string{"-runs", "3", "-quick", "fig3"}, 100, 3},
+	} {
+		a, cmd, err := newApp(tc.args)
+		if err != nil {
+			t.Fatalf("%q: %v", tc.args, err)
+		}
+		if cmd != tc.args[len(tc.args)-1] || a.chains != tc.chains || a.runs != tc.runs {
+			t.Errorf("%q: cmd %q chains %d runs %d, want %q %d %d",
+				tc.args, cmd, a.chains, a.runs, tc.args[len(tc.args)-1], tc.chains, tc.runs)
+		}
+	}
+}
+
+// TestNewAppRefusesScale pins that a -scale Table II would not run at is
+// refused, instead of being announced and replaced by the default.
+func TestNewAppRefusesScale(t *testing.T) {
+	for _, s := range []string{"-3", "0", "NaN", "+Inf"} {
+		_, _, err := newApp([]string{"-real", "-scale", s, "table2"})
+		if err == nil || !strings.HasPrefix(err.Error(), "-scale") {
+			t.Errorf("-scale %s: err %v, want a -scale error", s, err)
+		}
+	}
+	a, _, err := newApp([]string{"-real", "-scale", "2.5", "table2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.scale != 2.5 {
+		t.Errorf("-scale 2.5: scale %v", a.scale)
 	}
 }

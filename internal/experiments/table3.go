@@ -44,10 +44,10 @@ func Table3() []Table3Row {
 }
 
 // LiveProfile measures the actual latency of this repository's Go DVB-S2
-// receiver tasks on the host machine (both virtual core types execute the
-// same silicon, so the two columns coincide for computational tasks). It
-// returns the measured chain ready for scheduling, together with the raw
-// per-task microseconds.
+// receiver tasks on the host machine, in one serial run: every virtual
+// core type executes the same silicon, so one type's profile is the
+// host's. It returns the measured chain ready for scheduling, together
+// with the raw per-task microseconds.
 func LiveProfile(p dvbs2.Params, frames int) (*core.Chain, []float64, error) {
 	tx, err := dvbs2.NewTransmitter(p)
 	if err != nil {
@@ -55,11 +55,11 @@ func LiveProfile(p dvbs2.Params, frames int) (*core.Chain, []float64, error) {
 	}
 	rx := dvbs2.NewReceiver(tx, dvbs2.NewTxStream(tx, dvbs2.DefaultChannel()))
 	tasks := rx.Tasks()
-	prof, err := streampu.Profile(tasks, frames, 1)
+	prof, err := streampu.ProfileTypes(tasks, 1, frames, 1)
 	if err != nil {
 		return nil, nil, err
 	}
-	micros := prof[core.Big]
+	micros := prof[0]
 	weights := make([][]float64, len(tasks))
 	for i := range weights {
 		w := micros[i]

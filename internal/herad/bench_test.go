@@ -13,25 +13,17 @@ import (
 // Inputs and seeds are fixed so numbers stay comparable across commits.
 // One op is 0.2–1.3 s, so `-benchtime=1x` (CI's smoke run) is one fill.
 
-// BenchmarkFillScale is the large-n sweep behind the ε-beam fill: the
-// exact fill against the ε fill on R=(4,4), one to two orders of magnitude
-// past the paper's chain lengths, where the O(n²) split-point scan
-// dominates.
+// BenchmarkFillScale is the large-n sweep of the fill on R=(4,4), one to
+// two orders of magnitude past the paper's chain lengths, where the O(n²)
+// split-point scan dominates.
 func BenchmarkFillScale(b *testing.B) {
 	r := core.Res(4, 4)
-	for _, bc := range []struct {
-		n   int
-		eps float64
-	}{{2048, 0}, {2048, 0.01}, {2048, 0.05}, {4096, 0}, {4096, 0.05}} {
-		c := chaingen.GenerateMany(chaingen.Default(bc.n, 0.5), 11, 1)[0]
-		name := fmt.Sprintf("n%d/exact", bc.n)
-		if bc.eps > 0 {
-			name = fmt.Sprintf("n%d/eps=%v", bc.n, bc.eps)
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, n := range []int{2048, 4096} {
+		c := chaingen.GenerateMany(chaingen.Default(n, 0.5), 11, 1)[0]
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if s := ScheduleOpts(c, r, Options{Epsilon: bc.eps}); s.IsEmpty() {
+				if s := Schedule(c, r); s.IsEmpty() {
 					b.Fatal("no schedule")
 				}
 			}

@@ -47,25 +47,10 @@ type matrix struct {
 	k      int     // number of core types
 	states int     // Π_v (C_v+1), the cells of one row
 	res    core.Resources
-	// ε-fill constants (all exact identities at ε=0, so the exact fill
-	// takes no separate code path): eps is the ε of the beam-pruned fill
-	// (0 = exact); inv = 1/(1+ε) scales the split dominance threshold;
-	// sqInv = 1/√(1+ε) scales the per-candidate replica floor;
-	// gamma = √(1+ε)−1 is the step of both geometric candidate grids (split
-	// points and replica counts). The two grids each round by at most
-	// √(1+ε), so their composition stays within the (1+ε) budget.
-	eps, inv, sqInv, gamma float64
 }
 
-func newMatrix(n int, r core.Resources, eps float64) *matrix {
-	m := &matrix{k: r.NumTypes(), res: r, eps: eps, inv: 1, sqInv: 1}
-	if eps > 0 {
-		m.inv = 1 / (1 + eps)
-		root := math.Sqrt(1 + eps)
-		m.sqInv = 1 / root
-		m.gamma = root - 1
-	}
-	m.states = 1
+func newMatrix(n int, r core.Resources) *matrix {
+	m := &matrix{k: r.NumTypes(), res: r, states: 1}
 	for v := 0; v < m.k; v++ {
 		m.states *= r.Count(core.CoreType(v)) + 1
 	}
@@ -140,8 +125,8 @@ type typeFill struct {
 	floor  int       // smallest count not yet ruled out for the current cell (recompute)
 }
 
-// rowFill is what the cells of one row share: the per-type state, where the
-// row's replicable tail starts and, for the ε fill, the row's probe chain.
+// rowFill is what the cells of one row share: the per-type state and where
+// the row's replicable tail starts.
 type rowFill struct {
 	j       int
 	repFrom int // stage [i-1, j-1] is replicable iff i ≥ repFrom
@@ -149,15 +134,6 @@ type rowFill struct {
 	// rowFill and everything it owns lives on its fillRows' stack.
 	k int
 	t [core.MaxCoreTypes]typeFill
-	// grid is the ε fill's split-grid factor √(1+ε). The split probed
-	// after i depends on the row and on i alone — not on the state or its
-	// incumbent — so every state of a row walks the same chain
-	// j > probes[0] > probes[1] > …, each stopping where its own dominance
-	// cut fires. skipSplit extends the chain when a state first walks past
-	// its end; the row's other states reuse it. The exact fill visits every
-	// split and leaves the chain empty.
-	grid   float64
-	probes []int32
 }
 
 // fillRows computes rows from..to of the matrix in ascending row order.
@@ -165,7 +141,7 @@ type rowFill struct {
 // Planner refill only the suffix a chain edit invalidates; every cell of a
 // filled row is overwritten, so the rows' previous content is irrelevant.
 func (m *matrix) fillRows(c *core.Chain, from, to int, om Metrics) {
-	f := rowFill{k: m.k, grid: 1 + m.gamma}
+	f := rowFill{k: m.k}
 	for v, stride := f.k-1, 1; v >= 0; v-- { // mixed radix, last type fastest
 		total := m.res.Count(core.CoreType(v))
 		f.t[v] = typeFill{pre: c.PrefixW(core.CoreType(v)), stride: stride, total: int32(total)}
@@ -185,7 +161,6 @@ func (m *matrix) fillRows(c *core.Chain, from, to int, om Metrics) {
 				lo = mid + 1
 			}
 		}
-		f.probes = f.probes[:0]
 		m.fillRow(&f, om)
 	}
 }
@@ -245,9 +220,8 @@ func (m *matrix) seed(f *rowFill, idx int) {
 // less core of each type, and every split point i / core count u for every
 // core type (Eq. 4). The reverse i loop is cut once even the widest
 // replicated stage of every type exceeds the current best period — stage
-// weight only grows as i decreases, so no smaller i can win (outright at
-// ε=0, by more than the conceded (1+ε) factor otherwise) — and sequential
-// intervals only try a single core.
+// weight only grows as i decreases, so no smaller i can win — and
+// sequential intervals only try a single core.
 //
 // A candidate's period is max(P*(i-1, r⃗-u·e_v), w/u): the stage term only
 // shrinks as u grows, the predecessor term only grows, with u and with i.
@@ -265,16 +239,11 @@ func (m *matrix) seed(f *rowFill, idx int) {
 //     (typeFill.floor) and stepped up, never recomputed. It survives the
 //     walk turning sequential: a floor above 1 says w alone is above the
 //     incumbent, which is all a sequential stage (period w, one core) asks.
-//     Under ε the floor is taken against cur.pbest/√(1+ε): a count below
-//     it, at the probed split or at any split the probe covers (at most a
-//     √(1+ε) grid step lighter), has a true period above cur.pbest/(1+ε),
-//     which the ε bound concedes; the replica grid runs upward from the
-//     floor, so the floor consumes no grid budget.
 //   - Predecessor break. The u loop ends at the first predecessor above the
 //     incumbent: P*(i-1, ·) is non-decreasing in u in the table itself,
 //     because every cell is min-ed against its one-core-less neighbors
 //     before it is read.
-//   - Top split (ε=0). The walk starts at topSplit, not at j.
+//   - Top split. The walk starts at topSplit, not at j.
 //
 // Candidates are compared as Algo 10 prescribes — period first, then the
 // usage vector — but without materializing the candidate cell: its usage
@@ -286,7 +255,6 @@ func (m *matrix) recompute(f *rowFill, s int, om Metrics) {
 	// Locals, so the loops below do not reload them through m and f after
 	// every store.
 	j, t, repFrom, states, cells := f.j, f.t[:f.k], f.repFrom, m.states, m.cells
-	eps, inv, sqInv, gamma := m.eps, m.inv, m.sqInv, m.gamma
 	idx := j*states + s
 	cur := cells[idx] // seed
 	var ubuf [core.MaxCoreTypes]int32
@@ -308,21 +276,16 @@ func (m *matrix) recompute(f *rowFill, s int, om Metrics) {
 	}
 	candidates := 0 // accumulated locally to keep the hot loops cheap
 	cut := 0        // the split the dominance test stopped at (0: it never fired)
-	i := j
-	if eps == 0 {
-		i = topSplit(cells, t, states, s, j, cur.pbest)
-	}
-	for n := 0; i > 0; n++ {
+	for i := topSplit(cells, t, states, s, j, cur.pbest); i > 0; i-- {
 		// The candidate stage holds tasks [i-1, j-1] (0-based); its
 		// predecessor subproblem is row i-1. i == 1 reproduces the
 		// single-stage candidates with intermediate core counts.
 		rep := i >= repFrom
-		thr := cur.pbest * inv
 		dominated := true
 		for v := range t {
 			tv := &t[v]
 			tv.w = tv.end - tv.pre[i-1]
-			if stageWeight(tv.w, rep, int(tv.left)) <= thr {
+			if stageWeight(tv.w, rep, int(tv.left)) <= cur.pbest {
 				dominated = false
 			}
 		}
@@ -337,12 +300,12 @@ func (m *matrix) recompute(f *rowFill, s int, om Metrics) {
 			if !rep && maxU > 1 {
 				maxU = 1 // sequential stages cannot benefit from extra cores
 			}
-			u, beam := tv.floor, cur.pbest*sqInv
-			for u <= maxU && w/float64(u) > beam {
+			u := tv.floor
+			for u <= maxU && w/float64(u) > cur.pbest {
 				u++
 			}
 			tv.floor = u
-			for u <= maxU {
+			for ; u <= maxU; u++ {
 				pi := row - u*stride
 				pp := cells[pi].pbest
 				if pp > cur.pbest {
@@ -361,20 +324,7 @@ func (m *matrix) recompute(f *rowFill, s int, om Metrics) {
 					copyUsage(use, m.usage(pi))
 					use[v] += int32(cores)
 				}
-				if eps > 0 {
-					u = gridNext(u, gamma)
-				} else {
-					u++
-				}
 			}
-		}
-		switch {
-		case eps == 0:
-			i--
-		case n < len(f.probes):
-			i = int(f.probes[n])
-		default:
-			i = f.extend(i)
 		}
 	}
 	if cut > 0 {
@@ -437,24 +387,11 @@ func stageWeight(w float64, rep bool, r int) float64 {
 	return w
 }
 
-// gridNext returns the replica count following u on the ε fill's geometric
-// candidate grid: ⌊u·(1+ε)⌋ + 1. Consecutive grid points differ by a
-// factor ≤ (1+ε), so for every exact count u* there is a probed count
-// u ≤ u* with stage weight w/u ≤ (1+ε)·w/u* — the inequality the ε bound
-// rests on. At ε=0 the grid degenerates to u+1, i.e. the exhaustive walk.
-func gridNext(u int, eps float64) int {
-	next := int(float64(u)*(1+eps)) + 1
-	if next <= u {
-		return u + 1
-	}
-	return next
-}
-
 // topSplit returns the largest split i ≤ j at which some type the state
 // still has cores of finds its one-core predecessor P*(i-1, r⃗-e_v) within
 // the incumbent period p. Above it every candidate's predecessor —
-// P*(i-1, r⃗-u·e_v) ≥ P*(i-1, r⃗-e_v) — is strictly above p, so the exact
-// fill starts its walk there. The predicate is monotone, which is what
+// P*(i-1, r⃗-u·e_v) ≥ P*(i-1, r⃗-e_v) — is strictly above p, so the fill
+// starts its walk there. The predicate is monotone, which is what
 // lets a binary search find its edge: P*(i-1, ·) is non-decreasing in i in
 // the table itself, because weights are ≥ 0 (core.NewChain), prefix sums
 // and floating-point subtraction and division are monotone, and every cell
@@ -484,75 +421,6 @@ func topSplit(cells []cell, t []typeFill, states, s, j int, p float64) int {
 		}
 	}
 	return lo
-}
-
-// shortWalk bounds the linear probe skipSplit tries before resorting to a
-// binary search: skips shorter than this are cheaper to walk than to
-// bisect.
-const shortWalk = 8
-
-// within reports whether the stage [x-1, j-1] keeps every type's weight
-// within the grid factor of the current probe's.
-func (f *rowFill) within(x int) bool {
-	for v := range f.t[:f.k] {
-		if tv := &f.t[v]; tv.end-tv.pre[x-1] > tv.w*f.grid {
-			return false
-		}
-	}
-	return true
-}
-
-// extend appends to the row's probe chain the split the ε fill probes
-// after i — the last of the chain so far, whose stage weights f.t[·].w
-// hold — and returns it.
-func (f *rowFill) extend(i int) int {
-	next := 0 // split 1 is the last
-	if i > 1 {
-		next = f.skipSplit(i)
-	}
-	f.probes = append(f.probes, int32(next))
-	return next
-}
-
-// skipSplit returns the split point the ε fill probes after i ≥ 2: the
-// smallest i' < i whose stage [i'-1, j-1] keeps every type's weight within
-// the √(1+ε) grid factor of probe i's — every split skipped in between is
-// then covered by the returned probe within one grid step, because interval
-// weights only grow as the split moves left. When probe i's stage is
-// replicable the result is clamped up to the last still-replicable split:
-// a sequential covering stage cannot stand in for a replicated one (it
-// lost the divisor), and clamping — probing earlier than the weight grid
-// requires — only tightens the coverage. The search is O(log n) on the
-// chain's monotone prefix sums, which is what makes a probe cheaper than
-// the splits it skips.
-func (f *rowFill) skipSplit(i int) int {
-	if !f.within(i - 1) {
-		return i - 1
-	}
-	// Short skips are the common case at small ε (the grid factor shrinks
-	// toward per-task weight granularity), and there a binary search costs
-	// more than the handful of prefix-sum probes it replaces — so walk
-	// linearly first and only bisect when the skip turns out to be long.
-	lo, hi := 1, i-1 // within(hi) holds; the smallest within is in [lo, hi]
-	for s := 0; s < shortWalk && hi > lo && f.within(hi-1); s++ {
-		hi--
-	}
-	if hi > lo && f.within(hi-1) {
-		for lo < hi {
-			if mid := int(uint(lo+hi) >> 1); f.within(mid) {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
-	}
-	if i >= f.repFrom && hi < f.repFrom {
-		if f.repFrom == i {
-			return i - 1 // every split below i is sequential: no safe skip
-		}
-		return f.repFrom
-	}
-	return hi
 }
 
 // extract implements Algo 11: it walks the matrix backwards from the full

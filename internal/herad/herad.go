@@ -57,8 +57,7 @@ func MetricsFrom(r *obs.Registry) Metrics {
 }
 
 // Options carries the scheduling knobs of the DP. The zero value is the
-// default configuration: merged post-pass, exact fill, disabled
-// instrumentation.
+// default configuration: merged post-pass, disabled instrumentation.
 type Options struct {
 	// Workers is accepted and ignored: the fill is serial. The field
 	// outlives the wavefront pool it used to size only because bench/ still
@@ -70,15 +69,7 @@ type Options struct {
 	// ForceGeneral is accepted and ignored: there is one fill. Kept for
 	// bench/ like Workers.
 	ForceGeneral bool
-	// Epsilon > 0 selects the ε-optimal beam-pruned fill: the reverse
-	// split-point loop is cut once a candidate stage cannot beat the
-	// incumbent period by more than the (1+ε) factor, and replica counts
-	// are probed on a geometric grid instead of exhaustively. The emitted
-	// schedule's period P satisfies P ≤ (1+ε)·P* (see DESIGN.md §4e; the
-	// bound does not compound across stages because the DP objective is a
-	// max, not a sum), at a fraction of the exact fill's candidate count.
-	// Epsilon = 0 (and any negative or NaN value) is the exact fill; the
-	// property tests in epsilon_test.go pin both contracts.
+	// Epsilon is accepted and ignored: the fill is exact. Kept for bench/.
 	Epsilon float64
 	// Metrics holds the instrumentation sinks (zero value disables).
 	Metrics Metrics
@@ -121,15 +112,6 @@ func finishSolution(c *core.Chain, s core.Solution, o Options) core.Solution {
 	return merged
 }
 
-// epsilon normalizes Options.Epsilon: negative and NaN values mean the
-// exact fill, exactly like the zero default.
-func (o Options) epsilon() float64 {
-	if o.Epsilon > 0 {
-		return o.Epsilon
-	}
-	return 0
-}
-
 func scheduleRaw(c *core.Chain, r core.Resources, o Options) core.Solution {
 	if c == nil || c.Len() == 0 || r.Total() <= 0 || !r.NonNegative() {
 		return core.Solution{}
@@ -137,7 +119,7 @@ func scheduleRaw(c *core.Chain, r core.Resources, o Options) core.Solution {
 	if c.NumTypes() != r.NumTypes() {
 		return core.Solution{} // chain and platform disagree on the type table
 	}
-	m := newMatrix(c.Len(), r, o.epsilon())
+	m := newMatrix(c.Len(), r)
 	m.fill(c, o.Metrics)
 	return m.extract(c.Len())
 }

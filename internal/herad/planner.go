@@ -44,7 +44,7 @@ func NewPlanner(c *core.Chain, r core.Resources, o Options) (*Planner, error) {
 		return nil, fmt.Errorf("herad: chain declares %d core types, resources %d",
 			c.NumTypes(), r.NumTypes())
 	}
-	m := newMatrix(c.Len(), r, o.epsilon())
+	m := newMatrix(c.Len(), r)
 	m.fill(c, o.Metrics)
 	return &Planner{c: c, r: r, o: o, m: m, lastRefilled: c.Len()}, nil
 }
@@ -56,8 +56,7 @@ func (p *Planner) Chain() *core.Chain { return p.c }
 func (p *Planner) Resources() core.Resources { return p.r }
 
 // Opts returns the Options the planner fills with. Edits cannot change
-// them — in particular Epsilon is baked into the matrix, which is why the
-// strategy cache keys solutions by ε as well.
+// them.
 func (p *Planner) Opts() Options { return p.o }
 
 // RowsRefilled reports how many matrix rows the most recent operation

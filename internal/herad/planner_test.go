@@ -42,7 +42,7 @@ func randTask(rng *rand.Rand, k int) core.Task {
 // TestPlannerEditSequence drives random Append/Remove/Reweigh sequences
 // and checks after every edit that the planner's solution is bit-identical
 // to scheduling the edited chain from scratch — on a two-type and a
-// three-type platform, under an ε-beam fill, and without the merge pass.
+// three-type platform, and without the merge pass.
 // This is the row-reuse invariant of the Planner under fire.
 func TestPlannerEditSequence(t *testing.T) {
 	cases := []struct {
@@ -53,7 +53,6 @@ func TestPlannerEditSequence(t *testing.T) {
 	}{
 		{"general2d", 2, core.Res(3, 4), Options{}},
 		{"ktype3", 3, core.Res(2, 2, 3), Options{}},
-		{"epsilon", 2, core.Res(4, 4), Options{Epsilon: 0.05}},
 		{"raw", 2, core.Res(3, 3), Options{Raw: true}},
 	}
 	for _, tc := range cases {
@@ -217,7 +216,7 @@ func TestPlannerPeriod(t *testing.T) {
 // exact fill allocates nothing per refill, per row or per cell.
 func TestRefillAllocatesNothing(t *testing.T) {
 	c := chaingen.GenerateMany(chaingen.Default(32, 0.5), 5, 1)[0]
-	m := newMatrix(c.Len(), core.Res(3, 3), 0)
+	m := newMatrix(c.Len(), core.Res(3, 3))
 	m.fill(c, Metrics{})
 	if a := testing.AllocsPerRun(20, func() { m.fillRows(c, c.Len()-4, c.Len(), Metrics{}) }); a != 0 {
 		t.Errorf("refilling 5 rows allocates %v times, want 0", a)

@@ -47,10 +47,9 @@ func (heradScheduler) Name() string { return "HeRAD" }
 func (h heradScheduler) Schedule(c *core.Chain, r core.Resources, o Options) core.Solution {
 	m, sp := o.scope(h.Name()), o.span(h.Name())
 	return o.observe(c, m, sp, func() core.Solution {
-		ho := heradOptions(o)
-		ho.Metrics = herad.MetricsFrom(m)
-		ho.Metrics.Trace = trace.NewScope(sp)
-		return herad.ScheduleOpts(c, r, ho)
+		hm := herad.MetricsFrom(m)
+		hm.Trace = trace.NewScope(sp)
+		return herad.ScheduleOpts(c, r, herad.Options{Metrics: hm})
 	})
 }
 

@@ -16,22 +16,6 @@ type cacheKey struct {
 	r        core.Resources
 	strategy string
 	colocate bool
-	// epsilon is the normalized Options.Epsilon (normEpsilon): an ε-beam
-	// solution is only (1+ε)-optimal, so it must never be served to an
-	// exact request (or to a request with a different ε). The fuzz test
-	// FuzzCacheKey pins the no-aliasing property.
-	epsilon float64
-}
-
-// normEpsilon normalizes an Options.Epsilon for keying and comparison:
-// zero, negative and NaN all select the exact solver, so they collapse to
-// 0 — crucially, a NaN (never equal to itself, even as a map key) must
-// not produce an unhittable cache entry.
-func normEpsilon(e float64) float64 {
-	if e > 0 {
-		return e
-	}
-	return 0
 }
 
 // requestKey derives req's cache key. ok is false when the request does
@@ -48,7 +32,6 @@ func requestKey(req Request) (cacheKey, bool) {
 		r:        req.Resources,
 		strategy: req.Scheduler.Name(),
 		colocate: req.Options.Colocate,
-		epsilon:  normEpsilon(req.Options.Epsilon),
 	}, true
 }
 

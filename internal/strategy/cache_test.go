@@ -2,9 +2,13 @@ package strategy
 
 import (
 	"bytes"
+	"math/rand"
+	"reflect"
 	"testing"
 
+	"ampsched/internal/chaingen"
 	"ampsched/internal/core"
+	"ampsched/internal/herad"
 	"ampsched/internal/obs"
 	"ampsched/internal/trace"
 )
@@ -116,6 +120,28 @@ func TestCacheIgnoresWorkers(t *testing.T) {
 	}
 	if hits, misses := cache.Stats(); hits != 2 || misses != 1 {
 		t.Errorf("hits=%d misses=%d, want 2 hits / 1 miss across worker counts", hits, misses)
+	}
+}
+
+// TestEpsilonIgnored pins that Options.Epsilon, accepted and ignored for
+// as long as bench/ sets it, neither changes a schedule nor splits the
+// cache. The chain is plan_cold's first n=512 draw from the benchmark's
+// frozen pool seed, on which an ε = 0.05 beam fill used to give periods a
+// few percent above the optimum.
+func TestEpsilonIgnored(t *testing.T) {
+	c := chaingen.Generate(chaingen.Default(512, 0.5), rand.New(rand.NewSource(20250)))
+	r := core.Res(4, 4)
+	want := herad.Schedule(c, r)
+	if got := herad.ScheduleOpts(c, r, herad.Options{Epsilon: 0.05}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("herad Epsilon 0.05: period %v, exact %v", got.Period(c), want.Period(c))
+	}
+	cache := NewCache()
+	req := Request{Chain: c, Resources: r, Scheduler: MustParse("herad"), Options: Options{Cache: cache}}
+	exact := PlanBatch([]Request{req}, 1)
+	req.Options.Epsilon = 0.05
+	assertSameResults(t, "epsilon", PlanBatch([]Request{req}, 1), exact)
+	if hits, misses := cache.Stats(); hits != 1 || misses != 1 {
+		t.Errorf("hits=%d misses=%d, want the Epsilon request served from the exact entry", hits, misses)
 	}
 }
 

@@ -7,12 +7,9 @@ import (
 	"ampsched/internal/core"
 )
 
-// FuzzCacheKey pins the ε-awareness of the solution-cache key: an ε-beam
-// solution is only (1+ε)-optimal, so two requests that agree on everything
-// but ε must never share a cache entry — while the degenerate ε values
-// (zero, negative, NaN) must all collapse onto the exact solver's key, NaN
-// in particular because a NaN inside a map key can never be looked up
-// again.
+// FuzzCacheKey pins that Options.Epsilon, accepted and ignored, never
+// reaches the solution-cache key: any two values — zero, negative, NaN,
+// infinite or tiny — share one key and one cache entry.
 func FuzzCacheKey(f *testing.F) {
 	f.Add(0.0, 0.0)
 	f.Add(0.0, 0.05)
@@ -38,19 +35,12 @@ func FuzzCacheKey(f *testing.F) {
 		if !ok1 || !ok2 {
 			t.Fatalf("well-formed requests did not key: %v %v", ok1, ok2)
 		}
-		n1, n2 := normEpsilon(e1), normEpsilon(e2)
-		if (k1 == k2) != (n1 == n2) {
-			t.Fatalf("eps %v vs %v: keys equal=%v, normalized %v vs %v", e1, e2, k1 == k2, n1, n2)
+		if k1 != k2 {
+			t.Fatalf("eps %v vs %v: keys differ", e1, e2)
 		}
-		// The key must be self-equal even for hostile inputs — a key that
-		// cannot match itself makes its cache entry unreachable garbage.
-		if k1 != k1 {
-			t.Fatalf("eps %v: key not self-equal (NaN leaked into the key)", e1)
-		}
-		// And the map round-trip must agree with key equality.
 		cache.put(k1, core.Solution{Stages: []core.Stage{{Start: 0, End: 0, Cores: 1}}})
-		if _, hit := cache.get(k2); hit != (k1 == k2) {
-			t.Fatalf("eps %v vs %v: cache hit=%v, keys equal=%v", e1, e2, hit, k1 == k2)
+		if _, hit := cache.get(k2); !hit {
+			t.Fatalf("eps %v vs %v: no cache hit", e1, e2)
 		}
 	})
 }

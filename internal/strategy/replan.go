@@ -30,28 +30,12 @@ type ReplanStats struct {
 	RowsTotal    int
 }
 
-// heradOptions projects the strategy-level knobs onto herad.Options — the
-// one place the mapping lives (heradScheduler.Schedule and the replan path
-// both use it).
-func heradOptions(o Options) herad.Options {
-	return herad.Options{Epsilon: o.Epsilon}
-}
-
-// NewHeradPlanner builds an incumbent herad.Planner from strategy-level
-// options, for callers that want to seed ReplanBatch before the first
-// batch arrives. ReplanBatch also creates one on demand.
+// NewHeradPlanner builds an incumbent herad.Planner, for callers that want
+// to seed ReplanBatch before the first batch arrives. ReplanBatch also
+// creates one on demand. No strategy-level option changes HeRAD's fill,
+// so o does not reach the planner.
 func NewHeradPlanner(c *core.Chain, r core.Resources, o Options) (*herad.Planner, error) {
-	return herad.NewPlanner(c, r, heradOptions(o))
-}
-
-// replanCompatible reports whether req may be served by rebasing p: a
-// HeRAD request on the planner's platform whose ε matches the one baked
-// into the planner's matrix. The observability sinks never change the
-// schedule, so they don't gate the warm start; Colocate is a post-pass
-// applied per request.
-func replanCompatible(p *herad.Planner, req Request) bool {
-	return req.Resources == p.Resources() &&
-		normEpsilon(req.Options.Epsilon) == normEpsilon(p.Opts().Epsilon)
+	return herad.NewPlanner(c, r, herad.Options{})
 }
 
 // heradRequest reports whether req is a well-formed request for the
@@ -110,8 +94,10 @@ func ReplanBatch(incumbent *herad.Planner, reqs []Request) ([]Result, *herad.Pla
 // warmStart returns the incumbent planner after trying to serve req with
 // it: p rebased onto req's chain, or a new planner when p is nil. warm is
 // false when req must take the cold plan path instead — a non-HeRAD or
-// malformed request, a resources/options mismatch with p, or a planner
-// that cannot be built or rebased — and p then stays the incumbent.
+// malformed request, a platform other than p's, or a planner that cannot
+// be built or rebased — and p then stays the incumbent. No option gates
+// the warm start: the observability sinks never change the schedule, and
+// Colocate is a post-pass applied per request.
 func warmStart(p *herad.Planner, req Request) (_ *herad.Planner, warm bool) {
 	switch {
 	case !heradRequest(req):
@@ -119,7 +105,7 @@ func warmStart(p *herad.Planner, req Request) (_ *herad.Planner, warm bool) {
 	case p == nil:
 		np, err := NewHeradPlanner(req.Chain, req.Resources, req.Options)
 		return np, err == nil
-	case !replanCompatible(p, req):
+	case req.Resources != p.Resources():
 		return p, false
 	default:
 		return p, p.Rebase(req.Chain) == nil

@@ -7,8 +7,8 @@
 // documented aliases) to implementations: cmd/ampsched, cmd/experiments,
 // internal/experiments and the examples all dispatch through Parse/Get
 // instead of maintaining their own string switches. Options carries the
-// cross-cutting knobs (stage co-location, HeRAD's ε, the solution cache and
-// the observability sinks). Each adapter has one code path: nil sinks are
+// cross-cutting knobs (stage co-location, the solution cache and the
+// observability sinks). Each adapter has one code path: nil sinks are
 // the off switch, as in internal/obs and internal/trace.
 //
 // PlanBatch (batch.go) adds a concurrent planning layer on top: a bounded
@@ -80,13 +80,8 @@ type Options struct {
 	// light stages are fused (Solution.Fuse) at the schedule's own period
 	// when that shortens the pipeline. The period never changes.
 	Colocate bool
-	// Epsilon > 0 selects a strategy's bounded-suboptimality mode when it
-	// has one — currently HeRAD's ε-optimal beam-pruned DP fill, whose
-	// emitted period P satisfies P ≤ (1+ε)·P* (herad.Options.Epsilon;
-	// DESIGN.md §4e). Zero, negative and NaN all mean the exact solver,
-	// bit-identical to the pre-ε behavior. ε changes the emitted schedule,
-	// so it is part of the solution cache key; strategies without an
-	// approximate mode ignore it.
+	// Epsilon is accepted and ignored, like Workers: HeRAD has one exact
+	// fill. Kept for bench/; it never enters the solution cache key.
 	Epsilon float64
 	// Workers is accepted and ignored: no strategy has an internal worker
 	// pool (PlanBatch's own pool is sized by its workers argument). The
@@ -96,7 +91,7 @@ type Options struct {
 	// Cache, when non-nil, lets PlanBatch serve a request that a previous
 	// batch sharing the cache solved instead of re-solving it (duplicates
 	// inside one batch are each solved). The key is (chain
-	// fingerprint, resources, strategy name, Colocate, Epsilon); the
+	// fingerprint, resources, strategy name, Colocate); the
 	// observability sinks are excluded because they never change the
 	// emitted schedule. Every strategy is deterministic, so cached batches
 	// return byte-identical Results; only the strategy-internal metric and
@@ -113,7 +108,7 @@ type Options struct {
 	Metrics *obs.Registry
 	// Trace is the decision-journal parent span. When non-nil, every
 	// strategy opens a "strategy" child span and journals its decisions
-	// under it (binary-search probes, DP cells, greedy placements, the
+	// under it (binary-search steps, DP cells, greedy placements, the
 	// final per-stage commitments); PlanBatch additionally opens one
 	// "request" span per batch item. When nil (the default) journaling is
 	// disabled and adds zero allocations per schedule.

@@ -527,17 +527,12 @@ func RunChain(tasks []Task, frames int, src func(f *Frame)) (Stats, error) {
 	return p.Run(frames, src)
 }
 
-// Profile measures each task's mean latency (in µs) by running the chain
-// sequentially on a single virtual core of each of the two canonical core
-// types. For latency-modeled tasks this recovers their weights; for
-// computational tasks it measures real execution time. The scale stretches
-// modeled time for measurement stability. ProfileTypes generalizes to
-// platforms with a different type count.
-func Profile(tasks []Task, frames int, scale float64) ([][]float64, error) {
-	return ProfileTypes(tasks, 2, frames, scale)
-}
-
-// ProfileTypes is Profile over numTypes virtual core types.
+// ProfileTypes measures each task's mean latency (in µs) by running the
+// chain sequentially on a single virtual core of each of the first numTypes
+// core types; out[v][i] is task i on type v. For latency-modeled tasks
+// this recovers their weights; for computational tasks it measures real
+// execution time, the same on every type of one host. The scale stretches
+// modeled time for measurement stability.
 func ProfileTypes(tasks []Task, numTypes, frames int, scale float64) ([][]float64, error) {
 	out := make([][]float64, numTypes)
 	for v := 0; v < numTypes; v++ {

@@ -340,7 +340,7 @@ func TestProfileRecoversModeledWeights(t *testing.T) {
 	// ~0.2 ms on an idle 2-vCPU box, 0.6–0.8 ms beside CPU-bound
 	// neighbours — so the scale makes the smallest modeled latency a 3 ms
 	// sleep, and the frame count is what keeps the test at ~0.4 s.
-	prof, err := Profile(tasks, 12, 100)
+	prof, err := ProfileTypes(tasks, 2, 12, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
