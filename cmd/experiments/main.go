@@ -93,6 +93,12 @@ func newApp(args []string) (*app, string, error) {
 			*runs = 10
 		}
 	}
+	if *chains < 1 {
+		return nil, "", fmt.Errorf("-chains must be at least 1, got %d", *chains)
+	}
+	if *runs < 1 {
+		return nil, "", fmt.Errorf("-runs must be at least 1, got %d", *runs)
+	}
 	if !(*scale > 0) || math.IsInf(*scale, 1) {
 		return nil, "", fmt.Errorf("-scale must be a finite time scale > 0, got %v", *scale)
 	}

@@ -103,6 +103,23 @@ func TestNewAppQuickKeepsExplicitFlags(t *testing.T) {
 	}
 }
 
+// TestNewAppRefusesCounts pins that -chains and -runs below 1 are refused:
+// a negative count used to panic in chain generation, a zero one to print
+// NaN or "-" in every cell.
+func TestNewAppRefusesCounts(t *testing.T) {
+	for _, tc := range []struct{ flag, val, cmd string }{
+		{"-chains", "-1", "table1"},
+		{"-chains", "0", "table1"},
+		{"-runs", "0", "fig3"},
+		{"-runs", "-2", "fig3"},
+	} {
+		_, _, err := newApp([]string{"-quick", tc.flag, tc.val, "-metrics", "", tc.cmd})
+		if err == nil || !strings.HasPrefix(err.Error(), tc.flag) {
+			t.Errorf("%s %s: err %v, want a %s error", tc.flag, tc.val, err, tc.flag)
+		}
+	}
+}
+
 // TestNewAppRefusesScale pins that a -scale Table II would not run at is
 // refused, instead of being announced and replaced by the default.
 func TestNewAppRefusesScale(t *testing.T) {

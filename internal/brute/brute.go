@@ -71,15 +71,11 @@ func Enumerate(c *core.Chain, r core.Resources, fn func(core.Solution)) {
 }
 
 // Schedule returns an optimal-period solution of c on r, breaking period
-// ties with the paper's secondary objective (Beats). It returns the empty
-// solution when no valid schedule exists. Like the rest of the package it
-// is exponential: do not use beyond ~12 tasks.
-func Schedule(c *core.Chain, r core.Resources) core.Solution {
-	return ScheduleObs(c, r, Metrics{})
-}
-
-// ScheduleObs is Schedule reporting into m.
-func ScheduleObs(c *core.Chain, r core.Resources, m Metrics) core.Solution {
+// ties with the paper's secondary objective (Beats), reporting into m (the
+// zero Metrics disables). It returns the empty solution when no valid
+// schedule exists. Like the rest of the package it is exponential: do not
+// use beyond ~12 tasks.
+func Schedule(c *core.Chain, r core.Resources, m Metrics) core.Solution {
 	if c == nil || c.Len() == 0 || r.Total() <= 0 || !r.NonNegative() {
 		return core.Solution{}
 	}

@@ -11,6 +11,7 @@ package desim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"ampsched/internal/core"
@@ -91,17 +92,15 @@ func Simulate(c *core.Chain, sol core.Solution, cfg Config) (Result, error) {
 	if cfg.QueueCap < 0 {
 		return Result{}, fmt.Errorf("desim: negative queue capacity %d", cfg.QueueCap)
 	}
-	if cfg.Jitter < 0 || cfg.Jitter >= 1 {
-		if cfg.Jitter != 0 {
-			return Result{}, fmt.Errorf("desim: jitter %v outside [0,1)", cfg.Jitter)
-		}
+	if !(cfg.Jitter >= 0 && cfg.Jitter < 1) { // NaN included
+		return Result{}, fmt.Errorf("desim: jitter %v outside [0,1)", cfg.Jitter)
 	}
 	for _, stp := range cfg.Steps {
 		if stp.Stage < 0 || stp.Stage >= len(sol.Stages) {
 			return Result{}, fmt.Errorf("desim: weight step targets stage %d of %d", stp.Stage, len(sol.Stages))
 		}
-		if stp.Factor <= 0 {
-			return Result{}, fmt.Errorf("desim: weight step factor %v, want > 0", stp.Factor)
+		if !(stp.Factor > 0) || math.IsInf(stp.Factor, 1) {
+			return Result{}, fmt.Errorf("desim: weight step factor %v, want finite and > 0", stp.Factor)
 		}
 	}
 	var jitterRng *rand.Rand

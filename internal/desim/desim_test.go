@@ -208,11 +208,10 @@ func TestJitterValidationAndEffect(t *testing.T) {
 		{Start: 0, End: 0, Cores: 1, Type: core.Big},
 		{Start: 1, End: 1, Cores: 1, Type: core.Big},
 	}}
-	if _, err := Simulate(c, sol, Config{Jitter: -0.1}); err == nil {
-		t.Error("negative jitter accepted")
-	}
-	if _, err := Simulate(c, sol, Config{Jitter: 1.5}); err == nil {
-		t.Error("jitter ≥ 1 accepted")
+	for _, j := range []float64{-0.1, 1, 1.5, math.NaN(), math.Inf(1)} {
+		if _, err := Simulate(c, sol, Config{Jitter: j}); err == nil {
+			t.Errorf("jitter %v accepted", j)
+		}
 	}
 	clean, err := Simulate(c, sol, Config{Frames: 3000})
 	if err != nil {

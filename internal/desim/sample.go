@@ -2,6 +2,7 @@ package desim
 
 import (
 	"math"
+	"strconv"
 
 	"ampsched/internal/obs"
 	"ampsched/internal/obs/flight"
@@ -45,13 +46,6 @@ type SampleConfig struct {
 	Flight *flight.Recorder
 }
 
-// desimWeightNames / desimOccNames intern the per-stage series names so
-// repeated simulations don't rebuild them.
-var (
-	desimWeightNames = obs.NewNameTable("desim.weight.stage")
-	desimOccNames    = obs.NewNameTable("desim.occupancy.stage")
-)
-
 // samplePass cuts the simulated timeline into fixed windows and emits
 // per-window per-stage occupancy and weight estimates plus the
 // end-to-end latency histogram. A frame's service time is attributed to
@@ -84,10 +78,18 @@ func samplePass(cfg Config, replicas []int, svc, start, depart [][]float64, make
 		}
 	}
 
+	// Each stage's two series are resolved once; nil ones (no registry)
+	// drop their appends.
+	occSeries, weightSeries := make([]*obs.Series, m), make([]*obs.Series, m)
 	if s.Metrics != nil {
 		lh := s.Metrics.LogHistogram("desim.latency_us")
 		for k := 0; k < cfg.Frames; k++ {
 			lh.Observe(depart[m-1][k] - start[0][k])
+		}
+		for i := range occSeries {
+			n := strconv.Itoa(i)
+			occSeries[i] = s.Metrics.Series("desim.occupancy.stage"+n, 0)
+			weightSeries[i] = s.Metrics.Series("desim.weight.stage"+n, 0)
 		}
 	}
 
@@ -116,13 +118,9 @@ func samplePass(cfg Config, replicas []int, svc, start, depart [][]float64, make
 			if width > 0 {
 				occ = math.Min(1, busy[i][w]/(width*float64(replicas[i])))
 			}
-			if s.Metrics != nil {
-				s.Metrics.Series(desimOccNames.Name(i), 0).Append(int64(w), occ)
-				if count[i][w] > 0 {
-					s.Metrics.Series(desimWeightNames.Name(i), 0).Append(int64(w), est)
-				}
-			}
+			occSeries[i].Append(int64(w), occ)
 			if count[i][w] > 0 {
+				weightSeries[i].Append(int64(w), est)
 				s.Flight.Record(flight.Event{
 					Code:  flight.CodeWindow,
 					Tick:  int64(w),

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"math"
+	"strconv"
 	"testing"
 
 	"ampsched/internal/core"
@@ -132,7 +134,7 @@ func TestSampleWithoutStepStaysQuiet(t *testing.T) {
 		t.Fatal("no samples taken")
 	}
 	for i, want := range planned {
-		for _, p := range reg.Series(desimWeightNames.Name(i), 0).Tail(0) {
+		for _, p := range reg.Series("desim.weight.stage"+strconv.Itoa(i), 0).Tail(0) {
 			if p.Value != want {
 				t.Errorf("stage %d window %d weight = %v, want planned %v", i, p.Tick, p.Value, want)
 			}
@@ -167,8 +169,10 @@ func TestWeightStepValidation(t *testing.T) {
 	if _, err := Simulate(c, sol, Config{Frames: 10, Steps: []WeightStep{{Stage: 5, Factor: 2}}}); err == nil {
 		t.Error("out-of-range step stage accepted")
 	}
-	if _, err := Simulate(c, sol, Config{Frames: 10, Steps: []WeightStep{{Stage: 0, Factor: 0}}}); err == nil {
-		t.Error("non-positive step factor accepted")
+	for _, f := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		if _, err := Simulate(c, sol, Config{Frames: 10, Steps: []WeightStep{{Stage: 0, Factor: f}}}); err == nil {
+			t.Errorf("step factor %v accepted", f)
+		}
 	}
 }
 

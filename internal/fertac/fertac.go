@@ -36,25 +36,21 @@ func MetricsFrom(r *obs.Registry) Metrics {
 
 // Schedule computes a FERTAC schedule of c on the resources r.
 func Schedule(c *core.Chain, r core.Resources) core.Solution {
-	return sched.Schedule(c, r, ComputeSolution)
+	return sched.Schedule(c, r, ComputeObs(Metrics{}))
 }
 
-// ComputeObs returns ComputeSolution reporting into m, for use with
-// sched.ScheduleM.
+// ComputeObs returns Algo 4's ComputeSolution reporting into m (the zero
+// Metrics disables), for use with sched.ScheduleM.
 func ComputeObs(m Metrics) sched.ComputeSolutionFunc {
 	return func(c *core.Chain, s int, r core.Resources, target float64) core.Solution {
 		return computeSolution(c, s, r, target, m)
 	}
 }
 
-// ComputeSolution implements Algo 4: for the stage starting at task s it
+// computeSolution implements Algo 4: for the stage starting at task s it
 // first tries little cores, then big cores, then recurses on the remaining
 // tasks with the remaining resources. It returns the empty solution when
 // neither core type yields a valid stage or the recursion fails.
-func ComputeSolution(c *core.Chain, s int, r core.Resources, target float64) core.Solution {
-	return computeSolution(c, s, r, target, Metrics{})
-}
-
 func computeSolution(c *core.Chain, s int, r core.Resources, target float64, m Metrics) core.Solution {
 	m.ComputeCalls.Inc()
 	e, u := sched.ComputeStageM(c, s, r.Count(core.Little), core.Little, target, m.Sched)

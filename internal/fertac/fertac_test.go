@@ -95,12 +95,12 @@ func TestComputeSolutionRespectsTarget(t *testing.T) {
 		c := chaingen.Generate(chaingen.Default(1+rng.Intn(12), 0.5), rng)
 		r := core.Res(1+rng.Intn(4), 1+rng.Intn(4))
 		target := 50 + float64(rng.Intn(500))
-		s := ComputeSolution(c, 0, r, target)
+		s := computeSolution(c, 0, r, target, Metrics{})
 		if s.IsEmpty() {
 			continue // the greedy may legitimately fail for tight targets
 		}
 		if !s.IsValid(c, r, target) {
-			t.Fatalf("iter %d: ComputeSolution returned an invalid solution (P=%v): %v",
+			t.Fatalf("iter %d: computeSolution returned an invalid solution (P=%v): %v",
 				iter, s.Period(c), s)
 		}
 		if err := s.Validate(c, r); err != nil {

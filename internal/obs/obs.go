@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -317,42 +316,6 @@ func (r *Registry) Snapshot() []Sample {
 		out[i] = s
 	}
 	return out
-}
-
-// NameTable interns indexed metric names ("streampu.occupancy.stage3"):
-// Name(i) builds "prefix<i>" once and returns the cached string on every
-// later call, so hot sampling loops that address per-stage gauges or
-// series never allocate a name. Safe for concurrent use.
-type NameTable struct {
-	prefix string
-	mu     sync.RWMutex
-	names  []string
-}
-
-// NewNameTable returns an interner for names of the form prefix+index.
-func NewNameTable(prefix string) *NameTable {
-	return &NameTable{prefix: prefix}
-}
-
-// Name returns the interned "prefix<i>" string. Negative indices return
-// the bare prefix.
-func (t *NameTable) Name(i int) string {
-	if i < 0 {
-		return t.prefix
-	}
-	t.mu.RLock()
-	if i < len(t.names) {
-		s := t.names[i]
-		t.mu.RUnlock()
-		return s
-	}
-	t.mu.RUnlock()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for len(t.names) <= i {
-		t.names = append(t.names, t.prefix+strconv.Itoa(len(t.names)))
-	}
-	return t.names[i]
 }
 
 // Slug normalizes a display name ("OTAC (B)", "2CATAC (memo)") into a

@@ -105,31 +105,3 @@ func TestSeriesConcurrentAppend(t *testing.T) {
 		t.Fatalf("total=%d len=%d after concurrent appends", s.Total(), s.Len())
 	}
 }
-
-func TestNameTableInternsAndNeverAllocatesOnHit(t *testing.T) {
-	nt := NewNameTable("streampu.occupancy.stage")
-	if nt.Name(3) != "streampu.occupancy.stage3" || nt.Name(0) != "streampu.occupancy.stage0" {
-		t.Fatalf("names = %q %q", nt.Name(3), nt.Name(0))
-	}
-	if nt.Name(12) != nt.Name(12) {
-		t.Fatal("interned name not stable")
-	}
-	if nt.Name(-1) != "streampu.occupancy.stage" {
-		t.Fatalf("negative index = %q", nt.Name(-1))
-	}
-	nt.Name(31) // warm
-	if n := testing.AllocsPerRun(100, func() { _ = nt.Name(31) }); n != 0 {
-		t.Errorf("interned lookup allocates %v/op", n)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				_ = nt.Name(i % 40)
-			}
-		}(g)
-	}
-	wg.Wait()
-}

@@ -43,18 +43,12 @@ func Schedule(c *core.Chain, cores int, v core.CoreType) core.Solution {
 	if cores <= 0 {
 		return core.Solution{}
 	}
-	return sched.Schedule(c, core.Res(0, 0).With(v, cores), Compute(v))
+	return sched.Schedule(c, core.Res(0, 0).With(v, cores), ComputeObs(v, Metrics{}))
 }
 
-// Compute returns OTAC's ComputeSolution restricted to core type v, for use
-// with sched.Schedule. Only the v component of the resources is consumed.
-func Compute(v core.CoreType) sched.ComputeSolutionFunc {
-	return func(ch *core.Chain, s int, res core.Resources, target float64) core.Solution {
-		return computeSolution(ch, s, res.Count(v), v, target, Metrics{})
-	}
-}
-
-// ComputeObs is Compute reporting into m, for use with sched.ScheduleM.
+// ComputeObs returns OTAC's ComputeSolution restricted to core type v,
+// reporting into m (the zero Metrics disables), for use with
+// sched.ScheduleM. Only the v component of the resources is consumed.
 func ComputeObs(v core.CoreType, m Metrics) sched.ComputeSolutionFunc {
 	return func(ch *core.Chain, s int, res core.Resources, target float64) core.Solution {
 		return computeSolution(ch, s, res.Count(v), v, target, m)

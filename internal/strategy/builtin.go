@@ -12,23 +12,37 @@ import (
 	"ampsched/internal/twocatac"
 )
 
-// twoTypes reports whether chain and resources both declare exactly two
-// core types — the defensive guard of the TypeConstrained strategies for
-// direct Scheduler.Schedule calls (PlanBatch rejects mismatches with a
-// descriptive error before the strategy ever runs; see CheckTypes).
-func twoTypes(c *core.Chain, r core.Resources) bool {
-	return r.NumTypes() == 2 && (c == nil || c.NumTypes() == 2)
+// builtin is one row of the strategy table and the Scheduler it names.
+// Adding a strategy is one row: its name, the core-type count it needs and
+// a run closure; Schedule supplies everything the rows share.
+type builtin struct {
+	name    string
+	aliases []string // already normalized: Get compares them to normalize(name)
+	hidden  bool
+	// types is the exact number of core types the strategy handles (the
+	// paper's greedy strategies are defined for two); 0 accepts any.
+	// PlanBatch refuses a mismatch through CheckTypes before Schedule runs.
+	types int
+	// run resolves the package's metrics in m and journals under sc (both
+	// nil when disabled), then calls the package's instrumented entry.
+	run func(c *core.Chain, r core.Resources, m *obs.Registry, sc *trace.Scope) core.Solution
 }
 
-// observe runs one strategy's scheduling pass with the tail every adapter
-// shares: the schedule.ns timer and the schedule.calls/schedule.empty
-// counters into m, the finish post-passes, and the solution summary into
-// sp. Nil sinks are the off switch: with m and sp nil each of those steps is
-// one nil check, so an adapter has a single path whether or not anything
-// observes it.
-func (o Options) observe(c *core.Chain, m *obs.Registry, sp *trace.Span, run func() core.Solution) core.Solution {
+func (b *builtin) Name() string { return b.name }
+
+// Schedule runs the row's strategy with the steps every row shares: the
+// type guard for direct calls, the "strategy" journal span, the
+// schedule.ns timer and the schedule.calls/schedule.empty counters, the
+// finish post-passes and the solution summary. Nil sinks are the off
+// switch: with o.Metrics and o.Trace nil each of those steps is one nil
+// check, so a row has a single path whether or not anything observes it.
+func (b *builtin) Schedule(c *core.Chain, r core.Resources, o Options) core.Solution {
+	if b.types != 0 && (r.NumTypes() != b.types || c != nil && c.NumTypes() != b.types) {
+		return core.Solution{}
+	}
+	m, sp := MetricsScope(b, o.Metrics), o.Trace.Begin("strategy").Str("name", b.name)
 	stop := m.Timer("schedule.ns").Start()
-	s := o.finish(c, run())
+	s := o.finish(c, b.run(c, r, m, trace.NewScope(sp)))
 	stop()
 	m.Counter("schedule.calls").Inc()
 	empty := m.Counter("schedule.empty") // registered even while zero
@@ -39,100 +53,56 @@ func (o Options) observe(c *core.Chain, m *obs.Registry, sp *trace.Span, run fun
 	return s
 }
 
-// heradScheduler adapts the optimal dynamic program (Algos 7–11).
-type heradScheduler struct{}
-
-func (heradScheduler) Name() string { return "HeRAD" }
-
-func (h heradScheduler) Schedule(c *core.Chain, r core.Resources, o Options) core.Solution {
-	m, sp := o.scope(h.Name()), o.span(h.Name())
-	return o.observe(c, m, sp, func() core.Solution {
+// heradRow is the optimal dynamic program (Algos 7–11), the one strategy
+// ReplanBatch can warm-start.
+var heradRow = &builtin{name: "HeRAD",
+	run: func(c *core.Chain, r core.Resources, m *obs.Registry, sc *trace.Scope) core.Solution {
 		hm := herad.MetricsFrom(m)
-		hm.Trace = trace.NewScope(sp)
+		hm.Trace = sc
 		return herad.ScheduleOpts(c, r, herad.Options{Metrics: hm})
-	})
+	}}
+
+// registry is the strategy table, in the paper's presentation order so All
+// drives "-strategy all" sweeps and the experiment tables unchanged. The
+// brute-force reference is hidden: resolvable by name, excluded from
+// sweeps (it is exponential: tests and tiny chains only).
+// TestRegistryNamesUnique keeps the names and aliases unambiguous.
+var registry = []*builtin{
+	heradRow,
+	{name: "2CATAC", aliases: []string{"twocatac"}, types: 2, // Algos 5–6
+		run: func(c *core.Chain, r core.Resources, m *obs.Registry, sc *trace.Scope) core.Solution {
+			tm := twocatac.MetricsFrom(m)
+			tm.Sched.Trace = sc
+			return sched.ScheduleM(c, r, twocatac.ComputeObs(false, tm), tm.Sched)
+		}},
+	{name: "FERTAC", types: 2, // Algo 4
+		run: func(c *core.Chain, r core.Resources, m *obs.Registry, sc *trace.Scope) core.Solution {
+			fm := fertac.MetricsFrom(m)
+			fm.Sched.Trace = sc
+			return sched.ScheduleM(c, r, fertac.ComputeObs(fm), fm.Sched)
+		}},
+	{name: "OTAC (B)", aliases: []string{"otac-b", "otacb"}, types: 2,
+		run: func(c *core.Chain, r core.Resources, m *obs.Registry, sc *trace.Scope) core.Solution {
+			return otacOn(core.Big, c, r, m, sc)
+		}},
+	{name: "OTAC (L)", aliases: []string{"otac-l", "otacl"}, types: 2,
+		run: func(c *core.Chain, r core.Resources, m *obs.Registry, sc *trace.Scope) core.Solution {
+			return otacOn(core.Little, c, r, m, sc)
+		}},
+	{name: "Brute", aliases: []string{"brute-force", "exhaustive"}, hidden: true,
+		run: func(c *core.Chain, r core.Resources, m *obs.Registry, sc *trace.Scope) core.Solution {
+			bm := brute.MetricsFrom(m)
+			bm.Trace = sc
+			return brute.Schedule(c, r, bm)
+		}},
 }
 
-// twocatacScheduler adapts 2CATAC (Algos 5–6).
-type twocatacScheduler struct{}
-
-func (twocatacScheduler) Name() string { return "2CATAC" }
-
-// SupportedTypes declares the two-choice recursion's fixed platform shape.
-func (twocatacScheduler) SupportedTypes() int { return 2 }
-
-func (t twocatacScheduler) Schedule(c *core.Chain, r core.Resources, o Options) core.Solution {
-	if !twoTypes(c, r) {
-		return core.Solution{}
-	}
-	m, sp := o.scope(t.Name()), o.span(t.Name())
-	return o.observe(c, m, sp, func() core.Solution {
-		tm := twocatac.MetricsFrom(m)
-		tm.Sched.Trace = trace.NewScope(sp)
-		return sched.ScheduleM(c, r, twocatac.ComputeObs(false, tm), tm.Sched)
-	})
-}
-
-// fertacScheduler adapts FERTAC (Algo 4).
-type fertacScheduler struct{}
-
-func (fertacScheduler) Name() string { return "FERTAC" }
-
-// SupportedTypes declares the little-first greedy's fixed platform shape.
-func (fertacScheduler) SupportedTypes() int { return 2 }
-
-func (f fertacScheduler) Schedule(c *core.Chain, r core.Resources, o Options) core.Solution {
-	if !twoTypes(c, r) {
-		return core.Solution{}
-	}
-	m, sp := o.scope(f.Name()), o.span(f.Name())
-	return o.observe(c, m, sp, func() core.Solution {
-		fm := fertac.MetricsFrom(m)
-		fm.Sched.Trace = trace.NewScope(sp)
-		return sched.ScheduleM(c, r, fertac.ComputeObs(fm), fm.Sched)
-	})
-}
-
-// otacScheduler adapts the homogeneous OTAC baseline: it schedules on the
-// v component of the resources only, ignoring the other type.
-type otacScheduler struct{ v core.CoreType }
-
-// Name is a constant per variant: a concatenated name would allocate on
-// every Schedule call, sinks or not.
-func (s otacScheduler) Name() string {
-	if s.v == core.Big {
-		return "OTAC (B)"
-	}
-	return "OTAC (L)"
-}
-
-// SupportedTypes declares the single-type baseline's fixed platform shape
-// (it reads one component of a two-type platform).
-func (otacScheduler) SupportedTypes() int { return 2 }
-
-func (s otacScheduler) Schedule(c *core.Chain, r core.Resources, o Options) core.Solution {
-	if !twoTypes(c, r) {
-		return core.Solution{}
-	}
-	m, sp := o.scope(s.Name()), o.span(s.Name())
-	return o.observe(c, m, sp, func() core.Solution {
-		om := otac.MetricsFrom(m)
-		om.Sched.Trace = trace.NewScope(sp)
-		return sched.ScheduleM(c, r.Only(s.v), otac.ComputeObs(s.v, om), om.Sched)
-	})
-}
-
-// bruteScheduler adapts the exhaustive reference solver. Exponential — the
-// table exposes it for tests and tiny chains, not for sweeps.
-type bruteScheduler struct{}
-
-func (bruteScheduler) Name() string { return "Brute" }
-
-func (b bruteScheduler) Schedule(c *core.Chain, r core.Resources, o Options) core.Solution {
-	m, sp := o.scope(b.Name()), o.span(b.Name())
-	return o.observe(c, m, sp, func() core.Solution {
-		bm := brute.MetricsFrom(m)
-		bm.Trace = trace.NewScope(sp)
-		return brute.ScheduleObs(c, r, bm)
-	})
+// otacOn runs the homogeneous OTAC baseline on the v component of the
+// resources only, ignoring the other type. Each OTAC row calls it from its
+// own closure: a helper returning one closure per variant would allocate
+// on every schedule.
+func otacOn(v core.CoreType, c *core.Chain, r core.Resources, m *obs.Registry, sc *trace.Scope) core.Solution {
+	om := otac.MetricsFrom(m)
+	om.Sched.Trace = sc
+	return sched.ScheduleM(c, r.Only(v), otac.ComputeObs(v, om), om.Sched)
 }

@@ -18,8 +18,8 @@ func testChain3(t testing.TB) *core.Chain {
 
 // TestCheckTypes covers the registry's type-table gate directly: the
 // two-type strategies reject k≠2 platforms with a descriptive error, the
-// k-generic ones accept them, and chain/platform disagreement is always
-// an error.
+// k-generic ones and Schedulers outside the table accept them, and
+// chain/platform disagreement is always an error.
 func TestCheckTypes(t *testing.T) {
 	c2, c3 := testChain(t), testChain3(t)
 	r3 := core.Res(2, 2, 2)
@@ -39,6 +39,13 @@ func TestCheckTypes(t *testing.T) {
 	}
 	if err := CheckTypes(MustParse("2CATAC"), c2, core.Res(4, 4)); err != nil {
 		t.Errorf("2-type happy path: %v", err)
+	}
+	fake := fakeScheduler{name: "fake"}
+	if err := CheckTypes(fake, c3, r3); err != nil {
+		t.Errorf("scheduler outside the table on %v: unexpected %v", r3, err)
+	}
+	if err := CheckTypes(fake, c2, r3); err == nil {
+		t.Error("scheduler outside the table: 2-type chain on 3-type platform accepted")
 	}
 }
 

@@ -119,9 +119,9 @@ func TestPlanBatchMetricsConcurrent(t *testing.T) {
 }
 
 // TestAdapterAllocsMatchDirectCall pins that nil sinks really are the off
-// switch: with Options{}, every adapter allocates exactly what its
-// algorithm package's own entry point allocates, so the observed path an
-// adapter always runs costs nothing when nothing observes it.
+// switch: with Options{}, every table row allocates exactly what its
+// algorithm package's own entry point allocates, so the observed path a
+// row always runs costs nothing when nothing observes it.
 func TestAdapterAllocsMatchDirectCall(t *testing.T) {
 	c := chaingen.Generate(chaingen.Default(20, 0.5), rand.New(rand.NewSource(1)))
 	r := core.Res(10, 10)
@@ -132,7 +132,7 @@ func TestAdapterAllocsMatchDirectCall(t *testing.T) {
 		"FERTAC":   func() { fertac.Schedule(c, r) },
 		"OTAC (B)": func() { otac.Schedule(c, r.Count(core.Big), core.Big) },
 		"OTAC (L)": func() { otac.Schedule(c, r.Count(core.Little), core.Little) },
-		"Brute":    func() { brute.Schedule(small, rs) },
+		"Brute":    func() { brute.Schedule(small, rs, brute.Metrics{}) },
 	}
 	for _, s := range AllRegistered() {
 		call, ok := direct[s.Name()]
@@ -146,7 +146,7 @@ func TestAdapterAllocsMatchDirectCall(t *testing.T) {
 		}
 		want := testing.AllocsPerRun(5, call)
 		if got := testing.AllocsPerRun(5, func() { s.Schedule(cc, rr, Options{}) }); got != want {
-			t.Errorf("%s: adapter allocates %v per schedule, entry point %v", s.Name(), got, want)
+			t.Errorf("%s: row allocates %v per schedule, entry point %v", s.Name(), got, want)
 		}
 	}
 }
@@ -155,9 +155,9 @@ func TestAdapterAllocsMatchDirectCall(t *testing.T) {
 // metric scope from empty Options performs no allocation — the branch
 // every Schedule call takes when no registry is supplied.
 func TestDisabledMetricsAllocateNothing(t *testing.T) {
-	o := Options{}
+	o, s := Options{}, MustParse("HeRAD")
 	if n := testing.AllocsPerRun(100, func() {
-		if o.scope("HeRAD") != nil {
+		if MetricsScope(s, o.Metrics) != nil {
 			t.Fatal("nil registry produced a scope")
 		}
 	}); n != 0 {

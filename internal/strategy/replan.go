@@ -41,10 +41,7 @@ func NewHeradPlanner(c *core.Chain, r core.Resources, o Options) (*herad.Planner
 // heradRequest reports whether req is a well-formed request for the
 // built-in HeRAD scheduler — the only strategy with an incremental mode.
 func heradRequest(req Request) bool {
-	if req.Chain == nil || req.Chain.Len() == 0 || req.Scheduler == nil {
-		return false
-	}
-	if _, ok := req.Scheduler.(heradScheduler); !ok {
+	if req.Chain == nil || req.Chain.Len() == 0 || req.Scheduler != heradRow {
 		return false
 	}
 	return CheckTypes(req.Scheduler, req.Chain, req.Resources) == nil

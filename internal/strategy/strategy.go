@@ -6,10 +6,11 @@
 // The table is the one place that maps strategy names (and their
 // documented aliases) to implementations: cmd/ampsched, cmd/experiments,
 // internal/experiments and the examples all dispatch through Parse/Get
-// instead of maintaining their own string switches. Options carries the
-// cross-cutting knobs (stage co-location, the solution cache and the
-// observability sinks). Each adapter has one code path: nil sinks are
-// the off switch, as in internal/obs and internal/trace.
+// instead of maintaining their own string switches. Each row of the table
+// is itself the Scheduler (builtin.go), with one Schedule path for every
+// strategy. Options carries the cross-cutting knobs (stage co-location,
+// the solution cache and the observability sinks); nil sinks are the off
+// switch, as in internal/obs and internal/trace.
 //
 // PlanBatch (batch.go) adds a concurrent planning layer on top: a bounded
 // worker pool that fans (chain, resources, scheduler) requests out across
@@ -34,8 +35,7 @@ import (
 // replicated schedule of a task chain on the platform's typed resources.
 // Implementations must be safe for concurrent use (PlanBatch invokes them
 // from multiple goroutines) and must return the empty solution — never
-// panic — when no valid schedule exists. Strategies defined for a fixed
-// number of core types additionally implement TypeConstrained.
+// panic — when no valid schedule exists.
 type Scheduler interface {
 	// Name returns the canonical display name (e.g. "HeRAD", "OTAC (B)"),
 	// unique within the registry.
@@ -44,31 +44,21 @@ type Scheduler interface {
 	Schedule(c *core.Chain, r core.Resources, opts Options) core.Solution
 }
 
-// TypeConstrained is implemented by Schedulers that only handle platforms
-// with a specific number of core types (the paper's greedy strategies —
-// 2CATAC, FERTAC, OTAC — are defined for exactly two). PlanBatch rejects
-// requests whose resources declare a different type count with a clear
-// error instead of letting the strategy silently misplan; CheckTypes
-// exposes the same test to drivers. Schedulers without the method (HeRAD,
-// Brute) accept any type count.
-type TypeConstrained interface {
-	// SupportedTypes returns the exact number of core types the scheduler
-	// handles.
-	SupportedTypes() int
-}
-
 // CheckTypes verifies that chain, resources and scheduler agree on the
 // number of core types: the chain must declare one weight per resource
-// type, and a TypeConstrained scheduler must support that count. It
-// returns nil for unconstrained schedulers on matching inputs.
+// type, and a table row with a type count (the paper's greedy strategies —
+// 2CATAC, FERTAC, OTAC — are defined for exactly two) must match it.
+// PlanBatch runs it on every request, so a mismatch fails with this error
+// instead of an empty schedule. Schedulers outside the table, and rows
+// without a count (HeRAD, Brute), accept any type count.
 func CheckTypes(s Scheduler, c *core.Chain, r core.Resources) error {
 	if c != nil && c.NumTypes() != r.NumTypes() {
 		return fmt.Errorf("strategy: chain declares %d core types, resources %v declare %d",
 			c.NumTypes(), r, r.NumTypes())
 	}
-	if tc, ok := s.(TypeConstrained); ok && r.NumTypes() != tc.SupportedTypes() {
+	if b, ok := s.(*builtin); ok && b.types != 0 && r.NumTypes() != b.types {
 		return fmt.Errorf("strategy: %s supports exactly %d core types, resources %v declare %d",
-			s.Name(), tc.SupportedTypes(), r, r.NumTypes())
+			s.Name(), b.types, r, r.NumTypes())
 	}
 	return nil
 }
@@ -130,27 +120,9 @@ type Options struct {
 // Returns nil when reg or s is nil.
 func MetricsScope(s Scheduler, reg *obs.Registry) *obs.Registry {
 	if s == nil || reg == nil {
-		return nil
-	}
-	return reg.Sub(obs.Slug(s.Name()))
-}
-
-// scope returns the per-strategy registry view for the named strategy,
-// or nil when metrics are disabled.
-func (o Options) scope(name string) *obs.Registry {
-	if o.Metrics == nil {
 		return nil // before Slug: the disabled path must not allocate
 	}
-	return o.Metrics.Sub(obs.Slug(name))
-}
-
-// span opens the per-strategy journal span for the named strategy, or
-// returns nil when tracing is disabled (allocating nothing).
-func (o Options) span(name string) *trace.Span {
-	if o.Trace == nil {
-		return nil
-	}
-	return o.Trace.Begin("strategy").Str("name", name)
+	return reg.Sub(obs.Slug(s.Name()))
 }
 
 // traceSolution journals the final commitments of a computed schedule:
@@ -192,27 +164,6 @@ func (o Options) finish(c *core.Chain, s core.Solution) core.Solution {
 	return s
 }
 
-// entry is one row of the strategy table.
-type entry struct {
-	s       Scheduler
-	aliases []string // already normalized: Get compares them to normalize(name)
-	hidden  bool
-}
-
-// registry is the strategy table, in the paper's presentation order so All
-// drives "-strategy all" sweeps and the experiment tables unchanged. The
-// brute-force reference is hidden: resolvable by name, excluded from
-// sweeps. Adding a strategy is one row; TestRegistryNamesUnique keeps the
-// names and aliases unambiguous.
-var registry = []entry{
-	{s: heradScheduler{}},
-	{s: twocatacScheduler{}, aliases: []string{"twocatac"}},
-	{s: fertacScheduler{}},
-	{s: otacScheduler{v: core.Big}, aliases: []string{"otac-b", "otacb"}},
-	{s: otacScheduler{v: core.Little}, aliases: []string{"otac-l", "otacl"}},
-	{s: bruteScheduler{}, aliases: []string{"brute-force", "exhaustive"}, hidden: true},
-}
-
 func normalize(name string) string {
 	return strings.ToLower(strings.TrimSpace(name))
 }
@@ -221,9 +172,9 @@ func normalize(name string) string {
 // (case-insensitive) and whether it exists.
 func Get(name string) (Scheduler, bool) {
 	k := normalize(name)
-	for _, e := range registry {
-		if normalize(e.s.Name()) == k || slices.Contains(e.aliases, k) {
-			return e.s, true
+	for _, b := range registry {
+		if normalize(b.name) == k || slices.Contains(b.aliases, k) {
+			return b, true
 		}
 	}
 	return nil, false
@@ -236,8 +187,8 @@ func Parse(name string) (Scheduler, error) {
 		return s, nil
 	}
 	valid := make([]string, len(registry))
-	for i, e := range registry {
-		valid[i] = strings.Join(append([]string{e.s.Name()}, e.aliases...), "|")
+	for i, b := range registry {
+		valid[i] = strings.Join(append([]string{b.name}, b.aliases...), "|")
 	}
 	sort.Strings(valid)
 	return nil, fmt.Errorf("strategy: unknown strategy %q (valid: %s)",
@@ -258,9 +209,9 @@ func MustParse(name string) Scheduler {
 // what "-strategy all" sweeps run.
 func All() []Scheduler {
 	var out []Scheduler
-	for _, e := range registry {
-		if !e.hidden {
-			out = append(out, e.s)
+	for _, b := range registry {
+		if !b.hidden {
+			out = append(out, b)
 		}
 	}
 	return out
@@ -270,8 +221,8 @@ func All() []Scheduler {
 // in table order.
 func AllRegistered() []Scheduler {
 	out := make([]Scheduler, len(registry))
-	for i, e := range registry {
-		out[i] = e.s
+	for i, b := range registry {
+		out[i] = b
 	}
 	return out
 }

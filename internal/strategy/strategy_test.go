@@ -111,18 +111,18 @@ func TestRegistryNamesUnique(t *testing.T) {
 	for _, e := range registry {
 		for _, a := range e.aliases {
 			if a != normalize(a) {
-				t.Errorf("%s: alias %q is not normalized", e.s.Name(), a)
+				t.Errorf("%s: alias %q is not normalized", e.name, a)
 			}
 		}
-		for _, name := range append([]string{e.s.Name()}, e.aliases...) {
+		for _, name := range append([]string{e.name}, e.aliases...) {
 			k := normalize(name)
 			if k == "" || k == "all" {
-				t.Errorf("%s: reserved or empty name %q", e.s.Name(), name)
+				t.Errorf("%s: reserved or empty name %q", e.name, name)
 			}
 			if prev, dup := seen[k]; dup {
-				t.Errorf("%q names both %s and %s", name, prev, e.s.Name())
+				t.Errorf("%q names both %s and %s", name, prev, e.name)
 			}
-			seen[k] = e.s.Name()
+			seen[k] = e.name
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package streampu
 
 import (
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,18 +17,11 @@ import (
 // runs. Periodic Sample calls turn the aggregates into *windowed*
 // occupancy and per-frame weight estimates (the live analogue of the
 // planner's task weights) and publish the occupancy as one obs series
-// per stage under interned names. Frames per second is not published
+// per stage, resolved once per run. Frames per second is not published
 // separately: it is the rate of the sink stage's latency-summary count.
 // The record path is lock-free and allocation-free; Sample is serialized
 // and is meant to be driven by a single goroutine (ampsched's -watch
 // loop).
-
-// The sampler's per-stage series names, interned so repeated sampling does
-// not rebuild "streampu.occupancy_window.stageN" strings on every call.
-var (
-	occupancyWindowNames = obs.NewNameTable("streampu.occupancy_window.stage")
-	latencyNames         = obs.NewNameTable("streampu.latency_us.stage")
-)
 
 // StageSample is one stage's view in a Sample snapshot. Latency fields
 // are in modeled µs (wall time de-scaled by Options.TimeScale), matching
@@ -118,18 +112,15 @@ func (s *Sampler) bind(stages []pipeStage, scale float64, t0 time.Time) {
 		lat:     make([]*obs.LogHistogram, len(stages)),
 	}
 	s.mu.Lock()
+	s.occSeries = make([]*obs.Series, len(stages))
 	for i, ps := range stages {
 		st.workers[i] = ps.Cores
 		if s.reg != nil {
-			st.lat[i] = s.reg.LogHistogram(latencyNames.Name(i))
+			n := strconv.Itoa(i)
+			st.lat[i] = s.reg.LogHistogram("streampu.latency_us.stage" + n)
+			s.occSeries[i] = s.reg.Series("streampu.occupancy_window.stage"+n, 0)
 		} else {
 			st.lat[i] = obs.NewLogHistogram()
-		}
-	}
-	s.occSeries = make([]*obs.Series, len(stages))
-	if s.reg != nil {
-		for i := range stages {
-			s.occSeries[i] = s.reg.Series(occupancyWindowNames.Name(i), 0)
 		}
 	}
 	s.tick = 0

@@ -38,26 +38,22 @@ func MetricsFrom(r *obs.Registry) Metrics {
 // Schedule computes a 2CATAC schedule of c on the resources r using the
 // paper-verbatim exponential recursion.
 func Schedule(c *core.Chain, r core.Resources) core.Solution {
-	return sched.Schedule(c, r, ComputeSolution)
+	return sched.Schedule(c, r, ComputeObs(false, Metrics{}))
 }
 
-// ComputeObs returns ComputeSolution reporting into m, for use with
-// sched.ScheduleM. memo is accepted and ignored (the recursion is never
-// memoized); the parameter stays only because bench/ still passes it (see
-// ROADMAP.md).
+// ComputeObs returns Algo 5's ComputeSolution reporting into m (the zero
+// Metrics disables), for use with sched.ScheduleM. memo is accepted and
+// ignored (the recursion is never memoized); the parameter stays only
+// because bench/ still passes it (see ROADMAP.md).
 func ComputeObs(memo bool, m Metrics) sched.ComputeSolutionFunc {
 	return func(ch *core.Chain, s int, res core.Resources, target float64) core.Solution {
 		return computeSolution(ch, s, res, target, m)
 	}
 }
 
-// ComputeSolution implements Algo 5: it builds the stage starting at task
+// computeSolution implements Algo 5: it builds the stage starting at task
 // s with both core types, recurses on the remainder for each, and picks
 // the better of the two complete solutions with ChooseBestSolution.
-func ComputeSolution(c *core.Chain, s int, r core.Resources, target float64) core.Solution {
-	return computeSolution(c, s, r, target, Metrics{})
-}
-
 func computeSolution(c *core.Chain, s int, r core.Resources, target float64, m Metrics) core.Solution {
 	m.Nodes.Inc()
 	var sols [2]core.Solution
