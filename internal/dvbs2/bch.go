@@ -122,13 +122,43 @@ func (b *BCH) encodeInto(cw, info []byte) {
 
 // Decode corrects up to t bit errors in the codeword cw (length N) in
 // place and returns the corrected information bits, the number of
-// corrected errors, and whether decoding succeeded. On failure the
-// information bits are returned uncorrected.
+// corrected errors, and whether decoding succeeded. On failure cw is left
+// as it came, the information bits are returned uncorrected and the count
+// is 0.
 func (b *BCH) Decode(cw []byte) (info []byte, corrected int, ok bool) {
 	if len(cw) != b.nCW {
 		panic(fmt.Sprintf("dvbs2: BCH decode: %d bits, want %d", len(cw), b.nCW))
 	}
 	f := b.field
+	// Divide the received word r(x) by g(x), bit i ↦ coefficient of
+	// x^(nCW−1−i), with the encoder's packed LFSR: shift the next
+	// coefficient in at the bottom and, when a 1 leaves degree deg−1, add
+	// gen. What is left is the remainder ρ(x), deg ρ < deg g.
+	var stackReg [bchStackParity / 64]uint64
+	reg := stackReg[:]
+	if len(b.genw) > len(reg) {
+		reg = make([]uint64, len(b.genw))
+	}
+	reg = reg[:len(b.genw)]
+	genw := b.genw[:len(reg)]
+	top, topBit := len(reg)-1, uint((b.deg-1)%64)
+	_ = reg[top] // one bounds check for the whole loop
+	for _, bit := range cw {
+		fb := -(reg[top] >> topBit & 1) // all ones or all zeros
+		for w := top; w > 0; w-- {
+			reg[w] = (reg[w]<<1 | reg[w-1]>>63) ^ genw[w]&fb
+		}
+		reg[0] = (reg[0]<<1 | uint64(bit&1)) ^ genw[0]&fb
+	}
+	reg[top] &= 1<<topBit<<1 - 1 // drop what was shifted past deg−1
+	var rho uint64
+	for _, w := range reg {
+		rho |= w
+	}
+	// r(x) is a codeword exactly when ρ(x) = 0, and then every syndrome is 0.
+	if rho == 0 {
+		return cw[:b.k], 0, true
+	}
 	// synd, lambda, prev and tmp: 2t+2 words each.
 	var stack [4 * (2*bchStackT + 2)]uint32
 	scratch, w := stack[:], 2*b.t+2
@@ -136,22 +166,15 @@ func (b *BCH) Decode(cw []byte) (info []byte, corrected int, ok bool) {
 		scratch = make([]uint32, 4*w)
 	}
 	synd, lambda, prev, tmp := scratch[:w], scratch[w:2*w], scratch[2*w:3*w], scratch[3*w:4*w]
-	// Syndromes S_j = r(α^j), j = 1..2t, with bit i ↦ coefficient of
-	// x^(nCW−1−i) (Horner evaluation high-degree first).
-	anyErr := false
+	// Syndromes S_j = r(α^j) = ρ(α^j), j = 1..2t, since g(α^j) = 0 for
+	// each of them: Horner over ρ's coefficients, high degree first.
 	for j := 1; j <= 2*b.t; j++ {
 		aj := f.pow(j)
 		var acc uint32
-		for _, bit := range cw {
-			acc = f.mul(acc, aj) ^ uint32(bit&1)
+		for d := b.deg - 1; d >= 0; d-- {
+			acc = f.mul(acc, aj) ^ uint32(reg[d/64]>>(d%64)&1)
 		}
 		synd[j] = acc
-		if acc != 0 {
-			anyErr = true
-		}
-	}
-	if !anyErr {
-		return cw[:b.k], 0, true
 	}
 
 	// Berlekamp–Massey: find the error-locator polynomial Λ.
@@ -192,7 +215,13 @@ func (b *BCH) Decode(cw []byte) (info []byte, corrected int, ok bool) {
 	}
 
 	// Chien search over the shortened positions: bit i corresponds to
-	// x^(nCW−1−i); an error at i means Λ(α^(−(nCW−1−i))) = 0.
+	// x^(nCW−1−i); an error at i means Λ(α^(−(nCW−1−i))) = 0. The roots
+	// are only recorded here, so a failed decode leaves cw untouched.
+	var stackPos [bchStackT]int
+	pos := stackPos[:]
+	if b.t > len(pos) {
+		pos = make([]int, b.t)
+	}
 	roots := 0
 	for i := 0; i < b.nCW && roots < L; i++ {
 		e := b.nCW - 1 - i
@@ -204,12 +233,15 @@ func (b *BCH) Decode(cw []byte) (info []byte, corrected int, ok bool) {
 			xp = f.mul(xp, x)
 		}
 		if acc == 0 {
-			cw[i] ^= 1
+			pos[roots] = i
 			roots++
 		}
 	}
 	if roots != L {
-		return cw[:b.k], roots, false // roots outside the shortened range
+		return cw[:b.k], 0, false // roots outside the shortened range
+	}
+	for _, i := range pos[:roots] {
+		cw[i] ^= 1
 	}
 	return cw[:b.k], roots, true
 }

@@ -185,6 +185,124 @@ func TestBCHDetectsBeyondT(t *testing.T) {
 	}
 }
 
+func TestBCHFailureLeavesInputUntouched(t *testing.T) {
+	b, err := NewBCH(11, 4, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	failures := 0
+	for trial := 0; trial < 200; trial++ {
+		cw := b.Encode(randomBits(rng, b.K()))
+		flip(rng, cw, b.T()+2+rng.Intn(5))
+		in := append([]byte(nil), cw...)
+		if _, corrected, ok := b.Decode(cw); !ok {
+			failures++
+			if string(cw) != string(in) {
+				t.Fatalf("trial %d: failed decode changed its input", trial)
+			}
+			if corrected != 0 {
+				t.Fatalf("trial %d: failed decode reports %d corrections", trial, corrected)
+			}
+		}
+	}
+	if failures < 150 {
+		t.Fatalf("only %d/200 beyond-t patterns failed: the test needs failures", failures)
+	}
+}
+
+// referenceBCHDecode is Decode as it ran before it divided by g(x) first:
+// every syndrome by Horner over all N received bits. A failed decode
+// leaves cw untouched, as Decode's does.
+func referenceBCHDecode(b *BCH, cw []byte) (info []byte, corrected int, ok bool) {
+	f := b.field
+	synd := make([]uint32, 2*b.t+1)
+	anyErr := false
+	for j := 1; j <= 2*b.t; j++ {
+		aj := f.pow(j)
+		var acc uint32
+		for _, bit := range cw {
+			acc = f.mul(acc, aj) ^ uint32(bit&1)
+		}
+		synd[j] = acc
+		anyErr = anyErr || acc != 0
+	}
+	if !anyErr {
+		return cw[:b.k], 0, true
+	}
+	// Berlekamp–Massey.
+	lambda, prev := make([]uint32, 2*b.t+2), make([]uint32, 2*b.t+2)
+	lambda[0], prev[0] = 1, 1
+	L, mShift, bDisc := 0, 1, uint32(1)
+	for n := 1; n <= 2*b.t; n++ {
+		d := synd[n]
+		for i := 1; i <= L; i++ {
+			d ^= f.mul(lambda[i], synd[n-i])
+		}
+		if d == 0 {
+			mShift++
+			continue
+		}
+		old := append([]uint32(nil), lambda...)
+		coef := f.mul(d, f.inv(bDisc))
+		for i := 0; i+mShift < len(lambda); i++ {
+			lambda[i+mShift] ^= f.mul(coef, prev[i])
+		}
+		if 2*L <= n-1 {
+			L = n - L
+			prev, bDisc, mShift = old, d, 1
+		} else {
+			mShift++
+		}
+	}
+	if L > b.t {
+		return cw[:b.k], 0, false
+	}
+	// Chien search.
+	var pos []int
+	for i := 0; i < b.nCW && len(pos) < L; i++ {
+		x := f.pow(-(b.nCW - 1 - i))
+		var acc uint32
+		xp := uint32(1)
+		for d := 0; d <= L; d++ {
+			acc ^= f.mul(lambda[d], xp)
+			xp = f.mul(xp, x)
+		}
+		if acc == 0 {
+			pos = append(pos, i)
+		}
+	}
+	if len(pos) != L {
+		return cw[:b.k], 0, false
+	}
+	for _, i := range pos {
+		cw[i] ^= 1
+	}
+	return cw[:b.k], L, true
+}
+
+func TestBCHMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	// Remainders of one, one, three and five register words.
+	for _, c := range [][3]int{{8, 2, 100}, {11, 4, 500}, {14, 12, 2000}, {16, 20, 700}} {
+		b, err := NewBCH(c[0], c[1], c[2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for nerr := 0; nerr <= b.T()+3; nerr++ {
+			cw := b.Encode(randomBits(rng, b.K()))
+			flip(rng, cw, nerr)
+			ref := append([]byte(nil), cw...)
+			gotInfo, gotN, gotOK := b.Decode(cw)
+			wantInfo, wantN, wantOK := referenceBCHDecode(b, ref)
+			if string(gotInfo) != string(wantInfo) || gotN != wantN || gotOK != wantOK || string(cw) != string(ref) {
+				t.Fatalf("BCH(m=%d,t=%d), %d errors: Decode gives (%d, %v), reference (%d, %v)",
+					c[0], c[1], nerr, gotN, gotOK, wantN, wantOK)
+			}
+		}
+	}
+}
+
 func TestBCHPaperDimensions(t *testing.T) {
 	// The paper's configuration: GF(2^14), t=12, K_bch=14232 → N=14400.
 	p := Default()

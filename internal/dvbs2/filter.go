@@ -172,12 +172,40 @@ func (f *FIR) process(in, dst []complex128, at, step int) {
 // into dst[at], dst[at+step], …. The products are rounded before they are
 // added — float64(…) forbids a fused multiply-add — so the result is the
 // same on every platform.
+//
+// Four outputs share a pass over the taps: eight independent add chains
+// instead of two, each output still summed in ascending j, so no value
+// changes. The one-output loop finishes the last hi−lo mod 4.
 func (f *FIR) filter(x []complex128, lo, hi int, dst []complex128, at, step int) {
 	rt, d := f.rtaps, f.d
-	for i := lo; i < hi; i++ {
+	i := lo
+	for ; i+4 <= hi; i += 4 {
+		w0 := x[i-d:][:len(rt)]
+		w1 := x[i+1-d:][:len(rt)]
+		w2 := x[i+2-d:][:len(rt)]
+		w3 := x[i+3-d:][:len(rt)]
+		var re0, im0, re1, im1, re2, im2, re3, im3 float64
+		for k := len(rt) - 1; k >= 0; k-- { // newest sample first: ascending j
+			t := rt[k]
+			re0 += float64(t * real(w0[k]))
+			im0 += float64(t * imag(w0[k]))
+			re1 += float64(t * real(w1[k]))
+			im1 += float64(t * imag(w1[k]))
+			re2 += float64(t * real(w2[k]))
+			im2 += float64(t * imag(w2[k]))
+			re3 += float64(t * real(w3[k]))
+			im3 += float64(t * imag(w3[k]))
+		}
+		dst[at] = complex(re0, im0)
+		dst[at+step] = complex(re1, im1)
+		dst[at+2*step] = complex(re2, im2)
+		dst[at+3*step] = complex(re3, im3)
+		at += 4 * step
+	}
+	for ; i < hi; i++ {
 		w := x[i-d:][:len(rt)]
 		var re, im float64
-		for k := len(rt) - 1; k >= 0; k-- { // newest sample first: ascending j
+		for k := len(rt) - 1; k >= 0; k-- {
 			re += float64(rt[k] * real(w[k]))
 			im += float64(rt[k] * imag(w[k]))
 		}

@@ -23,12 +23,63 @@ func FuzzBCHDecode(f *testing.F) {
 				cw[i] = (data[i%len(data)] >> (i % 8)) & 1
 			}
 		}
-		info, corrected, _ := codec.Decode(cw)
+		in := append([]byte(nil), cw...)
+		info, corrected, ok := codec.Decode(cw)
 		if len(info) != codec.K() {
 			t.Fatalf("info length %d", len(info))
 		}
 		if corrected < 0 || corrected > codec.T() {
 			t.Fatalf("corrected %d outside [0,t]", corrected)
+		}
+		if !ok && (corrected != 0 || string(cw) != string(in)) {
+			t.Fatalf("failed decode reports %d corrections or changed its input", corrected)
+		}
+	})
+}
+
+// FuzzBCHMatchesReference holds the remainder-first Decode to
+// referenceBCHDecode: same information bits, count, verdict and word after
+// the call. The input picks a codec — one, two or three register words —
+// the information bits and the error positions.
+func FuzzBCHMatchesReference(f *testing.F) {
+	var codecs []*BCH
+	for _, c := range [][3]int{{8, 2, 100}, {11, 4, 500}, {14, 12, 300}} {
+		codec, err := NewBCH(c[0], c[1], c[2])
+		if err != nil {
+			f.Fatal(err)
+		}
+		codecs = append(codecs, codec)
+	}
+	for c := range codecs {
+		for _, nerr := range []byte{0, 1, 2, 4, 12, 13, 20} {
+			errs := make([]byte, 2*int(nerr))
+			for i := range errs {
+				errs[i] = byte(37*i + int(nerr))
+			}
+			f.Add(uint8(c), []byte{0x5A, byte(c), nerr}, errs)
+		}
+	}
+	f.Fuzz(func(t *testing.T, which uint8, data, errs []byte) {
+		codec := codecs[int(which)%len(codecs)]
+		info := make([]byte, codec.K())
+		for i := range info {
+			if len(data) > 0 {
+				info[i] = data[i%len(data)] >> (i % 8) & 1
+			}
+		}
+		cw := codec.Encode(info)
+		for i := 0; i+1 < len(errs); i += 2 {
+			cw[(int(errs[i])<<8|int(errs[i+1]))%len(cw)] ^= 1
+		}
+		ref := append([]byte(nil), cw...)
+		gotInfo, gotN, gotOK := codec.Decode(cw)
+		wantInfo, wantN, wantOK := referenceBCHDecode(codec, ref)
+		if string(gotInfo) != string(wantInfo) || gotN != wantN || gotOK != wantOK {
+			t.Fatalf("Decode gives (%d, %v), reference (%d, %v), info equal %v",
+				gotN, gotOK, wantN, wantOK, string(gotInfo) == string(wantInfo))
+		}
+		if string(cw) != string(ref) {
+			t.Fatal("the word after Decode differs from the reference's")
 		}
 	})
 }
@@ -63,6 +114,38 @@ func FuzzLDPCDecode(f *testing.F) {
 		if res.Converged != l.CheckSyndrome(hard) {
 			t.Fatal("convergence flag disagrees with the syndrome")
 		}
+	})
+}
+
+// FuzzLDPCMatchesReference holds Decode to referenceLDPCDecode bit for bit
+// on LLRs drawn from the bytes, one byte in sixteen a special value: ±0,
+// NaN, ±Inf, a subnormal or a tied magnitude.
+func FuzzLDPCMatchesReference(f *testing.F) {
+	p := Test()
+	p.NLdpc, p.KLdpc, p.Q = 180, 144, 36
+	l, err := NewLDPC(p)
+	if err != nil {
+		f.Fatal(err)
+	}
+	d := l.NewDecoder()
+	f.Add([]byte{0x55, 0x01, 0x80})
+	f.Add([]byte{0x90, 0x02, 0x70, 0x6F, 0x03, 0x91, 0x04})
+	f.Add([]byte{0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0A, 0x0B, 0x0C})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		llr := make([]float64, l.N())
+		for i := range llr {
+			b := byte(0x5A)
+			if len(data) > 0 {
+				b = data[i%len(data)]
+			}
+			if b < 16 {
+				llr[i] = specialLLRs[int(b)%len(specialLLRs)]
+			} else {
+				llr[i] = (float64(b) - 127.5) / 16
+			}
+		}
+		checkLDPCMatchesReference(t, d, llr)
 	})
 }
 

@@ -23,11 +23,13 @@ type LDPC struct {
 	iters   int
 	norm    float64
 
-	// checkVars[c] lists the information-bit indices participating in
-	// parity check c (the accumulator terms p[c-1], p[c] are implicit).
-	checkVars [][]int32
+	// rows[rowStart[c]:rowStart[c+1]] lists the codeword bits of parity
+	// check c: its information bits, then the accumulator bits p[c−1]
+	// (absent for c = 0) and p[c]. The decoder's messages share the layout.
+	rows     []int32
+	rowStart []int32
 	// varChecks[v] lists the checks each information bit participates in
-	// (used by the encoder; the decoder walks checkVars).
+	// (used by the encoder; the decoder walks rows).
 	varChecks [][]int32
 }
 
@@ -41,7 +43,7 @@ func NewLDPC(p Params) (*LDPC, error) {
 		q: p.Q, iters: p.LdpcIters, norm: p.LdpcNorm,
 	}
 	rng := rand.New(rand.NewSource(p.LdpcSeed))
-	l.checkVars = make([][]int32, l.m)
+	checkVars := make([][]int32, l.m)
 	l.varChecks = make([][]int32, l.k)
 	groups := l.k / p.Q
 	// DVB-S2-style expansion: for each group of Q information columns,
@@ -78,9 +80,19 @@ func NewLDPC(p Params) (*LDPC, error) {
 			for j, b := range base {
 				c := (b + t*qFactor) % l.m
 				l.varChecks[v][j] = int32(c)
-				l.checkVars[c] = append(l.checkVars[c], int32(v))
+				checkVars[c] = append(checkVars[c], int32(v))
 			}
 		}
+	}
+	l.rowStart = make([]int32, l.m+1)
+	l.rows = make([]int32, 0, l.k*p.LdpcDv+2*l.m-1)
+	for c, vars := range checkVars {
+		l.rows = append(l.rows, vars...)
+		if c > 0 {
+			l.rows = append(l.rows, int32(l.k+c-1))
+		}
+		l.rows = append(l.rows, int32(l.k+c))
+		l.rowStart[c+1] = int32(len(l.rows))
 	}
 	return l, nil
 }
@@ -125,16 +137,14 @@ func (l *LDPC) encodeInto(cw, info []byte) {
 // CheckSyndrome reports whether the hard decisions in cw satisfy every
 // parity check.
 func (l *LDPC) CheckSyndrome(cw []byte) bool {
-	prev := byte(0)
 	for c := 0; c < l.m; c++ {
-		s := cw[l.k+c] ^ prev
-		for _, v := range l.checkVars[c] {
-			s ^= cw[v] & 1
+		var s byte
+		for _, v := range l.rows[l.rowStart[c]:l.rowStart[c+1]] {
+			s ^= cw[v]
 		}
 		if s&1 != 0 {
 			return false
 		}
-		prev = cw[l.k+c]
 	}
 	return true
 }
@@ -152,62 +162,51 @@ type DecodeResult struct {
 // l.NewDecoder.
 type Decoder struct {
 	l *LDPC
-	// msg[c][j]: last check-to-variable message for the j-th connection
-	// of check c. Layout: info connections, then [prev parity, parity].
-	msg  [][]float64
+	// msg[e]: last check-to-variable message along edge e of l.rows.
+	msg  []float64
 	post []float64 // posterior LLRs
 	hard []byte
 }
 
 // NewDecoder allocates decode scratch for this code.
 func (l *LDPC) NewDecoder() *Decoder {
-	d := &Decoder{l: l, msg: make([][]float64, l.m), post: make([]float64, l.n), hard: make([]byte, l.n)}
-	for c := range d.msg {
-		d.msg[c] = make([]float64, len(l.checkVars[c])+2)
-	}
-	return d
+	return &Decoder{l: l, msg: make([]float64, len(l.rows)), post: make([]float64, l.n), hard: make([]byte, l.n)}
 }
 
 // Decode runs horizontal layered normalized min-sum on the channel LLRs
 // (length N, positive = bit 0 more likely) and returns the hard-decision
 // codeword bits plus decode statistics. The returned slice aliases the
 // decoder's scratch; copy it before the next Decode call if needed.
+//
+// Signs never branch: a row's sign is the parity of its negative inputs,
+// and an output takes its sign by flipping bit 63, which is what Go's
+// unary minus does.
 func (d *Decoder) Decode(llr []float64) ([]byte, DecodeResult) {
 	l := d.l
 	if len(llr) != l.n {
 		panic(fmt.Sprintf("dvbs2: LDPC decode: %d LLRs, want %d", len(llr), l.n))
 	}
-	copy(d.post, llr)
-	for c := range d.msg {
-		row := d.msg[c]
-		for j := range row {
-			row[j] = 0
-		}
-	}
+	post := d.post
+	copy(post, llr)
+	clear(d.msg)
 	res := DecodeResult{}
 	for it := 1; it <= l.iters; it++ {
 		res.Iterations = it
 		// Horizontal layered sweep: each check c updates its neighbors
 		// using the freshest posteriors.
 		for c := 0; c < l.m; c++ {
-			vars := l.checkVars[c]
-			row := d.msg[c]
-			deg := len(vars) + 2
-			if c == 0 {
-				deg = len(vars) + 1 // first accumulator row has no p[c-1]
-			}
+			lo, hi := l.rowStart[c], l.rowStart[c+1]
+			vars := l.rows[lo:hi]
+			row := d.msg[lo:hi][:len(vars)]
 			// Gather variable-to-check messages and find the two minima.
 			min1, min2 := math.MaxFloat64, math.MaxFloat64
 			min1Idx := -1
-			sign := 1.0
-			for j := 0; j < deg; j++ {
-				v := d.rowVar(c, j)
-				in := d.post[v] - row[j]
+			var neg uint64 // parity of the negative inputs
+			for j, v := range vars {
+				in := post[v] - row[j]
 				row[j] = in // temporarily store v→c message
 				a := math.Abs(in)
-				if in < 0 {
-					sign = -sign
-				}
+				neg ^= isNeg(in)
 				if a < min1 {
 					min2, min1 = min1, a
 					min1Idx = j
@@ -216,28 +215,21 @@ func (d *Decoder) Decode(llr []float64) ([]byte, DecodeResult) {
 				}
 			}
 			// Scatter normalized check-to-variable messages.
-			for j := 0; j < deg; j++ {
-				v := d.rowVar(c, j)
+			for j, v := range vars {
 				in := row[j]
 				mag := min1
 				if j == min1Idx {
 					mag = min2
 				}
-				out := l.norm * mag
-				if (in < 0) != (sign < 0) {
-					out = -out
-				}
+				out := math.Float64frombits(math.Float64bits(l.norm*mag) ^ (isNeg(in)^neg)<<63)
 				row[j] = out
-				d.post[v] = in + out
+				post[v] = in + out
 			}
 		}
 		// Early-stop criterion: hard decisions satisfy all checks.
-		for v := 0; v < l.n; v++ {
-			if d.post[v] < 0 {
-				d.hard[v] = 1
-			} else {
-				d.hard[v] = 0
-			}
+		hard := d.hard[:len(post)]
+		for v, p := range post {
+			hard[v] = byte(isNeg(p))
 		}
 		if l.CheckSyndrome(d.hard) {
 			res.Converged = true
@@ -247,20 +239,12 @@ func (d *Decoder) Decode(llr []float64) ([]byte, DecodeResult) {
 	return d.hard, res
 }
 
-// rowVar maps the j-th connection of check c to a codeword bit index:
-// first the information bits of the check, then the accumulator bits
-// p[c-1] (absent for c = 0) and p[c].
-func (d *Decoder) rowVar(c, j int) int {
-	vars := d.l.checkVars[c]
-	if j < len(vars) {
-		return int(vars[j])
+// isNeg is 1 when x < 0 and 0 otherwise — 0 for −0 and NaN, so not the
+// raw sign bit. It compiles to a compare and a set, without a branch.
+func isNeg(x float64) uint64 {
+	var n uint64
+	if x < 0 {
+		n = 1
 	}
-	j -= len(vars)
-	if c == 0 {
-		return d.l.k + c // only p[0]
-	}
-	if j == 0 {
-		return d.l.k + c - 1
-	}
-	return d.l.k + c
+	return n
 }

@@ -20,15 +20,18 @@ func TestLDPCConstruction(t *testing.T) {
 	if l.N() != 1620 || l.K() != 1440 {
 		t.Fatalf("dimensions (%d,%d)", l.N(), l.K())
 	}
-	// Every information bit has dv check connections; every check has at
-	// least one information connection in expectation (not guaranteed per
-	// check, but the total edge count must match).
-	edges := 0
-	for _, vs := range l.checkVars {
-		edges += len(vs)
+	// Every information bit has dv check connections; every check's row
+	// ends in its accumulator bits p[c−1] (absent for c = 0) and p[c], so
+	// the edge count is K·dv plus 2m − 1.
+	m := l.N() - l.K()
+	if want := l.K()*3 + 2*m - 1; len(l.rows) != want {
+		t.Errorf("edges = %d, want %d", len(l.rows), want)
 	}
-	if want := l.K() * 3; edges != want {
-		t.Errorf("info edges = %d, want %d", edges, want)
+	for c := 0; c < m; c++ {
+		row := l.rows[l.rowStart[c]:l.rowStart[c+1]]
+		if row[len(row)-1] != int32(l.K()+c) || c > 0 && row[len(row)-2] != int32(l.K()+c-1) {
+			t.Fatalf("check %d: row %v does not end in its accumulator bits", c, row)
+		}
 	}
 	for v, cs := range l.varChecks {
 		if len(cs) != 3 {
@@ -256,5 +259,208 @@ func TestNormalizationFactorApplied(t *testing.T) {
 	}
 	if math.Abs(Test().LdpcNorm-0.75) > 1e-12 {
 		t.Error("default normalization changed")
+	}
+}
+
+// referenceLDPC is the layered decoder as it ran before Decode walked one
+// flat edge list with branch-free signs: one message row per check, rowVar
+// to map a connection to its bit, and a branch per sign. Decode must equal
+// it bit for bit — hard decisions, iterations, every posterior and every
+// message — on any input, NaN, ±Inf and −0 included.
+type referenceLDPC struct {
+	l         *LDPC
+	checkVars [][]int32 // the information bits of each check
+	msg       [][]float64
+	post      []float64
+	hard      []byte
+	res       DecodeResult
+}
+
+// referenceLDPCDecode decodes llr with fresh scratch and returns the
+// decoder's state after the call.
+func referenceLDPCDecode(l *LDPC, llr []float64) *referenceLDPC {
+	d := &referenceLDPC{l: l, checkVars: make([][]int32, l.m), msg: make([][]float64, l.m),
+		post: append([]float64(nil), llr...), hard: make([]byte, l.n)}
+	for v, checks := range l.varChecks {
+		for _, c := range checks {
+			d.checkVars[c] = append(d.checkVars[c], int32(v))
+		}
+	}
+	for c := range d.msg {
+		d.msg[c] = make([]float64, len(d.checkVars[c])+2)
+	}
+	for it := 1; it <= l.iters; it++ {
+		d.res.Iterations = it
+		for c := 0; c < l.m; c++ {
+			vars := d.checkVars[c]
+			row := d.msg[c]
+			deg := len(vars) + 2
+			if c == 0 {
+				deg = len(vars) + 1 // first accumulator row has no p[c-1]
+			}
+			min1, min2 := math.MaxFloat64, math.MaxFloat64
+			min1Idx := -1
+			sign := 1.0
+			for j := 0; j < deg; j++ {
+				v := d.rowVar(c, j)
+				in := d.post[v] - row[j]
+				row[j] = in
+				a := math.Abs(in)
+				if in < 0 {
+					sign = -sign
+				}
+				if a < min1 {
+					min2, min1 = min1, a
+					min1Idx = j
+				} else if a < min2 {
+					min2 = a
+				}
+			}
+			for j := 0; j < deg; j++ {
+				v := d.rowVar(c, j)
+				in := row[j]
+				mag := min1
+				if j == min1Idx {
+					mag = min2
+				}
+				out := l.norm * mag
+				if (in < 0) != (sign < 0) {
+					out = -out
+				}
+				row[j] = out
+				d.post[v] = in + out
+			}
+		}
+		for v := 0; v < l.n; v++ {
+			if d.post[v] < 0 {
+				d.hard[v] = 1
+			} else {
+				d.hard[v] = 0
+			}
+		}
+		if d.checkSyndrome(d.hard) {
+			d.res.Converged = true
+			return d
+		}
+	}
+	return d
+}
+
+// rowVar maps the j-th connection of check c to a codeword bit index:
+// first the information bits of the check, then the accumulator bits
+// p[c-1] (absent for c = 0) and p[c].
+func (d *referenceLDPC) rowVar(c, j int) int {
+	vars := d.checkVars[c]
+	if j < len(vars) {
+		return int(vars[j])
+	}
+	j -= len(vars)
+	if c == 0 {
+		return d.l.k + c // only p[0]
+	}
+	if j == 0 {
+		return d.l.k + c - 1
+	}
+	return d.l.k + c
+}
+
+func (d *referenceLDPC) checkSyndrome(cw []byte) bool {
+	prev := byte(0)
+	for c := 0; c < d.l.m; c++ {
+		s := cw[d.l.k+c] ^ prev
+		for _, v := range d.checkVars[c] {
+			s ^= cw[v] & 1
+		}
+		if s&1 != 0 {
+			return false
+		}
+		prev = cw[d.l.k+c]
+	}
+	return true
+}
+
+// specialLLRs are the inputs where a sign test can go wrong: both zeros,
+// NaN, both infinities, the smallest and largest subnormals of each sign,
+// and a repeated magnitude that ties the two minima.
+var specialLLRs = []float64{
+	math.Copysign(0, -1), 0, math.NaN(), math.Inf(1), math.Inf(-1),
+	5e-324, -5e-324, 2.225073858507201e-308, -2.225073858507201e-308,
+	1.5, -1.5, 1.5, -1.5,
+}
+
+// checkLDPCMatchesReference decodes llr with d and with referenceLDPCDecode
+// and fails on the first bit that differs.
+func checkLDPCMatchesReference(t testing.TB, d *Decoder, llr []float64) {
+	t.Helper()
+	l := d.l
+	hard, res := d.Decode(llr)
+	ref := referenceLDPCDecode(l, llr)
+	if res != ref.res {
+		t.Fatalf("result %+v, reference %+v", res, ref.res)
+	}
+	if string(hard) != string(ref.hard) {
+		t.Fatal("hard decisions differ from the reference")
+	}
+	if l.CheckSyndrome(hard) != ref.checkSyndrome(hard) {
+		t.Fatal("syndrome check differs from the reference")
+	}
+	for v, p := range d.post {
+		if math.Float64bits(p) != math.Float64bits(ref.post[v]) {
+			t.Fatalf("post[%d] = %v (%#x), reference %v (%#x)",
+				v, p, math.Float64bits(p), ref.post[v], math.Float64bits(ref.post[v]))
+		}
+	}
+	for c := 0; c < l.m; c++ {
+		row := d.msg[l.rowStart[c]:l.rowStart[c+1]]
+		for j, m := range row {
+			if want := ref.msg[c][j]; math.Float64bits(m) != math.Float64bits(want) {
+				t.Fatalf("check %d message %d = %v (%#x), reference %v (%#x)",
+					c, j, m, math.Float64bits(m), want, math.Float64bits(want))
+			}
+		}
+	}
+}
+
+func TestLDPCMatchesReference(t *testing.T) {
+	l := testLDPC(t)
+	d := l.NewDecoder() // reused: a stale message must not leak into the next frame
+	rng := rand.New(rand.NewSource(13))
+	var multi, failed int
+	for _, sigma := range []float64{0.3, 0.5, 0.6, 0.7, 0.9} {
+		for trial := 0; trial < 4; trial++ {
+			llr := bpskLLR(rng, l.Encode(randomBits(rng, l.K())), sigma)
+			switch trial {
+			case 1: // ties: every magnitude on a grid of halves
+				for i := range llr {
+					llr[i] = math.Round(2*llr[i]) / 2
+				}
+			case 2, 3: // one input in eight (trial 3: in two) special
+				every := 8
+				if trial == 3 {
+					every = 2
+				}
+				for i := range llr {
+					if rng.Intn(every) == 0 {
+						llr[i] = specialLLRs[rng.Intn(len(specialLLRs))]
+					}
+				}
+			}
+			checkLDPCMatchesReference(t, d, llr)
+			if res := referenceLDPCDecode(l, llr).res; !res.Converged {
+				failed++
+			} else if res.Iterations > 1 {
+				multi++
+			}
+		}
+	}
+	for _, x := range specialLLRs {
+		llr := make([]float64, l.N())
+		for i := range llr {
+			llr[i] = x
+		}
+		checkLDPCMatchesReference(t, d, llr)
+	}
+	if multi == 0 || failed == 0 {
+		t.Fatalf("%d multi-iteration and %d unconverged frames: the comparison must see both", multi, failed)
 	}
 }
