@@ -73,10 +73,6 @@ func (b *BCH) K() int { return b.k }
 // N returns the (shortened) codeword length in bits.
 func (b *BCH) N() int { return b.nCW }
 
-// ParityBits returns the number of parity bits (m·t for a full-strength
-// narrow-sense code).
-func (b *BCH) ParityBits() int { return b.deg }
-
 // T returns the correction capability.
 func (b *BCH) T() int { return b.t }
 

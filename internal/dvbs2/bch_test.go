@@ -356,3 +356,7 @@ func flip(rng *rand.Rand, bits []byte, n int) {
 		}
 	}
 }
+
+// ParityBits returns the number of parity bits (m·t for a full-strength
+// narrow-sense code).
+func (b *BCH) ParityBits() int { return b.deg }

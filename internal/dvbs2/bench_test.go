@@ -2,6 +2,7 @@ package dvbs2
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -126,4 +127,69 @@ func BenchmarkTransmitterFrame(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tx.EncodeFrame()
 	}
+}
+
+// BenchmarkFIR runs each filter the transceiver runs over one 1 800-sample
+// chunk (the Test() frame): the two matched-filter halves (20 and 21 taps),
+// the channel's 8-tap fractional delay and the transmitter's interpolator
+// (its two phases at step 2). kernel=asm is filter, which is the assembly
+// on amd64 and filterGo elsewhere; kernel=go is filterGo.
+func BenchmarkFIR(b *testing.B) {
+	const n = 1800
+	rrc := RRCTaps(0.2, 10, 2)
+	half := make([]float64, len(rrc))
+	copy(half[20:], rrc[20:])
+	rng := rand.New(rand.NewSource(3))
+	x := make([]complex128, n+len(rrc))
+	for i := range x {
+		x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
+	dst := make([]complex128, 2*n)
+	for _, c := range []struct {
+		name string
+		firs []*FIR // one per phase; phase p writes dst[p], dst[p+step], …
+	}{
+		{"taps=20", []*FIR{NewFIR(rrc[:20])}},
+		{"taps=21", []*FIR{NewFIR(half)}},
+		{"taps=8", []*FIR{NewFIR(fracDelayTaps(0.35))}},
+		{"interpolator", NewInterpolator(rrc, 2).phases},
+	} {
+		for _, k := range []string{"asm", "go"} {
+			b.Run(c.name+"/kernel="+k, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					for p, f := range c.firs {
+						kernel := f.filter
+						if k == "go" {
+							kernel = f.filterGo
+						}
+						kernel(x, f.d, f.d+n, dst, p, len(c.firs))
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkPhasors evaluates the phasors of one 1 800-sample ramp, the
+// arguments FineFreqSync and DerotateRamp pass. kernel=asm is phasors,
+// kernel=go is phasor (math.Sincos) per argument.
+func BenchmarkPhasors(b *testing.B) {
+	args := make([]float64, 1800)
+	for i := range args {
+		args[i] = -2 * math.Pi * 1e-4 * float64(i)
+	}
+	dst := make([]complex128, len(args))
+	b.Run("kernel=asm", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			phasors(dst, args)
+		}
+	})
+	b.Run("kernel=go", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for j, a := range args {
+				dst[j] = phasor(a)
+			}
+		}
+	})
 }

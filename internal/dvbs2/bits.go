@@ -26,17 +26,10 @@ func prbsSeed(counter uint32) uint32 {
 	return s
 }
 
-// GenerateBBFrame produces the information bits (one bit per byte, values
-// 0/1) of baseband frame number counter: a CounterBits-bit big-endian
-// counter followed by PRBS payload seeded from the counter. The result
-// has length kBch bits.
-func GenerateBBFrame(counter uint32, kBch int) []byte {
-	bits := make([]byte, kBch)
-	fillBBFrame(bits, counter)
-	return bits
-}
-
-// fillBBFrame is GenerateBBFrame into the caller's buffer of K_bch bits.
+// fillBBFrame writes the information bits (one bit per byte, values 0/1)
+// of baseband frame number counter into the caller's buffer of K_bch
+// bits: a CounterBits-bit big-endian counter followed by PRBS payload
+// seeded from the counter.
 func fillBBFrame(bits []byte, counter uint32) {
 	for i := 0; i < CounterBits; i++ {
 		bits[i] = byte((counter >> (CounterBits - 1 - i)) & 1)

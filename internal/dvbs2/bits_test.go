@@ -75,3 +75,11 @@ func TestPrbsSeedNeverZero(t *testing.T) {
 		}
 	}
 }
+
+// GenerateBBFrame returns the kBch information bits of baseband frame
+// number counter (fillBBFrame into a new buffer).
+func GenerateBBFrame(counter uint32, kBch int) []byte {
+	bits := make([]byte, kBch)
+	fillBBFrame(bits, counter)
+	return bits
+}

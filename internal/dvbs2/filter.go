@@ -168,15 +168,18 @@ func (f *FIR) process(in, dst []complex128, at, step int) {
 	}
 }
 
-// filter computes outputs lo..hi−1 of the stream x (x[lo−d:] must exist)
-// into dst[at], dst[at+step], …. The products are rounded before they are
-// added — float64(…) forbids a fused multiply-add — so the result is the
-// same on every platform.
+// filterGo computes outputs lo..hi−1 of the stream x (x[lo−d:] must
+// exist) into dst[at], dst[at+step], …. The products are rounded before
+// they are added — float64(…) forbids a fused multiply-add — so the
+// result is the same on every platform.
 //
 // Four outputs share a pass over the taps: eight independent add chains
 // instead of two, each output still summed in ascending j, so no value
 // changes. The one-output loop finishes the last hi−lo mod 4.
-func (f *FIR) filter(x []complex128, lo, hi int, dst []complex128, at, step int) {
+//
+// It is filter on every GOARCH but amd64, and the reference the amd64
+// kernel (filter_amd64.s) is held to.
+func (f *FIR) filterGo(x []complex128, lo, hi int, dst []complex128, at, step int) {
 	rt, d := f.rtaps, f.d
 	i := lo
 	for ; i+4 <= hi; i += 4 {

@@ -249,6 +249,39 @@ func checkFIRAgainstReference(t *testing.T, taps []float64, sps int, rng *rand.R
 		}
 		done += n
 	}
+	checkFIRKernels(t, taps, sps, rng)
+}
+
+// checkFIRKernels holds each kernel to the reference directly: filter
+// (the assembly on amd64) and filterGo compute the outputs of one random
+// signal whose windows lie inside it, written at a random offset and at
+// stride step into a NaN-filled buffer, every other element of which must
+// stay NaN.
+func checkFIRKernels(t *testing.T, taps []float64, step int, rng *rand.Rand) {
+	t.Helper()
+	f := NewFIR(taps)
+	x := make([]complex128, f.d+rng.Intn(40))
+	for i := range x {
+		x[i] = complex(rng.NormFloat64(), 100*rng.NormFloat64())
+	}
+	want := newReferenceFIR(taps).process(x)
+	at := rng.Intn(3)
+	for _, k := range []struct {
+		name   string
+		kernel func(x []complex128, lo, hi int, dst []complex128, at, step int)
+	}{{"filter", f.filter}, {"filterGo", f.filterGo}} {
+		dst := filled(at+(len(x)-f.d)*step+step, complex(math.NaN(), math.NaN()))
+		k.kernel(x, f.d, len(x), dst, at, step)
+		for j, v := range dst {
+			if o := j - at; o >= 0 && o%step == 0 && f.d+o/step < len(x) {
+				if w := want[f.d+o/step]; v != w {
+					t.Fatalf("taps %v step %d: %s output %d is %v, reference %v", taps, step, k.name, o/step, v, w)
+				}
+			} else if !cmplx.IsNaN(v) {
+				t.Fatalf("taps %v step %d: %s wrote %v to dst[%d], which no output maps to", taps, step, k.name, v, j)
+			}
+		}
+	}
 }
 
 // zeroRunTaps builds a tap set with zero runs at the front, in the middle

@@ -11,19 +11,8 @@ import (
 
 const invSqrt2 = 0.7071067811865476
 
-// QPSKModulate maps bit pairs (b0 = in-phase, b1 = quadrature) to unit
-// symbols. The bit slice length must be even.
-func QPSKModulate(bits []byte) []complex128 {
-	if len(bits)%2 != 0 {
-		panic(fmt.Sprintf("dvbs2: QPSK modulate: odd bit count %d", len(bits)))
-	}
-	out := make([]complex128, len(bits)/2)
-	qpskModulateInto(out, bits)
-	return out
-}
-
-// qpskModulateInto is QPSKModulate into the caller's buffer of one symbol
-// per bit pair.
+// qpskModulateInto maps bit pairs (b0 = in-phase, b1 = quadrature) to unit
+// symbols in the caller's buffer of one symbol per bit pair.
 func qpskModulateInto(out []complex128, bits []byte) {
 	// Indexed, not branched on: coded bits are coin flips.
 	axis := [2]float64{invSqrt2, -invSqrt2}
@@ -45,20 +34,6 @@ func QPSKDemodulate(syms []complex128, noiseVar float64, llr []float64) []float6
 		llr = append(llr, scale*real(s), scale*imag(s))
 	}
 	return llr
-}
-
-// QPSKHard performs hard-decision demapping.
-func QPSKHard(syms []complex128) []byte {
-	out := make([]byte, 2*len(syms))
-	for i, s := range syms {
-		if real(s) < 0 {
-			out[2*i] = 1
-		}
-		if imag(s) < 0 {
-			out[2*i+1] = 1
-		}
-	}
-	return out
 }
 
 // EstimateNoise estimates the noise variance of unit-energy QPSK symbols
@@ -138,20 +113,6 @@ func (il *Interleaver) DeinterleaveLLR(llr []float64, dst []float64) []float64 {
 	}
 	for i, src := range il.perm {
 		dst[src] = llr[i]
-	}
-	return dst
-}
-
-// Deinterleave applies the inverse permutation to hard bits.
-func (il *Interleaver) Deinterleave(bits []byte, dst []byte) []byte {
-	if len(bits) != len(il.perm) {
-		panic(fmt.Sprintf("dvbs2: deinterleave %d bits, want %d", len(bits), len(il.perm)))
-	}
-	if dst == nil {
-		dst = make([]byte, len(bits))
-	}
-	for i, src := range il.perm {
-		dst[src] = bits[i]
 	}
 	return dst
 }

@@ -1,6 +1,7 @@
 package dvbs2
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -187,4 +188,43 @@ func TestInterleaverValidation(t *testing.T) {
 			fn()
 		}()
 	}
+}
+
+// QPSKModulate is qpskModulateInto into a new buffer. The bit slice length
+// must be even.
+func QPSKModulate(bits []byte) []complex128 {
+	if len(bits)%2 != 0 {
+		panic(fmt.Sprintf("dvbs2: QPSK modulate: odd bit count %d", len(bits)))
+	}
+	out := make([]complex128, len(bits)/2)
+	qpskModulateInto(out, bits)
+	return out
+}
+
+// QPSKHard performs hard-decision demapping.
+func QPSKHard(syms []complex128) []byte {
+	out := make([]byte, 2*len(syms))
+	for i, s := range syms {
+		if real(s) < 0 {
+			out[2*i] = 1
+		}
+		if imag(s) < 0 {
+			out[2*i+1] = 1
+		}
+	}
+	return out
+}
+
+// Deinterleave applies the inverse permutation to hard bits.
+func (il *Interleaver) Deinterleave(bits []byte, dst []byte) []byte {
+	if len(bits) != len(il.perm) {
+		panic(fmt.Sprintf("dvbs2: deinterleave %d bits, want %d", len(bits), len(il.perm)))
+	}
+	if dst == nil {
+		dst = make([]byte, len(bits))
+	}
+	for i, src := range il.perm {
+		dst[src] = bits[i]
+	}
+	return dst
 }

@@ -105,9 +105,14 @@ func (c *CoarseFreqSync) Process(x []complex128) {
 			c.fHat += step
 		}
 	}
-	for i := range x {
-		x[i] *= phasor(-c.phase)
-		c.phase += 2 * math.Pi * c.fHat
+	var args [64]float64
+	for base := 0; base < len(x); base += len(args) {
+		blk := x[base:min(base+len(args), len(x))]
+		for k := range blk {
+			args[k] = -c.phase
+			c.phase += 2 * math.Pi * c.fHat
+		}
+		rotate(blk, args[:len(blk)])
 	}
 	// Keep the phase bounded.
 	c.phase = math.Mod(c.phase, 2*math.Pi)
@@ -123,6 +128,29 @@ func pow4(v complex128) complex128 {
 func phasor(phi float64) complex128 {
 	s, c := math.Sincos(phi)
 	return complex(c, s)
+}
+
+// rotate multiplies x[k] by phasor(args[k]) for len(x) ≤ 64 samples. The
+// phasor sites write the arguments of 64 samples at a time into a stack
+// array, so one phasors call evaluates them all.
+func rotate(x []complex128, args []float64) {
+	var ph [64]complex128
+	phasors(ph[:len(x)], args)
+	for k := range x {
+		x[k] *= ph[k]
+	}
+}
+
+// rotateRamp multiplies frame[i] by e^{−j2πf·i}.
+func rotateRamp(frame []complex128, f float64) {
+	var args [64]float64
+	for base := 0; base < len(frame); base += len(args) {
+		blk := frame[base:min(base+len(args), len(frame))]
+		for k := range blk {
+			args[k] = -2 * math.Pi * f * float64(base+k)
+		}
+		rotate(blk, args[:len(blk)])
+	}
 }
 
 // GardnerSync performs symbol-timing recovery on a 2-samples-per-symbol
@@ -341,20 +369,10 @@ func NewFrameExtractor(frameLen int) *FrameExtractor {
 	return &FrameExtractor{frameLen: frameLen}
 }
 
-// Extract appends the chunk, applies the searcher's offset on first lock,
-// and returns one aligned frame of frameLen symbols — or nil while the
-// stream is not yet locked or not enough symbols are buffered.
-func (fe *FrameExtractor) Extract(syms []complex128, offset int, locked bool) []complex128 {
-	out := make([]complex128, fe.frameLen)
-	if !fe.ExtractInto(out, syms, offset, locked) {
-		return nil
-	}
-	return out
-}
-
-// ExtractInto is Extract into the caller's buffer of frameLen symbols: it
-// reports whether it wrote an aligned frame to dst, and leaves dst alone
-// when it did not.
+// ExtractInto appends the chunk, applies the searcher's offset on first
+// lock, and copies one aligned frame of frameLen symbols to dst. It
+// reports whether it wrote a frame, and leaves dst alone when it did not:
+// while the stream is not yet locked or not enough symbols are buffered.
 func (fe *FrameExtractor) ExtractInto(dst, syms []complex128, offset int, locked bool) bool {
 	fe.buf = append(fe.buf, syms...)
 	if !locked {
@@ -441,9 +459,7 @@ func (f *FineFreqSync) Process(frame []complex128) {
 		est := cmplx.Phase(sum) / (math.Pi * float64(L+1))
 		f.fHat = (1-f.Alpha)*f.fHat + f.Alpha*est
 	}
-	for i := range frame {
-		frame[i] *= phasor(-2 * math.Pi * f.fHat * float64(i))
-	}
+	rotateRamp(frame, f.fHat)
 }
 
 // Pow4FreqEstimate blindly estimates a small residual carrier frequency
@@ -479,9 +495,7 @@ func DerotateRamp(frame []complex128, f float64) {
 	if f == 0 {
 		return
 	}
-	for i := range frame {
-		frame[i] *= phasor(-2 * math.Pi * f * float64(i))
-	}
+	rotateRamp(frame, f)
 }
 
 // PhaseEstimate returns the constant phase offset of a frame estimated

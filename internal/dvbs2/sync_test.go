@@ -307,3 +307,12 @@ func TestScramblerInvolutionAndPLSequence(t *testing.T) {
 		t.Errorf("PL sequence nearly trivial: %d/64 non-unit phases", nontrivial)
 	}
 }
+
+// Extract is ExtractInto into a new frame: nil while no frame is ready.
+func (fe *FrameExtractor) Extract(syms []complex128, offset int, locked bool) []complex128 {
+	out := make([]complex128, fe.frameLen)
+	if !fe.ExtractInto(out, syms, offset, locked) {
+		return nil
+	}
+	return out
+}

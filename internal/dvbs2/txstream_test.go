@@ -233,3 +233,8 @@ func TestTransmitterEncodeAllocs(t *testing.T) {
 		t.Errorf("EncodeFrame allocates %.0f times per frame, want 1", n)
 	}
 }
+
+// CleanChannel returns impairment settings that leave the signal intact.
+func CleanChannel() Impairments {
+	return Impairments{Gain: 1, SNRdB: math.Inf(1)}
+}
