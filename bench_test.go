@@ -228,10 +228,7 @@ func BenchmarkRegistry(b *testing.B) {
 		{"x7", platform.X7Ti().Chain(), core.Res(6, 8)},
 	}
 	for _, p := range platforms {
-		for _, s := range strategy.AllRegistered() {
-			if s.Name() == "Brute" {
-				continue
-			}
+		for _, s := range strategy.All() {
 			b.Run(fmt.Sprintf("%s/%s", p.name, s.Name()), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {

@@ -390,32 +390,6 @@ func (c *Chain) Weight(s, e, r int, v CoreType) float64 {
 	return w
 }
 
-// MaxWeight returns the largest single-task weight on core type v.
-func (c *Chain) MaxWeight(v CoreType) float64 {
-	m := 0.0
-	for _, t := range c.tasks {
-		if t.Weight[v] > m {
-			m = t.Weight[v]
-		}
-	}
-	return m
-}
-
-// MaxSeqWeight returns the largest weight among sequential tasks on core
-// type v, or 0 if every task is replicable.
-func (c *Chain) MaxSeqWeight(v CoreType) float64 {
-	m := 0.0
-	for _, t := range c.tasks {
-		if !t.Replicable && t.Weight[v] > m {
-			m = t.Weight[v]
-		}
-	}
-	return m
-}
-
-// SeqCount returns the number of sequential (stateful) tasks.
-func (c *Chain) SeqCount() int { return c.seqPrefix[len(c.tasks)] }
-
 // Stage is one pipeline stage of a schedule: the contiguous interval of
 // tasks [Start, End] (inclusive, 0-based) executed by Cores cores of type
 // Type.

@@ -171,6 +171,32 @@ func TestWeightEq1(t *testing.T) {
 	}
 }
 
+// MaxWeight returns the largest single-task weight on core type v.
+func (c *Chain) MaxWeight(v CoreType) float64 {
+	m := 0.0
+	for _, t := range c.tasks {
+		if t.Weight[v] > m {
+			m = t.Weight[v]
+		}
+	}
+	return m
+}
+
+// MaxSeqWeight returns the largest weight among sequential tasks on core
+// type v, or 0 if every task is replicable.
+func (c *Chain) MaxSeqWeight(v CoreType) float64 {
+	m := 0.0
+	for _, t := range c.tasks {
+		if !t.Replicable && t.Weight[v] > m {
+			m = t.Weight[v]
+		}
+	}
+	return m
+}
+
+// SeqCount returns the number of sequential (stateful) tasks.
+func (c *Chain) SeqCount() int { return c.seqPrefix[len(c.tasks)] }
+
 func TestMaxWeights(t *testing.T) {
 	c := testChain(t)
 	if got := c.MaxWeight(Big); got != 30 {

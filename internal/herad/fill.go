@@ -134,6 +134,9 @@ type rowFill struct {
 	// rowFill and everything it owns lives on its fillRows' stack.
 	k int
 	t [core.MaxCoreTypes]typeFill
+	// What recompute counts, added to the shared Metrics counters once per
+	// fillRows rather than once per cell.
+	cells, pruned, candidates int64
 }
 
 // fillRows computes rows from..to of the matrix in ascending row order.
@@ -163,6 +166,9 @@ func (m *matrix) fillRows(c *core.Chain, from, to int, om Metrics) {
 		}
 		m.fillRow(&f, om)
 	}
+	om.DPCells.Add(f.cells)
+	om.DPPruned.Add(f.pruned)
+	om.DPCandidates.Add(f.candidates)
 }
 
 // fillRow computes row j in ascending state order — the lexicographic scan
@@ -251,7 +257,7 @@ func (m *matrix) seed(f *rowFill, idx int) {
 // the periods tie and copied only when the candidate wins. The outcome of
 // every comparison is that of CompareCells on the full cells.
 func (m *matrix) recompute(f *rowFill, s int, om Metrics) {
-	om.DPCells.Inc()
+	f.cells++
 	// Locals, so the loops below do not reload them through m and f after
 	// every store.
 	j, t, repFrom, states, cells := f.j, f.t[:f.k], f.repFrom, m.states, m.cells
@@ -328,9 +334,9 @@ func (m *matrix) recompute(f *rowFill, s int, om Metrics) {
 		}
 	}
 	if cut > 0 {
-		om.DPPruned.Inc()
+		f.pruned++
 	}
-	om.DPCandidates.Add(int64(candidates))
+	f.candidates += int64(candidates)
 	if om.Trace.Enabled() {
 		at := m.res
 		for v := range t {

@@ -79,7 +79,7 @@ func TestEveryStrategyExpositionIsLintClean(t *testing.T) {
 	c := chaingen.Generate(chaingen.Default(8, 0.5), rand.New(rand.NewSource(1)))
 	reg := obs.NewRegistry()
 	var reqs []strategy.Request
-	for _, s := range strategy.AllRegistered() {
+	for _, s := range append(strategy.All(), strategy.MustParse("brute")) {
 		reqs = append(reqs, strategy.Request{Chain: c, Resources: core.Res(3, 3), Scheduler: s,
 			Options: strategy.Options{Metrics: reg}})
 	}

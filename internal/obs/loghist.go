@@ -111,27 +111,6 @@ func (h *LogHistogram) Sum() float64 {
 	return math.Float64frombits(h.sum.Load())
 }
 
-// Merge adds o's observations into h. Both sides keep working during the
-// merge (atomic adds); merging a nil histogram, or into one, is a no-op.
-// Observing x into h and y into o then merging yields the same counts as
-// observing both into one histogram — the mergeability contract behind
-// per-worker sharding.
-func (h *LogHistogram) Merge(o *LogHistogram) {
-	if h == nil || o == nil {
-		return
-	}
-	for i := range o.counts {
-		if n := o.counts[i].Load(); n != 0 {
-			h.counts[i].Add(n)
-		}
-	}
-	if n := o.zero.Load(); n != 0 {
-		h.zero.Add(n)
-	}
-	addFloat(&h.sum, o.Sum())
-	h.count.Add(o.count.Load())
-}
-
 // Quantile estimates the q-quantile (q in [0,1]) as the geometric
 // midpoint of the bucket holding the rank. Returns 0 when empty or on a
 // nil receiver. The estimate's relative error is bounded by the bucket

@@ -184,3 +184,24 @@ func TestLogHistogramConcurrentObserveAndMerge(t *testing.T) {
 		t.Fatalf("merged count = %d, want 8000", final.Count())
 	}
 }
+
+// Merge adds o's observations into h. Both sides keep working during the
+// merge (atomic adds); merging a nil histogram, or into one, is a no-op.
+// Observing x into h and y into o then merging yields the same counts as
+// observing both into one histogram — the mergeability contract behind
+// per-worker sharding.
+func (h *LogHistogram) Merge(o *LogHistogram) {
+	if h == nil || o == nil {
+		return
+	}
+	for i := range o.counts {
+		if n := o.counts[i].Load(); n != 0 {
+			h.counts[i].Add(n)
+		}
+	}
+	if n := o.zero.Load(); n != 0 {
+		h.zero.Add(n)
+	}
+	addFloat(&h.sum, o.Sum())
+	h.count.Add(o.count.Load())
+}

@@ -217,16 +217,6 @@ func All() []Scheduler {
 	return out
 }
 
-// AllRegistered returns every strategy of the table, hidden ones included,
-// in table order.
-func AllRegistered() []Scheduler {
-	out := make([]Scheduler, len(registry))
-	for i, b := range registry {
-		out[i] = b
-	}
-	return out
-}
-
 // Names returns the canonical names of All().
 func Names() []string {
 	all := All()

@@ -241,3 +241,13 @@ func TestMetricsScope(t *testing.T) {
 		t.Error("nil scheduler not propagated")
 	}
 }
+
+// AllRegistered returns every strategy of the table, hidden ones included,
+// in table order.
+func AllRegistered() []Scheduler {
+	out := make([]Scheduler, len(registry))
+	for i, b := range registry {
+		out[i] = b
+	}
+	return out
+}

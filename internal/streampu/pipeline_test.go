@@ -378,6 +378,20 @@ func TestRunChain(t *testing.T) {
 	}
 }
 
+// ModelFromTimed derives the scheduling model from latency-modeled tasks.
+// It fails if any task is not a *TimedTask.
+func ModelFromTimed(tasks []Task) (*core.Chain, error) {
+	model := make([]core.Task, len(tasks))
+	for i, t := range tasks {
+		tt, ok := t.(*TimedTask)
+		if !ok {
+			return nil, fmt.Errorf("streampu: task %d (%s) is not latency-modeled", i, t.Name())
+		}
+		model[i] = core.Task{Name: tt.TaskName, Weight: tt.Weights, Replicable: tt.Rep}
+	}
+	return core.NewChain(model)
+}
+
 func TestModelFromTimed(t *testing.T) {
 	tasks := []Task{timedTask("a", 3, 6, true), timedTask("b", 4, 8, false)}
 	c, err := ModelFromTimed(tasks)

@@ -196,17 +196,3 @@ func ModelChain(tasks []Task, profile func(i int, t Task) []float64) (*core.Chai
 	}
 	return core.NewChain(model)
 }
-
-// ModelFromTimed derives the scheduling model from latency-modeled tasks.
-// It fails if any task is not a *TimedTask.
-func ModelFromTimed(tasks []Task) (*core.Chain, error) {
-	model := make([]core.Task, len(tasks))
-	for i, t := range tasks {
-		tt, ok := t.(*TimedTask)
-		if !ok {
-			return nil, fmt.Errorf("streampu: task %d (%s) is not latency-modeled", i, t.Name())
-		}
-		model[i] = core.Task{Name: tt.TaskName, Weight: tt.Weights, Replicable: tt.Rep}
-	}
-	return core.NewChain(model)
-}
