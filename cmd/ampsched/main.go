@@ -168,7 +168,7 @@ func (c config) check(nStrategies int) error {
 		{c.watch != 0 && !c.run, "-watch requires -run: the live view samples the streampu pipeline while it executes (pass -run, or drop -watch)"},
 		{c.watch < 0, fmt.Sprintf("-watch must be a positive interval, got %v", c.watch)},
 		{c.interframe < 0, fmt.Sprintf("-interframe must be >= 0 frames per pipeline slot (0 means the chain's own), got %d", c.interframe)},
-		{c.run && c.frames < 1, fmt.Sprintf("-frames must be at least 1 under -run, got %d", c.frames)},
+		{c.run && c.frames < 2, fmt.Sprintf("-frames must be at least 2 under -run: one departure gives no period, got %d", c.frames)},
 		{c.run && (c.scale < 0 || math.IsNaN(c.scale) || math.IsInf(c.scale, 0)), fmt.Sprintf("-scale must be a finite time scale >= 0 under -run (0 means 1), got %v", c.scale)},
 		{c.explain && c.json, "-explain prints a text narrative, which -json output cannot carry (use -trace-sched for a machine-readable journal)"},
 	} {

@@ -55,6 +55,26 @@ func TestLoadChainErrors(t *testing.T) {
 	}
 }
 
+// TestMainErrNonFiniteChain: two replicable tasks whose weights are
+// each finite but sum past the float64 range are refused when the chain is
+// loaded, for every strategy, instead of printing a period of +Inf.
+func TestMainErrNonFiniteChain(t *testing.T) {
+	in := filepath.Join(t.TempDir(), "huge.json")
+	huge := `{"tasks": [
+		{"name": "a", "big": 1e308, "little": 1e308, "replicable": true},
+		{"name": "b", "big": 1e308, "little": 1e308, "replicable": true}]}`
+	if err := os.WriteFile(in, []byte(huge), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []string{"all", "2catac", "fertac", "otac-b"} {
+		var out strings.Builder
+		err := mainErr(config{input: in, big: 2, little: 2, strategy: s, frames: 10, scale: 1, out: &out})
+		if err == nil || !strings.Contains(err.Error(), "finite") {
+			t.Errorf("-strategy %s: error %v, want a non-finite total weight refusal; printed:\n%s", s, err, out.String())
+		}
+	}
+}
+
 func TestStrategyList(t *testing.T) {
 	all, err := strategyList("all")
 	if err != nil || len(all) != 5 {
@@ -212,6 +232,7 @@ func TestConfigCheck(t *testing.T) {
 		{"-watch", func(c *config) { c.run, c.watch = true, -time.Millisecond }},
 		{"-interframe", func(c *config) { c.interframe = -2 }},
 		{"-frames", func(c *config) { c.run, c.frames = true, 0 }},
+		{"-frames", func(c *config) { c.run, c.frames = true, 1 }},
 		{"-scale", func(c *config) { c.run, c.scale = true, -1 }},
 		{"-scale", func(c *config) { c.run, c.scale = true, math.Inf(1) }},
 		{"-explain", func(c *config) { c.explain, c.json = true, true }},

@@ -71,7 +71,7 @@ func Enumerate(c *core.Chain, r core.Resources, fn func(core.Solution)) {
 }
 
 // Schedule returns an optimal-period solution of c on r, breaking period
-// ties with the paper's secondary objective (Beats), reporting into m (the
+// ties with the paper's secondary objective (BeatsVec), reporting into m (the
 // zero Metrics disables). It returns the empty solution when no valid
 // schedule exists. Like the rest of the package it is exponential: do not
 // use beyond ~12 tasks.
@@ -124,16 +124,6 @@ func MinPeriod(c *core.Chain, r core.Resources) float64 {
 	return best
 }
 
-// Beats reports whether core usage (bN, lN) is strictly preferable to
-// (bC, lC) under the paper's secondary objective (CompareCells, Algo 10):
-// it either exchanges big cores for little ones, or uses no more cores of
-// either type with at least one strict improvement. Case analysis shows
-// both clauses together are exactly the strict lexicographic order on the
-// (big, little) usage pair — the two-type instance of BeatsVec.
-func Beats(bN, lN, bC, lC int) bool {
-	return BeatsVec([]int{bN, lN}, []int{bC, lC})
-}
-
 // BeatsVec reports whether the per-type core usage n is strictly
 // preferable to c under the k-type secondary objective: strictly
 // lexicographically smaller, so a schedule first saves cores of type 0
@@ -146,25 +136,6 @@ func BeatsVec(n, c []int) bool {
 		}
 	}
 	return false
-}
-
-// OptimalUsages returns the core usages of every optimal-period solution.
-func OptimalUsages(c *core.Chain, r core.Resources) (period float64, usages [][2]int) {
-	period = MinPeriod(c, r)
-	if math.IsInf(period, 1) {
-		return period, nil
-	}
-	seen := map[[2]int]bool{}
-	Enumerate(c, r, func(s core.Solution) {
-		if s.Period(c) <= period {
-			b, l := s.CoresUsed()
-			if !seen[[2]int{b, l}] {
-				seen[[2]int{b, l}] = true
-				usages = append(usages, [2]int{b, l})
-			}
-		}
-	})
-	return period, usages
 }
 
 func min(a, b int) int {

@@ -54,41 +54,3 @@ func TestMinPeriodKnown(t *testing.T) {
 		t.Errorf("MinPeriod no cores = %v, want +Inf", got)
 	}
 }
-
-func TestBeatsRelation(t *testing.T) {
-	cases := []struct {
-		bN, lN, bC, lC int
-		want           bool
-	}{
-		{0, 2, 1, 1, true},  // exchanges big for little
-		{1, 1, 0, 2, false}, // reverse exchange is not better
-		{1, 1, 1, 1, false}, // identical usage: not strictly better
-		{1, 0, 1, 1, true},  // fewer little cores
-		{0, 1, 1, 1, true},  // fewer big cores
-		{2, 0, 1, 1, false}, // more big, fewer little: not an exchange
-		{0, 5, 3, 1, true},  // strong exchange
-		{2, 2, 1, 1, false}, // strictly more of both
-	}
-	for _, tc := range cases {
-		if got := Beats(tc.bN, tc.lN, tc.bC, tc.lC); got != tc.want {
-			t.Errorf("Beats(%d,%d vs %d,%d) = %v, want %v",
-				tc.bN, tc.lN, tc.bC, tc.lC, got, tc.want)
-		}
-	}
-}
-
-func TestOptimalUsages(t *testing.T) {
-	c := core.MustChain([]core.Task{task(10, 10, false)})
-	p, usages := OptimalUsages(c, core.Res(1, 1))
-	if p != 10 {
-		t.Fatalf("period %v", p)
-	}
-	// Both a big and a little single core reach period 10.
-	if len(usages) != 2 {
-		t.Errorf("usages = %v, want both (1,0) and (0,1)", usages)
-	}
-	p, usages = OptimalUsages(c, core.Resources{})
-	if !math.IsInf(p, 1) || usages != nil {
-		t.Errorf("no-core case: %v %v", p, usages)
-	}
-}

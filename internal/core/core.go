@@ -260,8 +260,10 @@ type Chain struct {
 }
 
 // NewChain builds a chain from tasks. It returns an error if the chain is
-// empty, if any task has a negative weight, or if the tasks do not agree
-// on the number of core types (every task must carry one weight per type).
+// empty, if any task has a negative or NaN weight, if the tasks do not
+// agree on the number of core types (every task must carry one weight per
+// type), or if a type's total weight is not finite: every period is a sum
+// of weights, and an infinite one cannot be compared or scheduled.
 func NewChain(tasks []Task) (*Chain, error) {
 	if len(tasks) == 0 {
 		return nil, errors.New("core: empty task chain")
@@ -303,6 +305,12 @@ func NewChain(tasks []Task) (*Chain, error) {
 		c.seqPrefix[i+1] = c.seqPrefix[i]
 		if !t.Replicable {
 			c.seqPrefix[i+1]++
+		}
+	}
+	for v, p := range c.prefix {
+		if total := p[len(tasks)]; math.IsInf(total, 0) {
+			return nil, fmt.Errorf("core: total weight on %v is %v: the chain's weights must sum to a finite number",
+				CoreType(v), total)
 		}
 	}
 	c.fp = fingerprintTasks(c.tasks)

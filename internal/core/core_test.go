@@ -40,6 +40,13 @@ func TestNewChainErrors(t *testing.T) {
 	if _, err := NewChain([]Task{task(1, math.NaN(), true)}); err == nil {
 		t.Error("NaN weight should fail")
 	}
+	// Every weight is finite, but the per-type total overflows to +Inf.
+	if _, err := NewChain([]Task{task(1e308, 1, true), task(1e308, 1, true)}); err == nil {
+		t.Error("non-finite total weight should fail")
+	}
+	if _, err := NewChain([]Task{task(1, math.Inf(1), true)}); err == nil {
+		t.Error("+Inf weight should fail")
+	}
 	if _, err := NewChain([]Task{task(1, 1, true)}); err != nil {
 		t.Errorf("valid single-task chain rejected: %v", err)
 	}

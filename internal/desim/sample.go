@@ -88,8 +88,8 @@ func samplePass(cfg Config, replicas []int, svc, start, depart [][]float64, make
 		}
 		for i := range occSeries {
 			n := strconv.Itoa(i)
-			occSeries[i] = s.Metrics.Series("desim.occupancy.stage"+n, 0)
-			weightSeries[i] = s.Metrics.Series("desim.weight.stage"+n, 0)
+			occSeries[i] = s.Metrics.Series("desim.occupancy.stage" + n)
+			weightSeries[i] = s.Metrics.Series("desim.weight.stage" + n)
 		}
 	}
 

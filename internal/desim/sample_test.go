@@ -55,7 +55,7 @@ func TestWeightStepShowsInWeightSeries(t *testing.T) {
 	}
 	// The step doubles stage 1's weight for the rest of the run: early
 	// windows read ≈120, late ones ≈240.
-	pts := reg.Series("desim.weight.stage1", 0).Tail(0)
+	pts := reg.Series("desim.weight.stage1").Tail(0)
 	if len(pts) < 4 {
 		t.Fatalf("weight series has %d points", len(pts))
 	}
@@ -66,7 +66,7 @@ func TestWeightStepShowsInWeightSeries(t *testing.T) {
 		t.Errorf("last window weight = %v, want ≈240", lastPt)
 	}
 	// Stage 0 is untouched and stays on plan in every window.
-	for _, p := range reg.Series("desim.weight.stage0", 0).Tail(0) {
+	for _, p := range reg.Series("desim.weight.stage0").Tail(0) {
 		if p.Value != 100 {
 			t.Errorf("stage 0 window %d weight = %v, want 100", p.Tick, p.Value)
 		}
@@ -134,7 +134,7 @@ func TestSampleWithoutStepStaysQuiet(t *testing.T) {
 		t.Fatal("no samples taken")
 	}
 	for i, want := range planned {
-		for _, p := range reg.Series("desim.weight.stage"+strconv.Itoa(i), 0).Tail(0) {
+		for _, p := range reg.Series("desim.weight.stage" + strconv.Itoa(i)).Tail(0) {
 			if p.Value != want {
 				t.Errorf("stage %d window %d weight = %v, want planned %v", i, p.Tick, p.Value, want)
 			}
@@ -153,7 +153,7 @@ func TestSampleDefaultsAndOccupancy(t *testing.T) {
 	if res.SamplesTaken != 17 {
 		t.Fatalf("samples taken = %d, want 17", res.SamplesTaken)
 	}
-	occ := reg.Series("desim.occupancy.stage1", 0).Tail(0)
+	occ := reg.Series("desim.occupancy.stage1").Tail(0)
 	if len(occ) != 17 {
 		t.Fatalf("occupancy series has %d points", len(occ))
 	}

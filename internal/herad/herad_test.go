@@ -129,6 +129,71 @@ func TestMatchesBruteForcePeriod(t *testing.T) {
 	}
 }
 
+// beats reports whether core usage (bN, lN) is strictly preferable to
+// (bC, lC) under the paper's secondary objective (CompareCells, Algo 10):
+// it either exchanges big cores for little ones, or uses no more cores of
+// either type with at least one strict improvement. Case analysis shows
+// both clauses together are exactly the strict lexicographic order on the
+// (big, little) usage pair — the two-type instance of brute.BeatsVec.
+func beats(bN, lN, bC, lC int) bool {
+	return brute.BeatsVec([]int{bN, lN}, []int{bC, lC})
+}
+
+func TestBeatsRelation(t *testing.T) {
+	cases := []struct {
+		bN, lN, bC, lC int
+		want           bool
+	}{
+		{0, 2, 1, 1, true},  // exchanges big for little
+		{1, 1, 0, 2, false}, // reverse exchange is not better
+		{1, 1, 1, 1, false}, // identical usage: not strictly better
+		{1, 0, 1, 1, true},  // fewer little cores
+		{0, 1, 1, 1, true},  // fewer big cores
+		{2, 0, 1, 1, false}, // more big, fewer little: not an exchange
+		{0, 5, 3, 1, true},  // strong exchange
+		{2, 2, 1, 1, false}, // strictly more of both
+	}
+	for _, tc := range cases {
+		if got := beats(tc.bN, tc.lN, tc.bC, tc.lC); got != tc.want {
+			t.Errorf("beats(%d,%d vs %d,%d) = %v, want %v",
+				tc.bN, tc.lN, tc.bC, tc.lC, got, tc.want)
+		}
+	}
+}
+
+// optimalUsages returns the optimal period of c on r and the (big, little)
+// core usages of every solution that reaches it, by exhaustive enumeration.
+func optimalUsages(c *core.Chain, r core.Resources) (period float64, usages [][2]int) {
+	period = brute.MinPeriod(c, r)
+	if math.IsInf(period, 1) {
+		return period, nil
+	}
+	seen := map[[2]int]bool{}
+	brute.Enumerate(c, r, func(s core.Solution) {
+		if b, l := s.CoresUsed(); s.Period(c) <= period && !seen[[2]int{b, l}] {
+			seen[[2]int{b, l}] = true
+			usages = append(usages, [2]int{b, l})
+		}
+	})
+	return period, usages
+}
+
+func TestOptimalUsages(t *testing.T) {
+	c := core.MustChain([]core.Task{task(10, 10, false)})
+	p, usages := optimalUsages(c, core.Res(1, 1))
+	if p != 10 {
+		t.Fatalf("period %v", p)
+	}
+	// Both a big and a little single core reach period 10.
+	if len(usages) != 2 {
+		t.Errorf("usages = %v, want both (1,0) and (0,1)", usages)
+	}
+	p, usages = optimalUsages(c, core.Resources{})
+	if !math.IsInf(p, 1) || usages != nil {
+		t.Errorf("no-core case: %v %v", p, usages)
+	}
+}
+
 func TestSecondaryObjectiveNotDominated(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for iter := 0; iter < 60; iter++ {
@@ -138,12 +203,12 @@ func TestSecondaryObjectiveNotDominated(t *testing.T) {
 		s := ScheduleRaw(c, r)
 		p := s.Period(c)
 		bH, lH := s.CoresUsed()
-		period, usages := brute.OptimalUsages(c, r)
+		period, usages := optimalUsages(c, r)
 		if math.Abs(p-period) > 1e-9 {
 			t.Fatalf("iter %d: period %v vs brute %v", iter, p, period)
 		}
 		for _, u := range usages {
-			if brute.Beats(u[0], u[1], bH, lH) {
+			if beats(u[0], u[1], bH, lH) {
 				t.Fatalf("iter %d: HeRAD usage (%d,%d) dominated by (%d,%d)\nchain=%+v R=%v sol=%v",
 					iter, bH, lH, u[0], u[1], c.Tasks(), r, s)
 			}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"ampsched/internal/brute"
@@ -225,6 +226,11 @@ func cutFamilies() []cutFamily {
 
 // draw generates one chain of the family on k core types.
 func (fam cutFamily) draw(rng *rand.Rand, k int) *core.Chain {
+	return core.MustChain(fam.tasks(rng, k))
+}
+
+// tasks generates the tasks of one chain of the family on k core types.
+func (fam cutFamily) tasks(rng *rand.Rand, k int) []core.Task {
 	tasks := make([]core.Task, 1+rng.Intn(fam.maxN))
 	for i := range tasks {
 		w := make([]float64, k)
@@ -233,17 +239,18 @@ func (fam cutFamily) draw(rng *rand.Rand, k int) *core.Chain {
 		}
 		tasks[i] = core.Task{Weight: w, Replicable: fam.allRep || !fam.noRep && rng.Intn(2) == 0}
 	}
-	return core.MustChain(tasks)
+	return tasks
 }
 
 // TestCutsMatchPaperReferenceK2 is TestMatchesPaperReferenceK2 on the
 // inputs that break cuts: full schedules, stage for stage, against the
 // paper's text, which has no cut at all.
 func TestCutsMatchPaperReferenceK2(t *testing.T) {
-	// A +Inf weight makes +Inf incumbents and, through the prefix sums, NaN
-	// weights for the intervals behind it (Inf − Inf), so these chains have
-	// no meaningful optimum to hold against brute force — but the cuts must
-	// still drop nothing the paper's text keeps.
+	// A +Inf weight would make +Inf incumbents and, through the prefix
+	// sums, NaN weights for the intervals behind it (Inf − Inf). NewChain
+	// refuses a chain whose per-type total is not finite, so such a chain
+	// never reaches the fill: the family's draws with an infinite weight
+	// must be refused, and the others must still match the paper's text.
 	infinite := cutFamily{name: "infinite-weights", maxN: 8, weight: func(rng *rand.Rand) float64 {
 		if rng.Intn(4) == 0 {
 			return math.Inf(1)
@@ -253,8 +260,16 @@ func TestCutsMatchPaperReferenceK2(t *testing.T) {
 	for _, fam := range append(cutFamilies(), infinite) {
 		t.Run(fam.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(67))
+			refused := 0
 			for iter := 0; iter < 120; iter++ {
-				c := fam.draw(rng, 2)
+				c, err := core.NewChain(fam.tasks(rng, 2))
+				if err != nil {
+					if fam.name != infinite.name || !strings.Contains(err.Error(), "finite") {
+						t.Fatal(err)
+					}
+					refused++
+					continue
+				}
 				b, l := rng.Intn(5), rng.Intn(5)
 				if fam.zeroCount {
 					if iter%2 == 0 {
@@ -264,6 +279,9 @@ func TestCutsMatchPaperReferenceK2(t *testing.T) {
 					}
 				}
 				checkAgainstReference(t, c, b, l)
+			}
+			if fam.name == infinite.name && (refused == 0 || refused == 120) {
+				t.Fatalf("%d of 120 draws refused: the family must have both kinds", refused)
 			}
 		})
 	}
@@ -281,7 +299,6 @@ func TestCutsMatchPaperReferenceK2(t *testing.T) {
 		{"top split j-1, reached only by ties", []core.Task{task(2, 2, true), task(1, 1, true), task(1, 1, true)}, 2, 0},
 		{"incumbent 0, positive weight on the other type", []core.Task{task(0, 5, true), task(0, 7, false), task(0, 5, true)}, 2, 3},
 		{"incumbent 0 on both types", []core.Task{task(0, 0, true), task(0, 0, false), task(0, 0, true)}, 2, 2},
-		{"incumbent +Inf: no type runs the first task", []core.Task{task(math.Inf(1), math.Inf(1), true), task(2, 3, true), task(1, 1, false)}, 2, 2},
 		// Splits 5 and 4 are replicable stages, 3 and below hold the
 		// sequential task: the floor a type reached on the replicated
 		// stages carries into the sequential ones.
@@ -293,6 +310,14 @@ func TestCutsMatchPaperReferenceK2(t *testing.T) {
 			checkAgainstReference(t, core.MustChain(row.tasks), row.b, row.l)
 		})
 	}
+	// A first task that no type can run would make every incumbent +Inf.
+	// NewChain refuses the chain, so the fill never meets one.
+	t.Run("incumbent +Inf: no type runs the first task", func(t *testing.T) {
+		inf := []core.Task{task(math.Inf(1), math.Inf(1), true), task(2, 3, true), task(1, 1, false)}
+		if _, err := core.NewChain(inf); err == nil || !strings.Contains(err.Error(), "finite") {
+			t.Fatalf("chain with an infinite first task: error %v, want a non-finite total refusal", err)
+		}
+	})
 }
 
 // checkAgainstReference fails the test unless the fill schedules c on

@@ -87,7 +87,7 @@ func TestConcurrentScrapesStayLintClean(t *testing.T) {
 	writers.Add(1)
 	go func() {
 		defer writers.Done()
-		series := reg.Series("pipe.occupancy", 32)
+		series := reg.Series("pipe.occupancy")
 		lat := reg.LogHistogram("pipe.latency_us")
 		for tick := int64(0); ; tick++ {
 			select {

@@ -29,7 +29,7 @@ func fullRegistry() *obs.Registry {
 	for i := 1; i <= 100; i++ {
 		lh.Observe(float64(i))
 	}
-	sr := r.Series("desim.weight.stage0", 8)
+	sr := r.Series("desim.weight.stage0")
 	sr.Append(0, 120)
 	sr.Append(1, 240)
 	return r

@@ -234,15 +234,14 @@ func (r *Registry) LogHistogram(name string) *LogHistogram {
 }
 
 // Series returns the ring-buffer time series registered under name,
-// creating it with the given capacity on first use (later calls keep the
-// original capacity; ≤ 0 means DefaultSeriesCap). Nil registry → nil
-// series.
-func (r *Registry) Series(name string, capacity int) *Series {
+// creating it with DefaultSeriesCap points on first use. Nil registry →
+// nil series.
+func (r *Registry) Series(name string) *Series {
 	if r == nil {
 		return nil
 	}
 	return r.lookup(name, KindSeries, func() *metric {
-		return &metric{kind: KindSeries, s: NewSeries(capacity)}
+		return &metric{kind: KindSeries, s: newSeries(DefaultSeriesCap)}
 	}).s
 }
 

@@ -18,8 +18,8 @@ type Point struct {
 }
 
 // Series is a fixed-capacity ring buffer of points. Create via
-// Registry.Series (or NewSeries for a standalone buffer); a nil *Series
-// is the disabled sink — every method is a no-op.
+// Registry.Series; a nil *Series is the disabled sink — every method is a
+// no-op.
 type Series struct {
 	mu    sync.Mutex
 	buf   []Point
@@ -28,17 +28,13 @@ type Series struct {
 	total int64 // points ever appended
 }
 
-// DefaultSeriesCap is the ring capacity used when a non-positive one is
-// requested: enough history for a few minutes of second-granularity
-// sampling without unbounded growth.
+// DefaultSeriesCap is the ring capacity of every registered series:
+// enough history for a few minutes of second-granularity sampling without
+// unbounded growth.
 const DefaultSeriesCap = 128
 
-// NewSeries returns a standalone series with the given ring capacity
-// (DefaultSeriesCap when cap ≤ 0).
-func NewSeries(capacity int) *Series {
-	if capacity <= 0 {
-		capacity = DefaultSeriesCap
-	}
+// newSeries returns a series with the given ring capacity (> 0).
+func newSeries(capacity int) *Series {
 	return &Series{buf: make([]Point, capacity)}
 }
 

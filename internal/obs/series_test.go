@@ -6,7 +6,7 @@ import (
 )
 
 func TestSeriesRingSemantics(t *testing.T) {
-	s := NewSeries(4)
+	s := newSeries(4)
 	if s.Len() != 0 || s.Total() != 0 {
 		t.Fatalf("fresh series not empty: len=%d total=%d", s.Len(), s.Total())
 	}
@@ -41,18 +41,19 @@ func TestSeriesRingSemantics(t *testing.T) {
 }
 
 func TestSeriesDefaultCapAndRegistry(t *testing.T) {
-	s := NewSeries(0)
+	r := NewRegistry()
+	s := r.Series("cap")
 	for i := 0; i < DefaultSeriesCap+5; i++ {
 		s.Append(int64(i), 1)
 	}
 	if s.Len() != DefaultSeriesCap {
 		t.Fatalf("len = %d, want %d", s.Len(), DefaultSeriesCap)
 	}
-	r := NewRegistry()
-	if r.Series("x", 8) != r.Series("x", 99) {
+	r = NewRegistry()
+	if r.Series("x") != r.Series("x") {
 		t.Error("same name returned different series")
 	}
-	r.Series("x", 8).Append(7, 1.5)
+	r.Series("x").Append(7, 1.5)
 	snap := r.Snapshot()
 	if len(snap) != 1 || snap[0].Kind != KindSeries || snap[0].Count != 1 ||
 		snap[0].Value != 1.5 || len(snap[0].Points) != 1 || snap[0].Points[0] != (Point{7, 1.5}) {
@@ -70,7 +71,7 @@ func TestSeriesNilSafe(t *testing.T) {
 		t.Error("nil series has a last point")
 	}
 	var r *Registry
-	if r.Series("x", 4) != nil {
+	if r.Series("x") != nil {
 		t.Error("nil registry returned a series")
 	}
 }
@@ -80,14 +81,14 @@ func TestSeriesDisabledAndEnabledAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { nilS.Append(1, 2) }); n != 0 {
 		t.Errorf("nil Append allocates %v/op", n)
 	}
-	s := NewSeries(16)
+	s := newSeries(16)
 	if n := testing.AllocsPerRun(100, func() { s.Append(1, 2) }); n != 0 {
 		t.Errorf("enabled Append allocates %v/op", n)
 	}
 }
 
 func TestSeriesConcurrentAppend(t *testing.T) {
-	s := NewSeries(32)
+	s := newSeries(32)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

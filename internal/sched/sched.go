@@ -1,8 +1,9 @@
 // Package sched implements the scheduling machinery shared by the greedy
 // strategies of the paper: the binary-search Schedule procedure (Algo 1),
-// the greedy ComputeStage (Algo 2), and the support methods MaxPacking,
-// RequiredCores, IsRep and FinalRepTask (Algo 3). FERTAC, 2CATAC and OTAC
-// plug their ComputeSolution variants into Schedule.
+// the greedy ComputeStage (Algo 2, as ComputeStageM), and the support
+// methods MaxPacking, RequiredCores, IsRep and FinalRepTask (Algo 3).
+// FERTAC, 2CATAC and OTAC plug their ComputeSolution variants into
+// Schedule.
 package sched
 
 import (
@@ -255,17 +256,13 @@ func RequiredCores(c *core.Chain, s, e int, v core.CoreType, target float64) int
 	return u
 }
 
-// ComputeStage implements Algo 2: starting at task s with at most avail
+// ComputeStageM implements Algo 2: starting at task s with at most avail
 // cores of type v, it greedily chooses where the stage ends and how many
 // cores it needs to respect the target period. Replicable stages are
 // extended as far as possible, shrunk when the cores run out, and trimmed
 // by one core when the leftover tasks (plus the following sequential task)
-// fit in a single core of the next stage.
-func ComputeStage(c *core.Chain, s, avail int, v core.CoreType, target float64) (end, used int) {
-	return ComputeStageM(c, s, avail, v, target, Metrics{})
-}
-
-// ComputeStageM is ComputeStage reporting into m.
+// fit in a single core of the next stage. It reports into m; the zero
+// Metrics disables.
 func ComputeStageM(c *core.Chain, s, avail int, v core.CoreType, target float64, m Metrics) (end, used int) {
 	m.ComputeStageCalls.Inc()
 	n := c.Len()

@@ -166,12 +166,12 @@ func TestComputeStageSimple(t *testing.T) {
 	// would need the moved tail + the next sequential task to fit in one
 	// core: w([f+1, 3]) with f=MaxPacking(2 cores)=1 → w([2,3])=20 > 10,
 	// so the stage keeps 3 cores.
-	e, u := ComputeStage(c, 0, 3, core.Big, 10)
+	e, u := ComputeStageM(c, 0, 3, core.Big, 10, Metrics{})
 	if e != 2 || u != 3 {
 		t.Errorf("ComputeStage = (%d,%d), want (2,3)", e, u)
 	}
 	// With only 2 cores available the stage shrinks to what 2 cores pack.
-	e, u = ComputeStage(c, 0, 2, core.Big, 10)
+	e, u = ComputeStageM(c, 0, 2, core.Big, 10, Metrics{})
 	if e != 1 || u != 2 {
 		t.Errorf("ComputeStage capped = (%d,%d), want (1,2)", e, u)
 	}
@@ -185,7 +185,7 @@ func TestComputeStageLeavesCoreForNextStage(t *testing.T) {
 	c := core.MustChain([]core.Task{
 		task(10, 10, true), task(10, 10, true), task(5, 5, true), task(5, 5, false),
 	})
-	e, u := ComputeStage(c, 0, 4, core.Big, 10)
+	e, u := ComputeStageM(c, 0, 4, core.Big, 10, Metrics{})
 	if e != 1 || u != 2 {
 		t.Errorf("ComputeStage = (%d,%d), want (1,2): should save a core", e, u)
 	}
@@ -194,7 +194,7 @@ func TestComputeStageLeavesCoreForNextStage(t *testing.T) {
 	c2 := core.MustChain([]core.Task{
 		task(10, 10, true), task(10, 10, true), task(5, 5, true), task(9, 9, false),
 	})
-	e, u = ComputeStage(c2, 0, 4, core.Big, 10)
+	e, u = ComputeStageM(c2, 0, 4, core.Big, 10, Metrics{})
 	if e != 2 || u != 3 {
 		t.Errorf("ComputeStage = (%d,%d), want (2,3): trim must not fire", e, u)
 	}
@@ -202,12 +202,12 @@ func TestComputeStageLeavesCoreForNextStage(t *testing.T) {
 
 func TestComputeStageFinalStage(t *testing.T) {
 	c := core.MustChain([]core.Task{task(10, 10, true), task(10, 10, true)})
-	e, u := ComputeStage(c, 0, 4, core.Big, 5)
+	e, u := ComputeStageM(c, 0, 4, core.Big, 5, Metrics{})
 	if e != 1 || u != 4 {
 		t.Errorf("final replicable stage = (%d,%d), want (1,4)", e, u)
 	}
 	// MaxPacking with one core can already reach the end: e == n-1 short-circuits.
-	e, u = ComputeStage(c, 0, 4, core.Big, 20)
+	e, u = ComputeStageM(c, 0, 4, core.Big, 20, Metrics{})
 	if e != 1 || u != 1 {
 		t.Errorf("relaxed target = (%d,%d), want (1,1)", e, u)
 	}
@@ -221,7 +221,7 @@ func TestComputeStageProperty(t *testing.T) {
 		avail := 1 + rng.Intn(6)
 		target := 1 + float64(rng.Intn(400))
 		v := core.CoreType(rng.Intn(2))
-		e, u := ComputeStage(c, s, avail, v, target)
+		e, u := ComputeStageM(c, s, avail, v, target, Metrics{})
 		if e < s || e >= c.Len() || u < 1 {
 			return false
 		}

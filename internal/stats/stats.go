@@ -49,20 +49,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Min returns the minimum of xs, or NaN for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // FractionAtMost returns the fraction of xs that are ≤ bound (with a small
 // tolerance for floating-point ties), or NaN for an empty slice.
 func FractionAtMost(xs []float64, bound float64) float64 {

@@ -114,17 +114,6 @@ func PlanBatch(reqs []Request, workers int) []Result {
 	return out
 }
 
-// PlanAll runs every non-hidden registered strategy over one (chain,
-// resources) pair — the batched form of a "-strategy all" sweep.
-func PlanAll(c *core.Chain, r core.Resources, opts Options, workers int) []Result {
-	all := All()
-	reqs := make([]Request, len(all))
-	for i, s := range all {
-		reqs[i] = Request{Chain: c, Resources: r, Scheduler: s, Options: opts, Label: s.Name()}
-	}
-	return PlanBatch(reqs, workers)
-}
-
 // requestSpan opens request i's journal span under req.Options.Trace — the
 // one opener PlanBatch and ReplanBatch share — or returns nil when
 // journaling is off.

@@ -136,26 +136,36 @@ func TestPlanBatchEmpty(t *testing.T) {
 	}
 }
 
+// planAll runs every strategy of All() over one (chain, resources) pair in
+// one PlanBatch — the batched form of a "-strategy all" sweep.
+func planAll(c *core.Chain, r core.Resources, opts Options, workers int) []Result {
+	var reqs []Request
+	for _, s := range All() {
+		reqs = append(reqs, Request{Chain: c, Resources: r, Scheduler: s, Options: opts, Label: s.Name()})
+	}
+	return PlanBatch(reqs, workers)
+}
+
 func TestPlanAll(t *testing.T) {
 	c := testChain(t)
 	r := core.Res(2, 4)
-	res := PlanAll(c, r, Options{}, 0)
-	names := Names()
-	if len(res) != len(names) {
-		t.Fatalf("%d results, want %d", len(res), len(names))
+	res := planAll(c, r, Options{}, 0)
+	labels := names()
+	if len(res) != len(labels) {
+		t.Fatalf("%d results, want %d", len(res), len(labels))
 	}
 	for i, re := range res {
-		if re.Request.Label != names[i] {
-			t.Errorf("result %d labeled %q, want %q", i, re.Request.Label, names[i])
+		if re.Request.Label != labels[i] {
+			t.Errorf("result %d labeled %q, want %q", i, re.Request.Label, labels[i])
 		}
 		if re.Err != nil {
-			t.Errorf("%s: %v", names[i], re.Err)
+			t.Errorf("%s: %v", labels[i], re.Err)
 		}
 		if want := re.Request.Scheduler.Schedule(c, r, Options{}); re.Solution.String() != want.String() {
-			t.Errorf("%s: batch %v, direct %v", names[i], re.Solution, want)
+			t.Errorf("%s: batch %v, direct %v", labels[i], re.Solution, want)
 		}
 		if re.Elapsed <= 0 {
-			t.Errorf("%s: non-positive Elapsed %v", names[i], re.Elapsed)
+			t.Errorf("%s: non-positive Elapsed %v", labels[i], re.Elapsed)
 		}
 	}
 }

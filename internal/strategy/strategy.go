@@ -4,9 +4,9 @@
 // interface and a fixed table of strategies.
 //
 // The table is the one place that maps strategy names (and their
-// documented aliases) to implementations: cmd/ampsched, cmd/experiments,
-// internal/experiments and the examples all dispatch through Parse/Get
-// instead of maintaining their own string switches. Each row of the table
+// documented aliases) to implementations: cmd/ampsched, cmd/experiments
+// and internal/experiments all dispatch through Parse/Get instead of
+// maintaining their own string switches. Each row of the table
 // is itself the Scheduler (builtin.go), with one Schedule path for every
 // strategy. Options carries the cross-cutting knobs (stage co-location,
 // the solution cache and the observability sinks); nil sinks are the off
@@ -213,16 +213,6 @@ func All() []Scheduler {
 		if !b.hidden {
 			out = append(out, b)
 		}
-	}
-	return out
-}
-
-// Names returns the canonical names of All().
-func Names() []string {
-	all := All()
-	out := make([]string, len(all))
-	for i, s := range all {
-		out[i] = s.Name()
 	}
 	return out
 }

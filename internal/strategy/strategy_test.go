@@ -21,11 +21,20 @@ func testChain(t testing.TB) *core.Chain {
 	})
 }
 
+// names returns the canonical names of All().
+func names() []string {
+	var out []string
+	for _, s := range All() {
+		out = append(out, s.Name())
+	}
+	return out
+}
+
 func TestAllOrder(t *testing.T) {
 	want := []string{"HeRAD", "2CATAC", "FERTAC", "OTAC (B)", "OTAC (L)"}
-	got := Names()
+	got := names()
 	if len(got) != len(want) {
-		t.Fatalf("Names() = %v, want %v", got, want)
+		t.Fatalf("names() = %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {

@@ -28,9 +28,9 @@ func planAllJournal(t *testing.T, c *core.Chain, r core.Resources, workers int) 
 	t.Helper()
 	j := trace.New()
 	opts := Options{Trace: j.Root().Begin("run")}
-	results := PlanAll(c, r, opts, workers)
+	results := planAll(c, r, opts, workers)
 	if len(results) != len(All()) {
-		t.Fatalf("PlanAll returned %d results, want %d", len(results), len(All()))
+		t.Fatalf("planAll returned %d results, want %d", len(results), len(All()))
 	}
 	var buf bytes.Buffer
 	if err := j.WriteJSONL(&buf); err != nil {

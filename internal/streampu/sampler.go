@@ -118,7 +118,7 @@ func (s *Sampler) bind(stages []pipeStage, scale float64, t0 time.Time) {
 		if s.reg != nil {
 			n := strconv.Itoa(i)
 			st.lat[i] = s.reg.LogHistogram("streampu.latency_us.stage" + n)
-			s.occSeries[i] = s.reg.Series("streampu.occupancy_window.stage"+n, 0)
+			s.occSeries[i] = s.reg.Series("streampu.occupancy_window.stage" + n)
 		} else {
 			st.lat[i] = obs.NewLogHistogram()
 		}

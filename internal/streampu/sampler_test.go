@@ -65,7 +65,7 @@ func TestSamplerAggregatesRun(t *testing.T) {
 	}
 	// Registry got the occupancy series and latency histograms; the sink
 	// stage's latency count is the frame count a rate() over it needs.
-	if reg.Series("streampu.occupancy_window.stage0", 0).Total() != 1 {
+	if reg.Series("streampu.occupancy_window.stage0").Total() != 1 {
 		t.Error("occupancy series missing sample")
 	}
 	if reg.LogHistogram("streampu.latency_us.stage1").Count() != 40 {

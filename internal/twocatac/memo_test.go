@@ -34,7 +34,7 @@ func computeSolutionMemo(c *core.Chain, s int, r core.Resources, target float64,
 	}
 	var sols [2]core.Solution
 	for _, v := range []core.CoreType{core.Big, core.Little} {
-		e, u := sched.ComputeStage(c, s, r.Count(v), v, target)
+		e, u := sched.ComputeStageM(c, s, r.Count(v), v, target, sched.Metrics{})
 		switch {
 		case u < 1 || u > r.Count(v) || c.Weight(s, e, u, v) > target:
 		case e == c.Len()-1:
