@@ -158,26 +158,6 @@ func TestMainErrFlushesArtifactsOnFailure(t *testing.T) {
 	}
 }
 
-// TestMainErrListen serves the exposition endpoints during a run; the
-// printed line names the bound address.
-func TestMainErrListen(t *testing.T) {
-	var out bytes.Buffer
-	if err := mainErr(config{input: "testdata/chain.json", big: 2, little: 2,
-		strategy: "herad", frames: 10, scale: 1, interframe: 0,
-		listen: "127.0.0.1:0", out: &out}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "# serving metrics and pprof on http://127.0.0.1:") {
-		t.Errorf("missing listen banner in output:\n%s", out.String())
-	}
-	// A bad address must fail up front.
-	if err := mainErr(config{input: "testdata/chain.json", big: 2, little: 2,
-		strategy: "herad", frames: 10, scale: 1, interframe: 0,
-		listen: "256.0.0.1:bad", out: &out}); err == nil {
-		t.Error("bad -listen address accepted")
-	}
-}
-
 func TestChromeSiblingPath(t *testing.T) {
 	for in, want := range map[string]string{
 		"sched.jsonl":    "sched.chrome.json",

@@ -51,8 +51,6 @@
 //	              write the decision journal as canonical JSONL to FILE
 //	              plus a Chrome-trace view (chrome://tracing) to
 //	              FILE.chrome.json; written even when a later step fails
-//	-listen ADDR  serve /metrics, /statusz, /debug/flightz and
-//	              /debug/pprof on ADDR for the duration of the run
 //	-flight-dump F
 //	              write the flight recorder's dump to F at exit: one plan
 //	              event per schedule, plus desim window events under
@@ -80,7 +78,6 @@ import (
 	"ampsched/internal/desim"
 	"ampsched/internal/obs"
 	"ampsched/internal/obs/flight"
-	obshttp "ampsched/internal/obs/http"
 	"ampsched/internal/platform"
 	"ampsched/internal/report"
 	"ampsched/internal/strategy"
@@ -143,7 +140,6 @@ type config struct {
 	stats      bool          // report scheduler metrics after the schedules
 	explain    bool          // print the decision-trace narrative
 	traceSched string        // decision-journal JSONL output path
-	listen     string        // live exposition address (metrics + pprof)
 	flightDump string        // flight-recorder dump output path
 	cpuProfile string        // pprof CPU profile output path
 	memProfile string        // pprof heap profile output path
@@ -163,6 +159,8 @@ func (c config) check(nStrategies int) error {
 		{c.input != "" && c.platform != "", "-input and -platform are exclusive: pass one chain source"},
 		{c.input == "" && c.platform == "", "-input FILE or -platform mac|x7 is required"},
 		{c.resources != "" && (c.big != 0 || c.little != 0), "-resources is exclusive with -big/-little"},
+		{c.big < 0, fmt.Sprintf("-big must be >= 0 cores, got %d", c.big)},
+		{c.little < 0, fmt.Sprintf("-little must be >= 0 cores, got %d", c.little)},
 		{c.trace != "" && !c.run, "-trace requires -run: the Chrome trace records the streampu pipeline execution (pass -run, or drop -trace)"},
 		{c.trace != "" && nStrategies > 1, fmt.Sprintf("-trace takes one strategy, -strategy %s names %d (each run would overwrite the file)", c.strategy, nStrategies)},
 		{c.watch != 0 && !c.run, "-watch requires -run: the live view samples the streampu pipeline while it executes (pass -run, or drop -watch)"},
@@ -200,7 +198,6 @@ func main() {
 	flag.BoolVar(&cfg.stats, "stats", false, "report scheduler metrics (table, or obs report in -json mode)")
 	flag.BoolVar(&cfg.explain, "explain", false, "print the decision-trace narrative after the schedules (text mode only)")
 	flag.StringVar(&cfg.traceSched, "trace-sched", "", "write the decision journal (JSONL + .chrome.json view) to this file")
-	flag.StringVar(&cfg.listen, "listen", "", `serve /metrics and /debug/pprof on this address (e.g. "127.0.0.1:8080")`)
 	flag.StringVar(&cfg.flightDump, "flight-dump", "", "write the flight recorder's dump to this file at exit")
 	flag.StringVar(&cfg.cpuProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
 	flag.StringVar(&cfg.memProfile, "memprofile", "", "write a pprof heap profile to this file at exit")
@@ -252,11 +249,10 @@ func mainErr(cfg config) error {
 		interframe = cfg.interframe
 	}
 
-	// The flight recorder is a pure sink, created only when some
-	// observability surface asked for it so the default run keeps its
-	// exact fast paths.
+	// The flight recorder is a pure sink, created only under -flight-dump
+	// so the default run keeps its exact fast paths.
 	var rec *flight.Recorder
-	if cfg.flightDump != "" || cfg.listen != "" {
+	if cfg.flightDump != "" {
 		rec = flight.New(0)
 	}
 	// Exit artifacts are deferred before any work that can fail, so a
@@ -307,16 +303,8 @@ func mainErr(cfg config) error {
 	}
 
 	var reg *obs.Registry
-	if cfg.stats || cfg.listen != "" {
+	if cfg.stats {
 		reg = obs.NewRegistry()
-	}
-	if cfg.listen != "" {
-		srv, err := obshttp.Serve(cfg.listen, "ampsched", reg, rec)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(notes, "# serving metrics and pprof on http://%s\n", srv.Addr())
 	}
 	header := []string{"Strategy", "Period", "FPS", "Pipeline decomposition"}
 	for v := 0; v < r.NumTypes(); v++ {

@@ -226,6 +226,8 @@ func TestConfigCheck(t *testing.T) {
 		{"-input", func(c *config) { c.platform = "mac" }},
 		{"-input", func(c *config) { c.input = "" }},
 		{"-resources", func(c *config) { c.resources = "2B,2L" }},
+		{"-big", func(c *config) { c.big = -1 }},
+		{"-little", func(c *config) { c.little = -1 }},
 		{"-trace", func(c *config) { c.trace = "t.json" }},
 		{"-trace", func(c *config) { c.run, c.trace, c.strategy = true, "t.json", "all" }},
 		{"-watch", func(c *config) { c.watch = time.Millisecond }},

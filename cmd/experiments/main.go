@@ -99,6 +99,9 @@ func newApp(args []string) (*app, string, error) {
 	if *runs < 1 {
 		return nil, "", fmt.Errorf("-runs must be at least 1, got %d", *runs)
 	}
+	if *workers < 0 {
+		return nil, "", fmt.Errorf("-workers must be >= 0 (0 means one per CPU), got %d", *workers)
+	}
 	if !(*scale > 0) || math.IsInf(*scale, 1) {
 		return nil, "", fmt.Errorf("-scale must be a finite time scale > 0, got %v", *scale)
 	}
@@ -231,6 +234,9 @@ func (a *app) fig1() error {
 			stats.CDFAt(s.CDF, 1.25), stats.CDFAt(s.CDF, 1.5), last)
 	}
 	a.emit(t)
+	if a.csv {
+		return nil // Fig. 1b is an ASCII plot, which CSV output cannot carry
+	}
 	// Fig. 1b: the full-range plot for R = (10,10).
 	var plot []report.Series
 	for _, s := range series {
@@ -254,9 +260,10 @@ func (a *app) fig2() error {
 	res := experiments.Fig2(cfg)
 	fmt.Printf("Fig. 2 — FERTAC−HeRAD core-usage deltas, R=%v SR=%.1f (%d chains)\n\n",
 		res.R, res.SR, res.All.Total())
-	for name, h := range map[string]*stats.Hist2D{"all results": res.All, "only optimal periods": res.Opt} {
+	names := []string{"all results", "only optimal periods"}
+	for i, h := range []*stats.Hist2D{res.All, res.Opt} {
 		fmt.Printf("%s (%d samples): ≤1 extra core %.1f%%, ≤2 extra cores %.1f%%\n",
-			name, h.Total(), 100*experiments.ExtraCoresAtMost(h, 1), 100*experiments.ExtraCoresAtMost(h, 2))
+			names[i], h.Total(), 100*experiments.ExtraCoresAtMost(h, 1), 100*experiments.ExtraCoresAtMost(h, 2))
 		xmin, xmax, ymin, ymax := h.Bounds()
 		t := report.NewTable(append([]string{"Δbig\\Δlittle"}, colLabels(ymin, ymax)...)...)
 		for x := xmin; x <= xmax; x++ {

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"encoding/csv"
 	"os"
 	"strings"
 	"testing"
@@ -103,15 +105,17 @@ func TestNewAppQuickKeepsExplicitFlags(t *testing.T) {
 	}
 }
 
-// TestNewAppRefusesCounts pins that -chains and -runs below 1 are refused:
-// a negative count used to panic in chain generation, a zero one to print
-// NaN or "-" in every cell.
+// TestNewAppRefusesCounts pins that -chains and -runs below 1 are refused
+// (a negative count used to panic in chain generation, a zero one to print
+// NaN or "-" in every cell), and so is a negative -workers, which used to
+// run silently at one worker per CPU.
 func TestNewAppRefusesCounts(t *testing.T) {
 	for _, tc := range []struct{ flag, val, cmd string }{
 		{"-chains", "-1", "table1"},
 		{"-chains", "0", "table1"},
 		{"-runs", "0", "fig3"},
 		{"-runs", "-2", "fig3"},
+		{"-workers", "-2", "table1"},
 	} {
 		_, _, err := newApp([]string{"-quick", tc.flag, tc.val, "-metrics", "", tc.cmd})
 		if err == nil || !strings.HasPrefix(err.Error(), tc.flag) {
@@ -135,5 +139,40 @@ func TestNewAppRefusesScale(t *testing.T) {
 	}
 	if a.scale != 2.5 {
 		t.Errorf("-scale 2.5: scale %v", a.scale)
+	}
+}
+
+// TestFig1CSVHasNoPlot pins that -csv fig1 writes only its title and CSV
+// records: the ASCII Fig. 1b plot is text output only, as for fig3/fig4.
+func TestFig1CSVHasNoPlot(t *testing.T) {
+	a := testApp()
+	a.csv = true
+	out := captureStdout(t, func() error { return a.run("fig1") })
+	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+	for _, line := range lines[1:] {
+		if line == "" {
+			continue
+		}
+		rec, err := csv.NewReader(strings.NewReader(line)).Read()
+		if err != nil || len(rec) != 8 {
+			t.Fatalf("-csv fig1 line is not an 8-field record (%v): %q\n%s", err, line, out)
+		}
+	}
+}
+
+// TestFig2OrderIsFixed renders fig2 50 times: every output must be
+// byte-identical, with the "all results" heatmap first.
+func TestFig2OrderIsFixed(t *testing.T) {
+	a := testApp()
+	first := captureStdout(t, func() error { return a.run("fig2") })
+	all := bytes.Index(first, []byte("all results ("))
+	opt := bytes.Index(first, []byte("only optimal periods ("))
+	if all < 0 || opt < all {
+		t.Fatalf("want \"all results\" before \"only optimal periods\":\n%s", first)
+	}
+	for i := 1; i < 50; i++ {
+		if again := captureStdout(t, func() error { return a.run("fig2") }); !bytes.Equal(again, first) {
+			t.Fatalf("render %d differs:\n%s\n---\n%s", i, first, again)
+		}
 	}
 }

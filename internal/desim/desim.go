@@ -20,7 +20,8 @@ import (
 // Config parameterizes a simulation run.
 type Config struct {
 	// Frames is the number of frames pushed through the pipeline; 0
-	// selects 2000, and 1 is rejected (a period needs two departures).
+	// selects 2000, and 1 or a negative count is rejected (a period needs
+	// two departures).
 	// The first max(1, Frames/4) departures are warm-up, excluded from
 	// the steady-state period and latency.
 	Frames int
@@ -83,7 +84,7 @@ func Simulate(c *core.Chain, sol core.Solution, cfg Config) (Result, error) {
 	if err := sol.Validate(c, core.Unlimited(c.NumTypes())); err != nil {
 		return Result{}, fmt.Errorf("desim: invalid solution: %w", err)
 	}
-	if cfg.Frames <= 0 {
+	if cfg.Frames == 0 {
 		cfg.Frames = 2000
 	}
 	if cfg.Frames < 2 {

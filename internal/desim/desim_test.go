@@ -3,6 +3,7 @@ package desim
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"ampsched/internal/chaingen"
@@ -31,6 +32,9 @@ func TestErrors(t *testing.T) {
 	ok := core.Solution{Stages: []core.Stage{{Start: 0, End: 0, Cores: 1, Type: core.Big}}}
 	if _, err := Simulate(c, ok, Config{QueueCap: -1}); err == nil {
 		t.Error("negative queue capacity accepted")
+	}
+	if _, err := Simulate(c, ok, Config{Frames: -3}); err == nil || !strings.Contains(err.Error(), "-3") {
+		t.Errorf("Frames = -3: err %v, want a refusal naming -3", err)
 	}
 }
 

@@ -38,7 +38,10 @@ func TestFlightDumpMatchesGolden(t *testing.T) {
 
 	// The dump tells the fault story in causal order: the injected step,
 	// then the windows whose weight estimate shows it.
-	counts := rec.CountByCode()
+	counts := map[flight.Code]int{}
+	for _, e := range rec.Snapshot() {
+		counts[e.Code]++
+	}
 	if counts[flight.CodeFault] != 1 {
 		t.Fatalf("counts = %v, want one fault", counts)
 	}

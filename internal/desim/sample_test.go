@@ -97,8 +97,8 @@ func TestSamplingIsBitDeterministic(t *testing.T) {
 
 // TestSampleLandsUnderRegistryScope runs the weight-step scenario the way
 // a per-strategy caller does — registry scoped by the strategy's slug —
-// and checks that the snapshot /statusz serves lists the sampled series
-// under that scope.
+// and checks that the registry snapshot (what -stats prints) lists the
+// sampled series under that scope.
 func TestSampleLandsUnderRegistryScope(t *testing.T) {
 	c, sol, _ := stepScenario(t)
 	reg := obs.NewRegistry()

@@ -44,9 +44,9 @@ import (
 )
 
 // Code discriminates the event kinds a Recorder captures. The set is
-// closed and ordered. Dumps and /debug/flightz render the code name, never
-// the number, so deleting a code renumbers the ones after it without
-// changing any dump; TestCodeString pins every name in order.
+// closed and ordered. Dumps render the code name, never the number, so
+// deleting a code renumbers the ones after it without changing any dump;
+// TestCodeString pins every name in order.
 type Code uint8
 
 // The event codes.
@@ -324,19 +324,3 @@ func writeEvent(w io.Writer, r *Recorder, e Event) error {
 	}
 	return err
 }
-
-// CountByCode tallies the live window per code — the summary /debug/flightz
-// prints above the dump and tests assert on. Nil receiver → zero array.
-func (r *Recorder) CountByCode() [numCodes]int {
-	var out [numCodes]int
-	for _, e := range r.Snapshot() {
-		if int(e.Code) < len(out) {
-			out[e.Code]++
-		}
-	}
-	return out
-}
-
-// NumCodes is the number of defined event codes (the length of the
-// CountByCode array).
-const NumCodes = int(numCodes)

@@ -172,21 +172,6 @@ func TestConcurrentRecordersNeverEmitTornEvents(t *testing.T) {
 	}
 }
 
-func TestCountByCode(t *testing.T) {
-	r := New(16)
-	r.Record(Event{Code: CodeWindow})
-	r.Record(Event{Code: CodeWindow})
-	r.Record(Event{Code: CodeStall})
-	counts := r.CountByCode()
-	if counts[CodeWindow] != 2 || counts[CodeStall] != 1 {
-		t.Fatalf("counts = %v", counts)
-	}
-	var nilRec *Recorder
-	if c := nilRec.CountByCode(); c != ([NumCodes]int{}) {
-		t.Fatalf("nil counts = %v", c)
-	}
-}
-
 func TestRecordIsAllocationFree(t *testing.T) {
 	r := New(64)
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -209,10 +194,10 @@ func TestRecordIsAllocationFree(t *testing.T) {
 // list is what must not change by accident.
 func TestCodeString(t *testing.T) {
 	want := []string{"none", "mark", "plan", "replan", "frame_drop", "stall", "window", "fault"}
-	if len(want) != NumCodes {
-		t.Fatalf("NumCodes = %d, want %d", NumCodes, len(want))
+	if len(want) != int(numCodes) {
+		t.Fatalf("numCodes = %d, want %d", numCodes, len(want))
 	}
-	for c := 0; c < NumCodes; c++ {
+	for c := 0; c < int(numCodes); c++ {
 		if got := Code(c).String(); got != want[c] {
 			t.Errorf("Code(%d) = %q, want %q", c, got, want[c])
 		}

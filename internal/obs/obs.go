@@ -270,8 +270,9 @@ type Sample struct {
 }
 
 // Snapshot returns every registered series sorted by name — a
-// deterministic export order for identical workloads. A nil registry
-// snapshots empty.
+// deterministic export order for identical workloads. It may run while
+// other goroutines update the handles (TestSnapshotDuringWrites). A nil
+// registry snapshots empty.
 func (r *Registry) Snapshot() []Sample {
 	if r == nil {
 		return nil

@@ -3,9 +3,12 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"sync"
 	"testing"
 	"time"
+
+	"ampsched/internal/obs/flight"
 )
 
 func TestCounterGaugeTimerHistogram(t *testing.T) {
@@ -211,4 +214,71 @@ func TestReportJSON(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Error("snapshots of an unchanged registry differ")
 	}
+}
+
+// TestSnapshotDuringWrites reads the registry and a flight recorder while
+// a writer keeps appending to a series, observing into a histogram and
+// recording flight events. Under -race this is the read path against live
+// writers: every snapshot must encode, each series and histogram count
+// must never go backwards, and no series point or flight event may be
+// torn (the writer keeps value and tick in a fixed relation).
+func TestSnapshotDuringWrites(t *testing.T) {
+	reg := NewRegistry()
+	rec := flight.New(64)
+	series := reg.Series("pipe.occupancy")
+	lat := reg.LogHistogram("pipe.latency_us")
+
+	stop := make(chan struct{})
+	var writer sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		for tick := int64(0); ; tick++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			series.Append(tick, float64(tick%7))
+			lat.Observe(float64(10 + tick%1000))
+			rec.Record(flight.Event{Code: flight.CodeWindow, Tick: tick, A: float64(tick)})
+		}
+	}()
+
+	var readers sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			last := map[string]int64{}
+			for i := 0; i < 25; i++ {
+				snap := reg.Snapshot()
+				if _, err := json.Marshal(snap); err != nil {
+					t.Errorf("snapshot does not encode: %v", err)
+				}
+				for _, s := range snap {
+					if s.Count < last[s.Name] {
+						t.Errorf("%s count went back from %d to %d", s.Name, last[s.Name], s.Count)
+					}
+					last[s.Name] = s.Count
+					for _, p := range s.Points {
+						if p.Value != float64(p.Tick%7) {
+							t.Errorf("torn series point %+v", p)
+						}
+					}
+				}
+				for _, e := range rec.Snapshot() {
+					if e.A != float64(e.Tick) {
+						t.Errorf("torn flight event %+v", e)
+					}
+				}
+				if err := rec.WriteDump(io.Discard); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	readers.Wait()
+	close(stop)
+	writer.Wait()
 }
