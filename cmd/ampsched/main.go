@@ -143,6 +143,7 @@ type config struct {
 	flightDump string        // flight-recorder dump output path
 	cpuProfile string        // pprof CPU profile output path
 	memProfile string        // pprof heap profile output path
+	args       []string      // words left after the flags; ampsched takes none
 
 	// out receives everything the command prints to stdout. Tests inject
 	// a buffer; nil means os.Stdout.
@@ -150,12 +151,14 @@ type config struct {
 }
 
 // check applies every rule that reads only flags, for a -strategy that
-// names nStrategies strategies. Each error starts with the flag it names.
+// names nStrategies strategies. Each error starts with the flag it names,
+// or with "unexpected" for words left after the flags.
 func (c config) check(nStrategies int) error {
 	for _, r := range []struct {
 		bad bool
 		err string
 	}{
+		{len(c.args) > 0, fmt.Sprintf("unexpected arguments %q: ampsched takes flags only, and flag parsing stops at the first other word, so the flags after it would be dropped", c.args)},
 		{c.input != "" && c.platform != "", "-input and -platform are exclusive: pass one chain source"},
 		{c.input == "" && c.platform == "", "-input FILE or -platform mac|x7 is required"},
 		{c.resources != "" && (c.big != 0 || c.little != 0), "-resources is exclusive with -big/-little"},
@@ -202,6 +205,7 @@ func main() {
 	flag.StringVar(&cfg.cpuProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
 	flag.StringVar(&cfg.memProfile, "memprofile", "", "write a pprof heap profile to this file at exit")
 	flag.Parse()
+	cfg.args = flag.Args()
 
 	if err := mainErr(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "ampsched:", err)

@@ -238,6 +238,7 @@ func TestConfigCheck(t *testing.T) {
 		{"-scale", func(c *config) { c.run, c.scale = true, -1 }},
 		{"-scale", func(c *config) { c.run, c.scale = true, math.Inf(1) }},
 		{"-explain", func(c *config) { c.explain, c.json = true, true }},
+		{"unexpected", func(c *config) { c.args = []string{"typo", "-little", "2"} }},
 	} {
 		dir := t.TempDir()
 		cfg := config{input: "testdata/chain.json", big: 2, little: 2, strategy: "herad",

@@ -110,6 +110,9 @@ func newApp(args []string) (*app, string, error) {
 		fs.Usage()
 		return nil, "", errors.New("missing experiment name")
 	}
+	if fs.NArg() > 1 {
+		return nil, "", fmt.Errorf("unexpected arguments %q after experiment %s: flags go before the experiment name, and one experiment runs at a time", fs.Args()[1:], cmd)
+	}
 	a := &app{
 		chains: *chains, runs: *runs, quick: *quick,
 		csv: *csv, real: *real, scale: *scale, metricsPath: *metrics,

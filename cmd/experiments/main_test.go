@@ -124,6 +124,23 @@ func TestNewAppRefusesCounts(t *testing.T) {
 	}
 }
 
+// TestNewAppRefusesTrailingWords pins that words after the experiment name
+// are refused and named: flag parsing stops at the first non-flag word, so
+// "table1 -quick" used to ignore -quick and run the full campaign.
+func TestNewAppRefusesTrailingWords(t *testing.T) {
+	for _, args := range [][]string{
+		{"table1", "-quick"},
+		{"-quick", "fig3", "-runs", "3"},
+		{"-quick", "table1", "fig1"},
+	} {
+		last := args[len(args)-1]
+		_, _, err := newApp(args)
+		if err == nil || !strings.HasPrefix(err.Error(), "unexpected arguments") || !strings.Contains(err.Error(), `"`+last+`"`) {
+			t.Errorf("%q: err %v, want an unexpected-arguments error naming %q", args, err, last)
+		}
+	}
+}
+
 // TestNewAppRefusesScale pins that a -scale Table II would not run at is
 // refused, instead of being announced and replaced by the default.
 func TestNewAppRefusesScale(t *testing.T) {

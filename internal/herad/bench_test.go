@@ -9,9 +9,10 @@ import (
 )
 
 // These are the micro rows DESIGN.md §4g quotes, at sizes the repository
-// benchmark (bench/) does not run: its planner workloads stop at n=512.
+// benchmark (bench/) does not run: its planner workloads stop at n=1024
+// on (4,4) and at n=160 on (20,20).
 // Inputs and seeds are fixed so numbers stay comparable across commits.
-// One op is 0.2–1.3 s, so `-benchtime=1x` (CI's smoke run) is one fill.
+// One op is 0.1–1 s, so `-benchtime=1x` (CI's smoke run) is one fill.
 
 // BenchmarkFillScale is the large-n sweep of the fill on R=(4,4), one to
 // two orders of magnitude past the paper's chain lengths, where the O(n²)
@@ -28,6 +29,20 @@ func BenchmarkFillScale(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkFillFig4 is Fig. 4's largest point, n = 20 on R = (160,160):
+// a short chain on a wide platform, few splits per cell and up to 160
+// counts per type at each.
+func BenchmarkFillFig4(b *testing.B) {
+	c := chaingen.GenerateMany(chaingen.Default(20, 0.8), 13, 1)[0]
+	r := core.Res(160, 160)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if s := Schedule(c, r); s.IsEmpty() {
+			b.Fatal("no schedule")
+		}
 	}
 }
 

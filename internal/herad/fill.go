@@ -224,19 +224,23 @@ func (m *matrix) seed(f *rowFill, idx int) {
 // recompute implements Algo 9 for state s of row f.j: it computes
 // P*(j, r⃗) by comparing the single-stage seed, the neighbor cells with one
 // less core of each type, and every split point i / core count u for every
-// core type (Eq. 4). The reverse i loop is cut once even the widest
-// replicated stage of every type exceeds the current best period — stage
-// weight only grows as i decreases, so no smaller i can win — and
-// sequential intervals only try a single core.
+// core type (Eq. 4), walking the splits downwards from topSplit. The walk
+// ends once even the widest replicated stage of every type exceeds the
+// current best period — stage weight only grows as i decreases, so no
+// smaller i can win — and sequential intervals only try a single core.
+//
+// Before the walk, the split g this state chose one row earlier is
+// evaluated on its own: the warm incumbent. A chain's next task moves the
+// best last stage little, so g's best candidate is usually close to the
+// optimum, and every cut below — the top split included, which is
+// searched again — is measured against the incumbent. Evaluating g costs
+// about one split of the walk and can only spare the splits above it, so
+// it is done only when at least two lie between g and the top split.
 //
 // A candidate's period is max(P*(i-1, r⃗-u·e_v), w/u): the stage term only
 // shrinks as u grows, the predecessor term only grows, with u and with i.
-// Three cuts leave out the part of the (i, v, u) box where one of the two
-// is strictly above the incumbent at the moment the candidate would have
-// been compared. Such a candidate can neither win nor tie, so the
-// survivors meet the same incumbents in the same order — splits
-// descending, types ascending, counts ascending — and every cell is the
-// one the full walk writes:
+// Four cuts leave out candidates that are strictly worse, in Algo 10's
+// order, than a candidate already compared:
 //
 //   - Count floor. u starts at the smallest count whose stage term
 //     w/float64(u) — the quotient the candidate itself is compared on — is
@@ -245,11 +249,35 @@ func (m *matrix) seed(f *rowFill, idx int) {
 //     (typeFill.floor) and stepped up, never recomputed. It survives the
 //     walk turning sequential: a floor above 1 says w alone is above the
 //     incumbent, which is all a sequential stage (period w, one core) asks.
+//     The warm split is not on the walk's path — its w can exceed that of
+//     the splits above it — so the floors it raises are reset before the
+//     walk.
 //   - Predecessor break. The u loop ends at the first predecessor above the
 //     incumbent: P*(i-1, ·) is non-decreasing in u in the table itself,
 //     because every cell is min-ed against its one-core-less neighbors
-//     before it is read.
+//     before it is read (row 1, which is seeds only, is non-increasing in
+//     each count too: more cores of one type never slow its best stage).
+//   - Crossover. Once a replicable candidate's predecessor term reaches its
+//     stage term, pp(u) ≥ w/u, every larger count u' is worse than u: its
+//     period is pp(u') ≥ pp(u), and at equal periods its predecessor's
+//     usage is lexicographically no smaller (the one-core-less min again),
+//     so its own usage, u'-u cores of type v larger, is strictly larger.
+//     Row 1 is seeds only, and there two equal-period seeds of type v can
+//     give u and u' the same usage, all L cores of v. Then split 1 on
+//     those L cores, walked later, has that usage too and a period no
+//     larger — its weight over L cores lies between pp and w/u — so
+//     neither is the cell's last optimal candidate.
 //   - Top split. The walk starts at topSplit, not at j.
+//
+// A cut drops a candidate only when it is strictly worse than the
+// incumbent, which is always a real candidate, or, for the row-1 twins,
+// when a later candidate is at least as good. So the cell's last optimal
+// candidate in walk order — minimal period, then lexicographically minimal
+// usage, ties at identical usage going to the later one; splits
+// descending, types ascending, counts ascending — is compared in the walk
+// and ends in the cell, whatever the starting incumbent was. If the warm
+// candidate is that one, the walk meets it again at its own split and it
+// wins there. Each cell is the one the full walk writes.
 //
 // Candidates are compared as Algo 10 prescribes — period first, then the
 // usage vector — but without materializing the candidate cell: its usage
@@ -258,9 +286,7 @@ func (m *matrix) seed(f *rowFill, idx int) {
 // every comparison is that of CompareCells on the full cells.
 func (m *matrix) recompute(f *rowFill, s int, om Metrics) {
 	f.cells++
-	// Locals, so the loops below do not reload them through m and f after
-	// every store.
-	j, t, repFrom, states, cells := f.j, f.t[:f.k], f.repFrom, m.states, m.cells
+	j, t, states, cells := f.j, f.t[:f.k], m.states, m.cells
 	idx := j*states + s
 	cur := cells[idx] // seed
 	var ubuf [core.MaxCoreTypes]int32
@@ -280,59 +306,17 @@ func (m *matrix) recompute(f *rowFill, s int, om Metrics) {
 	for v := range t {
 		t[v].floor = 1 // rises along this cell's walk
 	}
-	candidates := 0 // accumulated locally to keep the hot loops cheap
-	cut := 0        // the split the dominance test stopped at (0: it never fired)
-	for i := topSplit(cells, t, states, s, j, cur.pbest); i > 0; i-- {
-		// The candidate stage holds tasks [i-1, j-1] (0-based); its
-		// predecessor subproblem is row i-1. i == 1 reproduces the
-		// single-stage candidates with intermediate core counts.
-		rep := i >= repFrom
-		dominated := true
+	candidates := 0
+	top := topSplit(cells, t, states, s, j, cur.pbest)
+	if g := int(cells[idx-states].start) + 1; g+1 < top { // the warm split
+		candidates, _ = m.walk(f, s, g, g, &cur, use)
 		for v := range t {
-			tv := &t[v]
-			tv.w = tv.end - tv.pre[i-1]
-			if stageWeight(tv.w, rep, int(tv.left)) <= cur.pbest {
-				dominated = false
-			}
+			t[v].floor = 1 // g's w is not the walk's
 		}
-		if dominated {
-			cut = i
-			break
-		}
-		row := (i-1)*states + s
-		for v := range t {
-			tv := &t[v]
-			w, stride, maxU := tv.w, tv.stride, int(tv.left)
-			if !rep && maxU > 1 {
-				maxU = 1 // sequential stages cannot benefit from extra cores
-			}
-			u := tv.floor
-			for u <= maxU && w/float64(u) > cur.pbest {
-				u++
-			}
-			tv.floor = u
-			for ; u <= maxU; u++ {
-				pi := row - u*stride
-				pp := cells[pi].pbest
-				if pp > cur.pbest {
-					break
-				}
-				candidates++
-				p, cores := w, 1
-				if rep {
-					p, cores = w/float64(u), u
-				}
-				if pp > p {
-					p = pp
-				}
-				if p < cur.pbest || p == cur.pbest && usageLE(m.usage(pi), v, int32(cores), use) {
-					cur = cell{pbest: p, prev: int32(s - u*stride), start: int32(i - 1), v: core.CoreType(v)}
-					copyUsage(use, m.usage(pi))
-					use[v] += int32(cores)
-				}
-			}
-		}
+		top = topSplit(cells, t, states, s, top, cur.pbest)
 	}
+	n, cut := m.walk(f, s, top, 1, &cur, use)
+	candidates += n
 	if cut > 0 {
 		f.pruned++
 	}
@@ -351,6 +335,75 @@ func (m *matrix) recompute(f *rowFill, s int, om Metrics) {
 	}
 	cells[idx] = cur
 	copyUsage(m.usage(idx), use)
+}
+
+// walk compares the candidates of splits hi down to lo of state s with the
+// incumbent cur, whose usage vector is use, and replaces it with every one
+// that wins. The candidates of split i are the stage holding tasks
+// [i-1, j-1] (0-based) on u cores of type v, types ascending, counts
+// ascending from each type's floor; their predecessor subproblem is row
+// i-1, and i == 1 reproduces the single-stage candidates with intermediate
+// core counts. It returns the number of candidates compared and the split
+// at which it stopped because the stage was dominated — even the widest
+// replicated stage of every type above the incumbent, and so every stage
+// of every smaller split — or 0 if it never was.
+func (m *matrix) walk(f *rowFill, s, hi, lo int, cur *cell, use []int32) (candidates, cut int) {
+	// Locals, so the loops below do not reload them through m, f and cur
+	// after every store.
+	t, cells, best := f.t[:f.k], m.cells, *cur
+	for i := hi; i >= lo; i-- {
+		rep := i >= f.repFrom
+		dominated := true
+		for v := range t {
+			tv := &t[v]
+			tv.w = tv.end - tv.pre[i-1]
+			if stageWeight(tv.w, rep, int(tv.left)) <= best.pbest {
+				dominated = false
+			}
+		}
+		if dominated {
+			cut = i
+			break
+		}
+		row := (i-1)*m.states + s
+		for v := range t {
+			tv := &t[v]
+			w, stride, maxU := tv.w, tv.stride, int(tv.left)
+			if !rep && maxU > 1 {
+				maxU = 1 // sequential stages cannot benefit from extra cores
+			}
+			u := tv.floor
+			for u <= maxU && w/float64(u) > best.pbest {
+				u++
+			}
+			tv.floor = u
+			for ; u <= maxU; u++ {
+				pi := row - u*stride
+				pp := cells[pi].pbest
+				if pp > best.pbest {
+					break
+				}
+				candidates++
+				p, cores := w, 1
+				if rep {
+					p, cores = w/float64(u), u
+				}
+				if pp > p {
+					p = pp
+				}
+				if p < best.pbest || p == best.pbest && usageLE(m.usage(pi), v, int32(cores), use) {
+					best = cell{pbest: p, prev: int32(s - u*stride), start: int32(i - 1), v: core.CoreType(v)}
+					copyUsage(use, m.usage(pi))
+					use[v] += int32(cores)
+				}
+				if rep && pp >= w/float64(u) {
+					break // crossover: every larger count is worse than u
+				}
+			}
+		}
+	}
+	*cur = best
+	return candidates, cut
 }
 
 // copyUsage is copy for usage vectors: at most MaxCoreTypes words, for
@@ -402,10 +455,10 @@ func stageWeight(w float64, rep bool, r int) float64 {
 // the table itself, because weights are ≥ 0 (core.NewChain), prefix sums
 // and floating-point subtraction and division are monotone, and every cell
 // is the minimum over all its candidates. Row 0 is the zero cell, so
-// split 1 always qualifies. The answer is j unless the seed beats every
-// same-row neighbor, which takes a state with cores of one type only:
-// above all the k single-core states of a row, whose predecessors past
-// row 0 have no core at all and whose walk no stage weight ever cuts.
+// split 1 always qualifies. A lower p gives an answer no larger, so after
+// the warm split recompute searches again with the first answer as j: p
+// is then close to the cell's optimum, and the walk starts near the split
+// where the optimum's predecessor and stage terms cross.
 func topSplit(cells []cell, t []typeFill, states, s, j int, p float64) int {
 	within := func(i int) bool {
 		for v := range t {

@@ -13,8 +13,8 @@
 // O(n²·Π(C_v+1)·ΣC_v) time and O(n·Π(C_v+1)) space; two published
 // optimizations are implemented (single-core inner loop for sequential
 // intervals, plus the stage-merge post-pass), along with a period-dominance
-// pruning of the reverse stage loop and three cuts inside it that skip only
-// candidates strictly above the incumbent, so neither objective can move.
+// pruning of the reverse stage loop, four cuts inside it and a warm
+// incumbent, none of which can move a cell of the matrix (fill.go).
 package herad
 
 import (
@@ -31,7 +31,7 @@ type Metrics struct {
 	DPCells *obs.Counter
 	// DPCandidates counts candidate (split point, core count, type)
 	// solutions evaluated inside those cells: the ones the cuts of the
-	// split loop cannot rule out unseen.
+	// split loop cannot rule out unseen, the warm split's included.
 	DPCandidates *obs.Counter
 	// DPPruned counts the reverse stage loops cut short by the
 	// period-dominance pruning.
