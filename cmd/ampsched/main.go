@@ -51,11 +51,6 @@
 //	              write the decision journal as canonical JSONL to FILE
 //	              plus a Chrome-trace view (chrome://tracing) to
 //	              FILE.chrome.json; written even when a later step fails
-//	-flight-dump F
-//	              write the flight recorder's dump to F at exit: one plan
-//	              event per schedule, plus desim window events under
-//	              -simulate (byte-identical across identical runs) and
-//	              window/stall/drop events under -run
 //	-cpuprofile F write a pprof CPU profile of the whole invocation
 //	-memprofile F write a pprof heap profile taken at exit
 package main
@@ -77,7 +72,6 @@ import (
 	"ampsched/internal/core"
 	"ampsched/internal/desim"
 	"ampsched/internal/obs"
-	"ampsched/internal/obs/flight"
 	"ampsched/internal/platform"
 	"ampsched/internal/report"
 	"ampsched/internal/strategy"
@@ -140,7 +134,6 @@ type config struct {
 	stats      bool          // report scheduler metrics after the schedules
 	explain    bool          // print the decision-trace narrative
 	traceSched string        // decision-journal JSONL output path
-	flightDump string        // flight-recorder dump output path
 	cpuProfile string        // pprof CPU profile output path
 	memProfile string        // pprof heap profile output path
 	args       []string      // words left after the flags; ampsched takes none
@@ -201,7 +194,6 @@ func main() {
 	flag.BoolVar(&cfg.stats, "stats", false, "report scheduler metrics (table, or obs report in -json mode)")
 	flag.BoolVar(&cfg.explain, "explain", false, "print the decision-trace narrative after the schedules (text mode only)")
 	flag.StringVar(&cfg.traceSched, "trace-sched", "", "write the decision journal (JSONL + .chrome.json view) to this file")
-	flag.StringVar(&cfg.flightDump, "flight-dump", "", "write the flight recorder's dump to this file at exit")
 	flag.StringVar(&cfg.cpuProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
 	flag.StringVar(&cfg.memProfile, "memprofile", "", "write a pprof heap profile to this file at exit")
 	flag.Parse()
@@ -253,12 +245,6 @@ func mainErr(cfg config) error {
 		interframe = cfg.interframe
 	}
 
-	// The flight recorder is a pure sink, created only under -flight-dump
-	// so the default run keeps its exact fast paths.
-	var rec *flight.Recorder
-	if cfg.flightDump != "" {
-		rec = flight.New(0)
-	}
 	// Exit artifacts are deferred before any work that can fail, so a
 	// failing step still flushes everything gathered up to the error. LIFO
 	// order: the CPU profile stops after every other artifact is written.
@@ -281,9 +267,6 @@ func mainErr(cfg config) error {
 				return pprof.WriteHeapProfile(w)
 			})
 		})
-	}
-	if cfg.flightDump != "" {
-		defer warnOnError(func() error { return writeFile(cfg.flightDump, rec.WriteDump) })
 	}
 	var journal *trace.Journal
 	var runSpan *trace.Span
@@ -320,7 +303,7 @@ func mainErr(cfg config) error {
 	t := report.NewTable(header...)
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
-	opts := strategy.Options{Colocate: cfg.colocate, Metrics: reg, Trace: runSpan, Flight: rec}
+	opts := strategy.Options{Colocate: cfg.colocate, Metrics: reg, Trace: runSpan}
 	for _, sc := range scheds {
 		name := sc.Name()
 		sol, err := plan(sc, chain, r, opts)
@@ -329,7 +312,7 @@ func mainErr(cfg config) error {
 		}
 		var sim, run *jsonRun
 		if cfg.simulate {
-			res, err := simulate(chain, sol, rec)
+			res, err := desim.Simulate(chain, sol, desim.Config{Frames: 2000, QueueCap: 2})
 			if err != nil {
 				return err
 			}
@@ -338,7 +321,7 @@ func mainErr(cfg config) error {
 				name, sim.Period, sim.FPS, sim.Latency)
 		}
 		if cfg.run {
-			st, err := execute(cfg, notes, sc, chain, sol, reg, rec)
+			st, err := execute(cfg, notes, sc, chain, sol, reg)
 			if err != nil {
 				return err
 			}
@@ -390,8 +373,8 @@ func mainErr(cfg config) error {
 	return nil
 }
 
-// plan schedules chain on r with one strategy, refuses an empty or
-// invalid schedule, and records the plan in the flight recorder.
+// plan schedules chain on r with one strategy and refuses an empty or
+// invalid schedule.
 func plan(sc strategy.Scheduler, chain *core.Chain, r core.Resources, opts strategy.Options) (core.Solution, error) {
 	name := sc.Name()
 	if err := strategy.CheckTypes(sc, chain, r); err != nil {
@@ -404,29 +387,14 @@ func plan(sc strategy.Scheduler, chain *core.Chain, r core.Resources, opts strat
 	if err := sol.Validate(chain, r); err != nil {
 		return sol, fmt.Errorf("%s produced an invalid schedule: %v", name, err)
 	}
-	// The payload strategy.PlanBatch records for a resolved request.
-	opts.Flight.Record(flight.Event{Code: flight.CodePlan, Stage: -1, Aux: opts.Flight.Intern(name),
-		A: sol.Period(chain), B: float64(len(sol.Stages))})
 	return sol, nil
-}
-
-// simulate runs the schedule through the discrete-event simulator. With a
-// flight recorder, the sim-clock sample pass feeds it deterministic
-// per-window occupancy events — the black box for a run that never
-// touched the wall clock.
-func simulate(chain *core.Chain, sol core.Solution, rec *flight.Recorder) (desim.Result, error) {
-	scfg := desim.Config{Frames: 2000, QueueCap: 2}
-	if rec != nil {
-		scfg.Sample = &desim.SampleConfig{Flight: rec}
-	}
-	return desim.Simulate(chain, sol, scfg)
 }
 
 // execute runs the schedule on the streampu runtime with the tracer,
 // sampler and -watch loop the flags ask for, and writes the -trace file.
 func execute(cfg config, notes io.Writer, sc strategy.Scheduler, chain *core.Chain, sol core.Solution,
-	reg *obs.Registry, rec *flight.Recorder) (streampu.Stats, error) {
-	popt := streampu.Options{TimeScale: cfg.scale, QueueCap: 2, Flight: rec}
+	reg *obs.Registry) (streampu.Stats, error) {
+	popt := streampu.Options{TimeScale: cfg.scale, QueueCap: 2}
 	if cfg.trace != "" {
 		popt.Tracer = &streampu.Tracer{}
 	}
@@ -434,7 +402,6 @@ func execute(cfg config, notes io.Writer, sc strategy.Scheduler, chain *core.Cha
 		// The live telemetry lands under the strategy's slug, next to its
 		// planning series.
 		popt.Sampler = streampu.NewSampler(strategy.MetricsScope(sc, reg))
-		popt.Sampler.Flight = rec
 	}
 	pipe, err := streampu.New(streampu.TimedChain(chain), sol, popt)
 	if err != nil {

@@ -23,8 +23,11 @@ var testOnlyAllowed = map[string]bool{
 // or const in internal/ that no non-test .go file of the repository uses
 // outside its own declaration (a type's methods count as its declaration).
 // A use from the declaring package is a bare identifier; a use from any
-// other package, bench/ included, is a pkg.Name selector. Reference code
-// that only tests call belongs in a _test.go file.
+// other package, bench/ included, is a pkg.Name selector. It fails too on
+// every exported method in internal/ whose name no non-test selector
+// spells (x.Name on any x); MarshalJSON and UnmarshalJSON are exempt,
+// since encoding/json calls them through reflection. Reference code that
+// only tests call belongs in a _test.go file.
 func TestNoTestOnlyExports(t *testing.T) {
 	type file struct {
 		pkg string // import path of the file's package
@@ -61,6 +64,8 @@ func TestNoTestOnlyExports(t *testing.T) {
 
 	declared := map[string]string{} // "pkg.Name" → "name.Name" as a reader spells it
 	used := map[string]bool{}
+	methods := map[string][]string{} // method name → "name.(*T).M" per declaration
+	selected := map[string]bool{}    // every name a non-test selector spells
 	for _, fl := range files {
 		internal := strings.HasPrefix(fl.pkg, "ampsched/internal/")
 		imports := map[string]string{} // local name → import path
@@ -80,7 +85,15 @@ func TestNoTestOnlyExports(t *testing.T) {
 			case *ast.FuncDecl:
 				method = d.Recv != nil
 				if method {
-					self[recvType(d.Recv.List[0].Type)] = true
+					recv := d.Recv.List[0].Type
+					typ := recvType(recv)
+					self[typ] = true
+					if m := d.Name.Name; internal && ast.IsExported(m) && m != "MarshalJSON" && m != "UnmarshalJSON" {
+						if _, ptr := recv.(*ast.StarExpr); ptr {
+							typ = "(*" + typ + ")"
+						}
+						methods[m] = append(methods[m], fl.f.Name.Name+"."+typ+"."+m)
+					}
 				} else {
 					self[d.Name.Name] = true
 				}
@@ -105,6 +118,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 			visit = func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.SelectorExpr:
+					selected[n.Sel.Name] = true
 					if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
 						used[imports[x.Name]+"."+n.Sel.Name] = true
 						return false
@@ -133,6 +147,11 @@ func TestNoTestOnlyExports(t *testing.T) {
 			if !testOnlyAllowed[name] {
 				bad = append(bad, name)
 			}
+		}
+	}
+	for m, decls := range methods {
+		if !selected[m] {
+			bad = append(bad, decls...)
 		}
 	}
 	sort.Strings(bad)

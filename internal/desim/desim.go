@@ -43,8 +43,8 @@ type Config struct {
 	// planner did not anticipate.
 	Steps []WeightStep
 	// Sample, when set, enables deterministic sim-clock sampling: windowed
-	// occupancy/weight series, an end-to-end latency histogram and flight
-	// events driven purely by the simulated clock (see SampleConfig).
+	// occupancy/weight series and an end-to-end latency histogram driven
+	// purely by the simulated clock (see SampleConfig).
 	Sample *SampleConfig
 }
 

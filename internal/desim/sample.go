@@ -5,17 +5,16 @@ import (
 	"strconv"
 
 	"ampsched/internal/obs"
-	"ampsched/internal/obs/flight"
 )
 
 // Sim-clock sampling: the simulator's analogue of streampu's live
 // Sampler. Because the simulation is a deterministic frame-indexed DP,
 // sampling is a pure post-pass over the recorded start/depart/service
 // arrays — windows are cut on the *simulated* clock, never the wall
-// clock, so every run of the same config produces bit-identical series,
-// histograms and flight events. A WeightStep injects a mid-stream weight
-// change, and the sample pass replays it into obs and the flight
-// recorder, where the golden dump pins it byte for byte.
+// clock, so every run of the same config produces bit-identical series
+// and histograms. A WeightStep injects a mid-stream weight change, and
+// the sample pass shows it in the weight series, which a golden pins
+// byte for byte.
 
 // WeightStep perturbs one stage's service time mid-stream: from frame
 // AfterFrame on, stage Stage's per-frame service time is multiplied by
@@ -36,14 +35,6 @@ type SampleConfig struct {
 	// series (one point per window, tick = window index) and the
 	// "desim.latency_us" end-to-end latency histogram. May be nil.
 	Metrics *obs.Registry
-	// Flight, when non-nil, receives the run's flight events on the sim
-	// clock: one CodeFault per configured WeightStep (tick = AfterFrame,
-	// stage = the perturbed stage, A = factor), then one CodeWindow per
-	// (window, stage) with frames in the window (tick = window index,
-	// A = occupancy, B = windowed weight estimate) in window-major order.
-	// Everything is driven by the simulated clock, so dumps of identical
-	// configs are bit-identical — the golden-test contract.
-	Flight *flight.Recorder
 }
 
 // samplePass cuts the simulated timeline into fixed windows and emits
@@ -93,17 +84,6 @@ func samplePass(cfg Config, replicas []int, svc, start, depart [][]float64, make
 		}
 	}
 
-	// Faults first: the injected weight steps are the run's ground truth,
-	// so a flight dump reads cause (fault) before effect (window).
-	for _, stp := range cfg.Steps {
-		s.Flight.Record(flight.Event{
-			Code:  flight.CodeFault,
-			Tick:  int64(stp.AfterFrame),
-			Stage: int32(stp.Stage),
-			A:     stp.Factor,
-		})
-	}
-
 	for w := 0; w < nWin; w++ {
 		width := every
 		if end := float64(w+1) * every; end > makespan {
@@ -121,13 +101,6 @@ func samplePass(cfg Config, replicas []int, svc, start, depart [][]float64, make
 			occSeries[i].Append(int64(w), occ)
 			if count[i][w] > 0 {
 				weightSeries[i].Append(int64(w), est)
-				s.Flight.Record(flight.Event{
-					Code:  flight.CodeWindow,
-					Tick:  int64(w),
-					Stage: int32(i),
-					A:     occ,
-					B:     est,
-				})
 			}
 		}
 	}

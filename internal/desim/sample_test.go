@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strconv"
 	"testing"
 
@@ -70,6 +73,36 @@ func TestWeightStepShowsInWeightSeries(t *testing.T) {
 		if p.Value != 100 {
 			t.Errorf("stage 0 window %d weight = %v, want 100", p.Tick, p.Value)
 		}
+	}
+}
+
+// TestSampleSeriesMatchesGolden pins the weight-step scenario's sampled
+// series point for point: every window's occupancy and, where frames
+// departed, weight estimate of both stages, floats in shortest
+// round-trip form. The step shows as stage 1's weight going 120 → 240.
+func TestSampleSeriesMatchesGolden(t *testing.T) {
+	_, reg := stepRun(t)
+	var buf bytes.Buffer
+	for _, kind := range []string{"occupancy", "weight"} {
+		for i := 0; i < 2; i++ {
+			name := "desim." + kind + ".stage" + strconv.Itoa(i)
+			for _, p := range reg.Series(name).Tail(0) {
+				fmt.Fprintf(&buf, "%s tick=%d %s\n", name, p.Tick, strconv.FormatFloat(p.Value, 'g', -1, 64))
+			}
+		}
+	}
+	golden := filepath.Join("testdata", "sample_series.golden")
+	if *updateGolden {
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("sampled series drifted from golden (re-run with -update to accept):\ngot:\n%s\nwant:\n%s", buf.Bytes(), want)
 	}
 }
 

@@ -73,9 +73,6 @@ func (b *BCH) K() int { return b.k }
 // N returns the (shortened) codeword length in bits.
 func (b *BCH) N() int { return b.nCW }
 
-// T returns the correction capability.
-func (b *BCH) T() int { return b.t }
-
 // Encode appends the BCH parity to info (length K) and returns the
 // systematic codeword of length N: info followed by parity.
 func (b *BCH) Encode(info []byte) []byte {

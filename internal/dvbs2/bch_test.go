@@ -148,7 +148,7 @@ func TestBCHCorrectsUpToT(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		info := randomBits(rng, b.K())
 		cw := b.Encode(info)
-		nerr := 1 + rng.Intn(b.T())
+		nerr := 1 + rng.Intn(b.t)
 		flip(rng, cw, nerr)
 		dec, corrected, ok := b.Decode(cw)
 		if !ok {
@@ -173,7 +173,7 @@ func TestBCHDetectsBeyondT(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		info := randomBits(rng, b.K())
 		cw := b.Encode(info)
-		flip(rng, cw, b.T()+2+rng.Intn(5))
+		flip(rng, cw, b.t+2+rng.Intn(5))
 		if _, _, ok := b.Decode(cw); !ok {
 			failures++
 		}
@@ -194,7 +194,7 @@ func TestBCHFailureLeavesInputUntouched(t *testing.T) {
 	failures := 0
 	for trial := 0; trial < 200; trial++ {
 		cw := b.Encode(randomBits(rng, b.K()))
-		flip(rng, cw, b.T()+2+rng.Intn(5))
+		flip(rng, cw, b.t+2+rng.Intn(5))
 		in := append([]byte(nil), cw...)
 		if _, corrected, ok := b.Decode(cw); !ok {
 			failures++
@@ -289,7 +289,7 @@ func TestBCHMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for nerr := 0; nerr <= b.T()+3; nerr++ {
+		for nerr := 0; nerr <= b.t+3; nerr++ {
 			cw := b.Encode(randomBits(rng, b.K()))
 			flip(rng, cw, nerr)
 			ref := append([]byte(nil), cw...)

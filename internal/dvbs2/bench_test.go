@@ -64,7 +64,7 @@ func BenchmarkBCHDecode(b *testing.B) {
 	}
 	rng := rand.New(rand.NewSource(2))
 	clean := codec.Encode(randomBits(rng, codec.K()))
-	for _, nerr := range []int{0, codec.T()} {
+	for _, nerr := range []int{0, codec.t} {
 		b.Run(fmt.Sprintf("errors=%d", nerr), func(b *testing.B) {
 			cw := make([]byte, len(clean))
 			b.ReportAllocs()

@@ -28,7 +28,7 @@ func FuzzBCHDecode(f *testing.F) {
 		if len(info) != codec.K() {
 			t.Fatalf("info length %d", len(info))
 		}
-		if corrected < 0 || corrected > codec.T() {
+		if corrected < 0 || corrected > codec.t {
 			t.Fatalf("corrected %d outside [0,t]", corrected)
 		}
 		if !ok && (corrected != 0 || string(cw) != string(in)) {
@@ -167,7 +167,7 @@ func FuzzGardnerSync(f *testing.F) {
 				t.Fatalf("more symbols (%d) than samples (%d)", len(out), len(in))
 			}
 		}
-		if mu := g.Mu(); mu < -0.5 || mu >= 1.5 {
+		if mu := g.mu; mu < -0.5 || mu >= 1.5 {
 			t.Fatalf("mu %v escaped its hysteresis band", mu)
 		}
 	})

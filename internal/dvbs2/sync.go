@@ -81,9 +81,6 @@ func NewCoarseFreqSync(sps int) *CoarseFreqSync {
 	return &CoarseFreqSync{Alpha: 0.05, Slew: 1e-5, lag: sps}
 }
 
-// Estimate returns the current CFO estimate in cycles/sample.
-func (c *CoarseFreqSync) Estimate() float64 { return c.fHat }
-
 // Process updates the CFO estimate from the block and derotates it in
 // place.
 func (c *CoarseFreqSync) Process(x []complex128) {
@@ -177,9 +174,6 @@ type GardnerSync struct {
 func NewGardnerSync(sps int) *GardnerSync {
 	return &GardnerSync{sps: sps, kp: 0.05, ki: 2e-5}
 }
-
-// Mu returns the current fractional timing offset (diagnostics).
-func (g *GardnerSync) Mu() float64 { return g.mu }
 
 // interp evaluates a 4-tap cubic Lagrange interpolator at buf[i+mu].
 func interp(buf []complex128, i int, mu float64) complex128 {
@@ -422,9 +416,6 @@ func NewFineFreqSync(header []complex128) *FineFreqSync {
 	return &FineFreqSync{header: append([]complex128(nil), header...), Alpha: 0.25,
 		z: make([]complex128, len(header))}
 }
-
-// Estimate returns the smoothed residual CFO estimate (cycles/symbol).
-func (f *FineFreqSync) Estimate() float64 { return f.fHat }
 
 // Process estimates the residual CFO from the frame's known header
 // symbols with the Luise & Reggiannini estimator — the data-aided

@@ -49,7 +49,7 @@ func TestCoarseFreqSyncTracksCFO(t *testing.T) {
 		}
 		c.Process(x)
 	}
-	if got := c.Estimate(); math.Abs(got-cfo) > cfo/2 {
+	if got := c.fHat; math.Abs(got-cfo) > cfo/2 {
 		t.Errorf("coarse CFO estimate %v, want ≈%v", got, cfo)
 	}
 }
@@ -183,7 +183,7 @@ func TestFineFreqSyncLuiseReggiannini(t *testing.T) {
 			frame[i] *= cmplx.Exp(complex(0, 2*math.Pi*cfo*float64(i)+0.3))
 		}
 		f.Process(frame)
-		if got := f.Estimate(); math.Abs(got-cfo) > 2e-5 {
+		if got := f.fHat; math.Abs(got-cfo) > 2e-5 {
 			t.Errorf("CFO %v: estimate %v (err %.2e)", cfo, got, math.Abs(got-cfo))
 		}
 		// After derotation only a constant phase remains on the header.

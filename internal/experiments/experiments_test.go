@@ -143,16 +143,6 @@ func TestTimingFigs(t *testing.T) {
 	}
 }
 
-func TestTimingSkipHeRAD(t *testing.T) {
-	cfg := TimingConfig{Chains: 2, Seed: 1, SkipHeRADAbove: 10}
-	pts := Timing(cfg, []int{8}, []core.Resources{core.Res(20, 20)}, []float64{0.5})
-	for _, p := range pts {
-		if p.Strategy == StratHeRAD {
-			t.Error("HeRAD not skipped above the cap")
-		}
-	}
-}
-
 func TestTable2SimOnly(t *testing.T) {
 	cfg := Table2Config{RunReal: false}
 	rows, err := Table2(cfg)

@@ -96,9 +96,6 @@ type TimingPoint struct {
 type TimingConfig struct {
 	Chains int
 	Seed   int64
-	// SkipHeRADAbove skips HeRAD for resource totals above this bound
-	// (only used to keep test runs fast; 0 means no cap).
-	SkipHeRADAbove int
 }
 
 // DefaultTimingConfig returns the paper's profiling configuration.
@@ -117,9 +114,6 @@ func Timing(cfg TimingConfig, taskCounts []int, resources []core.Resources, srs 
 			for _, r := range resources {
 				for _, name := range Strategies {
 					if name == StratTwoCAT && n > TwoCATACMaxTasks {
-						continue
-					}
-					if name == StratHeRAD && cfg.SkipHeRADAbove > 0 && r.Total() > cfg.SkipHeRADAbove {
 						continue
 					}
 					out = append(out, timeStrategy(cfg, name, n, r, sr))

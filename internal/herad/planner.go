@@ -55,10 +55,6 @@ func (p *Planner) Chain() *core.Chain { return p.c }
 // Resources returns the platform the planner was built for.
 func (p *Planner) Resources() core.Resources { return p.r }
 
-// Opts returns the Options the planner fills with. Edits cannot change
-// them.
-func (p *Planner) Opts() Options { return p.o }
-
 // RowsRefilled reports how many matrix rows the most recent operation
 // recomputed: the chain length after NewPlanner or Append, less for the
 // other edits. It is the planner's work meter — the incremental win over
@@ -67,7 +63,8 @@ func (p *Planner) RowsRefilled() int { return p.lastRefilled }
 
 // Solution returns the schedule of the planner's current chain, applying
 // the replicable-stage merge post-pass unless Options.Raw — exactly
-// ScheduleOpts(Chain(), Resources(), Opts()), without the fill.
+// ScheduleOpts(Chain(), Resources(), o) with the planner's Options o,
+// without the fill.
 func (p *Planner) Solution() core.Solution {
 	return finishSolution(p.c, p.raw(), p.o)
 }

@@ -14,7 +14,7 @@ import (
 // of the planner's current chain under its own options.
 func scratchOracle(t *testing.T, p *Planner) core.Solution {
 	t.Helper()
-	return ScheduleOpts(p.Chain(), p.Resources(), p.Opts())
+	return ScheduleOpts(p.Chain(), p.Resources(), p.o)
 }
 
 func checkAgainstScratch(t *testing.T, p *Planner, step string) {

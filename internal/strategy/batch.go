@@ -9,7 +9,6 @@ import (
 
 	"ampsched/internal/core"
 	"ampsched/internal/obs"
-	"ampsched/internal/obs/flight"
 	"ampsched/internal/trace"
 )
 
@@ -210,8 +209,7 @@ func conclude(res Result, sp *trace.Span) Result {
 }
 
 // settle completes a PlanBatch request, solved or hit: conclude, then the
-// planbatch request series and one CodePlan flight event (A the period,
-// +Inf on failure; B the stage count; Aux the strategy name).
+// planbatch request series.
 func settle(res Result, sp *trace.Span) Result {
 	res = conclude(res, sp)
 	req := res.Request
@@ -222,14 +220,6 @@ func settle(res Result, sp *trace.Span) Result {
 			errs.Inc()
 		}
 		m.LogHistogram("request_us").Observe(float64(res.Elapsed.Nanoseconds()) / 1e3)
-	}
-	if fr := req.Options.Flight; fr != nil {
-		var aux uint32
-		if req.Scheduler != nil {
-			aux = fr.Intern(req.Scheduler.Name())
-		}
-		fr.Record(flight.Event{Code: flight.CodePlan, Stage: -1, Aux: aux,
-			A: res.Period, B: float64(len(res.Solution.Stages))})
 	}
 	return res
 }

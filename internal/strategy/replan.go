@@ -5,7 +5,6 @@ import (
 
 	"ampsched/internal/core"
 	"ampsched/internal/herad"
-	"ampsched/internal/obs/flight"
 	"ampsched/internal/trace"
 )
 
@@ -113,10 +112,9 @@ func warmStart(p *herad.Planner, req Request) (_ *herad.Planner, warm bool) {
 // planner's retained matrix, applying the request's own post-passes
 // (HeRAD's merge inside the planner, Colocate via Options.finish). The
 // journal gains a "replan" event with the row counts before the shared
-// result tail (conclude); the replan counters and one CodeReplan flight
-// event take the place of PlanBatch's planbatch series and CodePlan. start
-// is when the planner work for this request began, so Elapsed covers the
-// (re)fill as well as the extraction.
+// result tail (conclude); the replan counters take the place of
+// PlanBatch's planbatch series. start is when the planner work for this
+// request began, so Elapsed covers the (re)fill as well as the extraction.
 func replanResult(p *herad.Planner, req Request, sp *trace.Span, start time.Time) Result {
 	res := Result{Request: req, Solution: req.Options.finish(req.Chain, p.Solution())}
 	res.Elapsed = time.Since(start)
@@ -129,15 +127,6 @@ func replanResult(p *herad.Planner, req Request, sp *trace.Span, start time.Time
 		m.Counter("warm_starts").Inc()
 		m.Counter("rows_refilled").Add(int64(p.RowsRefilled()))
 		m.Counter("rows_total").Add(int64(req.Chain.Len()))
-	}
-	if fr := req.Options.Flight; fr != nil {
-		fr.Record(flight.Event{
-			Code:  flight.CodeReplan,
-			Stage: -1,
-			Aux:   fr.Intern(req.Scheduler.Name()),
-			A:     res.Period,
-			B:     float64(p.RowsRefilled()),
-		})
 	}
 	return res
 }

@@ -103,13 +103,8 @@ type Options struct {
 	// "request" span per batch item. When nil (the default) journaling is
 	// disabled and adds zero allocations per schedule.
 	Trace *trace.Span
-	// Flight is the black-box flight recorder. When non-nil, PlanBatch
-	// records one CodePlan event per resolved request and ReplanBatch (whose
-	// one caller is the benchmark's plan_edit workload) one CodeReplan event
-	// per warm start. Like Metrics and Trace it is a pure
-	// observability sink — it never changes the emitted schedule — and is
-	// therefore excluded from the solution cache key. Nil (the default)
-	// records nothing at zero cost.
+	// Flight is accepted and ignored; it is kept only because bench/
+	// sets it (ROADMAP item 1(g)).
 	Flight *flight.Recorder
 }
 

@@ -32,13 +32,8 @@ type Options struct {
 	// live windowed telemetry; snapshot it with Sampler.Sample while the
 	// run is in flight.
 	Sampler *Sampler
-	// Flight, when set, receives black-box events from the run: one
-	// CodeFrameDrop per frame that finishes a stage with a non-nil Err
-	// (tick and A = frame sequence), and one CodeStall per handoff that
-	// found the downstream buffer full (tick and A = frame sequence,
-	// B = blocked replica index) — the backpressure signal. The full-
-	// buffer probe is the ring boundary's natural fast path, so stall
-	// detection is always on; recording it is a no-op without a recorder.
+	// Flight is accepted and ignored; it is kept only because bench/
+	// sets it (ROADMAP item 1(g)).
 	Flight *flight.Recorder
 }
 
@@ -380,7 +375,6 @@ func (p *Pipeline) Run(frames int, src func(f *Frame)) (Stats, error) {
 					if timed {
 						pickup = time.Now()
 					}
-					erredBefore := f.Err != nil
 					for ti, t := range insts {
 						var t0 time.Time
 						if p.opt.Profile {
@@ -418,14 +412,6 @@ func (p *Pipeline) Run(frames int, src func(f *Frame)) (Stats, error) {
 					res.processed++
 					if f.Err != nil {
 						res.errored++
-						if !erredBefore {
-							// Record the drop once, at the stage that broke the
-							// frame — downstream stages just carry the error.
-							p.opt.Flight.Record(flight.Event{
-								Code: flight.CodeFrameDrop, Tick: int64(f.Seq),
-								Stage: int32(si), A: float64(f.Seq),
-							})
-						}
 					}
 					if si == m-1 {
 						// Two departures define the period: frame #warmup and
@@ -447,15 +433,11 @@ func (p *Pipeline) Run(frames int, src func(f *Frame)) (Stats, error) {
 					} else {
 						// Probe first: a full buffer means this replica is
 						// about to block on backpressure — the replica-stall
-						// signal the flight recorder and sampler capture. The
-						// probe is the ring's natural fast path, so detection
-						// costs nothing when the recorder is off.
+						// signal the sampler counts. The probe is the ring's
+						// natural fast path, so detection costs nothing when
+						// the sampler is off.
 						dw := int(f.Seq) % p.stages[si+1].Cores
 						if !out.trySend(w, dw, f) {
-							p.opt.Flight.Record(flight.Event{
-								Code: flight.CodeStall, Tick: int64(f.Seq),
-								Stage: int32(si), A: float64(f.Seq), B: float64(w),
-							})
 							p.opt.Sampler.RecordStall(si)
 							out.sendBlocking(w, dw, f)
 						}

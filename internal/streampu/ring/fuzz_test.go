@@ -64,7 +64,7 @@ func FuzzSPSCIndexArithmetic(f *testing.F) {
 		q := NewSPSC[int](int(capacity%16) + 1)
 		base := fuzzBases(seed)
 		q.resetAt(base)
-		fuzzOps(t, q.Cap(), base, ops, q.TryPush, q.TryPop)
+		fuzzOps(t, len(q.buf), base, ops, q.TryPush, q.TryPop)
 	})
 }
 
@@ -76,6 +76,6 @@ func FuzzMPMCIndexArithmetic(f *testing.F) {
 		q := NewMPMC[int](int(capacity%16) + 1)
 		base := fuzzBases(seed)
 		q.resetAt(base)
-		fuzzOps(t, q.Cap(), base, ops, q.TryPush, q.TryPop)
+		fuzzOps(t, len(q.buf), base, ops, q.TryPush, q.TryPop)
 	})
 }

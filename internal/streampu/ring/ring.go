@@ -75,9 +75,6 @@ func pow2(capacity int) int {
 	return n
 }
 
-// Cap returns the queue's slot count.
-func (q *SPSC[T]) Cap() int { return len(q.buf) }
-
 // Len approximates the number of queued elements. Exact only when
 // neither side is mid-operation.
 func (q *SPSC[T]) Len() int { return int(q.tail.Load() - q.head.Load()) }
@@ -163,9 +160,6 @@ func NewMPMC[T any](capacity int) *MPMC[T] {
 	}
 	return q
 }
-
-// Cap returns the queue's slot count.
-func (q *MPMC[T]) Cap() int { return len(q.buf) }
 
 // Len approximates the number of queued elements.
 func (q *MPMC[T]) Len() int {

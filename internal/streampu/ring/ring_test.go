@@ -13,16 +13,16 @@ func TestCapacityRounding(t *testing.T) {
 	for _, c := range []struct{ in, want int }{
 		{-3, 1}, {0, 1}, {1, 1}, {2, 2}, {3, 4}, {4, 4}, {5, 8}, {1000, 1024},
 	} {
-		if got := NewSPSC[int](c.in).Cap(); got != c.want {
-			t.Errorf("NewSPSC(%d).Cap() = %d, want %d", c.in, got, c.want)
+		if got := len(NewSPSC[int](c.in).buf); got != c.want {
+			t.Errorf("len(NewSPSC(%d).buf) = %d, want %d", c.in, got, c.want)
 		}
 	}
 	// MPMC has a hard minimum of 2 (see NewMPMC).
 	for _, c := range []struct{ in, want int }{
 		{-3, 2}, {0, 2}, {1, 2}, {2, 2}, {3, 4}, {5, 8}, {1000, 1024},
 	} {
-		if got := NewMPMC[int](c.in).Cap(); got != c.want {
-			t.Errorf("NewMPMC(%d).Cap() = %d, want %d", c.in, got, c.want)
+		if got := len(NewMPMC[int](c.in).buf); got != c.want {
+			t.Errorf("len(NewMPMC(%d).buf) = %d, want %d", c.in, got, c.want)
 		}
 	}
 }
@@ -197,7 +197,7 @@ func TestWraparoundNearUint64Max(t *testing.T) {
 		if !s.TryPush(i) {
 			t.Fatalf("SPSC push %d rejected near wraparound", i)
 		}
-		if s.TryPush(-1) && s.Len() > s.Cap() {
+		if s.TryPush(-1) && s.Len() > len(s.buf) {
 			t.Fatalf("SPSC overfilled at step %d", i)
 		}
 		v, ok := s.TryPop()

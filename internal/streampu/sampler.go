@@ -70,11 +70,8 @@ type samplerState struct {
 type Sampler struct {
 	reg *obs.Registry
 
-	// Flight, when set before the run starts, receives one CodeWindow
-	// flight event per (Sample call, stage with frames): tick = window
-	// index, A = windowed occupancy, B = weight estimate in modeled µs.
-	// Wall-clock driven, so not golden-testable — the desim sampler is
-	// the deterministic counterpart.
+	// Flight is accepted and ignored; it is kept only because bench/
+	// sets it (ROADMAP item 1(g)).
 	Flight *flight.Recorder
 
 	state atomic.Pointer[samplerState]
@@ -182,9 +179,8 @@ func (s *Sampler) RecordStall(stage int) {
 
 // Sample closes the current window at now: it computes each stage's
 // windowed occupancy and weight estimate, appends the occupancy to the
-// stage's registry series, records one CodeWindow flight event per stage
-// with frames, and returns the per-stage snapshot (nil before binding or
-// when no wall time elapsed). Call it from one goroutine.
+// stage's registry series and returns the per-stage snapshot (nil before
+// binding or when no wall time elapsed). Call it from one goroutine.
 func (s *Sampler) Sample(now time.Time) []StageSample {
 	if s == nil {
 		return nil
@@ -224,15 +220,6 @@ func (s *Sampler) Sample(now time.Time) []StageSample {
 		}
 		out[i] = ss
 		s.occSeries[i].Append(tick, occ)
-		if dFrames > 0 {
-			s.Flight.Record(flight.Event{
-				Code:  flight.CodeWindow,
-				Tick:  tick,
-				Stage: int32(i),
-				A:     occ,
-				B:     ss.WeightEstimate,
-			})
-		}
 		s.prevBusy[i] = busy
 		s.prevFrames[i] = frames
 		s.prevStalls[i] = stalls

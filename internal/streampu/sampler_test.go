@@ -223,3 +223,46 @@ func TestSamplerCountsPipelineStalls(t *testing.T) {
 		t.Errorf("sink stage reports %d stalls, want 0 (it has no downstream)", snap[1].Stalls)
 	}
 }
+
+// TestPipelineCountsStallsOnBackpressure holds the downstream stage shut
+// until the producer has filled the one-slot buffer, so every hand-off
+// past the first two finds it full: the pipeline must count those stalls
+// against stage 0 through Sampler.RecordStall, and none against the sink.
+func TestPipelineCountsStallsOnBackpressure(t *testing.T) {
+	const frames = 6
+	s := NewSampler(nil)
+	gate := make(chan struct{}, frames)
+	blocked := &FuncTask{TaskName: "gate", Rep: false, Fn: func(w *Worker, f *Frame) error {
+		<-gate
+		return nil
+	}}
+	tasks := []Task{timedTask("fast", 0, 0, true), blocked}
+	sol := core.Solution{Stages: []core.Stage{
+		{Start: 0, End: 0, Cores: 1, Type: core.Big},
+		{Start: 1, End: 1, Cores: 1, Type: core.Big},
+	}}
+	p, err := New(tasks, sol, Options{QueueCap: 1, Sampler: s})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		for i := 0; i < frames; i++ {
+			gate <- struct{}{}
+		}
+	}()
+	st, err := p.Run(frames, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Frames != frames || st.Errored != 0 {
+		t.Fatalf("stats: %+v", st)
+	}
+	snap := s.Sample(time.Now())
+	if snap[0].Stalls == 0 {
+		t.Error("no stalls counted despite a gated downstream stage")
+	}
+	if snap[1].Stalls != 0 {
+		t.Errorf("sink stage reports %d stalls, want 0", snap[1].Stalls)
+	}
+}
