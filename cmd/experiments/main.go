@@ -13,7 +13,8 @@
 //	-chains N    chains per scenario for table1/fig1/fig2 (default 1000)
 //	-runs N      chains per timing point for fig3/fig4 (default 50)
 //	-quick       shrink every campaign (CI-friendly): -chains and -runs
-//	             default to 100 and 10 unless passed
+//	             default to 100 and 10 unless passed, and fig3/fig4 stop
+//	             at 40 tasks
 //	-csv         emit CSV instead of text tables
 //	-real        execute Table II schedules on the streampu runtime
 //	-scale S     time scale for -real runs (default 10; finite, > 0)
@@ -24,7 +25,8 @@
 // Every campaign of a run plans through one shared strategy.Cache, so a
 // request an earlier campaign solved is served, not re-solved (fig6 re-runs
 // table1's scenarios, for one). Results are identical either way: every
-// strategy is deterministic.
+// strategy is deterministic. Table II is measured once per run: fig5 and
+// fig6 read the rows table2 printed.
 //
 // The metrics report aggregates every scheduler-side series the run
 // produced (per-strategy counters/timers, PlanBatch batch series
@@ -138,6 +140,9 @@ type app struct {
 	campaign experiments.Campaign
 
 	t1cache []experiments.Table1Cell
+	// t2cache holds the Table II rows once measured, so fig5 and fig6
+	// read the rows table2 printed rather than running them again.
+	t2cache []experiments.Table2Row
 }
 
 // writeMetrics exports the run's metric series as a machine-readable
@@ -295,7 +300,7 @@ func (a *app) fig3() error {
 	cfg.Chains = a.runs
 	taskCounts := []int{20, 40, 60, 80, 100, 120, 140, 160}
 	if a.quick {
-		taskCounts = []int{20, 40, 60}
+		taskCounts = []int{20, 40} // 2CATAC at 60 tasks on (100,100) takes seconds per chain
 	}
 	srs := []float64{0.2, 0.5, 0.8}
 	fmt.Printf("Fig. 3 — strategy execution times (µs) vs number of tasks (%d runs/point)\n\n", a.runs)
@@ -313,12 +318,13 @@ func (a *app) fig4() error {
 	for i := 1; i <= 8; i++ {
 		resources = append(resources, core.Res(20*i, 20*i))
 	}
+	taskCounts := []int{20, 60}
 	if a.quick {
-		resources = resources[:3]
+		resources, taskCounts = resources[:3], []int{20, 40}
 	}
 	srs := []float64{0.2, 0.5, 0.8}
 	fmt.Printf("Fig. 4 — strategy execution times (µs) vs resources (%d runs/point)\n\n", a.runs)
-	for _, n := range []int{20, 60} {
+	for _, n := range taskCounts {
 		pts := experiments.Timing(cfg, []int{n}, resources, srs)
 		a.renderTiming(fmt.Sprintf("%d tasks", n), pts, "cores")
 	}
@@ -366,8 +372,21 @@ func (a *app) table2Config() experiments.Table2Config {
 	return cfg
 }
 
+// table2Rows plans, simulates and, under -real, runs Table II once per
+// app.
+func (a *app) table2Rows() ([]experiments.Table2Row, error) {
+	if a.t2cache == nil {
+		rows, err := experiments.Table2(a.table2Config())
+		if err != nil {
+			return nil, err
+		}
+		a.t2cache = rows
+	}
+	return a.t2cache, nil
+}
+
 func (a *app) table2() ([]experiments.Table2Row, error) {
-	rows, err := experiments.Table2(a.table2Config())
+	rows, err := a.table2Rows()
 	if err != nil {
 		return nil, err
 	}
@@ -440,7 +459,7 @@ func (a *app) fig6() error {
 	cfg := experiments.DefaultTable1Config()
 	cfg.Campaign, cfg.Chains = a.campaign, min(a.chains, 200)
 	t1 := experiments.Table1(cfg)
-	t2, err := experiments.Table2(a.table2Config())
+	t2, err := a.table2Rows()
 	if err != nil {
 		return err
 	}
@@ -506,12 +525,18 @@ func (a *app) latency() error {
 func (a *app) live() error {
 	fmt.Println("Live experiment — schedule and run this repository's Go DVB-S2 receiver")
 	fmt.Println()
+	// One 20-frame profile plans every row, so the rows compare; another
+	// run of the command draws another profile.
 	p := dvbs2.Test()
+	chain, _, err := experiments.LiveProfile(p, 20)
+	if err != nil {
+		return err
+	}
 	procs, over := runtime.GOMAXPROCS(0), 0
 	t := report.NewTable("Strategy", "R", "Schedule", "Workers", "Predicted FPS", "Measured FPS", "BER")
 	for _, strat := range []string{experiments.StratHeRAD, experiments.StratFERTAC} {
 		for _, r := range []core.Resources{core.Res(2, 2), core.Res(4, 4)} {
-			res, err := experiments.LiveRun(p, strat, r, 20, 150)
+			res, err := experiments.LiveRun(p, chain, strat, r, 150)
 			if err != nil {
 				return err
 			}

@@ -73,6 +73,23 @@ func TestTable1CellsCached(t *testing.T) {
 	}
 }
 
+// TestTable2RowsCached pins that fig5 and fig6 read the rows table2
+// measured: under -real a second run would be a second measurement.
+func TestTable2RowsCached(t *testing.T) {
+	if testing.Short() {
+		t.Skip("plans and simulates Table II")
+	}
+	a := testApp()
+	quietly(t, func() error { _, err := a.table2(); return err })
+	first := a.t2cache
+	for _, cmd := range []string{"fig5", "fig6"} {
+		quietly(t, func() error { return a.run(cmd) })
+		if &a.t2cache[0] != &first[0] {
+			t.Errorf("%s recomputed the Table II rows instead of reading the cache", cmd)
+		}
+	}
+}
+
 // TestTable2ConfigHonoursRealAndScale pins that every Table II campaign,
 // fig6's included, runs at the -real and -scale the command line asked for.
 func TestTable2ConfigHonoursRealAndScale(t *testing.T) {

@@ -4,7 +4,7 @@
 // (frame k runs on replica k mod r, preserving frame order like StreamPU's
 // adaptors), and optional finite inter-stage buffers with
 // blocking-after-service semantics. It reports the steady-state period,
-// end-to-end latency and per-stage utilization, independently of wall
+// the mean end-to-end latency and the makespan, independently of wall
 // time, and is used to predict the "Sim" throughput columns of Table II.
 package desim
 
@@ -15,6 +15,7 @@ import (
 	"math/rand"
 
 	"ampsched/internal/core"
+	"ampsched/internal/obs"
 )
 
 // Config parameterizes a simulation run.
@@ -42,10 +43,25 @@ type Config struct {
 	// WeightStep) — the simulator's way to model a weight change the
 	// planner did not anticipate.
 	Steps []WeightStep
-	// Sample, when set, enables deterministic sim-clock sampling: windowed
-	// occupancy/weight series and an end-to-end latency histogram driven
-	// purely by the simulated clock (see SampleConfig).
+	// Sample is accepted and ignored; it is kept only because bench/
+	// sets it (ROADMAP item 1(g)).
 	Sample *SampleConfig
+}
+
+// WeightStep perturbs one stage's service time mid-stream: from frame
+// AfterFrame on, stage Stage's per-frame service time is multiplied by
+// Factor. Use it to model a platform slowdown (Factor > 1) or speedup
+// (Factor < 1) that the planner did not anticipate.
+type WeightStep struct {
+	AfterFrame int
+	Stage      int
+	Factor     float64
+}
+
+// SampleConfig is the shape bench/ passes as Config.Sample; nothing
+// reads it. Windowed occupancy is streampu.Sampler's.
+type SampleConfig struct {
+	Metrics *obs.Registry
 }
 
 // Result summarizes one simulation.
@@ -57,13 +73,8 @@ type Result struct {
 	Latency float64
 	// Makespan is the departure time of the last frame.
 	Makespan float64
-	// StageService holds each stage's per-frame service time.
-	StageService []float64
 	// Frames is the number of simulated frames.
 	Frames int
-	// SamplesTaken is the number of sampling windows emitted (0 unless
-	// Config.Sample was set).
-	SamplesTaken int
 }
 
 // Throughput converts the simulated period into frames per second given
@@ -71,6 +82,41 @@ type Result struct {
 // level (frames per pipeline slot).
 func (r Result) Throughput(interframe int) float64 {
 	return core.Throughput(r.Period, interframe)
+}
+
+// stage is what the recurrence keeps of one stage: the departures of its
+// last len(depart) frames, frame k's in slot k mod len(depart), and the
+// start and service time of the frame in flight.
+type stage struct {
+	depart              []float64
+	at, replicas        int // at: slot of the frame in flight
+	service, start, svc float64
+}
+
+// arrival is when stage i can start frame k: stage i-1 has handed it off
+// and replica k mod r_i has handed off frame k-r_i (blocking after
+// service: a worker holds its frame until handoff).
+func arrival(st []stage, i, k int) float64 {
+	arr := 0.0
+	if i > 0 {
+		arr = st[i-1].depart[st[i-1].at]
+	}
+	if s := &st[i]; k >= s.replicas {
+		if w := s.departed(s.replicas); w > arr {
+			arr = w
+		}
+	}
+	return arr
+}
+
+// departed returns the departure of the frame d < len(s.depart) frames
+// before the one in flight.
+func (s *stage) departed(d int) float64 {
+	p := s.at - d
+	if p < 0 {
+		p += len(s.depart)
+	}
+	return s.depart[p]
 }
 
 // Simulate runs the schedule sol of chain c through the simulator. The
@@ -113,107 +159,75 @@ func Simulate(c *core.Chain, sol core.Solution, cfg Config) (Result, error) {
 		jitterRng = rand.New(rand.NewSource(seed))
 	}
 
+	// Stage i reads its own departure of frame k-r_i and, with finite
+	// buffers, stage i+1's of frame k-QueueCap-r_{i+1}, so each stage
+	// keeps its last QueueCap+r_i+1 departures.
 	m := len(sol.Stages)
-	service := make([]float64, m)
-	replicas := make([]int, m)
-	for i, st := range sol.Stages {
-		service[i] = c.SumW(st.Start, st.End, st.Type)
-		replicas[i] = st.Cores
+	st := make([]stage, m)
+	for i, s := range sol.Stages {
+		st[i] = stage{depart: make([]float64, cfg.QueueCap+s.Cores+1), replicas: s.Cores, service: c.SumW(s.Start, s.End, s.Type)}
 	}
 
-	// depart[i][k]: time frame k leaves stage i (service completed AND a
-	// slot is free downstream). start[i][k]: time service begins.
-	// Worker k mod r of stage i becomes free when frame k-r departs
-	// (blocking after service: a worker holds its frame until handoff).
-	start := make([][]float64, m)
-	depart := make([][]float64, m)
-	svcArr := make([][]float64, m) // actual per-frame service times
-	for i := range start {
-		start[i] = make([]float64, cfg.Frames)
-		depart[i] = make([]float64, cfg.Frames)
-		svcArr[i] = make([]float64, cfg.Frames)
-	}
-
+	warmup := max(1, cfg.Frames/4)
+	last := &st[m-1]
+	var warm, dep, lat float64
 	for k := 0; k < cfg.Frames; k++ {
-		for i := 0; i < m; i++ {
-			// Arrival of frame k at stage i.
-			arr := 0.0
-			if i > 0 {
-				arr = depart[i-1][k]
-			}
-			// The assigned worker must have handed off its previous frame.
-			if prev := k - replicas[i]; prev >= 0 {
-				if w := depart[i][prev]; w > arr {
-					arr = w
-				}
-			}
-			// Finite input buffer of stage i: frame k may only *enter*
-			// stage i's queue when frame k-cap-r has started service.
-			// This is enforced upstream at handoff time (see below), so
-			// nothing extra is needed here.
-			start[i][k] = arr
-			svc := service[i]
+		for i := range st {
+			s := &st[i]
+			s.start = arrival(st, i, k)
+			s.svc = s.service
 			for _, stp := range cfg.Steps {
 				if stp.Stage == i && k >= stp.AfterFrame {
-					svc *= stp.Factor
+					s.svc *= stp.Factor
 				}
 			}
 			if jitterRng != nil {
-				svc *= 1 + cfg.Jitter*(2*jitterRng.Float64()-1)
+				s.svc *= 1 + cfg.Jitter*(2*jitterRng.Float64()-1)
 			}
-			svcArr[i][k] = svc
-			fin := arr + svc
-			depart[i][k] = fin
+			s.depart[s.at] = s.start + s.svc
 		}
 		// Backpressure pass: with finite buffers, frame k cannot leave
 		// stage i until stage i+1 has a free input slot, which happens
-		// when frame k-QueueCap-replicas[i+1] has departed stage i+1.
+		// when frame k-QueueCap-r_{i+1} has departed stage i+1.
 		if cfg.QueueCap > 0 {
 			for i := m - 2; i >= 0; i-- {
-				blockAt := k - cfg.QueueCap - replicas[i+1]
-				if blockAt >= 0 && depart[i+1][blockAt] > depart[i][k] {
-					depart[i][k] = depart[i+1][blockAt]
+				if next := &st[i+1]; k >= cfg.QueueCap+next.replicas {
+					if w := next.departed(cfg.QueueCap + next.replicas); w > st[i].depart[st[i].at] {
+						st[i].depart[st[i].at] = w
+					}
 				}
 			}
 			// Re-propagate delayed handoffs downstream once; with
 			// deterministic service times a single forward fix-up after
 			// the backward pass restores consistency for frame k.
 			for i := 1; i < m; i++ {
-				arr := depart[i-1][k]
-				if prev := k - replicas[i]; prev >= 0 && depart[i][prev] > arr {
-					arr = depart[i][prev]
-				}
-				if arr > start[i][k] {
-					start[i][k] = arr
-					if f := arr + svcArr[i][k]; f > depart[i][k] {
-						depart[i][k] = f
+				if s, arr := &st[i], arrival(st, i, k); arr > s.start {
+					s.start = arr
+					if f := s.start + s.svc; f > s.depart[s.at] {
+						s.depart[s.at] = f
 					}
 				}
 			}
 		}
-	}
 
-	last := depart[m-1]
-	res := Result{
-		Makespan:     last[cfg.Frames-1],
-		StageService: service,
-		Frames:       cfg.Frames,
+		dep = last.depart[last.at]
+		if k == warmup-1 {
+			warm = dep
+		} else if k >= warmup {
+			lat += dep - st[0].start // frame k was created when stage 0 took it
+		}
+		for i := range st {
+			if st[i].at++; st[i].at == len(st[i].depart) {
+				st[i].at = 0
+			}
+		}
 	}
-	warmup := max(1, cfg.Frames/4)
-	span := last[cfg.Frames-1] - last[warmup-1]
-	res.Period = span / float64(cfg.Frames-warmup)
-
-	lat := 0.0
-	for k := warmup; k < cfg.Frames; k++ {
-		release := start[0][k] // frame k is created when stage 0 takes it
-		lat += last[k] - release
-	}
-	res.Latency = lat / float64(cfg.Frames-warmup)
-
-	if cfg.Sample != nil {
-		res.SamplesTaken = samplePass(cfg, replicas, svcArr, start, depart, res.Makespan)
-	}
-	return res, nil
+	return Result{
+		Period:   (dep - warm) / float64(cfg.Frames-warmup),
+		Latency:  lat / float64(cfg.Frames-warmup),
+		Makespan: dep,
+		Frames:   cfg.Frames,
+	}, nil
 }
 
 // PredictPeriod returns the analytic steady-state period of a schedule:

@@ -244,3 +244,41 @@ func TestJitterValidationAndEffect(t *testing.T) {
 		t.Error("jitter not deterministic for a fixed seed")
 	}
 }
+
+// stepScenario is the canonical mid-stream weight-step chain: two stages,
+// one core each, weights 100 and 120.
+func stepScenario() (*core.Chain, core.Solution) {
+	c := core.MustChain([]core.Task{task(100, 200, true), task(120, 240, true)})
+	sol := core.Solution{Stages: []core.Stage{
+		{Start: 0, End: 0, Cores: 1, Type: core.Big},
+		{Start: 1, End: 1, Cores: 1, Type: core.Big},
+	}}
+	return c, sol
+}
+
+func TestWeightStepValidation(t *testing.T) {
+	c, sol := stepScenario()
+	if _, err := Simulate(c, sol, Config{Frames: 10, Steps: []WeightStep{{Stage: 5, Factor: 2}}}); err == nil {
+		t.Error("out-of-range step stage accepted")
+	}
+	for _, f := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		if _, err := Simulate(c, sol, Config{Frames: 10, Steps: []WeightStep{{Stage: 0, Factor: f}}}); err == nil {
+			t.Errorf("step factor %v accepted", f)
+		}
+	}
+}
+
+func TestWeightStepSlowsPeriod(t *testing.T) {
+	c, sol := stepScenario()
+	base, err := Simulate(c, sol, Config{Frames: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stepped, err := Simulate(c, sol, Config{Frames: 1000, Steps: []WeightStep{{AfterFrame: 0, Stage: 1, Factor: 2}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stepped.Period <= base.Period {
+		t.Fatalf("doubling the bottleneck did not slow the period: %v vs %v", stepped.Period, base.Period)
+	}
+}

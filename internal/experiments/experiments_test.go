@@ -302,7 +302,7 @@ func TestLiveProfileAndRun(t *testing.T) {
 	if micros[15] <= micros[13] {
 		t.Errorf("demod (%.1fµs) not slower than PLH removal (%.1fµs)", micros[15], micros[13])
 	}
-	res, err := LiveRun(dvbs2.Test(), StratHeRAD, core.Res(3, 2), 12, 60)
+	res, err := LiveRun(dvbs2.Test(), chain, StratHeRAD, core.Res(3, 2), 60)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,13 +77,12 @@ func LiveProfile(p dvbs2.Params, frames int) (*core.Chain, []float64, error) {
 	return chain, micros, nil
 }
 
-// LiveRun profiles the Go receiver, schedules it with the named strategy
-// on r virtual cores, executes the schedule on the streampu runtime with
-// real DSP computation, and reports the measured frame rate and residual
+// LiveRunResult is one row of the live experiment: chain scheduled with
+// the named strategy on r virtual cores, executed on the streampu runtime
+// with real DSP computation, with the measured frame rate and residual
 // BER. This goes beyond the paper's latency-replay experiment: the
 // pipeline does the actual signal processing.
 type LiveRunResult struct {
-	Chain     *core.Chain
 	Solution  core.Solution
 	Predicted float64 // frames/s from the schedule period
 	Measured  float64 // frames/s from the wall clock
@@ -91,12 +90,10 @@ type LiveRunResult struct {
 	Frames    int64
 }
 
-// LiveRun executes the live experiment (see LiveRunResult).
-func LiveRun(p dvbs2.Params, strategy string, r core.Resources, profileFrames, runFrames int) (LiveRunResult, error) {
-	chain, _, err := LiveProfile(p, profileFrames)
-	if err != nil {
-		return LiveRunResult{}, err
-	}
+// LiveRun executes the live experiment (see LiveRunResult) on chain, a
+// profile LiveProfile took of the receiver p builds. Every row of one
+// table plans from the same profile, so the rows compare.
+func LiveRun(p dvbs2.Params, chain *core.Chain, strategy string, r core.Resources, runFrames int) (LiveRunResult, error) {
 	sol := Run(strategy, chain, r)
 	if sol.IsEmpty() {
 		return LiveRunResult{}, fmt.Errorf("experiments: %s found no schedule", strategy)
@@ -115,7 +112,6 @@ func LiveRun(p dvbs2.Params, strategy string, r core.Resources, profileFrames, r
 		return LiveRunResult{}, err
 	}
 	return LiveRunResult{
-		Chain:     chain,
 		Solution:  sol,
 		Predicted: 1e6 / sol.Period(chain),
 		Measured:  st.FPS,

@@ -5,8 +5,8 @@ import "sync"
 // Windowed time series: a fixed-capacity ring buffer of (tick, value)
 // points. Where a Gauge only remembers the last write, a Series keeps the
 // recent history — the substrate for live occupancy and weight-estimate
-// views (the streampu sampler's and desim's per-window series, the
-// -stats -json report's tails). The ring never grows after creation, so the append path stays
+// views (the streampu sampler's per-window series, the -stats -json
+// report's tails). The ring never grows after creation, so the append path stays
 // allocation-free, and snapshots replay points oldest-first in append
 // order, keeping exports of deterministic workloads byte-identical.
 
