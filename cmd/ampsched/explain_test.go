@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -17,7 +18,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // explainConfig is the pinned invocation behind testdata/explain.golden:
 // the 4-task example chain on 2 big + 2 little cores, all strategies.
 func explainConfig(out *bytes.Buffer) config {
-	return config{input: "testdata/chain.json", big: 2, little: 2,
+	return config{input: "testdata/chain.json", resources: "2B,2L",
 		strategy: "all", frames: 10, scale: 1, interframe: 0,
 		explain: true, out: out}
 }
@@ -64,10 +65,10 @@ func TestExplainDeterministic(t *testing.T) {
 	}
 }
 
-// TestTraceSchedDeterministic pins the other half of the criterion: the
+// TestTraceDeterministic pins the other half of the criterion: the -trace
 // JSONL journal and its Chrome view are byte-identical across runs, and
 // every JSONL line decodes with encoding/json.
-func TestTraceSchedDeterministic(t *testing.T) {
+func TestTraceDeterministic(t *testing.T) {
 	dir := t.TempDir()
 	paths := [2]string{filepath.Join(dir, "a.jsonl"), filepath.Join(dir, "b.jsonl")}
 	var files [2][]byte
@@ -76,7 +77,7 @@ func TestTraceSchedDeterministic(t *testing.T) {
 		var out bytes.Buffer
 		cfg := explainConfig(&out)
 		cfg.explain = false
-		cfg.traceSched = p
+		cfg.trace = p
 		if err := mainErr(cfg); err != nil {
 			t.Fatal(err)
 		}
@@ -92,13 +93,74 @@ func TestTraceSchedDeterministic(t *testing.T) {
 		chromes[i] = cdata
 	}
 	if !bytes.Equal(files[0], files[1]) {
-		t.Error("-trace-sched JSONL differs between two identical runs")
+		t.Error("-trace JSONL differs between two identical runs")
 	}
 	if !bytes.Equal(chromes[0], chromes[1]) {
-		t.Error("-trace-sched Chrome view differs between two identical runs")
+		t.Error("-trace Chrome view differs between two identical runs")
 	}
 	if recs := decodeJSONL(t, files[0]); len(recs) < 3 {
 		t.Fatalf("journal has %d records, want a header and the run span", len(recs))
+	}
+}
+
+// TestTraceCarriesRunTimelines: with -run, -strategy all -trace writes the
+// journal it writes without -run, byte for byte, and a Chrome view that is
+// one JSON array: the journal tree as process 0, untouched, then one
+// process per strategy (pid 1+i) whose tracks name the strategy and hold
+// one event per frame and stage.
+func TestTraceCarriesRunTimelines(t *testing.T) {
+	const frames = 10
+	dir := t.TempDir()
+	var journals, chromes [2][]byte
+	for i, run := range []bool{false, true} {
+		p := filepath.Join(dir, fmt.Sprintf("run%v.jsonl", run))
+		var out bytes.Buffer
+		if err := mainErr(config{input: "testdata/chain.json", resources: "2B,2L", strategy: "all",
+			run: run, frames: frames, scale: 1, trace: p, out: &out}); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if journals[i], err = os.ReadFile(p); err != nil {
+			t.Fatal(err)
+		}
+		if chromes[i], err = os.ReadFile(chromeSiblingPath(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(journals[0], journals[1]) {
+		t.Error("-run changed the -trace journal")
+	}
+	if !bytes.HasPrefix(chromes[1], bytes.TrimSuffix(chromes[0], []byte("\n]\n"))) {
+		t.Error("the journal tree's Chrome events differ under -run")
+	}
+	var events []struct {
+		Pid int
+		Tid string
+	}
+	if err := json.Unmarshal(chromes[1], &events); err != nil {
+		t.Fatalf("Chrome view is not one JSON array: %v", err)
+	}
+	all, err := strategyList("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	perPid := map[int]int{}
+	for _, e := range events {
+		perPid[e.Pid]++
+		if e.Pid < 0 || e.Pid > len(all) {
+			t.Fatalf("event in process %d, want 0..%d", e.Pid, len(all))
+		}
+		if e.Pid > 0 && !strings.HasPrefix(e.Tid, all[e.Pid-1].Name()+" stage") {
+			t.Fatalf("process %d track %q does not name %s", e.Pid, e.Tid, all[e.Pid-1].Name())
+		}
+	}
+	if perPid[0] == 0 {
+		t.Error("no journal events in process 0")
+	}
+	for i, sc := range all {
+		if n := perPid[1+i]; n == 0 || n%frames != 0 {
+			t.Errorf("%s: %d timeline events, want %d per stage", sc.Name(), n, frames)
+		}
 	}
 }
 
@@ -129,9 +191,9 @@ func TestMainErrFlushesArtifactsOnFailure(t *testing.T) {
 	journal := filepath.Join(dir, "sched.jsonl")
 	mem := filepath.Join(dir, "mem.pprof")
 	var out bytes.Buffer
-	err := mainErr(config{input: "testdata/chain.json", big: 2, little: 0,
+	err := mainErr(config{input: "testdata/chain.json", resources: "2B,0L",
 		strategy: "all", frames: 10, scale: 1, interframe: 0,
-		traceSched: journal, memProfile: mem, out: &out})
+		trace: journal, memProfile: mem, out: &out})
 	if err == nil {
 		t.Fatal("expected OTAC (L) to fail with little=0")
 	}

@@ -37,8 +37,8 @@ func goldenCompare(t *testing.T, name string, got []byte) {
 func TestScheduleGolden(t *testing.T) {
 	jpath := filepath.Join(t.TempDir(), "sched.jsonl")
 	var out bytes.Buffer
-	cfg := config{platform: "mac", big: 8, little: 2, strategy: "all",
-		frames: 10, scale: 1, interframe: 0, traceSched: jpath, out: &out}
+	cfg := config{platform: "mac", resources: "8B,2L", strategy: "all",
+		frames: 10, scale: 1, interframe: 0, trace: jpath, out: &out}
 	if err := mainErr(cfg); err != nil {
 		t.Fatal(err)
 	}

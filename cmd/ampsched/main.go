@@ -1,13 +1,13 @@
 // Command ampsched schedules a partially-replicable task chain on k
-// types of resources (big/little cores in the paper's two-type model,
-// arbitrary type tables via -resources) and optionally validates the
-// schedule by discrete-event simulation or by executing it on the
-// streampu runtime with latency-modeled tasks.
+// types of resources (the paper's R=(b,l) big/little platform is
+// -resources 8B,2L; any type table is -resources 4B,2M,8L) and optionally
+// validates the schedule by discrete-event simulation or by executing it
+// on the streampu runtime with latency-modeled tasks.
 //
 // Usage:
 //
-//	ampsched -big 8 -little 2 [flags]
-//	ampsched -resources 4B,2M,8L [flags]
+//	ampsched -platform mac -resources 8B,2L [flags]
+//	ampsched -input chain.json -resources 4B,2M,8L [flags]
 //
 // The chain comes from -input (JSON) or -platform (the embedded DVB-S2
 // profiles "mac" / "x7"). JSON format (two-type chains may use the named
@@ -19,15 +19,15 @@
 // Flags:
 //
 //	-resources R  per-type core counts as COUNT[NAME] components, e.g.
-//	              "4B,2M,8L" (type order is precedence order; exclusive
-//	              with -big/-little). Strategies that only support the
+//	              "16B,4L" or "4B,2M,8L" (required; type order is
+//	              precedence order). Strategies that only support the
 //	              paper's two-type model reject other type counts.
 //	-strategy S   herad|2catac|fertac|otac-b|otac-l|all (default herad);
 //	              also the hidden registry entry brute (exhaustive
 //	              reference — chains of ~12 tasks at most)
 //	-simulate     validate with the discrete-event simulator
 //	-run          execute on the streampu runtime (wall clock)
-//	-frames N     frames for -run (default 100, at least 1)
+//	-frames N     frames for -run (default 100, at least 2)
 //	-scale S      time scale for -run (default 10; finite, ≥ 0, 0 means 1)
 //	-interframe N frames per pipeline slot for FPS reporting (default 0:
 //	              the chain's own, the platform's or 1 for -input)
@@ -37,8 +37,6 @@
 //	-colocate     fuse adjacent light single-core stages (§VII extension)
 //	-power        report watts and mJ/frame under the default power model
 //	              (two-type platforms only: it has big and little watts)
-//	-trace FILE   with -run and one strategy: dump a Chrome trace of the
-//	              pipeline execution
 //	-watch D      with -run: print one line of live per-stage occupancy,
 //	              weight estimate and p95 latency every interval D
 //	-stats        report scheduler metrics (binary-search steps, DP
@@ -47,10 +45,12 @@
 //	-explain      print the decision-trace narrative after the schedules:
 //	              why each strategy probed, pruned and placed what it did
 //	              (text mode only)
-//	-trace-sched FILE
-//	              write the decision journal as canonical JSONL to FILE
+//	-trace FILE   write the decision journal as canonical JSONL to FILE
 //	              plus a Chrome-trace view (chrome://tracing) to
-//	              FILE.chrome.json; written even when a later step fails
+//	              FILE.chrome.json (FILE's .jsonl suffix replaced); under
+//	              -run the view also carries each strategy's pipeline
+//	              timeline, one process per strategy. Both files are
+//	              written even when a later step fails
 //	-cpuprofile F write a pprof CPU profile of the whole invocation
 //	-memprofile F write a pprof heap profile taken at exit
 package main
@@ -117,8 +117,6 @@ type jsonRun struct {
 type config struct {
 	input      string // JSON task-chain file
 	platform   string // embedded DVB-S2 profile name
-	big        int
-	little     int
 	resources  string // k-type resource spec, e.g. "4B,2M,8L"
 	strategy   string
 	simulate   bool
@@ -129,11 +127,10 @@ type config struct {
 	json       bool
 	colocate   bool
 	power      bool
-	trace      string        // Chrome trace output path (requires run)
+	trace      string        // decision-journal JSONL output path
 	watch      time.Duration // live telemetry interval for -run (0 = off)
 	stats      bool          // report scheduler metrics after the schedules
 	explain    bool          // print the decision-trace narrative
-	traceSched string        // decision-journal JSONL output path
 	cpuProfile string        // pprof CPU profile output path
 	memProfile string        // pprof heap profile output path
 	args       []string      // words left after the flags; ampsched takes none
@@ -143,10 +140,9 @@ type config struct {
 	out io.Writer
 }
 
-// check applies every rule that reads only flags, for a -strategy that
-// names nStrategies strategies. Each error starts with the flag it names,
-// or with "unexpected" for words left after the flags.
-func (c config) check(nStrategies int) error {
+// check applies every rule that reads only flags. Each error starts with
+// the flag it names, or with "unexpected" for words left after the flags.
+func (c config) check() error {
 	for _, r := range []struct {
 		bad bool
 		err string
@@ -154,17 +150,13 @@ func (c config) check(nStrategies int) error {
 		{len(c.args) > 0, fmt.Sprintf("unexpected arguments %q: ampsched takes flags only, and flag parsing stops at the first other word, so the flags after it would be dropped", c.args)},
 		{c.input != "" && c.platform != "", "-input and -platform are exclusive: pass one chain source"},
 		{c.input == "" && c.platform == "", "-input FILE or -platform mac|x7 is required"},
-		{c.resources != "" && (c.big != 0 || c.little != 0), "-resources is exclusive with -big/-little"},
-		{c.big < 0, fmt.Sprintf("-big must be >= 0 cores, got %d", c.big)},
-		{c.little < 0, fmt.Sprintf("-little must be >= 0 cores, got %d", c.little)},
-		{c.trace != "" && !c.run, "-trace requires -run: the Chrome trace records the streampu pipeline execution (pass -run, or drop -trace)"},
-		{c.trace != "" && nStrategies > 1, fmt.Sprintf("-trace takes one strategy, -strategy %s names %d (each run would overwrite the file)", c.strategy, nStrategies)},
+		{c.resources == "", `-resources is required: the core count of each type, e.g. "16B,4L"`},
 		{c.watch != 0 && !c.run, "-watch requires -run: the live view samples the streampu pipeline while it executes (pass -run, or drop -watch)"},
 		{c.watch < 0, fmt.Sprintf("-watch must be a positive interval, got %v", c.watch)},
 		{c.interframe < 0, fmt.Sprintf("-interframe must be >= 0 frames per pipeline slot (0 means the chain's own), got %d", c.interframe)},
 		{c.run && c.frames < 2, fmt.Sprintf("-frames must be at least 2 under -run: one departure gives no period, got %d", c.frames)},
 		{c.run && (c.scale < 0 || math.IsNaN(c.scale) || math.IsInf(c.scale, 0)), fmt.Sprintf("-scale must be a finite time scale >= 0 under -run (0 means 1), got %v", c.scale)},
-		{c.explain && c.json, "-explain prints a text narrative, which -json output cannot carry (use -trace-sched for a machine-readable journal)"},
+		{c.explain && c.json, "-explain prints a text narrative, which -json output cannot carry (use -trace for a machine-readable journal)"},
 	} {
 		if r.bad {
 			return errors.New(r.err)
@@ -177,9 +169,7 @@ func main() {
 	var cfg config
 	flag.StringVar(&cfg.input, "input", "", "JSON task-chain file")
 	flag.StringVar(&cfg.platform, "platform", "", `embedded DVB-S2 profile: "mac" or "x7"`)
-	flag.IntVar(&cfg.big, "big", 0, "number of big cores")
-	flag.IntVar(&cfg.little, "little", 0, "number of little cores")
-	flag.StringVar(&cfg.resources, "resources", "", `per-type core counts, e.g. "4B,2M,8L" (exclusive with -big/-little)`)
+	flag.StringVar(&cfg.resources, "resources", "", `per-type core counts, e.g. "16B,4L" or "4B,2M,8L"`)
 	flag.StringVar(&cfg.strategy, "strategy", "herad", "herad|2catac|fertac|otac-b|otac-l|all (or brute)")
 	flag.BoolVar(&cfg.simulate, "simulate", false, "validate with the discrete-event simulator")
 	flag.BoolVar(&cfg.run, "run", false, "execute on the streampu runtime")
@@ -189,11 +179,10 @@ func main() {
 	flag.BoolVar(&cfg.json, "json", false, "print JSON only on stdout (notices go to stderr)")
 	flag.BoolVar(&cfg.colocate, "colocate", false, "fuse adjacent light single-core stages (saves cores at equal period)")
 	flag.BoolVar(&cfg.power, "power", false, "report power/energy under the default power model")
-	flag.StringVar(&cfg.trace, "trace", "", "with -run and one strategy: write a Chrome trace (chrome://tracing) to this file")
+	flag.StringVar(&cfg.trace, "trace", "", "write the decision journal (JSONL + .chrome.json view, with the pipeline timelines under -run) to this file")
 	flag.DurationVar(&cfg.watch, "watch", 0, `with -run: print live per-stage occupancy, weight estimate and p95 latency every interval (e.g. "500ms")`)
 	flag.BoolVar(&cfg.stats, "stats", false, "report scheduler metrics (table, or obs report in -json mode)")
 	flag.BoolVar(&cfg.explain, "explain", false, "print the decision-trace narrative after the schedules (text mode only)")
-	flag.StringVar(&cfg.traceSched, "trace-sched", "", "write the decision journal (JSONL + .chrome.json view) to this file")
 	flag.StringVar(&cfg.cpuProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
 	flag.StringVar(&cfg.memProfile, "memprofile", "", "write a pprof heap profile to this file at exit")
 	flag.Parse()
@@ -220,17 +209,15 @@ func mainErr(cfg config) error {
 	if err != nil {
 		return err
 	}
-	if err := cfg.check(len(scheds)); err != nil {
+	if err := cfg.check(); err != nil {
 		return err
 	}
-	r := core.Res(cfg.big, cfg.little)
-	if cfg.resources != "" {
-		if r, err = core.ParseResources(cfg.resources); err != nil {
-			return err
-		}
+	r, err := core.ParseResources(cfg.resources)
+	if err != nil {
+		return fmt.Errorf("-resources %q: %w", cfg.resources, err)
 	}
 	if r.Total() <= 0 {
-		return fmt.Errorf("no resources: pass -resources, or -big and/or -little")
+		return fmt.Errorf("-resources %q declares no core", cfg.resources)
 	}
 	pm := core.DefaultPowerModel()
 	if cfg.power && r.NumTypes() != len(pm.Watts) {
@@ -270,7 +257,7 @@ func mainErr(cfg config) error {
 	}
 	var journal *trace.Journal
 	var runSpan *trace.Span
-	if cfg.explain || cfg.traceSched != "" {
+	if cfg.explain || cfg.trace != "" {
 		journal = trace.New()
 		runSpan = journal.Root().Str("tool", "ampsched").Str("strategy", cfg.strategy)
 		if r.NumTypes() == 2 {
@@ -280,12 +267,17 @@ func mainErr(cfg config) error {
 		}
 		runSpan.Bool("colocate", cfg.colocate)
 	}
-	if cfg.traceSched != "" {
+	// timeline gathers each -run's pipeline events (process 1+i for the
+	// i-th strategy) for the journal's Chrome view.
+	var timeline []trace.ChromeEvent
+	if cfg.trace != "" {
 		defer warnOnError(func() error {
-			if err := writeFile(cfg.traceSched, journal.WriteJSONL); err != nil {
+			if err := writeFile(cfg.trace, journal.WriteJSONL); err != nil {
 				return err
 			}
-			return writeFile(chromeSiblingPath(cfg.traceSched), journal.WriteChromeTrace)
+			return writeFile(chromeSiblingPath(cfg.trace), func(w io.Writer) error {
+				return journal.WriteChromeTrace(w, timeline...)
+			})
 		})
 	}
 
@@ -304,7 +296,7 @@ func mainErr(cfg config) error {
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
 	opts := strategy.Options{Colocate: cfg.colocate, Metrics: reg, Trace: runSpan}
-	for _, sc := range scheds {
+	for i, sc := range scheds {
 		name := sc.Name()
 		sol, err := plan(sc, chain, r, opts)
 		if err != nil {
@@ -321,7 +313,14 @@ func mainErr(cfg config) error {
 				name, sim.Period, sim.FPS, sim.Latency)
 		}
 		if cfg.run {
-			st, err := execute(cfg, notes, sc, chain, sol, reg)
+			var tr *streampu.Tracer
+			if cfg.trace != "" {
+				tr = &streampu.Tracer{}
+			}
+			st, err := execute(cfg, notes, sc, chain, sol, reg, tr)
+			if tr != nil {
+				timeline = append(timeline, tr.ChromeEvents(1+i, name)...)
+			}
 			if err != nil {
 				return err
 			}
@@ -390,14 +389,11 @@ func plan(sc strategy.Scheduler, chain *core.Chain, r core.Resources, opts strat
 	return sol, nil
 }
 
-// execute runs the schedule on the streampu runtime with the tracer,
-// sampler and -watch loop the flags ask for, and writes the -trace file.
+// execute runs the schedule on the streampu runtime with the sampler and
+// -watch loop the flags ask for, recording its timeline into tr if set.
 func execute(cfg config, notes io.Writer, sc strategy.Scheduler, chain *core.Chain, sol core.Solution,
-	reg *obs.Registry) (streampu.Stats, error) {
-	popt := streampu.Options{TimeScale: cfg.scale, QueueCap: 2}
-	if cfg.trace != "" {
-		popt.Tracer = &streampu.Tracer{}
-	}
+	reg *obs.Registry, tr *streampu.Tracer) (streampu.Stats, error) {
+	popt := streampu.Options{TimeScale: cfg.scale, QueueCap: 2, Tracer: tr}
 	if cfg.watch > 0 || cfg.stats {
 		// The live telemetry lands under the strategy's slug, next to its
 		// planning series.
@@ -410,14 +406,7 @@ func execute(cfg config, notes io.Writer, sc strategy.Scheduler, chain *core.Cha
 	stopWatch := startWatch(notes, sc.Name(), cfg.watch, popt.Sampler)
 	st, err := pipe.Run(cfg.frames, nil)
 	stopWatch()
-	if err != nil || cfg.trace == "" {
-		return st, err
-	}
-	if err := writeFile(cfg.trace, popt.Tracer.WriteChromeTrace); err != nil {
-		return st, err
-	}
-	fmt.Fprintf(notes, "# %s trace: %d events written to %s\n", sc.Name(), popt.Tracer.Len(), cfg.trace)
-	return st, nil
+	return st, err
 }
 
 // startWatch launches the -watch loop: every interval it closes a

@@ -68,7 +68,7 @@ func TestMainErrNonFiniteChain(t *testing.T) {
 	}
 	for _, s := range []string{"all", "2catac", "fertac", "otac-b"} {
 		var out strings.Builder
-		err := mainErr(config{input: in, big: 2, little: 2, strategy: s, frames: 10, scale: 1, out: &out})
+		err := mainErr(config{input: in, resources: "2B,2L", strategy: s, frames: 10, scale: 1, out: &out})
 		if err == nil || !strings.Contains(err.Error(), "finite") {
 			t.Errorf("-strategy %s: error %v, want a non-finite total weight refusal; printed:\n%s", s, err, out.String())
 		}
@@ -113,13 +113,13 @@ func TestStrategyList(t *testing.T) {
 
 func TestMainErrEndToEnd(t *testing.T) {
 	// Whole-pipeline smoke test through the CLI entry point (no -run).
-	if err := mainErr(config{input: "testdata/chain.json", big: 2, little: 2,
+	if err := mainErr(config{input: "testdata/chain.json", resources: "2B,2L",
 		strategy: "all", simulate: true, frames: 10, scale: 1, interframe: 0,
 		colocate: true, power: true}); err != nil {
 		t.Fatal(err)
 	}
 	// JSON output path.
-	if err := mainErr(config{platform: "mac", big: 8, little: 2,
+	if err := mainErr(config{platform: "mac", resources: "8B,2L",
 		strategy: "herad", frames: 10, scale: 1, interframe: 0,
 		json: true}); err != nil {
 		t.Fatal(err)
@@ -131,21 +131,9 @@ func TestMainErrEndToEnd(t *testing.T) {
 	}
 }
 
-func TestMainErrTraceRequiresRun(t *testing.T) {
-	err := mainErr(config{input: "testdata/chain.json", big: 2, little: 2,
-		strategy: "herad", frames: 10, scale: 1, interframe: 0,
-		trace: filepath.Join(t.TempDir(), "trace.json")})
-	if err == nil {
-		t.Fatal("-trace without -run accepted")
-	}
-	if !strings.Contains(err.Error(), "-trace requires -run") {
-		t.Errorf("error %q does not name the required flag combination", err)
-	}
-}
-
 func TestMainErrWatch(t *testing.T) {
-	// -watch without -run is rejected, like -trace.
-	err := mainErr(config{input: "testdata/chain.json", big: 2, little: 2,
+	// -watch without -run is rejected.
+	err := mainErr(config{input: "testdata/chain.json", resources: "2B,2L",
 		strategy: "herad", frames: 10, scale: 1, interframe: 0,
 		watch: 50 * time.Millisecond})
 	if err == nil {
@@ -157,7 +145,7 @@ func TestMainErrWatch(t *testing.T) {
 	// Live view during -run: at least the final window line must appear,
 	// with per-stage occupancy and weight estimates.
 	var buf bytes.Buffer
-	if err := mainErr(config{input: "testdata/chain.json", big: 2, little: 2,
+	if err := mainErr(config{input: "testdata/chain.json", resources: "2B,2L",
 		strategy: "herad", run: true, frames: 60, scale: 1, interframe: 0,
 		watch: 20 * time.Millisecond, out: &buf}); err != nil {
 		t.Fatal(err)
@@ -169,7 +157,7 @@ func TestMainErrWatch(t *testing.T) {
 	// -watch composes with -stats: the sampler publishes series under the
 	// strategy slug and the stats table includes them.
 	buf.Reset()
-	if err := mainErr(config{input: "testdata/chain.json", big: 2, little: 2,
+	if err := mainErr(config{input: "testdata/chain.json", resources: "2B,2L",
 		strategy: "herad", run: true, frames: 40, scale: 1, interframe: 0,
 		watch: 20 * time.Millisecond, stats: true, out: &buf}); err != nil {
 		t.Fatal(err)
@@ -182,13 +170,13 @@ func TestMainErrWatch(t *testing.T) {
 func TestMainErrStats(t *testing.T) {
 	// -stats with every strategy: the metric table renders after the
 	// schedules and collection does not disturb the results.
-	if err := mainErr(config{input: "testdata/chain.json", big: 2, little: 2,
+	if err := mainErr(config{input: "testdata/chain.json", resources: "2B,2L",
 		strategy: "all", frames: 10, scale: 1, interframe: 0,
 		stats: true}); err != nil {
 		t.Fatal(err)
 	}
 	// -stats -json emits the obs report after the schedule objects.
-	if err := mainErr(config{input: "testdata/chain.json", big: 2, little: 2,
+	if err := mainErr(config{input: "testdata/chain.json", resources: "2B,2L",
 		strategy: "fertac", frames: 10, scale: 1, interframe: 0,
 		json: true, stats: true}); err != nil {
 		t.Fatal(err)
@@ -199,7 +187,7 @@ func TestMainErrProfiles(t *testing.T) {
 	dir := t.TempDir()
 	cpu := filepath.Join(dir, "cpu.pprof")
 	mem := filepath.Join(dir, "mem.pprof")
-	if err := mainErr(config{input: "testdata/chain.json", big: 2, little: 2,
+	if err := mainErr(config{input: "testdata/chain.json", resources: "2B,2L",
 		strategy: "herad", frames: 10, scale: 1, interframe: 0,
 		cpuProfile: cpu, memProfile: mem}); err != nil {
 		t.Fatal(err)
@@ -215,9 +203,9 @@ func TestMainErrProfiles(t *testing.T) {
 	}
 }
 
-// TestConfigCheck drives every rule of config.check through mainErr: each
-// is refused before anything is printed or created, with an error that
-// starts with the flag it names.
+// TestConfigCheck drives every rule of config.check, and the -resources
+// spec's own refusals, through mainErr: each is refused before anything is
+// printed or created, with an error that starts with the flag it names.
 func TestConfigCheck(t *testing.T) {
 	for _, tc := range []struct {
 		flag string
@@ -225,11 +213,9 @@ func TestConfigCheck(t *testing.T) {
 	}{
 		{"-input", func(c *config) { c.platform = "mac" }},
 		{"-input", func(c *config) { c.input = "" }},
-		{"-resources", func(c *config) { c.resources = "2B,2L" }},
-		{"-big", func(c *config) { c.big = -1 }},
-		{"-little", func(c *config) { c.little = -1 }},
-		{"-trace", func(c *config) { c.trace = "t.json" }},
-		{"-trace", func(c *config) { c.run, c.trace, c.strategy = true, "t.json", "all" }},
+		{"-resources", func(c *config) { c.resources = "" }},
+		{"-resources", func(c *config) { c.resources = "-1B,4L" }},
+		{"-resources", func(c *config) { c.resources = "0B,0L" }},
 		{"-watch", func(c *config) { c.watch = time.Millisecond }},
 		{"-watch", func(c *config) { c.run, c.watch = true, -time.Millisecond }},
 		{"-interframe", func(c *config) { c.interframe = -2 }},
@@ -238,15 +224,12 @@ func TestConfigCheck(t *testing.T) {
 		{"-scale", func(c *config) { c.run, c.scale = true, -1 }},
 		{"-scale", func(c *config) { c.run, c.scale = true, math.Inf(1) }},
 		{"-explain", func(c *config) { c.explain, c.json = true, true }},
-		{"unexpected", func(c *config) { c.args = []string{"typo", "-little", "2"} }},
+		{"unexpected", func(c *config) { c.args = []string{"typo", "-resources", "2B,2L"} }},
 	} {
 		dir := t.TempDir()
-		cfg := config{input: "testdata/chain.json", big: 2, little: 2, strategy: "herad",
+		cfg := config{input: "testdata/chain.json", resources: "2B,2L", strategy: "herad",
 			frames: 10, scale: 1, cpuProfile: filepath.Join(dir, "cpu.pprof")}
 		tc.edit(&cfg)
-		if cfg.trace != "" {
-			cfg.trace = filepath.Join(dir, cfg.trace)
-		}
 		var out strings.Builder
 		cfg.out = &out
 		err := mainErr(cfg)
@@ -268,7 +251,7 @@ func TestConfigCheck(t *testing.T) {
 func TestMainErrInterframe(t *testing.T) {
 	for interframe, fps := range map[int]string{0: " 4208 ", 1: " 1052 ", 2: " 2104 "} {
 		var out strings.Builder
-		if err := mainErr(config{platform: "mac", big: 16, little: 4, strategy: "herad",
+		if err := mainErr(config{platform: "mac", resources: "16B,4L", strategy: "herad",
 			frames: 10, scale: 1, interframe: interframe, out: &out}); err != nil {
 			t.Fatal(err)
 		}
@@ -278,27 +261,12 @@ func TestMainErrInterframe(t *testing.T) {
 	}
 }
 
-// TestMainErrTraceTakesOneStrategy: every strategy's run would overwrite
-// the one -trace file, so -strategy all with -trace is refused and no
-// file is written.
-func TestMainErrTraceTakesOneStrategy(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "t.json")
-	err := mainErr(config{input: "testdata/chain.json", big: 2, little: 2, strategy: "all",
-		run: true, frames: 10, scale: 1, interframe: 1, trace: path, out: &bytes.Buffer{}})
-	if err == nil || !strings.HasPrefix(err.Error(), "-trace ") {
-		t.Errorf("error %v, want one naming -trace", err)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Errorf("trace file written: %v", err)
-	}
-}
-
 // TestMainErrJSONStdoutIsJSON: under -json, stdout is JSON values only —
 // one object per strategy carrying its desim and runtime results, then
 // the -stats report — and every "# …" notice goes to stderr.
 func TestMainErrJSONStdoutIsJSON(t *testing.T) {
 	var out bytes.Buffer
-	if err := mainErr(config{input: "testdata/chain.json", big: 2, little: 2, strategy: "all",
+	if err := mainErr(config{input: "testdata/chain.json", resources: "2B,2L", strategy: "all",
 		simulate: true, run: true, frames: 20, scale: 1, interframe: 1, json: true, stats: true,
 		out: &out}); err != nil {
 		t.Fatal(err)

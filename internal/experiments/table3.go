@@ -87,7 +87,6 @@ type LiveRunResult struct {
 	Predicted float64 // frames/s from the schedule period
 	Measured  float64 // frames/s from the wall clock
 	BER       float64
-	Frames    int64
 }
 
 // LiveRun executes the live experiment (see LiveRunResult) on chain, a
@@ -116,6 +115,5 @@ func LiveRun(p dvbs2.Params, chain *core.Chain, strategy string, r core.Resource
 		Predicted: 1e6 / sol.Period(chain),
 		Measured:  st.FPS,
 		BER:       rx.Monitor.BER(),
-		Frames:    rx.Monitor.Frames.Load(),
 	}, nil
 }

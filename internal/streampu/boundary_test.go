@@ -60,16 +60,7 @@ func newChanBoundary(r1, r2, cap int) boundary {
 	return b
 }
 
-func (b *chanBoundary) trySend(u, w int, f *Frame) bool {
-	select {
-	case b.ch[u][w] <- f:
-		return true
-	default:
-		return false
-	}
-}
-
-func (b *chanBoundary) sendBlocking(u, w int, f *Frame) {
+func (b *chanBoundary) send(u, w int, f *Frame) {
 	b.ch[u][w] <- f
 }
 
@@ -149,7 +140,7 @@ func TestBoundaryDifferential(t *testing.T) {
 
 // TestRingBoundaryStressSoak is the -race workhorse for the ring hot
 // path: a fan-out/fan-in pipeline (3→2→4→1) with single-slot queues (so
-// stalls and the blocking slow path fire constantly), a slow sink (so
+// the blocking slow path fires constantly), a slow sink (so
 // backpressure propagates the whole chain), and thousands of frames. No
 // frame may be lost or reordered, and the error accounting must be exact.
 func TestRingBoundaryStressSoak(t *testing.T) {
@@ -167,7 +158,7 @@ func TestRingBoundaryStressSoak(t *testing.T) {
 	}}
 	slowSink := &FuncTask{TaskName: "sink", Rep: false, Fn: func(w *Worker, f *Frame) error {
 		if f.Seq%29 == 0 {
-			runtime.Gosched() // intermittent sink hiccups induce stalls upstream
+			runtime.Gosched() // intermittent sink hiccups push backpressure upstream
 		}
 		return nil
 	}}
@@ -204,11 +195,6 @@ func TestRingBoundaryStressSoak(t *testing.T) {
 		t.Fatalf("errored = %d, want %d", st.Errored, wantErr)
 	}
 	oc.verify(t, frames)
-	// Stalls are timing-dependent, so only where they may land is
-	// asserted: the sink has no downstream buffer and never stalls.
-	if snap := sampler.Sample(time.Now()); snap[3].Stalls != 0 {
-		t.Fatalf("sink stage reports %d stalls, want 0", snap[3].Stalls)
-	}
 }
 
 // chainedTask runs two tasks as one (the order checker plus the slow

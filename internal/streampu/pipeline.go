@@ -26,7 +26,7 @@ type Options struct {
 	// Profile enables per-task latency measurement (see Stats.TaskMicros).
 	Profile bool
 	// Tracer, when set, records one timeline event per (frame, stage)
-	// execution for offline analysis (see Tracer.WriteChromeTrace).
+	// execution for offline analysis (see Tracer.ChromeEvents).
 	Tracer *Tracer
 	// Sampler, when set, receives per-frame (stage, latency) records for
 	// live windowed telemetry; snapshot it with Sampler.Sample while the
@@ -164,11 +164,9 @@ func New(tasks []Task, sol core.Solution, opt Options) (*Pipeline, error) {
 // so boundary_test.go can run the buffered-channel matrix the rings
 // replaced as a reference.
 type boundary interface {
-	// trySend hands f from upstream replica u to downstream replica w
-	// without blocking; false means the queue was full (a stall).
-	trySend(u, w int, f *Frame) bool
-	// sendBlocking completes a hand-off that trySend refused.
-	sendBlocking(u, w int, f *Frame)
+	// send hands f from upstream replica u to downstream replica w,
+	// blocking while the queue is full (backpressure).
+	send(u, w int, f *Frame)
 	// recv blocks until a frame from upstream replica u arrives for
 	// downstream replica w; ok == false means u closed its side and every
 	// queued frame has been drained.
@@ -193,11 +191,7 @@ func newRingBoundary(r1, r2, cap int) *ringBoundary {
 	return b
 }
 
-func (b *ringBoundary) trySend(u, w int, f *Frame) bool {
-	return b.q[u*b.r2+w].TryPush(f)
-}
-
-func (b *ringBoundary) sendBlocking(u, w int, f *Frame) {
+func (b *ringBoundary) send(u, w int, f *Frame) {
 	q := b.q[u*b.r2+w]
 	for i := 0; !q.TryPush(f); i++ {
 		backoff(i)
@@ -431,16 +425,7 @@ func (p *Pipeline) Run(frames int, src func(f *Frame)) (Stats, error) {
 						// by Put (Err) or overwritten at Get (Seq).
 						pool.Put(f)
 					} else {
-						// Probe first: a full buffer means this replica is
-						// about to block on backpressure — the replica-stall
-						// signal the sampler counts. The probe is the ring's
-						// natural fast path, so detection costs nothing when
-						// the sampler is off.
-						dw := int(f.Seq) % p.stages[si+1].Cores
-						if !out.trySend(w, dw, f) {
-							p.opt.Sampler.RecordStall(si)
-							out.sendBlocking(w, dw, f)
-						}
+						out.send(w, int(f.Seq)%p.stages[si+1].Cores, f)
 					}
 				}
 				// Signal downstream that this replica is done.

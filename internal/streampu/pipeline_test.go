@@ -516,3 +516,59 @@ func TestManyStagePipelineSmoke(t *testing.T) {
 		t.Errorf("period = %v", st.PeriodMicros)
 	}
 }
+
+// TestPipelineBackpressure holds the sink shut and checks that the source
+// stops at the in-flight bound (one frame in the sink, QueueCap in the
+// boundary, one blocked in the source's send), then opens it: every frame
+// arrives, in order.
+func TestPipelineBackpressure(t *testing.T) {
+	const frames, queueCap = 8, 1
+	var picked atomic.Int64
+	gate := make(chan struct{})
+	oc := &orderCheck{}
+	tasks := []Task{
+		&FuncTask{TaskName: "count", Rep: true, Fn: func(w *Worker, f *Frame) error {
+			picked.Add(1)
+			return nil
+		}},
+		&FuncTask{TaskName: "gate", Rep: false, Fn: func(w *Worker, f *Frame) error {
+			<-gate
+			return nil
+		}},
+		oc.task(),
+	}
+	sol := core.Solution{Stages: []core.Stage{
+		{Start: 0, End: 0, Cores: 1, Type: core.Big},
+		{Start: 1, End: 2, Cores: 1, Type: core.Big},
+	}}
+	p, err := New(tasks, sol, Options{QueueCap: queueCap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		st  Stats
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		st, err := p.Run(frames, nil)
+		done <- result{st, err}
+	}()
+	const bound = 1 + queueCap + 1
+	for deadline := time.Now().Add(5 * time.Second); picked.Load() < bound && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // room for a source that ignores the bound to run on
+	if n := picked.Load(); n != bound {
+		t.Errorf("source processed %d frames while the sink was shut, want %d", n, bound)
+	}
+	close(gate)
+	res := <-done
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	if res.st.Frames != frames || res.st.Errored != 0 {
+		t.Fatalf("stats: %+v", res.st)
+	}
+	oc.verify(t, frames)
+}

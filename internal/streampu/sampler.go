@@ -40,12 +40,6 @@ type StageSample struct {
 	// Frames is the cumulative frame count; FrameDelta the window's share.
 	Frames     int64
 	FrameDelta int64
-	// Stalls is the cumulative count of hand-offs this stage's replicas
-	// made that found the downstream buffer full (backpressure events);
-	// StallDelta the window's share. A consistently stalling stage means
-	// the *next* stage is the bottleneck.
-	Stalls     int64
-	StallDelta int64
 	// P50/P95/P99 are the stage's per-frame latency percentiles in modeled
 	// µs, over the whole run so far (streaming log-bucketed histogram).
 	P50, P95, P99 float64
@@ -59,7 +53,6 @@ type samplerState struct {
 	t0      time.Time
 	busyNs  []atomic.Int64
 	frames  []atomic.Int64
-	stalls  []atomic.Int64
 	lat     []*obs.LogHistogram
 }
 
@@ -81,7 +74,6 @@ type Sampler struct {
 	lastNs     int64
 	prevBusy   []int64
 	prevFrames []int64
-	prevStalls []int64
 	occSeries  []*obs.Series
 }
 
@@ -105,7 +97,6 @@ func (s *Sampler) bind(stages []pipeStage, scale float64, t0 time.Time) {
 		t0:      t0,
 		busyNs:  make([]atomic.Int64, len(stages)),
 		frames:  make([]atomic.Int64, len(stages)),
-		stalls:  make([]atomic.Int64, len(stages)),
 		lat:     make([]*obs.LogHistogram, len(stages)),
 	}
 	s.mu.Lock()
@@ -124,7 +115,6 @@ func (s *Sampler) bind(stages []pipeStage, scale float64, t0 time.Time) {
 	s.lastNs = 0
 	s.prevBusy = make([]int64, len(stages))
 	s.prevFrames = make([]int64, len(stages))
-	s.prevStalls = make([]int64, len(stages))
 	s.state.Store(st)
 	s.mu.Unlock()
 }
@@ -163,20 +153,6 @@ func (s *Sampler) Record(stage int, d time.Duration) {
 	st.lat[stage].Observe(float64(d) / float64(time.Microsecond) / st.scale)
 }
 
-// RecordStall counts one backpressure event for stage: a hand-off that
-// found the downstream buffer full and had to block. Lock-free,
-// allocation-free; no-op on a nil receiver or before binding.
-func (s *Sampler) RecordStall(stage int) {
-	if s == nil {
-		return
-	}
-	st := s.state.Load()
-	if st == nil || stage < 0 || stage >= len(st.stalls) {
-		return
-	}
-	st.stalls[stage].Add(1)
-}
-
 // Sample closes the current window at now: it computes each stage's
 // windowed occupancy and weight estimate, appends the occupancy to the
 // stage's registry series and returns the per-stage snapshot (nil before
@@ -202,7 +178,6 @@ func (s *Sampler) Sample(now time.Time) []StageSample {
 	for i := range st.workers {
 		busy := st.busyNs[i].Load()
 		frames := st.frames[i].Load()
-		stalls := st.stalls[i].Load()
 		dBusy := busy - s.prevBusy[i]
 		dFrames := frames - s.prevFrames[i]
 		occ := float64(dBusy) / (float64(windowNs) * float64(st.workers[i]))
@@ -211,7 +186,6 @@ func (s *Sampler) Sample(now time.Time) []StageSample {
 			Stage: i, Workers: st.workers[i],
 			Occupancy: occ,
 			Frames:    frames, FrameDelta: dFrames,
-			Stalls: stalls, StallDelta: stalls - s.prevStalls[i],
 			P50: q.P50, P95: q.P95, P99: q.P99,
 		}
 		if dFrames > 0 {
@@ -222,7 +196,6 @@ func (s *Sampler) Sample(now time.Time) []StageSample {
 		s.occSeries[i].Append(tick, occ)
 		s.prevBusy[i] = busy
 		s.prevFrames[i] = frames
-		s.prevStalls[i] = stalls
 	}
 	s.lastNs = nowNs
 	return out

@@ -164,105 +164,3 @@ func TestSamplerRecordAllocs(t *testing.T) {
 	s.Record(-1, time.Millisecond) // out of range: dropped, no panic
 	s.Record(5, time.Millisecond)
 }
-
-func TestSamplerStallCounters(t *testing.T) {
-	var nilS *Sampler
-	nilS.RecordStall(0) // inert
-	s := NewSampler(nil)
-	s.RecordStall(0) // before bind: dropped
-	s.bind([]pipeStage{{Stage: core.Stage{Cores: 1}}, {Stage: core.Stage{Cores: 1}}}, 1, time.Now())
-	if n := testing.AllocsPerRun(100, func() { s.RecordStall(0) }); n != 0 {
-		t.Errorf("RecordStall allocates %v/op", n)
-	}
-	s.RecordStall(-1) // out of range: dropped, no panic
-	s.RecordStall(5)
-	s.RecordStall(0)
-	s.Record(0, time.Millisecond)
-	snap := s.Sample(time.Now().Add(time.Millisecond))
-	// 100 from AllocsPerRun (plus its warm-up call) and 1 explicit.
-	if snap[0].Stalls != 102 || snap[0].StallDelta != 102 {
-		t.Errorf("stage 0 stalls = %d/%d, want 102/102", snap[0].Stalls, snap[0].StallDelta)
-	}
-	if snap[1].Stalls != 0 {
-		t.Errorf("stage 1 stalls = %d, want 0", snap[1].Stalls)
-	}
-	// Windows are deltas: a second sample with no new stalls keeps the
-	// cumulative count and zeroes the delta.
-	s.Record(0, time.Millisecond)
-	snap = s.Sample(time.Now().Add(2 * time.Millisecond))
-	if snap[0].Stalls != 102 || snap[0].StallDelta != 0 {
-		t.Errorf("second window stalls = %d/%d, want 102/0", snap[0].Stalls, snap[0].StallDelta)
-	}
-}
-
-// TestSamplerCountsPipelineStalls drives a pipeline shaped to stall —
-// a fast source against a single-slot queue into a slow sink — and
-// checks the stall counters surface through a live Sample snapshot.
-func TestSamplerCountsPipelineStalls(t *testing.T) {
-	s := NewSampler(nil)
-	tasks := []Task{
-		timedTask("fast", 0, 0, true),
-		timedTask("slow", 400, 400, true),
-	}
-	sol := core.Solution{Stages: []core.Stage{
-		{Start: 0, End: 0, Cores: 1, Type: core.Big},
-		{Start: 1, End: 1, Cores: 1, Type: core.Big},
-	}}
-	p, err := New(tasks, sol, Options{Sampler: s, QueueCap: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Run(50, nil); err != nil {
-		t.Fatal(err)
-	}
-	snap := s.Sample(time.Now())
-	if snap[0].Stalls == 0 {
-		t.Error("fast source never stalled against the slow sink")
-	}
-	if snap[1].Stalls != 0 {
-		t.Errorf("sink stage reports %d stalls, want 0 (it has no downstream)", snap[1].Stalls)
-	}
-}
-
-// TestPipelineCountsStallsOnBackpressure holds the downstream stage shut
-// until the producer has filled the one-slot buffer, so every hand-off
-// past the first two finds it full: the pipeline must count those stalls
-// against stage 0 through Sampler.RecordStall, and none against the sink.
-func TestPipelineCountsStallsOnBackpressure(t *testing.T) {
-	const frames = 6
-	s := NewSampler(nil)
-	gate := make(chan struct{}, frames)
-	blocked := &FuncTask{TaskName: "gate", Rep: false, Fn: func(w *Worker, f *Frame) error {
-		<-gate
-		return nil
-	}}
-	tasks := []Task{timedTask("fast", 0, 0, true), blocked}
-	sol := core.Solution{Stages: []core.Stage{
-		{Start: 0, End: 0, Cores: 1, Type: core.Big},
-		{Start: 1, End: 1, Cores: 1, Type: core.Big},
-	}}
-	p, err := New(tasks, sol, Options{QueueCap: 1, Sampler: s})
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		for i := 0; i < frames; i++ {
-			gate <- struct{}{}
-		}
-	}()
-	st, err := p.Run(frames, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Frames != frames || st.Errored != 0 {
-		t.Fatalf("stats: %+v", st)
-	}
-	snap := s.Sample(time.Now())
-	if snap[0].Stalls == 0 {
-		t.Error("no stalls counted despite a gated downstream stage")
-	}
-	if snap[1].Stalls != 0 {
-		t.Errorf("sink stage reports %d stalls, want 0", snap[1].Stalls)
-	}
-}

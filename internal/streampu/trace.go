@@ -2,7 +2,6 @@ package streampu
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"time"
@@ -12,7 +11,7 @@ import (
 )
 
 // Execution tracing: a Tracer records one event per (frame, stage)
-// execution with worker attribution and can export the timeline in the
+// execution with worker attribution and converts the timeline to the
 // Chrome trace-event format (load it at chrome://tracing or in Perfetto)
 // — the kind of observability a production streaming runtime needs when
 // a schedule underperforms its predicted period.
@@ -112,11 +111,11 @@ func (tr *Tracer) Len() int {
 	return n
 }
 
-// WriteChromeTrace exports the timeline as a Chrome trace-event JSON
-// array: one track per (stage, worker), one complete event per frame. It
-// serializes through internal/trace's shared trace-event writer, the same
-// one behind the scheduler's decision-journal Chrome view.
-func (tr *Tracer) WriteChromeTrace(w io.Writer) error {
+// ChromeEvents converts the timeline to Chrome trace events for
+// trace.Journal.WriteChromeTrace: one process pid, one track per (stage,
+// worker) named "<name> stage<s>/<core><worker>", one complete event per
+// frame.
+func (tr *Tracer) ChromeEvents(pid int, name string) []trace.ChromeEvent {
 	events := tr.Events()
 	out := make([]trace.ChromeEvent, len(events))
 	for i, e := range events {
@@ -125,10 +124,10 @@ func (tr *Tracer) WriteChromeTrace(w io.Writer) error {
 			Ph:   "X",
 			Ts:   float64(e.Start.Nanoseconds()) / 1e3,
 			Dur:  float64(e.Duration.Nanoseconds()) / 1e3,
-			Pid:  e.Stage,
-			Tid:  fmt.Sprintf("stage%d/%s%d", e.Stage, e.Core, e.Worker),
+			Pid:  pid,
+			Tid:  fmt.Sprintf("%s stage%d/%s%d", name, e.Stage, e.Core, e.Worker),
 			Args: []trace.Attr{trace.Int("frame", int64(e.Frame))},
 		}
 	}
-	return trace.WriteChromeEvents(w, out)
+	return out
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"ampsched/internal/core"
+	"ampsched/internal/trace"
 )
 
 func tracedRun(t *testing.T) *Tracer {
@@ -30,6 +31,18 @@ func tracedRun(t *testing.T) *Tracer {
 		t.Fatal(err)
 	}
 	return tr
+}
+
+// chromeJSON writes tr's timeline through the repository's one Chrome
+// writer, as process pid with tracks named after name.
+func chromeJSON(t *testing.T, tr *Tracer, pid int, name string) string {
+	t.Helper()
+	var sb strings.Builder
+	var j *trace.Journal
+	if err := j.WriteChromeTrace(&sb, tr.ChromeEvents(pid, name)...); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
 }
 
 // handTrace fills a Tracer the way a run's workers do — one buffer per
@@ -89,12 +102,8 @@ func TestTracerRecordsEveryStageExecution(t *testing.T) {
 
 func TestTracerChromeExport(t *testing.T) {
 	tr := tracedRun(t)
-	var sb strings.Builder
-	if err := tr.WriteChromeTrace(&sb); err != nil {
-		t.Fatal(err)
-	}
 	var out []map[string]any
-	if err := json.Unmarshal([]byte(sb.String()), &out); err != nil {
+	if err := json.Unmarshal([]byte(chromeJSON(t, tr, 1, "HeRAD")), &out); err != nil {
 		t.Fatalf("export is not valid JSON: %v", err)
 	}
 	if len(out) != 80 {
@@ -127,14 +136,10 @@ func TestTracerOriginIsEarliestStart(t *testing.T) {
 	if len(events) != 2 || events[0].Frame != 0 || events[0].Start != 0 || events[1].Start != 5*us {
 		t.Fatalf("events %+v, want frame 0 at 0 then frame 1 at 5µs", events)
 	}
-	var sb strings.Builder
-	if err := tr.WriteChromeTrace(&sb); err != nil {
-		t.Fatal(err)
-	}
 	var out []struct {
 		Ts float64 `json:"ts"`
 	}
-	if err := json.Unmarshal([]byte(sb.String()), &out); err != nil {
+	if err := json.Unmarshal([]byte(chromeJSON(t, tr, 1, "HeRAD")), &out); err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != 2 || out[0].Ts != 0 || out[1].Ts != 5 {
@@ -237,8 +242,8 @@ func TestTracerReplicatedRun(t *testing.T) {
 }
 
 // TestTracerChromeGolden pins the export byte for byte on a fixed
-// timeline, recorded stage by stage rather than in time order; the golden
-// is what the shared []TraceEvent store wrote for the same executions.
+// timeline, recorded stage by stage rather than in time order: one
+// process for the run, one track per (stage, worker) named after it.
 func TestTracerChromeGolden(t *testing.T) {
 	const us = time.Microsecond
 	var h handTrace
@@ -249,22 +254,18 @@ func TestTracerChromeGolden(t *testing.T) {
 	for f := 0; f < 4; f++ {
 		h.record(uint64(f), 0, f%2, core.Big, t0.Add(time.Duration(20*f)*us), 10*us+time.Duration(f)*500)
 	}
-	var sb strings.Builder
-	if err := h.tr.WriteChromeTrace(&sb); err != nil {
-		t.Fatal(err)
-	}
 	const want = `[
-{"name":"frame 0","ph":"X","ts":0,"dur":10,"pid":0,"tid":"stage0/B0","args":{"frame":0}},
-{"name":"frame 0","ph":"X","ts":10,"dur":20,"pid":1,"tid":"stage1/L0","args":{"frame":0}},
-{"name":"frame 1","ph":"X","ts":20,"dur":10.5,"pid":0,"tid":"stage0/B1","args":{"frame":1}},
-{"name":"frame 1","ph":"X","ts":30,"dur":20,"pid":1,"tid":"stage1/L0","args":{"frame":1}},
-{"name":"frame 2","ph":"X","ts":40,"dur":11,"pid":0,"tid":"stage0/B0","args":{"frame":2}},
-{"name":"frame 2","ph":"X","ts":50,"dur":20,"pid":1,"tid":"stage1/L0","args":{"frame":2}},
-{"name":"frame 3","ph":"X","ts":60,"dur":11.5,"pid":0,"tid":"stage0/B1","args":{"frame":3}},
-{"name":"frame 3","ph":"X","ts":70,"dur":20,"pid":1,"tid":"stage1/L0","args":{"frame":3}}
+{"name":"frame 0","ph":"X","ts":0,"dur":10,"pid":2,"tid":"OTAC (B) stage0/B0","args":{"frame":0}},
+{"name":"frame 0","ph":"X","ts":10,"dur":20,"pid":2,"tid":"OTAC (B) stage1/L0","args":{"frame":0}},
+{"name":"frame 1","ph":"X","ts":20,"dur":10.5,"pid":2,"tid":"OTAC (B) stage0/B1","args":{"frame":1}},
+{"name":"frame 1","ph":"X","ts":30,"dur":20,"pid":2,"tid":"OTAC (B) stage1/L0","args":{"frame":1}},
+{"name":"frame 2","ph":"X","ts":40,"dur":11,"pid":2,"tid":"OTAC (B) stage0/B0","args":{"frame":2}},
+{"name":"frame 2","ph":"X","ts":50,"dur":20,"pid":2,"tid":"OTAC (B) stage1/L0","args":{"frame":2}},
+{"name":"frame 3","ph":"X","ts":60,"dur":11.5,"pid":2,"tid":"OTAC (B) stage0/B1","args":{"frame":3}},
+{"name":"frame 3","ph":"X","ts":70,"dur":20,"pid":2,"tid":"OTAC (B) stage1/L0","args":{"frame":3}}
 ]
 `
-	if sb.String() != want {
-		t.Errorf("chrome export changed:\n%s\nwant:\n%s", sb.String(), want)
+	if got := chromeJSON(t, &h.tr, 2, "OTAC (B)"); got != want {
+		t.Errorf("chrome export changed:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -61,7 +61,7 @@ func BenchmarkExport(b *testing.B) {
 	}{
 		{"jsonl", j.WriteJSONL},
 		{"explain", j.WriteExplain},
-		{"chrome", j.WriteChromeTrace},
+		{"chrome", func(w io.Writer) error { return j.WriteChromeTrace(w) }},
 	} {
 		b.Run(ex.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -6,11 +6,11 @@ import (
 	"strconv"
 )
 
-// The one Chrome trace-event writer of the repository: both the journal's
-// decision-tree view (below) and internal/streampu's execution timeline
-// (Tracer.WriteChromeTrace) serialize through WriteChromeEvents, so the
-// JSON escaping and number formatting live in exactly one place. Load the
-// output at chrome://tracing or in Perfetto.
+// The one Chrome trace-event writer of the repository: the journal's
+// decision-tree view and any timeline appended to it (internal/streampu's
+// execution trace, via Tracer.ChromeEvents) serialize through
+// Journal.WriteChromeTrace, so the JSON escaping and number formatting live
+// in exactly one place. Load the output at chrome://tracing or in Perfetto.
 
 // ChromeEvent is one trace-event record ("X" complete events by
 // convention). Args order is preserved in the output.
@@ -24,18 +24,7 @@ type ChromeEvent struct {
 	Args []Attr
 }
 
-// WriteChromeEvents writes events as a Chrome trace-event JSON array,
-// one event per line, using the package's canonical string escaper and
-// float formatting (deterministic for deterministic inputs).
-func WriteChromeEvents(w io.Writer, events []ChromeEvent) error {
-	cw := newChromeWriter(w)
-	for _, e := range events {
-		cw.event(e)
-	}
-	return cw.close()
-}
-
-// chromeWriter streams the array WriteChromeEvents writes, one event at a
+// chromeWriter streams the array WriteChromeTrace writes, one event at a
 // time.
 type chromeWriter struct {
 	bw  *bufio.Writer
@@ -88,14 +77,19 @@ func (cw *chromeWriter) close() error {
 // instant inside it, with one logical tick per item. Decision journals
 // carry no wall-clock data (that is what keeps them deterministic), so
 // the time axis shows decision order, not duration. Tracks (tid) group
-// the tree by top-level span. A nil journal writes an empty array.
-func (j *Journal) WriteChromeTrace(w io.Writer) error {
+// the tree by top-level span; the tree is process (pid) 0. The timeline
+// events follow the tree in the same array, as given. A nil journal writes
+// the timeline alone.
+func (j *Journal) WriteChromeTrace(w io.Writer, timeline ...ChromeEvent) error {
 	cw := newChromeWriter(w)
 	if j != nil {
 		var d decoder
 		d.init(j)
 		root := d.strs[j.root.name]
 		d.chromeSpan(cw, j.root, root, 0, 0)
+	}
+	for _, e := range timeline {
+		cw.event(e)
 	}
 	return cw.close()
 }

@@ -41,9 +41,9 @@
 //
 // JSONL export (jsonl.go) uses a versioned schema; WriteChromeTrace
 // (chrome.go) renders the same tree on a virtual timeline for
-// chrome://tracing, sharing one canonical trace-event writer with
-// internal/streampu; WriteExplain (explain.go) renders it as a
-// human-readable narrative.
+// chrome://tracing, followed by any timeline events the caller appends
+// (internal/streampu's execution trace); WriteExplain (explain.go) renders
+// it as a human-readable narrative.
 package trace
 
 import (
@@ -67,8 +67,8 @@ const (
 	kindBool
 )
 
-// Attr is one key/value attribute of a trace-event record handed to
-// WriteChromeEvents; build them with String/Int/Float64/Bool. The
+// Attr is one key/value attribute of a ChromeEvent handed to
+// WriteChromeTrace; build them with String/Int/Float64/Bool. The
 // exporters also decode a span's or event's stored attributes into Attrs.
 // v holds the value's bits: the int64, the float64's IEEE bits, or 0/1.
 type Attr struct {

@@ -170,22 +170,48 @@ func TestChromeTimeline(t *testing.T) {
 	}
 }
 
+// TestWriteChromeEventsSharedWriter: timeline events handed to
+// WriteChromeTrace follow the journal tree in its one array, as given; a
+// nil journal writes them alone.
 func TestWriteChromeEventsSharedWriter(t *testing.T) {
-	var buf bytes.Buffer
-	err := WriteChromeEvents(&buf, []ChromeEvent{
+	timeline := []ChromeEvent{
 		{Name: "frame 0", Ph: "X", Ts: 1.5, Dur: 2, Pid: 3, Tid: "stage0/B0",
 			Args: []Attr{Int("frame", 0)}},
 		{Name: "frame 1", Ph: "X", Ts: 3.5, Dur: 2, Pid: 3, Tid: "stage0/B1"},
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	var out []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if len(out) != 2 || out[0]["ts"] != 1.5 || out[0]["args"].(map[string]any)["frame"] != 0.0 {
-		t.Fatalf("unexpected decode: %v", out)
+	for _, j := range []*Journal{nil, sample()} {
+		var tree bytes.Buffer
+		if err := j.WriteChromeTrace(&tree); err != nil {
+			t.Fatal(err)
+		}
+		var treeOut []map[string]any
+		if err := json.Unmarshal(tree.Bytes(), &treeOut); err != nil {
+			t.Fatalf("invalid JSON: %v", err)
+		}
+		var buf bytes.Buffer
+		if err := j.WriteChromeTrace(&buf, timeline...); err != nil {
+			t.Fatal(err)
+		}
+		var out []map[string]any
+		if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
+			t.Fatalf("invalid JSON: %v", err)
+		}
+		n := len(treeOut)
+		if len(out) != n+2 {
+			t.Fatalf("%d events, want the tree's %d and 2 timeline events", len(out), n)
+		}
+		for _, e := range out[:n] {
+			if e["pid"] != 0.0 {
+				t.Errorf("tree event %v not in process 0", e)
+			}
+		}
+		if out[n]["ts"] != 1.5 || out[n]["pid"] != 3.0 || out[n]["args"].(map[string]any)["frame"] != 0.0 ||
+			out[n+1]["tid"] != "stage0/B1" {
+			t.Fatalf("unexpected timeline decode: %v", out[n:])
+		}
+		if !bytes.HasPrefix(buf.Bytes(), bytes.TrimSuffix(tree.Bytes(), []byte("\n]\n"))) {
+			t.Errorf("the tree's bytes moved when a timeline was appended:\n%s", buf.String())
+		}
 	}
 }
 
