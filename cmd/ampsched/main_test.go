@@ -113,20 +113,28 @@ func TestStrategyList(t *testing.T) {
 
 func TestMainErrEndToEnd(t *testing.T) {
 	// Whole-pipeline smoke test through the CLI entry point (no -run).
+	var buf bytes.Buffer
 	if err := mainErr(config{input: "testdata/chain.json", resources: "2B,2L",
 		strategy: "all", simulate: true, frames: 10, scale: 1, interframe: 0,
-		colocate: true, power: true}); err != nil {
+		colocate: true, power: true, out: &buf}); err != nil {
 		t.Fatal(err)
 	}
+	if buf.Len() == 0 {
+		t.Error("-strategy all -simulate printed nothing")
+	}
 	// JSON output path.
+	buf.Reset()
 	if err := mainErr(config{platform: "mac", resources: "8B,2L",
 		strategy: "herad", frames: 10, scale: 1, interframe: 0,
-		json: true}); err != nil {
+		json: true, out: &buf}); err != nil {
 		t.Fatal(err)
+	}
+	if buf.Len() == 0 {
+		t.Error("-json printed nothing")
 	}
 	// No resources.
 	if err := mainErr(config{input: "testdata/chain.json",
-		strategy: "herad", frames: 10, scale: 1, interframe: 0}); err == nil {
+		strategy: "herad", frames: 10, scale: 1, interframe: 0, out: &buf}); err == nil {
 		t.Error("zero resources accepted")
 	}
 }
@@ -170,16 +178,24 @@ func TestMainErrWatch(t *testing.T) {
 func TestMainErrStats(t *testing.T) {
 	// -stats with every strategy: the metric table renders after the
 	// schedules and collection does not disturb the results.
+	var buf bytes.Buffer
 	if err := mainErr(config{input: "testdata/chain.json", resources: "2B,2L",
 		strategy: "all", frames: 10, scale: 1, interframe: 0,
-		stats: true}); err != nil {
+		stats: true, out: &buf}); err != nil {
 		t.Fatal(err)
 	}
+	if buf.Len() == 0 {
+		t.Error("-stats printed nothing")
+	}
 	// -stats -json emits the obs report after the schedule objects.
+	buf.Reset()
 	if err := mainErr(config{input: "testdata/chain.json", resources: "2B,2L",
 		strategy: "fertac", frames: 10, scale: 1, interframe: 0,
-		json: true, stats: true}); err != nil {
+		json: true, stats: true, out: &buf}); err != nil {
 		t.Fatal(err)
+	}
+	if buf.Len() == 0 {
+		t.Error("-stats -json printed nothing")
 	}
 }
 
@@ -187,10 +203,14 @@ func TestMainErrProfiles(t *testing.T) {
 	dir := t.TempDir()
 	cpu := filepath.Join(dir, "cpu.pprof")
 	mem := filepath.Join(dir, "mem.pprof")
+	var buf bytes.Buffer
 	if err := mainErr(config{input: "testdata/chain.json", resources: "2B,2L",
 		strategy: "herad", frames: 10, scale: 1, interframe: 0,
-		cpuProfile: cpu, memProfile: mem}); err != nil {
+		cpuProfile: cpu, memProfile: mem, out: &buf}); err != nil {
 		t.Fatal(err)
+	}
+	if buf.Len() == 0 {
+		t.Error("the profiled run printed nothing")
 	}
 	for _, p := range []string{cpu, mem} {
 		st, err := os.Stat(p)

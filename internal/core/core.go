@@ -480,13 +480,15 @@ func (s Solution) IsValid(c *Chain, r Resources, target float64) bool {
 		return false
 	}
 	k := r.NumTypes()
+	var used [MaxCoreTypes]int
 	for _, st := range s.Stages {
 		if int(st.Type) >= k {
 			return false
 		}
+		used[st.Type] += st.Cores
 	}
-	for v, u := range s.Usage(k) {
-		if u > r.Count(CoreType(v)) {
+	for v := 0; v < k; v++ {
+		if used[v] > r.Count(CoreType(v)) {
 			return false
 		}
 	}
@@ -533,15 +535,6 @@ func (s Solution) Validate(c *Chain, r Resources) error {
 		}
 	}
 	return nil
-}
-
-// Prepend returns a new solution with st inserted before the stages of s
-// (the paper's "·" concatenation used while unwinding recursions).
-func (s Solution) Prepend(st Stage) Solution {
-	out := make([]Stage, 0, len(s.Stages)+1)
-	out = append(out, st)
-	out = append(out, s.Stages...)
-	return Solution{Stages: out}
 }
 
 // MergeReplicable returns a copy of s where consecutive stages that are

@@ -377,15 +377,3 @@ func TestStringFormats(t *testing.T) {
 		t.Errorf("empty Solution.String = %q", got)
 	}
 }
-
-func TestPrependDoesNotAliasBase(t *testing.T) {
-	base := Solution{Stages: []Stage{{Start: 2, End: 3, Cores: 1, Type: Big}}}
-	p1 := base.Prepend(Stage{Start: 0, End: 1, Cores: 1, Type: Little})
-	p2 := base.Prepend(Stage{Start: 0, End: 1, Cores: 2, Type: Big})
-	if len(base.Stages) != 1 {
-		t.Error("Prepend mutated the base solution")
-	}
-	if p1.Stages[0].Cores != 1 || p2.Stages[0].Cores != 2 {
-		t.Error("Prepend results alias each other")
-	}
-}

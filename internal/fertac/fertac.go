@@ -48,40 +48,41 @@ func ComputeObs(m Metrics) sched.ComputeSolutionFunc {
 }
 
 // computeSolution implements Algo 4: for the stage starting at task s it
-// first tries little cores, then big cores, then recurses on the remaining
-// tasks with the remaining resources. It returns the empty solution when
-// neither core type yields a valid stage or the recursion fails.
+// first tries little cores, then big cores, then goes on with the remaining
+// tasks and resources. Algo 4 recurses on the remainder; the recursion is a
+// tail call, so the stages are built left to right in one slice. It returns
+// the empty solution when neither core type yields a valid stage for some
+// task.
 func computeSolution(c *core.Chain, s int, r core.Resources, target float64, m Metrics) core.Solution {
-	m.ComputeCalls.Inc()
-	e, u := sched.ComputeStageM(c, s, r.Count(core.Little), core.Little, target, m.Sched)
-	v := core.Little
-	fallback := false
-	if !stageValid(c, s, e, u, r, v, target) {
-		m.BigFallbacks.Inc()
-		fallback = true
-		e, u = sched.ComputeStageM(c, s, r.Count(core.Big), core.Big, target, m.Sched)
-		v = core.Big
+	stages := make([]core.Stage, 0, min(c.Len()-s, r.Total()))
+	for {
+		m.ComputeCalls.Inc()
+		e, u := sched.ComputeStageM(c, s, r.Count(core.Little), core.Little, target, m.Sched)
+		v := core.Little
+		fallback := false
 		if !stageValid(c, s, e, u, r, v, target) {
-			if m.Sched.Trace.Enabled() {
-				m.Sched.Trace.Event("no_stage").Int("first_task", s).
-					Int("big", r.Count(core.Big)).Int("little", r.Count(core.Little))
+			m.BigFallbacks.Inc()
+			fallback = true
+			e, u = sched.ComputeStageM(c, s, r.Count(core.Big), core.Big, target, m.Sched)
+			v = core.Big
+			if !stageValid(c, s, e, u, r, v, target) {
+				if m.Sched.Trace.Enabled() {
+					m.Sched.Trace.Event("no_stage").Int("first_task", s).
+						Int("big", r.Count(core.Big)).Int("little", r.Count(core.Little))
+				}
+				return core.Solution{} // no valid stage with either core type
 			}
-			return core.Solution{} // no valid stage with either core type
 		}
+		if m.Sched.Trace.Enabled() {
+			m.Sched.Trace.Event("stage_placed").Int("first_task", s).Int("end", e).
+				Int("cores", u).Str("type", v.String()).Bool("big_fallback", fallback)
+		}
+		stages = append(stages, core.Stage{Start: s, End: e, Cores: u, Type: v})
+		if e == c.Len()-1 {
+			return core.Solution{Stages: stages}
+		}
+		s, r = e+1, r.Consume(v, u)
 	}
-	st := core.Stage{Start: s, End: e, Cores: u, Type: v}
-	if m.Sched.Trace.Enabled() {
-		m.Sched.Trace.Event("stage_placed").Int("first_task", s).Int("end", e).
-			Int("cores", u).Str("type", v.String()).Bool("big_fallback", fallback)
-	}
-	if e == c.Len()-1 {
-		return core.Solution{Stages: []core.Stage{st}} // valid final stage
-	}
-	rest := computeSolution(c, e+1, r.Consume(v, u), target, m)
-	if rest.IsEmpty() {
-		return core.Solution{}
-	}
-	return rest.Prepend(st)
 }
 
 // stageValid is the paper's IsValid applied to a single candidate stage:

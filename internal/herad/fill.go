@@ -485,23 +485,29 @@ func topSplit(cells []cell, t []typeFill, states, s, j int, p float64) int {
 // extract implements Algo 11: it walks the matrix backwards from the full
 // problem (row n at the full-capacity state, the last of its row),
 // recovering each stage's interval, core type and core count — the latter
-// by subtracting the predecessor's accumulated usage.
+// by subtracting the predecessor's accumulated usage. A first walk counts
+// the stages, so the second fills them into one slice from the back.
 func (m *matrix) extract(n int) core.Solution {
-	e, s := n, m.states-1
-	var sol core.Solution
-	for e >= 1 {
-		idx := e*m.states + s
-		cl := m.cells[idx]
+	count := 0
+	for e, s := n, m.states-1; e >= 1; count++ {
+		cl := m.cells[e*m.states+s]
 		if math.IsInf(cl.pbest, 1) {
 			return core.Solution{} // unschedulable (no cores)
 		}
+		e, s = int(cl.start), int(cl.prev)
+	}
+	stages := make([]core.Stage, count)
+	for e, s := n, m.states-1; e >= 1; {
+		idx := e*m.states + s
+		cl := m.cells[idx]
 		st := int(cl.start)
 		prev := st*m.states + int(cl.prev)
-		sol = sol.Prepend(core.Stage{
+		count--
+		stages[count] = core.Stage{
 			Start: st, End: e - 1, Type: cl.v,
 			Cores: int(m.usage(idx)[cl.v] - m.usage(prev)[cl.v]),
-		})
+		}
 		e, s = st, int(cl.prev)
 	}
-	return sol
+	return core.Solution{Stages: stages}
 }

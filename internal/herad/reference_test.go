@@ -153,7 +153,7 @@ func (m *refMatrix) extractSolution(n int) core.Solution {
 		if cl.v == core.Little {
 			cores = cl.accL - prev.accL
 		}
-		sol = sol.Prepend(core.Stage{Start: cl.start, End: e - 1, Cores: cores, Type: cl.v})
+		sol.Stages = append([]core.Stage{{Start: cl.start, End: e - 1, Cores: cores, Type: cl.v}}, sol.Stages...)
 		e, rb, rl = cl.start, cl.prevB, cl.prevL
 	}
 	return sol

@@ -37,12 +37,9 @@ type StageSample struct {
 	// modeled µs — directly comparable to core.Chain.SumW for the stage.
 	// 0 when the window saw no frames.
 	WeightEstimate float64
-	// Frames is the cumulative frame count; FrameDelta the window's share.
-	Frames     int64
-	FrameDelta int64
-	// P50/P95/P99 are the stage's per-frame latency percentiles in modeled
-	// µs, over the whole run so far (streaming log-bucketed histogram).
-	P50, P95, P99 float64
+	// P95 is the stage's 95th-percentile per-frame latency in modeled µs,
+	// over the whole run so far (streaming log-bucketed histogram).
+	P95 float64
 }
 
 // samplerState is the per-Run binding: fixed-size aggregate arrays the
@@ -181,12 +178,10 @@ func (s *Sampler) Sample(now time.Time) []StageSample {
 		dBusy := busy - s.prevBusy[i]
 		dFrames := frames - s.prevFrames[i]
 		occ := float64(dBusy) / (float64(windowNs) * float64(st.workers[i]))
-		q := st.lat[i].Quantiles()
 		ss := StageSample{
 			Stage: i, Workers: st.workers[i],
 			Occupancy: occ,
-			Frames:    frames, FrameDelta: dFrames,
-			P50: q.P50, P95: q.P95, P99: q.P99,
+			P95:       st.lat[i].Quantile(0.95),
 		}
 		if dFrames > 0 {
 			// ns → modeled µs: de-scale wall time back to the weight unit.

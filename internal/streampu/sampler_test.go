@@ -42,17 +42,14 @@ func TestSamplerAggregatesRun(t *testing.T) {
 		if ss.Stage != i {
 			t.Errorf("stage %d reported index %d", i, ss.Stage)
 		}
-		if ss.Frames != 40 || ss.FrameDelta != 40 {
-			t.Errorf("stage %d frames = %d/%d, want 40/40", i, ss.Frames, ss.FrameDelta)
-		}
 		if ss.Occupancy <= 0 || ss.Occupancy > 1.5 {
 			t.Errorf("stage %d occupancy = %v", i, ss.Occupancy)
 		}
 		if ss.WeightEstimate <= 0 {
 			t.Errorf("stage %d weight estimate = %v", i, ss.WeightEstimate)
 		}
-		if ss.P95 <= 0 || ss.P50 > ss.P99 {
-			t.Errorf("stage %d percentiles = %v/%v/%v", i, ss.P50, ss.P95, ss.P99)
+		if ss.P95 <= 0 {
+			t.Errorf("stage %d p95 = %v", i, ss.P95)
 		}
 	}
 	if snap[0].Workers != 1 || snap[1].Workers != 2 {
@@ -89,16 +86,13 @@ func TestSamplerWindowsAreDeltas(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := s.Sample(time.Now())
-	if first[1].FrameDelta != 20 {
-		t.Fatalf("first window delta = %d", first[1].FrameDelta)
+	if first[1].WeightEstimate <= 0 {
+		t.Fatalf("first window weight estimate = %v, want > 0", first[1].WeightEstimate)
 	}
 	// No frames between the two samples: second window is empty.
 	second := s.Sample(time.Now().Add(time.Millisecond))
 	if second == nil {
 		t.Fatal("second sample nil")
-	}
-	if second[1].FrameDelta != 0 || second[1].Frames != 20 {
-		t.Errorf("second window = %d delta (%d total), want 0 (20)", second[1].FrameDelta, second[1].Frames)
 	}
 	if second[1].WeightEstimate != 0 {
 		t.Errorf("empty window weight estimate = %v, want 0", second[1].WeightEstimate)
@@ -110,7 +104,8 @@ func TestSamplerWindowsAreDeltas(t *testing.T) {
 
 func TestSamplerConcurrentSampleDuringRun(t *testing.T) {
 	// Race check: Sample concurrently with worker Record calls.
-	s := NewSampler(obs.NewRegistry())
+	reg := obs.NewRegistry()
+	s := NewSampler(reg)
 	p := samplerPipeline(t, s)
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -132,9 +127,11 @@ func TestSamplerConcurrentSampleDuringRun(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
-	final := s.Sample(time.Now().Add(time.Millisecond))
-	if final[1].Frames != 60 {
-		t.Fatalf("final cumulative frames = %d, want 60", final[1].Frames)
+	if final := s.Sample(time.Now().Add(time.Millisecond)); len(final) != 2 {
+		t.Fatalf("final snapshot has %d stages, want 2", len(final))
+	}
+	if n := reg.LogHistogram("streampu.latency_us.stage1").Count(); n != 60 {
+		t.Fatalf("stage 1 recorded %d frames, want 60", n)
 	}
 }
 

@@ -42,11 +42,11 @@ func computeSolutionMemo(c *core.Chain, s int, r core.Resources, target float64,
 		default:
 			rest := computeSolutionMemo(c, e+1, r.Consume(v, u), target, memo)
 			if rest.IsValid(c, r.Consume(v, u), target) {
-				sols[v] = rest.Prepend(core.Stage{Start: s, End: e, Cores: u, Type: v})
+				sols[v] = prepend(core.Stage{Start: s, End: e, Cores: u, Type: v}, rest)
 			}
 		}
 	}
-	best := ChooseBestSolution(c, sols[core.Big], sols[core.Little], r, target)
+	best := referenceChooseBestSolution(c, sols[core.Big], sols[core.Little], r, target)
 	memo[memoKey{s, r}] = best
 	return best
 }

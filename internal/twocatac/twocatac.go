@@ -5,7 +5,10 @@
 // worst-case complexity is O(2^n · log(w_max·(b+l))); the paper limits it
 // to chains of about 60 tasks. The recursion is kept paper-verbatim, with
 // no memoization, because Figs. 3–4 time exactly that recursion; a memoized
-// oracle that returns the same schedules lives in memo_test.go.
+// oracle that returns the same schedules lives in memo_test.go. Only the
+// cost of a node is ours: the branches of one binary-search probe share one
+// stage buffer, used as a stack, and a branch is valid by construction, so
+// no node allocates or re-validates.
 package twocatac
 
 import (
@@ -44,72 +47,128 @@ func Schedule(c *core.Chain, r core.Resources) core.Solution {
 // ComputeObs returns Algo 5's ComputeSolution reporting into m (the zero
 // Metrics disables), for use with sched.ScheduleM. memo is accepted and
 // ignored (the recursion is never memoized); the parameter stays only
-// because bench/ still passes it (see ROADMAP.md).
+// because bench/ still passes it (see ROADMAP.md). Each call builds its
+// branches in a buffer of its own, which becomes the returned solution.
 func ComputeObs(memo bool, m Metrics) sched.ComputeSolutionFunc {
 	return func(ch *core.Chain, s int, res core.Resources, target float64) core.Solution {
-		return computeSolution(ch, s, res, target, m)
+		p := probe{c: ch, target: target, m: m, path: make([]core.Stage, 0, ch.Len()-s)}
+		if !p.solve(s, res.Count(core.Big), res.Count(core.Little)).Valid {
+			return core.Solution{}
+		}
+		return core.Solution{Stages: p.path[:len(p.path):len(p.path)]}
 	}
 }
 
-// computeSolution implements Algo 5: it builds the stage starting at task
-// s with both core types, recurses on the remainder for each, and picks
-// the better of the two complete solutions with ChooseBestSolution.
-func computeSolution(c *core.Chain, s int, r core.Resources, target float64, m Metrics) core.Solution {
-	m.Nodes.Inc()
-	var sols [2]core.Solution
-	for _, v := range []core.CoreType{core.Big, core.Little} {
-		e, u := sched.ComputeStageM(c, s, r.Count(v), v, target, m.Sched)
-		switch {
-		case u < 1 || u > r.Count(v) || c.Weight(s, e, u, v) > target:
-			// no valid stage with this type of cores
-		case e == c.Len()-1:
-			sols[v] = core.Solution{Stages: []core.Stage{{Start: s, End: e, Cores: u, Type: v}}}
-		default:
-			rest := computeSolution(c, e+1, r.Consume(v, u), target, m)
-			if rest.IsValid(c, r.Consume(v, u), target) {
-				sols[v] = rest.Prepend(core.Stage{Start: s, End: e, Cores: u, Type: v})
-			}
-		}
-	}
-	best := ChooseBestSolution(c, sols[core.Big], sols[core.Little], r, target)
-	if m.Sched.Trace.Enabled() {
-		ev := m.Sched.Trace.Event("node").Int("first_task", s).
-			Int("big", r.Count(core.Big)).Int("little", r.Count(core.Little)).
-			Bool("big_valid", sols[core.Big].IsValid(c, r, target)).
-			Bool("little_valid", sols[core.Little].IsValid(c, r, target))
-		if !best.IsEmpty() {
-			ev.Str("chosen", best.Stages[0].Type.String())
-		}
-	}
-	return best
+// Branch is a candidate solution as Algo 6 compares it: whether it is
+// valid, and the big and little cores it uses.
+type Branch struct {
+	Valid       bool
+	Big, Little int
 }
 
-// ChooseBestSolution implements Algo 6: between two candidate solutions it
-// returns the only valid one, or — when both are valid — the one that
-// better exchanges big cores for little ones, falling back to the one that
-// uses fewer cores in total.
-func ChooseBestSolution(c *core.Chain, sb, sl core.Solution, r core.Resources, target float64) core.Solution {
-	validB := sb.IsValid(c, r, target)
-	validL := sl.IsValid(c, r, target)
+// probe is the state of one ComputeSolution call. path holds the stages
+// of the branch being built from the probe's first task, used as a stack:
+// a node appends its stage and its child appends the rest after it.
+type probe struct {
+	c      *core.Chain
+	target float64
+	m      Metrics
+	path   []core.Stage
+}
+
+// solve implements Algo 5 for the tasks from s on with big and little
+// cores left: it builds the stage starting at task s with both core types,
+// recurses on the remainder for each, and keeps the better branch by
+// ChooseBestSolution. The kept branch's stages end p.path on return; if
+// neither branch is valid, p.path is as solve found it.
+//
+// A branch is valid exactly when it exists: its first stage fits the cores
+// left and meets the target, and its rest, valid by induction, fits what
+// the stage leaves.
+func (p *probe) solve(s, big, little int) Branch {
+	p.m.Nodes.Inc()
+	base := len(p.path)
+	sb := p.branch(s, big, little, core.Big)
+	from := len(p.path) // S_L's stages follow S_B's
+	sl := p.branch(s, big, little, core.Little)
+	keep, ok := ChooseBestSolution(sb, sl)
+	if p.m.Sched.Trace.Enabled() {
+		ev := p.m.Sched.Trace.Event("node").Int("first_task", s).
+			Int("big", big).Int("little", little).
+			Bool("big_valid", sb.Valid).Bool("little_valid", sl.Valid)
+		if ok {
+			ev.Str("chosen", keep.String())
+		}
+	}
 	switch {
-	case validB && validL:
-		bB, lB := sb.CoresUsed() // usage of the solution whose first stage is Big
-		bL, lL := sl.CoresUsed()
-		switch {
-		case lB > lL && bB < bL:
-			return sb // S_B makes better usage of little cores
-		case lB < lL && bB > bL:
-			return sl // S_L makes better usage of little cores
-		case lB+bB < lL+bL:
-			return sb // S_B uses fewer cores
-		default:
-			return sl // S_L uses fewer cores
-		}
-	case validB:
+	case !ok:
+		return Branch{}
+	case keep == core.Big:
+		p.path = p.path[:from] // drop S_L
 		return sb
-	case validL:
-		return sl
+	case sb.Valid: // S_L's stages go over S_B's
+		p.path = p.path[:base+copy(p.path[base:], p.path[from:])]
+	}
+	return sl
+}
+
+// branch appends the branch whose first stage starts at task s on cores of
+// type v, and returns it; a branch that is not valid appends nothing.
+func (p *probe) branch(s, big, little int, v core.CoreType) Branch {
+	avail := big
+	if v == core.Little {
+		avail = little
+	}
+	e, u := sched.ComputeStageM(p.c, s, avail, v, p.target, p.m.Sched)
+	if u < 1 || u > avail || p.c.Weight(s, e, u, v) > p.target {
+		return Branch{} // no valid stage with this type of cores
+	}
+	at := len(p.path)
+	p.path = append(p.path, core.Stage{Start: s, End: e, Cores: u, Type: v})
+	b := Branch{Valid: true}
+	if e < p.c.Len()-1 {
+		if v == core.Big {
+			b = p.solve(e+1, big-u, little)
+		} else {
+			b = p.solve(e+1, big, little-u)
+		}
+		if !b.Valid {
+			p.path = p.path[:at] // a failed branch leaves nothing
+			return Branch{}
+		}
+	}
+	if v == core.Big {
+		b.Big += u
+	} else {
+		b.Little += u
+	}
+	return b
+}
+
+// ChooseBestSolution implements Algo 6: between the candidates S_B (first
+// stage on big cores) and S_L it keeps the only valid one, or — when both
+// are valid — the one that better exchanges big cores for little ones,
+// falling back to the one that uses fewer cores in total. It returns the
+// first-stage type of the kept candidate; ok is false when neither is
+// valid.
+func ChooseBestSolution(sb, sl Branch) (keep core.CoreType, ok bool) {
+	switch {
+	case sb.Valid && sl.Valid:
+		switch {
+		case sb.Little > sl.Little && sb.Big < sl.Big:
+			return core.Big, true // S_B makes better usage of little cores
+		case sb.Little < sl.Little && sb.Big > sl.Big:
+			return core.Little, true // S_L makes better usage of little cores
+		case sb.Little+sb.Big < sl.Little+sl.Big:
+			return core.Big, true // S_B uses fewer cores
+		default:
+			return core.Little, true // S_L uses fewer cores
+		}
+	case sb.Valid:
+		return core.Big, true
+	case sl.Valid:
+		return core.Little, true
 	default:
-		return core.Solution{}
+		return core.Big, false
 	}
 }

@@ -72,34 +72,30 @@ func TestNeverBeatsOptimalAndUsuallyBeatsFertac(t *testing.T) {
 }
 
 func TestChooseBestSolutionRules(t *testing.T) {
-	c := core.MustChain([]core.Task{
-		task(10, 10, true), task(10, 10, true),
-	})
-	r := core.Res(4, 4)
-	target := 20.0
-	mk := func(stages ...core.Stage) core.Solution { return core.Solution{Stages: stages} }
-	sB := mk(core.Stage{Start: 0, End: 1, Cores: 1, Type: core.Big})
-	sL := mk(core.Stage{Start: 0, End: 1, Cores: 1, Type: core.Little})
-	// Only-valid rules.
-	if got := ChooseBestSolution(c, sB, core.Solution{}, r, target); got.String() != sB.String() {
-		t.Errorf("only-valid B not chosen: %v", got)
-	}
-	if got := ChooseBestSolution(c, core.Solution{}, sL, r, target); got.String() != sL.String() {
-		t.Errorf("only-valid L not chosen: %v", got)
-	}
-	if got := ChooseBestSolution(c, core.Solution{}, core.Solution{}, r, target); !got.IsEmpty() {
-		t.Errorf("two invalids must stay empty: %v", got)
-	}
-	// Better-exchange rule: (0B,1L) beats (1B,0L).
-	if got := ChooseBestSolution(c, sB, sL, r, target); got.String() != sL.String() {
-		t.Errorf("little-exchanging solution not preferred: %v", got)
-	}
-	// Fewer-cores rule: both same type, 1 core beats 2.
-	sB2 := mk(core.Stage{Start: 0, End: 1, Cores: 2, Type: core.Big})
-	if got := ChooseBestSolution(c, sB2, sB, r, target); got.String() != sB.String() {
-		// sB2 uses (2B,0L), sB uses (1B,0L): not an exchange; fewer total
-		// cores wins, which is sB (the S_L slot here).
-		t.Errorf("fewer-cores solution not preferred: %v", got)
+	none := Branch{}
+	sB := Branch{Valid: true, Big: 1}    // (1B,0L)
+	sL := Branch{Valid: true, Little: 1} // (0B,1L)
+	for _, tc := range []struct {
+		name   string
+		sb, sl Branch
+		keep   core.CoreType
+		ok     bool
+	}{
+		{"only-valid B", sB, none, core.Big, true},
+		{"only-valid L", none, sL, core.Little, true},
+		{"two invalids", none, none, core.Big, false},
+		// Better-exchange rule: (0B,1L) beats (1B,0L), from either slot.
+		{"S_L exchanges", sB, sL, core.Little, true},
+		{"S_B exchanges", Branch{Valid: true, Big: 1, Little: 2}, Branch{Valid: true, Big: 2, Little: 1}, core.Big, true},
+		// Fewer-cores rule: no exchange, so fewer total cores wins.
+		{"S_B fewer", sB, Branch{Valid: true, Big: 2}, core.Big, true},
+		{"S_L fewer", Branch{Valid: true, Big: 2}, sB, core.Little, true},
+		// A tie goes to S_L.
+		{"tie", Branch{Valid: true, Big: 1, Little: 1}, Branch{Valid: true, Big: 1, Little: 1}, core.Little, true},
+	} {
+		if keep, ok := ChooseBestSolution(tc.sb, tc.sl); ok != tc.ok || (ok && keep != tc.keep) {
+			t.Errorf("%s: got (%v, %v), want (%v, %v)", tc.name, keep, ok, tc.keep, tc.ok)
+		}
 	}
 }
 
