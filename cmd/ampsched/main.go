@@ -138,6 +138,10 @@ type config struct {
 	// out receives everything the command prints to stdout. Tests inject
 	// a buffer; nil means os.Stdout.
 	out io.Writer
+	// notices receives every "# …" notice under -json, where stdout
+	// carries JSON values only. Tests inject a buffer; nil means
+	// os.Stderr. In text mode the notices go to out.
+	notices io.Writer
 }
 
 // check applies every rule that reads only flags. Each error starts with
@@ -199,11 +203,15 @@ func mainErr(cfg config) error {
 	if out == nil {
 		out = os.Stdout
 	}
-	// notes receives every "# …" notice: stdout in text mode, stderr under
-	// -json, so that stdout stays one stream of JSON values.
+	// notes receives every "# …" notice: stdout in text mode, the notice
+	// writer (stderr) under -json, so that stdout stays one stream of JSON
+	// values.
 	notes := out
 	if cfg.json {
-		notes = os.Stderr
+		notes = cfg.notices
+		if notes == nil {
+			notes = os.Stderr
+		}
 	}
 	scheds, err := strategyList(cfg.strategy)
 	if err != nil {

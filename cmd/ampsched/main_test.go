@@ -283,13 +283,26 @@ func TestMainErrInterframe(t *testing.T) {
 
 // TestMainErrJSONStdoutIsJSON: under -json, stdout is JSON values only —
 // one object per strategy carrying its desim and runtime results, then
-// the -stats report — and every "# …" notice goes to stderr.
+// the -stats report — and every "# …" notice goes to the notice writer:
+// a desim and a runtime line for each of the five strategies.
 func TestMainErrJSONStdoutIsJSON(t *testing.T) {
-	var out bytes.Buffer
+	var out, notices bytes.Buffer
 	if err := mainErr(config{input: "testdata/chain.json", resources: "2B,2L", strategy: "all",
 		simulate: true, run: true, frames: 20, scale: 1, interframe: 1, json: true, stats: true,
-		out: &out}); err != nil {
+		out: &out, notices: &notices}); err != nil {
 		t.Fatal(err)
+	}
+	if strings.Contains(out.String(), "# ") {
+		t.Errorf("a notice reached stdout:\n%s", out.String())
+	}
+	lines := strings.Split(strings.TrimSuffix(notices.String(), "\n"), "\n")
+	for i, line := range lines {
+		if kind := []string{" desim: ", " runtime: "}[i%2]; !strings.HasPrefix(line, "# ") || !strings.Contains(line, kind) {
+			t.Errorf("notice %d is %q, want a %q line", i, line, strings.TrimSpace(kind))
+		}
+	}
+	if len(lines) != 10 {
+		t.Errorf("%d notices, want a desim and a runtime line for each of 5 strategies:\n%s", len(lines), notices.String())
 	}
 	var values []map[string]any
 	for dec := json.NewDecoder(&out); ; {

@@ -15,8 +15,10 @@ import (
 // One op is 0.1–1 s, so `-benchtime=1x` (CI's smoke run) is one fill.
 
 // BenchmarkFillScale is the large-n sweep of the fill on R=(4,4), one to
-// two orders of magnitude past the paper's chain lengths, where the O(n²)
-// split-point scan dominates.
+// two orders of magnitude past the paper's chain lengths. A step-by-step
+// walk would visit O(n) splits per cell here; the empty-split jump leaves
+// about five, so the fill grows with the cells and a logarithmic
+// bisection per cell.
 func BenchmarkFillScale(b *testing.B) {
 	r := core.Res(4, 4)
 	for _, n := range []int{2048, 4096} {

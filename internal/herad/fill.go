@@ -121,7 +121,6 @@ type typeFill struct {
 	stride int       // state distance of one core of this type
 	total  int32     // cores of this type on the platform
 	left   int32     // cores of this type the current state has left
-	w      float64   // weight of the current candidate stage on this type
 	floor  int       // smallest count not yet ruled out for the current cell (recompute)
 }
 
@@ -224,10 +223,11 @@ func (m *matrix) seed(f *rowFill, idx int) {
 // recompute implements Algo 9 for state s of row f.j: it computes
 // P*(j, r⃗) by comparing the single-stage seed, the neighbor cells with one
 // less core of each type, and every split point i / core count u for every
-// core type (Eq. 4), walking the splits downwards from topSplit. The walk
-// ends once even the widest replicated stage of every type exceeds the
-// current best period — stage weight only grows as i decreases, so no
-// smaller i can win — and sequential intervals only try a single core.
+// core type (Eq. 4), walking the splits downwards from the top split
+// (lastSplit). The walk ends once even the widest replicated stage of
+// every type exceeds the current best period — stage weight only grows as
+// i decreases, so no smaller i can win — and sequential intervals only try
+// a single core.
 //
 // Before the walk, the split g this state chose one row earlier is
 // evaluated on its own: the warm incumbent. A chain's next task moves the
@@ -239,7 +239,7 @@ func (m *matrix) seed(f *rowFill, idx int) {
 //
 // A candidate's period is max(P*(i-1, r⃗-u·e_v), w/u): the stage term only
 // shrinks as u grows, the predecessor term only grows, with u and with i.
-// Four cuts leave out candidates that are strictly worse, in Algo 10's
+// Five cuts leave out candidates that are strictly worse, in Algo 10's
 // order, than a candidate already compared:
 //
 //   - Count floor. u starts at the smallest count whose stage term
@@ -267,7 +267,22 @@ func (m *matrix) seed(f *rowFill, idx int) {
 //     those L cores, walked later, has that usage too and a period no
 //     larger — its weight over L cores lies between pp and w/u — so
 //     neither is the cell's last optimal candidate.
-//   - Top split. The walk starts at topSplit, not at j.
+//   - Top split. The walk starts at lastSplit's answer, not at j.
+//   - Empty-split jump. At a split where no type compared a candidate,
+//     each type v still in the walk met the predecessor break at its floor
+//     u: P*(i-1, r⃗-u·e_v) is above the incumbent, so every count ≥ u is
+//     strictly worse. No lower split needs a smaller count — w only grows,
+//     and the incumbent does not change while no candidate is compared —
+//     so v's next candidate lies at a split i' < i with P*(i'-1, r⃗-u·e_v)
+//     within the incumbent, the largest of which lastSplit finds by
+//     bisection; a type whose floor no longer fits has no candidate left.
+//     The walk jumps to the largest such split over the types. The floors
+//     it skips stepping up are stepped up at once where it lands, to the
+//     same counts, since w there is no smaller than at any skipped split.
+//     If the skipped splits reach a dominated one, the walk stops at the
+//     highest of them instead — dominance is monotone in i, so that is a
+//     bisection too — which keeps the cut, dp.pruned and every dp_prune
+//     event those of the step-by-step walk.
 //
 // A cut drops a candidate only when it is strictly worse than the
 // incumbent, which is always a real candidate, or, for the row-1 twins,
@@ -307,13 +322,13 @@ func (m *matrix) recompute(f *rowFill, s int, om Metrics) {
 		t[v].floor = 1 // rises along this cell's walk
 	}
 	candidates := 0
-	top := topSplit(cells, t, states, s, j, cur.pbest)
+	top := lastSplit(cells, t, states, s, 1, j, true, cur.pbest)
 	if g := int(cells[idx-states].start) + 1; g+1 < top { // the warm split
 		candidates, _ = m.walk(f, s, g, g, &cur, use)
 		for v := range t {
 			t[v].floor = 1 // g's w is not the walk's
 		}
-		top = topSplit(cells, t, states, s, top, cur.pbest)
+		top = lastSplit(cells, t, states, s, 1, top, true, cur.pbest)
 	}
 	n, cut := m.walk(f, s, top, 1, &cur, use)
 	candidates += n
@@ -343,32 +358,26 @@ func (m *matrix) recompute(f *rowFill, s int, om Metrics) {
 // [i-1, j-1] (0-based) on u cores of type v, types ascending, counts
 // ascending from each type's floor; their predecessor subproblem is row
 // i-1, and i == 1 reproduces the single-stage candidates with intermediate
-// core counts. It returns the number of candidates compared and the split
-// at which it stopped because the stage was dominated — even the widest
-// replicated stage of every type above the incumbent, and so every stage
-// of every smaller split — or 0 if it never was.
+// core counts. A split that holds no candidate is followed by a jump over
+// every split below it that cannot hold one either (lastSplit). It
+// returns the number of candidates compared and the split at which it
+// stopped because the stage was dominated (rowFill.dominated), or 0 if it
+// never was.
 func (m *matrix) walk(f *rowFill, s, hi, lo int, cur *cell, use []int32) (candidates, cut int) {
 	// Locals, so the loops below do not reload them through m, f and cur
 	// after every store.
 	t, cells, best := f.t[:f.k], m.cells, *cur
 	for i := hi; i >= lo; i-- {
-		rep := i >= f.repFrom
-		dominated := true
-		for v := range t {
-			tv := &t[v]
-			tv.w = tv.end - tv.pre[i-1]
-			if stageWeight(tv.w, rep, int(tv.left)) <= best.pbest {
-				dominated = false
-			}
-		}
-		if dominated {
+		if f.dominated(i, best.pbest) {
 			cut = i
 			break
 		}
+		rep := i >= f.repFrom
 		row := (i-1)*m.states + s
+		compared := candidates
 		for v := range t {
 			tv := &t[v]
-			w, stride, maxU := tv.w, tv.stride, int(tv.left)
+			w, stride, maxU := tv.end-tv.pre[i-1], tv.stride, int(tv.left)
 			if !rep && maxU > 1 {
 				maxU = 1 // sequential stages cannot benefit from extra cores
 			}
@@ -401,9 +410,45 @@ func (m *matrix) walk(f *rowFill, s, hi, lo int, cur *cell, use []int32) (candid
 				}
 			}
 		}
+		if candidates > compared || i == lo {
+			continue
+		}
+		// Empty-split jump: no split between next and i holds a candidate,
+		// so the incumbent stays as it is down to next, and the dominance
+		// cut the step-by-step walk would meet on the way is the highest
+		// dominated split of the skipped range.
+		next := lastSplit(cells, t, m.states, s, lo, i-1, rep, best.pbest)
+		if next < i-1 && f.dominated(next+1, best.pbest) {
+			cut = next + 1 // the highest dominated split is in [cut, i-1]
+			for top := i - 1; cut < top; {
+				if mid := int(uint(cut+top+1) >> 1); f.dominated(mid, best.pbest) {
+					cut = mid
+				} else {
+					top = mid - 1
+				}
+			}
+			break
+		}
+		i = next + 1
 	}
 	*cur = best
 	return candidates, cut
+}
+
+// dominated reports whether split i holds no stage within p for the
+// current state: even the widest replicated stage of every type weighs
+// more. Stage weight only grows as i falls — the interval grows, and a
+// sequential stage weighs its whole w on one core — so a dominated split
+// is followed by dominated ones only, and the walk stops at the first.
+func (f *rowFill) dominated(i int, p float64) bool {
+	rep := i >= f.repFrom
+	for v := range f.t[:f.k] {
+		tv := &f.t[v]
+		if stageWeight(tv.end-tv.pre[i-1], rep, int(tv.left)) <= p {
+			return false
+		}
+	}
+	return true
 }
 
 // copyUsage is copy for usage vectors: at most MaxCoreTypes words, for
@@ -446,33 +491,43 @@ func stageWeight(w float64, rep bool, r int) float64 {
 	return w
 }
 
-// topSplit returns the largest split i ≤ j at which some type the state
-// still has cores of finds its one-core predecessor P*(i-1, r⃗-e_v) within
-// the incumbent period p. Above it every candidate's predecessor —
-// P*(i-1, r⃗-u·e_v) ≥ P*(i-1, r⃗-e_v) — is strictly above p, so the fill
-// starts its walk there. The predicate is monotone, which is what
-// lets a binary search find its edge: P*(i-1, ·) is non-decreasing in i in
-// the table itself, because weights are ≥ 0 (core.NewChain), prefix sums
-// and floating-point subtraction and division are monotone, and every cell
-// is the minimum over all its candidates. Row 0 is the zero cell, so
-// split 1 always qualifies. A lower p gives an answer no larger, so after
-// the warm split recompute searches again with the first answer as j: p
-// is then close to the cell's optimum, and the walk starts near the split
-// where the optimum's predecessor and stage terms cross.
-func topSplit(cells []cell, t []typeFill, states, s, j int, p float64) int {
+// lastSplit returns the largest split i in [lo, hi] at which some type v
+// still in the walk finds its floor's predecessor P*(i-1, r⃗-floor_v·e_v)
+// within the incumbent period p, or lo-1 if there is none. A type is still
+// in the walk while its floor fits the stage: floor ≤ left cores, and
+// floor = 1 if rep is false (sequential stages take one core). Below a
+// split where the predicate fails every candidate of v has a predecessor
+// P*(i-1, r⃗-u·e_v) ≥ P*(i-1, r⃗-floor_v·e_v) strictly above p, and a type
+// whose floor no longer fits has no candidate left in the walk at all.
+//
+// The predicate is monotone, which is what lets a binary search find its
+// edge: P*(i-1, ·) is non-decreasing in i in the table itself, because
+// weights are ≥ 0 (core.NewChain), prefix sums and floating-point
+// subtraction and division are monotone, and every cell is the minimum
+// over all its candidates. Row 0 is the zero cell, so split 1 qualifies
+// whenever some type does.
+//
+// recompute calls it with every floor at 1 to find the top split, where
+// the walk starts: a lower p gives an answer no larger, so after the warm
+// split it searches again with the first answer as hi, and the walk starts
+// near the split where the optimum's predecessor and stage terms cross.
+// walk calls it after a split that held no candidate, with the floors that
+// split left, to find the next split that can hold one.
+func lastSplit(cells []cell, t []typeFill, states, s, lo, hi int, rep bool, p float64) int {
 	within := func(i int) bool {
 		for v := range t {
-			if t[v].left > 0 && cells[(i-1)*states+s-t[v].stride].pbest <= p {
+			tv := &t[v]
+			if u := tv.floor; u <= int(tv.left) && (rep || u == 1) && cells[(i-1)*states+s-u*tv.stride].pbest <= p {
 				return true
 			}
 		}
 		return false
 	}
-	if within(j) {
-		return j
+	if within(hi) {
+		return hi
 	}
-	lo, hi := 1, j-1 // within(lo) holds; the largest within is in [lo, hi]
-	for lo < hi {
+	lo-- // within(lo) is taken to hold; the answer is in [lo, hi-1]
+	for hi--; lo < hi; {
 		if mid := int(uint(lo+hi+1) >> 1); within(mid) {
 			lo = mid
 		} else {

@@ -13,8 +13,9 @@
 // O(n²·Π(C_v+1)·ΣC_v) time and O(n·Π(C_v+1)) space; two published
 // optimizations are implemented (single-core inner loop for sequential
 // intervals, plus the stage-merge post-pass), along with a period-dominance
-// pruning of the reverse stage loop, four cuts inside it and a warm
-// incumbent, none of which can move a cell of the matrix (fill.go).
+// pruning of the reverse stage loop, five cuts inside it — the last jumps
+// over the splits that hold no candidate — and a warm incumbent, none of
+// which can move a cell of the matrix (fill.go).
 package herad
 
 import (

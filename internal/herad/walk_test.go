@@ -1,24 +1,33 @@
 package herad
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"slices"
+	"strconv"
 	"testing"
 
 	"ampsched/internal/chaingen"
 	"ampsched/internal/core"
+	"ampsched/internal/obs"
+	"ampsched/internal/trace"
 )
 
-// The fill as it was before the warm incumbent and the crossover cut: every
-// cell starts its walk from the seed and its neighbors alone, and the count
-// loop runs until the predecessor break. It is the oracle
-// TestFillMatchesWalk holds the fill to, cell for cell: both changes claim
-// to drop only candidates that cannot be the cell's last optimal one, so
-// neither may move a single bit of the matrix.
+// The fill as it was before the warm incumbent, the crossover cut, the top
+// split and the empty-split jump: every cell starts its walk at split j
+// from the seed and its neighbors alone, steps one split at a time, and
+// the count loop runs until the predecessor break. It is the oracle
+// TestFillMatchesWalk holds the fill to, cell for cell and cut for cut:
+// each of those changes claims to drop only candidates that cannot be the
+// cell's last optimal one, and to stop the walk at the dominated split the
+// step-by-step walk stops at, so none may move a single bit of the matrix,
+// dp.pruned or a dp_prune event.
 
-// walkFill fills a fresh matrix for c on r with the cold walk.
-func walkFill(c *core.Chain, r core.Resources) *matrix {
+// walkFill fills a fresh matrix for c on r with the cold walk. It returns
+// the dominance split of every recomputed cell in fill order (rows
+// ascending from 2, states ascending from 1), 0 where the walk ran out.
+func walkFill(c *core.Chain, r core.Resources) (*matrix, []int) {
 	m := newMatrix(c.Len(), r)
 	f := rowFill{k: m.k}
 	for v, stride := f.k-1, 1; v >= 0; v-- {
@@ -26,6 +35,7 @@ func walkFill(c *core.Chain, r core.Resources) *matrix {
 		f.t[v] = typeFill{pre: c.PrefixW(core.CoreType(v)), stride: stride, total: int32(total)}
 		stride *= total + 1
 	}
+	var cuts []int
 	for j := 1; j <= c.Len(); j++ {
 		f.j = j
 		for v := range f.t[:f.k] {
@@ -47,15 +57,18 @@ func walkFill(c *core.Chain, r core.Resources) *matrix {
 			}
 			m.seed(&f, base+s)
 			if j >= 2 {
-				m.walkRecompute(&f, s)
+				cuts = append(cuts, m.walkRecompute(&f, s))
 			}
 		}
 	}
-	return m
+	return m, cuts
 }
 
-// walkRecompute is recompute with a cold incumbent and no crossover cut.
-func (m *matrix) walkRecompute(f *rowFill, s int) {
+// walkRecompute is recompute with a cold incumbent, no top split, no
+// crossover cut and no jump. It returns the split at which the walk
+// stopped because even the widest stage of every type was above the
+// incumbent, or 0.
+func (m *matrix) walkRecompute(f *rowFill, s int) (cut int) {
 	j, t, cells := f.j, f.t[:f.k], m.cells
 	idx := j*m.states + s
 	cur := cells[idx]
@@ -74,17 +87,18 @@ func (m *matrix) walkRecompute(f *rowFill, s int) {
 	for v := range t {
 		t[v].floor = 1
 	}
-	for i := topSplit(cells, t, m.states, s, j, cur.pbest); i > 0; i-- {
+	var w [core.MaxCoreTypes]float64 // the stage's weight on each type
+	for i := j; i > 0; i-- {
 		rep := i >= f.repFrom
 		dominated := true
 		for v := range t {
-			tv := &t[v]
-			tv.w = tv.end - tv.pre[i-1]
-			if stageWeight(tv.w, rep, int(tv.left)) <= cur.pbest {
+			w[v] = t[v].end - t[v].pre[i-1]
+			if stageWeight(w[v], rep, int(t[v].left)) <= cur.pbest {
 				dominated = false
 			}
 		}
 		if dominated {
+			cut = i
 			break
 		}
 		row := (i-1)*m.states + s
@@ -95,7 +109,7 @@ func (m *matrix) walkRecompute(f *rowFill, s int) {
 				maxU = min(maxU, 1)
 			}
 			u := tv.floor
-			for u <= maxU && tv.w/float64(u) > cur.pbest {
+			for u <= maxU && w[v]/float64(u) > cur.pbest {
 				u++
 			}
 			tv.floor = u
@@ -105,9 +119,9 @@ func (m *matrix) walkRecompute(f *rowFill, s int) {
 				if pp > cur.pbest {
 					break
 				}
-				p, cores := tv.w, 1
+				p, cores := w[v], 1
 				if rep {
-					p, cores = tv.w/float64(u), u
+					p, cores = w[v]/float64(u), u
 				}
 				p = max(p, pp)
 				if p < cur.pbest || p == cur.pbest && usageLE(m.usage(pi), v, int32(cores), use) {
@@ -120,16 +134,55 @@ func (m *matrix) walkRecompute(f *rowFill, s int) {
 	}
 	cells[idx] = cur
 	copy(m.usage(idx), use)
+	return cut
+}
+
+// fillCuts fills a fresh matrix for c on r with the product fill and
+// returns it, its dp.pruned count, and the dominance split of every
+// recomputed cell in fill order as its dp_prune events state it (the
+// event's cut_at_start + 1; 0 for a cell with no dp_prune before its
+// dp_cell).
+func fillCuts(t *testing.T, c *core.Chain, r core.Resources) (*matrix, int64, []int) {
+	t.Helper()
+	j := trace.New()
+	om := MetricsFrom(obs.NewRegistry())
+	om.Trace = trace.NewScope(j.Root())
+	m := newMatrix(c.Len(), r)
+	m.fill(c, om)
+	var buf bytes.Buffer
+	if err := j.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var cuts []int
+	cut := 0
+	for rest := buf.Bytes(); len(rest) > 0; {
+		var line []byte
+		line, rest, _ = bytes.Cut(rest, []byte("\n"))
+		switch {
+		case bytes.Contains(line, []byte(`"name":"dp_prune"`)):
+			_, at, _ := bytes.Cut(line, []byte(`"cut_at_start":`))
+			n, err := strconv.Atoi(string(bytes.TrimRight(at, "}")))
+			if err != nil {
+				t.Fatalf("dp_prune without its cut: %s", line)
+			}
+			cut = n + 1
+		case bytes.Contains(line, []byte(`"name":"dp_cell"`)):
+			cuts = append(cuts, cut)
+			cut = 0
+		}
+	}
+	return m, om.DPPruned.Value(), cuts
 }
 
 // checkFillMatchesWalk fails the test unless the fill and the cold walk
-// write the same matrix for c on r: every cell's period bits, predecessor,
-// stage start and type, and every usage vector.
+// write the same matrix for c on r — every cell's period bits,
+// predecessor, stage start and type, and every usage vector — and stop
+// the walk of every cell at the same dominated split, so that dp.pruned
+// and the dp_prune events are the cold walk's too.
 func checkFillMatchesWalk(t *testing.T, c *core.Chain, r core.Resources) {
 	t.Helper()
-	got := newMatrix(c.Len(), r)
-	got.fill(c, Metrics{})
-	want := walkFill(c, r)
+	got, pruned, gotCuts := fillCuts(t, c, r)
+	want, wantCuts := walkFill(c, r)
 	for idx := range want.cells {
 		g, w := got.cells[idx], want.cells[idx]
 		if math.Float64bits(g.pbest) != math.Float64bits(w.pbest) || g.prev != w.prev || g.start != w.start || g.v != w.v ||
@@ -138,12 +191,30 @@ func checkFillMatchesWalk(t *testing.T, c *core.Chain, r core.Resources) {
 				r, c.Len(), idx/want.states, idx%want.states, g, got.usage(idx), w, want.usage(idx), c.Tasks())
 		}
 	}
+	if len(gotCuts) != len(wantCuts) {
+		t.Fatalf("R=%v n=%d: the journal has %d dp_cell events, the cold walk recomputes %d cells", r, c.Len(), len(gotCuts), len(wantCuts))
+	}
+	wantPruned := int64(0)
+	for i, w := range wantCuts {
+		if gotCuts[i] != w {
+			row, state := 2+i/(want.states-1), 1+i%(want.states-1)
+			t.Fatalf("R=%v n=%d: cell (row %d, state %d) is cut at split %d, the cold walk cuts at %d\nchain=%+v",
+				r, c.Len(), row, state, gotCuts[i], w, c.Tasks())
+		}
+		if w > 0 {
+			wantPruned++
+		}
+	}
+	if pruned != wantPruned {
+		t.Fatalf("R=%v n=%d: dp.pruned is %d, the cold walk prunes %d cells", r, c.Len(), pruned, wantPruned)
+	}
 }
 
-// TestFillMatchesWalk holds whole matrices to the cold walk: synthetic
-// two-type chains from 2 to 40 tasks on platforms up to (30,30), and up to
-// 512 tasks on (4,4); three-type chains up to (8,8,8); and every cut family
-// at k = 2 and 3, zero weights and zero core counts included.
+// TestFillMatchesWalk holds whole matrices and every cell's cut to the
+// cold walk: synthetic two-type chains from 2 to 40 tasks on platforms up
+// to (30,30), and up to 1024 tasks on (4,4); three-type chains up to
+// (8,8,8), and 128 tasks on (3,3,3); and every cut family at k = 2 and 3,
+// zero weights and zero core counts included.
 func TestFillMatchesWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	srs := []float64{0.2, 0.5, 0.8, 1}
@@ -158,13 +229,15 @@ func TestFillMatchesWalk(t *testing.T) {
 	})
 	t.Run("k2-long", func(t *testing.T) {
 		if testing.Short() {
-			t.Skip("n = 512 fills under -short")
+			t.Skip("n = 512 and 1024 fills under -short")
 		}
 		for iter := 0; iter < 4; iter++ {
 			c := chaingen.Generate(chaingen.Default(512, srs[iter%len(srs)]), rng)
 			checkFillMatchesWalk(t, c, core.Res(4, 4))
 		}
 		checkFillMatchesWalk(t, chaingen.Generate(chaingen.Default(160, 0.8), rng), core.Res(20, 20))
+		checkFillMatchesWalk(t, chaingen.Generate(chaingen.Default(1024, 0.5), rng), core.Res(4, 4))
+		checkFillMatchesWalk(t, chaingen.Generate(chaingen.Default3(128, 0.5), rng), core.Res(3, 3, 3))
 	})
 	t.Run("k3", func(t *testing.T) {
 		for iter := 0; iter < 320; iter++ {
@@ -191,7 +264,7 @@ func TestFillMatchesWalk(t *testing.T) {
 
 // FuzzFillMatchesWalk is TestFillMatchesWalk on chains the fuzzer writes:
 // byte 0 and 1 are the core counts (≤ 8 each), every further byte is one
-// task (≤ 24) — three bits of big weight, three of little weight, one of
+// task (≤ 64, so that walks are long enough to jump) — three bits of big weight, three of little weight, one of
 // replicability, weights from FuzzFillMatchesReference's alphabet.
 func FuzzFillMatchesWalk(f *testing.F) {
 	f.Add([]byte{2, 2, 0x49, 0x52, 0x1b})
@@ -205,8 +278,8 @@ func FuzzFillMatchesWalk(f *testing.F) {
 		}
 		r := core.Res(int(data[0]%9), int(data[1]%9))
 		data = data[2:]
-		if len(data) > 24 {
-			data = data[:24]
+		if len(data) > 64 {
+			data = data[:64]
 		}
 		tasks := make([]core.Task, len(data))
 		for i, x := range data {
