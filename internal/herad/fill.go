@@ -102,13 +102,14 @@ func where[T attrs[T]](ev T, tasks int, r core.Resources) T {
 	return ev
 }
 
-// fill computes every row of a fresh matrix under one "dp_pass" span.
-func (m *matrix) fill(c *core.Chain, om Metrics) {
+// fill computes every row of a fresh matrix under bound (see rowFill.bound)
+// in one "dp_pass" span.
+func (m *matrix) fill(c *core.Chain, bound float64, om Metrics) {
 	dp, exit := om.Trace.Enter("dp_pass")
 	if om.Trace.Enabled() {
-		where(dp, c.Len(), m.res)
+		where(dp, c.Len(), m.res).F64("bound", bound)
 	}
-	m.fillRows(c, 1, c.Len(), om)
+	m.fillRows(c, 1, c.Len(), bound, om)
 	exit()
 }
 
@@ -133,17 +134,24 @@ type rowFill struct {
 	// rowFill and everything it owns lives on its fillRows' stack.
 	k int
 	t [core.MaxCoreTypes]typeFill
+	// bound is a period the full problem is known to reach (the period of
+	// some schedule of the whole chain), +Inf when none is known. From row
+	// 2 on, a cell whose period is above it cannot lie on the optimal path
+	// and is stored as +Inf without its walk being finished (recompute);
+	// every other cell is the one an unbounded fill writes.
+	bound float64
 	// What recompute counts, added to the shared Metrics counters once per
 	// fillRows rather than once per cell.
 	cells, pruned, candidates int64
 }
 
-// fillRows computes rows from..to of the matrix in ascending row order.
-// Rows < from are read, never written, which is what lets the incremental
-// Planner refill only the suffix a chain edit invalidates; every cell of a
-// filled row is overwritten, so the rows' previous content is irrelevant.
-func (m *matrix) fillRows(c *core.Chain, from, to int, om Metrics) {
-	f := rowFill{k: m.k}
+// fillRows computes rows from..to of the matrix in ascending row order
+// under bound. Rows < from are read, never written, which is what lets the
+// incremental Planner refill only the suffix a chain edit invalidates;
+// every cell of a filled row is overwritten, so the rows' previous content
+// is irrelevant.
+func (m *matrix) fillRows(c *core.Chain, from, to int, bound float64, om Metrics) {
+	f := rowFill{k: m.k, bound: bound}
 	for v, stride := f.k-1, 1; v >= 0; v-- { // mixed radix, last type fastest
 		total := m.res.Count(core.CoreType(v))
 		f.t[v] = typeFill{pre: c.PrefixW(core.CoreType(v)), stride: stride, total: int32(total)}
@@ -189,8 +197,8 @@ func (m *matrix) fillRow(f *rowFill, om Metrics) {
 			f.t[v].left = 0
 		}
 		m.seed(f, base+s)
-		if f.j >= 2 {
-			m.recompute(f, s, om)
+		if f.j >= 2 && m.recompute(f, s, om) > 0 {
+			f.pruned++
 		}
 	}
 }
@@ -239,8 +247,8 @@ func (m *matrix) seed(f *rowFill, idx int) {
 //
 // A candidate's period is max(P*(i-1, r⃗-u·e_v), w/u): the stage term only
 // shrinks as u grows, the predecessor term only grows, with u and with i.
-// Five cuts leave out candidates that are strictly worse, in Algo 10's
-// order, than a candidate already compared:
+// Six cuts leave out candidates that are strictly worse, in Algo 10's
+// order, than a candidate already compared or than the bound:
 //
 //   - Count floor. u starts at the smallest count whose stage term
 //     w/float64(u) — the quotient the candidate itself is compared on — is
@@ -283,26 +291,48 @@ func (m *matrix) seed(f *rowFill, idx int) {
 //     highest of them instead — dominance is monotone in i, so that is a
 //     bisection too — which keeps the cut, dp.pruned and every dp_prune
 //     event those of the step-by-step walk.
+//   - Cap and skip (rowFill.bound b). A cell whose seed and neighbors are
+//     all above b starts the walk from a sentinel incumbent instead: period
+//     b and a usage vector every real one beats, so a candidate of period
+//     b still wins. A cell that finds no candidate within b cannot lie on
+//     the optimal path, whose every cell is at most the final one, itself
+//     at most b; it is stored as +Inf, with no dp_cell or dp_prune event
+//     and no cut counted. From row 2 on, a cell whose previous-row cell at
+//     the same state is above b is stored as +Inf unevaluated: P*(j, r⃗) ≥
+//     P*(j-1, r⃗), since the last stage of any schedule of j tasks, less
+//     task j-1, leaves a schedule of j-1 tasks no slower. Row 1 is seeds
+//     and stays exact. The stored table is the true one with every value
+//     above b replaced by +Inf — a monotone map — so it stays monotone in
+//     i and in each count, which is all the other cuts read of it, and a
+//     predecessor above b is above every incumbent either way.
 //
 // A cut drops a candidate only when it is strictly worse than the
-// incumbent, which is always a real candidate, or, for the row-1 twins,
-// when a later candidate is at least as good. So the cell's last optimal
-// candidate in walk order — minimal period, then lexicographically minimal
-// usage, ties at identical usage going to the later one; splits
-// descending, types ascending, counts ascending — is compared in the walk
-// and ends in the cell, whatever the starting incumbent was. If the warm
-// candidate is that one, the walk meets it again at its own split and it
-// wins there. Each cell is the one the full walk writes.
+// incumbent, which is always a real candidate or the sentinel, or, for the
+// row-1 twins, when a later candidate is at least as good. So the cell's
+// last optimal candidate in walk order — minimal period, then
+// lexicographically minimal usage, ties at identical usage going to the
+// later one; splits descending, types ascending, counts ascending — is
+// compared in the walk and ends in the cell, whatever the starting
+// incumbent was, as long as its period is within b. If the warm candidate
+// is that one, the walk meets it again at its own split and it wins there.
+// Each cell within b is the one the full walk writes, whatever b is.
+//
+// recompute returns the split at which the walk stopped because the stage
+// was dominated, or 0 if it never was or the cell is over the bound.
 //
 // Candidates are compared as Algo 10 prescribes — period first, then the
 // usage vector — but without materializing the candidate cell: its usage
 // vector is the predecessor's plus the stage's own cores, read only when
 // the periods tie and copied only when the candidate wins. The outcome of
 // every comparison is that of CompareCells on the full cells.
-func (m *matrix) recompute(f *rowFill, s int, om Metrics) {
-	f.cells++
+func (m *matrix) recompute(f *rowFill, s int, om Metrics) (cut int) {
 	j, t, states, cells := f.j, f.t[:f.k], m.states, m.cells
 	idx := j*states + s
+	if cells[idx-states].pbest > f.bound {
+		cells[idx] = cell{pbest: math.Inf(1)} // skip: P* never falls as a task is added
+		return 0
+	}
+	f.cells++
 	cur := cells[idx] // seed
 	var ubuf [core.MaxCoreTypes]int32
 	use := ubuf[:len(t)] // cur's usage vector
@@ -316,6 +346,12 @@ func (m *matrix) recompute(f *rowFill, s int, om Metrics) {
 		if p := cells[nb].pbest; p < cur.pbest || p == cur.pbest && usageLE(m.usage(nb), -1, 0, use) {
 			cur = cells[nb]
 			copyUsage(use, m.usage(nb))
+		}
+	}
+	if cur.pbest > f.bound { // cap: start from the bound, which every tie beats
+		cur = cell{pbest: f.bound, start: -1} // start < 0 until a candidate wins
+		for v := range use {
+			use[v] = math.MaxInt32
 		}
 	}
 	for v := range t {
@@ -332,10 +368,11 @@ func (m *matrix) recompute(f *rowFill, s int, om Metrics) {
 	}
 	n, cut := m.walk(f, s, top, 1, &cur, use)
 	candidates += n
-	if cut > 0 {
-		f.pruned++
-	}
 	f.candidates += int64(candidates)
+	if cur.start < 0 { // no candidate within the bound
+		cells[idx] = cell{pbest: math.Inf(1)}
+		return 0
+	}
 	if om.Trace.Enabled() {
 		at := m.res
 		for v := range t {
@@ -350,6 +387,7 @@ func (m *matrix) recompute(f *rowFill, s int, om Metrics) {
 	}
 	cells[idx] = cur
 	copyUsage(m.usage(idx), use)
+	return cut
 }
 
 // walk compares the candidates of splits hi down to lo of state s with the
@@ -504,8 +542,10 @@ func stageWeight(w float64, rep bool, r int) float64 {
 // edge: P*(i-1, ·) is non-decreasing in i in the table itself, because
 // weights are ≥ 0 (core.NewChain), prefix sums and floating-point
 // subtraction and division are monotone, and every cell is the minimum
-// over all its candidates. Row 0 is the zero cell, so split 1 qualifies
-// whenever some type does.
+// over all its candidates. The bound keeps it so: from row 2 on the table
+// stores every value above it as +Inf, a non-decreasing map of the true
+// value, and row 1's exact seeds lie below row 2's true values. Row 0 is
+// the zero cell, so split 1 qualifies whenever some type does.
 //
 // recompute calls it with every floor at 1 to find the top split, where
 // the walk starts: a lower p gives an answer no larger, so after the warm

@@ -13,13 +13,17 @@
 // O(n²·Π(C_v+1)·ΣC_v) time and O(n·Π(C_v+1)) space; two published
 // optimizations are implemented (single-core inner loop for sequential
 // intervals, plus the stage-merge post-pass), along with a period-dominance
-// pruning of the reverse stage loop, five cuts inside it — the last jumps
-// over the splits that hold no candidate — and a warm incumbent, none of
-// which can move a cell of the matrix (fill.go).
+// pruning of the reverse stage loop, six cuts inside it — the fifth jumps
+// over the splits that hold no candidate, the sixth leaves out the cells
+// above FERTAC's period on two-type platforms — and a warm incumbent, none
+// of which can move a cell that can lie on the optimal path (fill.go).
 package herad
 
 import (
+	"math"
+
 	"ampsched/internal/core"
+	"ampsched/internal/fertac"
 	"ampsched/internal/obs"
 	"ampsched/internal/trace"
 )
@@ -28,22 +32,23 @@ import (
 // disabled sink.
 type Metrics struct {
 	// DPCells counts the (j, r⃗) cells the Eq. 4 recursion actually
-	// evaluates (Algo 9).
+	// evaluates (Algo 9): not the cells the bound skips unevaluated.
 	DPCells *obs.Counter
 	// DPCandidates counts candidate (split point, core count, type)
 	// solutions evaluated inside those cells: the ones the cuts of the
 	// split loop cannot rule out unseen, the warm split's included.
 	DPCandidates *obs.Counter
-	// DPPruned counts the reverse stage loops cut short by the
-	// period-dominance pruning.
+	// DPPruned counts the reverse stage loops of cells within the bound
+	// cut short by the period-dominance pruning.
 	DPPruned *obs.Counter
 	// MergedStages counts the stages removed by the replicable-stage
 	// merge post-pass.
 	MergedStages *obs.Counter
 	// Trace is the decision-journal scope: the DP fill runs under a
-	// "dp_pass" span with one "dp_cell" event per recomputed cell (the
-	// committed split point, core type and period), "dp_prune" events for
-	// the dominance cut-offs, and a "merge_pass" event for the post-pass.
+	// "dp_pass" span (carrying the fill's bound) with one "dp_cell"
+	// event per recomputed cell within the bound (the committed split
+	// point, core type and period), "dp_prune" events for their dominance
+	// cut-offs, and a "merge_pass" event for the post-pass.
 	Trace *trace.Scope
 }
 
@@ -121,8 +126,20 @@ func scheduleRaw(c *core.Chain, r core.Resources, o Options) core.Solution {
 		return core.Solution{} // chain and platform disagree on the type table
 	}
 	m := newMatrix(c.Len(), r)
-	m.fill(c, o.Metrics)
+	m.fill(c, bound(c, r), o.Metrics)
 	return m.extract(c.Len())
+}
+
+// bound returns the period of FERTAC's schedule of c on a two-type r, which
+// the optimum can only match or beat, or +Inf on any other type count or
+// when FERTAC finds no schedule. The fill computes stage weights exactly as
+// Solution.Period does, so its final cell is at most this bound bit for
+// bit, and the cells above it are left out (rowFill.bound).
+func bound(c *core.Chain, r core.Resources) float64 {
+	if r.NumTypes() != 2 {
+		return math.Inf(1)
+	}
+	return fertac.Schedule(c, r).Period(c)
 }
 
 // Period returns the optimal period of c on r without materializing the

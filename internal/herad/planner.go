@@ -2,6 +2,7 @@ package herad
 
 import (
 	"fmt"
+	"math"
 
 	"ampsched/internal/core"
 )
@@ -15,7 +16,9 @@ import (
 // fillRows the from-scratch fill uses, which overwrites every cell of a
 // row it fills, so an edited Planner's schedule is bit-identical to
 // scheduling the edited chain from scratch (planner_test.go drives random
-// edit sequences against that oracle).
+// edit sequences against that oracle). Its fill has no bound (+Inf): its
+// rows outlive chain edits, and an edit can raise the period a bound would
+// cap them at.
 //
 // A Planner carries one chain, one resource vector and one Options value
 // for its whole life; edits change only the chain. It is not safe for
@@ -45,7 +48,7 @@ func NewPlanner(c *core.Chain, r core.Resources, o Options) (*Planner, error) {
 			c.NumTypes(), r.NumTypes())
 	}
 	m := newMatrix(c.Len(), r)
-	m.fill(c, o.Metrics)
+	m.fill(c, math.Inf(1), o.Metrics)
 	return &Planner{c: c, r: r, o: o, m: m, lastRefilled: c.Len()}, nil
 }
 
@@ -171,7 +174,7 @@ func (p *Planner) refill(from int) {
 	rf, exit := om.Trace.Enter("dp_refill")
 	rf.Int("tasks", n).Int("from_row", from).Int("rows", refilled)
 	p.m.resize(n)
-	p.m.fillRows(p.c, from, n, om)
+	p.m.fillRows(p.c, from, n, math.Inf(1), om)
 	exit()
 }
 

@@ -1,6 +1,7 @@
 package herad
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -217,8 +218,8 @@ func TestPlannerPeriod(t *testing.T) {
 func TestRefillAllocatesNothing(t *testing.T) {
 	c := chaingen.GenerateMany(chaingen.Default(32, 0.5), 5, 1)[0]
 	m := newMatrix(c.Len(), core.Res(3, 3))
-	m.fill(c, Metrics{})
-	if a := testing.AllocsPerRun(20, func() { m.fillRows(c, c.Len()-4, c.Len(), Metrics{}) }); a != 0 {
+	m.fill(c, math.Inf(1), Metrics{})
+	if a := testing.AllocsPerRun(20, func() { m.fillRows(c, c.Len()-4, c.Len(), math.Inf(1), Metrics{}) }); a != 0 {
 		t.Errorf("refilling 5 rows allocates %v times, want 0", a)
 	}
 }
