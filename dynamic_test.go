@@ -107,9 +107,9 @@ func runDynamic(tasks []streampu.Task, frames int) (finished, errored int) {
 
 	for w := 0; w < dynamicWorkers; w++ {
 		wg.Add(1)
-		go func(id int) {
+		go func() {
 			defer wg.Done()
-			wctx := &streampu.Worker{Core: core.Big, Scale: 1, ID: id}
+			wctx := &streampu.Worker{Core: core.Big, Scale: 1}
 			for item := range ready {
 				t0 := time.Now()
 				if err := tasks[item.task].Process(wctx, item.frame); err != nil && item.frame.Err == nil {
@@ -128,7 +128,7 @@ func runDynamic(tasks []streampu.Task, frames int) (finished, errored int) {
 					go offer(item.frame, next)
 				}
 			}
-		}(w)
+		}()
 	}
 
 	go func() {

@@ -11,7 +11,7 @@ import "fmt"
 // "Decoder BCH – decode HIHO" task.
 type BCH struct {
 	field *gf
-	m, t  int
+	t     int
 	k     int    // information bits
 	nCW   int    // codeword bits = k + parity
 	gen   []byte // generator polynomial bits, index = degree
@@ -50,7 +50,7 @@ func NewBCH(m, t, k int) (*BCH, error) {
 		seen[mp] = true
 		gen = polyMulGF2(gen, field.minimalPoly(i))
 	}
-	b := &BCH{field: field, m: m, t: t, k: k, gen: gen, deg: len(gen) - 1}
+	b := &BCH{field: field, t: t, k: k, gen: gen, deg: len(gen) - 1}
 	b.nCW = k + b.deg
 	b.genw = make([]uint64, (b.deg+63)/64)
 	for d := 0; d < b.deg; d++ {
@@ -67,21 +67,11 @@ func NewBCH(m, t, k int) (*BCH, error) {
 
 func f2key(p []byte) string { return string(p) }
 
-// K returns the information length in bits.
-func (b *BCH) K() int { return b.k }
-
 // N returns the (shortened) codeword length in bits.
 func (b *BCH) N() int { return b.nCW }
 
-// Encode appends the BCH parity to info (length K) and returns the
-// systematic codeword of length N: info followed by parity.
-func (b *BCH) Encode(info []byte) []byte {
-	cw := make([]byte, b.nCW)
-	b.encodeInto(cw, info)
-	return cw
-}
-
-// encodeInto is Encode into the caller's buffer of N bits.
+// encodeInto writes the systematic codeword of info (k bits) into cw (N
+// bits): info followed by the BCH parity.
 func (b *BCH) encodeInto(cw, info []byte) {
 	if len(info) != b.k || len(cw) != b.nCW {
 		panic(fmt.Sprintf("dvbs2: BCH encode: %d info bits into %d, want %d into %d",

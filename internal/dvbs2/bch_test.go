@@ -5,6 +5,13 @@ import (
 	"testing"
 )
 
+// encode returns the systematic codeword of info: info followed by parity.
+func (b *BCH) encode(info []byte) []byte {
+	cw := make([]byte, b.nCW)
+	b.encodeInto(cw, info)
+	return cw
+}
+
 func TestGFFieldProperties(t *testing.T) {
 	for _, m := range []int{4, 8, 11, 14} {
 		f, err := newGF(m)
@@ -100,15 +107,15 @@ func TestBCHEncodeMatchesBytewiseLFSR(t *testing.T) {
 			t.Fatal(err)
 		}
 		for trial := 0; trial < 5; trial++ {
-			info := make([]byte, b.K())
+			info := make([]byte, b.k)
 			for i := range info {
 				info[i] = byte(rng.Intn(2))
 			}
-			cw := b.Encode(info)
-			if string(cw[:b.K()]) != string(info) {
+			cw := b.encode(info)
+			if string(cw[:b.k]) != string(info) {
 				t.Fatalf("BCH(m=%d,t=%d): codeword is not systematic", c[0], c[1])
 			}
-			if got, want := cw[b.K():], referenceBCHParity(b, info); string(got) != string(want) {
+			if got, want := cw[b.k:], referenceBCHParity(b, info); string(got) != string(want) {
 				t.Fatalf("BCH(m=%d,t=%d), %d parity bits: packed register gives %v, byte-wise LFSR %v",
 					c[0], c[1], b.ParityBits(), got, want)
 			}
@@ -125,8 +132,8 @@ func TestBCHEncodeDecodeNoErrors(t *testing.T) {
 		t.Errorf("parity bits = %d, want 44 (= m·t)", b.ParityBits())
 	}
 	rng := rand.New(rand.NewSource(1))
-	info := randomBits(rng, b.K())
-	cw := b.Encode(info)
+	info := randomBits(rng, b.k)
+	cw := b.encode(info)
 	if len(cw) != b.N() {
 		t.Fatalf("codeword length %d, want %d", len(cw), b.N())
 	}
@@ -146,8 +153,8 @@ func TestBCHCorrectsUpToT(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 25; trial++ {
-		info := randomBits(rng, b.K())
-		cw := b.Encode(info)
+		info := randomBits(rng, b.k)
+		cw := b.encode(info)
 		nerr := 1 + rng.Intn(b.t)
 		flip(rng, cw, nerr)
 		dec, corrected, ok := b.Decode(cw)
@@ -171,8 +178,8 @@ func TestBCHDetectsBeyondT(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	failures := 0
 	for trial := 0; trial < 20; trial++ {
-		info := randomBits(rng, b.K())
-		cw := b.Encode(info)
+		info := randomBits(rng, b.k)
+		cw := b.encode(info)
 		flip(rng, cw, b.t+2+rng.Intn(5))
 		if _, _, ok := b.Decode(cw); !ok {
 			failures++
@@ -193,7 +200,7 @@ func TestBCHFailureLeavesInputUntouched(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	failures := 0
 	for trial := 0; trial < 200; trial++ {
-		cw := b.Encode(randomBits(rng, b.K()))
+		cw := b.encode(randomBits(rng, b.k))
 		flip(rng, cw, b.t+2+rng.Intn(5))
 		in := append([]byte(nil), cw...)
 		if _, corrected, ok := b.Decode(cw); !ok {
@@ -290,7 +297,7 @@ func TestBCHMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		for nerr := 0; nerr <= b.t+3; nerr++ {
-			cw := b.Encode(randomBits(rng, b.K()))
+			cw := b.encode(randomBits(rng, b.k))
 			flip(rng, cw, nerr)
 			ref := append([]byte(nil), cw...)
 			gotInfo, gotN, gotOK := b.Decode(cw)
@@ -314,8 +321,8 @@ func TestBCHPaperDimensions(t *testing.T) {
 		t.Fatalf("BCH codeword %d, want K_ldpc=%d", b.N(), p.KLdpc)
 	}
 	rng := rand.New(rand.NewSource(4))
-	info := randomBits(rng, b.K())
-	cw := b.Encode(info)
+	info := randomBits(rng, b.k)
+	cw := b.encode(info)
 	flip(rng, cw, 12)
 	dec, corrected, ok := b.Decode(cw)
 	if !ok || corrected != 12 {

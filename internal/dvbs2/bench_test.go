@@ -27,7 +27,7 @@ func BenchmarkLDPCDecode(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			frames := make([][]float64, 64)
 			for f := range frames {
-				frames[f] = bpskLLR(rng, l.Encode(randomBits(rng, l.K())), 0.3)
+				frames[f] = bpskLLR(rng, l.encode(randomBits(rng, l.K())), 0.3)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -49,7 +49,7 @@ func BenchmarkLDPCEncode(b *testing.B) {
 	info := make([]byte, l.K())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.Encode(info)
+		l.encode(info)
 	}
 }
 
@@ -63,7 +63,7 @@ func BenchmarkBCHDecode(b *testing.B) {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(2))
-	clean := codec.Encode(randomBits(rng, codec.K()))
+	clean := codec.encode(randomBits(rng, codec.k))
 	for _, nerr := range []int{0, codec.t} {
 		b.Run(fmt.Sprintf("errors=%d", nerr), func(b *testing.B) {
 			cw := make([]byte, len(clean))
@@ -89,10 +89,10 @@ func BenchmarkBCHEncode(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	info := make([]byte, codec.K())
+	info := make([]byte, codec.k)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		codec.Encode(info)
+		codec.encode(info)
 	}
 }
 

@@ -38,7 +38,7 @@ func dirtyPayload(p Params) *FramePayload {
 		timed: nan(p.FrameSymbols() + 7), Symbols: nan(p.FrameSymbols()), Aligned: nan(p.FrameSymbols()),
 		LLRs: llr(p.NLdpc), LLRsDeint: llr(p.NLdpc),
 		LDPCBits: bits(p.KLdpc), Bits: bits(p.KBch()), RefBits: bits(p.KBch()),
-		NoiseVar: math.NaN(), SyncMetric: math.NaN(), SyncOffset: -1, Locked: true, Skipped: true,
+		NoiseVar: math.NaN(), SyncOffset: -1, Locked: true, Skipped: true,
 		LDPCIters: 99, LDPCConverged: true, BCHCorrected: 99, BCHOK: true, Counter: 99, BitErrors: 99,
 	}
 	pl.Payload = pl.Aligned[:3]

@@ -93,16 +93,6 @@ func NewFIR(taps []float64) *FIR {
 	return f
 }
 
-// Clone returns an independent copy of the filter including its state.
-func (f *FIR) Clone() *FIR {
-	return &FIR{rtaps: f.rtaps, d: f.d, line: append([]complex128(nil), f.line...)}
-}
-
-// Reset clears the delay line.
-func (f *FIR) Reset() {
-	clear(f.line)
-}
-
 // Process filters in into dst (allocated if nil) and returns dst. Output
 // sample i corresponds to input sample i (the filter's group delay is
 // not compensated here; the caller accounts for it). dst must not

@@ -25,7 +25,7 @@ func FuzzBCHDecode(f *testing.F) {
 		}
 		in := append([]byte(nil), cw...)
 		info, corrected, ok := codec.Decode(cw)
-		if len(info) != codec.K() {
+		if len(info) != codec.k {
 			t.Fatalf("info length %d", len(info))
 		}
 		if corrected < 0 || corrected > codec.t {
@@ -61,13 +61,13 @@ func FuzzBCHMatchesReference(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, which uint8, data, errs []byte) {
 		codec := codecs[int(which)%len(codecs)]
-		info := make([]byte, codec.K())
+		info := make([]byte, codec.k)
 		for i := range info {
 			if len(data) > 0 {
 				info[i] = data[i%len(data)] >> (i % 8) & 1
 			}
 		}
-		cw := codec.Encode(info)
+		cw := codec.encode(info)
 		for i := 0; i+1 < len(errs); i += 2 {
 			cw[(int(errs[i])<<8|int(errs[i+1]))%len(cw)] ^= 1
 		}

@@ -5,7 +5,6 @@ import "fmt"
 // gf implements arithmetic in GF(2^m) with log/antilog tables generated
 // from a primitive polynomial, as used by the BCH codec.
 type gf struct {
-	m   int
 	n   int // field order − 1 = 2^m − 1
 	exp []uint32
 	log []int
@@ -36,7 +35,7 @@ func newGF(m int) (*gf, error) {
 		return nil, fmt.Errorf("dvbs2: no primitive polynomial for GF(2^%d)", m)
 	}
 	n := (1 << m) - 1
-	f := &gf{m: m, n: n, exp: make([]uint32, 2*n), log: make([]int, n+1)}
+	f := &gf{n: n, exp: make([]uint32, 2*n), log: make([]int, n+1)}
 	x := uint32(1)
 	for i := 0; i < n; i++ {
 		f.exp[i] = x

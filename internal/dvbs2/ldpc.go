@@ -19,7 +19,6 @@ import (
 // structure match the standard's short FECFRAME rate-8/9 code.
 type LDPC struct {
 	n, k, m int // codeword, info, parity lengths
-	q       int
 	iters   int
 	norm    float64
 
@@ -40,7 +39,7 @@ func NewLDPC(p Params) (*LDPC, error) {
 	}
 	l := &LDPC{
 		n: p.NLdpc, k: p.KLdpc, m: p.NLdpc - p.KLdpc,
-		q: p.Q, iters: p.LdpcIters, norm: p.LdpcNorm,
+		iters: p.LdpcIters, norm: p.LdpcNorm,
 	}
 	rng := rand.New(rand.NewSource(p.LdpcSeed))
 	checkVars := make([][]int32, l.m)
@@ -103,15 +102,8 @@ func (l *LDPC) N() int { return l.n }
 // K returns the information length in bits.
 func (l *LDPC) K() int { return l.k }
 
-// Encode appends parity to info (length K) and returns the systematic
-// codeword (length N): information bits followed by accumulated parity.
-func (l *LDPC) Encode(info []byte) []byte {
-	cw := make([]byte, l.n)
-	l.encodeInto(cw, info)
-	return cw
-}
-
-// encodeInto is Encode into the caller's buffer of N bits.
+// encodeInto writes the systematic codeword of info (length K) into cw
+// (length N): information bits followed by accumulated parity.
 func (l *LDPC) encodeInto(cw, info []byte) {
 	if len(info) != l.k || len(cw) != l.n {
 		panic(fmt.Sprintf("dvbs2: LDPC encode: %d info bits into %d, want %d into %d",

@@ -15,6 +15,14 @@ func testLDPC(t *testing.T) *LDPC {
 	return l
 }
 
+// encode returns the systematic codeword of info: information bits
+// followed by accumulated parity.
+func (l *LDPC) encode(info []byte) []byte {
+	cw := make([]byte, l.n)
+	l.encodeInto(cw, info)
+	return cw
+}
+
 func TestLDPCConstruction(t *testing.T) {
 	l := testLDPC(t)
 	if l.N() != 1620 || l.K() != 1440 {
@@ -48,7 +56,7 @@ func TestLDPCEncodeSatisfiesChecks(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 10; trial++ {
 		info := randomBits(rng, l.K())
-		cw := l.Encode(info)
+		cw := l.encode(info)
 		if len(cw) != l.N() {
 			t.Fatalf("codeword length %d", len(cw))
 		}
@@ -62,7 +70,7 @@ func TestLDPCEncodeSatisfiesChecks(t *testing.T) {
 	}
 	// A corrupted codeword must fail the syndrome check.
 	info := randomBits(rng, l.K())
-	cw := l.Encode(info)
+	cw := l.encode(info)
 	cw[7] ^= 1
 	if l.CheckSyndrome(cw) {
 		t.Error("syndrome check passed on a corrupted codeword")
@@ -89,7 +97,7 @@ func TestLDPCDecodeClean(t *testing.T) {
 	d := l.NewDecoder()
 	rng := rand.New(rand.NewSource(6))
 	info := randomBits(rng, l.K())
-	cw := l.Encode(info)
+	cw := l.encode(info)
 	llr := bpskLLR(rng, cw, 0.05) // essentially noiseless
 	hard, res := d.Decode(llr)
 	if !res.Converged || res.Iterations != 1 {
@@ -111,7 +119,7 @@ func TestLDPCDecodeCorrectsNoise(t *testing.T) {
 	const trials = 20
 	for trial := 0; trial < trials; trial++ {
 		info := randomBits(rng, l.K())
-		cw := l.Encode(info)
+		cw := l.encode(info)
 		llr := bpskLLR(rng, cw, 0.42)
 		// Confirm the channel actually introduced hard-decision errors.
 		preErrs := 0
@@ -138,7 +146,7 @@ func TestLDPCEarlyStopSavesIterations(t *testing.T) {
 	d := l.NewDecoder()
 	rng := rand.New(rand.NewSource(8))
 	info := randomBits(rng, l.K())
-	cw := l.Encode(info)
+	cw := l.encode(info)
 	clean := bpskLLR(rng, cw, 0.05)
 	_, resClean := d.Decode(clean)
 	noisy := bpskLLR(rng, cw, 0.5)
@@ -181,7 +189,7 @@ func TestLDPCFullSizeRoundTrip(t *testing.T) {
 	d := l.NewDecoder()
 	rng := rand.New(rand.NewSource(10))
 	info := randomBits(rng, l.K())
-	cw := l.Encode(info)
+	cw := l.encode(info)
 	if !l.CheckSyndrome(cw) {
 		t.Fatal("full-size encoder fails parity")
 	}
@@ -198,7 +206,7 @@ func TestDecoderScratchIsolation(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	infoA := randomBits(rng, l.K())
 	infoB := randomBits(rng, l.K())
-	cwA, cwB := l.Encode(infoA), l.Encode(infoB)
+	cwA, cwB := l.encode(infoA), l.encode(infoB)
 	hardA, _ := d1.Decode(bpskLLR(rng, cwA, 0.1))
 	hardB, _ := d2.Decode(bpskLLR(rng, cwB, 0.1))
 	if CountBitErrors(hardA, cwA) != 0 || CountBitErrors(hardB, cwB) != 0 {
@@ -227,7 +235,7 @@ func TestEncodePanicsOnWrongLength(t *testing.T) {
 			t.Error("wrong-length info accepted")
 		}
 	}()
-	l.Encode(make([]byte, 3))
+	l.encode(make([]byte, 3))
 }
 
 func TestNormalizationFactorApplied(t *testing.T) {
@@ -241,7 +249,7 @@ func TestNormalizationFactorApplied(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(12))
 	info := randomBits(rng, l0.K())
-	cw := l0.Encode(info)
+	cw := l0.encode(info)
 	llr := bpskLLR(rng, cw, 0.5)
 	// Force some hard errors.
 	hardErrs := 0
@@ -428,7 +436,7 @@ func TestLDPCMatchesReference(t *testing.T) {
 	var multi, failed int
 	for _, sigma := range []float64{0.3, 0.5, 0.6, 0.7, 0.9} {
 		for trial := 0; trial < 4; trial++ {
-			llr := bpskLLR(rng, l.Encode(randomBits(rng, l.K())), sigma)
+			llr := bpskLLR(rng, l.encode(randomBits(rng, l.K())), sigma)
 			switch trial {
 			case 1: // ties: every magnitude on a grid of halves
 				for i := range llr {

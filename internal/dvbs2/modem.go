@@ -65,9 +65,8 @@ func EstimateNoise(syms []complex128) float64 {
 // interleaver to 8PSK and above; the paper's QPSK chain still carries an
 // interleaver task, so the codeword passes through this permutation.
 type Interleaver struct {
-	rows, cols int
-	perm       []int32 // perm[i] = source index of output position i
-	inv        []int32
+	perm []int32 // perm[i] = source index of output position i
+	inv  []int32
 }
 
 // NewInterleaver builds an interleaver for n bits using c columns; n must
@@ -76,10 +75,10 @@ func NewInterleaver(n, c int) (*Interleaver, error) {
 	if c <= 0 || n <= 0 || n%c != 0 {
 		return nil, fmt.Errorf("dvbs2: interleaver %d bits / %d columns", n, c)
 	}
-	il := &Interleaver{rows: n / c, cols: c, perm: make([]int32, n), inv: make([]int32, n)}
+	il := &Interleaver{perm: make([]int32, n), inv: make([]int32, n)}
 	i := 0
 	for col := 0; col < c; col++ {
-		for row := 0; row < il.rows; row++ {
+		for row := 0; row < n/c; row++ {
 			src := row*c + col
 			il.perm[i] = int32(src)
 			il.inv[src] = int32(i)

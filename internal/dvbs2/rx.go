@@ -32,7 +32,6 @@ type FramePayload struct {
 	RefBits   []byte       // τ22
 
 	NoiseVar      float64
-	SyncMetric    float64
 	SyncOffset    int
 	Locked        bool
 	Skipped       bool // frame emitted before frame lock; carries no data
@@ -127,9 +126,6 @@ func NewReceiver(tx *Transmitter, stream *TxStream) *Receiver {
 	return r
 }
 
-// Params returns the receiver's configuration.
-func (r *Receiver) Params() Params { return r.p }
-
 func payloadOf(f *streampu.Frame) *FramePayload {
 	if f.Data == nil {
 		f.Data = &FramePayload{}
@@ -218,7 +214,7 @@ func (r *Receiver) Tasks() []streampu.Task {
 			return nil
 		}),
 		seqTask("Sync. Frame – synchronize (part 1)", func(pl *FramePayload) error { // τ9
-			pl.SyncMetric = r.fsearch.Search(pl.Symbols)
+			r.fsearch.Search(pl.Symbols)
 			pl.SyncOffset = r.fsearch.Offset()
 			pl.Locked = r.fsearch.Locked()
 			return nil

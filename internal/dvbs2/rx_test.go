@@ -167,9 +167,6 @@ func TestReceiverDiagnosticsPropagate(t *testing.T) {
 		t.Errorf("decode diagnostics: BCHOK=%v LDPCConverged=%v (iters %d)",
 			lastPayload.BCHOK, lastPayload.LDPCConverged, lastPayload.LDPCIters)
 	}
-	if lastPayload.SyncMetric <= 0 {
-		t.Errorf("sync metric %v", lastPayload.SyncMetric)
-	}
 	fmt.Println("diag: counter", lastPayload.Counter, "iters", lastPayload.LDPCIters,
 		"bch corrected", lastPayload.BCHCorrected, "noiseVar", lastPayload.NoiseVar)
 }

@@ -131,7 +131,11 @@ func TestFrameSearcherLocksAtKnownOffset(t *testing.T) {
 	var aligned [][]complex128
 	for i := 0; i+F <= len(stream); i += F {
 		chunk := stream[i : i+F]
-		fs.Search(chunk)
+		// Once locked, the metric of the tracked offset is a correlation
+		// with the SOF, so it is positive.
+		if metric := fs.Search(chunk); fs.Locked() && !(metric > 0) {
+			t.Errorf("chunk at %d: locked with detection metric %v", i, metric)
+		}
 		if fr := fe.Extract(chunk, fs.Offset(), fs.Locked()); fr != nil {
 			aligned = append(aligned, fr)
 		}

@@ -116,7 +116,7 @@ func TestTimingFigs(t *testing.T) {
 		t.Fatalf("%d timing points", len(pts))
 	}
 	for _, p := range pts {
-		if p.Micros < 0 || p.Runs != 3 {
+		if p.Micros < 0 {
 			t.Errorf("bad point %+v", p)
 		}
 		if p.Strategy == StratTwoCAT && p.Tasks > TwoCATACMaxTasks {

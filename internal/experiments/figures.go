@@ -88,7 +88,6 @@ type TimingPoint struct {
 	R        core.Resources
 	SR       float64
 	Micros   float64 // mean execution time in µs
-	Runs     int
 }
 
 // TimingConfig parameterizes the execution-time profiling. The paper uses
@@ -138,6 +137,5 @@ func timeStrategy(cfg TimingConfig, name string, n int, r core.Resources, sr flo
 	return TimingPoint{
 		Strategy: name, Tasks: n, R: r, SR: sr,
 		Micros: float64(elapsed.Microseconds()) / float64(len(chains)),
-		Runs:   len(chains),
 	}
 }

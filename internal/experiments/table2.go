@@ -50,7 +50,6 @@ type Table2Row struct {
 	R        core.Resources
 	Strategy string
 
-	Solution      core.Solution
 	Decomposition string
 	Stages        int
 	BUsed, LUsed  int
@@ -120,8 +119,8 @@ func table2Row(cfg Table2Config, p *platform.Platform, c *core.Chain, r core.Res
 	b, l := sol.CoresUsed()
 	row := Table2Row{
 		ID: id, Platform: p.Name, R: r, Strategy: strat,
-		Solution: sol, Decomposition: sol.String(),
-		Stages: len(sol.Stages), BUsed: b, LUsed: l,
+		Decomposition: sol.String(),
+		Stages:        len(sol.Stages), BUsed: b, LUsed: l,
 		PeriodMicros: sol.Period(c),
 	}
 
@@ -170,7 +169,6 @@ type Fig5Entry struct {
 	R        core.Resources
 	Strategy string
 	Mbps     float64 // measured when available, else simulated
-	SimMbps  float64
 }
 
 // Fig5 reshapes Table II rows into the achieved-throughput series of
@@ -182,8 +180,7 @@ func Fig5(rows []Table2Row) []Fig5Entry {
 		if mbps == 0 {
 			mbps = r.SimMbps
 		}
-		out[i] = Fig5Entry{Platform: r.Platform, R: r.R, Strategy: r.Strategy,
-			Mbps: mbps, SimMbps: r.SimMbps}
+		out[i] = Fig5Entry{Platform: r.Platform, R: r.R, Strategy: r.Strategy, Mbps: mbps}
 	}
 	return out
 }

@@ -20,7 +20,7 @@ func TestEpsilonZeroBitIdentical(t *testing.T) {
 		n := 1 + rng.Intn(24)
 		c := chaingen.Generate(chaingen.Default(n, []float64{0, 0.3, 0.5, 0.8, 1}[rng.Intn(5)]), rng)
 		b, l := 1+rng.Intn(5), rng.Intn(5)
-		want, _ := refSchedule(c, b, l)
+		want, _ := refSchedule(c, b, l, false)
 		for _, eps := range []float64{0, -0.5, 0.05, 1} {
 			got := ScheduleOpts(c, core.Res(b, l), Options{Raw: true, Epsilon: eps})
 			if !reflect.DeepEqual(got, want) {

@@ -204,9 +204,12 @@ func (m *matrix) fillRow(f *rowFill, om Metrics) {
 }
 
 // seed implements Algo 8 for the cell at idx (row f.j, the state f.t
-// stands on): the best single stage holding the row's tasks that spends
-// all the cores left of one type, ties going to the highest type index
-// (the k-type reading of "solve ties in favor of the little cores").
+// stands on): the best single stage holding the row's tasks on the cores
+// left of one type, ties going to the highest type index (the k-type
+// reading of "solve ties in favor of the little cores"). A replicated
+// stage takes the fewest cores that reach its period: all that are left
+// when it weighs more than 0, one when it weighs 0. The paper's text
+// spends every core left either way (EXPERIMENTS "Known deviations").
 func (m *matrix) seed(f *rowFill, idx int) {
 	rep := f.repFrom == 1
 	best, bw := -1, 0.0
@@ -223,8 +226,8 @@ func (m *matrix) seed(f *rowFill, idx int) {
 	use := m.usage(idx)
 	clear(use)
 	use[best] = 1
-	if rep {
-		use[best] = f.t[best].left
+	if tb := &f.t[best]; rep && tb.end-tb.pre[0] > 0 {
+		use[best] = tb.left
 	}
 }
 

@@ -3,6 +3,7 @@ package herad
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ampsched/internal/brute"
@@ -280,5 +281,22 @@ func TestAllReplicableUsesEverything(t *testing.T) {
 	want := brute.MinPeriod(c, r)
 	if got := s.Period(c); math.Abs(got-want) > 1e-9 {
 		t.Errorf("period %v, brute %v (%v)", got, want, s)
+	}
+}
+
+// TestZeroWeightStageTakesOneCore pins the fill's one documented deviation
+// from Algo 8 (EXPERIMENTS "Known deviations"): a replicated stage that
+// weighs 0 reaches its period, 0, on one core, and the seed takes that one
+// core, as brute force does, instead of every core left.
+func TestZeroWeightStageTakesOneCore(t *testing.T) {
+	c := core.MustChain([]core.Task{task(0, 0, true)})
+	want := []core.Stage{{Start: 0, End: 0, Cores: 1, Type: core.Little}}
+	for _, r := range []core.Resources{core.Res(2, 2), core.Res(3, 3), core.Res(0, 3)} {
+		if got := Schedule(c, r); !slices.Equal(got.Stages, want) {
+			t.Errorf("R=%v: %v, want %v", r, got, core.Solution{Stages: want})
+		}
+		if got := brute.Schedule(c, r, brute.Metrics{}); !slices.Equal(got.Stages, want) {
+			t.Errorf("R=%v: brute force gives %v, want %v", r, got, core.Solution{Stages: want})
+		}
 	}
 }

@@ -33,6 +33,10 @@ type refMatrix struct {
 	cells []refCell
 	b, l  int
 	ties  int // CompareCells calls that met equal periods
+	// oneCoreAtZero gives the seeds the fill's one documented deviation
+	// from the text: a replicated stage that weighs 0 takes one core, not
+	// every core left (EXPERIMENTS "Known deviations").
+	oneCoreAtZero bool
 }
 
 func (m *refMatrix) at(j, rb, rl int) *refCell {
@@ -40,10 +44,11 @@ func (m *refMatrix) at(j, rb, rl int) *refCell {
 }
 
 // refSchedule is Algo 7: initialize S, seed every row with its single-stage
-// solutions, recompute every cell from row 2 on, extract.
-func refSchedule(c *core.Chain, b, l int) (core.Solution, int) {
+// solutions, recompute every cell from row 2 on, extract. oneCoreAtZero
+// takes the fill's deviation in the seeds (refMatrix.oneCoreAtZero).
+func refSchedule(c *core.Chain, b, l int, oneCoreAtZero bool) (core.Solution, int) {
 	n := c.Len()
-	m := &refMatrix{cells: make([]refCell, (n+1)*(b+1)*(l+1)), b: b, l: l}
+	m := &refMatrix{cells: make([]refCell, (n+1)*(b+1)*(l+1)), b: b, l: l, oneCoreAtZero: oneCoreAtZero}
 	for i := (b + 1) * (l + 1); i < len(m.cells); i++ {
 		m.cells[i].pbest = math.Inf(1) // row 0 stays P*(0, ·, ·) = 0
 	}
@@ -66,20 +71,20 @@ func refSchedule(c *core.Chain, b, l int) (core.Solution, int) {
 // increasing numbers of big cores against increasing numbers of little
 // cores, ties in favor of the little ones.
 func (m *refMatrix) singleStageSolution(c *core.Chain, t int) {
-	used := func(r int) int {
-		if c.IsRep(0, t-1) {
-			return r
+	used := func(r int, v core.CoreType) int {
+		if !c.IsRep(0, t-1) || m.oneCoreAtZero && c.SumW(0, t-1, v) == 0 {
+			return 1
 		}
-		return 1
+		return r
 	}
 	for rl := 1; rl <= m.l; rl++ {
-		*m.at(t, 0, rl) = refCell{pbest: c.Weight(0, t-1, rl, core.Little), accL: used(rl), v: core.Little}
+		*m.at(t, 0, rl) = refCell{pbest: c.Weight(0, t-1, rl, core.Little), accL: used(rl, core.Little), v: core.Little}
 	}
 	for rb := 1; rb <= m.b; rb++ {
 		wb := c.Weight(0, t-1, rb, core.Big)
 		for rl := 0; rl <= m.l; rl++ {
 			if little := m.at(t, 0, rl); wb < little.pbest {
-				*m.at(t, rb, rl) = refCell{pbest: wb, accB: used(rb), v: core.Big}
+				*m.at(t, rb, rl) = refCell{pbest: wb, accB: used(rb, core.Big), v: core.Big}
 			} else {
 				*m.at(t, rb, rl) = *little
 			}
@@ -321,14 +326,20 @@ func TestCutsMatchPaperReferenceK2(t *testing.T) {
 }
 
 // checkAgainstReference fails the test unless the fill schedules c on
-// (b, l) stage for stage as the paper's text does; it returns the number of
-// equal-period comparisons the reference met.
+// (b, l) stage for stage as the paper's text does once the text's seeds
+// take the fill's documented deviation (a replicated stage that weighs 0
+// takes one core), and at the period of the text as printed. Chains with no
+// prefix that weighs 0 on a type are held to the printed text itself. It
+// returns the number of equal-period comparisons the reference met.
 func checkAgainstReference(t *testing.T, c *core.Chain, b, l int) int {
 	t.Helper()
-	want, tied := refSchedule(c, b, l)
+	want, tied := refSchedule(c, b, l, true)
 	got := ScheduleRaw(c, core.Res(b, l))
 	if !slices.Equal(got.Stages, want.Stages) {
 		t.Fatalf("R=(%d,%d):\nfill      %v\nreference %v\nchain=%+v", b, l, got, want, c.Tasks())
+	}
+	if printed, _ := refSchedule(c, b, l, false); got.Period(c) != printed.Period(c) {
+		t.Fatalf("R=(%d,%d): period %v, the printed text's %v (%v)\nchain=%+v", b, l, got.Period(c), printed.Period(c), printed, c.Tasks())
 	}
 	return tied
 }

@@ -62,16 +62,6 @@ func (s *Series) Append(tick int64, v float64) {
 	s.mu.Unlock()
 }
 
-// Len returns the number of live points (0 on a nil receiver).
-func (s *Series) Len() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
-}
-
 // Total returns the number of points ever appended, including evicted
 // ones (0 on a nil receiver).
 func (s *Series) Total() int64 {

@@ -7,8 +7,8 @@ import (
 
 func TestSeriesRingSemantics(t *testing.T) {
 	s := newSeries(4)
-	if s.Len() != 0 || s.Total() != 0 {
-		t.Fatalf("fresh series not empty: len=%d total=%d", s.Len(), s.Total())
+	if s.n != 0 || s.Total() != 0 {
+		t.Fatalf("fresh series not empty: len=%d total=%d", s.n, s.Total())
 	}
 	if _, ok := s.Last(); ok {
 		t.Fatal("Last on empty series reported a point")
@@ -16,8 +16,8 @@ func TestSeriesRingSemantics(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		s.Append(int64(i), float64(10*i))
 	}
-	if s.Len() != 4 || s.Total() != 6 {
-		t.Fatalf("after 6 appends into cap 4: len=%d total=%d", s.Len(), s.Total())
+	if s.n != 4 || s.Total() != 6 {
+		t.Fatalf("after 6 appends into cap 4: len=%d total=%d", s.n, s.Total())
 	}
 	got := s.Tail(0)
 	want := []Point{{2, 20}, {3, 30}, {4, 40}, {5, 50}}
@@ -46,8 +46,8 @@ func TestSeriesDefaultCapAndRegistry(t *testing.T) {
 	for i := 0; i < DefaultSeriesCap+5; i++ {
 		s.Append(int64(i), 1)
 	}
-	if s.Len() != DefaultSeriesCap {
-		t.Fatalf("len = %d, want %d", s.Len(), DefaultSeriesCap)
+	if s.n != DefaultSeriesCap {
+		t.Fatalf("len = %d, want %d", s.n, DefaultSeriesCap)
 	}
 	r = NewRegistry()
 	if r.Series("x") != r.Series("x") {
@@ -64,7 +64,7 @@ func TestSeriesDefaultCapAndRegistry(t *testing.T) {
 func TestSeriesNilSafe(t *testing.T) {
 	var s *Series
 	s.Append(1, 2)
-	if s.Len() != 0 || s.Total() != 0 || s.Tail(3) != nil {
+	if s.Total() != 0 || s.Tail(3) != nil {
 		t.Error("nil series not inert")
 	}
 	if _, ok := s.Last(); ok {
@@ -102,7 +102,7 @@ func TestSeriesConcurrentAppend(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if s.Total() != 8000 || s.Len() != 32 {
-		t.Fatalf("total=%d len=%d after concurrent appends", s.Total(), s.Len())
+	if s.Total() != 8000 || s.n != 32 {
+		t.Fatalf("total=%d len=%d after concurrent appends", s.Total(), s.n)
 	}
 }

@@ -124,9 +124,6 @@ func (h *Hist2D) Add(x, y int) {
 // Total returns the number of samples added.
 func (h *Hist2D) Total() int { return h.total }
 
-// Count returns the raw count of bin (x, y).
-func (h *Hist2D) Count(x, y int) int { return h.counts[[2]int{x, y}] }
-
 // Fraction returns the fraction of samples in bin (x, y).
 func (h *Hist2D) Fraction(x, y int) float64 {
 	if h.total == 0 {

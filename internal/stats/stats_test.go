@@ -106,8 +106,8 @@ func TestHist2D(t *testing.T) {
 	h.Add(1, 2)
 	h.Add(-1, 0)
 	h.Add(3, -2)
-	if h.Total() != 4 || h.Count(1, 2) != 2 {
-		t.Errorf("counts wrong: total %d, (1,2)=%d", h.Total(), h.Count(1, 2))
+	if h.Total() != 4 || h.counts[[2]int{1, 2}] != 2 {
+		t.Errorf("counts wrong: total %d, (1,2)=%d", h.Total(), h.counts[[2]int{1, 2}])
 	}
 	if h.Fraction(1, 2) != 0.5 {
 		t.Errorf("Fraction = %v", h.Fraction(1, 2))

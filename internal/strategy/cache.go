@@ -83,13 +83,6 @@ func (c *Cache) put(k cacheKey, s core.Solution) {
 	c.mu.Unlock()
 }
 
-// Len returns the number of cached solutions.
-func (c *Cache) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.m)
-}
-
 // Stats returns the cumulative hit and miss counts across every batch
 // that consulted the cache. A hit is a request an earlier batch solved;
 // every other keyed request is a miss, in-batch duplicates included.

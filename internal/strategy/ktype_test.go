@@ -75,8 +75,8 @@ func TestPlanBatchRejectsTypeMismatch(t *testing.T) {
 	}
 	// Only the HeRAD solve entered the cache; the rejected request must
 	// not have been stored (a second batch re-fails with the same error).
-	if cache.Len() != 1 {
-		t.Errorf("cache holds %d entries, want 1", cache.Len())
+	if len(cache.m) != 1 {
+		t.Errorf("cache holds %d entries, want 1", len(cache.m))
 	}
 	res2 := PlanBatch(reqs[:1], 1)
 	if res2[0].Err == nil || res2[0].Err.Error() != res[0].Err.Error() {

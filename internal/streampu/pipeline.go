@@ -91,7 +91,6 @@ func (s Stats) Throughput(interframe int) float64 {
 // Pipeline is a runnable interval-mapped, replicated streaming pipeline.
 type Pipeline struct {
 	tasks  []Task
-	sol    core.Solution
 	opt    Options
 	stages []pipeStage
 	// newBoundary builds the adaptor between two stages; nil selects the
@@ -118,7 +117,7 @@ func New(tasks []Task, sol core.Solution, opt Options) (*Pipeline, error) {
 		return nil, err
 	}
 	opt = opt.withDefaults()
-	p := &Pipeline{tasks: tasks, sol: sol, opt: opt}
+	p := &Pipeline{tasks: tasks, opt: opt}
 	next := 0
 	for i, st := range sol.Stages {
 		if st.Start != next || st.End < st.Start || st.End >= len(tasks) {
@@ -324,7 +323,7 @@ func (p *Pipeline) Run(frames int, src func(f *Frame)) (Stats, error) {
 			shared.wg.Add(1)
 			go func(si, w int, st pipeStage, insts []Task, res *workerResult) {
 				defer shared.wg.Done()
-				wctx := &Worker{Core: st.Type, Scale: p.opt.TimeScale, ID: w, clk: &shared.clk}
+				wctx := &Worker{Core: st.Type, Scale: p.opt.TimeScale, clk: &shared.clk}
 				r := st.Cores
 				var out boundary
 				if si < m-1 {

@@ -75,10 +75,6 @@ func pow2(capacity int) int {
 	return n
 }
 
-// Len approximates the number of queued elements. Exact only when
-// neither side is mid-operation.
-func (q *SPSC[T]) Len() int { return int(q.tail.Load() - q.head.Load()) }
-
 // TryPush appends v and reports whether there was room. Producer-side
 // only; never blocks, never allocates.
 func (q *SPSC[T]) TryPush(v T) bool {
@@ -159,15 +155,6 @@ func NewMPMC[T any](capacity int) *MPMC[T] {
 		q.buf[i].seq.Store(uint64(i))
 	}
 	return q
-}
-
-// Len approximates the number of queued elements.
-func (q *MPMC[T]) Len() int {
-	n := int64(q.enq.Load() - q.deq.Load())
-	if n < 0 {
-		n = 0
-	}
-	return int(n)
 }
 
 // TryPush appends v and reports whether there was room; never blocks,

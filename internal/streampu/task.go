@@ -50,8 +50,6 @@ type Worker struct {
 	// Scale multiplies modeled latencies before they are realized in wall
 	// time (a scale of 10 turns a 100 µs modeled latency into 1 ms).
 	Scale float64
-	// ID is the worker's replica index within its stage.
-	ID int
 
 	// debt is the modeled latency (µs) accumulated by Wait and not yet
 	// realized in wall time; the runtime settles it per frame.

@@ -13,7 +13,7 @@ func BenchmarkJournalDisabled(b *testing.B) {
 	var j *Journal
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sp := j.Begin("strategy")
+		sp := j.Root().Begin("strategy")
 		sc := NewScope(sp)
 		p, done := sc.Enter("probe")
 		p.F64("target", 412.5)
@@ -21,7 +21,7 @@ func BenchmarkJournalDisabled(b *testing.B) {
 		done()
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		sc := NewScope(j.Begin("s"))
+		sc := NewScope(j.Root().Begin("s"))
 		sc.Event("e").Int("k", 1)
 	}); n != 0 {
 		b.Fatalf("disabled journal path allocates %v/op", n)
@@ -31,7 +31,7 @@ func BenchmarkJournalDisabled(b *testing.B) {
 // BenchmarkJournalEnabled measures the recording cost with a live journal.
 func BenchmarkJournalEnabled(b *testing.B) {
 	j := New()
-	sc := NewScope(j.Begin("strategy"))
+	sc := NewScope(j.Root().Begin("strategy"))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		p, done := sc.Enter("probe")
@@ -47,7 +47,7 @@ func BenchmarkJournalEnabled(b *testing.B) {
 func BenchmarkExport(b *testing.B) {
 	j := New()
 	for s := 0; s < 5; s++ {
-		sp := j.Begin("strategy").Str("name", "FERTAC")
+		sp := j.Root().Begin("strategy").Str("name", "FERTAC")
 		for p := 0; p < 20; p++ {
 			ps := sp.Begin("probe").F64("target", float64(p)+0.5)
 			for e := 0; e < 30; e++ {

@@ -143,11 +143,6 @@ func (j *Journal) Root() *Span {
 	return j.root
 }
 
-// Begin opens a child span of the root. Nil journal → nil span.
-func (j *Journal) Begin(name string) *Span {
-	return j.Root().Begin(name)
-}
-
 // Span is one node of the journal tree. Spans are created with Begin and
 // never explicitly closed: their extent is defined by the tree structure.
 // A span is written by one goroutine at a time (see the package comment);

@@ -14,7 +14,7 @@ import (
 func sample() *Journal {
 	j := New()
 	j.Root().Str("tool", "test").Int("resources", 4)
-	st := j.Begin("strategy").Str("name", "HeRAD")
+	st := j.Root().Begin("strategy").Str("name", "HeRAD")
 	p := st.Begin("probe").F64("target", 412.5)
 	p.Event("compute_stage").Int("first_task", 0).Int("end", 2).Bool("replicable", true)
 	p.Event("max_packing").Int("first_task", 0).Int("cores", 1).F64("target", 412.5).Int("end", 1)
@@ -90,7 +90,7 @@ func TestJSONLRoundTripHostileStrings(t *testing.T) {
 		"empty": "",
 	}
 	j := New()
-	ev := j.Begin("strategy \"x\"\n").Event("stage\t\x02")
+	ev := j.Root().Begin("strategy \"x\"\n").Event("stage\t\x02")
 	for _, k := range []string{"task", "ctrl", "eq", "empty"} {
 		ev.Str(k, attrs[k])
 	}
@@ -112,7 +112,7 @@ func TestJSONLRoundTripHostileStrings(t *testing.T) {
 
 func TestChromeExportValidJSONWithHostileNames(t *testing.T) {
 	j := New()
-	sp := j.Begin("stage \x02\"na\\me\"\n日本")
+	sp := j.Root().Begin("stage \x02\"na\\me\"\n日本")
 	sp.Event("ev\x1f").Str("k\x03", "v\x04")
 	var buf bytes.Buffer
 	if err := j.WriteChromeTrace(&buf); err != nil {
@@ -217,7 +217,7 @@ func TestWriteChromeEventsSharedWriter(t *testing.T) {
 
 func TestNilSafety(t *testing.T) {
 	var j *Journal
-	if j.Root() != nil || j.Begin("x") != nil {
+	if j.Root() != nil || j.Root().Begin("x") != nil {
 		t.Error("nil journal handed out a span")
 	}
 	var sp *Span
@@ -253,7 +253,7 @@ func TestNilSafety(t *testing.T) {
 func TestDisabledPathAllocationFree(t *testing.T) {
 	var j *Journal
 	if n := testing.AllocsPerRun(200, func() {
-		sp := j.Begin("strategy")
+		sp := j.Root().Begin("strategy")
 		sc := NewScope(sp)
 		p, done := sc.Enter("probe")
 		p.F64("target", 1.5)
@@ -273,7 +273,7 @@ func TestJournalFootprint(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	j := New()
-	sp := j.Begin("dp_pass")
+	sp := j.Root().Begin("dp_pass")
 	for i := 0; i < events; i++ {
 		sp.Event("dp_cell").Int("tasks", i%40).Int("big", i%17).Int("little", i%5).
 			F64("period", float64(i)/3).Int("stage_start", i%11).Str("type", "BL"[i%2:i%2+1]).
@@ -293,7 +293,7 @@ func TestJournalFootprint(t *testing.T) {
 // span with one attribute and one event, opened through Scope.Enter — at
 // two allocations: the Enter closure and the span.
 func TestJournalSpanAllocs(t *testing.T) {
-	sc := NewScope(New().Begin("strategy"))
+	sc := NewScope(New().Root().Begin("strategy"))
 	if n := testing.AllocsPerRun(1000, func() {
 		p, done := sc.Enter("probe")
 		p.F64("target", 412.5)
@@ -306,7 +306,7 @@ func TestJournalSpanAllocs(t *testing.T) {
 
 func TestScopeEnterGroupsEvents(t *testing.T) {
 	j := New()
-	sc := NewScope(j.Begin("strategy"))
+	sc := NewScope(j.Root().Begin("strategy"))
 	if !sc.Enabled() {
 		t.Fatal("scope with span disabled")
 	}
@@ -336,7 +336,7 @@ func TestConcurrentSubtreeDeterminism(t *testing.T) {
 		j := New()
 		spans := make([]*Span, 8)
 		for i := range spans {
-			spans[i] = j.Begin("request").Int("index", i)
+			spans[i] = j.Root().Begin("request").Int("index", i)
 		}
 		var wg sync.WaitGroup
 		for i, sp := range spans {
@@ -365,7 +365,7 @@ func TestConcurrentSubtreeDeterminism(t *testing.T) {
 
 func TestExplainCapsNoisyEvents(t *testing.T) {
 	j := New()
-	sp := j.Begin("strategy").Str("name", "FERTAC")
+	sp := j.Root().Begin("strategy").Str("name", "FERTAC")
 	for i := 0; i < explainEventCap+5; i++ {
 		sp.Event("max_packing").Int("i", i)
 	}
