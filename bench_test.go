@@ -3,8 +3,10 @@
 // with `go test -bench=. -benchmem`), plus ablation benchmarks for the
 // design choices called out in DESIGN.md (desim queue capacities, HeRAD
 // scaling in tasks vs resources; 2CATAC memoization is in
-// internal/twocatac/memo_test.go, beside its memoized oracle, and static vs
-// dynamic dispatch in dynamic_test.go, beside its dynamic executor).
+// internal/twocatac/memo_test.go, beside its memoized oracle, HeRAD's merge
+// post-pass in internal/herad/bench_test.go, beside the raw extraction it
+// times, and static vs dynamic dispatch in dynamic_test.go, beside its
+// dynamic executor).
 //
 // The benchmarks exercise reduced campaign sizes so a full -bench=. pass
 // stays in the minutes range on a laptop; cmd/experiments runs the
@@ -174,23 +176,6 @@ func BenchmarkFig6(b *testing.B) {
 }
 
 // --- Ablation benchmarks -------------------------------------------------
-
-// BenchmarkAblationMergePostPass measures the cost of HeRAD's
-// replicable-stage merge post-pass (raw extraction vs merged).
-func BenchmarkAblationMergePostPass(b *testing.B) {
-	chains := benchChains(40, 0.8, 4)
-	r := core.Res(8, 8)
-	b.Run("raw", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			herad.ScheduleRaw(chains[i%len(chains)], r)
-		}
-	})
-	b.Run("merged", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			herad.Schedule(chains[i%len(chains)], r)
-		}
-	})
-}
 
 // BenchmarkAblationDesimQueueCap sweeps the inter-stage buffer capacity:
 // deterministic flow lines reach the bottleneck rate for any capacity ≥ 1,

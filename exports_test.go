@@ -36,6 +36,7 @@ var unreadAllowed = map[string]string{
 	"flight.Event.A":                    "item 1(g)",
 	"flight.Event.B":                    "item 1(g)",
 	"streampu.Options.Flight":           "item 1(g)",
+	"strategy.Options.Flight":           "item 1(g)",
 	"streampu.Sampler.Flight":           "item 1(g)",
 	"herad.Options.Workers":             "item 3",
 	"herad.Options.ForceGeneral":        "item 3",
@@ -59,9 +60,11 @@ var unreadAllowed = map[string]string{
 //     or json.Unmarshaler, which the standard library finds by a type
 //     assertion on an any;
 //   - a struct field of the module that nothing reads: an assignment, ++,
-//     -- or a composite-literal key only writes it. json-tagged fields, _
-//     pads and the fields of a struct that is a map key or compared with ==
-//     are exempt: reflection or the comparison reads them.
+//     -- or a composite-literal key only writes it, and x.F = y.F, which
+//     copies it into the same field of another value, reads it neither.
+//     json-tagged fields, _ pads and the fields of a struct that is a map
+//     key or compared with == are exempt: reflection or the comparison
+//     reads them.
 //
 // Reference code that only tests call belongs in a _test.go file, and a
 // value only tests read belongs to the tests.
@@ -254,7 +257,8 @@ func (u *usage) use(obj types.Object) {
 
 // file records every use in f. A use inside the top-level declaration that
 // declares the object (for a type, its methods too) does not count, and
-// neither does a field selector that an assignment or ++/-- writes.
+// neither does a field selector that an assignment or ++/-- writes, nor the
+// right side of x.F = y.F.
 func (u *usage) file(f *ast.File) {
 	written := map[*ast.SelectorExpr]bool{} // marked before Inspect reaches them
 	write := func(e ast.Expr) {
@@ -289,8 +293,13 @@ func (u *usage) file(f *ast.File) {
 		ast.Inspect(decl, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.AssignStmt:
-				for _, e := range n.Lhs {
+				for i, e := range n.Lhs {
 					write(e)
+					// x.F = y.F copies F into the same field of another
+					// value, which reads F no more than the write does.
+					if f := u.field(e); f != nil && n.Tok == token.ASSIGN && len(n.Rhs) == len(n.Lhs) && u.field(n.Rhs[i]) == f {
+						write(n.Rhs[i])
+					}
 				}
 			case *ast.IncDecStmt:
 				write(n.X)
@@ -317,6 +326,16 @@ func (u *usage) file(f *ast.File) {
 			return true
 		})
 	}
+}
+
+// field returns the struct field that e selects, or nil.
+func (u *usage) field(e ast.Expr) types.Object {
+	if s, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+		if sel := u.info.Selections[s]; sel != nil && sel.Kind() == types.FieldVal {
+			return sel.Obj()
+		}
+	}
+	return nil
 }
 
 // path reads the embedded fields a promoted selection passes through.

@@ -41,51 +41,28 @@ func Schedule(c *core.Chain, r core.Resources) core.Solution {
 
 // ComputeObs returns Algo 4's ComputeSolution reporting into m (the zero
 // Metrics disables), for use with sched.ScheduleM.
-//
-// The function builds its solutions in one stage buffer of two halves,
-// allocated on its first call: each call writes the half that does not
-// hold the last non-empty solution it returned. That solution is the one
-// the search keeps — a non-empty solution only ever holds stages that meet
-// the target within the cores left, so sched's IsValid never rejects it
-// and every one becomes the search's best — and a failed probe writes
-// over nothing the search reads. A returned solution is overwritten by
-// the first call after a later non-empty one, so a function serves one
-// ScheduleM call: Schedule and the strategy table make one per plan.
 func ComputeObs(m Metrics) sched.ComputeSolutionFunc {
-	var buf []core.Stage
-	kept := 1 // the half of buf holding the last non-empty solution returned
-	return func(c *core.Chain, s int, r core.Resources, target float64) core.Solution {
-		// Every stage takes at least one task and one core.
-		if need := min(c.Len()-s, r.Total()); 2*need > len(buf) {
-			buf = make([]core.Stage, 2*need)
-		}
-		h, next := len(buf)/2, 1-kept
-		sol := computeSolution(c, s, r, target, m, buf[next*h:next*h:(next+1)*h])
-		if !sol.IsEmpty() {
-			kept = next
-		}
-		return sol
+	return func(c *core.Chain, r core.Resources, target float64, buf []core.Stage) core.Solution {
+		return computeSolution(c, r, target, m, buf)
 	}
 }
 
-// computeSolution implements Algo 4: for the stage starting at task s it
-// first tries little cores, then big cores, then goes on with the remaining
-// tasks and resources. Algo 4 recurses on the remainder; the recursion is a
-// tail call, so the stages are built left to right, appended to stages (an
-// empty slice whose capacity is the caller's buffer). It returns the empty
+// computeSolution implements Algo 4: for the stage starting at each task s
+// it first tries little cores, then big cores, then goes on with the
+// remaining tasks and resources. Algo 4 recurses on the remainder; the
+// recursion is a tail call, so the stages are built left to right,
+// appended to stages (the search's probe buffer). It returns the empty
 // solution when neither core type yields a valid stage for some task.
-func computeSolution(c *core.Chain, s int, r core.Resources, target float64, m Metrics, stages []core.Stage) core.Solution {
-	for {
+func computeSolution(c *core.Chain, r core.Resources, target float64, m Metrics, stages []core.Stage) core.Solution {
+	for s := 0; ; {
 		m.ComputeCalls.Inc()
-		e, u := sched.ComputeStageM(c, s, r.Count(core.Little), core.Little, target, m.Sched)
 		v := core.Little
-		fallback := false
-		if !stageValid(c, s, e, u, r, v, target) {
+		e, u, ok := sched.FitStage(c, s, r.Count(v), v, target, m.Sched)
+		fallback := !ok
+		if fallback {
 			m.BigFallbacks.Inc()
-			fallback = true
-			e, u = sched.ComputeStageM(c, s, r.Count(core.Big), core.Big, target, m.Sched)
 			v = core.Big
-			if !stageValid(c, s, e, u, r, v, target) {
+			if e, u, ok = sched.FitStage(c, s, r.Count(v), v, target, m.Sched); !ok {
 				if m.Sched.Trace.Enabled() {
 					m.Sched.Trace.Event("no_stage").Int("first_task", s).
 						Int("big", r.Count(core.Big)).Int("little", r.Count(core.Little))
@@ -103,11 +80,4 @@ func computeSolution(c *core.Chain, s int, r core.Resources, target float64, m M
 		}
 		s, r = e+1, r.Consume(v, u)
 	}
-}
-
-// stageValid is the paper's IsValid applied to a single candidate stage:
-// the stage must meet the target period and fit in the available cores of
-// its type.
-func stageValid(c *core.Chain, s, e, u int, r core.Resources, v core.CoreType, target float64) bool {
-	return u >= 1 && u <= r.Count(v) && c.Weight(s, e, u, v) <= target
 }

@@ -80,7 +80,7 @@ func TestComputeSolutionRespectsTarget(t *testing.T) {
 		c := chaingen.Generate(chaingen.Default(1+rng.Intn(12), 0.5), rng)
 		r := core.Res(1+rng.Intn(4), 1+rng.Intn(4))
 		target := 50 + float64(rng.Intn(500))
-		s := computeSolution(c, 0, r, target, Metrics{}, nil)
+		s := computeSolution(c, r, target, Metrics{}, nil)
 		if s.IsEmpty() {
 			continue // the greedy may legitimately fail for tight targets
 		}

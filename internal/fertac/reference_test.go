@@ -15,22 +15,23 @@ import (
 	"ampsched/internal/trace"
 )
 
-// The reference is Algo 4 as it stood before the probes of a search shared
-// one stage buffer: every probe allocates its own stages. Schedule is held
-// to it stage for stage, counter for counter and journal event for journal
-// event.
+// The reference is Algo 4 as it stood before the probes of a search built
+// into the search's stage buffer: every probe allocates its own stages and
+// checks each stage with its own copy of the one-stage IsValid. Schedule is
+// held to it stage for stage, counter for counter and journal event for
+// journal event.
 
 // referenceCompute returns the reference as a sched.ComputeSolutionFunc
 // reporting into m.
 func referenceCompute(m Metrics) sched.ComputeSolutionFunc {
-	return func(c *core.Chain, s int, r core.Resources, target float64) core.Solution {
-		return referenceComputeSolution(c, s, r, target, m)
+	return func(c *core.Chain, r core.Resources, target float64, _ []core.Stage) core.Solution {
+		return referenceComputeSolution(c, r, target, m)
 	}
 }
 
-func referenceComputeSolution(c *core.Chain, s int, r core.Resources, target float64, m Metrics) core.Solution {
-	stages := make([]core.Stage, 0, min(c.Len()-s, r.Total()))
-	for {
+func referenceComputeSolution(c *core.Chain, r core.Resources, target float64, m Metrics) core.Solution {
+	stages := make([]core.Stage, 0, min(c.Len(), r.Total()))
+	for s := 0; ; {
 		m.ComputeCalls.Inc()
 		e, u := sched.ComputeStageM(c, s, r.Count(core.Little), core.Little, target, m.Sched)
 		v := core.Little
@@ -58,6 +59,13 @@ func referenceComputeSolution(c *core.Chain, s int, r core.Resources, target flo
 		}
 		s, r = e+1, r.Consume(v, u)
 	}
+}
+
+// stageValid is the paper's IsValid applied to a single candidate stage:
+// the stage must meet the target period and fit in the available cores of
+// its type.
+func stageValid(c *core.Chain, s, e, u int, r core.Resources, v core.CoreType, target float64) bool {
+	return u >= 1 && u <= r.Count(v) && c.Weight(s, e, u, v) <= target
 }
 
 // plan schedules c on r with compute under a fresh registry and journal,
@@ -130,9 +138,8 @@ func FuzzScheduleMatchesReference(f *testing.F) {
 	})
 }
 
-// TestScheduleAllocs pins that a plan allocates its stage buffer once, not
-// once per binary-search probe: the closure and the buffer, at 20 tasks as
-// at 512.
+// TestScheduleAllocs pins that a plan allocates no stages per binary-search
+// probe: the closure and the search's stage buffer, at 20 tasks as at 512.
 func TestScheduleAllocs(t *testing.T) {
 	for _, n := range []int{20, 160, 512} {
 		c := chaingen.GenerateMany(chaingen.Default(n, 0.5), 7, 1)[0]

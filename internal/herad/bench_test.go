@@ -13,6 +13,8 @@ import (
 // on (4,4) and at n=160 on (20,20).
 // Inputs and seeds are fixed so numbers stay comparable across commits.
 // One op is 0.1–1 s, so `-benchtime=1x` (CI's smoke run) is one fill.
+// BenchmarkAblationMergePostPass, last, is the merge post-pass's ablation,
+// kept here because only this package can call the raw extraction.
 
 // BenchmarkFillScale is the large-n sweep of the fill on R=(4,4), one to
 // two orders of magnitude past the paper's chain lengths. A step-by-step
@@ -100,6 +102,23 @@ func BenchmarkReplanTail(b *testing.B) {
 			if s := p.Solution(); s.IsEmpty() {
 				b.Fatal("no schedule")
 			}
+		}
+	})
+}
+
+// BenchmarkAblationMergePostPass measures the cost of the replicable-stage
+// merge post-pass (raw extraction vs merged).
+func BenchmarkAblationMergePostPass(b *testing.B) {
+	chains := chaingen.GenerateMany(chaingen.Default(40, 0.8), 7, 4)
+	r := core.Res(8, 8)
+	b.Run("raw", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			scheduleRaw(chains[i%len(chains)], r, Options{})
+		}
+	})
+	b.Run("merged", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			Schedule(chains[i%len(chains)], r)
 		}
 	})
 }

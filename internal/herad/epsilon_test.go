@@ -22,7 +22,7 @@ func TestEpsilonZeroBitIdentical(t *testing.T) {
 		b, l := 1+rng.Intn(5), rng.Intn(5)
 		want, _ := refSchedule(c, b, l, false)
 		for _, eps := range []float64{0, -0.5, 0.05, 1} {
-			got := ScheduleOpts(c, core.Res(b, l), Options{Raw: true, Epsilon: eps})
+			got := scheduleRaw(c, core.Res(b, l), Options{Epsilon: eps})
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("iter %d: eps %v diverged from exact\n got %v\nwant %v\nchain=%+v R=(%d,%d)",
 					iter, eps, got, want, c.Tasks(), b, l)

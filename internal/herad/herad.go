@@ -63,15 +63,12 @@ func MetricsFrom(r *obs.Registry) Metrics {
 }
 
 // Options carries the scheduling knobs of the DP. The zero value is the
-// default configuration: merged post-pass, disabled instrumentation.
+// default configuration: disabled instrumentation.
 type Options struct {
 	// Workers is accepted and ignored: the fill is serial. The field
 	// outlives the wavefront pool it used to size only because bench/ still
 	// sets it (see ROADMAP.md).
 	Workers int
-	// Raw skips the replicable-stage merge post-pass, exposing schedules
-	// exactly as extracted from the DP matrix.
-	Raw bool
 	// ForceGeneral is accepted and ignored: there is one fill. Kept for
 	// bench/ like Workers.
 	ForceGeneral bool
@@ -88,23 +85,15 @@ func Schedule(c *core.Chain, r core.Resources) core.Solution {
 	return ScheduleOpts(c, r, Options{})
 }
 
-// ScheduleRaw is Schedule without the stage-merge post-pass, exposing the
-// schedules exactly as extracted from the DP matrix.
-func ScheduleRaw(c *core.Chain, r core.Resources) core.Solution {
-	return ScheduleOpts(c, r, Options{Raw: true})
-}
-
 // ScheduleOpts computes the optimal schedule of c on r under o.
 func ScheduleOpts(c *core.Chain, r core.Resources, o Options) core.Solution {
 	return finishSolution(c, scheduleRaw(c, r, o), o)
 }
 
-// finishSolution applies the replicable-stage merge post-pass requested by
-// o to an extracted solution (shared by ScheduleOpts and Planner).
+// finishSolution applies the replicable-stage merge post-pass to an
+// extracted solution, reporting into o's Metrics (shared by ScheduleOpts
+// and Planner).
 func finishSolution(c *core.Chain, s core.Solution, o Options) core.Solution {
-	if o.Raw {
-		return s
-	}
 	om := o.Metrics
 	merged := s.MergeReplicable(c)
 	removed := len(s.Stages) - len(merged.Stages)
@@ -118,6 +107,8 @@ func finishSolution(c *core.Chain, s core.Solution, o Options) core.Solution {
 	return merged
 }
 
+// scheduleRaw is ScheduleOpts without the merge post-pass: the schedule
+// exactly as extracted from the DP matrix.
 func scheduleRaw(c *core.Chain, r core.Resources, o Options) core.Solution {
 	if c == nil || c.Len() == 0 || r.Total() <= 0 || !r.NonNegative() {
 		return core.Solution{}
@@ -145,6 +136,5 @@ func bound(c *core.Chain, r core.Resources) float64 {
 // Period returns the optimal period of c on r without materializing the
 // schedule (it still fills the DP matrix).
 func Period(c *core.Chain, r core.Resources) float64 {
-	s := ScheduleRaw(c, r)
-	return s.Period(c)
+	return scheduleRaw(c, r, Options{}).Period(c)
 }

@@ -201,7 +201,7 @@ func TestSecondaryObjectiveNotDominated(t *testing.T) {
 		n := 1 + rng.Intn(6)
 		c := chaingen.Generate(chaingen.Default(n, 0.5), rng)
 		r := core.Res(1+rng.Intn(3), 1+rng.Intn(3))
-		s := ScheduleRaw(c, r)
+		s := scheduleRaw(c, r, Options{})
 		p := s.Period(c)
 		bH, lH := s.CoresUsed()
 		period, usages := optimalUsages(c, r)
@@ -222,7 +222,7 @@ func TestMergePostPass(t *testing.T) {
 	for iter := 0; iter < 40; iter++ {
 		c := chaingen.Generate(chaingen.Default(2+rng.Intn(10), 0.8), rng)
 		r := core.Res(1+rng.Intn(4), 1+rng.Intn(4))
-		raw := ScheduleRaw(c, r)
+		raw := scheduleRaw(c, r, Options{})
 		merged := Schedule(c, r)
 		if math.Abs(raw.Period(c)-merged.Period(c)) > 1e-9 {
 			t.Fatalf("merge changed period: %v -> %v", raw.Period(c), merged.Period(c))

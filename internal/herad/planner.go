@@ -65,7 +65,7 @@ func (p *Planner) Resources() core.Resources { return p.r }
 func (p *Planner) RowsRefilled() int { return p.lastRefilled }
 
 // Solution returns the schedule of the planner's current chain, applying
-// the replicable-stage merge post-pass unless Options.Raw — exactly
+// the replicable-stage merge post-pass — exactly
 // ScheduleOpts(Chain(), Resources(), o) with the planner's Options o,
 // without the fill.
 func (p *Planner) Solution() core.Solution {

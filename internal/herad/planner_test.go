@@ -43,7 +43,7 @@ func randTask(rng *rand.Rand, k int) core.Task {
 // TestPlannerEditSequence drives random Append/Remove/Reweigh sequences
 // and checks after every edit that the planner's solution is bit-identical
 // to scheduling the edited chain from scratch — on a two-type and a
-// three-type platform, and without the merge pass.
+// three-type platform.
 // This is the row-reuse invariant of the Planner under fire.
 func TestPlannerEditSequence(t *testing.T) {
 	cases := []struct {
@@ -54,7 +54,6 @@ func TestPlannerEditSequence(t *testing.T) {
 	}{
 		{"general2d", 2, core.Res(3, 4), Options{}},
 		{"ktype3", 3, core.Res(2, 2, 3), Options{}},
-		{"raw", 2, core.Res(3, 3), Options{Raw: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

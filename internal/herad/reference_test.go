@@ -334,7 +334,7 @@ func TestCutsMatchPaperReferenceK2(t *testing.T) {
 func checkAgainstReference(t *testing.T, c *core.Chain, b, l int) int {
 	t.Helper()
 	want, tied := refSchedule(c, b, l, true)
-	got := ScheduleRaw(c, core.Res(b, l))
+	got := scheduleRaw(c, core.Res(b, l), Options{})
 	if !slices.Equal(got.Stages, want.Stages) {
 		t.Fatalf("R=(%d,%d):\nfill      %v\nreference %v\nchain=%+v", b, l, got, want, c.Tasks())
 	}

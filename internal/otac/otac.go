@@ -50,27 +50,26 @@ func Schedule(c *core.Chain, cores int, v core.CoreType) core.Solution {
 // reporting into m (the zero Metrics disables), for use with
 // sched.ScheduleM. Only the v component of the resources is consumed.
 func ComputeObs(v core.CoreType, m Metrics) sched.ComputeSolutionFunc {
-	return func(ch *core.Chain, s int, res core.Resources, target float64) core.Solution {
-		return computeSolution(ch, s, res.Count(v), v, target, m)
+	return func(c *core.Chain, r core.Resources, target float64, buf []core.Stage) core.Solution {
+		return computeSolution(c, r.Count(v), v, target, m, buf)
 	}
 }
 
 // computeSolution greedily builds stages left to right with ComputeStage,
-// consuming cores of the single type v. It returns the empty solution as
-// soon as a stage cannot respect the target with the remaining cores.
-func computeSolution(c *core.Chain, s, avail int, v core.CoreType, target float64, m Metrics) core.Solution {
+// consuming cores of the single type v and appending to stages (the
+// search's probe buffer). It returns the empty solution as soon as a stage
+// cannot respect the target with the remaining cores.
+func computeSolution(c *core.Chain, avail int, v core.CoreType, target float64, m Metrics, stages []core.Stage) core.Solution {
 	m.ComputeCalls.Inc()
-	var stages []core.Stage
-	for s < c.Len() {
+	for s := 0; s < c.Len(); {
 		if avail <= 0 {
 			if m.Sched.Trace.Enabled() {
 				m.Sched.Trace.Event("exhausted").Int("first_task", s).Str("type", v.String())
 			}
 			return core.Solution{}
 		}
-		e, u := sched.ComputeStageM(c, s, avail, v, target, m.Sched)
-		st := core.Stage{Start: s, End: e, Cores: u, Type: v}
-		if u > avail || c.Weight(s, e, u, v) > target {
+		e, u, ok := sched.FitStage(c, s, avail, v, target, m.Sched)
+		if !ok {
 			if m.Sched.Trace.Enabled() {
 				m.Sched.Trace.Event("exhausted").Int("first_task", s).Str("type", v.String()).
 					Int("cores_needed", u).Int("avail", avail)
@@ -82,7 +81,7 @@ func computeSolution(c *core.Chain, s, avail int, v core.CoreType, target float6
 			m.Sched.Trace.Event("stage_placed").Int("first_task", s).Int("end", e).
 				Int("cores", u).Str("type", v.String())
 		}
-		stages = append(stages, st)
+		stages = append(stages, core.Stage{Start: s, End: e, Cores: u, Type: v})
 		avail -= u
 		s = e + 1
 	}

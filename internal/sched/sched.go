@@ -3,7 +3,8 @@
 // the greedy ComputeStage (Algo 2, as ComputeStageM), and the support
 // methods MaxPacking, RequiredCores, IsRep and FinalRepTask (Algo 3).
 // FERTAC, 2CATAC and OTAC plug their ComputeSolution variants into
-// Schedule.
+// Schedule. The search owns what its probes share: the stage buffer every
+// probe builds into, and the rule that makes one stage valid (FitStage).
 package sched
 
 import (
@@ -53,11 +54,15 @@ func MetricsFrom(r *obs.Registry) Metrics {
 	}
 }
 
-// ComputeSolutionFunc builds a (possibly partial) schedule for the tasks
-// starting at index s (0-based) with the given available resources and a
-// target period. It returns the empty solution when no valid schedule with
-// period ≤ target exists under the strategy's greedy rules.
-type ComputeSolutionFunc func(c *core.Chain, s int, r core.Resources, target float64) core.Solution
+// ComputeSolutionFunc is one probe of the search: it builds a schedule of
+// c with the available resources r and a target period, appending its
+// stages to buf (empty, with the capacity the search holds) and returning
+// them. It returns an empty solution when no valid schedule with period ≤
+// target exists under the strategy's greedy rules. A function that grows
+// buf past its capacity returns the grown slice, even in an empty result
+// (length 0), and later probes get it. The search copies every schedule it
+// keeps out of buf, so a probe may write over what earlier probes returned.
+type ComputeSolutionFunc func(c *core.Chain, r core.Resources, target float64, buf []core.Stage) core.Solution
 
 // Bounds holds the period interval searched by Schedule.
 type Bounds struct {
@@ -167,18 +172,33 @@ func scheduleBounds(c *core.Chain, r core.Resources, b Bounds, compute ComputeSo
 	if m.Trace.Enabled() {
 		m.Trace.Event("bounds").F64("min", b.Min).F64("max", b.Max).F64("eps", b.Eps)
 	}
+	// Every stage takes at least one task and one core, so a valid schedule
+	// has at most min(n, cores) stages. One allocation holds the probe
+	// buffer and, after it, the copy of the best schedule found.
+	n := min(c.Len(), r.Total())
+	stages := make([]core.Stage, 2*n)
+	buf, kept := stages[:0:n], stages[n:n]
 	var best core.Solution
+	try := func(target float64) bool {
+		s := compute(c, r, target, buf)
+		if cap(s.Stages) > cap(buf) {
+			buf = s.Stages[:0]
+		}
+		if !s.IsValid(c, r, target) {
+			return false
+		}
+		m.SearchValid.Inc()
+		best = core.Solution{Stages: append(kept, s.Stages...)}
+		return true
+	}
 	pmin, pmax := b.Min, b.Max
 	for pmax-pmin >= b.Eps {
 		pmid := (pmax + pmin) / 2
 		m.SearchIterations.Inc()
 		probe, exit := m.Trace.Enter("probe")
 		probe.F64("target", pmid)
-		s := compute(c, 0, r, pmid)
-		if s.IsValid(c, r, pmid) {
-			m.SearchValid.Inc()
-			best = s
-			pmax = s.Period(c) // can only decrease the target from here
+		if try(pmid) {
+			pmax = best.Period(c) // can only decrease the target from here
 			probe.Bool("valid", true).F64("period", pmax)
 		} else {
 			pmin = pmid // can only increase the target
@@ -192,10 +212,7 @@ func scheduleBounds(c *core.Chain, r core.Resources, b Bounds, compute ComputeSo
 		m.SearchIterations.Inc()
 		probe, exit := m.Trace.Enter("probe")
 		probe.F64("target", b.Max).Bool("last_chance", true)
-		s := compute(c, 0, r, b.Max)
-		if s.IsValid(c, r, b.Max) {
-			m.SearchValid.Inc()
-			best = s
+		if try(b.Max) {
 			probe.Bool("valid", true).F64("period", best.Period(c))
 		} else {
 			probe.Bool("valid", false)
@@ -295,4 +312,12 @@ func ComputeStageM(c *core.Chain, s, avail int, v core.CoreType, target float64,
 			Str("type", v.String()).F64("target", target).Int("end", e).Int("cores", u)
 	}
 	return e, u
+}
+
+// FitStage is ComputeStageM followed by the paper's IsValid on the one
+// stage it builds: ok reports whether the stage [s, end] on used cores of
+// type v fits in the avail cores and meets the target.
+func FitStage(c *core.Chain, s, avail int, v core.CoreType, target float64, m Metrics) (end, used int, ok bool) {
+	e, u := ComputeStageM(c, s, avail, v, target, m)
+	return e, u, u >= 1 && u <= avail && c.Weight(s, e, u, v) <= target
 }

@@ -284,7 +284,7 @@ func TestScheduleDegenerate(t *testing.T) {
 func TestScheduleBinarySearchConverges(t *testing.T) {
 	// A trivial compute function: whole chain in one big-core stage.
 	c := core.MustChain([]core.Task{task(10, 20, false), task(10, 20, false)})
-	all := func(ch *core.Chain, s int, r core.Resources, target float64) core.Solution {
+	all := func(ch *core.Chain, r core.Resources, target float64, _ []core.Stage) core.Solution {
 		return core.Solution{Stages: []core.Stage{{Start: 0, End: ch.Len() - 1, Cores: 1, Type: core.Big}}}
 	}
 	got := Schedule(c, core.Res(1, 0), all)
@@ -306,7 +306,7 @@ func TestScheduleFallbackUpperBound(t *testing.T) {
 	// With a single big core, Min is already 30, so instead force failure
 	// below 30 and success at ≥ 30 with two cores where Min = 15, Max = 25.
 	r := core.Res(2, 0)
-	fn := func(ch *core.Chain, s int, res core.Resources, target float64) core.Solution {
+	fn := func(ch *core.Chain, res core.Resources, target float64, _ []core.Stage) core.Solution {
 		if target < needed {
 			return core.Solution{}
 		}
@@ -318,5 +318,69 @@ func TestScheduleFallbackUpperBound(t *testing.T) {
 	}
 	if p := got.Period(c); p != 30 {
 		t.Errorf("period = %v, want 30", p)
+	}
+}
+
+// TestScheduleCopiesKeptSchedule holds the search to keeping a copy of
+// each valid schedule: the fake compute builds its one valid schedule in
+// the probe buffer, then fills the buffer with garbage on every later
+// probe. A search that kept the probe buffer itself would return garbage.
+func TestScheduleCopiesKeptSchedule(t *testing.T) {
+	// Min = 1, Max = 2, Eps = 0.1: the first probe (1.5) is valid, and
+	// three more follow it.
+	c := core.MustChain([]core.Task{task(1, 1, false), task(0.5, 0.5, false)})
+	calls, valid := 0, false
+	fake := func(ch *core.Chain, r core.Resources, target float64, buf []core.Stage) core.Solution {
+		calls++
+		if !valid && target >= 1.5 {
+			valid = true
+			return core.Solution{Stages: append(buf, core.Stage{Start: 0, End: 1, Cores: 1, Type: core.Big})}
+		}
+		buf = buf[:cap(buf)]
+		for i := range buf {
+			buf[i] = core.Stage{Start: 1, End: 0, Cores: 7, Type: core.Little}
+		}
+		return core.Solution{}
+	}
+	got := Schedule(c, core.Res(10, 0), fake)
+	if want := "(2,1B)"; got.String() != want {
+		t.Errorf("schedule %s, want %s", got, want)
+	}
+	if calls < 2 {
+		t.Errorf("%d probes, want the valid one and at least one after it", calls)
+	}
+}
+
+// TestScheduleKeepsGrownBuffer holds the search to passing a buffer that a
+// probe grew, and handed back in an empty result, to the next probe.
+func TestScheduleKeepsGrownBuffer(t *testing.T) {
+	c := core.MustChain([]core.Task{task(1, 1, false), task(0.5, 0.5, false)})
+	var grown []core.Stage
+	calls := 0
+	fake := func(ch *core.Chain, r core.Resources, target float64, buf []core.Stage) core.Solution {
+		calls++
+		if len(buf) != 0 {
+			t.Fatalf("probe %d: buffer of length %d, want 0", calls, len(buf))
+		}
+		if calls == 1 {
+			grown = append(buf[:cap(buf)], core.Stage{})
+			return core.Solution{Stages: grown[:0]}
+		}
+		if cap(buf) != cap(grown) || &buf[:1][0] != &grown[0] {
+			t.Fatalf("probe %d: buffer of capacity %d, want the grown one of %d", calls, cap(buf), cap(grown))
+		}
+		if calls != 3 {
+			return core.Solution{}
+		}
+		return core.Solution{Stages: append(buf, core.Stage{Start: 0, End: 1, Cores: 1, Type: core.Big})}
+	}
+	// Min = 1, Max = 2, Eps = 0.1: probes at 1.5, 1.75 and 1.875, the
+	// third valid, so the search ends without the fallback (which starts a
+	// buffer of its own).
+	if got, want := Schedule(c, core.Res(10, 0), fake).String(), "(2,1B)"; got != want {
+		t.Errorf("schedule %s, want %s", got, want)
+	}
+	if calls != 3 {
+		t.Errorf("%d probes, want 3", calls)
 	}
 }

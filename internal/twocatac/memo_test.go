@@ -23,8 +23,8 @@ type memoKey struct {
 
 // scheduleMemo is Schedule with a fresh memo table per probe.
 func scheduleMemo(c *core.Chain, r core.Resources) core.Solution {
-	return sched.Schedule(c, r, func(ch *core.Chain, s int, res core.Resources, target float64) core.Solution {
-		return computeSolutionMemo(ch, s, res, target, map[memoKey]core.Solution{})
+	return sched.Schedule(c, r, func(ch *core.Chain, res core.Resources, target float64, _ []core.Stage) core.Solution {
+		return computeSolutionMemo(ch, 0, res, target, map[memoKey]core.Solution{})
 	})
 }
 

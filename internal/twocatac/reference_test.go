@@ -16,7 +16,7 @@ import (
 )
 
 // The reference recursion is Algo 5 as it stood before the branches of a
-// probe shared one stage buffer: every node builds both branches as fresh
+// probe shared the search's stage buffer: every node builds both branches as fresh
 // solutions, prepending its stage to a copy of the child's, and Algo 6
 // re-validates them with Solution.IsValid. Schedule is held to it stage for
 // stage, node for node and journal event for journal event.
@@ -24,8 +24,8 @@ import (
 // referenceCompute returns the reference recursion as a
 // sched.ComputeSolutionFunc reporting into m.
 func referenceCompute(m Metrics) sched.ComputeSolutionFunc {
-	return func(ch *core.Chain, s int, res core.Resources, target float64) core.Solution {
-		return referenceComputeSolution(ch, s, res, target, m)
+	return func(ch *core.Chain, res core.Resources, target float64, _ []core.Stage) core.Solution {
+		return referenceComputeSolution(ch, 0, res, target, m)
 	}
 }
 
@@ -170,15 +170,16 @@ func FuzzScheduleMatchesReference(f *testing.F) {
 	})
 }
 
-// TestScheduleAllocs pins that a plan allocates per binary-search probe,
-// not per recursion node: the bound is the same at 20 tasks as at 60,
-// where the tree has thousands of times more nodes.
+// TestScheduleAllocs pins that a plan allocates neither per recursion node
+// nor per binary-search probe: the closure, the search's stage buffer and
+// the few times the recursion's stack grows it, the same at 20 tasks as at
+// 60, where the tree has thousands of times more nodes.
 func TestScheduleAllocs(t *testing.T) {
 	r := core.Res(10, 10)
 	for _, n := range []int{20, 40, 60} {
 		c := chaingen.GenerateMany(chaingen.Default(n, 0.5), 7, 1)[0]
-		if got := testing.AllocsPerRun(3, func() { Schedule(c, r) }); got > 40 {
-			t.Errorf("n=%d: %.0f allocations per Schedule, want at most 40", n, got)
+		if got := testing.AllocsPerRun(3, func() { Schedule(c, r) }); got > 6 {
+			t.Errorf("n=%d: %.0f allocations per Schedule, want at most 6", n, got)
 		}
 	}
 }

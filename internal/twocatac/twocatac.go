@@ -6,9 +6,9 @@
 // to chains of about 60 tasks. The recursion is kept paper-verbatim, with
 // no memoization, because Figs. 3–4 time exactly that recursion; a memoized
 // oracle that returns the same schedules lives in memo_test.go. Only the
-// cost of a node is ours: the branches of one binary-search probe share one
-// stage buffer, used as a stack, and a branch is valid by construction, so
-// no node allocates or re-validates.
+// cost of a node is ours: the branches of one binary-search probe are built
+// as a stack in the search's stage buffer, and a branch is valid by
+// construction, so no node allocates or re-validates.
 package twocatac
 
 import (
@@ -47,15 +47,14 @@ func Schedule(c *core.Chain, r core.Resources) core.Solution {
 // ComputeObs returns Algo 5's ComputeSolution reporting into m (the zero
 // Metrics disables), for use with sched.ScheduleM. memo is accepted and
 // ignored (the recursion is never memoized); the parameter stays only
-// because bench/ still passes it (see ROADMAP.md). Each call builds its
-// branches in a buffer of its own, which becomes the returned solution.
+// because bench/ still passes it (see ROADMAP.md).
 func ComputeObs(memo bool, m Metrics) sched.ComputeSolutionFunc {
-	return func(ch *core.Chain, s int, res core.Resources, target float64) core.Solution {
-		p := probe{c: ch, target: target, m: m, path: make([]core.Stage, 0, ch.Len()-s)}
-		if !p.solve(s, res.Count(core.Big), res.Count(core.Little)).Valid {
-			return core.Solution{}
+	return func(c *core.Chain, r core.Resources, target float64, buf []core.Stage) core.Solution {
+		p := probe{c: c, target: target, m: m, path: buf}
+		if !p.solve(0, r.Count(core.Big), r.Count(core.Little)).Valid {
+			return core.Solution{Stages: p.path[:0]} // hands back a grown buffer
 		}
-		return core.Solution{Stages: p.path[:len(p.path):len(p.path)]}
+		return core.Solution{Stages: p.path}
 	}
 }
 
@@ -67,7 +66,7 @@ type Branch struct {
 }
 
 // probe is the state of one ComputeSolution call. path holds the stages
-// of the branch being built from the probe's first task, used as a stack:
+// of the branch being built from the chain's first task, used as a stack:
 // a node appends its stage and its child appends the rest after it.
 type probe struct {
 	c      *core.Chain
@@ -119,8 +118,8 @@ func (p *probe) branch(s, big, little int, v core.CoreType) Branch {
 	if v == core.Little {
 		avail = little
 	}
-	e, u := sched.ComputeStageM(p.c, s, avail, v, p.target, p.m.Sched)
-	if u < 1 || u > avail || p.c.Weight(s, e, u, v) > p.target {
+	e, u, ok := sched.FitStage(p.c, s, avail, v, p.target, p.m.Sched)
+	if !ok {
 		return Branch{} // no valid stage with this type of cores
 	}
 	at := len(p.path)
