@@ -271,8 +271,14 @@ func (a *app) fig2() error {
 		res.R, res.SR, res.All.Total())
 	names := []string{"all results", "only optimal periods"}
 	for i, h := range []*stats.Hist2D{res.All, res.Opt} {
-		fmt.Printf("%s (%d samples): ≤1 extra core %.1f%%, ≤2 extra cores %.1f%%\n",
-			names[i], h.Total(), 100*experiments.ExtraCoresAtMost(h, 1), 100*experiments.ExtraCoresAtMost(h, 2))
+		one, two := experiments.ExtraCoresAtMost(h, 1), experiments.ExtraCoresAtMost(h, 2)
+		fmt.Printf("%s (%d samples): ≤1 extra core %.1f%%, ≤2 extra cores %.1f%%",
+			names[i], h.Total(), 100*one, 100*two)
+		if h == res.Opt { // the same counts as shares of every chain
+			all := float64(h.Total()) / float64(res.All.Total())
+			fmt.Printf(" (of all %d chains: %.1f%%, %.1f%%)", res.All.Total(), 100*one*all, 100*two*all)
+		}
+		fmt.Println()
 		xmin, xmax, ymin, ymax := h.Bounds()
 		t := report.NewTable(append([]string{"Δbig\\Δlittle"}, colLabels(ymin, ymax)...)...)
 		for x := xmin; x <= xmax; x++ {

@@ -546,7 +546,7 @@ func (s Solution) MergeReplicable(c *Chain) Solution {
 	if s.IsEmpty() {
 		return s
 	}
-	out := []Stage{s.Stages[0]}
+	out := append(make([]Stage, 0, len(s.Stages)), s.Stages[0])
 	for _, st := range s.Stages[1:] {
 		last := &out[len(out)-1]
 		if last.Type == st.Type &&

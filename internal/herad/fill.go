@@ -2,6 +2,9 @@ package herad
 
 import (
 	"math"
+	"math/bits"
+	"slices"
+	"sync"
 
 	"ampsched/internal/core"
 )
@@ -102,16 +105,23 @@ func where[T attrs[T]](ev T, tasks int, r core.Resources) T {
 	return ev
 }
 
-// fill computes every row of a fresh matrix under bound (see rowFill.bound)
-// in one "dp_pass" span.
+// fill computes every row of a fresh matrix under bound (see rowFill.bound
+// and rowFill.live) in one "dp_pass" span.
 func (m *matrix) fill(c *core.Chain, bound float64, om Metrics) {
 	dp, exit := om.Trace.Enter("dp_pass")
 	if om.Trace.Enabled() {
 		where(dp, c.Len(), m.res).F64("bound", bound)
 	}
-	m.fillRows(c, 1, c.Len(), bound, om)
+	buf := suffixBufs.Get().(*[]float64)
+	m.fillRows(c, 1, c.Len(), bound, suffixLive(c, m.res, bound, buf), om)
+	suffixBufs.Put(buf)
 	exit()
 }
+
+// suffixBufs recycles the buffer suffixLive builds its table in: a fill
+// takes one and returns it once its last row is filled, so a plan
+// allocates it only when no earlier plan has left one of its size.
+var suffixBufs = sync.Pool{New: func() any { return new([]float64) }}
 
 // typeFill is the per-core-type state of the fill, gathered in one place so
 // the hot loops range over a slice of k of them instead of indexing k
@@ -140,18 +150,22 @@ type rowFill struct {
 	// and is stored as +Inf without its walk being finished (recompute);
 	// every other cell is the one an unbounded fill writes.
 	bound float64
+	// live is the suffix bound under bound (suffixLive): the cell of state s
+	// is dead in every row j < live[s] and stored as the zero cell without
+	// being evaluated (fillRow). nil when no bound applies.
+	live []float64
 	// What recompute counts, added to the shared Metrics counters once per
 	// fillRows rather than once per cell.
 	cells, pruned, candidates int64
 }
 
 // fillRows computes rows from..to of the matrix in ascending row order
-// under bound. Rows < from are read, never written, which is what lets the
-// incremental Planner refill only the suffix a chain edit invalidates;
-// every cell of a filled row is overwritten, so the rows' previous content
-// is irrelevant.
-func (m *matrix) fillRows(c *core.Chain, from, to int, bound float64, om Metrics) {
-	f := rowFill{k: m.k, bound: bound}
+// under bound and, if live is not nil, the suffix bound live. Rows < from
+// are read, never written, which is what lets the incremental Planner
+// refill only the suffix a chain edit invalidates; every cell of a filled
+// row is overwritten, so the rows' previous content is irrelevant.
+func (m *matrix) fillRows(c *core.Chain, from, to int, bound float64, live []float64, om Metrics) {
+	f := rowFill{k: m.k, bound: bound, live: live}
 	for v, stride := f.k-1, 1; v >= 0; v-- { // mixed radix, last type fastest
 		total := m.res.Count(core.CoreType(v))
 		f.t[v] = typeFill{pre: c.PrefixW(core.CoreType(v)), stride: stride, total: int32(total)}
@@ -182,7 +196,8 @@ func (m *matrix) fillRows(c *core.Chain, from, to int, bound float64, om Metrics
 // of the remaining-count vectors. Each state is seeded with its best single
 // stage (Algo 8) and, from row 2 on, completed by the Eq. 4 recurrence
 // (Algo 9), which reads only earlier rows and same-row states with one core
-// less, all of which precede it in the scan. Row 1 is its seeds.
+// less, all of which precede it in the scan. Row 1 is its seeds. A dead
+// state (rowFill.live) is the zero cell of row 0 instead.
 func (m *matrix) fillRow(f *rowFill, om Metrics) {
 	base := f.j * m.states
 	m.cells[base] = cell{pbest: math.Inf(1)} // no cores, no schedule
@@ -195,6 +210,11 @@ func (m *matrix) fillRow(f *rowFill, om Metrics) {
 				break
 			}
 			f.t[v].left = 0
+		}
+		if f.dead(f.j, s) {
+			m.cells[base+s] = cell{}
+			clear(m.usage(base + s))
+			continue
 		}
 		m.seed(f, base+s)
 		if f.j >= 2 && m.recompute(f, s, om) > 0 {
@@ -250,8 +270,9 @@ func (m *matrix) seed(f *rowFill, idx int) {
 //
 // A candidate's period is max(P*(i-1, r⃗-u·e_v), w/u): the stage term only
 // shrinks as u grows, the predecessor term only grows, with u and with i.
-// Six cuts leave out candidates that are strictly worse, in Algo 10's
-// order, than a candidate already compared or than the bound:
+// Seven cuts leave out candidates that are strictly worse, in Algo 10's
+// order, than a candidate already compared or than the bound, or cells no
+// schedule within the bound passes through:
 //
 //   - Count floor. u starts at the smallest count whose stage term
 //     w/float64(u) — the quotient the candidate itself is compared on — is
@@ -308,6 +329,27 @@ func (m *matrix) seed(f *rowFill, idx int) {
 //     above b replaced by +Inf — a monotone map — so it stays monotone in
 //     i and in each count, which is all the other cuts read of it, and a
 //     predecessor above b is above every incumbent either way.
+//   - Suffix bound (rowFill.live, two-type platforms only). A cell (j, r⃗)
+//     on a schedule within b leaves tasks j..n-1 to the cores r⃗ does not
+//     hold, with every stage within b. A cell whose leftover cores cannot
+//     carry them even as a divisible load (suffixLive) is dead: it is
+//     stored as the zero cell of row 0, period 0, with no seed, no walk,
+//     no dp_cell or dp_prune event and no cut counted, and the warm split
+//     is not taken from it. Every cell of an optimal path stays live. The
+//     dead set is down-closed in j and up-closed in each count, so the
+//     stored table stays monotone in i and in each count — dead 0s below
+//     and beside the values, +Inf for cells above b on the other side —
+//     which is all lastSplit, the predecessor break, the crossover and the
+//     jump read. No dead cell can win a candidate: the bound is
+//     consistent, as a stage within b fits its own u cores as a divisible
+//     load, so a live cell's neighbors, and every predecessor it reaches
+//     by a stage within b, are live. A dead predecessor thus sits behind a
+//     stage heavier than b, which loses to every incumbent (at most b by
+//     the cap); the count loop never even reads one, as the count floor
+//     starts it at a stage term within the incumbent. Only lastSplit
+//     reads dead cells, as 0, and so may start the walk or end a jump at a
+//     higher split, where no candidate is found and the walk jumps on; the
+//     dominated split it stops at is the same.
 //
 // A cut drops a candidate only when it is strictly worse than the
 // incumbent, which is always a real candidate or the sentinel, or, for the
@@ -362,7 +404,7 @@ func (m *matrix) recompute(f *rowFill, s int, om Metrics) (cut int) {
 	}
 	candidates := 0
 	top := lastSplit(cells, t, states, s, 1, j, true, cur.pbest)
-	if g := int(cells[idx-states].start) + 1; g+1 < top { // the warm split
+	if g := int(cells[idx-states].start) + 1; g+1 < top && !f.dead(j-1, s) { // the warm split
 		candidates, _ = m.walk(f, s, g, g, &cur, use)
 		for v := range t {
 			t[v].floor = 1 // g's w is not the walk's
@@ -476,6 +518,12 @@ func (m *matrix) walk(f *rowFill, s, hi, lo int, cur *cell, use []int32) (candid
 	return candidates, cut
 }
 
+// dead reports whether the cell of state s in row j is dead under the
+// suffix bound: the rest of the chain cannot fit on the cores it leaves.
+func (f *rowFill) dead(j, s int) bool {
+	return f.live != nil && float64(j) < f.live[s]
+}
+
 // dominated reports whether split i holds no stage within p for the
 // current state: even the widest replicated stage of every type weighs
 // more. Stage weight only grows as i falls — the interval grows, and a
@@ -578,6 +626,139 @@ func lastSplit(cells []cell, t []typeFill, states, s, lo, hi int, rep bool, p fl
 		}
 	}
 	return lo
+}
+
+// suffixSlack is the relative rounding slack of the suffix bound, per
+// suffix task, in units of the chain's total weight on a type. The fill's
+// stage weights are differences of prefix sums: each task of a stage
+// counts there with an error of at most 2^-53 of the total, and the bound's
+// own sums add a few such errors per task, so 2^-40 leaves a margin of
+// thousands while costing the bound nothing that shows.
+const suffixSlack = 0x1p-40
+
+// suffixLive returns cut 7's table for c on the two-type r under bound b,
+// built in *buf (grown if it is too small), or nil on any other type count
+// or when b is +Inf: for each state s = (rb, rl) of a row, the first row j
+// from which the cell can lie on a schedule of the whole chain within b.
+// Every row below it is dead: tasks j..n-1 do not fit within b on the B-rb
+// big and L-rl little cores the state leaves. The table is float64, like
+// the scratch it shares *buf with; row numbers are exact in it.
+//
+// The fit is relaxed to a divisible load. A stage of weight W on u cores
+// within b has W ≤ u·b, so on a schedule within b the big stages hold at
+// most b'·b of big weight and the little ones at most l'·b of little
+// weight. The least little weight left once the big cores hold b'·b is the
+// fractional knapsack: the tasks in ascending wB/wL order go on big cores
+// until the next one no longer fits, which goes on them in part. Let λ be
+// that task's wL/wB; the result is Σ_t min(wL_t, λ·wB_t) - λ·b'·b, which is
+// below the little weight of any schedule for every λ ≥ 0, so it needs at
+// least that weight / b little cores: need(j, b'). The tasks' order is
+// explicit — wB = 0 first, wL = 0 last, the quotient between — because a
+// task weighing 0 on both types makes cross-multiplied ratios no strict
+// weak order, and a prefix that is not the order's overstates the need.
+// Floating-point rounding is paid for by slack growing one unit per suffix
+// task (suffixSlack): the big capacity gains it, the little weight loses it,
+// and b gains it as a factor.
+//
+// need is made monotone — a running min over b' and a max over every
+// j' ≥ j — so that the dead set is down-closed in j and up-closed in each
+// count. Each value stays a lower bound: the exact need only grows with the
+// suffix and shrinks with b'. The dead cells read 0 as the zero cell, so
+// the stored table stays monotone in i and in each count (recompute).
+//
+// The knapsacks are read off a Fenwick tree over the tasks' ranks in that
+// order, filled as j falls: O(n·(B+1)·log n) per plan.
+func suffixLive(c *core.Chain, r core.Resources, b float64, buf *[]float64) []float64 {
+	if r.NumTypes() != 2 || math.IsInf(b, 1) {
+		return nil
+	}
+	n, nb, nl := c.Len(), r.Count(core.Big), r.Count(core.Little)
+	size := 3*n + 2 + nb + 1 + (nb+1)*(nl+1)
+	if cap(*buf) < size {
+		*buf = make([]float64, size)
+	}
+	all := (*buf)[:size]
+	clear(all)
+	bitB, bitL := all[:n+1], all[n+1:2*n+2] // Fenwick trees over ranks 1..n
+	order := all[2*n+2 : 3*n+2]             // task indices in ascending wB/wL
+	need := all[3*n+2 : 3*n+3+nb]           // need(j+1, b'), b' = 0..B
+	live := all[3*n+3+nb:]
+	weights := func(t int) (wb, wl float64) {
+		w := c.Task(t).Weight
+		return w[core.Big], w[core.Little]
+	}
+	key := func(t float64) float64 { // wB/wL: wB = 0 first, wL = 0 last
+		switch wb, wl := weights(int(t)); {
+		case wb == 0:
+			return 0
+		case wl == 0:
+			return math.Inf(1)
+		default:
+			return wb / wl
+		}
+	}
+	less := func(x, y float64) int {
+		if kx, ky := key(x), key(y); kx != ky {
+			if kx < ky {
+				return -1
+			}
+			return 1
+		}
+		return int(x - y) // equal keys: by task index
+	}
+	for t := range order {
+		order[t] = float64(t)
+	}
+	slices.SortFunc(order, less)
+
+	unitB, unitL := suffixSlack*c.TotalW(core.Big), suffixSlack*c.TotalW(core.Little)
+	bHat := b * (1 + suffixSlack)
+	top := 1 << (bits.Len(uint(n)) - 1) // the Fenwick descent's first step
+	restL := 0.0                        // little weight of tasks j..n-1
+	for j := n - 1; j >= 1; j-- {
+		wb, wl := weights(j)
+		rank, _ := slices.BinarySearchFunc(order, float64(j), less)
+		for i := rank + 1; i <= n; i += i & -i {
+			bitB[i] += wb
+			bitL[i] += wl
+		}
+		restL += wl
+		slack := float64(n - j + 1)
+		runMin := nl + 1
+		for bp := 0; bp <= nb; bp++ {
+			capB := float64(bp)*bHat + slack*unitB
+			// The longest prefix in order whose big weight fits capB.
+			pos, sumB, sumL := 0, 0.0, 0.0
+			for step := top; step > 0; step >>= 1 {
+				if next := pos + step; next <= n && sumB+bitB[next] <= capB {
+					pos, sumB, sumL = next, sumB+bitB[next], sumL+bitL[next]
+				}
+			}
+			left := restL - sumL - slack*unitL
+			if pos < n { // the next task, on big cores in part
+				pb, pl := weights(int(order[pos]))
+				frac := 1.0
+				if pb > 0 {
+					frac = min((capB-sumB)/pb, 1)
+				}
+				left -= frac * pl
+			}
+			k := 0
+			if left > 0 {
+				if q := left / bHat; q > float64(nl) {
+					k = nl + 1
+				} else {
+					k = int(math.Ceil(q))
+				}
+			}
+			runMin = min(runMin, k)
+			for l := int(need[bp]); l < runMin; l++ {
+				live[(nb-bp)*(nl+1)+nl-l] = float64(j + 1)
+			}
+			need[bp] = max(need[bp], float64(runMin))
+		}
+	}
+	return live
 }
 
 // extract implements Algo 11: it walks the matrix backwards from the full

@@ -13,10 +13,12 @@
 // O(n²·Π(C_v+1)·ΣC_v) time and O(n·Π(C_v+1)) space; two published
 // optimizations are implemented (single-core inner loop for sequential
 // intervals, plus the stage-merge post-pass), along with a period-dominance
-// pruning of the reverse stage loop, six cuts inside it — the fifth jumps
+// pruning of the reverse stage loop, seven cuts inside it — the fifth jumps
 // over the splits that hold no candidate, the sixth leaves out the cells
-// above FERTAC's period on two-type platforms — and a warm incumbent, none
-// of which can move a cell that can lie on the optimal path (fill.go).
+// above FERTAC's period on two-type platforms, the seventh the cells whose
+// leftover cores cannot carry the rest of the chain within that period —
+// and a warm incumbent, none of which can move a cell that can lie on the
+// optimal path (fill.go).
 package herad
 
 import (
@@ -32,7 +34,8 @@ import (
 // disabled sink.
 type Metrics struct {
 	// DPCells counts the (j, r⃗) cells the Eq. 4 recursion actually
-	// evaluates (Algo 9): not the cells the bound skips unevaluated.
+	// evaluates (Algo 9): not the cells the bound or the suffix bound
+	// skips unevaluated.
 	DPCells *obs.Counter
 	// DPCandidates counts candidate (split point, core count, type)
 	// solutions evaluated inside those cells: the ones the cuts of the
@@ -125,7 +128,9 @@ func scheduleRaw(c *core.Chain, r core.Resources, o Options) core.Solution {
 // the optimum can only match or beat, or +Inf on any other type count or
 // when FERTAC finds no schedule. The fill computes stage weights exactly as
 // Solution.Period does, so its final cell is at most this bound bit for
-// bit, and the cells above it are left out (rowFill.bound).
+// bit, and the cells above it are left out (rowFill.bound), as are the
+// cells whose leftover cores cannot carry the rest of the chain within it
+// (rowFill.live).
 func bound(c *core.Chain, r core.Resources) float64 {
 	if r.NumTypes() != 2 {
 		return math.Inf(1)

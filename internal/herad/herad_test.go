@@ -300,3 +300,20 @@ func TestZeroWeightStageTakesOneCore(t *testing.T) {
 		}
 	}
 }
+
+// TestScheduleAllocs pins the allocations of a plan: the matrix (its
+// header, cells and usage vectors), FERTAC's bound (at most 2), the
+// extracted stages and the merged ones, and two more when the suffix
+// bound's pool has no buffer to give (its pointer and the buffer; the race
+// detector makes the pool drop some) — the same bound at 20 tasks as at
+// 512.
+func TestScheduleAllocs(t *testing.T) {
+	for _, n := range []int{20, 160, 512} {
+		c := chaingen.GenerateMany(chaingen.Default(n, 0.5), 7, 1)[0]
+		for _, r := range []core.Resources{core.Res(4, 4), core.Res(20, 20)} {
+			if got := testing.AllocsPerRun(3, func() { Schedule(c, r) }); got > 9 {
+				t.Errorf("n=%d R=%v: %.0f allocations per Schedule, want at most 9", n, r, got)
+			}
+		}
+	}
+}

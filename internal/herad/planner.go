@@ -174,7 +174,7 @@ func (p *Planner) refill(from int) {
 	rf, exit := om.Trace.Enter("dp_refill")
 	rf.Int("tasks", n).Int("from_row", from).Int("rows", refilled)
 	p.m.resize(n)
-	p.m.fillRows(p.c, from, n, math.Inf(1), om)
+	p.m.fillRows(p.c, from, n, math.Inf(1), nil, om)
 	exit()
 }
 

@@ -218,7 +218,7 @@ func TestRefillAllocatesNothing(t *testing.T) {
 	c := chaingen.GenerateMany(chaingen.Default(32, 0.5), 5, 1)[0]
 	m := newMatrix(c.Len(), core.Res(3, 3))
 	m.fill(c, math.Inf(1), Metrics{})
-	if a := testing.AllocsPerRun(20, func() { m.fillRows(c, c.Len()-4, c.Len(), math.Inf(1), Metrics{}) }); a != 0 {
+	if a := testing.AllocsPerRun(20, func() { m.fillRows(c, c.Len()-4, c.Len(), math.Inf(1), nil, Metrics{}) }); a != 0 {
 		t.Errorf("refilling 5 rows allocates %v times, want 0", a)
 	}
 }

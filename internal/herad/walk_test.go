@@ -24,21 +24,28 @@ import (
 // step-by-step walk stops at, so none may move a single bit of the matrix,
 // dp.pruned or a dp_prune event. The oracle keeps the bound's cap — a
 // cell whose seed and neighbors are all above it starts from the same
-// sentinel incumbent and is stored as +Inf when nothing beats it — but not
-// its skip: it evaluates every cell.
+// sentinel incumbent and is stored as +Inf when nothing beats it — but
+// neither its skip nor the suffix bound: it evaluates every cell. The
+// fill's live cells must be its cells although the fill reads 0 where the
+// cold walk reads a dead cell's true period.
 
-// eachCell fills the rows of a fresh matrix for c on r under bound the way
-// fillRows does — rows ascending, states ascending, repFrom found step by
-// step rather than by bisection — seeding every cell and handing every
-// state of rows 2 and up to recompute in that order.
-func eachCell(c *core.Chain, r core.Resources, bound float64, recompute func(m *matrix, f *rowFill, s int)) *matrix {
+// eachCell fills the rows of a fresh matrix for c on r under bound and the
+// suffix bound live (nil: none) the way fillRows does — rows ascending,
+// states ascending, repFrom found step by step rather than by bisection —
+// seeding every live cell and handing every live state of rows 2 and up to
+// recompute in that order; a dead cell stays the zero cell. It returns the
+// matrix and the split recompute returns for every state of rows 2 and up
+// in fill order (rows ascending from 2, states ascending from 1), 0 for a
+// dead one.
+func eachCell(c *core.Chain, r core.Resources, bound float64, live []float64, recompute func(m *matrix, f *rowFill, s int) int) (*matrix, []int) {
 	m := newMatrix(c.Len(), r)
-	f := rowFill{k: m.k, bound: bound}
+	f := rowFill{k: m.k, bound: bound, live: live}
 	for v, stride := f.k-1, 1; v >= 0; v-- {
 		total := r.Count(core.CoreType(v))
 		f.t[v] = typeFill{pre: c.PrefixW(core.CoreType(v)), stride: stride, total: int32(total)}
 		stride *= total + 1
 	}
+	var cuts []int
 	for j := 1; j <= c.Len(); j++ {
 		f.j = j
 		for v := range f.t[:f.k] {
@@ -58,35 +65,35 @@ func eachCell(c *core.Chain, r core.Resources, bound float64, recompute func(m *
 				}
 				f.t[v].left = 0
 			}
-			m.seed(&f, base+s)
+			cut := 0
+			if !f.dead(j, s) {
+				m.seed(&f, base+s)
+				if j >= 2 {
+					cut = recompute(m, &f, s)
+				}
+			}
 			if j >= 2 {
-				recompute(m, &f, s)
+				cuts = append(cuts, cut)
 			}
 		}
 	}
-	return m
+	return m, cuts
 }
 
-// walkFill fills a fresh matrix for c on r under bound with the cold walk.
-// It returns the dominance split of every recomputed cell in fill order
-// (rows ascending from 2, states ascending from 1), 0 where the walk ran
-// out or the cell is over the bound.
+// walkFill fills a fresh matrix for c on r under bound with the cold walk,
+// which evaluates every cell: it has no suffix bound. It returns the
+// dominance split of every recomputed cell in fill order, 0 where the walk
+// ran out or the cell is over the bound.
 func walkFill(c *core.Chain, r core.Resources, bound float64) (*matrix, []int) {
-	var cuts []int
-	m := eachCell(c, r, bound, func(m *matrix, f *rowFill, s int) {
-		cuts = append(cuts, m.walkRecompute(f, s))
-	})
-	return m, cuts
+	return eachCell(c, r, bound, nil, (*matrix).walkRecompute)
 }
 
-// fillCuts is walkFill with the product recompute: the fill's own matrix
-// and the split each cell's recompute returns.
-func fillCuts(c *core.Chain, r core.Resources, bound float64) (*matrix, []int) {
-	var cuts []int
-	m := eachCell(c, r, bound, func(m *matrix, f *rowFill, s int) {
-		cuts = append(cuts, m.recompute(f, s, Metrics{}))
+// fillCuts is walkFill with the product recompute and the suffix bound
+// live: the fill's own matrix and the split each cell's recompute returns.
+func fillCuts(c *core.Chain, r core.Resources, bound float64, live []float64) (*matrix, []int) {
+	return eachCell(c, r, bound, live, func(m *matrix, f *rowFill, s int) int {
+		return m.recompute(f, s, Metrics{})
 	})
-	return m, cuts
 }
 
 // walkRecompute is recompute with a cold incumbent, no top split, no
@@ -238,41 +245,61 @@ func sameCell(ma, mb *matrix, idx int) bool {
 		slices.Equal(ma.usage(idx), mb.usage(idx))
 }
 
+// isZeroCell reports whether the cell at idx is the zero cell of row 0:
+// period +0, no predecessor, start or type, and an all-zero usage vector.
+func isZeroCell(m *matrix, idx int) bool {
+	return math.Float64bits(m.cells[idx].pbest) == 0 && m.cells[idx] == cell{} &&
+		!slices.ContainsFunc(m.usage(idx), func(a int32) bool { return a != 0 })
+}
+
 // checkFillMatchesWalk fails the test unless the fill of c on r under the
 // bound pick draws (drawBound) agrees with the cold walk under that bound:
-// rows 0 and 1 and every cell the cold walk keeps within the bound are the
-// same — period bits, predecessor, stage start and type, usage vector —
-// as the cold walk's and the unbounded fill's, and cut at the same
-// dominated split as the cold walk's, and every other cell is over the
-// bound. fill itself must write the matrix of that check, and count in
-// dp.pruned the cells whose walk it cut. With journal set, the dp_prune
-// events must state the same cuts, one dp_cell per cell within the bound.
+// the dead cells of the suffix bound (suffixLive) are exactly the zero
+// cell, and every other cell of rows 0 and 1 and every other cell the cold
+// walk keeps within the bound is the same — period bits, predecessor, stage
+// start and type, usage vector — as the cold walk's and the unbounded
+// fill's, and cut at the same dominated split as the cold walk's, and every
+// other cell is over the bound. fill itself must write the matrix of that
+// check, and count in dp.pruned the live cells whose walk it cut. With
+// journal set, the dp_prune events must state the same cuts, one dp_cell
+// per live cell within the bound.
 func checkFillMatchesWalk(t *testing.T, c *core.Chain, r core.Resources, pick uint64, journal bool) {
 	t.Helper()
 	free, b := drawBound(c, r, pick)
-	got, gotCuts := fillCuts(c, r, b)
+	live := suffixLive(c, r, b, new([]float64))
+	f := rowFill{live: live}
+	got, gotCuts := fillCuts(c, r, b, live)
 	want, wantCuts := walkFill(c, r, b)
 	for idx := range want.cells {
-		row := idx / want.states
-		if row < 2 || want.cells[idx].pbest <= b {
+		row, state := idx/want.states, idx%want.states
+		switch {
+		case row > 0 && state > 0 && f.dead(row, state):
+			if !isZeroCell(got, idx) {
+				t.Fatalf("R=%v n=%d bound=%v: dead cell (row %d, state %d) is %+v usage %v, not the zero cell\nchain=%+v",
+					r, c.Len(), b, row, state, got.cells[idx], got.usage(idx), c.Tasks())
+			}
+		case row < 2 || want.cells[idx].pbest <= b:
 			for _, o := range []struct {
 				name string
 				m    *matrix
 			}{{"the cold walk", want}, {"the unbounded fill", free}} {
 				if !sameCell(got, o.m, idx) {
 					t.Fatalf("R=%v n=%d bound=%v: cell (row %d, state %d) is %+v usage %v, %s writes %+v usage %v\nchain=%+v",
-						r, c.Len(), b, row, idx%want.states, got.cells[idx], got.usage(idx), o.name, o.m.cells[idx], o.m.usage(idx), c.Tasks())
+						r, c.Len(), b, row, state, got.cells[idx], got.usage(idx), o.name, o.m.cells[idx], o.m.usage(idx), c.Tasks())
 				}
 			}
-		} else if got.cells[idx].pbest <= b {
+		case got.cells[idx].pbest <= b:
 			t.Fatalf("R=%v n=%d bound=%v: cell (row %d, state %d) is %v, the cold walk finds nothing within the bound\nchain=%+v",
-				r, c.Len(), b, row, idx%want.states, got.cells[idx].pbest, c.Tasks())
+				r, c.Len(), b, row, state, got.cells[idx].pbest, c.Tasks())
 		}
 	}
-	var within []int // the cuts of the cells within the bound, in fill order
+	var within []int // the cuts of the live cells within the bound, in fill order
 	pruned := int64(0)
 	for i, w := range wantCuts {
 		row, state := 2+i/(want.states-1), 1+i%(want.states-1)
+		if f.dead(row, state) {
+			continue
+		}
 		if gotCuts[i] != w {
 			t.Fatalf("R=%v n=%d bound=%v: cell (row %d, state %d) is cut at split %d, the cold walk cuts at %d\nchain=%+v",
 				r, c.Len(), b, row, state, gotCuts[i], w, c.Tasks())
@@ -299,11 +326,11 @@ func checkFillMatchesWalk(t *testing.T, c *core.Chain, r core.Resources, pick ui
 		}
 	}
 	if v := om.DPPruned.Value(); v != pruned {
-		t.Fatalf("R=%v n=%d bound=%v: dp.pruned is %d, the cold walk prunes %d cells", r, c.Len(), b, v, pruned)
+		t.Fatalf("R=%v n=%d bound=%v: dp.pruned is %d, the cold walk prunes %d live cells", r, c.Len(), b, v, pruned)
 	}
 	if journal {
 		if cuts := journalCuts(t, j); !slices.Equal(cuts, within) {
-			t.Fatalf("R=%v n=%d bound=%v: the dp_prune events state cuts %v, the cells within the bound are cut at %v",
+			t.Fatalf("R=%v n=%d bound=%v: the dp_prune events state cuts %v, the live cells within the bound are cut at %v",
 				r, c.Len(), b, cuts, within)
 		}
 	}
