@@ -15,26 +15,19 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// explainConfig is the pinned invocation behind testdata/explain.golden:
+// explainArgs is the pinned invocation behind testdata/explain.golden:
 // the 4-task example chain on 2 big + 2 little cores, all strategies.
-func explainConfig(out *bytes.Buffer) config {
-	return config{input: "testdata/chain.json", resources: "2B,2L",
-		strategy: "all", frames: 10, scale: 1, interframe: 0,
-		explain: true, out: out}
-}
+var explainArgs = []string{"-input", "testdata/chain.json", "-resources", "2B,2L", "-strategy", "all", "-explain"}
 
 // TestExplainGolden pins the full -explain narrative for the example chain
 // under every strategy. The output is deterministic by construction (no
 // wall-clock data enters the journal); regenerate with go test -update
 // after intentional format or event changes.
 func TestExplainGolden(t *testing.T) {
-	var out bytes.Buffer
-	if err := mainErr(explainConfig(&out)); err != nil {
-		t.Fatal(err)
-	}
+	out := []byte(mustRun(t, explainArgs...))
 	golden := filepath.Join("testdata", "explain.golden")
 	if *update {
-		if err := os.WriteFile(golden, out.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(golden, out, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -42,9 +35,9 @@ func TestExplainGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (run: go test ./cmd/ampsched -run TestExplainGolden -update)", err)
 	}
-	if !bytes.Equal(out.Bytes(), want) {
+	if !bytes.Equal(out, want) {
 		t.Errorf("-explain output differs from %s (regenerate with -update if intended)\ngot:\n%s",
-			golden, out.String())
+			golden, out)
 	}
 }
 
@@ -52,35 +45,22 @@ func TestExplainGolden(t *testing.T) {
 // requires byte-identical output — the acceptance criterion backing the
 // golden file.
 func TestExplainDeterministic(t *testing.T) {
-	var a, b bytes.Buffer
-	if err := mainErr(explainConfig(&a)); err != nil {
-		t.Fatal(err)
-	}
-	if err := mainErr(explainConfig(&b)); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("-explain output differs between two identical runs:\n%s\nvs:\n%s",
-			a.String(), b.String())
+	if a, b := mustRun(t, explainArgs...), mustRun(t, explainArgs...); a != b {
+		t.Fatalf("-explain output differs between two identical runs:\n%s\nvs:\n%s", a, b)
 	}
 }
 
 // TestTraceDeterministic pins the other half of the criterion: the -trace
-// JSONL journal and its Chrome view are byte-identical across runs, and
-// every JSONL line decodes with encoding/json.
+// JSONL journal and its Chrome view of every strategy on Mac Studio are
+// byte-identical across runs, and every JSONL line decodes with
+// encoding/json.
 func TestTraceDeterministic(t *testing.T) {
 	dir := t.TempDir()
 	paths := [2]string{filepath.Join(dir, "a.jsonl"), filepath.Join(dir, "b.jsonl")}
 	var files [2][]byte
 	var chromes [2][]byte
 	for i, p := range paths {
-		var out bytes.Buffer
-		cfg := explainConfig(&out)
-		cfg.explain = false
-		cfg.trace = p
-		if err := mainErr(cfg); err != nil {
-			t.Fatal(err)
-		}
+		mustRun(t, "-platform", "mac", "-resources", "16B,4L", "-strategy", "all", "-simulate", "-trace", p)
 		data, err := os.ReadFile(p)
 		if err != nil {
 			t.Fatalf("journal not written: %v", err)
@@ -114,11 +94,8 @@ func TestTraceCarriesRunTimelines(t *testing.T) {
 	var journals, chromes [2][]byte
 	for i, run := range []bool{false, true} {
 		p := filepath.Join(dir, fmt.Sprintf("run%v.jsonl", run))
-		var out bytes.Buffer
-		if err := mainErr(config{input: "testdata/chain.json", resources: "2B,2L", strategy: "all",
-			run: run, frames: frames, scale: 1, trace: p, out: &out}); err != nil {
-			t.Fatal(err)
-		}
+		mustRun(t, "-input", "testdata/chain.json", "-resources", "2B,2L", "-strategy", "all",
+			fmt.Sprintf("-run=%v", run), "-frames", fmt.Sprint(frames), "-scale", "1", "-trace", p)
 		var err error
 		if journals[i], err = os.ReadFile(p); err != nil {
 			t.Fatal(err)
@@ -190,15 +167,13 @@ func TestMainErrFlushesArtifactsOnFailure(t *testing.T) {
 	dir := t.TempDir()
 	journal := filepath.Join(dir, "sched.jsonl")
 	mem := filepath.Join(dir, "mem.pprof")
-	var out bytes.Buffer
-	err := mainErr(config{input: "testdata/chain.json", resources: "2B,0L",
-		strategy: "all", frames: 10, scale: 1, interframe: 0,
-		trace: journal, memProfile: mem, out: &out})
-	if err == nil {
+	code, _, errOut := invoke("-input", "testdata/chain.json", "-resources", "2B,0L",
+		"-strategy", "all", "-trace", journal, "-memprofile", mem)
+	if code != 1 {
 		t.Fatal("expected OTAC (L) to fail with little=0")
 	}
-	if !strings.Contains(err.Error(), "OTAC (L)") {
-		t.Fatalf("unexpected error: %v", err)
+	if !strings.Contains(errOut, "OTAC (L)") {
+		t.Fatalf("unexpected error: %s", errOut)
 	}
 	data, rerr := os.ReadFile(journal)
 	if rerr != nil {

@@ -36,13 +36,8 @@ func goldenCompare(t *testing.T, name string, got []byte) {
 // resource model; regenerate with -update only for intentional changes.
 func TestScheduleGolden(t *testing.T) {
 	jpath := filepath.Join(t.TempDir(), "sched.jsonl")
-	var out bytes.Buffer
-	cfg := config{platform: "mac", resources: "8B,2L", strategy: "all",
-		frames: 10, scale: 1, interframe: 0, trace: jpath, out: &out}
-	if err := mainErr(cfg); err != nil {
-		t.Fatal(err)
-	}
-	goldenCompare(t, "schedule_mac.golden", out.Bytes())
+	out := mustRun(t, "-platform", "mac", "-resources", "8B,2L", "-strategy", "all", "-trace", jpath)
+	goldenCompare(t, "schedule_mac.golden", []byte(out))
 	journal, err := os.ReadFile(jpath)
 	if err != nil {
 		t.Fatal(err)

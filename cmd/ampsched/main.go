@@ -112,8 +112,8 @@ type jsonRun struct {
 	Frames  int     `json:"frames,omitempty"`
 }
 
-// config carries every CLI flag; mainErr consumes it so tests can drive
-// the whole pipeline without a flag.FlagSet.
+// config carries every CLI flag. newConfig builds it from the command
+// line for main and for every test alike; run then sets the writers.
 type config struct {
 	input      string // JSON task-chain file
 	platform   string // embedded DVB-S2 profile name
@@ -133,25 +133,21 @@ type config struct {
 	explain    bool          // print the decision-trace narrative
 	cpuProfile string        // pprof CPU profile output path
 	memProfile string        // pprof heap profile output path
-	args       []string      // words left after the flags; ampsched takes none
 
-	// out receives everything the command prints to stdout. Tests inject
-	// a buffer; nil means os.Stdout.
-	out io.Writer
-	// notices receives every "# …" notice under -json, where stdout
-	// carries JSON values only. Tests inject a buffer; nil means
-	// os.Stderr. In text mode the notices go to out.
-	notices io.Writer
+	// out and errOut are stdout and stderr. Under -json, where stdout
+	// carries JSON values only, every "# …" notice goes to errOut.
+	out, errOut io.Writer
 }
 
-// check applies every rule that reads only flags. Each error starts with
-// the flag it names, or with "unexpected" for words left after the flags.
-func (c config) check() error {
+// check applies every rule that reads only flags and args, the words
+// left after them. Each error starts with the flag it names, or with
+// "unexpected" for args.
+func (c config) check(args []string) error {
 	for _, r := range []struct {
 		bad bool
 		err string
 	}{
-		{len(c.args) > 0, fmt.Sprintf("unexpected arguments %q: ampsched takes flags only, and flag parsing stops at the first other word, so the flags after it would be dropped", c.args)},
+		{len(args) > 0, fmt.Sprintf("unexpected arguments %q: ampsched takes flags only, and flag parsing stops at the first other word, so the flags after it would be dropped", args)},
 		{c.input != "" && c.platform != "", "-input and -platform are exclusive: pass one chain source"},
 		{c.input == "" && c.platform == "", "-input FILE or -platform mac|x7 is required"},
 		{c.resources == "", `-resources is required: the core count of each type, e.g. "16B,4L"`},
@@ -170,54 +166,73 @@ func (c config) check() error {
 }
 
 func main() {
-	var cfg config
-	flag.StringVar(&cfg.input, "input", "", "JSON task-chain file")
-	flag.StringVar(&cfg.platform, "platform", "", `embedded DVB-S2 profile: "mac" or "x7"`)
-	flag.StringVar(&cfg.resources, "resources", "", `per-type core counts, e.g. "16B,4L" or "4B,2M,8L"`)
-	flag.StringVar(&cfg.strategy, "strategy", "herad", "herad|2catac|fertac|otac-b|otac-l|all (or brute)")
-	flag.BoolVar(&cfg.simulate, "simulate", false, "validate with the discrete-event simulator")
-	flag.BoolVar(&cfg.run, "run", false, "execute on the streampu runtime")
-	flag.IntVar(&cfg.frames, "frames", 100, "frames for -run")
-	flag.Float64Var(&cfg.scale, "scale", 10, "time scale for -run")
-	flag.IntVar(&cfg.interframe, "interframe", 0, "frames per pipeline slot for FPS reporting (0 = the chain's own: the platform's, 1 for -input)")
-	flag.BoolVar(&cfg.json, "json", false, "print JSON only on stdout (notices go to stderr)")
-	flag.BoolVar(&cfg.colocate, "colocate", false, "fuse adjacent light single-core stages (saves cores at equal period)")
-	flag.BoolVar(&cfg.power, "power", false, "report power/energy under the default power model")
-	flag.StringVar(&cfg.trace, "trace", "", "write the decision journal (JSONL + .chrome.json view, with the pipeline timelines under -run) to this file")
-	flag.DurationVar(&cfg.watch, "watch", 0, `with -run: print live per-stage occupancy, weight estimate and p95 latency every interval (e.g. "500ms")`)
-	flag.BoolVar(&cfg.stats, "stats", false, "report scheduler metrics (table, or obs report in -json mode)")
-	flag.BoolVar(&cfg.explain, "explain", false, "print the decision-trace narrative after the schedules (text mode only)")
-	flag.StringVar(&cfg.cpuProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
-	flag.StringVar(&cfg.memProfile, "memprofile", "", "write a pprof heap profile to this file at exit")
-	flag.Parse()
-	cfg.args = flag.Args()
-
-	if err := mainErr(cfg); err != nil {
-		fmt.Fprintln(os.Stderr, "ampsched:", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func mainErr(cfg config) error {
-	out := cfg.out
-	if out == nil {
-		out = os.Stdout
+// run is the command on args, writing to stdout and stderr. It returns 0
+// on success or -h, 2 for a flag the FlagSet refuses (and has reported
+// with the usage) and 1 for any other error.
+func run(args []string, stdout, stderr io.Writer) int {
+	cfg, err := newConfig(args, stderr)
+	if err == nil {
+		cfg.out, cfg.errOut = stdout, stderr
+		err = mainErr(cfg)
 	}
-	// notes receives every "# …" notice: stdout in text mode, the notice
-	// writer (stderr) under -json, so that stdout stays one stream of JSON
-	// values.
-	notes := out
+	var refused flagError
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.As(err, &refused):
+		return 2
+	}
+	fmt.Fprintln(stderr, "ampsched:", err)
+	return 1
+}
+
+// flagError is a parse error the FlagSet has already written with the usage.
+type flagError struct{ error }
+
+func (e flagError) Unwrap() error { return e.error }
+
+// newConfig parses args, the words after the command name, into a config
+// and applies every rule that reads only flags (check). Its FlagSet writes
+// its own errors and the usage to stderr.
+func newConfig(args []string, stderr io.Writer) (config, error) {
+	var cfg config
+	fs := flag.NewFlagSet("ampsched", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&cfg.input, "input", "", "JSON task-chain file")
+	fs.StringVar(&cfg.platform, "platform", "", `embedded DVB-S2 profile: "mac" or "x7"`)
+	fs.StringVar(&cfg.resources, "resources", "", `per-type core counts, e.g. "16B,4L" or "4B,2M,8L"`)
+	fs.StringVar(&cfg.strategy, "strategy", "herad", "herad|2catac|fertac|otac-b|otac-l|all (or brute)")
+	fs.BoolVar(&cfg.simulate, "simulate", false, "validate with the discrete-event simulator")
+	fs.BoolVar(&cfg.run, "run", false, "execute on the streampu runtime")
+	fs.IntVar(&cfg.frames, "frames", 100, "frames for -run")
+	fs.Float64Var(&cfg.scale, "scale", 10, "time scale for -run")
+	fs.IntVar(&cfg.interframe, "interframe", 0, "frames per pipeline slot for FPS reporting (0 = the chain's own: the platform's, 1 for -input)")
+	fs.BoolVar(&cfg.json, "json", false, "print JSON only on stdout (notices go to stderr)")
+	fs.BoolVar(&cfg.colocate, "colocate", false, "fuse adjacent light single-core stages (saves cores at equal period)")
+	fs.BoolVar(&cfg.power, "power", false, "report power/energy under the default power model")
+	fs.StringVar(&cfg.trace, "trace", "", "write the decision journal (JSONL + .chrome.json view, with the pipeline timelines under -run) to this file")
+	fs.DurationVar(&cfg.watch, "watch", 0, `with -run: print live per-stage occupancy, weight estimate and p95 latency every interval (e.g. "500ms")`)
+	fs.BoolVar(&cfg.stats, "stats", false, "report scheduler metrics (table, or obs report in -json mode)")
+	fs.BoolVar(&cfg.explain, "explain", false, "print the decision-trace narrative after the schedules (text mode only)")
+	fs.StringVar(&cfg.cpuProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
+	fs.StringVar(&cfg.memProfile, "memprofile", "", "write a pprof heap profile to this file at exit")
+	if err := fs.Parse(args); err != nil {
+		return cfg, flagError{err}
+	}
+	return cfg, cfg.check(fs.Args())
+}
+
+// mainErr runs the command cfg describes; newConfig has checked it.
+func mainErr(cfg config) error {
+	out, notes := cfg.out, cfg.out // notes receives every "# …" notice
 	if cfg.json {
-		notes = cfg.notices
-		if notes == nil {
-			notes = os.Stderr
-		}
+		notes = cfg.errOut
 	}
 	scheds, err := strategyList(cfg.strategy)
 	if err != nil {
-		return err
-	}
-	if err := cfg.check(); err != nil {
 		return err
 	}
 	r, err := core.ParseResources(cfg.resources)
@@ -256,7 +271,7 @@ func mainErr(cfg config) error {
 	}
 	if cfg.memProfile != "" {
 		// After a final GC, so the profile shows live allocations only.
-		defer warnOnError(func() error {
+		defer warnOnError(cfg.errOut, func() error {
 			return writeFile(cfg.memProfile, func(w io.Writer) error {
 				runtime.GC()
 				return pprof.WriteHeapProfile(w)
@@ -279,7 +294,7 @@ func mainErr(cfg config) error {
 	// i-th strategy) for the journal's Chrome view.
 	var timeline []trace.ChromeEvent
 	if cfg.trace != "" {
-		defer warnOnError(func() error {
+		defer warnOnError(cfg.errOut, func() error {
 			if err := writeFile(cfg.trace, journal.WriteJSONL); err != nil {
 				return err
 			}
@@ -482,9 +497,9 @@ func writeFile(path string, write func(io.Writer) error) error {
 
 // warnOnError reports a failed exit artifact on stderr without failing
 // the command, whose own error (if any) is the one that matters.
-func warnOnError(write func() error) {
+func warnOnError(stderr io.Writer, write func() error) {
 	if err := write(); err != nil {
-		fmt.Fprintln(os.Stderr, "ampsched:", err)
+		fmt.Fprintln(stderr, "ampsched:", err)
 	}
 }
 

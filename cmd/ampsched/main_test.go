@@ -1,15 +1,17 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
+	"errors"
+	"flag"
+	"go/parser"
+	"go/token"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
-	"time"
 
 	"ampsched/internal/core"
 	"ampsched/internal/experiments"
@@ -55,6 +57,74 @@ func TestLoadChainErrors(t *testing.T) {
 	}
 }
 
+// invoke runs the command on args as main does and returns its exit code,
+// stdout and stderr.
+func invoke(args ...string) (code int, stdout, stderr string) {
+	var out, errOut strings.Builder
+	code = run(args, &out, &errOut)
+	return code, out.String(), errOut.String()
+}
+
+// mustRun runs the command on args, fails the test unless it exits 0 and
+// returns its stdout.
+func mustRun(t *testing.T, args ...string) string {
+	t.Helper()
+	code, out, errOut := invoke(args...)
+	if code != 0 {
+		t.Fatalf("%q exited %d:\n%s", args, code, errOut)
+	}
+	return out
+}
+
+// TestRunExitCodes pins the exit code of each kind of invocation: 0 for
+// -h and a good run, 2 for a flag the FlagSet refuses (every removed flag
+// among them) and 1 for an error after parsing. A refusal writes nothing
+// to stdout, and stderr carries the FlagSet's own message and usage once,
+// with no "ampsched:" line, or one "ampsched:" line with the error.
+func TestRunExitCodes(t *testing.T) {
+	mac := []string{"-platform", "mac", "-resources", "16B,4L"}
+	for _, tc := range []struct {
+		args   []string
+		code   int
+		stderr string // in stderr
+	}{
+		{[]string{"-h"}, 0, "-resources string"},
+		{mac, 0, ""},
+		{append(mac, "-slo", "x"), 2, "flag provided but not defined: -slo"},
+		{append(mac, "-replan", "3"), 2, "not defined: -replan"},
+		{append(mac, "-epsilon", "0.05"), 2, "not defined: -epsilon"},
+		{append(mac, "-listen", "127.0.0.1:0"), 2, "not defined: -listen"},
+		{append(mac, "-flight-dump", "x"), 2, "not defined: -flight-dump"},
+		{append(mac, "-big", "16"), 2, "not defined: -big"},
+		{append(mac, "-little", "4"), 2, "not defined: -little"},
+		{append(mac, "-trace-sched", "x"), 2, "not defined: -trace-sched"},
+		{append(mac, "-frames", "many"), 2, `invalid value "many" for flag -frames`},
+		{append(mac, "-strategy", "2catac-memo"), 1, "2catac-memo"},
+		{append(mac, "-run", "-frames", "1"), 1, "at least 2"},
+		{[]string{"-platform", "mac", "-resources", "-1B,4L"}, 1, "invalid resource spec"},
+		{[]string{"-input", "testdata/chain3.json", "-resources", "1B,1M,8L", "-strategy", "fertac"}, 1, "supports exactly 2 core types"},
+		{[]string{"-platform", "mac", "typo", "-resources", "2B,2L"}, 1, "unexpected arguments"},
+	} {
+		code, out, errOut := invoke(tc.args...)
+		if code != tc.code || !strings.Contains(errOut, tc.stderr) {
+			t.Errorf("%q: exit %d, want %d with %q on stderr:\n%s", tc.args, code, tc.code, tc.stderr, errOut)
+		}
+		if code == 0 {
+			continue
+		}
+		if out != "" {
+			t.Errorf("%q printed to stdout before refusing:\n%s", tc.args, out)
+		}
+		if code == 2 && (strings.Count(errOut, tc.stderr) != 1 || strings.Count(errOut, "Usage of ampsched:") != 1 ||
+			strings.Contains("\n"+errOut, "\nampsched: ")) {
+			t.Errorf("%q: stderr does not hold the error and the usage once each with no ampsched: line:\n%s", tc.args, errOut)
+		}
+		if code == 1 && (!strings.HasPrefix(errOut, "ampsched: ") || strings.Count(errOut, "\n") != 1) {
+			t.Errorf("%q: stderr is not one ampsched: line:\n%s", tc.args, errOut)
+		}
+	}
+}
+
 // TestMainErrNonFiniteChain: two replicable tasks whose weights are
 // each finite but sum past the float64 range are refused when the chain is
 // loaded, for every strategy, instead of printing a period of +Inf.
@@ -67,10 +137,9 @@ func TestMainErrNonFiniteChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range []string{"all", "2catac", "fertac", "otac-b"} {
-		var out strings.Builder
-		err := mainErr(config{input: in, resources: "2B,2L", strategy: s, frames: 10, scale: 1, out: &out})
-		if err == nil || !strings.Contains(err.Error(), "finite") {
-			t.Errorf("-strategy %s: error %v, want a non-finite total weight refusal; printed:\n%s", s, err, out.String())
+		code, out, errOut := invoke("-input", in, "-resources", "2B,2L", "-strategy", s)
+		if code != 1 || !strings.Contains(errOut, "finite") {
+			t.Errorf("-strategy %s: exit %d, %s want a non-finite total weight refusal; printed:\n%s", s, code, errOut, out)
 		}
 	}
 }
@@ -113,88 +182,53 @@ func TestStrategyList(t *testing.T) {
 
 func TestMainErrEndToEnd(t *testing.T) {
 	// Whole-pipeline smoke test through the CLI entry point (no -run).
-	var buf bytes.Buffer
-	if err := mainErr(config{input: "testdata/chain.json", resources: "2B,2L",
-		strategy: "all", simulate: true, frames: 10, scale: 1, interframe: 0,
-		colocate: true, power: true, out: &buf}); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() == 0 {
+	chain := []string{"-input", "testdata/chain.json", "-resources", "2B,2L"}
+	if out := mustRun(t, append(chain, "-strategy", "all", "-simulate", "-colocate", "-power")...); out == "" {
 		t.Error("-strategy all -simulate printed nothing")
 	}
 	// JSON output path.
-	buf.Reset()
-	if err := mainErr(config{platform: "mac", resources: "8B,2L",
-		strategy: "herad", frames: 10, scale: 1, interframe: 0,
-		json: true, out: &buf}); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() == 0 {
+	if out := mustRun(t, "-platform", "mac", "-resources", "8B,2L", "-json"); out == "" {
 		t.Error("-json printed nothing")
 	}
 	// No resources.
-	if err := mainErr(config{input: "testdata/chain.json",
-		strategy: "herad", frames: 10, scale: 1, interframe: 0, out: &buf}); err == nil {
-		t.Error("zero resources accepted")
+	if code, _, _ := invoke("-input", "testdata/chain.json"); code != 1 {
+		t.Errorf("zero resources: exit %d, want 1", code)
 	}
 }
 
 func TestMainErrWatch(t *testing.T) {
+	chain := []string{"-input", "testdata/chain.json", "-resources", "2B,2L"}
 	// -watch without -run is rejected.
-	err := mainErr(config{input: "testdata/chain.json", resources: "2B,2L",
-		strategy: "herad", frames: 10, scale: 1, interframe: 0,
-		watch: 50 * time.Millisecond})
-	if err == nil {
-		t.Fatal("-watch without -run accepted")
+	code, _, errOut := invoke(append(chain, "-watch", "50ms")...)
+	if code != 1 {
+		t.Fatalf("-watch without -run: exit %d, want 1", code)
 	}
-	if !strings.Contains(err.Error(), "-watch requires -run") {
-		t.Errorf("error %q does not name the required flag combination", err)
+	if !strings.Contains(errOut, "-watch requires -run") {
+		t.Errorf("error %q does not name the required flag combination", errOut)
 	}
 	// Live view during -run: at least the final window line must appear,
 	// with per-stage occupancy and weight estimates.
-	var buf bytes.Buffer
-	if err := mainErr(config{input: "testdata/chain.json", resources: "2B,2L",
-		strategy: "herad", run: true, frames: 60, scale: 1, interframe: 0,
-		watch: 20 * time.Millisecond, out: &buf}); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+	out := mustRun(t, append(chain, "-run", "-frames", "60", "-scale", "1", "-watch", "20ms")...)
 	if !strings.Contains(out, "watch +") || !strings.Contains(out, "occ") || !strings.Contains(out, "p95") {
 		t.Errorf("no live telemetry line in output:\n%s", out)
 	}
 	// -watch composes with -stats: the sampler publishes series under the
 	// strategy slug and the stats table includes them.
-	buf.Reset()
-	if err := mainErr(config{input: "testdata/chain.json", resources: "2B,2L",
-		strategy: "herad", run: true, frames: 40, scale: 1, interframe: 0,
-		watch: 20 * time.Millisecond, stats: true, out: &buf}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "streampu.latency_us.stage0") {
-		t.Errorf("stats output missing sampled latency series:\n%s", buf.String())
+	out = mustRun(t, append(chain, "-run", "-frames", "40", "-scale", "1", "-watch", "20ms", "-stats")...)
+	if !strings.Contains(out, "streampu.latency_us.stage0") {
+		t.Errorf("stats output missing sampled latency series:\n%s", out)
 	}
 }
 
 func TestMainErrStats(t *testing.T) {
+	chain := []string{"-input", "testdata/chain.json", "-resources", "2B,2L"}
 	// -stats with every strategy: the metric table renders after the
 	// schedules and collection does not disturb the results.
-	var buf bytes.Buffer
-	if err := mainErr(config{input: "testdata/chain.json", resources: "2B,2L",
-		strategy: "all", frames: 10, scale: 1, interframe: 0,
-		stats: true, out: &buf}); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() == 0 {
+	if out := mustRun(t, append(chain, "-strategy", "all", "-stats")...); out == "" {
 		t.Error("-stats printed nothing")
 	}
 	// -stats -json emits the obs report after the schedule objects.
-	buf.Reset()
-	if err := mainErr(config{input: "testdata/chain.json", resources: "2B,2L",
-		strategy: "fertac", frames: 10, scale: 1, interframe: 0,
-		json: true, stats: true, out: &buf}); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() == 0 {
+	if out := mustRun(t, append(chain, "-strategy", "fertac", "-json", "-stats")...); out == "" {
 		t.Error("-stats -json printed nothing")
 	}
 }
@@ -203,13 +237,8 @@ func TestMainErrProfiles(t *testing.T) {
 	dir := t.TempDir()
 	cpu := filepath.Join(dir, "cpu.pprof")
 	mem := filepath.Join(dir, "mem.pprof")
-	var buf bytes.Buffer
-	if err := mainErr(config{input: "testdata/chain.json", resources: "2B,2L",
-		strategy: "herad", frames: 10, scale: 1, interframe: 0,
-		cpuProfile: cpu, memProfile: mem, out: &buf}); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() == 0 {
+	if out := mustRun(t, "-input", "testdata/chain.json", "-resources", "2B,2L",
+		"-cpuprofile", cpu, "-memprofile", mem); out == "" {
 		t.Error("the profiled run printed nothing")
 	}
 	for _, p := range []string{cpu, mem} {
@@ -224,43 +253,41 @@ func TestMainErrProfiles(t *testing.T) {
 }
 
 // TestConfigCheck drives every rule of config.check, and the -resources
-// spec's own refusals, through mainErr: each is refused before anything is
-// printed or created, with an error that starts with the flag it names.
+// spec's own refusals, through the command line: each is refused with
+// exit 1 before anything is printed or created, with an error that starts
+// with the flag it names. The row's words follow a valid command line, so
+// a repeated flag overrides it.
 func TestConfigCheck(t *testing.T) {
 	for _, tc := range []struct {
 		flag string
-		edit func(*config)
+		args []string
 	}{
-		{"-input", func(c *config) { c.platform = "mac" }},
-		{"-input", func(c *config) { c.input = "" }},
-		{"-resources", func(c *config) { c.resources = "" }},
-		{"-resources", func(c *config) { c.resources = "-1B,4L" }},
-		{"-resources", func(c *config) { c.resources = "0B,0L" }},
-		{"-watch", func(c *config) { c.watch = time.Millisecond }},
-		{"-watch", func(c *config) { c.run, c.watch = true, -time.Millisecond }},
-		{"-interframe", func(c *config) { c.interframe = -2 }},
-		{"-frames", func(c *config) { c.run, c.frames = true, 0 }},
-		{"-frames", func(c *config) { c.run, c.frames = true, 1 }},
-		{"-scale", func(c *config) { c.run, c.scale = true, -1 }},
-		{"-scale", func(c *config) { c.run, c.scale = true, math.Inf(1) }},
-		{"-explain", func(c *config) { c.explain, c.json = true, true }},
-		{"unexpected", func(c *config) { c.args = []string{"typo", "-resources", "2B,2L"} }},
+		{"-input", []string{"-platform", "mac"}},
+		{"-input", []string{"-input", ""}},
+		{"-resources", []string{"-resources", ""}},
+		{"-resources", []string{"-resources", "-1B,4L"}},
+		{"-resources", []string{"-resources", "0B,0L"}},
+		{"-watch", []string{"-watch", "1ms"}},
+		{"-watch", []string{"-run", "-watch", "-1ms"}},
+		{"-interframe", []string{"-interframe", "-2"}},
+		{"-frames", []string{"-run", "-frames", "0"}},
+		{"-frames", []string{"-run", "-frames", "1"}},
+		{"-scale", []string{"-run", "-scale", "-1"}},
+		{"-scale", []string{"-run", "-scale", "+Inf"}},
+		{"-explain", []string{"-explain", "-json"}},
+		{"unexpected", []string{"typo", "-resources", "2B,2L"}},
 	} {
-		dir := t.TempDir()
-		cfg := config{input: "testdata/chain.json", resources: "2B,2L", strategy: "herad",
-			frames: 10, scale: 1, cpuProfile: filepath.Join(dir, "cpu.pprof")}
-		tc.edit(&cfg)
-		var out strings.Builder
-		cfg.out = &out
-		err := mainErr(cfg)
-		if err == nil || !strings.HasPrefix(err.Error(), tc.flag+" ") {
-			t.Errorf("config %+v: error %v, want one starting with %s", cfg, err, tc.flag)
+		cpu := filepath.Join(t.TempDir(), "cpu.pprof")
+		args := append([]string{"-input", "testdata/chain.json", "-resources", "2B,2L", "-cpuprofile", cpu}, tc.args...)
+		code, out, errOut := invoke(args...)
+		if code != 1 || !strings.HasPrefix(errOut, "ampsched: "+tc.flag+" ") {
+			t.Errorf("%q: exit %d, %s want exit 1 with an error starting with %s", args, code, errOut, tc.flag)
 		}
-		if out.Len() != 0 {
-			t.Errorf("config %+v printed before rejecting:\n%s", cfg, out.String())
+		if out != "" {
+			t.Errorf("%q printed before rejecting:\n%s", args, out)
 		}
-		if _, err := os.Stat(cfg.cpuProfile); !os.IsNotExist(err) {
-			t.Errorf("config %+v created %s before rejecting", cfg, cfg.cpuProfile)
+		if _, err := os.Stat(cpu); !os.IsNotExist(err) {
+			t.Errorf("%q created %s before rejecting", args, cpu)
 		}
 	}
 }
@@ -269,43 +296,38 @@ func TestConfigCheck(t *testing.T) {
 // level, and 0 selects it. Mac Studio's level is 4, so HeRAD's 950.6 µs
 // period on (16B,4L) reads 4208 FPS by default and 1e6/950.6 at 1.
 func TestMainErrInterframe(t *testing.T) {
-	for interframe, fps := range map[int]string{0: " 4208 ", 1: " 1052 ", 2: " 2104 "} {
-		var out strings.Builder
-		if err := mainErr(config{platform: "mac", resources: "16B,4L", strategy: "herad",
-			frames: 10, scale: 1, interframe: interframe, out: &out}); err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(out.String(), fps) {
-			t.Errorf("-interframe %d: FPS is not%s:\n%s", interframe, fps, out.String())
+	for interframe, fps := range map[string]string{"0": " 4208 ", "1": " 1052 ", "2": " 2104 "} {
+		out := mustRun(t, "-platform", "mac", "-resources", "16B,4L", "-interframe", interframe)
+		if !strings.Contains(out, fps) {
+			t.Errorf("-interframe %s: FPS is not%s:\n%s", interframe, fps, out)
 		}
 	}
 }
 
 // TestMainErrJSONStdoutIsJSON: under -json, stdout is JSON values only —
 // one object per strategy carrying its desim and runtime results, then
-// the -stats report — and every "# …" notice goes to the notice writer:
-// a desim and a runtime line for each of the five strategies.
+// the -stats report — and every "# …" notice goes to stderr: a desim and
+// a runtime line for each of the five strategies.
 func TestMainErrJSONStdoutIsJSON(t *testing.T) {
-	var out, notices bytes.Buffer
-	if err := mainErr(config{input: "testdata/chain.json", resources: "2B,2L", strategy: "all",
-		simulate: true, run: true, frames: 20, scale: 1, interframe: 1, json: true, stats: true,
-		out: &out, notices: &notices}); err != nil {
-		t.Fatal(err)
+	code, out, notices := invoke("-input", "testdata/chain.json", "-resources", "2B,2L", "-strategy", "all",
+		"-simulate", "-run", "-frames", "20", "-scale", "1", "-interframe", "1", "-json", "-stats")
+	if code != 0 {
+		t.Fatalf("exit %d:\n%s", code, notices)
 	}
-	if strings.Contains(out.String(), "# ") {
-		t.Errorf("a notice reached stdout:\n%s", out.String())
+	if strings.Contains(out, "# ") {
+		t.Errorf("a notice reached stdout:\n%s", out)
 	}
-	lines := strings.Split(strings.TrimSuffix(notices.String(), "\n"), "\n")
+	lines := strings.Split(strings.TrimSuffix(notices, "\n"), "\n")
 	for i, line := range lines {
 		if kind := []string{" desim: ", " runtime: "}[i%2]; !strings.HasPrefix(line, "# ") || !strings.Contains(line, kind) {
 			t.Errorf("notice %d is %q, want a %q line", i, line, strings.TrimSpace(kind))
 		}
 	}
 	if len(lines) != 10 {
-		t.Errorf("%d notices, want a desim and a runtime line for each of 5 strategies:\n%s", len(lines), notices.String())
+		t.Errorf("%d notices, want a desim and a runtime line for each of 5 strategies:\n%s", len(lines), notices)
 	}
 	var values []map[string]any
-	for dec := json.NewDecoder(&out); ; {
+	for dec := json.NewDecoder(strings.NewReader(out)); ; {
 		var v map[string]any
 		if err := dec.Decode(&v); err == io.EOF {
 			break
@@ -331,14 +353,12 @@ func TestMainErrJSONStdoutIsJSON(t *testing.T) {
 // core the little rate and the L cores nothing. -power is refused there
 // before anything is planned or printed.
 func TestMainErrPowerNeedsTwoTypes(t *testing.T) {
-	var out strings.Builder
-	err := mainErr(config{input: "testdata/chain3.json", resources: "1B,1M,8L",
-		strategy: "herad", frames: 10, scale: 1, interframe: 0, power: true, out: &out})
-	if err == nil || !strings.HasPrefix(err.Error(), "-power ") {
-		t.Fatalf("error %v, want one naming -power", err)
+	code, out, errOut := invoke("-input", "testdata/chain3.json", "-resources", "1B,1M,8L", "-power")
+	if code != 1 || !strings.HasPrefix(errOut, "ampsched: -power ") {
+		t.Fatalf("exit %d, %s want an error naming -power", code, errOut)
 	}
-	if out.Len() != 0 {
-		t.Errorf("printed before rejecting:\n%s", out.String())
+	if out != "" {
+		t.Errorf("printed before rejecting:\n%s", out)
 	}
 }
 
@@ -347,32 +367,20 @@ func TestMainErrPowerNeedsTwoTypes(t *testing.T) {
 // platform's type table, not by their positional letters (B, L, T2).
 func TestMainErrStagesUseTypeNames(t *testing.T) {
 	for _, tc := range []struct {
-		cfg   config
+		args  []string
 		stage string // in the text decomposition
 		types []string
 	}{
-		{config{input: "testdata/chain3.json", resources: "1B,1M,8L"},
+		{[]string{"-input", "testdata/chain3.json", "-resources", "1B,1M,8L"},
 			"(1,1B),(1,8L),(1,1M)", []string{"B", "L", "M"}},
-		{config{platform: "mac", resources: "4P,2E"},
+		{[]string{"-platform", "mac", "-resources", "4P,2E"},
 			"(4,1E),(9,1P),(6,3P),(4,1E)", []string{"E", "P", "P", "E"}},
 	} {
-		cfg := tc.cfg
-		cfg.strategy, cfg.frames, cfg.scale, cfg.interframe = "herad", 10, 1, 0
-		var text bytes.Buffer
-		cfg.out = &text
-		if err := mainErr(cfg); err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(text.String(), tc.stage) {
-			t.Errorf("%s: decomposition is not %s:\n%s", cfg.resources, tc.stage, text.String())
-		}
-		var js bytes.Buffer
-		cfg.json, cfg.out = true, &js
-		if err := mainErr(cfg); err != nil {
-			t.Fatal(err)
+		if text := mustRun(t, tc.args...); !strings.Contains(text, tc.stage) {
+			t.Errorf("%q: decomposition is not %s:\n%s", tc.args, tc.stage, text)
 		}
 		var sol jsonSolution
-		if err := json.Unmarshal(js.Bytes(), &sol); err != nil {
+		if err := json.Unmarshal([]byte(mustRun(t, append(tc.args, "-json")...)), &sol); err != nil {
 			t.Fatal(err)
 		}
 		var types []string
@@ -380,7 +388,55 @@ func TestMainErrStagesUseTypeNames(t *testing.T) {
 			types = append(types, st.Type)
 		}
 		if strings.Join(types, ",") != strings.Join(tc.types, ",") {
-			t.Errorf("%s: JSON stage types %v, want %v", cfg.resources, types, tc.types)
+			t.Errorf("%q: JSON stage types %v, want %v", tc.args, types, tc.types)
 		}
 	}
+}
+
+// TestDocListsFlags holds the package doc to the flags newConfig
+// registers, which -h lists: each one is named in the doc as -name, and
+// each entry of the doc's Flags list is registered.
+func TestDocListsFlags(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, parser.PackageClauseOnly|parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := f.Doc.Text()
+	named := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?:^|[^\w-])-(\w[\w-]*)`).FindAllStringSubmatch(doc, -1) {
+		named[m[1]] = true
+	}
+	registered := map[string]bool{}
+	for _, name := range registeredFlags(t) {
+		registered[name] = true
+		if !named[name] {
+			t.Errorf("flag -%s is not named in the package doc", name)
+		}
+	}
+	_, list, ok := strings.Cut(doc, "\nFlags:\n")
+	if !ok {
+		t.Fatal("the package doc has no Flags list")
+	}
+	for _, line := range strings.Split(list, "\n") {
+		if name, ok := strings.CutPrefix(line, "\t-"); ok && !registered[strings.Fields(name)[0]] {
+			t.Errorf("the Flags list names -%s, which is not registered", strings.Fields(name)[0])
+		}
+	}
+}
+
+// registeredFlags returns the name of every flag newConfig registers, in
+// the order -h lists them.
+func registeredFlags(t *testing.T) []string {
+	t.Helper()
+	var usage strings.Builder
+	if _, err := newConfig([]string{"-h"}, &usage); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-h: %v", err)
+	}
+	var names []string
+	for _, line := range strings.Split(usage.String(), "\n") {
+		if name, ok := strings.CutPrefix(line, "  -"); ok {
+			names = append(names, strings.Fields(name)[0])
+		}
+	}
+	return names
 }

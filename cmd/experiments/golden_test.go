@@ -7,7 +7,9 @@ import (
 	"path/filepath"
 	"testing"
 
-	"ampsched/internal/obs"
+	"io"
+
+	"ampsched/internal/experiments"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -32,34 +34,6 @@ func goldenCompare(t *testing.T, name string, got []byte) {
 	}
 }
 
-// captureStdout runs fn with os.Stdout redirected to a pipe and returns
-// everything it printed (the experiment drivers print to os.Stdout
-// directly, so a bytes.Buffer cannot be injected).
-func captureStdout(t *testing.T, fn func() error) []byte {
-	t.Helper()
-	old := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = w
-	done := make(chan []byte)
-	go func() {
-		var buf bytes.Buffer
-		_, _ = buf.ReadFrom(r)
-		done <- buf.Bytes()
-	}()
-	ferr := fn()
-	os.Stdout = old
-	w.Close()
-	out := <-done
-	r.Close()
-	if ferr != nil {
-		t.Fatal(ferr)
-	}
-	return out
-}
-
 // TestTable1Golden is the k=2 equivalence gate of the k-type resource
 // model at the campaign level: it runs the Table I simulation campaign
 // (miniature but deterministic: fixed seed, 20 chains per scenario, all
@@ -73,19 +47,49 @@ func TestTable1Golden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a miniature campaign")
 	}
-	a := testApp()
-	a.campaign.Metrics = obs.NewRegistry()
-	a.metricsPath = filepath.Join(t.TempDir(), "metrics.json")
-	out := captureStdout(t, func() error {
-		if err := a.run("table1"); err != nil {
-			return err
-		}
-		return a.writeMetrics()
-	})
-	goldenCompare(t, "table1.golden", out)
-	raw, err := os.ReadFile(a.metricsPath)
+	metrics := filepath.Join(t.TempDir(), "metrics.json")
+	var out bytes.Buffer
+	if code := run(append(quickArgs, "-metrics", metrics, "table1"), &out, io.Discard); code != 0 {
+		t.Fatalf("exit %d", code)
+	}
+	goldenCompare(t, "table1.golden", out.Bytes())
+	raw, err := os.ReadFile(metrics)
 	if err != nil {
 		t.Fatal(err)
 	}
 	goldenCompare(t, "table1_metrics.golden", normalizeReport(t, raw))
+}
+
+// TestResultsRegenerate regenerates the seven deterministic artifacts of
+// results/ — Table I, Figs. 1, 2 and 5, Table III and the latency and
+// sensitivity extensions — each in its own app, as `experiments -metrics
+// "" X` does, and requires them byte for byte as committed: a planner
+// change that claims to move no schedule must leave every one unedited.
+// fig1 reads table1's cells, as one app running both would (t1cache).
+// fig3, fig4, fig6, table2 and live carry timings and stay out.
+func TestResultsRegenerate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the full-size campaigns")
+	}
+	var cells []experiments.Table1Cell
+	for _, x := range []string{"table1", "fig1", "fig2", "fig5", "table3", "latency", "sensitivity"} {
+		var out bytes.Buffer
+		a, cmd := mustApp(t, &out, "-metrics", "", x)
+		a.t1cache = cells
+		mustRunAll(t, a, cmd)
+		cells = a.t1cache
+		want, err := os.ReadFile(filepath.Join("..", "..", "results", x+".txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := out.Bytes(); !bytes.Equal(got, want) {
+			gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+			i := 0
+			for i < min(len(gl), len(wl)) && bytes.Equal(gl[i], wl[i]) {
+				i++
+			}
+			t.Errorf("experiments %s differs from results/%s.txt from line %d on:\n%q\nwant:\n%q",
+				x, x, i+1, gl[min(i, len(gl)-1)], wl[min(i, len(wl)-1)])
+		}
+	}
 }

@@ -39,6 +39,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"runtime"
@@ -53,60 +54,70 @@ import (
 )
 
 func main() {
-	a, cmd, err := newApp(os.Args[1:])
-	switch {
-	case errors.Is(err, flag.ErrHelp):
-		os.Exit(0)
-	case err != nil:
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(2)
-	}
-	if err := a.run(cmd); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
-	if err := a.writeMetrics(); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// newApp parses the command line into the run's app and the experiment
-// to run. -quick changes only the defaults of the flags args leaves unset.
-func newApp(args []string) (*app, string, error) {
+// run is the command on args, writing to stdout and stderr. It returns 0
+// on success or -h, 2 for a command line newApp refuses and 1 for an
+// error of the experiment or its metrics report.
+func run(args []string, stdout, stderr io.Writer) int {
+	a, cmd, err := newApp(args, stdout, stderr)
+	code := 2
+	if err == nil {
+		if code, err = 1, a.run(cmd); err == nil {
+			err = a.writeMetrics()
+		}
+	}
+	var refused flagError
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+		return 0
+	case !errors.As(err, &refused):
+		fmt.Fprintln(stderr, "experiments:", err)
+	}
+	return code
+}
+
+// flagError is a parse error the FlagSet has already written with the usage.
+type flagError struct{ error }
+
+func (e flagError) Unwrap() error { return e.error }
+
+// newApp parses args, the words after the command name, into the run's
+// app, which writes to out and errOut, and the experiment to run.
+func newApp(args []string, out, errOut io.Writer) (*app, string, error) {
+	a := &app{out: out, errOut: errOut, campaign: experiments.Campaign{Cache: strategy.NewCache()}}
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
-	chains := fs.Int("chains", 1000, "chains per scenario (Table I, Figs. 1-2)")
-	runs := fs.Int("runs", 50, "chains per timing point (Figs. 3-4)")
-	quick := fs.Bool("quick", false, "shrink all campaigns for quick runs")
-	csv := fs.Bool("csv", false, "emit CSV instead of aligned text")
-	real := fs.Bool("real", false, "run Table II schedules on the streampu runtime (wall clock)")
-	scale := fs.Float64("scale", 10, "time scale for -real runs")
-	workers := fs.Int("workers", 0, "concurrent planning workers (0 = one per CPU, 1 = serial)")
-	metrics := fs.String("metrics", "metrics.json", `metrics report path ("" disables collection)`)
+	fs.SetOutput(errOut)
+	fs.IntVar(&a.chains, "chains", 1000, "chains per scenario (Table I, Figs. 1-2)")
+	fs.IntVar(&a.runs, "runs", 50, "chains per timing point (Figs. 3-4)")
+	fs.BoolVar(&a.quick, "quick", false, "shrink all campaigns for quick runs")
+	fs.BoolVar(&a.csv, "csv", false, "emit CSV instead of aligned text")
+	fs.BoolVar(&a.real, "real", false, "run Table II schedules on the streampu runtime (wall clock)")
+	fs.Float64Var(&a.scale, "scale", 10, "time scale for -real runs")
+	fs.IntVar(&a.campaign.Workers, "workers", 0, "concurrent planning workers (0 = one per CPU, 1 = serial)")
+	fs.StringVar(&a.metricsPath, "metrics", "metrics.json", `metrics report path ("" disables collection)`)
 	if err := fs.Parse(args); err != nil {
-		return nil, "", err
+		return nil, "", flagError{err}
 	}
-	if *quick {
-		set := map[string]bool{}
-		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		if !set["chains"] {
-			*chains = 100
-		}
-		if !set["runs"] {
-			*runs = 10
+	if a.quick { // -quick shrinks only the counts args leaves unset
+		small := map[string]string{"chains": "100", "runs": "10"}
+		fs.Visit(func(f *flag.Flag) { delete(small, f.Name) })
+		for name, n := range small {
+			_ = fs.Set(name, n) // "100" and "10" always parse
 		}
 	}
-	if *chains < 1 {
-		return nil, "", fmt.Errorf("-chains must be at least 1, got %d", *chains)
+	if a.chains < 1 {
+		return nil, "", fmt.Errorf("-chains must be at least 1, got %d", a.chains)
 	}
-	if *runs < 1 {
-		return nil, "", fmt.Errorf("-runs must be at least 1, got %d", *runs)
+	if a.runs < 1 {
+		return nil, "", fmt.Errorf("-runs must be at least 1, got %d", a.runs)
 	}
-	if *workers < 0 {
-		return nil, "", fmt.Errorf("-workers must be >= 0 (0 means one per CPU), got %d", *workers)
+	if a.campaign.Workers < 0 {
+		return nil, "", fmt.Errorf("-workers must be >= 0 (0 means one per CPU), got %d", a.campaign.Workers)
 	}
-	if !(*scale > 0) || math.IsInf(*scale, 1) {
-		return nil, "", fmt.Errorf("-scale must be a finite time scale > 0, got %v", *scale)
+	if !(a.scale > 0) || math.IsInf(a.scale, 1) {
+		return nil, "", fmt.Errorf("-scale must be a finite time scale > 0, got %v", a.scale)
 	}
 	cmd := fs.Arg(0)
 	if cmd == "" {
@@ -115,11 +126,6 @@ func newApp(args []string) (*app, string, error) {
 	}
 	if fs.NArg() > 1 {
 		return nil, "", fmt.Errorf("unexpected arguments %q after experiment %s: flags go before the experiment name, and one experiment runs at a time", fs.Args()[1:], cmd)
-	}
-	a := &app{
-		chains: *chains, runs: *runs, quick: *quick,
-		csv: *csv, real: *real, scale: *scale, metricsPath: *metrics,
-		campaign: experiments.Campaign{Workers: *workers, Cache: strategy.NewCache()},
 	}
 	if a.metricsPath != "" {
 		a.campaign.Metrics = obs.NewRegistry()
@@ -133,6 +139,7 @@ type app struct {
 	csv, real    bool
 	scale        float64
 	metricsPath  string
+	out, errOut  io.Writer // the command's stdout and stderr
 
 	// campaign plans every campaign of the run: one pool size, one metrics
 	// registry (nil disables collection) and one solution cache, so e.g.
@@ -156,58 +163,45 @@ func (a *app) writeMetrics() error {
 	if err := obs.WriteFile(a.metricsPath, "experiments", a.campaign.Metrics); err != nil {
 		return fmt.Errorf("writing metrics report: %w", err)
 	}
-	fmt.Fprintf(os.Stderr, "experiments: metrics report written to %s\n", a.metricsPath)
+	fmt.Fprintf(a.errOut, "experiments: metrics report written to %s\n", a.metricsPath)
 	return nil
 }
 
-func (a *app) run(cmd string) error {
-	switch cmd {
-	case "table1":
-		return a.table1()
-	case "fig1":
-		return a.fig1()
-	case "fig2":
-		return a.fig2()
-	case "fig3":
-		return a.fig3()
-	case "fig4":
-		return a.fig4()
-	case "table2":
-		_, err := a.table2()
-		return err
-	case "table3":
-		return a.table3()
-	case "fig5":
-		return a.fig5()
-	case "fig6":
-		return a.fig6()
-	case "live":
-		return a.live()
-	case "sensitivity":
-		return a.sensitivity()
-	case "latency":
-		return a.latency()
-	case "all":
-		for _, c := range []string{"table1", "fig1", "fig2", "fig3", "fig4",
-			"table3", "table2", "fig5", "fig6"} {
-			fmt.Printf("\n================ %s ================\n", c)
-			if err := a.run(c); err != nil {
-				return err
-			}
-		}
-		return nil
-	default:
-		return fmt.Errorf("unknown experiment %q", cmd)
+// drivers maps each experiment name to its driver.
+func (a *app) drivers() map[string]func() error {
+	return map[string]func() error{
+		"table1": a.table1, "fig1": a.fig1, "fig2": a.fig2, "fig3": a.fig3, "fig4": a.fig4,
+		"table2": func() error { _, err := a.table2(); return err },
+		"table3": a.table3, "fig5": a.fig5, "fig6": a.fig6, "live": a.live,
+		"sensitivity": a.sensitivity, "latency": a.latency, "all": a.all,
 	}
+}
+
+func (a *app) run(cmd string) error {
+	if d, ok := a.drivers()[cmd]; ok {
+		return d()
+	}
+	return fmt.Errorf("unknown experiment %q", cmd)
+}
+
+// all runs the paper's campaigns one after the other.
+func (a *app) all() error {
+	for _, c := range []string{"table1", "fig1", "fig2", "fig3", "fig4", "table3", "table2", "fig5", "fig6"} {
+		fmt.Fprintf(a.out, "\n================ %s ================\n", c)
+		if err := a.run(c); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (a *app) emit(t *report.Table) {
 	if a.csv {
-		t.CSV(os.Stdout)
+		t.CSV(a.out)
 	} else {
-		t.Render(os.Stdout)
+		t.Render(a.out)
 	}
-	fmt.Println()
+	fmt.Fprintln(a.out)
 }
 
 func (a *app) table1Cells() []experiments.Table1Cell {
@@ -220,7 +214,7 @@ func (a *app) table1Cells() []experiments.Table1Cell {
 }
 
 func (a *app) table1() error {
-	fmt.Printf("Table I — simulation statistics (%d chains × %d tasks per scenario)\n\n", a.chains, experiments.Table1Tasks)
+	fmt.Fprintf(a.out, "Table I — simulation statistics (%d chains × %d tasks per scenario)\n\n", a.chains, experiments.Table1Tasks)
 	t := report.NewTable("R", "SR", "Strategy", "%opt", "avg", "med", "max", "b_used", "l_used")
 	for _, c := range a.table1Cells() {
 		t.AddRow(c.R.String(), fmt.Sprintf("%.1f", c.SR), c.Strategy,
@@ -232,7 +226,7 @@ func (a *app) table1() error {
 }
 
 func (a *app) fig1() error {
-	fmt.Printf("Fig. 1 — cumulative distributions of slowdown ratios vs HeRAD\n\n")
+	fmt.Fprintf(a.out, "Fig. 1 — cumulative distributions of slowdown ratios vs HeRAD\n\n")
 	series := experiments.Fig1(a.table1Cells())
 	// Fig. 1a: fraction of chains within the zoomed slowdown interval.
 	t := report.NewTable("R", "SR", "Strategy", "P(≤1.0)", "P(≤1.1)", "P(≤1.25)", "P(≤1.5)", "max")
@@ -259,7 +253,7 @@ func (a *app) fig1() error {
 		}
 		plot = append(plot, report.Series{Name: s.Strategy, X: xs, Y: ys})
 	}
-	report.LogPlot(os.Stdout, "Fig. 1b (R=(10B,10L), SR=0.5): CDF(P, log) vs slowdown", plot, 60, 12)
+	report.LogPlot(a.out, "Fig. 1b (R=(10B,10L), SR=0.5): CDF(P, log) vs slowdown", plot, 60, 12)
 	return nil
 }
 
@@ -267,20 +261,24 @@ func (a *app) fig2() error {
 	cfg := experiments.DefaultTable1Config()
 	cfg.Campaign, cfg.Chains = a.campaign, a.chains
 	res := experiments.Fig2(cfg)
-	fmt.Printf("Fig. 2 — FERTAC−HeRAD core-usage deltas, R=%v SR=%.1f (%d chains)\n\n",
+	fmt.Fprintf(a.out, "Fig. 2 — FERTAC−HeRAD core-usage deltas, R=%v SR=%.1f (%d chains)\n\n",
 		res.R, res.SR, res.All.Total())
 	names := []string{"all results", "only optimal periods"}
 	for i, h := range []*stats.Hist2D{res.All, res.Opt} {
 		one, two := experiments.ExtraCoresAtMost(h, 1), experiments.ExtraCoresAtMost(h, 2)
-		fmt.Printf("%s (%d samples): ≤1 extra core %.1f%%, ≤2 extra cores %.1f%%",
+		fmt.Fprintf(a.out, "%s (%d samples): ≤1 extra core %.1f%%, ≤2 extra cores %.1f%%",
 			names[i], h.Total(), 100*one, 100*two)
 		if h == res.Opt { // the same counts as shares of every chain
 			all := float64(h.Total()) / float64(res.All.Total())
-			fmt.Printf(" (of all %d chains: %.1f%%, %.1f%%)", res.All.Total(), 100*one*all, 100*two*all)
+			fmt.Fprintf(a.out, " (of all %d chains: %.1f%%, %.1f%%)", res.All.Total(), 100*one*all, 100*two*all)
 		}
-		fmt.Println()
+		fmt.Fprintln(a.out)
 		xmin, xmax, ymin, ymax := h.Bounds()
-		t := report.NewTable(append([]string{"Δbig\\Δlittle"}, colLabels(ymin, ymax)...)...)
+		header := []string{"Δbig\\Δlittle"}
+		for y := ymin; y <= ymax; y++ {
+			header = append(header, fmt.Sprintf("%+d", y))
+		}
+		t := report.NewTable(header...)
 		for x := xmin; x <= xmax; x++ {
 			row := []any{fmt.Sprintf("%+d", x)}
 			for y := ymin; y <= ymax; y++ {
@@ -293,33 +291,19 @@ func (a *app) fig2() error {
 	return nil
 }
 
-func colLabels(min, max int) []string {
-	var out []string
-	for y := min; y <= max; y++ {
-		out = append(out, fmt.Sprintf("%+d", y))
-	}
-	return out
-}
-
 func (a *app) fig3() error {
-	cfg := experiments.DefaultTimingConfig()
-	cfg.Chains = a.runs
 	taskCounts := []int{20, 40, 60, 80, 100, 120, 140, 160}
 	if a.quick {
 		taskCounts = []int{20, 40} // 2CATAC at 60 tasks on (100,100) takes seconds per chain
 	}
-	srs := []float64{0.2, 0.5, 0.8}
-	fmt.Printf("Fig. 3 — strategy execution times (µs) vs number of tasks (%d runs/point)\n\n", a.runs)
+	fmt.Fprintf(a.out, "Fig. 3 — strategy execution times (µs) vs number of tasks (%d runs/point)\n\n", a.runs)
 	for _, r := range []core.Resources{core.Res(20, 20), core.Res(100, 100)} {
-		pts := experiments.Timing(cfg, taskCounts, []core.Resources{r}, srs)
-		a.renderTiming(fmt.Sprintf("R=%v", r), pts, "tasks")
+		a.timing(fmt.Sprintf("R=%v", r), taskCounts, []core.Resources{r}, "tasks")
 	}
 	return nil
 }
 
 func (a *app) fig4() error {
-	cfg := experiments.DefaultTimingConfig()
-	cfg.Chains = a.runs
 	resources := []core.Resources{}
 	for i := 1; i <= 8; i++ {
 		resources = append(resources, core.Res(20*i, 20*i))
@@ -328,17 +312,21 @@ func (a *app) fig4() error {
 	if a.quick {
 		resources, taskCounts = resources[:3], []int{20, 40}
 	}
-	srs := []float64{0.2, 0.5, 0.8}
-	fmt.Printf("Fig. 4 — strategy execution times (µs) vs resources (%d runs/point)\n\n", a.runs)
+	fmt.Fprintf(a.out, "Fig. 4 — strategy execution times (µs) vs resources (%d runs/point)\n\n", a.runs)
 	for _, n := range taskCounts {
-		pts := experiments.Timing(cfg, []int{n}, resources, srs)
-		a.renderTiming(fmt.Sprintf("%d tasks", n), pts, "cores")
+		a.timing(fmt.Sprintf("%d tasks", n), []int{n}, resources, "cores")
 	}
 	return nil
 }
 
-func (a *app) renderTiming(title string, pts []experiments.TimingPoint, xAxis string) {
-	fmt.Println("--", title)
+// timing times every strategy at SR 0.2, 0.5 and 0.8 on each of tasks
+// and rs, a.runs chains per point, and renders the titled table and plot
+// against xAxis.
+func (a *app) timing(title string, tasks []int, rs []core.Resources, xAxis string) {
+	cfg := experiments.DefaultTimingConfig()
+	cfg.Chains = a.runs
+	pts := experiments.Timing(cfg, tasks, rs, []float64{0.2, 0.5, 0.8})
+	fmt.Fprintln(a.out, "--", title)
 	t := report.NewTable("Strategy", "SR", xAxis, "µs")
 	bySeries := map[string]*report.Series{}
 	var order []string
@@ -364,7 +352,7 @@ func (a *app) renderTiming(title string, pts []experiments.TimingPoint, xAxis st
 		plot = append(plot, *bySeries[k])
 	}
 	if !a.csv {
-		report.LogPlot(os.Stdout, "execution time (µs, log) vs "+xAxis, plot, 60, 12)
+		report.LogPlot(a.out, "execution time (µs, log) vs "+xAxis, plot, 60, 12)
 	}
 }
 
@@ -400,7 +388,7 @@ func (a *app) table2() ([]experiments.Table2Row, error) {
 	if a.real {
 		mode = fmt.Sprintf("streampu runtime at time scale %.0f×", a.scale)
 	}
-	fmt.Printf("Table II — DVB-S2 receiver schedules; %s\n\n", mode)
+	fmt.Fprintf(a.out, "Table II — DVB-S2 receiver schedules; %s\n\n", mode)
 	t := report.NewTable("Id", "Platform", "R", "Strategy", "Pipeline decomposition",
 		"|s|", "b", "l", "Period µs", "Sim FPS", "Real FPS", "Sim Mb/s", "Real Mb/s", "Ratio")
 	for _, r := range rows {
@@ -418,8 +406,7 @@ func (a *app) table2() ([]experiments.Table2Row, error) {
 }
 
 func (a *app) table3() error {
-	fmt.Println("Table III — DVB-S2 receiver task latency profiles (µs)")
-	fmt.Println()
+	fmt.Fprint(a.out, "Table III — DVB-S2 receiver task latency profiles (µs)\n\n")
 	rows := experiments.Table3()
 	t := report.NewTable("Id", "Task", "Rep", "Mac B", "Mac L", "X7 B", "X7 L")
 	for _, r := range rows {
@@ -440,8 +427,7 @@ func (a *app) fig5() error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("Fig. 5 — achieved information throughput (Mb/s)")
-	fmt.Println()
+	fmt.Fprint(a.out, "Fig. 5 — achieved information throughput (Mb/s)\n\n")
 	entries := experiments.Fig5(rows)
 	t := report.NewTable("Platform", "R", "Strategy", "Mb/s", "bar")
 	maxV := 0.0
@@ -469,8 +455,7 @@ func (a *app) fig6() error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("Fig. 6 — strategy characteristics summary")
-	fmt.Println()
+	fmt.Fprint(a.out, "Fig. 6 — strategy characteristics summary\n\n")
 	t := report.NewTable("Strategy", "Optimal", "Avg slowdown", "Avg extra cores",
 		"Execution time", "Real/best %")
 	for _, s := range experiments.Fig6(t1, t2) {
@@ -490,9 +475,9 @@ func (a *app) fig6() error {
 func (a *app) sensitivity() error {
 	cfg := experiments.DefaultSensitivityConfig()
 	cfg.Campaign, cfg.Chains = a.campaign, min(a.chains, 200)
-	fmt.Printf("Sensitivity extension (%d chains per point, SR=%.1f)\n\n", cfg.Chains, cfg.SR)
+	fmt.Fprintf(a.out, "Sensitivity extension (%d chains per point, SR=%.1f)\n\n", cfg.Chains, cfg.SR)
 
-	fmt.Println("-- heuristic quality vs number of tasks, R=(10B,10L)")
+	fmt.Fprintln(a.out, "-- heuristic quality vs number of tasks, R=(10B,10L)")
 	t := report.NewTable("Strategy", "tasks", "%opt", "avg slowdown")
 	for _, p := range experiments.SensitivityTasks(cfg, core.Res(10, 10),
 		[]int{10, 20, 40, 80}) {
@@ -500,7 +485,7 @@ func (a *app) sensitivity() error {
 	}
 	a.emit(t)
 
-	fmt.Println("-- heuristic quality vs resources, 20 tasks")
+	fmt.Fprintln(a.out, "-- heuristic quality vs resources, 20 tasks")
 	t2 := report.NewTable("Strategy", "cores", "%opt", "avg slowdown")
 	for _, p := range experiments.SensitivityResources(cfg, 20, []core.Resources{
 		core.Res(4, 4), core.Res(10, 10), core.Res(20, 20), core.Res(40, 40),
@@ -517,8 +502,7 @@ func (a *app) latency() error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("Latency extension — pipeline depth and end-to-end latency per strategy")
-	fmt.Println()
+	fmt.Fprint(a.out, "Latency extension — pipeline depth and end-to-end latency per strategy\n\n")
 	t := report.NewTable("Platform", "R", "Strategy", "stages", "period µs", "latency µs", "latency (periods)")
 	for _, r := range rows {
 		t.AddRow(r.Platform, r.R.String(), r.Strategy, r.Stages,
@@ -529,8 +513,7 @@ func (a *app) latency() error {
 }
 
 func (a *app) live() error {
-	fmt.Println("Live experiment — schedule and run this repository's Go DVB-S2 receiver")
-	fmt.Println()
+	fmt.Fprint(a.out, "Live experiment — schedule and run this repository's Go DVB-S2 receiver\n\n")
 	// One 20-frame profile plans every row, so the rows compare; another
 	// run of the command draws another profile.
 	p := dvbs2.Test()
@@ -561,7 +544,7 @@ func (a *app) live() error {
 	}
 	a.emit(t)
 	if over > 0 {
-		fmt.Printf("Note: %d of the schedules above run more workers than GOMAXPROCS = %d, so their\n"+
+		fmt.Fprintf(a.out, "Note: %d of the schedules above run more workers than GOMAXPROCS = %d, so their\n"+
 			"Measured FPS ranks oversubscription of this host, not the schedules.\n", over, procs)
 	}
 	return nil

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,18 +12,14 @@ import (
 	"ampsched/internal/obs"
 )
 
-// runWithMetrics executes one campaign with metrics collection enabled
-// and returns the raw metrics.json bytes. The app plans through its own
-// solution cache, as the binary does, so the report carries the
-// planbatch.cache.* series.
+// runWithMetrics runs one campaign on the command line with metrics
+// collection enabled and returns the raw metrics.json bytes. The app
+// plans through its own solution cache, as the binary does, so the report
+// carries the planbatch.cache.* series.
 func runWithMetrics(t *testing.T, cmd, path string) []byte {
 	t.Helper()
-	a := testApp()
-	a.campaign.Metrics = obs.NewRegistry()
-	a.metricsPath = path
-	quietly(t, func() error { return a.run(cmd) })
-	if err := a.writeMetrics(); err != nil {
-		t.Fatal(err)
+	if code := run(append(quickArgs, "-metrics", path, cmd), io.Discard, io.Discard); code != 0 {
+		t.Fatalf("%s: exit %d", cmd, code)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {

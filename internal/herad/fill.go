@@ -660,11 +660,12 @@ const suffixSlack = 0x1p-40
 // task (suffixSlack): the big capacity gains it, the little weight loses it,
 // and b gains it as a factor.
 //
-// need is made monotone — a running min over b' and a max over every
-// j' ≥ j — so that the dead set is down-closed in j and up-closed in each
-// count. Each value stays a lower bound: the exact need only grows with the
-// suffix and shrinks with b'. The dead cells read 0 as the zero cell, so
-// the stored table stays monotone in i and in each count (recompute).
+// need is made monotone — a running min over b' (rounding alone can raise
+// it: TestSuffixNeedRisesByRounding) and a max over every j' ≥ j — so the
+// dead set is down-closed in j and up-closed in each count. Each value stays
+// a lower bound: the exact need grows with the suffix and shrinks with b'.
+// Dead cells read 0 as the zero cell: the stored table stays monotone in i
+// and in each count (recompute).
 //
 // The knapsacks are read off a Fenwick tree over the tasks' ranks in that
 // order, filled as j falls: O(n·(B+1)·log n) per plan.

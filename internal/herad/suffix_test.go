@@ -3,6 +3,7 @@ package herad
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ampsched/internal/chaingen"
@@ -148,6 +149,28 @@ func TestDeadCellsClosed(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestSuffixNeedRisesByRounding pins the case for suffixLive's running
+// min over big-core counts: rounding alone can make the raw little-core
+// need rise with b'. Task 2 weighs 5e-8 on little cores, below half an ulp
+// of task 3's 1e9, so the suffix's little weight and the Fenwick prefix
+// that holds both lose it. At b' = 0 task 2 straddles the big capacity
+// (4 slack units of the big total, 3.64e-3, against its 0.004) and the
+// need subtracts 0.909 of its 5e-8 explicitly; at b' = 1 it fits whole and
+// nothing is subtracted for it. Under b = 0.096362 the raw need of rows
+// 1..3 reads 0.09636200 ≤ b at b' = 0 and 0.09636205 > b at b' = 1: one
+// little core, then two. With runMin = k the state of one big and one
+// little core left would be dead while the one with no big core left
+// stays live, and the table would not be up-closed.
+func TestSuffixNeedRisesByRounding(t *testing.T) {
+	c := core.MustChain([]core.Task{task(1, 1, true), task(1e9, 0.1, true), task(0.004, 5e-8, true), task(0, 1e9, true)})
+	r, b := core.Res(2, 2), 0.096362
+	checkDeadCellsClosed(t, c, r, b)
+	want := []float64{0, 0, 2, 0, 0, 2, 0, 0, 2} // first live row of each state
+	if live := suffixLive(c, r, b, new([]float64)); !slices.Equal(live, want) {
+		t.Errorf("suffix table %v, want %v", live, want)
+	}
 }
 
 // FuzzDeadCellsClosed is TestDeadCellsClosed on chains the fuzzer writes,
